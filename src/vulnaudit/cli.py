@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import asdict, dataclass, field
+import types
+import typing
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
-
-import numpy as np
 
 from . import audit as au
 from . import graph_build as gb
@@ -54,52 +53,56 @@ class RunConfig:
         return Path(self.out_dir) / "prepared"
 
 
+def _convert(tp, value, where: str):
+    """``value`` as annotated type ``tp``: scalars by calling the type,
+    lists and tuples element by element, ``X | None`` passing None through,
+    and dataclasses through ``_dataclass_from_doc``."""
+    if is_dataclass(tp):
+        return _dataclass_from_doc(tp, value, where)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):
+        inner = [a for a in args if a is not type(None)]
+        return None if value is None else _convert(inner[0], value, where)
+    if origin in (list, tuple):
+        return origin(_convert(args[0], v, where) for v in value)
+    return tp(value)
+
+
+def _dataclass_from_doc(cls, doc, where: str):
+    """Build dataclass ``cls`` from the JSON object ``doc`` using the class's
+    own fields: a present key is converted to its field's type, an absent one
+    takes the field's default. A non-object document, an unknown key, a
+    missing required key or a bad value is a ConfigError naming ``where``."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where}: expected a JSON object, got {type(doc).__name__}")
+    unknown = sorted(doc.keys() - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
+    hints = typing.get_type_hints(cls)
+    try:
+        return cls(**{name: _convert(hints[name], value, f"{where}, section {name!r}")
+                      for name, value in doc.items()})
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: bad config value: {exc}") from exc
+
+
+# CLI flags that override a key of the ``train`` section
+_TRAIN_FLAGS = {"epochs": "epochs", "seed": "seed", "lr": "learning_rate"}
+
+
 def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     doc = json.loads(path.read_text(encoding="utf-8"))
     overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
-    train_doc = dict(doc.get("train", {}))
-    for key in ("epochs", "seed"):
-        if key in overrides:
-            train_doc[key] = overrides.pop(key)
-    if "lr" in overrides:
-        train_doc["learning_rate"] = overrides.pop("lr")
-    doc.update(overrides)
-    try:
-        train_cfg = md.TrainConfig(
-            tau=float(train_doc.get("tau", 1.0)),
-            learning_rate=float(train_doc.get("learning_rate", 1e-3)),
-            epochs=int(train_doc.get("epochs", 200)),
-            edge_dropout=float(train_doc.get("edge_dropout", 0.20)),
-            n_subgraphs=(None if train_doc.get("n_subgraphs") is None
-                         else int(train_doc["n_subgraphs"])),
-            seed=int(train_doc.get("seed", 0)),
-            loss_weights=tuple(train_doc.get("loss_weights", (1.0, 1.0, 1.0))),
-            adam_betas=tuple(train_doc.get("adam_betas", (0.9, 0.999))),
-            adam_eps=float(train_doc.get("adam_eps", 1e-8)),
-        )
-        return RunConfig(
-            heights=doc["heights"],
-            prior_counts=doc["prior_counts"],
-            out_dir=doc["out_dir"],
-            tile_size=int(doc.get("tile_size", gb.DEFAULT_TILE_SIZE)),
-            split_ratios=tuple(doc.get("split_ratios", (0.70, 0.15, 0.15))),
-            split_seed=int(doc.get("split_seed", 0)),
-            split_tolerance=float(doc.get("split_tolerance", 0.25)),
-            upsample_factor=int(doc.get("upsample_factor", 1)),
-            train=train_cfg,
-            regions=list(doc.get("regions", [])),
-            min_edge=float(doc.get("min_edge", 0.05)),
-            threshold_m=float(doc.get("threshold_m", au.DEFAULT_CHANGE_THRESHOLD_M)),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"missing config key: {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"bad config value: {exc}") from exc
+    train = {_TRAIN_FLAGS[k]: overrides.pop(k) for k in list(overrides) if k in _TRAIN_FLAGS}
+    # a document or train section that is not an object is reported by the parser
+    if isinstance(doc, dict) and isinstance(doc.get("train", {}), dict):
+        doc = {**doc, **overrides, "train": {**doc.get("train", {}), **train}}
+    return _dataclass_from_doc(RunConfig, doc, str(path))
 
 
 def _echo_config(cfg: RunConfig, command: str) -> None:
@@ -184,14 +187,7 @@ def cmd_prepare(cfg: RunConfig) -> int:
 
     node_counts = {label: int(((g.values > 0) & g.valid_mask()).sum())
                    for label, g in zip(hm.layer_labels, heights.grids)}
-    pooled = []
-    for grid in heights.grids:
-        g = gb.build_graph(grid, splits.train)
-        if g.n_nodes:
-            pooled.append(g.features.ravel())
-    if not pooled:
-        raise ConfigError("no training nodes at any timestep")
-    _, stats = gb.log_normalize(np.concatenate(pooled))
+    stats = gb.fit_norm_stats(heights.grids, splits.train)
 
     histogram: dict[str, int] = {}
     for t in splits.all_tiles():
@@ -355,7 +351,8 @@ def cmd_audit(cfg: RunConfig, posteriors_dir: str) -> int:
 
 
 def cmd_synth(spec_path: str, out_dir: str) -> int:
-    spec = sy.SyntheticSpec.from_json(spec_path)
+    doc = json.loads(Path(spec_path).read_text(encoding="utf-8"))
+    spec = _dataclass_from_doc(sy.SyntheticSpec, doc, spec_path)
     paths = sy.write_dataset(spec, out_dir)
     for path in paths.values():
         gs.read_grid_stack(path)  # self-check
@@ -365,20 +362,6 @@ def cmd_synth(spec_path: str, out_dir: str) -> int:
     print(f"wrote synthetic dataset under {out_dir}: "
           + ", ".join(sorted(p.name for p in paths.values())))
     return 0
-
-
-def _check_thread_cap() -> None:
-    raw = os.environ.get("VULNAUDIT_THREADS")
-    if raw is None:
-        return
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"VULNAUDIT_THREADS must be an integer, got {raw!r}")
-    if cap < 1:
-        raise ConfigError("VULNAUDIT_THREADS must be >= 1")
-    # execution is sequential; the cap exists for interface stability and
-    # never changes results
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -415,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _check_thread_cap()
         if args.command == "synth":
             return cmd_synth(args.spec, args.out)
         overrides = {}

@@ -4,9 +4,7 @@ dropout."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,14 +39,13 @@ class Tile:
 class GridGraph:
     """Filtered pixel nodes with sparse symmetric 8-neighbor adjacency.
 
-    ``node_pixels[i]`` is the (x, y) raster coordinate of node i; ``features``
-    holds one row per node (column 0 is raw or normalized height).
+    Node i sits at raster pixel ``node_pixels[i]``, numbered in row-major
+    pixel order; column 0 of ``features[i]`` is its raw or normalized height.
     """
 
     node_pixels: np.ndarray            # (N, 2) int32, columns (x, y)
-    adjacency: SparseMatrix            # binary, symmetric, zero diagonal
+    adjacency: SparseMatrix            # (N, N) binary, symmetric, zero diagonal
     features: np.ndarray               # (N, F) float64
-    pixel_to_node: dict[tuple[int, int], int]
 
     @property
     def n_nodes(self) -> int:
@@ -85,8 +82,6 @@ class SplitAssignment:
 @dataclass
 class EpochSample:
     subgraphs: list[GridGraph]
-    dropped_edge_fraction: float
-    rng_seed: int
 
 
 def tile_region(width: int, height_px: int, tile_size: int = DEFAULT_TILE_SIZE) -> list[Tile]:
@@ -122,10 +117,15 @@ def _csr_from_arcs(n: int, rows: np.ndarray, cols: np.ndarray) -> SparseMatrix:
     return SparseMatrix.from_scipy(m)
 
 
+def _node_mask(heights: RasterGrid, tiles: list[Tile]) -> np.ndarray:
+    """In-tile pixels with a valid height > 0: the pixels that become nodes."""
+    in_tiles = tiles_mask(tiles, heights.width, heights.height_px)
+    return in_tiles & (heights.values > 0) & heights.valid_mask()
+
+
 def build_graph(heights: RasterGrid, tiles: list[Tile]) -> GridGraph:
     """Nodes are in-tile pixels with height > 0; edges join 8-neighbor nodes."""
-    in_tiles = tiles_mask(tiles, heights.width, heights.height_px)
-    node_mask = in_tiles & (heights.values > 0) & heights.valid_mask()
+    node_mask = _node_mask(heights, tiles)
     ys, xs = np.nonzero(node_mask)  # row-major node order
     n = len(xs)
     index = np.full(node_mask.shape, -1, dtype=np.int64)
@@ -151,8 +151,7 @@ def build_graph(heights: RasterGrid, tiles: list[Tile]) -> GridGraph:
 
     features = heights.values[ys, xs].astype(np.float64).reshape(n, 1)
     pixels = np.column_stack([xs, ys]).astype(np.int32)
-    pixel_to_node = {(int(x), int(y)): i for i, (x, y) in enumerate(pixels)}
-    return GridGraph(pixels, adjacency, features, pixel_to_node)
+    return GridGraph(pixels, adjacency, features)
 
 
 def log_normalize(features: np.ndarray,
@@ -174,6 +173,17 @@ def log_normalize(features: np.ndarray,
             std = 1.0
         stats = NormStats(mean, std)
     return (logged - stats.mean) / stats.std, stats
+
+
+def fit_norm_stats(grids: list[RasterGrid], tiles: list[Tile]) -> NormStats:
+    """``log_normalize`` statistics over the node heights inside ``tiles``,
+    pooled over every grid in order: the same pool as the concatenated
+    ``build_graph(grid, tiles).features``, without building the graphs."""
+    pooled = np.concatenate([g.values[_node_mask(g, tiles)].astype(np.float64)
+                             for g in grids])
+    if not pooled.size:
+        raise ValueError("no training nodes at any timestep")
+    return log_normalize(pooled)[1]
 
 
 def normalize_adjacency(graph_or_adj: GridGraph | SparseMatrix) -> SparseMatrix:
@@ -273,8 +283,7 @@ def _induced_subgraph(graph: GridGraph, nodes: np.ndarray) -> GridGraph:
     sub_adj = graph.adjacency.to_scipy()[nodes][:, nodes]
     pixels = graph.node_pixels[nodes]
     features = graph.features[nodes]
-    pixel_to_node = {(int(x), int(y)): i for i, (x, y) in enumerate(pixels)}
-    return GridGraph(pixels, SparseMatrix.from_scipy(sub_adj), features, pixel_to_node)
+    return GridGraph(pixels, SparseMatrix.from_scipy(sub_adj), features)
 
 
 def _drop_edges(graph: GridGraph, fraction: float, rng: np.random.Generator) -> GridGraph:
@@ -290,8 +299,7 @@ def _drop_edges(graph: GridGraph, fraction: float, rng: np.random.Generator) -> 
     rows = np.concatenate([kept[:, 0], kept[:, 1]])
     cols = np.concatenate([kept[:, 1], kept[:, 0]])
     adjacency = _csr_from_arcs(graph.n_nodes, rows, cols)
-    return GridGraph(graph.node_pixels, adjacency, graph.features,
-                     dict(graph.pixel_to_node))
+    return GridGraph(graph.node_pixels, adjacency, graph.features)
 
 
 def sample_epoch(train_graph: GridGraph, n_subgraphs: int,
@@ -311,23 +319,8 @@ def sample_epoch(train_graph: GridGraph, n_subgraphs: int,
     for part in parts:
         sub = _induced_subgraph(train_graph, part)
         subgraphs.append(_drop_edges(sub, dropout, rng))
-    return EpochSample(subgraphs, dropout, seed)
+    return EpochSample(subgraphs)
 
 
 def auto_n_subgraphs(n_nodes: int) -> int:
     return max(1, -(-n_nodes // MAX_SUBGRAPH_NODES))
-
-
-def dump_graph_debug(graph: GridGraph, out_dir: str | Path, prefix: str = "graph") -> None:
-    """Write an edge list ("u v" per line) and a node table CSV for inspection."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    edges = graph.undirected_edges()
-    with open(out_dir / f"{prefix}_edges.txt", "w", encoding="utf-8") as fh:
-        for u, v in edges:
-            fh.write(f"{u} {v}\n")
-    with open(out_dir / f"{prefix}_nodes.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node", "x", "y", "height"])
-        for i, (x, y) in enumerate(graph.node_pixels):
-            writer.writerow([i, int(x), int(y), repr(float(graph.features[i, 0]))])

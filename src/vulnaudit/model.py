@@ -18,8 +18,8 @@ import numpy as np
 
 from . import numcore as nc
 from .graph_build import (GridGraph, NormStats, SplitAssignment, auto_n_subgraphs,
-                          build_graph, log_normalize, normalize_adjacency,
-                          sample_epoch, tile_region)
+                          build_graph, fit_norm_stats, log_normalize,
+                          normalize_adjacency, sample_epoch, tile_region)
 from .grid_store import DEFAULT_NODATA, GridStack, PriorField, RasterGrid, StackKind, StackManifest
 from .numcore import NonFiniteError, SparseMatrix, Tape, Var
 
@@ -396,15 +396,14 @@ def train(params: ModelParams, height_series: GridStack, prior: PriorField,
         raise ValueError("no training nodes at any timestep")
 
     if norm_stats is None:
-        pooled = np.concatenate([g.features.ravel() for g in train_graphs.values()])
-        _, norm_stats = log_normalize(pooled)
+        norm_stats = fit_norm_stats(height_series.grids, splits.train)
 
     train_labels = list(train_graphs)
     normed: dict[str, GridGraph] = {}
     for label in train_labels:
         g = train_graphs[label]
         feats, _ = log_normalize(g.features, norm_stats)
-        normed[label] = GridGraph(g.node_pixels, g.adjacency, feats, g.pixel_to_node)
+        normed[label] = GridGraph(g.node_pixels, g.adjacency, feats)
 
     # validation inputs are fixed across epochs
     val_inputs = []
@@ -449,13 +448,11 @@ def train(params: ModelParams, height_series: GridStack, prior: PriorField,
 
 
 def infer_posterior(params: ModelParams, heights: RasterGrid, norm_stats: NormStats,
-                    categories: list[str], timestep: str = "",
-                    tiles=None) -> PosteriorField:
+                    categories: list[str], timestep: str = "") -> PosteriorField:
     """Posterior probabilities for every node pixel of the full raster;
     pixels without a node are nodata."""
-    if tiles is None:
-        tiles = tile_region(heights.width, heights.height_px,
-                            max(heights.width, heights.height_px))
+    tiles = tile_region(heights.width, heights.height_px,
+                        max(heights.width, heights.height_px))
     graph = build_graph(heights, tiles)
     h, w = heights.height_px, heights.width
     probs = np.full((h, w, len(categories)), DEFAULT_NODATA, dtype=np.float64)
@@ -517,7 +514,7 @@ def save_checkpoint(path: str | Path, params: ModelParams, norm_stats: NormStats
         "shapes": {name: list(params.weights[name].shape) for name in PARAM_ORDER},
         "norm_mean": norm_stats.mean,
         "norm_std": norm_stats.std,
-        "config": {**asdict(config), "n_subgraphs": config.n_subgraphs},
+        "config": asdict(config),
     }
     (path / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")

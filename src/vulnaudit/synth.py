@@ -9,7 +9,6 @@ configurable fraction of which are corrupted by resampling their counts.
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,23 +51,6 @@ class SyntheticSpec:
             raise ValueError("need at least one timestep")
         if self.labels is None:
             self.labels = [f"cat{i}" for i in range(self.k)]
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "SyntheticSpec":
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(
-            width=int(doc["width"]),
-            height_px=int(doc["height_px"]),
-            timesteps=int(doc["timesteps"]),
-            k=int(doc["k"]),
-            mean_log_heights=[float(v) for v in doc["mean_log_heights"]],
-            std_log_heights=[float(v) for v in doc["std_log_heights"]],
-            block_size=int(doc["block_size"]),
-            seed=int(doc["seed"]),
-            corruption=float(doc.get("corruption", 0.0)),
-            n_blobs=doc.get("n_blobs"),
-            labels=doc.get("labels"),
-        )
 
 
 def default_spec(width: int = 64, height_px: int = 64, timesteps: int = 3,

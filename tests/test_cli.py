@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vulnaudit import cli
+from vulnaudit import graph_build as gb
 from vulnaudit import grid_store as gs
 from vulnaudit import model as md
 from vulnaudit import synth as sy
@@ -72,6 +73,16 @@ class TestSynth:
         predicted = (np.log(heights) > 1.25).astype(int)
         assert (predicted == truth).mean() > 0.9
 
+    @pytest.mark.parametrize("edit, named", [
+        (lambda doc: [], "JSON object"),
+        (lambda doc: {**doc, "corruptoin": 0.1}, "corruptoin"),
+    ], ids=["list", "unknown-key"])
+    def test_bad_spec_exits_2(self, tmp_path, capsys, edit, named):
+        spec = write_spec(tmp_path / "spec.json")
+        spec.write_text(json.dumps(edit(json.loads(spec.read_text()))))
+        assert cli.main(["synth", "--spec", str(spec), "--out", str(tmp_path / "d")]) == 2
+        assert named in capsys.readouterr().err
+
     def test_k_below_two_rejected(self, tmp_path, capsys):
         spec = write_spec(tmp_path / "spec.json", k=1, mean_log_heights=[1.0],
                           std_log_heights=[0.3])
@@ -89,6 +100,24 @@ class TestPrepare:
         report = json.loads((prepared / "prep_report.json").read_text())
         assert set(report["node_counts"]) == {"t0", "t1"}
         assert report["norm_std"] > 0
+
+    def test_norm_stats_equal_pooled_graph_features(self, toy_run):
+        tmp_path, config = toy_run
+        # zero and nodata heights must stay out of the pool, as they are not nodes
+        heights = gs.read_grid_stack(tmp_path / "data" / "heights")
+        heights.grids[0].values[::3, ::3] = 0.0
+        heights.grids[1].values[1::4, 2::4] = heights.grids[1].nodata
+        gs.write_grid_stack(heights, tmp_path / "data" / "heights")
+        assert cli.main(["prepare", "--config", str(config)]) == 0
+        prepared = tmp_path / "out" / "prepared"
+        report = json.loads((prepared / "prep_report.json").read_text())
+        train_tiles = [gb.Tile(r["x"], r["y"], r["w"], r["h"]) for r in
+                       json.loads((prepared / "splits.json").read_text())["tiles"]
+                       if r["split"] == "train"]
+        pooled = np.concatenate([gb.build_graph(g, train_tiles).features.ravel()
+                                 for g in heights.grids])
+        _, expected = gb.log_normalize(pooled)
+        assert (report["norm_mean"], report["norm_std"]) == (expected.mean, expected.std)
 
     def test_missing_prior_path_names_it(self, tmp_path, capsys):
         spec = write_spec(tmp_path / "spec.json")
@@ -258,11 +287,33 @@ class TestConfigHandling:
         assert cfg.train.epochs == 9
         assert cfg.train.learning_rate == 0.5
 
-    def test_bad_thread_cap_exits_2(self, toy_run, monkeypatch, capsys):
+    @pytest.mark.parametrize("edit, named", [
+        (lambda doc: [], "JSON object"),
+        (lambda doc: {**doc, "train": [1]}, "JSON object"),
+        (lambda doc: {**doc, "tile_sise": 8}, "tile_sise"),
+        (lambda doc: {**doc, "train": {"learning_rte": 0.1}}, "learning_rte"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "heights"}, "heights"),
+    ], ids=["list", "train-list", "unknown-key", "unknown-train-key", "missing-key"])
+    def test_bad_config_exits_2(self, toy_run, capsys, edit, named):
         tmp_path, config = toy_run
-        monkeypatch.setenv("VULNAUDIT_THREADS", "zero")
+        config.write_text(json.dumps(edit(json.loads(config.read_text()))))
         assert cli.main(["prepare", "--config", str(config)]) == 2
-        assert "VULNAUDIT_THREADS" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
+
+    def test_config_echoes_load_back(self, toy_run):
+        tmp_path, config = toy_run
+        out = tmp_path / "out"
+        assert cli.main(["prepare", "--config", str(config)]) == 0
+        assert cli.main(["train", "--config", str(config)]) == 0
+        assert cli.main(["infer", "--config", str(config),
+                         "--checkpoint", str(out / "checkpoint")]) == 0
+        assert cli.main(["audit", "--config", str(config),
+                         "--posteriors", str(out / "posteriors")]) == 0
+        expected = cli.load_run_config(config)
+        for command in ("prepare", "train", "infer", "audit"):
+            assert cli.load_run_config(out / f"{command}_config_echo.json") == expected
+        echo = tmp_path / "data" / "synth_config_echo.json"
+        assert cli.main(["synth", "--spec", str(echo), "--out", str(tmp_path / "again")]) == 0
 
     def test_missing_config_file(self, tmp_path):
         assert cli.main(["prepare", "--config", str(tmp_path / "nope.json")]) == 2

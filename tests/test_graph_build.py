@@ -270,15 +270,3 @@ class TestSampleEpoch:
         graph = self.make_graph(2)
         with pytest.raises(ValueError):
             gb.sample_epoch(graph, 5, dropout=0.0, seed=0)
-
-
-class TestDebugDump:
-    def test_files_written(self, tmp_path):
-        grid = heights_grid(np.ones((2, 2)))
-        graph = gb.build_graph(grid, full_tile(grid))
-        gb.dump_graph_debug(graph, tmp_path, "g")
-        edges = (tmp_path / "g_edges.txt").read_text().strip().splitlines()
-        assert len(edges) == graph.n_undirected_edges
-        table = (tmp_path / "g_nodes.csv").read_text().strip().splitlines()
-        assert table[0] == "node,x,y,height"
-        assert len(table) == graph.n_nodes + 1

@@ -250,8 +250,7 @@ class TestTrainStep:
         stack, prior, splits, _ = toy_dataset(seed=1, side=5, tile=5)
         graph = gb.build_graph(stack.grids[0], splits.train)
         feats, _ = gb.log_normalize(graph.features)
-        graph = gb.GridGraph(graph.node_pixels, graph.adjacency, feats,
-                             graph.pixel_to_node)
+        graph = gb.GridGraph(graph.node_pixels, graph.adjacency, feats)
         params = md.ModelParams.initialize(1, 2, hidden=6, seed=4)
         config = md.TrainConfig(learning_rate=lr, epochs=1)
         return params, graph, prior, config
