@@ -15,6 +15,7 @@ from .numcore import SparseMatrix
 DEFAULT_TILE_SIZE = 450
 DEFAULT_EDGE_DROPOUT = 0.20
 MAX_SUBGRAPH_NODES = 50_000
+NODE_FEATURES = 1  # build_graph gives each node one feature: its height
 
 # 8-neighbor offsets; scanning half of them with both edge directions added
 # covers the full neighborhood
@@ -149,7 +150,7 @@ def build_graph(heights: RasterGrid, tiles: list[Tile]) -> GridGraph:
         cols = np.empty(0, dtype=np.int64)
     adjacency = _csr_from_arcs(n, rows, cols)
 
-    features = heights.values[ys, xs].astype(np.float64).reshape(n, 1)
+    features = heights.values[ys, xs].astype(np.float64).reshape(n, NODE_FEATURES)
     pixels = np.column_stack([xs, ys]).astype(np.int32)
     return GridGraph(pixels, adjacency, features)
 

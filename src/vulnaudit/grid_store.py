@@ -9,6 +9,9 @@ write -> read round-trips are bit-exact.
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import uuid
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -158,10 +161,13 @@ def read_grid_stack(path: str | Path) -> GridStack:
 
 
 def write_grid_stack(stack: GridStack, path: str | Path) -> None:
-    """Write manifest + layer files; re-reading yields an equal stack."""
+    """Write manifest + layer files; re-reading yields an equal stack.
+
+    The files go into a sibling temporary directory that then takes the
+    place of ``path``, so a write that fails part-way leaves ``path`` holding
+    the previous stack or nothing, never new files beside old ones.
+    """
     validate_stack(stack)
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
     m = stack.manifest
     doc = {
         "kind": m.kind.value,
@@ -171,11 +177,34 @@ def write_grid_stack(stack: GridStack, path: str | Path) -> None:
         "layers": m.layer_labels,
         "crs_note": m.crs_note,
     }
-    (path / "manifest.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    for label, grid in zip(m.layer_labels, stack.grids):
-        (path / f"{label}.f32").write_bytes(
-            np.ascontiguousarray(grid.values, dtype="<f4").tobytes())
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = _sibling(path, "tmp")
+    tmp.mkdir()
+    try:
+        (tmp / "manifest.json").write_text(
+            json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        for label, grid in zip(m.layer_labels, stack.grids):
+            (tmp / f"{label}.f32").write_bytes(
+                np.ascontiguousarray(grid.values, dtype="<f4").tobytes())
+        if path.is_dir():
+            # os.replace cannot replace a non-empty directory: move it aside
+            old = _sibling(path, "old")
+            os.replace(path, old)
+            try:
+                os.replace(tmp, path)
+            except OSError:
+                os.replace(old, path)
+                raise
+            shutil.rmtree(old)
+        else:
+            os.replace(tmp, path)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+def _sibling(path: Path, tag: str) -> Path:
+    return path.with_name(f".{path.name}.{tag}-{uuid.uuid4().hex[:12]}")
 
 
 def stacks_equal(a: GridStack, b: GridStack) -> bool:

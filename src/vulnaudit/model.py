@@ -11,15 +11,17 @@ two restricted to nodes that carry a prior.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import numcore as nc
-from .graph_build import (GridGraph, NormStats, SplitAssignment, auto_n_subgraphs,
-                          build_graph, fit_norm_stats, log_normalize,
-                          normalize_adjacency, sample_epoch, tile_region)
+from .graph_build import (MAX_SUBGRAPH_NODES, NODE_FEATURES, GridGraph, NormStats,
+                          SplitAssignment, Tile, auto_n_subgraphs, build_graph,
+                          fit_norm_stats, log_normalize, normalize_adjacency,
+                          sample_epoch, tile_region)
 from .grid_store import DEFAULT_NODATA, GridStack, PriorField, RasterGrid, StackKind, StackManifest
 from .numcore import NonFiniteError, SparseMatrix, Tape, Var
 
@@ -447,29 +449,51 @@ def train(params: ModelParams, height_series: GridStack, prior: PriorField,
     return TrainResult(params, history, norm_stats)
 
 
+# Inference encodes one window at a time: a core tile plus a halo. The
+# encoder's three A_hat products read 3 hops, and A_hat's degree
+# normalisation reads one hop more, so with a 4-pixel halo every core node
+# gets exactly its full-graph posterior (a 3-pixel halo does not). The core is
+# sized so that a window stays under the training subgraph node cap.
+INFER_HALO = 4
+INFER_CORE = math.isqrt(MAX_SUBGRAPH_NODES) - 2 * INFER_HALO  # 215 px
+
+
 def infer_posterior(params: ModelParams, heights: RasterGrid, norm_stats: NormStats,
                     categories: list[str], timestep: str = "") -> PosteriorField:
-    """Posterior probabilities for every node pixel of the full raster;
-    pixels without a node are nodata."""
-    tiles = tile_region(heights.width, heights.height_px,
-                        max(heights.width, heights.height_px))
-    graph = build_graph(heights, tiles)
+    """Posterior probabilities for every node pixel of the raster; pixels
+    without a node are nodata.
+
+    The raster is cut into INFER_CORE-pixel core tiles. Each core is encoded
+    on the graph of its window (the core plus an INFER_HALO-pixel halo,
+    clipped to the raster) and only its core pixels are written. The result
+    equals encoding the full-raster graph, while memory is bounded by one
+    window of at most MAX_SUBGRAPH_NODES nodes.
+    """
+    if params.f_dim != NODE_FEATURES:
+        raise ValueError(f"feature-dimension mismatch: graph has "
+                         f"{NODE_FEATURES}, model expects {params.f_dim}")
+    if len(categories) != params.k_cats:
+        raise ValueError("category count does not match model")
     h, w = heights.height_px, heights.width
     probs = np.full((h, w, len(categories)), DEFAULT_NODATA, dtype=np.float64)
     valid = np.zeros((h, w), dtype=bool)
-    if graph.n_nodes == 0:
-        return PosteriorField(list(categories), probs, valid, timestep)
-    if graph.features.shape[1] != params.f_dim:
-        raise ValueError(f"feature-dimension mismatch: graph has "
-                         f"{graph.features.shape[1]}, model expects {params.f_dim}")
-    if len(categories) != params.k_cats:
-        raise ValueError("category count does not match model")
-    feats, _ = log_normalize(graph.features, norm_stats)
-    enc = encode(params, normalize_adjacency(graph), feats)
-    xs = graph.node_pixels[:, 0]
-    ys = graph.node_pixels[:, 1]
-    probs[ys, xs] = enc.probabilities.value
-    valid[ys, xs] = True
+    for core in tile_region(w, h, INFER_CORE):
+        cx1, cy1 = core.origin_x + core.width, core.origin_y + core.height
+        x0, y0 = max(core.origin_x - INFER_HALO, 0), max(core.origin_y - INFER_HALO, 0)
+        x1, y1 = min(cx1 + INFER_HALO, w), min(cy1 + INFER_HALO, h)
+        window = RasterGrid(x1 - x0, y1 - y0, heights.values[y0:y1, x0:x1],
+                            nodata=heights.nodata)
+        graph = build_graph(window, [Tile(0, 0, window.width, window.height_px)])
+        if graph.n_nodes == 0:
+            continue
+        feats, _ = log_normalize(graph.features, norm_stats)
+        enc = encode(params, normalize_adjacency(graph), feats)
+        xs = graph.node_pixels[:, 0] + x0
+        ys = graph.node_pixels[:, 1] + y0
+        in_core = (xs >= core.origin_x) & (xs < cx1) & (ys >= core.origin_y) & (ys < cy1)
+        xs, ys = xs[in_core], ys[in_core]
+        probs[ys, xs] = enc.probabilities.value[in_core]
+        valid[ys, xs] = True
     return PosteriorField(list(categories), probs, valid, timestep)
 
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,52 @@ class TestWriteErrors:
         grid = RasterGrid(1, 1, np.ones((1, 1), np.float32))
         with pytest.raises(GridFormatError, match="grids for"):
             GridStack(manifest, [grid])
+
+
+class TestAtomicWrite:
+    @staticmethod
+    def fail_second_layer(monkeypatch, written_frac):
+        """Make the second layer file write ``written_frac`` of its bytes and
+        then fail, as a crash or a full disk would."""
+        real_write = Path.write_bytes
+        calls = []
+
+        def flaky_write(self, data):
+            calls.append(self.name)
+            if len(calls) == 2:
+                real_write(self, data[:int(len(data) * written_frac)])
+                raise OSError("disk full")
+            return real_write(self, data)
+
+        monkeypatch.setattr(Path, "write_bytes", flaky_write)
+
+    @staticmethod
+    def two_layer_stack(scale):
+        ones = np.ones((2, 2), np.float32)
+        return make_stack(StackKind.HEIGHT_SERIES, 2, 2,
+                          {"a": scale * ones, "b": 2 * scale * ones})
+
+    @pytest.mark.parametrize("written_frac", [0.0, 0.5])
+    def test_failed_rewrite_keeps_previous_stack(self, tmp_path, monkeypatch,
+                                                 written_frac):
+        old, new = self.two_layer_stack(1.0), self.two_layer_stack(3.0)
+        gs.write_grid_stack(old, tmp_path / "s")
+        self.fail_second_layer(monkeypatch, written_frac)
+        with pytest.raises(OSError, match="disk full"):
+            gs.write_grid_stack(new, tmp_path / "s")
+        monkeypatch.undo()
+        assert gs.stacks_equal(gs.read_grid_stack(tmp_path / "s"), old)
+        assert [p.name for p in tmp_path.iterdir()] == ["s"]
+
+        gs.write_grid_stack(new, tmp_path / "s")
+        assert gs.stacks_equal(gs.read_grid_stack(tmp_path / "s"), new)
+        assert [p.name for p in tmp_path.iterdir()] == ["s"]
+
+    def test_failed_first_write_leaves_nothing(self, tmp_path, monkeypatch):
+        self.fail_second_layer(monkeypatch, 0.5)
+        with pytest.raises(OSError, match="disk full"):
+            gs.write_grid_stack(self.two_layer_stack(1.0), tmp_path / "s")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestNormalizePriorCounts:

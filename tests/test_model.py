@@ -312,6 +312,15 @@ class TestInferPosterior:
         assert not post.valid.any()
         assert np.all(post.probs == -1.0)
 
+    def test_empty_raster_still_checks_the_model(self):
+        grid = RasterGrid(4, 4, np.zeros((4, 4), dtype=np.float32))
+        with pytest.raises(ValueError, match="category count"):
+            md.infer_posterior(random_params(k=3), grid,
+                               gb.NormStats(0.0, 1.0), ["a", "b"])
+        with pytest.raises(ValueError, match="feature-dimension"):
+            md.infer_posterior(random_params(f_dim=2, k=3), grid,
+                               gb.NormStats(0.0, 1.0), ["a", "b", "c"])
+
     def test_simplex_rows_at_nodes(self):
         rng = np.random.default_rng(8)
         grid = RasterGrid(5, 5, rng.uniform(0.5, 4.0, size=(5, 5)).astype(np.float32))
@@ -330,6 +339,77 @@ class TestInferPosterior:
                                   gb.NormStats(0.0, 1.0), ["a", "b"])
         assert post.valid[1, 1]
         assert post.probs[1, 1].sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def full_graph_posterior(params, grid, stats):
+    """Oracle for infer_posterior: encode the graph of the whole raster."""
+    graph = gb.build_graph(grid, [gb.Tile(0, 0, grid.width, grid.height_px)])
+    probs = np.full((grid.height_px, grid.width, params.k_cats), -1.0)
+    valid = np.zeros((grid.height_px, grid.width), dtype=bool)
+    if graph.n_nodes:
+        feats, _ = gb.log_normalize(graph.features, stats)
+        enc = md.encode(params, gb.normalize_adjacency(graph), feats)
+        xs, ys = graph.node_pixels[:, 0], graph.node_pixels[:, 1]
+        probs[ys, xs] = enc.probabilities.value
+        valid[ys, xs] = True
+    return probs, valid
+
+
+class TestTiledInference:
+    """infer_posterior encodes halo windows; it must equal the full graph."""
+
+    @staticmethod
+    def assert_matches_full_graph(grid, params, stats):
+        cats = [f"c{i}" for i in range(params.k_cats)]
+        post = md.infer_posterior(params, grid, stats, cats)
+        probs, valid = full_graph_posterior(params, grid, stats)
+        np.testing.assert_array_equal(post.valid, valid)
+        np.testing.assert_array_equal(post.probs[~valid], -1.0)
+        np.testing.assert_allclose(post.probs[valid], probs[valid], rtol=0, atol=1e-12)
+
+    def test_random_rasters_match_full_graph(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        stats = gb.NormStats(0.9, 0.6)
+        for trial in range(40):
+            core = int(rng.integers(1, 10))
+            monkeypatch.setattr(md, "INFER_CORE", core)
+            h, w = (int(v) for v in rng.integers(1, 41, size=2))
+            vals = rng.lognormal(0.5, 0.8, size=(h, w)).astype(np.float32)
+            vals[rng.random((h, w)) < rng.uniform(0.0, 0.6)] = 0.0
+            vals[rng.random((h, w)) < 0.1] = -1.0  # nodata
+            params = random_params(k=int(rng.integers(2, 5)), hidden=5, seed=trial)
+            self.assert_matches_full_graph(RasterGrid(w, h, vals), params, stats)
+
+    @pytest.mark.parametrize("h, w, core", [
+        (20, 20, 4),   # the left windows hold no node at all
+        (3, 30, 7),    # narrower than one core
+        (23, 17, 5),   # sides are not multiples of the core
+    ])
+    def test_edge_cases_match_full_graph(self, monkeypatch, h, w, core):
+        monkeypatch.setattr(md, "INFER_CORE", core)
+        rng = np.random.default_rng(h * w + core)
+        vals = rng.uniform(0.5, 6.0, size=(h, w)).astype(np.float32)
+        vals[:, : w // 2] = 0.0
+        self.assert_matches_full_graph(RasterGrid(w, h, vals),
+                                       random_params(k=3, hidden=6, seed=core),
+                                       gb.NormStats(0.8, 0.5))
+
+    def test_windows_stay_under_node_cap(self, monkeypatch):
+        nodes = []
+        build_graph = md.build_graph
+
+        def counting_build_graph(heights, tiles):
+            graph = build_graph(heights, tiles)
+            nodes.append(graph.n_nodes)
+            return graph
+
+        monkeypatch.setattr(md, "build_graph", counting_build_graph)
+        grid = RasterGrid(500, 300, np.full((300, 500), 2.0, dtype=np.float32))
+        post = md.infer_posterior(random_params(k=3), grid,
+                                  gb.NormStats(0.5, 0.4), ["a", "b", "c"])
+        assert post.valid.all()
+        assert len(nodes) == 6
+        assert max(nodes) <= gb.MAX_SUBGRAPH_NODES
 
 
 class TestCheckpoint:
