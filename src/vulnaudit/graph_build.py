@@ -10,7 +10,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .grid_store import PriorField, RasterGrid
-from .numcore import SparseMatrix
 
 DEFAULT_TILE_SIZE = 450
 DEFAULT_EDGE_DROPOUT = 0.20
@@ -45,7 +44,7 @@ class GridGraph:
     """
 
     node_pixels: np.ndarray            # (N, 2) int32, columns (x, y)
-    adjacency: SparseMatrix            # (N, N) binary, symmetric, zero diagonal
+    adjacency: sp.csr_matrix           # (N, N) binary, symmetric, zero diagonal
     features: np.ndarray               # (N, F) float64
 
     @property
@@ -58,7 +57,7 @@ class GridGraph:
 
     def undirected_edges(self) -> np.ndarray:
         """(m, 2) array of node pairs with u < v."""
-        coo = self.adjacency.to_scipy().tocoo()
+        coo = self.adjacency.tocoo()
         keep = coo.row < coo.col
         return np.column_stack([coo.row[keep], coo.col[keep]]).astype(np.int64)
 
@@ -110,12 +109,12 @@ def tiles_mask(tiles: list[Tile], width: int, height_px: int) -> np.ndarray:
     return mask
 
 
-def _csr_from_arcs(n: int, rows: np.ndarray, cols: np.ndarray) -> SparseMatrix:
+def _csr_from_arcs(n: int, rows: np.ndarray, cols: np.ndarray) -> sp.csr_matrix:
     data = np.ones(len(rows), dtype=np.float64)
     m = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
     m.sum_duplicates()
     m.data[:] = 1.0
-    return SparseMatrix.from_scipy(m)
+    return m
 
 
 def _node_mask(heights: RasterGrid, tiles: list[Tile]) -> np.ndarray:
@@ -187,16 +186,20 @@ def fit_norm_stats(grids: list[RasterGrid], tiles: list[Tile]) -> NormStats:
     return log_normalize(pooled)[1]
 
 
-def normalize_adjacency(graph_or_adj: GridGraph | SparseMatrix) -> SparseMatrix:
-    """Symmetric normalization with self-loops: D^(-1/2) (A + I) D^(-1/2)."""
+def normalize_adjacency(graph_or_adj: GridGraph | sp.csr_matrix) -> sp.csr_matrix:
+    """Symmetric normalization with self-loops: D^(-1/2) (A + I) D^(-1/2).
+
+    The result has sorted column indices, which fixes the summation order of
+    every product with it."""
     adj = graph_or_adj.adjacency if isinstance(graph_or_adj, GridGraph) else graph_or_adj
-    if not adj.is_symmetric():
+    if adj.shape[0] != adj.shape[1] or (adj != adj.T).nnz:
         raise ValueError("adjacency must be symmetric")
-    a = adj.to_scipy()
-    a_tilde = a + sp.identity(adj.rows, format="csr")
+    a_tilde = adj + sp.identity(adj.shape[0], format="csr")
     deg = np.asarray(a_tilde.sum(axis=1)).ravel()
     d_inv_sqrt = sp.diags(1.0 / np.sqrt(deg))
-    return SparseMatrix.from_scipy(d_inv_sqrt @ a_tilde @ d_inv_sqrt)
+    a_hat = (d_inv_sqrt @ a_tilde @ d_inv_sqrt).tocsr()
+    a_hat.sort_indices()
+    return a_hat
 
 
 def dominant_categories(tiles: list[Tile], prior: PriorField) -> list[Tile]:
@@ -281,10 +284,8 @@ def _category_distribution(tiles: list[Tile]) -> dict[int, float]:
 
 def _induced_subgraph(graph: GridGraph, nodes: np.ndarray) -> GridGraph:
     nodes = np.sort(nodes)
-    sub_adj = graph.adjacency.to_scipy()[nodes][:, nodes]
-    pixels = graph.node_pixels[nodes]
-    features = graph.features[nodes]
-    return GridGraph(pixels, SparseMatrix.from_scipy(sub_adj), features)
+    sub_adj = graph.adjacency[nodes][:, nodes]
+    return GridGraph(graph.node_pixels[nodes], sub_adj, graph.features[nodes])
 
 
 def _drop_edges(graph: GridGraph, fraction: float, rng: np.random.Generator) -> GridGraph:

@@ -12,9 +12,11 @@ import json
 import os
 import shutil
 import uuid
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -177,16 +179,26 @@ def write_grid_stack(stack: GridStack, path: str | Path) -> None:
         "layers": m.layer_labels,
         "crs_note": m.crs_note,
     }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = _sibling(path, "tmp")
-    tmp.mkdir()
-    try:
+    with _staged_dir(path) as tmp:
         (tmp / "manifest.json").write_text(
             json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         for label, grid in zip(m.layer_labels, stack.grids):
             (tmp / f"{label}.f32").write_bytes(
                 np.ascontiguousarray(grid.values, dtype="<f4").tobytes())
+
+
+@contextmanager
+def _staged_dir(path: str | Path) -> Iterator[Path]:
+    """Yield a fresh sibling temporary directory to fill; when the block
+    completes, it takes the place of ``path``. If the block raises, ``path``
+    keeps its previous contents (or stays absent) and the temporary directory
+    is removed, so readers never see new files beside old ones."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = _sibling(path, "tmp")
+    tmp.mkdir()
+    try:
+        yield tmp
         if path.is_dir():
             # os.replace cannot replace a non-empty directory: move it aside
             old = _sibling(path, "old")

@@ -16,14 +16,16 @@ from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import numcore as nc
 from .graph_build import (MAX_SUBGRAPH_NODES, NODE_FEATURES, GridGraph, NormStats,
                           SplitAssignment, Tile, auto_n_subgraphs, build_graph,
                           fit_norm_stats, log_normalize, normalize_adjacency,
                           sample_epoch, tile_region)
-from .grid_store import DEFAULT_NODATA, GridStack, PriorField, RasterGrid, StackKind, StackManifest
-from .numcore import NonFiniteError, SparseMatrix, Tape, Var
+from .grid_store import (DEFAULT_NODATA, GridStack, PriorField, RasterGrid, StackKind,
+                         StackManifest, _staged_dir)
+from .numcore import NonFiniteError, Tape, Var
 
 DEFAULT_HIDDEN = 25
 CLAMP = 1e-9
@@ -141,13 +143,7 @@ def _register(tape: Tape, params: ModelParams) -> dict[str, Var]:
     return {name: tape.param(name, params.weights[name]) for name in PARAM_ORDER}
 
 
-def _gcn_layer(tape: Tape, a_hat: SparseMatrix, h: Var, w: Var, b: Var,
-               activate: bool) -> Var:
-    out = nc.add_bias(tape, nc.matmul(tape, nc.spmm(tape, a_hat, h), w), b)
-    return nc.relu(tape, out) if activate else out
-
-
-def encode(params: ModelParams, a_hat: SparseMatrix, x: np.ndarray,
+def encode(params: ModelParams, a_hat: sp.csr_matrix, x: np.ndarray,
            tape: Tape | None = None) -> EncoderOutput:
     """ReLU(A(ReLU(A(A X W1 + b1) W2 + b2)) W3 + b3) -> logits; softmax -> probabilities."""
     x = np.asarray(x, dtype=np.float64)
@@ -155,22 +151,22 @@ def encode(params: ModelParams, a_hat: SparseMatrix, x: np.ndarray,
         raise ValueError(f"feature-dimension mismatch: got {x.shape}, expected (*, {params.f_dim})")
     tape = tape if tape is not None else Tape()
     pv = _register(tape, params)
-    h = _gcn_layer(tape, a_hat, tape.constant(x), pv["enc_w1"], pv["enc_b1"], True)
-    h = _gcn_layer(tape, a_hat, h, pv["enc_w2"], pv["enc_b2"], True)
-    logits = _gcn_layer(tape, a_hat, h, pv["enc_w3"], pv["enc_b3"], False)
+    h = nc.gcn_layer(tape, a_hat, tape.constant(x), pv["enc_w1"], pv["enc_b1"], True)
+    h = nc.gcn_layer(tape, a_hat, h, pv["enc_w2"], pv["enc_b2"], True)
+    logits = nc.gcn_layer(tape, a_hat, h, pv["enc_w3"], pv["enc_b3"], False)
     return EncoderOutput(logits, nc.softmax_rows(tape, logits))
 
 
-def decode(params: ModelParams, a_hat: SparseMatrix, v: Var,
+def decode(params: ModelParams, a_hat: sp.csr_matrix, v: Var,
            tape: Tape) -> Var:
     """Mirror of the encoder on the latent sample; final layer is linear."""
     if v.value.shape[1] != params.k_cats:
         raise ValueError(f"latent dimension mismatch: got {v.value.shape}, "
                          f"expected (*, {params.k_cats})")
     pv = _register(tape, params)
-    h = _gcn_layer(tape, a_hat, v, pv["dec_w1"], pv["dec_b1"], True)
-    h = _gcn_layer(tape, a_hat, h, pv["dec_w2"], pv["dec_b2"], True)
-    return _gcn_layer(tape, a_hat, h, pv["dec_w3"], pv["dec_b3"], False)
+    h = nc.gcn_layer(tape, a_hat, v, pv["dec_w1"], pv["dec_b1"], True)
+    h = nc.gcn_layer(tape, a_hat, h, pv["dec_w2"], pv["dec_b2"], True)
+    return nc.gcn_layer(tape, a_hat, h, pv["dec_w3"], pv["dec_b3"], False)
 
 
 def sample_gumbel(shape, rng: np.random.Generator) -> np.ndarray:
@@ -294,7 +290,7 @@ class LossBreakdown:
     total: float
 
 
-def _forward_losses(params: ModelParams, a_hat: SparseMatrix, x: np.ndarray,
+def _forward_losses(params: ModelParams, a_hat: sp.csr_matrix, x: np.ndarray,
                     prior_p: np.ndarray, mask: np.ndarray, config: TrainConfig,
                     rng: np.random.Generator | None,
                     tape: Tape) -> tuple[Var, LossBreakdown]:
@@ -340,7 +336,7 @@ def train_step(params: ModelParams, optimizer: Adam, subgraph: GridGraph,
     return breakdown
 
 
-def evaluate_losses(params: ModelParams, a_hat: SparseMatrix, x: np.ndarray,
+def evaluate_losses(params: ModelParams, a_hat: sp.csr_matrix, x: np.ndarray,
                     prior_p: np.ndarray, mask: np.ndarray,
                     config: TrainConfig) -> LossBreakdown:
     """Loss terms without sampling noise (latent = expected probabilities)."""
@@ -527,9 +523,9 @@ def stack_to_posterior(stack: GridStack, timestep: str = "") -> PosteriorField:
 
 def save_checkpoint(path: str | Path, params: ModelParams, norm_stats: NormStats,
                     config: TrainConfig) -> None:
-    """Manifest JSON plus one little-endian f32 blob per weight/bias."""
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
+    """Manifest JSON plus one little-endian f32 blob per weight/bias, written
+    into a temporary directory that then takes the place of ``path``, so a
+    failed write never leaves a manifest beside another save's blobs."""
     manifest = {
         "f_dim": params.f_dim,
         "k_cats": params.k_cats,
@@ -540,11 +536,12 @@ def save_checkpoint(path: str | Path, params: ModelParams, norm_stats: NormStats
         "norm_std": norm_stats.std,
         "config": asdict(config),
     }
-    (path / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    for name in PARAM_ORDER:
-        (path / f"{name}.f32").write_bytes(
-            np.ascontiguousarray(params.weights[name], dtype="<f4").tobytes())
+    with _staged_dir(path) as tmp:
+        (tmp / "manifest.json").write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        for name in PARAM_ORDER:
+            (tmp / f"{name}.f32").write_bytes(
+                np.ascontiguousarray(params.weights[name], dtype="<f4").tobytes())
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, NormStats, dict]:

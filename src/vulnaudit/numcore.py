@@ -1,14 +1,14 @@
-"""Reverse-mode tape over the handful of dense/sparse kernels the model needs.
+"""Reverse-mode tape over the handful of kernels the model needs.
 
-Every kernel carries a hand-derived backward rule. Values are float64 ndarrays
-end to end (raster storage elsewhere is float32 and gets upcast on entry), and
-each kernel checks its output so a diverging run fails naming the op that
-produced the first non-finite value.
+Every kernel carries a hand-derived backward rule. The graph convolution is
+one fused entry, ``gcn_layer``, taking its normalized adjacency as a scipy
+CSR matrix. Values are float64 ndarrays end to end (raster storage elsewhere
+is float32 and gets upcast on entry), and each kernel checks its output so a
+diverging run fails naming the op that produced the first non-finite value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
@@ -22,53 +22,6 @@ class NonFiniteError(FloatingPointError):
 def _check_finite(op: str, value: np.ndarray) -> None:
     if not np.all(np.isfinite(value)):
         raise NonFiniteError(f"{op} produced non-finite values")
-
-
-@dataclass(frozen=True)
-class SparseMatrix:
-    """Matrix in compressed-row form (binary adjacency or real weights)."""
-
-    rows: int
-    cols: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-
-    def __post_init__(self):
-        if len(self.indptr) != self.rows + 1:
-            raise ValueError("indptr length must be rows + 1")
-        if np.any(np.diff(self.indptr) < 0):
-            raise ValueError("indptr must be monotone")
-        if len(self.indices) and (self.indices.min() < 0 or self.indices.max() >= self.cols):
-            raise ValueError("column index out of bounds")
-
-    @classmethod
-    def from_scipy(cls, m) -> "SparseMatrix":
-        m = sp.csr_matrix(m)
-        m.sort_indices()
-        return cls(m.shape[0], m.shape[1], m.indptr.copy(), m.indices.copy(),
-                   m.data.astype(np.float64))
-
-    @classmethod
-    def from_dense(cls, dense: np.ndarray) -> "SparseMatrix":
-        return cls.from_scipy(sp.csr_matrix(np.asarray(dense, dtype=np.float64)))
-
-    def to_scipy(self) -> sp.csr_matrix:
-        return sp.csr_matrix((self.data, self.indices, self.indptr),
-                             shape=(self.rows, self.cols))
-
-    def to_dense(self) -> np.ndarray:
-        return self.to_scipy().toarray()
-
-    @property
-    def nnz(self) -> int:
-        return len(self.data)
-
-    def is_symmetric(self) -> bool:
-        m = self.to_scipy()
-        if self.rows != self.cols:
-            return False
-        return (m != m.T).nnz == 0
 
 
 class Var:
@@ -148,54 +101,31 @@ def backward(tape: Tape, loss: Var) -> dict[str, np.ndarray]:
     return tape.grads
 
 
-def spmm(tape: Tape, a: SparseMatrix, x: Var) -> Var:
-    """out = A @ X with constant A; backward routes A.T @ dout into X."""
-    if a.cols != x.value.shape[0]:
-        raise ValueError(f"spmm shape mismatch: {a.rows}x{a.cols} @ {x.value.shape}")
-    m = a.to_scipy()
-    out = Var(m @ x.value)
-    _check_finite("spmm", out.value)
+def gcn_layer(tape: Tape, a: sp.csr_matrix, h: Var, w: Var, b: Var,
+              activate: bool) -> Var:
+    """One graph convolution, out = (A @ H) @ W + b, ReLU'd when ``activate``.
+
+    A is a constant scipy CSR matrix. Finiteness is checked once, on the
+    pre-activation: ReLU would map a -inf to 0 and hide it.
+    """
+    hv, wv, bv = h.value, w.value, b.value
+    if (hv.ndim != 2 or wv.ndim != 2 or a.shape[1] != hv.shape[0]
+            or hv.shape[1] != wv.shape[0] or bv.shape != (wv.shape[1],)):
+        raise ValueError(f"gcn_layer shape mismatch: A {a.shape}, H {hv.shape}, "
+                         f"W {wv.shape}, b {bv.shape}")
+    ah = a @ hv
+    pre = ah @ wv
+    pre += bv
+    _check_finite("gcn_layer", pre)
+    mask = None
+    if activate:
+        mask = pre > 0.0  # subgradient at 0 is 0
+        np.maximum(pre, 0.0, out=pre)
+    out = Var(pre)
 
     def bwd(dout):
-        return ((x, m.T @ dout),)
-
-    tape.record(out, bwd)
-    return out
-
-
-def matmul(tape: Tape, x: Var, w: Var) -> Var:
-    if x.value.shape[1] != w.value.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {x.value.shape} @ {w.value.shape}")
-    out = Var(x.value @ w.value)
-    _check_finite("matmul", out.value)
-
-    def bwd(dout):
-        return ((x, dout @ w.value.T), (w, x.value.T @ dout))
-
-    tape.record(out, bwd)
-    return out
-
-
-def add_bias(tape: Tape, x: Var, b: Var) -> Var:
-    if b.value.shape != (x.value.shape[1],):
-        raise ValueError(f"bias shape {b.value.shape} does not match {x.value.shape}")
-    out = Var(x.value + b.value)
-    _check_finite("add_bias", out.value)
-
-    def bwd(dout):
-        return ((x, dout), (b, dout.sum(axis=0)))
-
-    tape.record(out, bwd)
-    return out
-
-
-def relu(tape: Tape, x: Var) -> Var:
-    out = Var(np.maximum(x.value, 0.0))
-    _check_finite("relu", out.value)
-    mask = x.value > 0.0  # subgradient at 0 is 0
-
-    def bwd(dout):
-        return ((x, dout * mask),)
+        dpre = dout if mask is None else dout * mask
+        return ((h, a.T @ (dpre @ wv.T)), (w, ah.T @ dpre), (b, dpre.sum(axis=0)))
 
     tape.record(out, bwd)
     return out

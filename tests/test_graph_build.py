@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from vulnaudit import graph_build as gb
 from vulnaudit.grid_store import PriorField, RasterGrid
@@ -96,7 +97,7 @@ class TestBuildGraph:
             grid = heights_grid(vals)
             graph = gb.build_graph(grid, full_tile(grid))
             assert np.all(graph.features[:, 0] > 0)
-            adj = graph.adjacency.to_dense()
+            adj = graph.adjacency.toarray()
             np.testing.assert_array_equal(adj, adj.T)
             assert np.all(np.diag(adj) == 0)
             assert adj.sum(axis=1).max(initial=0) <= 8
@@ -141,34 +142,32 @@ class TestNormalizeAdjacency:
     def test_single_node(self):
         grid = heights_grid([[1.0]])
         a_hat = gb.normalize_adjacency(gb.build_graph(grid, full_tile(grid)))
-        np.testing.assert_allclose(a_hat.to_dense(), [[1.0]])
+        np.testing.assert_allclose(a_hat.toarray(), [[1.0]])
 
     def test_two_connected_nodes(self):
         grid = heights_grid([[1.0, 1.0]])
         a_hat = gb.normalize_adjacency(gb.build_graph(grid, full_tile(grid)))
-        np.testing.assert_allclose(a_hat.to_dense(), np.full((2, 2), 0.5), atol=1e-15)
+        np.testing.assert_allclose(a_hat.toarray(), np.full((2, 2), 0.5), atol=1e-15)
 
     def test_path_of_three(self):
         grid = heights_grid([[1.0, 1.0, 1.0]])
         a_hat = gb.normalize_adjacency(gb.build_graph(grid, full_tile(grid)))
-        assert a_hat.to_dense()[0, 1] == pytest.approx(1.0 / np.sqrt(6.0), abs=1e-12)
+        assert a_hat.toarray()[0, 1] == pytest.approx(1.0 / np.sqrt(6.0), abs=1e-12)
 
     def test_dense_oracle_fuzz(self):
-        from vulnaudit.numcore import SparseMatrix
         rng = np.random.default_rng(31)
         for _ in range(15):
             n = int(rng.integers(1, 101))
             upper = np.triu(rng.random((n, n)) < 0.2, k=1)
             dense = (upper | upper.T).astype(float)
-            a_hat = gb.normalize_adjacency(SparseMatrix.from_dense(dense))
-            np.testing.assert_allclose(a_hat.to_dense(),
+            a_hat = gb.normalize_adjacency(sp.csr_matrix(dense))
+            np.testing.assert_allclose(a_hat.toarray(),
                                        dense_normalized_adjacency(dense), atol=1e-12)
 
     def test_asymmetric_rejected(self):
-        from vulnaudit.numcore import SparseMatrix
-        with pytest.raises(ValueError, match="symmetric"):
-            gb.normalize_adjacency(SparseMatrix.from_dense(
-                np.array([[0.0, 1.0], [0.0, 0.0]])))
+        for dense in ([[0.0, 1.0], [0.0, 0.0]], [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]):
+            with pytest.raises(ValueError, match="symmetric"):
+                gb.normalize_adjacency(sp.csr_matrix(np.array(dense)))
 
 
 class TestSplitTiles:
@@ -230,8 +229,8 @@ class TestSampleEpoch:
         assert len(sample.subgraphs) == 1
         sub = sample.subgraphs[0]
         np.testing.assert_array_equal(sub.node_pixels, graph.node_pixels)
-        np.testing.assert_array_equal(sub.adjacency.to_dense(),
-                                      graph.adjacency.to_dense())
+        np.testing.assert_array_equal(sub.adjacency.toarray(),
+                                      graph.adjacency.toarray())
 
     def test_dropout_counting(self):
         # path of 11 nodes has exactly 10 undirected edges
@@ -247,8 +246,8 @@ class TestSampleEpoch:
         b = gb.sample_epoch(graph, 3, dropout=0.2, seed=11)
         for sa, sb in zip(a.subgraphs, b.subgraphs):
             np.testing.assert_array_equal(sa.node_pixels, sb.node_pixels)
-            np.testing.assert_array_equal(sa.adjacency.to_dense(),
-                                          sb.adjacency.to_dense())
+            np.testing.assert_array_equal(sa.adjacency.toarray(),
+                                          sb.adjacency.toarray())
 
     def test_partition_property(self):
         graph = self.make_graph(5)
@@ -263,7 +262,7 @@ class TestSampleEpoch:
         graph = self.make_graph(6)
         sample = gb.sample_epoch(graph, 2, dropout=0.3, seed=13)
         for sub in sample.subgraphs:
-            adj = sub.adjacency.to_dense()
+            adj = sub.adjacency.toarray()
             np.testing.assert_array_equal(adj, adj.T)
 
     def test_too_many_subgraphs(self):

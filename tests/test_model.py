@@ -1,11 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from vulnaudit import graph_build as gb
 from vulnaudit import model as md
 from vulnaudit import numcore as nc
 from vulnaudit.grid_store import GridStack, PriorField, RasterGrid, StackKind, StackManifest
-from vulnaudit.numcore import SparseMatrix, Tape, Var
+from vulnaudit.numcore import Tape, Var
 
 from oracles import central_difference, max_relative_error, softmax_reference
 
@@ -45,7 +48,7 @@ class TestEncodeDecode:
 
     def test_isolated_node_reduces_to_mlp(self):
         params = random_params(k=3, hidden=5, seed=7)
-        a_hat = SparseMatrix.from_dense(np.array([[1.0]]))
+        a_hat = sp.csr_matrix(np.array([[1.0]]))
         x = np.array([[0.8]])
         enc = md.encode(params, a_hat, x)
         np.testing.assert_allclose(enc.logits.value, mlp_reference(params, x), atol=1e-12)
@@ -55,7 +58,7 @@ class TestEncodeDecode:
 
     def test_zero_weights_decode_to_zero(self):
         tape = Tape()
-        a_hat = SparseMatrix.from_dense(np.eye(2))
+        a_hat = sp.csr_matrix(np.eye(2))
         v = tape.constant(np.array([[1.0, 0.0], [0.0, 1.0]]))
         out = md.decode(zero_params(k=2), a_hat, v, tape)
         np.testing.assert_array_equal(out.value, np.zeros((2, 1)))
@@ -70,7 +73,7 @@ class TestEncodeDecode:
 
         perm = rng.permutation(graph.n_nodes)
         p_mat = np.eye(graph.n_nodes)[perm]
-        a_perm = SparseMatrix.from_dense(p_mat @ a_hat.to_dense() @ p_mat.T)
+        a_perm = sp.csr_matrix(p_mat @ a_hat.toarray() @ p_mat.T)
         enc_p = md.encode(params, a_perm, p_mat @ x)
         np.testing.assert_allclose(enc_p.probabilities.value,
                                    p_mat @ enc.probabilities.value, atol=1e-12)
@@ -425,6 +428,30 @@ class TestCheckpoint:
         md.save_checkpoint(tmp_path / "b", loaded, stats2, config)
         for f in sorted((tmp_path / "a").iterdir()):
             assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes()
+
+    def test_failed_rewrite_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        stats, config = gb.NormStats(0.25, 1.5), md.TrainConfig()
+        old, new = random_params(seed=12), random_params(seed=13)
+        md.save_checkpoint(tmp_path / "ckpt", old, stats, config)
+        real_write = Path.write_bytes
+        calls = []
+
+        def flaky_write(self, data):
+            calls.append(self.name)
+            if len(calls) == 2:  # the second blob: a crash or a full disk
+                raise OSError("disk full")
+            return real_write(self, data)
+
+        monkeypatch.setattr(Path, "write_bytes", flaky_write)
+        with pytest.raises(OSError, match="disk full"):
+            md.save_checkpoint(tmp_path / "ckpt", new, gb.NormStats(0.5, 2.0), config)
+        monkeypatch.undo()
+        loaded, loaded_stats, _ = md.load_checkpoint(tmp_path / "ckpt")
+        assert (loaded_stats.mean, loaded_stats.std) == (0.25, 1.5)
+        for name in md.PARAM_ORDER:
+            np.testing.assert_array_equal(
+                loaded.weights[name], old.weights[name].astype(np.float32))
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
 
     def test_missing_checkpoint(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -1,30 +1,44 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from vulnaudit import numcore as nc
-from vulnaudit.numcore import NonFiniteError, SparseMatrix, Tape, Var
+from vulnaudit.numcore import NonFiniteError, Tape, Var
 
 from oracles import central_difference, max_relative_error
 
 
 def random_sparse(rng, rows, cols, density=0.3):
     dense = rng.normal(size=(rows, cols)) * (rng.random((rows, cols)) < density)
-    return SparseMatrix.from_dense(dense), dense
+    return sp.csr_matrix(dense), dense
+
+
+def eye(n):
+    return sp.identity(n, format="csr")
+
+
+def gcn(tape, a, h, w, b, activate=False):
+    """gcn_layer on plain arrays, held as constants."""
+    return nc.gcn_layer(tape, a, Var(h), Var(w), Var(b), activate)
+
+
+# TestSpmm, TestMatmul, TestAddBias and TestRelu each check one stage of
+# gcn_layer's relu((A @ H) @ W + b), the other stages set to identities
+# (A = I, W = I, b = 0, activate off); TestGcnLayer checks the fused layer.
 
 
 class TestSpmm:
     def test_identity(self):
         tape = Tape()
         x = tape.param("x", np.arange(6.0).reshape(3, 2))
-        out = nc.spmm(tape, SparseMatrix.from_dense(np.eye(3)), x)
+        out = nc.gcn_layer(tape, eye(3), x, Var(np.eye(2)), Var(np.zeros(2)), False)
         np.testing.assert_array_equal(out.value, x.value)
         grads = nc.backward(tape, nc.sum_all(tape, out))
         np.testing.assert_array_equal(grads["x"], np.ones((3, 2)))
 
     def test_swap_rows(self):
-        tape = Tape()
-        a = SparseMatrix.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        out = nc.spmm(tape, a, tape.constant([[1.0], [2.0]]))
+        a = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        out = gcn(Tape(), a, [[1.0], [2.0]], np.eye(1), np.zeros(1))
         np.testing.assert_array_equal(out.value, [[2.0], [1.0]])
 
     def test_matches_dense_fuzz(self):
@@ -33,7 +47,7 @@ class TestSpmm:
             r, c, k = rng.integers(1, 21, size=3)
             a, dense = random_sparse(rng, r, c)
             x = rng.normal(size=(c, k))
-            out = nc.spmm(Tape(), a, Var(x))
+            out = gcn(Tape(), a, x, np.eye(k), np.zeros(k))
             assert np.max(np.abs(out.value - dense @ x)) < 1e-12
 
     def test_backward_is_transpose(self):
@@ -41,8 +55,8 @@ class TestSpmm:
         a, dense = random_sparse(rng, 5, 4)
         tape = Tape()
         x = tape.param("x", rng.normal(size=(4, 3)))
-        loss = nc.sum_all(tape, nc.spmm(tape, a, x))
-        grads = nc.backward(tape, loss)
+        out = nc.gcn_layer(tape, a, x, Var(np.eye(3)), Var(np.zeros(3)), False)
+        grads = nc.backward(tape, nc.sum_all(tape, out))
         np.testing.assert_allclose(grads["x"], dense.T @ np.ones((5, 3)), atol=1e-12)
 
     def test_gradient_check(self):
@@ -51,26 +65,27 @@ class TestSpmm:
         arrays = {"x": rng.normal(size=(5, 3))}
 
         def loss():
-            return float(nc.spmm(Tape(), a, Var(arrays["x"])).value.sum())
+            return float(gcn(Tape(), a, arrays["x"], np.eye(3), np.zeros(3)).value.sum())
 
         tape = Tape()
-        grads = nc.backward(tape, nc.sum_all(tape, nc.spmm(tape, a, tape.param("x", arrays["x"]))))
+        out = nc.gcn_layer(tape, a, tape.param("x", arrays["x"]), Var(np.eye(3)),
+                           Var(np.zeros(3)), False)
+        grads = nc.backward(tape, nc.sum_all(tape, out))
         assert max_relative_error(grads, central_difference(loss, arrays)) < 1e-6
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            nc.spmm(Tape(), SparseMatrix.from_dense(np.eye(3)), Var(np.ones((2, 2))))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            gcn(Tape(), eye(3), np.ones((2, 2)), np.eye(2), np.zeros(2))
 
 
 class TestMatmul:
     def test_identity_weight(self):
-        tape = Tape()
-        x = tape.constant(np.arange(4.0).reshape(2, 2))
-        out = nc.matmul(tape, x, tape.constant(np.eye(2)))
-        np.testing.assert_array_equal(out.value, x.value)
+        x = np.arange(4.0).reshape(2, 2)
+        out = gcn(Tape(), eye(2), x, np.eye(2), np.zeros(2))
+        np.testing.assert_array_equal(out.value, x)
 
     def test_hand_value(self):
-        out = nc.matmul(Tape(), Var([[1.0, 2.0]]), Var([[3.0], [4.0]]))
+        out = gcn(Tape(), eye(1), [[1.0, 2.0]], [[3.0], [4.0]], [0.0])
         assert out.value.item() == 11.0
 
     def test_gradient_check(self):
@@ -78,40 +93,35 @@ class TestMatmul:
         arrays = {"x": rng.normal(size=(3, 4)), "w": rng.normal(size=(4, 2))}
 
         def loss():
-            tape = Tape()
-            out = nc.matmul(tape, Var(arrays["x"]), Var(arrays["w"]))
-            return float(out.value.sum())
+            return float(gcn(Tape(), eye(3), arrays["x"], arrays["w"], np.zeros(2)).value.sum())
 
         tape = Tape()
-        xv = tape.param("x", arrays["x"])
-        wv = tape.param("w", arrays["w"])
-        grads = nc.backward(tape, nc.sum_all(tape, nc.matmul(tape, xv, wv)))
-        numeric = central_difference(loss, arrays)
-        assert max_relative_error(grads, numeric) < 1e-6
+        out = nc.gcn_layer(tape, eye(3), tape.param("x", arrays["x"]),
+                           tape.param("w", arrays["w"]), Var(np.zeros(2)), False)
+        grads = nc.backward(tape, nc.sum_all(tape, out))
+        assert max_relative_error(grads, central_difference(loss, arrays)) < 1e-6
 
 
 class TestAddBias:
     def test_zero_bias(self):
-        tape = Tape()
-        x = tape.constant(np.ones((2, 3)))
-        out = nc.add_bias(tape, x, tape.constant(np.zeros(3)))
-        np.testing.assert_array_equal(out.value, x.value)
+        out = gcn(Tape(), eye(2), np.ones((2, 3)), np.eye(3), np.zeros(3))
+        np.testing.assert_array_equal(out.value, np.ones((2, 3)))
 
     def test_row_shift(self):
-        out = nc.add_bias(Tape(), Var([[1.0, 2.0], [3.0, 4.0]]), Var([1.0, -1.0]))
+        out = gcn(Tape(), eye(2), [[1.0, 2.0], [3.0, 4.0]], np.eye(2), [1.0, -1.0])
         np.testing.assert_array_equal(out.value, [[2.0, 1.0], [4.0, 3.0]])
 
     def test_bias_grad_is_column_sum(self):
         rng = np.random.default_rng(5)
         arrays = {"x": rng.normal(size=(4, 3)), "b": rng.normal(size=3)}
         tape = Tape()
-        out = nc.add_bias(tape, tape.param("x", arrays["x"]), tape.param("b", arrays["b"]))
+        out = nc.gcn_layer(tape, eye(4), tape.param("x", arrays["x"]), Var(np.eye(3)),
+                           tape.param("b", arrays["b"]), False)
         grads = nc.backward(tape, nc.sum_all(tape, out))
         np.testing.assert_array_equal(grads["b"], np.full(3, 4.0))
 
         def loss():
-            out = nc.add_bias(Tape(), Var(arrays["x"]), Var(arrays["b"]))
-            return float(out.value.sum())
+            return float(gcn(Tape(), eye(4), arrays["x"], np.eye(3), arrays["b"]).value.sum())
 
         numeric = central_difference(loss, arrays)
         assert max_relative_error(grads, numeric) < 1e-6
@@ -121,13 +131,13 @@ class TestRelu:
     def test_all_negative(self):
         tape = Tape()
         x = tape.param("x", -np.ones((2, 2)))
-        out = nc.relu(tape, x)
+        out = nc.gcn_layer(tape, eye(2), x, Var(np.eye(2)), Var(np.zeros(2)), True)
         np.testing.assert_array_equal(out.value, np.zeros((2, 2)))
         grads = nc.backward(tape, nc.sum_all(tape, out))
         np.testing.assert_array_equal(grads["x"], np.zeros((2, 2)))
 
     def test_mixed(self):
-        out = nc.relu(Tape(), Var([[-1.0, 2.0]]))
+        out = gcn(Tape(), eye(1), [[-1.0, 2.0]], np.eye(2), np.zeros(2), activate=True)
         np.testing.assert_array_equal(out.value, [[0.0, 2.0]])
 
     def test_gradient_check_away_from_zero(self):
@@ -137,11 +147,72 @@ class TestRelu:
         arrays = {"x": x}
 
         def loss():
-            return float(nc.relu(Tape(), Var(arrays["x"])).value.sum())
+            out = gcn(Tape(), eye(3), arrays["x"], np.eye(3), np.zeros(3), activate=True)
+            return float(out.value.sum())
 
         tape = Tape()
-        grads = nc.backward(tape, nc.sum_all(tape, nc.relu(tape, tape.param("x", x))))
+        out = nc.gcn_layer(tape, eye(3), tape.param("x", x), Var(np.eye(3)),
+                           Var(np.zeros(3)), True)
+        grads = nc.backward(tape, nc.sum_all(tape, out))
         assert max_relative_error(grads, central_difference(loss, arrays)) < 1e-6
+
+
+class TestGcnLayer:
+    def test_matches_dense_fuzz(self):
+        rng = np.random.default_rng(17)
+        for trial in range(40):
+            r, c, f, k = rng.integers(1, 21, size=4)
+            a, dense = random_sparse(rng, r, c)
+            h, w, b = rng.normal(size=(c, f)), rng.normal(size=(f, k)), rng.normal(size=k)
+            activate = bool(trial % 2)
+            out = gcn(Tape(), a, h, w, b, activate)
+            expected = (dense @ h) @ w + b
+            if activate:
+                expected = np.maximum(expected, 0.0)
+            assert np.max(np.abs(out.value - expected)) < 1e-12
+
+    @pytest.mark.parametrize("activate", [False, True])
+    def test_gradient_check(self, activate):
+        rng = np.random.default_rng(23)
+        a, dense = random_sparse(rng, 6, 6, density=0.5)
+        arrays = {"h": rng.normal(size=(6, 4)), "w": rng.normal(size=(4, 3)),
+                  "b": rng.normal(size=3)}
+        project = rng.normal(size=(3, 1))  # a weighted loss, not a plain sum
+        pre = (dense @ arrays["h"]) @ arrays["w"] + arrays["b"]
+        assert np.abs(pre).min() > 1e-3  # central differences stay off the kink
+
+        def forward(tape, h, w, b):
+            out = nc.gcn_layer(tape, a, h, w, b, activate)
+            return nc.sum_all(tape, nc.gcn_layer(tape, eye(6), out, Var(project),
+                                                 Var(np.zeros(1)), False))
+
+        def loss():
+            return float(forward(Tape(), *(Var(arrays[n]) for n in ("h", "w", "b"))).value)
+
+        tape = Tape()
+        total = forward(tape, *(tape.param(n, arrays[n]) for n in ("h", "w", "b")))
+        grads = nc.backward(tape, total)
+        assert max_relative_error(grads, central_difference(loss, arrays)) < 1e-6
+
+    @pytest.mark.parametrize("a_shape, h_shape, w_shape, b_shape", [
+        ((3, 2), (3, 2), (2, 2), (2,)),   # A columns != H rows
+        ((3, 3), (3, 2), (3, 2), (2,)),   # H columns != W rows
+        ((3, 3), (3, 2), (2, 4), (3,)),   # bias length != W columns
+        ((3, 3), (3, 2), (2, 4), (1,)),   # a (1,) bias would broadcast
+        ((3, 3), (3, 2), (2, 4), (1, 4)),
+        ((3, 3), (3, 2), (2,), (2,)),     # W not a matrix
+    ])
+    def test_shape_mismatch(self, a_shape, h_shape, w_shape, b_shape):
+        a = sp.csr_matrix(np.ones(a_shape))
+        with pytest.raises(ValueError, match="gcn_layer shape mismatch"):
+            gcn(Tape(), a, np.ones(h_shape), np.ones(w_shape), np.ones(b_shape))
+
+    def test_nonfinite_preactivation_raises_before_relu(self):
+        # the pre-activation is -inf, which ReLU maps to 0: a check made
+        # after the ReLU would let it through
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteError, match="gcn_layer"):
+                gcn(Tape(), eye(1), [[10.0]], [[-1e308]], [0.0], activate=True)
 
 
 class TestSoftmaxRows:
@@ -173,11 +244,13 @@ class TestSoftmaxRows:
         def loss():
             tape = Tape()
             p = nc.softmax_rows(tape, Var(arrays["l"]))
-            return float(nc.matmul(tape, p, Var(c)).value.sum())
+            return float(nc.gcn_layer(tape, eye(4), p, Var(c), Var(np.zeros(2)),
+                                      False).value.sum())
 
         tape = Tape()
         lv = tape.param("l", arrays["l"])
-        out = nc.matmul(tape, nc.softmax_rows(tape, lv), tape.constant(c))
+        out = nc.gcn_layer(tape, eye(4), nc.softmax_rows(tape, lv), Var(c),
+                           Var(np.zeros(2)), False)
         grads = nc.backward(tape, nc.sum_all(tape, out))
         assert max_relative_error(grads, central_difference(loss, arrays)) < 1e-6
 
@@ -191,7 +264,8 @@ class TestSmallOps:
         def build(tape, xv):
             a = nc.scale(tape, nc.add_const(tape, xv, c), 0.7)
             s1 = nc.sum_all(tape, a)
-            s2 = nc.sum_all(tape, nc.relu(tape, xv))
+            s2 = nc.sum_all(tape, nc.gcn_layer(tape, eye(2), xv, Var(np.eye(3)),
+                                               Var(np.zeros(3)), True))
             return nc.weighted_sum(tape, [s1, s2], [2.0, -0.5])
 
         def loss():
@@ -245,7 +319,7 @@ class TestFiniteness:
             x = tape.constant(rng.uniform(-100, 100, size=(6, 4)))
             w = tape.constant(rng.uniform(-100, 100, size=(4, 3)))
             a, _ = random_sparse(rng, 6, 6)
-            out = nc.softmax_rows(tape, nc.matmul(tape, nc.relu(tape, nc.spmm(tape, a, x)), w))
+            out = nc.softmax_rows(tape, nc.gcn_layer(tape, a, x, w, Var(np.zeros(3)), True))
             assert np.all(np.isfinite(out.value))
 
     def test_overflow_raises_named_error(self):
@@ -255,15 +329,3 @@ class TestFiniteness:
             with pytest.raises(NonFiniteError, match="add_const"):
                 nc.add_const(tape, x, np.array([[1e308]]))
 
-
-class TestSparseMatrix:
-    def test_roundtrip_dense(self):
-        rng = np.random.default_rng(13)
-        dense = rng.normal(size=(5, 7)) * (rng.random((5, 7)) < 0.4)
-        np.testing.assert_array_equal(SparseMatrix.from_dense(dense).to_dense(), dense)
-
-    def test_symmetry_check(self):
-        sym = np.array([[0.0, 1.0], [1.0, 0.0]])
-        asym = np.array([[0.0, 1.0], [0.0, 0.0]])
-        assert SparseMatrix.from_dense(sym).is_symmetric()
-        assert not SparseMatrix.from_dense(asym).is_symmetric()
