@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from vulnaudit import graph_build as gb
 from vulnaudit import numcore as nc
 from vulnaudit.numcore import NonFiniteError, Tape, Var
 
@@ -253,6 +254,17 @@ class TestSoftmaxRows:
                            Var(np.zeros(2)), False)
         grads = nc.backward(tape, nc.sum_all(tape, out))
         assert max_relative_error(grads, central_difference(loss, arrays)) < 1e-6
+
+
+class TestSparseMatrix:
+    # The sparse operand of gcn_layer is a scipy CSR adjacency; its symmetry
+    # is checked where it is normalized.
+    def test_symmetry_check(self):
+        sym = np.array([[0.0, 1.0], [1.0, 0.0]])
+        asym = np.array([[0.0, 1.0], [0.0, 0.0]])
+        gb.normalize_adjacency(sp.csr_matrix(sym))
+        with pytest.raises(ValueError, match="symmetric"):
+            gb.normalize_adjacency(sp.csr_matrix(asym))
 
 
 class TestSmallOps:
