@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import types
 import typing
@@ -147,7 +148,19 @@ def _save_splits(splits: gb.SplitAssignment, cfg: RunConfig, path: Path) -> None
     doc = {"tile_size": cfg.tile_size, "ratios": list(cfg.split_ratios),
            "seed": cfg.split_seed, "tolerance": cfg.split_tolerance,
            "balanced": splits.balanced, "tiles": rows}
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json_atomic(path, doc)
+
+
+def _write_json_atomic(path: Path, doc: dict) -> None:
+    """Write ``doc`` as indented, key-sorted JSON into a sibling temporary
+    file that then replaces ``path``, so a failed write leaves the previous
+    file (or none) and no temporary file."""
+    tmp = gs._sibling(path, "tmp")
+    try:
+        tmp.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _load_splits(path: Path) -> gb.SplitAssignment:
@@ -201,8 +214,7 @@ def cmd_prepare(cfg: RunConfig) -> int:
     report = {"norm_mean": stats.mean, "norm_std": stats.std,
               "node_counts": node_counts, "tile_category_histogram": histogram,
               "balanced": splits.balanced}
-    (prep / "prep_report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json_atomic(prep / "prep_report.json", report)
 
     # self-check: every artifact must re-validate on read
     gs.stack_to_prior(gs.read_grid_stack(prep / "prior_proportions"))

@@ -9,6 +9,7 @@ configurable fraction of which are corrupted by resampling their counts.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from .grid_store import (GridStack, RasterGrid, StackKind, StackManifest,
                          write_grid_stack)
 
 _NEIGHBORS = ((-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1))
+_UNIT = float(1 << 53)  # random() draws are multiples of 2**-53
 
 
 @dataclass
@@ -41,16 +43,27 @@ class SyntheticSpec:
             raise ValueError("height distribution parameters must match k")
         if len(set(self.mean_log_heights)) != self.k:
             raise ValueError("mean log-heights must be distinct")
+        if not all(math.isfinite(m) for m in self.mean_log_heights):
+            raise ValueError("mean_log_heights must be finite")
+        if not all(math.isfinite(s) and s >= 0 for s in self.std_log_heights):
+            raise ValueError("std_log_heights must be finite and >= 0")
         if not 0.0 <= self.corruption < 1.0:
             raise ValueError("corruption must lie in [0, 1)")
+        if self.width < 1 or self.height_px < 1:
+            raise ValueError(f"width and height_px must be >= 1, got "
+                             f"{self.width} x {self.height_px}")
         if self.block_size < 1:
             raise ValueError("block_size must be >= 1")
         if self.width % self.block_size or self.height_px % self.block_size:
             raise ValueError("extent must be a multiple of block_size")
         if self.timesteps < 1:
             raise ValueError("need at least one timestep")
+        if self.n_blobs is not None and self.n_blobs < 1:
+            raise ValueError(f"n_blobs must be >= 1 when given, got {self.n_blobs}")
         if self.labels is None:
             self.labels = [f"cat{i}" for i in range(self.k)]
+        elif len(self.labels) != self.k:
+            raise ValueError(f"labels has {len(self.labels)} entries, k is {self.k}")
 
 
 def default_spec(width: int = 64, height_px: int = 64, timesteps: int = 3,
@@ -65,29 +78,74 @@ def default_spec(width: int = 64, height_px: int = 64, timesteps: int = 3,
 def grow_categories(width: int, height_px: int, k: int, n_blobs: int,
                     rng: np.random.Generator) -> np.ndarray:
     """Randomized multi-source region growing; every category seeds at least
-    one blob. Returns an (H, W) int array of category codes."""
+    one blob. Returns an (H, W) int64 array of category codes.
+
+    The rng contract, which fixes every synthetic dataset: ``rng.choice``
+    picks the seed pixels; then each seed, in order, takes one
+    ``rng.integers(0, k)`` draw for its category (the first ``k`` seeds take
+    categories 0..k-1 without one) and one ``rng.random()`` draw. Growing
+    then takes one ``random()`` draw per push, in push order. A push puts an
+    unclaimed 8-neighbour (in ``_NEIGHBORS`` order) of a newly claimed cell on
+    the frontier with its claimer's category; the pending push with the
+    lowest draw claims its cell next, ties broken by push order.
+    """
     n_blobs = max(k, n_blobs)
-    cat = np.full((height_px, width), -1, dtype=np.int64)
-    flat_seeds = rng.choice(width * height_px, size=min(n_blobs, width * height_px),
-                            replace=False)
-    heap: list[tuple[float, int, int, int, int]] = []
-    counter = 0
-    for i, flat in enumerate(flat_seeds):
-        y, x = divmod(int(flat), width)
-        c = i % k if i < k else int(rng.integers(0, k))
-        heapq.heappush(heap, (float(rng.random()), counter, x, y, c))
-        counter += 1
+    n_seeds = min(n_blobs, width * height_px)
+    # one flat mask with a claimed border, so neighbours need no bounds check
+    stride = width + 2
+    padded = np.ones((height_px + 2, stride), dtype=np.uint8)
+    padded[1:-1, 1:-1] = 0
+    taken = bytearray(padded.tobytes())
+    offsets = [dy * stride + dx for dx, dy in _NEIGHBORS]
+    # A heap key packs (53-bit draw, push counter, cell) into one int, so it
+    # sorts like the (draw, push order) pair.
+    cell_bits = len(taken).bit_length()
+    counter_bits = (n_seeds + 8 * width * height_px).bit_length()
+    cell_mask = (1 << cell_bits) - 1
+    cats = [-1] * len(taken)
+    # lowest pending key per cell: a push above it could only pop stale
+    best = [1 << (53 + counter_bits + cell_bits)] * len(taken)
+    heap = []
+    flat_seeds = rng.choice(width * height_px, size=n_seeds, replace=False)
+    for i, flat in enumerate(flat_seeds.tolist()):
+        y, x = divmod(flat, width)
+        cell = (y + 1) * stride + x + 1
+        cats[cell] = i % k if i < k else int(rng.integers(0, k))
+        best[cell] = (int(float(rng.random()) * _UNIT) << counter_bits | i) << cell_bits | cell
+        heap.append(best[cell])
+    heapq.heapify(heap)
+
+    # Draws come in blocks; random(m) gives the same doubles as m random()
+    # calls. At the end the rng is rewound to just past the last draw used.
+    block_len = width * height_px
+    block, used, before_block = [], block_len, None
+    counter = n_seeds
+    heappop, heappush = heapq.heappop, heapq.heappush
     while heap:
-        _, _, x, y, c = heapq.heappop(heap)
-        if cat[y, x] != -1:
+        cell = heappop(heap) & cell_mask
+        if taken[cell]:
             continue
-        cat[y, x] = c
-        for dx, dy in _NEIGHBORS:
-            nx, ny = x + dx, y + dy
-            if 0 <= nx < width and 0 <= ny < height_px and cat[ny, nx] == -1:
-                heapq.heappush(heap, (float(rng.random()), counter, nx, ny, c))
-                counter += 1
-    return cat
+        taken[cell] = 1
+        c = cats[cell]
+        for off in offsets:
+            nb = cell + off
+            if taken[nb]:
+                continue
+            if used == block_len:
+                before_block = rng.bit_generator.state
+                block = (rng.random(block_len) * _UNIT).astype(np.int64).tolist()
+                used = 0
+            key = (block[used] << counter_bits | counter) << cell_bits | nb
+            used += 1
+            counter += 1
+            if key < best[nb]:
+                best[nb] = key
+                cats[nb] = c
+                heappush(heap, key)
+    if before_block is not None:
+        rng.bit_generator.state = before_block
+        rng.random(used)
+    return np.array(cats, dtype=np.int64).reshape(height_px + 2, stride)[1:-1, 1:-1].copy()
 
 
 def generate(spec: SyntheticSpec) -> dict[str, GridStack]:

@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,12 +78,24 @@ class TestSynth:
     @pytest.mark.parametrize("edit, named", [
         (lambda doc: [], "JSON object"),
         (lambda doc: {**doc, "corruptoin": 0.1}, "corruptoin"),
-    ], ids=["list", "unknown-key"])
+        (lambda doc: {**doc, "width": 0}, "width"),
+        (lambda doc: {**doc, "height_px": -4}, "height_px"),
+        (lambda doc: {**doc, "labels": ["a", "b", "c"]}, "labels"),
+        (lambda doc: {**doc, "mean_log_heights": [0.5, float("inf")]}, "mean_log_heights"),
+        (lambda doc: {**doc, "mean_log_heights": [0.5, float("nan")]}, "mean_log_heights"),
+        (lambda doc: {**doc, "std_log_heights": [0.3, -0.1]}, "std_log_heights"),
+        (lambda doc: {**doc, "std_log_heights": [float("nan"), 0.3]}, "std_log_heights"),
+        (lambda doc: {**doc, "n_blobs": -5}, "n_blobs"),
+        (lambda doc: {**doc, "n_blobs": 0}, "n_blobs"),
+    ], ids=["list", "unknown-key", "zero-width", "negative-height", "labels-not-k",
+            "inf-mean", "nan-mean", "negative-std", "nan-std", "negative-blobs",
+            "zero-blobs"])
     def test_bad_spec_exits_2(self, tmp_path, capsys, edit, named):
         spec = write_spec(tmp_path / "spec.json")
         spec.write_text(json.dumps(edit(json.loads(spec.read_text()))))
         assert cli.main(["synth", "--spec", str(spec), "--out", str(tmp_path / "d")]) == 2
         assert named in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()  # rejected before generating anything
 
     def test_k_below_two_rejected(self, tmp_path, capsys):
         spec = write_spec(tmp_path / "spec.json", k=1, mean_log_heights=[1.0],
@@ -127,6 +140,27 @@ class TestPrepare:
                               prior_counts=str(tmp_path / "data" / "does_not_exist"))
         assert cli.main(["prepare", "--config", str(config)]) == 2
         assert "does_not_exist" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["splits.json", "prep_report.json"])
+    def test_failed_rewrite_keeps_previous_file(self, toy_run, monkeypatch, name):
+        tmp_path, config = toy_run
+        assert cli.main(["prepare", "--config", str(config)]) == 0
+        prepared = tmp_path / "out" / "prepared"
+        before = (prepared / name).read_bytes()
+        real_write = Path.write_text
+
+        def flaky_write(self, data, *args, **kwargs):
+            if self.parent == prepared and name in self.name:
+                real_write(self, data[:len(data) // 2], *args, **kwargs)
+                raise OSError("disk full")  # a crash or a full disk mid-write
+            return real_write(self, data, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", flaky_write)
+        assert cli.main(["prepare", "--config", str(config)]) == 2
+        monkeypatch.undo()
+        assert (prepared / name).read_bytes() == before
+        assert sorted(p.name for p in prepared.iterdir()) == \
+            ["prep_report.json", "prior_proportions", "splits.json"]
 
     def test_rerun_byte_identical_splits(self, toy_run):
         tmp_path, config = toy_run
