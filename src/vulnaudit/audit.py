@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .grid_store import (DEFAULT_NODATA, GridStack, PriorField, RasterGrid,
-                         StackKind, StackManifest)
+                         StackKind, StackManifest, write_atomic)
 from .model import PosteriorField
 
 NONE_LABEL = "NONE"
@@ -119,6 +119,14 @@ def change_map(h_t: RasterGrid, h_t1: RasterGrid,
     return ChangeMap(grid, threshold_m)
 
 
+def check_region(region: tuple[int, int, int, int], width: int, height_px: int) -> None:
+    """Raise ValueError unless the (x, y, width, height) rectangle is
+    non-empty and lies inside a width x height_px raster."""
+    x, y, w, h = region
+    if x < 0 or y < 0 or w <= 0 or h <= 0 or x + w > width or y + h > height_px:
+        raise ValueError(f"region {region} out of bounds for {width}x{height_px} raster")
+
+
 def regional_trend(posteriors: list[PosteriorField],
                    region: tuple[int, int, int, int]) -> RegionalTrend:
     """Per-timestep mean posterior over node pixels inside the rectangle."""
@@ -126,8 +134,7 @@ def regional_trend(posteriors: list[PosteriorField],
         raise ValueError("no posterior fields given")
     x, y, w, h = region
     ph, pw = posteriors[0].shape
-    if x < 0 or y < 0 or w <= 0 or h <= 0 or x + w > pw or y + h > ph:
-        raise ValueError(f"region {region} out of bounds for {pw}x{ph} raster")
+    check_region(region, pw, ph)
     series = []
     empty = []
     for post in posteriors:
@@ -220,14 +227,14 @@ def write_transition_csv(tm: TransitionMatrix, path: str | Path,
     lines = ["from\\to," + ",".join(tm.labels)]
     for label, row in zip(tm.labels, matrix):
         lines.append(label + "," + ",".join(f"{v:.9g}" for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def write_trend_csv(trend: RegionalTrend, path: str | Path) -> None:
     lines = ["timestep," + ",".join(trend.categories)]
     for label, row in zip(trend.timesteps, trend.series):
         lines.append(label + "," + ",".join(f"{v:.9g}" for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def maps_to_stack(grids: list[RasterGrid], labels: list[str],
@@ -254,4 +261,4 @@ def write_ppm_heatmap(grid: RasterGrid, path: str | Path) -> None:
     rgb[:, :, 0] = np.where(valid, np.round(255 * t), 0).astype(np.uint8)
     rgb[:, :, 2] = np.where(valid, np.round(255 * (1.0 - t)), 0).astype(np.uint8)
     header = f"P6\n{grid.width} {grid.height_px}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + rgb.tobytes())
+    write_atomic(path, header + rgb.tobytes())

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import types
 import typing
@@ -20,12 +19,32 @@ from . import audit as au
 from . import graph_build as gb
 from . import grid_store as gs
 from . import model as md
-from . import synth as sy
 from .numcore import NonFiniteError
 
 
 class ConfigError(ValueError):
     """Bad or missing configuration/input."""
+
+
+@dataclass
+class Region:
+    """A regional-trend rectangle in pixels; ``name`` defaults to
+    ``r{x}_{y}`` and names the audit file ``trend_{name}.csv``."""
+    x: int
+    y: int
+    width: int
+    height: int
+    name: str | None = None
+
+    def __post_init__(self):
+        if self.name is None:
+            self.name = f"r{self.x}_{self.y}"
+        if not self.name or any(p in self.name for p in gs._BAD_LABEL_PARTS):
+            raise ValueError(f"unusable region name {self.name!r}")
+
+    @property
+    def rect(self) -> tuple[int, int, int, int]:
+        return self.x, self.y, self.width, self.height
 
 
 @dataclass
@@ -39,7 +58,7 @@ class RunConfig:
     split_tolerance: float = 0.25
     upsample_factor: int = 1
     train: md.TrainConfig = field(default_factory=md.TrainConfig)
-    regions: list[dict] = field(default_factory=list)
+    regions: list[Region] = field(default_factory=list)
     min_edge: float = 0.05
     threshold_m: float = au.DEFAULT_CHANGE_THRESHOLD_M
 
@@ -48,6 +67,9 @@ class RunConfig:
             raise ConfigError("split_ratios must sum to 1")
         if self.upsample_factor < 1:
             raise ConfigError("upsample_factor must be >= 1")
+        names = [r.name for r in self.regions]
+        if len(set(names)) != len(names):
+            raise ConfigError(f"duplicate region names in {names}: each names a trend file")
 
     @property
     def prepared_dir(self) -> Path:
@@ -109,10 +131,7 @@ def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfi
 def _echo_config(cfg: RunConfig, command: str) -> None:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    doc = asdict(cfg)
-    (out / f"{command}_config_echo.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True, default=list) + "\n",
-        encoding="utf-8")
+    _write_json_atomic(out / f"{command}_config_echo.json", asdict(cfg))
 
 
 def _read_heights(cfg: RunConfig) -> gs.GridStack:
@@ -152,15 +171,8 @@ def _save_splits(splits: gb.SplitAssignment, cfg: RunConfig, path: Path) -> None
 
 
 def _write_json_atomic(path: Path, doc: dict) -> None:
-    """Write ``doc`` as indented, key-sorted JSON into a sibling temporary
-    file that then replaces ``path``, so a failed write leaves the previous
-    file (or none) and no temporary file."""
-    tmp = gs._sibling(path, "tmp")
-    try:
-        tmp.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    """Write ``doc`` as indented, key-sorted JSON through ``gs.write_atomic``."""
+    gs.write_atomic(path, json.dumps(doc, indent=2, sort_keys=True, default=list) + "\n")
 
 
 def _load_splits(path: Path) -> gb.SplitAssignment:
@@ -241,7 +253,7 @@ def cmd_train(cfg: RunConfig) -> int:
         lines.append(",".join([str(row.epoch)] +
                               [repr(x) for x in (t.rec, t.kl, t.ce, t.total,
                                                  v.rec, v.kl, v.ce, v.total)]))
-    (out / "losses.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    gs.write_atomic(out / "losses.csv", "\n".join(lines) + "\n")
 
     md.load_checkpoint(out / "checkpoint")  # self-check
     _echo_config(cfg, "train")
@@ -290,8 +302,12 @@ def _load_posteriors(cfg: RunConfig, posteriors_dir: Path,
 
 def cmd_audit(cfg: RunConfig, posteriors_dir: str) -> int:
     heights = _read_heights(cfg)
+    hm = heights.manifest
+    regions = cfg.regions or [Region(0, 0, hm.width, hm.height_px, "full")]
+    for region in regions:
+        au.check_region(region.rect, hm.width, hm.height_px)
     prior, _, _ = _load_prepared(cfg)
-    labels = list(heights.manifest.layer_labels)
+    labels = list(hm.layer_labels)
     posteriors = _load_posteriors(cfg, Path(posteriors_dir), labels)
     out = Path(cfg.out_dir) / "audit"
     out.mkdir(parents=True, exist_ok=True)
@@ -321,16 +337,10 @@ def cmd_audit(cfg: RunConfig, posteriors_dir: str) -> int:
             out / "change_maps")
         index["artifacts"].append("change_maps")
 
-    regions = cfg.regions or [{"name": "full", "x": 0, "y": 0,
-                               "width": heights.manifest.width,
-                               "height": heights.manifest.height_px}]
     for region in regions:
-        trend = au.regional_trend(
-            posteriors, (int(region["x"]), int(region["y"]),
-                         int(region["width"]), int(region["height"])))
-        name = region.get("name", f"r{region['x']}_{region['y']}")
-        au.write_trend_csv(trend, out / f"trend_{name}.csv")
-        index["artifacts"].append(f"trend_{name}.csv")
+        trend = au.regional_trend(posteriors, region.rect)
+        au.write_trend_csv(trend, out / f"trend_{region.name}.csv")
+        index["artifacts"].append(f"trend_{region.name}.csv")
 
     if len(posteriors) < 2:
         print("warning: fewer than 2 timesteps, transition outputs disabled",
@@ -343,16 +353,15 @@ def cmd_audit(cfg: RunConfig, posteriors_dir: str) -> int:
         for name, tm in zip(names, matrices):
             au.write_transition_csv(tm, out / f"transition_{name}.csv")
             au.write_transition_csv(tm, out / f"transition_{name}_raw.csv", which="raw")
-            (out / f"transition_{name}.dot").write_text(
-                au.transition_to_dot(tm, cfg.min_edge), encoding="utf-8")
+            gs.write_atomic(out / f"transition_{name}.dot",
+                            au.transition_to_dot(tm, cfg.min_edge))
             index["artifacts"] += [f"transition_{name}.csv",
                                    f"transition_{name}_raw.csv",
                                    f"transition_{name}.dot"]
             index["transitions"][name] = {"period": tm.period,
                                           "zero_mass_rows": tm.zero_mass_rows}
 
-    (out / "index.json").write_text(
-        json.dumps(index, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json_atomic(out / "index.json", index)
     # self-check written stacks
     gs.read_grid_stack(out / "ad_maps")
     if len(heights.grids) >= 2:
@@ -363,14 +372,15 @@ def cmd_audit(cfg: RunConfig, posteriors_dir: str) -> int:
 
 
 def cmd_synth(spec_path: str, out_dir: str) -> int:
+    # imported here: the other commands need neither the generator nor the
+    # scipy.ndimage it loads (about 5 MiB of each stage's peak RSS)
+    from . import synth as sy
     doc = json.loads(Path(spec_path).read_text(encoding="utf-8"))
     spec = _dataclass_from_doc(sy.SyntheticSpec, doc, spec_path)
     paths = sy.write_dataset(spec, out_dir)
     for path in paths.values():
         gs.read_grid_stack(path)  # self-check
-    echo = Path(out_dir) / "synth_config_echo.json"
-    echo.write_text(json.dumps(asdict(spec), indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    _write_json_atomic(Path(out_dir) / "synth_config_echo.json", asdict(spec))
     print(f"wrote synthetic dataset under {out_dir}: "
           + ", ".join(sorted(p.name for p in paths.values())))
     return 0

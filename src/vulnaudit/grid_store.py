@@ -215,6 +215,22 @@ def _staged_dir(path: str | Path) -> Iterator[Path]:
         shutil.rmtree(tmp, ignore_errors=True)
 
 
+def write_atomic(path: str | Path, data: str | bytes) -> None:
+    """Write ``data`` (text as UTF-8) into a sibling temporary file that then
+    replaces ``path``, so a failed write leaves the previous file (or none)
+    and no temporary file."""
+    path = Path(path)
+    tmp = _sibling(path, "tmp")
+    try:
+        if isinstance(data, str):
+            tmp.write_text(data, encoding="utf-8")
+        else:
+            tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _sibling(path: Path, tag: str) -> Path:
     return path.with_name(f".{path.name}.{tag}-{uuid.uuid4().hex[:12]}")
 

@@ -1,25 +1,23 @@
 """Seeded synthetic datasets for desk-scale verification.
 
-Plants a per-pixel category map as organic blobs (randomized multi-source
-region growing), samples building heights log-normally per category for each
-timestep, and aggregates the ground truth into coarse prior-count blocks, a
-configurable fraction of which are corrupted by resampling their counts.
+Plants a per-pixel category map as organic blobs (each pixel takes the
+category of the seed pixel nearest to its noise-displaced position), samples
+building heights log-normally per category for each timestep, and aggregates
+the ground truth into coarse prior-count blocks, a configurable fraction of
+which are corrupted by resampling their counts.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy import ndimage
 
 from .grid_store import (GridStack, RasterGrid, StackKind, StackManifest,
                          write_grid_stack)
-
-_NEIGHBORS = ((-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1))
-_UNIT = float(1 << 53)  # random() draws are multiples of 2**-53
 
 
 @dataclass
@@ -77,75 +75,42 @@ def default_spec(width: int = 64, height_px: int = 64, timesteps: int = 3,
 
 def grow_categories(width: int, height_px: int, k: int, n_blobs: int,
                     rng: np.random.Generator) -> np.ndarray:
-    """Randomized multi-source region growing; every category seeds at least
-    one blob. Returns an (H, W) int64 array of category codes.
+    """Plant organic blobs: each pixel takes the category of the seed pixel
+    nearest to its noise-displaced position. Returns an (H, W) int64 array
+    of category codes.
 
-    The rng contract, which fixes every synthetic dataset: ``rng.choice``
-    picks the seed pixels; then each seed, in order, takes one
-    ``rng.integers(0, k)`` draw for its category (the first ``k`` seeds take
-    categories 0..k-1 without one) and one ``rng.random()`` draw. Growing
-    then takes one ``random()`` draw per push, in push order. A push puts an
-    unclaimed 8-neighbour (in ``_NEIGHBORS`` order) of a newly claimed cell on
-    the frontier with its claimer's category; the pending push with the
-    lowest draw claims its cell next, ties broken by push order.
+    The rng contract, which fixes every synthetic dataset: one ``rng.choice``
+    call picks ``min(max(k, n_blobs), W*H)`` distinct seed pixels; the first
+    ``k`` seeds take categories 0..k-1 and the rest one ``rng.integers``
+    call; one ``rng.standard_normal((2, H, W))`` call gives the displacement
+    field. The field is Gaussian-smoothed and scaled by the blob radius
+    ``r = sqrt(W*H / seeds)``: sigma ``r / 2``, standard deviation ``r / 2``.
+    Each seed pixel keeps its own category, so every category is present
+    whenever ``W*H >= k``.
     """
-    n_blobs = max(k, n_blobs)
-    n_seeds = min(n_blobs, width * height_px)
-    # one flat mask with a claimed border, so neighbours need no bounds check
-    stride = width + 2
-    padded = np.ones((height_px + 2, stride), dtype=np.uint8)
-    padded[1:-1, 1:-1] = 0
-    taken = bytearray(padded.tobytes())
-    offsets = [dy * stride + dx for dx, dy in _NEIGHBORS]
-    # A heap key packs (53-bit draw, push counter, cell) into one int, so it
-    # sorts like the (draw, push order) pair.
-    cell_bits = len(taken).bit_length()
-    counter_bits = (n_seeds + 8 * width * height_px).bit_length()
-    cell_mask = (1 << cell_bits) - 1
-    cats = [-1] * len(taken)
-    # lowest pending key per cell: a push above it could only pop stale
-    best = [1 << (53 + counter_bits + cell_bits)] * len(taken)
-    heap = []
-    flat_seeds = rng.choice(width * height_px, size=n_seeds, replace=False)
-    for i, flat in enumerate(flat_seeds.tolist()):
-        y, x = divmod(flat, width)
-        cell = (y + 1) * stride + x + 1
-        cats[cell] = i % k if i < k else int(rng.integers(0, k))
-        best[cell] = (int(float(rng.random()) * _UNIT) << counter_bits | i) << cell_bits | cell
-        heap.append(best[cell])
-    heapq.heapify(heap)
-
-    # Draws come in blocks; random(m) gives the same doubles as m random()
-    # calls. At the end the rng is rewound to just past the last draw used.
-    block_len = width * height_px
-    block, used, before_block = [], block_len, None
-    counter = n_seeds
-    heappop, heappush = heapq.heappop, heapq.heappush
-    while heap:
-        cell = heappop(heap) & cell_mask
-        if taken[cell]:
-            continue
-        taken[cell] = 1
-        c = cats[cell]
-        for off in offsets:
-            nb = cell + off
-            if taken[nb]:
-                continue
-            if used == block_len:
-                before_block = rng.bit_generator.state
-                block = (rng.random(block_len) * _UNIT).astype(np.int64).tolist()
-                used = 0
-            key = (block[used] << counter_bits | counter) << cell_bits | nb
-            used += 1
-            counter += 1
-            if key < best[nb]:
-                best[nb] = key
-                cats[nb] = c
-                heappush(heap, key)
-    if before_block is not None:
-        rng.bit_generator.state = before_block
-        rng.random(used)
-    return np.array(cats, dtype=np.int64).reshape(height_px + 2, stride)[1:-1, 1:-1].copy()
+    n_pixels = width * height_px
+    n_seeds = min(max(k, n_blobs), n_pixels)
+    seeds = rng.choice(n_pixels, size=n_seeds, replace=False)
+    n_fixed = min(k, n_seeds)
+    seed_cats = np.concatenate([np.arange(n_fixed),
+                                rng.integers(0, k, size=n_seeds - n_fixed)])
+    not_seed = np.ones((height_px, width), dtype=bool)
+    not_seed.flat[seeds] = False
+    # the coordinates of each pixel's nearest seed
+    iy, ix = ndimage.distance_transform_edt(not_seed, return_distances=False,
+                                            return_indices=True)
+    radius = math.sqrt(n_pixels / n_seeds)
+    shift = ndimage.gaussian_filter(rng.standard_normal((2, height_px, width)),
+                                    (0, radius / 2, radius / 2))
+    shift *= radius / 2 / (shift.std() or 1.0)
+    py = np.clip(np.rint(shift[0] + np.arange(height_px)[:, None]), 0, height_px - 1)
+    px = np.clip(np.rint(shift[1] + np.arange(width)), 0, width - 1)
+    py, px = py.astype(np.intp), px.astype(np.intp)
+    cats = np.zeros((height_px, width), dtype=np.int64)
+    cats.flat[seeds] = seed_cats
+    out = cats[iy[py, px], ix[py, px]]
+    out.flat[seeds] = seed_cats
+    return out
 
 
 def generate(spec: SyntheticSpec) -> dict[str, GridStack]:

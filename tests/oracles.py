@@ -5,7 +5,6 @@ library (dense formulas, double loops, finite differences) so the two sides
 can disagree.
 """
 
-import heapq
 import math
 
 import numpy as np
@@ -85,33 +84,3 @@ def softmax_reference(logits) -> np.ndarray:
     e = np.exp(z - z.max())
     return e / e.sum()
 
-
-def grow_categories_heap(width: int, height_px: int, k: int, n_blobs: int,
-                         rng: np.random.Generator) -> np.ndarray:
-    """The original heap-of-tuples flood fill that ``synth.grow_categories``
-    replays: one scalar ``rng.random()`` per push, 2-D bounds checks, every
-    push kept on the heap."""
-    n_blobs = max(k, n_blobs)
-    cat = np.full((height_px, width), -1, dtype=np.int64)
-    flat_seeds = rng.choice(width * height_px, size=min(n_blobs, width * height_px),
-                            replace=False)
-    heap = []
-    counter = 0
-    for i, flat in enumerate(flat_seeds):
-        y, x = divmod(int(flat), width)
-        c = i % k if i < k else int(rng.integers(0, k))
-        heapq.heappush(heap, (float(rng.random()), counter, x, y, c))
-        counter += 1
-    while heap:
-        _, _, x, y, c = heapq.heappop(heap)
-        if cat[y, x] != -1:
-            continue
-        cat[y, x] = c
-        for dy in (-1, 0, 1):
-            for dx in (-1, 0, 1):
-                nx, ny = x + dx, y + dy
-                if (dx or dy) and 0 <= nx < width and 0 <= ny < height_px \
-                        and cat[ny, nx] == -1:
-                    heapq.heappush(heap, (float(rng.random()), counter, nx, ny, c))
-                    counter += 1
-    return cat

@@ -303,6 +303,63 @@ class TestAudit:
             row = [float(v) for v in line.split(",")[1:]]
             assert sum(row) == pytest.approx(1.0, abs=1e-9)
 
+    def test_region_default_name_and_echo(self, toy_run):
+        tmp_path, config = self.run_pipeline(toy_run)
+        doc = json.loads(config.read_text())
+        doc["regions"] = [{"x": 2, "y": 3, "width": 4, "height": 5},
+                          {"name": "east", "x": 8, "y": 0, "width": 8, "height": 16}]
+        config.write_text(json.dumps(doc))
+        assert cli.main(["audit", "--config", str(config),
+                         "--posteriors", str(tmp_path / "out" / "posteriors")]) == 0
+        out = tmp_path / "out"
+        assert (out / "audit" / "trend_r2_3.csv").is_file()
+        assert (out / "audit" / "trend_east.csv").is_file()
+        assert cli.load_run_config(out / "audit_config_echo.json") == \
+            cli.load_run_config(config)
+
+    @pytest.mark.parametrize("region, named", [
+        ({"x": 0, "y": 0, "width": 4, "height": 4, "colour": "red"}, "colour"),
+        ({"x": 0, "y": 0, "width": 4}, "height"),
+        ({"name": "a/b", "x": 0, "y": 0, "width": 4, "height": 4}, "a/b"),
+        ({"name": "..", "x": 0, "y": 0, "width": 4, "height": 4}, ".."),
+        ({"name": "a\\b", "x": 0, "y": 0, "width": 4, "height": 4}, "unusable"),
+        ({"x": 10, "y": 0, "width": 10, "height": 4}, "out of bounds"),
+        ({"x": 0, "y": -1, "width": 4, "height": 4}, "out of bounds"),
+        ({"name": "ok", "x": 4, "y": 4, "width": 4, "height": 4}, "duplicate"),
+    ], ids=["unknown-key", "missing-key", "slash-name", "dotdot-name",
+            "backslash-name", "past-edge", "negative-origin", "duplicate-name"])
+    def test_bad_region_exits_2_before_writing(self, toy_run, capsys, region, named):
+        tmp_path, config = self.run_pipeline(toy_run)
+        doc = json.loads(config.read_text())
+        doc["regions"] = [{"name": "ok", "x": 0, "y": 0, "width": 16, "height": 16},
+                          region]
+        config.write_text(json.dumps(doc))
+        assert cli.main(["audit", "--config", str(config),
+                         "--posteriors", str(tmp_path / "out" / "posteriors")]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out" / "audit").exists()
+        assert not (tmp_path / "out" / "audit_config_echo.json").exists()
+
+    def test_failed_rewrite_keeps_previous_file(self, toy_run, monkeypatch):
+        tmp_path, config = self.run_pipeline(toy_run)
+        argv = ["audit", "--config", str(config),
+                "--posteriors", str(tmp_path / "out" / "posteriors")]
+        assert cli.main(argv) == 0
+        out = tmp_path / "out" / "audit"
+        before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        real_write = Path.write_text
+
+        def flaky_write(self, data, *args, **kwargs):
+            if "transition_averaged.csv" in self.name:
+                real_write(self, data[:len(data) // 2], *args, **kwargs)
+                raise OSError("disk full")  # a crash or a full disk mid-write
+            return real_write(self, data, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", flaky_write)
+        assert cli.main(argv) == 2
+        monkeypatch.undo()
+        assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+
     def test_single_timestep_warns_and_exits_zero(self, tmp_path, capsys):
         spec = write_spec(tmp_path / "spec.json", timesteps=1)
         cli.main(["synth", "--spec", str(spec), "--out", str(tmp_path / "data")])
@@ -359,3 +416,43 @@ class TestConfigHandling:
         tmp_path, config = toy_run
         with pytest.raises(cli.ConfigError):
             cli.load_run_config(config, {"split_ratios": (0.5, 0.2, 0.2)})
+
+
+class TestEndToEnd:
+    def test_readme_transitions_match_ground_truth(self, tmp_path):
+        # The README spec and a 16-pixel tiling of its 64 x 64 extent, with
+        # the default 200 epochs. The planted map is static, so the counted
+        # transitions are the identity over the categories; the largest
+        # entry error measured 0.2416 (the cat1 diagonal reads 0.7584), and
+        # the bound leaves a margin of 0.0584 above it.
+        spec = write_spec(tmp_path / "spec.json", width=64, height_px=64, timesteps=3,
+                          k=3, mean_log_heights=[0.5, 1.5, 2.5],
+                          std_log_heights=[0.3, 0.3, 0.3], block_size=8, seed=42,
+                          corruption=0.2)
+        data, out = tmp_path / "data", tmp_path / "out"
+        config = write_config(tmp_path / "config.json", data, out, tile_size=16,
+                              upsample_factor=8, train={})
+        for argv in (["synth", "--spec", str(spec), "--out", str(data)],
+                     ["prepare", "--config", str(config)],
+                     ["train", "--config", str(config)],
+                     ["infer", "--config", str(config),
+                      "--checkpoint", str(out / "checkpoint")],
+                     ["audit", "--config", str(config),
+                      "--posteriors", str(out / "posteriors")]):
+            assert cli.main(argv) == 0, argv
+        rows = (out / "audit" / "transition_averaged.csv").read_text().splitlines()[1:]
+        audited = np.array([[float(v) for v in row.split(",")[1:]] for row in rows])
+
+        truth = gs.read_grid_stack(data / "ground_truth")
+        heights = gs.read_grid_stack(data / "heights")
+        k = len(truth.grids)
+        planted = np.stack([g.values for g in truth.grids]).argmax(axis=0)
+        codes = [np.where(h.values > 0, planted, k).ravel() for h in heights.grids]
+        counts = np.zeros((k + 1, k + 1))
+        for a, b in zip(codes, codes[1:]):
+            np.add.at(counts, (a, b), 1)
+        counts[counts.sum(axis=1) == 0, k] = 1  # no source mass: pinned to NONE
+        expected = counts / counts.sum(axis=1, keepdims=True)
+        np.testing.assert_array_equal(expected[:k, :k], np.eye(k))
+        error = np.abs(audited - expected).max()
+        assert error < 0.30, error
