@@ -53,9 +53,9 @@ class RunConfig:
     prior_counts: str
     out_dir: str
     tile_size: int = gb.DEFAULT_TILE_SIZE
-    split_ratios: tuple[float, float, float] = (0.70, 0.15, 0.15)
+    split_ratios: tuple[float, float, float] = gb.DEFAULT_SPLIT_RATIOS
     split_seed: int = 0
-    split_tolerance: float = 0.25
+    split_tolerance: float = gb.DEFAULT_SPLIT_TOLERANCE
     upsample_factor: int = 1
     train: md.TrainConfig = field(default_factory=md.TrainConfig)
     regions: list[Region] = field(default_factory=list)
@@ -77,9 +77,12 @@ class RunConfig:
 
 
 def _convert(tp, value, where: str):
-    """``value`` as annotated type ``tp``: scalars by calling the type,
-    lists and tuples element by element, ``X | None`` passing None through,
-    and dataclasses through ``_dataclass_from_doc``."""
+    """``value`` as annotated type ``tp``: lists and tuples element by
+    element, ``X | None`` passing None through, dataclasses through
+    ``_dataclass_from_doc``, and scalars strictly: an ``int`` takes only a
+    JSON integer, a ``float`` an integer or a decimal, a ``str`` only a
+    string, and none of them ``true``/``false``. A value of another type is a
+    ConfigError naming ``where``; nothing is truncated or stringified."""
     if is_dataclass(tp):
         return _dataclass_from_doc(tp, value, where)
     origin, args = typing.get_origin(tp), typing.get_args(tp)
@@ -87,7 +90,12 @@ def _convert(tp, value, where: str):
         inner = [a for a in args if a is not type(None)]
         return None if value is None else _convert(inner[0], value, where)
     if origin in (list, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where}: expected a list, got {value!r}")
         return origin(_convert(args[0], v, where) for v in value)
+    accepted = (int, float) if tp is float else (tp,)
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{where}: expected {tp.__name__}, got {value!r}")
     return tp(value)
 
 
@@ -289,7 +297,7 @@ def cmd_infer(cfg: RunConfig, checkpoint: str) -> int:
     return 0
 
 
-def _load_posteriors(cfg: RunConfig, posteriors_dir: Path,
+def _load_posteriors(posteriors_dir: Path,
                      labels: list[str]) -> list[md.PosteriorField]:
     fields = []
     for label in labels:
@@ -308,7 +316,7 @@ def cmd_audit(cfg: RunConfig, posteriors_dir: str) -> int:
         au.check_region(region.rect, hm.width, hm.height_px)
     prior, _, _ = _load_prepared(cfg)
     labels = list(hm.layer_labels)
-    posteriors = _load_posteriors(cfg, Path(posteriors_dir), labels)
+    posteriors = _load_posteriors(Path(posteriors_dir), labels)
     out = Path(cfg.out_dir) / "audit"
     out.mkdir(parents=True, exist_ok=True)
     index: dict = {"artifacts": [], "transitions": {}}

@@ -13,6 +13,8 @@ from .grid_store import PriorField, RasterGrid
 
 DEFAULT_TILE_SIZE = 450
 DEFAULT_EDGE_DROPOUT = 0.20
+DEFAULT_SPLIT_RATIOS = (0.70, 0.15, 0.15)  # train, test, validation
+DEFAULT_SPLIT_TOLERANCE = 0.25
 MAX_SUBGRAPH_NODES = 50_000
 NODE_FEATURES = 1  # build_graph gives each node one feature: its height
 
@@ -54,12 +56,6 @@ class GridGraph:
     @property
     def n_undirected_edges(self) -> int:
         return self.adjacency.nnz // 2
-
-    def undirected_edges(self) -> np.ndarray:
-        """(m, 2) array of node pairs with u < v."""
-        coo = self.adjacency.tocoo()
-        keep = coo.row < coo.col
-        return np.column_stack([coo.row[keep], coo.col[keep]]).astype(np.int64)
 
 
 @dataclass
@@ -109,14 +105,6 @@ def tiles_mask(tiles: list[Tile], width: int, height_px: int) -> np.ndarray:
     return mask
 
 
-def _csr_from_arcs(n: int, rows: np.ndarray, cols: np.ndarray) -> sp.csr_matrix:
-    data = np.ones(len(rows), dtype=np.float64)
-    m = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-    m.sum_duplicates()
-    m.data[:] = 1.0
-    return m
-
-
 def _node_mask(heights: RasterGrid, tiles: list[Tile]) -> np.ndarray:
     """In-tile pixels with a valid height > 0: the pixels that become nodes."""
     in_tiles = tiles_mask(tiles, heights.width, heights.height_px)
@@ -141,13 +129,9 @@ def build_graph(heights: RasterGrid, tiles: list[Tile]) -> GridGraph:
         v = index[y2[ok], x2[ok]]
         rows_all.extend((u, v))
         cols_all.extend((v, u))
-    if rows_all:
-        rows = np.concatenate(rows_all)
-        cols = np.concatenate(cols_all)
-    else:
-        rows = np.empty(0, dtype=np.int64)
-        cols = np.empty(0, dtype=np.int64)
-    adjacency = _csr_from_arcs(n, rows, cols)
+    rows, cols = np.concatenate(rows_all), np.concatenate(cols_all)
+    # the half-neighbourhood scan yields each arc once, so no duplicates to sum
+    adjacency = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
 
     features = heights.values[ys, xs].astype(np.float64).reshape(n, NODE_FEATURES)
     pixels = np.column_stack([xs, ys]).astype(np.int32)
@@ -189,16 +173,22 @@ def fit_norm_stats(grids: list[RasterGrid], tiles: list[Tile]) -> NormStats:
 def normalize_adjacency(graph_or_adj: GridGraph | sp.csr_matrix) -> sp.csr_matrix:
     """Symmetric normalization with self-loops: D^(-1/2) (A + I) D^(-1/2).
 
+    With d = deg^(-1/2), each stored value of A + I is scaled in place to
+    ``d[i] * a_ij * d[j]``, evaluated left to right. This equals the sparse
+    product (D (A + I)) D value for value: a product with a diagonal factor
+    has one term per entry, added to zero, so it computes exactly
+    ``(d[i] * a_ij) * d[j]`` too.
+
     The result has sorted column indices, which fixes the summation order of
     every product with it."""
     adj = graph_or_adj.adjacency if isinstance(graph_or_adj, GridGraph) else graph_or_adj
     if adj.shape[0] != adj.shape[1] or (adj != adj.T).nnz:
         raise ValueError("adjacency must be symmetric")
-    a_tilde = adj + sp.identity(adj.shape[0], format="csr")
-    deg = np.asarray(a_tilde.sum(axis=1)).ravel()
-    d_inv_sqrt = sp.diags(1.0 / np.sqrt(deg))
-    a_hat = (d_inv_sqrt @ a_tilde @ d_inv_sqrt).tocsr()
+    a_hat = adj + sp.identity(adj.shape[0], format="csr")
     a_hat.sort_indices()
+    d_inv_sqrt = 1.0 / np.sqrt(np.asarray(a_hat.sum(axis=1)).ravel())
+    rows = np.repeat(np.arange(a_hat.shape[0]), np.diff(a_hat.indptr))
+    a_hat.data = d_inv_sqrt[rows] * a_hat.data * d_inv_sqrt[a_hat.indices]
     return a_hat
 
 
@@ -230,8 +220,8 @@ def _largest_remainder(n: int, ratios: tuple[float, float, float]) -> list[int]:
 
 
 def split_tiles(tiles: list[Tile], prior: PriorField,
-                ratios: tuple[float, float, float] = (0.70, 0.15, 0.15),
-                seed: int = 0, tolerance: float = 0.25) -> SplitAssignment:
+                ratios: tuple[float, float, float] = DEFAULT_SPLIT_RATIOS,
+                seed: int = 0, tolerance: float = DEFAULT_SPLIT_TOLERANCE) -> SplitAssignment:
     """Stratified random train/test/validation assignment by dominant category.
 
     Within each stratum the split sizes follow the ratios by largest-remainder
@@ -289,26 +279,29 @@ def _induced_subgraph(graph: GridGraph, nodes: np.ndarray) -> GridGraph:
 
 
 def _drop_edges(graph: GridGraph, fraction: float, rng: np.random.Generator) -> GridGraph:
-    edges = graph.undirected_edges()
-    m = len(edges)
-    n_drop = int(round(fraction * m))  # round-half-to-even for determinism
+    """Remove ``round(fraction * m)`` of the m undirected edges, both arcs of
+    each. The one rng draw is ``rng.choice(m, n_drop, replace=False)`` over
+    the upper-triangle arcs in CSR (row-major) order; no draw when nothing
+    is dropped."""
+    upper = sp.triu(graph.adjacency, k=1, format="csr")
+    n_drop = int(round(fraction * upper.nnz))  # round-half-to-even for determinism
     if n_drop == 0:
         return graph
-    drop_idx = rng.choice(m, size=n_drop, replace=False)
-    keep = np.ones(m, dtype=bool)
-    keep[drop_idx] = False
-    kept = edges[keep]
-    rows = np.concatenate([kept[:, 0], kept[:, 1]])
-    cols = np.concatenate([kept[:, 1], kept[:, 0]])
-    adjacency = _csr_from_arcs(graph.n_nodes, rows, cols)
-    return GridGraph(graph.node_pixels, adjacency, graph.features)
+    upper.data[rng.choice(upper.nnz, size=n_drop, replace=False)] = 0.0
+    upper.eliminate_zeros()
+    return GridGraph(graph.node_pixels, upper + upper.T, graph.features)
 
 
 def sample_epoch(train_graph: GridGraph, n_subgraphs: int,
                  dropout: float = DEFAULT_EDGE_DROPOUT, seed: int = 0) -> EpochSample:
     """Randomly partition the training nodes into near-equal induced subgraphs
     and drop the configured fraction of each subgraph's undirected edges
-    (both directions removed). Deterministic given the seed."""
+    (both directions removed). Deterministic given the seed.
+
+    The rng contract: one ``permutation(n)`` splits the nodes into parts, then
+    each part in turn makes ``_drop_edges``'s one ``choice`` over its
+    upper-triangle arcs in CSR order. The permutation is drawn even for a
+    single part, whose induced subgraph is the whole graph."""
     n = train_graph.n_nodes
     if n_subgraphs < 1 or n_subgraphs > n:
         raise ValueError(f"n_subgraphs must be in [1, {n}]")
@@ -316,12 +309,10 @@ def sample_epoch(train_graph: GridGraph, n_subgraphs: int,
         raise ValueError("dropout must lie in [0, 1)")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     perm = rng.permutation(n)
-    parts = np.array_split(perm, n_subgraphs)
-    subgraphs = []
-    for part in parts:
-        sub = _induced_subgraph(train_graph, part)
-        subgraphs.append(_drop_edges(sub, dropout, rng))
-    return EpochSample(subgraphs)
+    subgraphs = ([train_graph] if n_subgraphs == 1 else
+                 [_induced_subgraph(train_graph, part)
+                  for part in np.array_split(perm, n_subgraphs)])
+    return EpochSample([_drop_edges(g, dropout, rng) for g in subgraphs])
 
 
 def auto_n_subgraphs(n_nodes: int) -> int:

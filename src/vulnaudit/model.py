@@ -19,15 +19,18 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import numcore as nc
-from .graph_build import (MAX_SUBGRAPH_NODES, NODE_FEATURES, GridGraph, NormStats,
-                          SplitAssignment, Tile, auto_n_subgraphs, build_graph,
-                          fit_norm_stats, log_normalize, normalize_adjacency,
-                          sample_epoch, tile_region)
+from .graph_build import (DEFAULT_EDGE_DROPOUT, MAX_SUBGRAPH_NODES, NODE_FEATURES,
+                          GridGraph, NormStats, SplitAssignment, Tile, auto_n_subgraphs,
+                          build_graph, fit_norm_stats, log_normalize,
+                          normalize_adjacency, sample_epoch, tile_region)
 from .grid_store import (DEFAULT_NODATA, GridStack, PriorField, RasterGrid, StackKind,
                          StackManifest, _staged_dir)
 from .numcore import NonFiniteError, Tape, Var
 
 DEFAULT_HIDDEN = 25
+DEFAULT_LEARNING_RATE = 1e-3
+DEFAULT_ADAM_BETAS = (0.9, 0.999)
+DEFAULT_ADAM_EPS = 1e-8
 CLAMP = 1e-9
 
 PARAM_ORDER = ("enc_w1", "enc_b1", "enc_w2", "enc_b2", "enc_w3", "enc_b3",
@@ -75,14 +78,14 @@ class ModelParams:
 @dataclass
 class TrainConfig:
     tau: float = 1.0
-    learning_rate: float = 1e-3
+    learning_rate: float = DEFAULT_LEARNING_RATE
     epochs: int = 200
-    edge_dropout: float = 0.20
+    edge_dropout: float = DEFAULT_EDGE_DROPOUT
     n_subgraphs: int | None = None  # None: sized so subgraphs stay under the node cap
     seed: int = 0
     loss_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)  # (rec, kl, ce)
-    adam_betas: tuple[float, float] = (0.9, 0.999)
-    adam_eps: float = 1e-8
+    adam_betas: tuple[float, float] = DEFAULT_ADAM_BETAS
+    adam_eps: float = DEFAULT_ADAM_EPS
 
     def __post_init__(self):
         if self.tau <= 0:
@@ -258,8 +261,9 @@ def loss_ce(tape: Tape, posterior: Var, prior_p: np.ndarray, mask: np.ndarray) -
 class Adam:
     """Bias-corrected Adam over a name-keyed weight dict."""
 
-    def __init__(self, lr: float = 1e-3, betas: tuple[float, float] = (0.9, 0.999),
-                 eps: float = 1e-8):
+    def __init__(self, lr: float = DEFAULT_LEARNING_RATE,
+                 betas: tuple[float, float] = DEFAULT_ADAM_BETAS,
+                 eps: float = DEFAULT_ADAM_EPS):
         self.lr = lr
         self.b1, self.b2 = betas
         self.eps = eps
@@ -385,23 +389,16 @@ def train(params: ModelParams, height_series: GridStack, prior: PriorField,
     Fully deterministic given ``config.seed``.
     """
     labels = list(height_series.manifest.layer_labels)
-    train_graphs: dict[str, GridGraph] = {}
+    if norm_stats is None:
+        norm_stats = fit_norm_stats(height_series.grids, splits.train)
+    normed: dict[str, GridGraph] = {}
     for label, grid in zip(labels, height_series.grids):
         g = build_graph(grid, splits.train)
         if g.n_nodes:
-            train_graphs[label] = g
-    if not train_graphs:
+            feats, _ = log_normalize(g.features, norm_stats)
+            normed[label] = GridGraph(g.node_pixels, g.adjacency, feats)
+    if not normed:
         raise ValueError("no training nodes at any timestep")
-
-    if norm_stats is None:
-        norm_stats = fit_norm_stats(height_series.grids, splits.train)
-
-    train_labels = list(train_graphs)
-    normed: dict[str, GridGraph] = {}
-    for label in train_labels:
-        g = train_graphs[label]
-        feats, _ = log_normalize(g.features, norm_stats)
-        normed[label] = GridGraph(g.node_pixels, g.adjacency, feats)
 
     # validation inputs are fixed across epochs
     val_inputs = []
@@ -421,15 +418,13 @@ def train(params: ModelParams, height_series: GridStack, prior: PriorField,
     optimizer = Adam(config.learning_rate, config.adam_betas, config.adam_eps)
     history: list[EpochLosses] = []
     for epoch in range(config.epochs):
-        samples = {}
-        for ti, label in enumerate(train_labels):
-            seed = derive_seed(config.seed, 1, epoch, ti)
-            samples[label] = sample_epoch(normed[label], n_sub,
-                                          config.edge_dropout, seed)
+        samples = [sample_epoch(g, n_sub, config.edge_dropout,
+                                derive_seed(config.seed, 1, epoch, ti))
+                   for ti, g in enumerate(normed.values())]
         step_losses: list[LossBreakdown] = []
         for i in range(n_sub):
-            for ti, label in enumerate(train_labels):
-                sub = samples[label].subgraphs[i]
+            for ti, (label, sample) in enumerate(zip(normed, samples)):
+                sub = sample.subgraphs[i]
                 rng = np.random.default_rng(
                     np.random.SeedSequence([config.seed, 2, epoch, ti, i]))
                 try:

@@ -394,6 +394,31 @@ class TestConfigHandling:
         assert cli.main(["prepare", "--config", str(config)]) == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("document, edit, named", [
+        ("config", lambda doc: {**doc, "tile_size": 16.7}, "'tile_size'"),
+        ("config", lambda doc: {**doc, "split_seed": True}, "'split_seed'"),
+        ("config", lambda doc: {**doc, "min_edge": False}, "'min_edge'"),
+        ("config", lambda doc: {**doc, "train": {"epochs": 2.9}}, "'epochs'"),
+        ("config", lambda doc: {**doc, "train": {"n_subgraphs": 1.5}}, "'n_subgraphs'"),
+        ("config", lambda doc: {**doc, "regions": [{"x": 1.5, "y": 0, "width": 4,
+                                                    "height": 4}]}, "'x'"),
+        ("spec", lambda doc: {**doc, "width": 64.9}, "'width'"),
+        ("spec", lambda doc: {**doc, "seed": 42.7}, "'seed'"),
+        ("spec", lambda doc: {**doc, "labels": [1, 2]}, "'labels'"),
+        ("spec", lambda doc: {**doc, "labels": "ab"}, "'labels'"),
+    ], ids=["float-tile-size", "bool-split-seed", "bool-min-edge", "float-epochs",
+            "float-n-subgraphs", "float-region-x", "float-width", "float-seed",
+            "int-labels", "string-labels"])
+    def test_scalar_of_wrong_type_exits_2(self, toy_run, capsys, document, edit, named):
+        tmp_path, config = toy_run
+        path = config if document == "config" else tmp_path / "data" / "synth_config_echo.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        argv = (["prepare", "--config", str(path)] if document == "config" else
+                ["synth", "--spec", str(path), "--out", str(tmp_path / "again")])
+        assert cli.main(argv) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists() and not (tmp_path / "again").exists()
+
     def test_config_echoes_load_back(self, toy_run):
         tmp_path, config = toy_run
         out = tmp_path / "out"

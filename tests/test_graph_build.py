@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -59,7 +61,7 @@ class TestBuildGraph:
         assert graph.n_undirected_edges == 20
         expected = brute_force_grid_edges({(x, y) for x in range(3) for y in range(3)})
         got = {frozenset([tuple(graph.node_pixels[u]), tuple(graph.node_pixels[v])])
-               for u, v in graph.undirected_edges()}
+               for u, v in zip(*sp.triu(graph.adjacency, k=1).nonzero())}
         assert got == expected
 
     def test_single_positive_pixel(self):
@@ -101,7 +103,7 @@ class TestBuildGraph:
             np.testing.assert_array_equal(adj, adj.T)
             assert np.all(np.diag(adj) == 0)
             assert adj.sum(axis=1).max(initial=0) <= 8
-            for u, v in graph.undirected_edges():
+            for u, v in zip(*sp.triu(graph.adjacency, k=1).nonzero()):
                 ux, uy = graph.node_pixels[u]
                 vx, vy = graph.node_pixels[v]
                 assert max(abs(int(ux) - int(vx)), abs(int(uy) - int(vy))) == 1
@@ -269,3 +271,26 @@ class TestSampleEpoch:
         graph = self.make_graph(2)
         with pytest.raises(ValueError):
             gb.sample_epoch(graph, 5, dropout=0.0, seed=0)
+
+    # sha256 over every subgraph's node pixels, adjacency and Â (indptr,
+    # indices, data) of one fixed sample: pins which nodes each part gets and
+    # which edges the seed drops, not only that a build repeats itself
+    SAMPLE_DIGESTS = {
+        1: "e341aeb6fdaba21078569f52d5801695505029a0ab20fc9c1a3c3556be910ebb",
+        3: "0f5ee2ac2e82a516b15f7c8d1d7c09982cdf40bfae3a2981f73388628b2e9e38",
+    }
+
+    @pytest.mark.parametrize("n_sub", [1, 3])
+    def test_sampling_stream_pinned(self, n_sub):
+        rng = np.random.default_rng(1907)
+        vals = np.where(rng.random((30, 31)) < 0.6, rng.uniform(0.5, 9.0, (30, 31)), 0.0)
+        grid = heights_grid(vals)
+        sample = gb.sample_epoch(gb.build_graph(grid, full_tile(grid)), n_sub,
+                                 dropout=0.2, seed=10903)
+        digest = hashlib.sha256()
+        for sub in sample.subgraphs:
+            digest.update(sub.node_pixels.tobytes())
+            for m in (sub.adjacency, gb.normalize_adjacency(sub)):
+                for arr in (m.indptr, m.indices, m.data):
+                    digest.update(arr.tobytes())
+        assert digest.hexdigest() == self.SAMPLE_DIGESTS[n_sub]
