@@ -13,9 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid_store import (DEFAULT_NODATA, GridStack, PriorField, RasterGrid,
+from .grid_store import (DEFAULT_NODATA, CategoryField, GridStack, RasterGrid,
                          StackKind, StackManifest, write_atomic)
-from .model import PosteriorField
 
 NONE_LABEL = "NONE"
 DEFAULT_EPSILON = 1e-6
@@ -75,20 +74,20 @@ def aitchison_distance(p, q, epsilon: float = DEFAULT_EPSILON) -> float:
     return float(np.sqrt(max((d * d).sum() - d.sum() ** 2 / p.size, 0.0)))
 
 
-def ad_map(prior: PriorField, posterior: PosteriorField,
+def ad_map(prior: CategoryField, posterior: CategoryField,
            epsilon: float = DEFAULT_EPSILON) -> AitchisonMap:
     """Pixel-wise distance where both a prior and a posterior exist."""
-    if (prior.height_px, prior.width) != posterior.shape:
+    if prior.shape != posterior.shape:
         raise ValueError("prior/posterior dimensions differ")
     if prior.k != posterior.k:
         raise ValueError("prior/posterior category counts differ")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    mask = prior.has_prior & posterior.valid
+    mask = prior.valid & posterior.valid
     h, w = posterior.shape
     out = np.full((h, w), DEFAULT_NODATA, dtype=np.float64)
     if mask.any():
-        d = np.log(_smooth(prior.proportions[mask], epsilon)) \
+        d = np.log(_smooth(prior.probs[mask], epsilon)) \
             - np.log(_smooth(posterior.probs[mask], epsilon))
         k = prior.k
         vals = np.sqrt(np.maximum((d * d).sum(axis=1) - d.sum(axis=1) ** 2 / k, 0.0))
@@ -127,7 +126,7 @@ def check_region(region: tuple[int, int, int, int], width: int, height_px: int) 
         raise ValueError(f"region {region} out of bounds for {width}x{height_px} raster")
 
 
-def regional_trend(posteriors: list[PosteriorField],
+def regional_trend(posteriors: list[CategoryField],
                    region: tuple[int, int, int, int]) -> RegionalTrend:
     """Per-timestep mean posterior over node pixels inside the rectangle."""
     if not posteriors:
@@ -152,7 +151,7 @@ def regional_trend(posteriors: list[PosteriorField],
                          list(posteriors[0].categories), np.array(series), empty)
 
 
-def _extended_distribution(post: PosteriorField) -> np.ndarray:
+def _extended_distribution(post: CategoryField) -> np.ndarray:
     """(H*W, K+1) rows: node pixels get (p, 0); empty pixels are one-hot NONE."""
     h, w, k = post.probs.shape
     ext = np.zeros((h * w, k + 1), dtype=np.float64)
@@ -162,7 +161,7 @@ def _extended_distribution(post: PosteriorField) -> np.ndarray:
     return ext
 
 
-def transition_matrix(posteriors: list[PosteriorField],
+def transition_matrix(posteriors: list[CategoryField],
                       mode: str = "averaged") -> TransitionMatrix:
     """Expected category-to-category transition mass between consecutive steps.
 

@@ -12,7 +12,7 @@ import json
 import sys
 import types
 import typing
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from . import audit as au
@@ -67,6 +67,8 @@ class RunConfig:
             raise ConfigError("split_ratios must sum to 1")
         if self.upsample_factor < 1:
             raise ConfigError("upsample_factor must be >= 1")
+        if self.threshold_m <= 0:
+            raise ConfigError("threshold_m must be positive")
         names = [r.name for r in self.regions]
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate region names in {names}: each names a trend file")
@@ -80,9 +82,11 @@ def _convert(tp, value, where: str):
     """``value`` as annotated type ``tp``: lists and tuples element by
     element, ``X | None`` passing None through, dataclasses through
     ``_dataclass_from_doc``, and scalars strictly: an ``int`` takes only a
-    JSON integer, a ``float`` an integer or a decimal, a ``str`` only a
-    string, and none of them ``true``/``false``. A value of another type is a
-    ConfigError naming ``where``; nothing is truncated or stringified."""
+    JSON integer, a ``float`` an integer or a decimal that is finite as a
+    float (not NaN, an infinity or an integer beyond the float range), a
+    ``str`` only a string, and none of them ``true``/``false``. A value of
+    another type is a ConfigError naming ``where``; nothing is truncated or
+    stringified."""
     if is_dataclass(tp):
         return _dataclass_from_doc(tp, value, where)
     origin, args = typing.get_origin(tp), typing.get_args(tp)
@@ -96,6 +100,8 @@ def _convert(tp, value, where: str):
     accepted = (int, float) if tp is float else (tp,)
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ConfigError(f"{where}: expected {tp.__name__}, got {value!r}")
+    if tp is float and not abs(value) <= sys.float_info.max:  # NaN fails too
+        raise ConfigError(f"{where}: expected a finite number")
     return tp(value)
 
 
@@ -152,11 +158,26 @@ def _read_heights(cfg: RunConfig) -> gs.GridStack:
     return stack
 
 
-def _load_prepared(cfg: RunConfig) -> tuple[gs.PriorField, gb.SplitAssignment, gb.NormStats]:
+def _read_field(path: Path, kind: gs.StackKind, timestep: str = "") -> gs.CategoryField:
+    """Decode the ``kind`` stack at ``path``; a stack that breaks the
+    category-field rule is a ConfigError naming ``path``."""
+    stack = gs.read_grid_stack(path)
+    try:
+        return gs.stack_to_field(stack, kind, timestep)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _prepared_dir(cfg: RunConfig) -> Path:
     prep = cfg.prepared_dir
     if not prep.is_dir():
         raise ConfigError(f"prepared dataset not found: {prep} (run prepare first)")
-    prior = gs.stack_to_prior(gs.read_grid_stack(prep / "prior_proportions"))
+    return prep
+
+
+def _load_prepared(cfg: RunConfig) -> tuple[gs.CategoryField, gb.SplitAssignment, gb.NormStats]:
+    prep = _prepared_dir(cfg)
+    prior = _read_field(prep / "prior_proportions", gs.StackKind.PRIOR_PROPORTIONS)
     splits = _load_splits(prep / "splits.json")
     report = json.loads((prep / "prep_report.json").read_text(encoding="utf-8"))
     stats = gb.NormStats(float(report["norm_mean"]), float(report["norm_std"]))
@@ -205,14 +226,14 @@ def cmd_prepare(cfg: RunConfig) -> int:
     coarse = gs.normalize_prior_counts(counts)
     fine = gs.upsample_nearest(coarse, cfg.upsample_factor)
     hm = heights.manifest
-    if fine.width < hm.width or fine.height_px < hm.height_px:
+    fine_h, fine_w = fine.shape
+    if fine_w < hm.width or fine_h < hm.height_px:
         raise ConfigError(
-            f"upsampled prior {fine.width}x{fine.height_px} does not cover "
+            f"upsampled prior {fine_w}x{fine_h} does not cover "
             f"heights {hm.width}x{hm.height_px}; check upsample_factor")
-    if (fine.width, fine.height_px) != (hm.width, hm.height_px):
-        fine = gs.PriorField(fine.categories,
-                             fine.proportions[:hm.height_px, :hm.width],
-                             fine.has_prior[:hm.height_px, :hm.width])
+    if (fine_w, fine_h) != (hm.width, hm.height_px):
+        fine = replace(fine, probs=fine.probs[:hm.height_px, :hm.width],
+                       valid=fine.valid[:hm.height_px, :hm.width])
 
     tiles = gb.tile_region(hm.width, hm.height_px, cfg.tile_size)
     splits = gb.split_tiles(tiles, fine, cfg.split_ratios, cfg.split_seed,
@@ -229,7 +250,8 @@ def cmd_prepare(cfg: RunConfig) -> int:
 
     prep = cfg.prepared_dir
     prep.mkdir(parents=True, exist_ok=True)
-    gs.write_grid_stack(gs.prior_to_stack(fine), prep / "prior_proportions")
+    gs.write_grid_stack(gs.field_to_stack(fine, gs.StackKind.PRIOR_PROPORTIONS),
+                        prep / "prior_proportions")
     _save_splits(splits, cfg, prep / "splits.json")
     report = {"norm_mean": stats.mean, "norm_std": stats.std,
               "node_counts": node_counts, "tile_category_histogram": histogram,
@@ -237,7 +259,7 @@ def cmd_prepare(cfg: RunConfig) -> int:
     _write_json_atomic(prep / "prep_report.json", report)
 
     # self-check: every artifact must re-validate on read
-    gs.stack_to_prior(gs.read_grid_stack(prep / "prior_proportions"))
+    _read_field(prep / "prior_proportions", gs.StackKind.PRIOR_PROPORTIONS)
     _load_splits(prep / "splits.json")
     _echo_config(cfg, "prepare")
     print(f"prepared dataset under {prep}: {sum(node_counts.values())} nodes "
@@ -281,30 +303,29 @@ def cmd_infer(cfg: RunConfig, checkpoint: str) -> int:
     if not ckpt_path.is_dir():
         raise ConfigError(f"checkpoint not found: {ckpt_path}")
     params, stats, _ = md.load_checkpoint(ckpt_path)
-    prior, _, _ = _load_prepared(cfg)
-    if prior.k != params.k_cats:
+    # the category labels are all infer needs of the prepared prior
+    categories = gs.read_manifest(_prepared_dir(cfg) / "prior_proportions").layer_labels
+    if len(categories) != params.k_cats:
         raise ConfigError(f"checkpoint has {params.k_cats} categories, "
-                          f"prior has {prior.k}")
+                          f"prior has {len(categories)}")
     out = Path(cfg.out_dir) / "posteriors"
     for label, grid in zip(heights.manifest.layer_labels, heights.grids):
-        post = md.infer_posterior(params, grid, stats, prior.categories,
-                                  timestep=label)
-        stack = md.posterior_to_stack(post)
-        gs.write_grid_stack(stack, out / label)
-        md.stack_to_posterior(gs.read_grid_stack(out / label), label)  # self-check
+        post = md.infer_posterior(params, grid, stats, categories, timestep=label)
+        gs.write_grid_stack(gs.field_to_stack(post, gs.StackKind.POSTERIOR), out / label)
+        _read_field(out / label, gs.StackKind.POSTERIOR, label)  # self-check
     _echo_config(cfg, "infer")
     print(f"wrote {len(heights.grids)} posterior stacks under {out}")
     return 0
 
 
 def _load_posteriors(posteriors_dir: Path,
-                     labels: list[str]) -> list[md.PosteriorField]:
+                     labels: list[str]) -> list[gs.CategoryField]:
     fields = []
     for label in labels:
         path = posteriors_dir / label
         if not path.is_dir():
             raise ConfigError(f"posterior stack not found: {path}")
-        fields.append(md.stack_to_posterior(gs.read_grid_stack(path), label))
+        fields.append(_read_field(path, gs.StackKind.POSTERIOR, label))
     return fields
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .grid_store import PriorField, RasterGrid
+from .grid_store import CategoryField, RasterGrid
 
 DEFAULT_TILE_SIZE = 450
 DEFAULT_EDGE_DROPOUT = 0.20
@@ -192,15 +192,15 @@ def normalize_adjacency(graph_or_adj: GridGraph | sp.csr_matrix) -> sp.csr_matri
     return a_hat
 
 
-def dominant_categories(tiles: list[Tile], prior: PriorField) -> list[Tile]:
+def dominant_categories(tiles: list[Tile], prior: CategoryField) -> list[Tile]:
     """Label each tile with the argmax of prior proportions summed over its
     pixels that carry a prior (None when no such pixel exists)."""
     out = []
     for t in tiles:
-        block = prior.proportions[t.origin_y:t.origin_y + t.height,
-                                  t.origin_x:t.origin_x + t.width]
-        mask = prior.has_prior[t.origin_y:t.origin_y + t.height,
-                               t.origin_x:t.origin_x + t.width]
+        block = prior.probs[t.origin_y:t.origin_y + t.height,
+                            t.origin_x:t.origin_x + t.width]
+        mask = prior.valid[t.origin_y:t.origin_y + t.height,
+                           t.origin_x:t.origin_x + t.width]
         if not mask.any():
             out.append(t.with_dominant(None))
             continue
@@ -219,7 +219,7 @@ def _largest_remainder(n: int, ratios: tuple[float, float, float]) -> list[int]:
     return base
 
 
-def split_tiles(tiles: list[Tile], prior: PriorField,
+def split_tiles(tiles: list[Tile], prior: CategoryField,
                 ratios: tuple[float, float, float] = DEFAULT_SPLIT_RATIOS,
                 seed: int = 0, tolerance: float = DEFAULT_SPLIT_TOLERANCE) -> SplitAssignment:
     """Stratified random train/test/validation assignment by dominant category.

@@ -1,9 +1,14 @@
-"""On-disk raster stacks and prior-field preparation.
+"""On-disk raster stacks and the per-pixel category fields they carry.
 
 A grid stack is a directory holding ``manifest.json`` plus one ``<label>.f32``
 file per layer: width * height_px little-endian IEEE-754 32-bit floats,
 row-major, top row first. Values are kept as float32 in memory so that
 write -> read round-trips are bit-exact.
+
+A prior and a posterior are both a ``CategoryField``: one categorical
+distribution per pixel. ``field_to_stack`` and ``stack_to_field`` are the one
+codec between a field and a PRIOR_PROPORTIONS or POSTERIOR stack, with one
+category per layer; a pixel is nodata in every layer or in none.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import os
 import shutil
 import uuid
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Iterator
@@ -21,7 +26,7 @@ from typing import Iterator
 import numpy as np
 
 DEFAULT_NODATA = -1.0
-SIMPLEX_TOL = 1e-6
+SIMPLEX_TOL = 1e-9
 
 _BAD_LABEL_PARTS = ("/", "\\", "..")
 
@@ -39,8 +44,8 @@ class StackKind(str, Enum):
     CHANGE_MAP = "CHANGE_MAP"
 
 
-# kinds whose non-nodata values must lie in [0, 1]
-_UNIT_RANGE_KINDS = (StackKind.PRIOR_PROPORTIONS, StackKind.POSTERIOR)
+# kinds whose layers hold one CategoryField; their non-nodata values lie in [0, 1]
+_CATEGORY_KINDS = (StackKind.PRIOR_PROPORTIONS, StackKind.POSTERIOR)
 
 
 @dataclass
@@ -102,9 +107,6 @@ class GridStack:
     def __post_init__(self):
         validate_stack(self)
 
-    def layer(self, label: str) -> RasterGrid:
-        return self.grids[self.manifest.layer_labels.index(label)]
-
 
 def validate_stack(stack: GridStack) -> None:
     m = stack.manifest
@@ -116,16 +118,15 @@ def validate_stack(stack: GridStack) -> None:
             raise GridFormatError("layer dimensions differ from manifest")
         if grid.nodata != m.nodata:
             raise GridFormatError("layer nodata differs from manifest")
-        if m.kind in _UNIT_RANGE_KINDS:
+        if m.kind in _CATEGORY_KINDS:
             vals = grid.values[grid.valid_mask()]
             if vals.size and (vals.min() < 0.0 or vals.max() > 1.0):
                 raise GridFormatError(f"range violation: {m.kind.value} value outside [0,1]")
 
 
-def read_grid_stack(path: str | Path) -> GridStack:
-    """Load a stack directory; values are read bit-exactly as little-endian f32."""
-    path = Path(path)
-    manifest_file = path / "manifest.json"
+def read_manifest(path: str | Path) -> StackManifest:
+    """Load and check only the manifest of the stack directory ``path``."""
+    manifest_file = Path(path) / "manifest.json"
     if not manifest_file.is_file():
         raise GridFormatError(f"missing manifest: {manifest_file}")
     try:
@@ -145,7 +146,13 @@ def read_grid_stack(path: str | Path) -> GridStack:
         if isinstance(exc, GridFormatError):
             raise
         raise GridFormatError(f"bad manifest fields: {exc}") from exc
+    return manifest
 
+
+def read_grid_stack(path: str | Path) -> GridStack:
+    """Load a stack directory; values are read bit-exactly as little-endian f32."""
+    path = Path(path)
+    manifest = read_manifest(path)
     expected = 4 * manifest.width * manifest.height_px
     grids = []
     for label in manifest.layer_labels:
@@ -246,48 +253,48 @@ def stacks_equal(a: GridStack, b: GridStack) -> bool:
 
 
 @dataclass
-class PriorField:
-    """Per-pixel category proportions plus a mask of pixels that carry a prior.
+class CategoryField:
+    """One categorical distribution over ``categories`` per pixel, for a
+    prior and for a posterior alike.
 
-    Where ``has_prior`` is False the pixel contributes nothing to the
-    divergence/cross-entropy terms downstream; ``proportions`` holds zeros
-    there.
+    ``probs`` is (H, W, K) and ``valid`` (H, W). Each valid pixel's row is
+    finite, non-negative and sums to 1 within SIMPLEX_TOL; rows at invalid
+    pixels are not checked and carry no meaning.
     """
 
     categories: list[str]
-    proportions: np.ndarray  # (H, W, K) float64
-    has_prior: np.ndarray    # (H, W) bool
+    probs: np.ndarray  # (H, W, K) float64
+    valid: np.ndarray  # (H, W) bool
+    timestep: str = ""
+    nodata: float = DEFAULT_NODATA
 
     def __post_init__(self):
-        self.proportions = np.asarray(self.proportions, dtype=np.float64)
-        self.has_prior = np.asarray(self.has_prior, dtype=bool)
-        h, w, k = self.proportions.shape
+        self.probs = np.asarray(self.probs, dtype=np.float64)
+        self.valid = np.asarray(self.valid, dtype=bool)
+        h, w, k = self.probs.shape
         if k != len(self.categories):
-            raise ValueError("proportions last axis != number of categories")
-        if self.has_prior.shape != (h, w):
-            raise ValueError("has_prior shape mismatch")
-        if np.any(self.has_prior):
-            sums = self.proportions[self.has_prior].sum(axis=1)
-            comps = self.proportions[self.has_prior]
-            if comps.min() < -SIMPLEX_TOL or comps.max() > 1.0 + SIMPLEX_TOL:
-                raise ValueError("prior proportion outside [0,1]")
-            if np.max(np.abs(sums - 1.0)) > SIMPLEX_TOL:
-                raise ValueError("prior proportions do not sum to 1")
-
-    @property
-    def width(self) -> int:
-        return self.proportions.shape[1]
-
-    @property
-    def height_px(self) -> int:
-        return self.proportions.shape[0]
+            raise ValueError("probs last axis != number of categories")
+        if self.valid.shape != (h, w):
+            raise ValueError("valid mask shape mismatch")
+        if np.any(self.valid):
+            rows = self.probs[self.valid]
+            if not np.all(np.isfinite(rows)):
+                raise ValueError("non-finite category probability")
+            if rows.min() < 0:
+                raise ValueError("negative category probability")
+            if np.max(np.abs(rows.sum(axis=1) - 1.0)) > SIMPLEX_TOL:
+                raise ValueError("category probabilities do not sum to 1")
 
     @property
     def k(self) -> int:
-        return self.proportions.shape[2]
+        return self.probs.shape[2]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.probs.shape[:2]
 
 
-def normalize_prior_counts(counts: GridStack) -> PriorField:
+def normalize_prior_counts(counts: GridStack) -> CategoryField:
     """Turn per-category count layers into per-pixel proportions.
 
     Pixels whose counts sum to zero (or are nodata in every layer) carry no
@@ -305,47 +312,53 @@ def normalize_prior_counts(counts: GridStack) -> PriorField:
     has_prior = totals > 0
     props = np.zeros_like(layers)
     np.divide(layers, totals, out=props, where=has_prior)
-    return PriorField(
-        categories=list(m.layer_labels),
-        proportions=np.moveaxis(props, 0, -1),
-        has_prior=has_prior,
-    )
+    return CategoryField(list(m.layer_labels), np.moveaxis(props, 0, -1), has_prior)
 
 
-def upsample_nearest(coarse: PriorField, factor: int) -> PriorField:
+def upsample_nearest(coarse: CategoryField, factor: int) -> CategoryField:
     """Block-replicate each coarse pixel ``factor`` times along both axes."""
     if factor < 1:
         raise ValueError("upsample factor must be >= 1")
-    if factor == 1:
-        return PriorField(list(coarse.categories), coarse.proportions.copy(),
-                          coarse.has_prior.copy())
-    props = np.repeat(np.repeat(coarse.proportions, factor, axis=0), factor, axis=1)
-    mask = np.repeat(np.repeat(coarse.has_prior, factor, axis=0), factor, axis=1)
-    return PriorField(list(coarse.categories), props, mask)
+    return replace(coarse,
+                   probs=np.repeat(np.repeat(coarse.probs, factor, axis=0), factor, axis=1),
+                   valid=np.repeat(np.repeat(coarse.valid, factor, axis=0), factor, axis=1))
 
 
-def prior_to_stack(prior: PriorField, nodata: float = DEFAULT_NODATA) -> GridStack:
-    """Encode a PriorField as a PRIOR_PROPORTIONS stack (no-prior pixels -> nodata)."""
-    h, w, k = prior.proportions.shape
-    manifest = StackManifest(StackKind.PRIOR_PROPORTIONS, w, h,
-                             list(prior.categories), nodata=nodata)
-    grids = []
-    for i in range(k):
-        vals = np.where(prior.has_prior, prior.proportions[:, :, i], nodata)
-        grids.append(RasterGrid(w, h, vals.astype(np.float32), nodata=nodata))
+def field_to_stack(field: CategoryField, kind: StackKind) -> GridStack:
+    """Encode a field as a ``kind`` stack, one float32 layer per category;
+    invalid pixels are nodata in every layer."""
+    h, w = field.shape
+    manifest = StackManifest(kind, w, h, list(field.categories), nodata=field.nodata)
+    grids = [RasterGrid(w, h, np.where(field.valid, field.probs[:, :, i],
+                                       field.nodata).astype(np.float32),
+                        nodata=field.nodata)
+             for i in range(field.k)]
     return GridStack(manifest, grids)
 
 
-def stack_to_prior(stack: GridStack) -> PriorField:
-    if stack.manifest.kind is not StackKind.PRIOR_PROPORTIONS:
-        raise ValueError(f"expected PRIOR_PROPORTIONS stack, got {stack.manifest.kind.value}")
-    layers = np.stack([g.values.astype(np.float64) for g in stack.grids], axis=-1)
-    valid = np.stack([g.valid_mask() for g in stack.grids], axis=-1)
-    has_prior = valid.all(axis=-1)
-    if np.any(valid.any(axis=-1) & ~has_prior):
-        raise GridFormatError("pixel with prior in some layers but nodata in others")
-    props = np.where(has_prior[:, :, None], layers, 0.0)
-    # float32 storage drifts row sums by ~1e-7; restore exact simplex membership
-    sums = props.sum(axis=-1)
-    np.divide(props, sums[:, :, None], out=props, where=has_prior[:, :, None])
-    return PriorField(list(stack.manifest.layer_labels), props, has_prior)
+def stack_to_field(stack: GridStack, kind: StackKind, timestep: str = "") -> CategoryField:
+    """Decode a ``kind`` stack written by ``field_to_stack``.
+
+    Each pixel must be nodata in every layer (an invalid pixel, whose row
+    holds the nodata value) or in none (a valid pixel, which must have
+    positive mass). Valid rows are renormalised in place, since float32
+    storage drifts their sums by about 1e-7. A stack of another kind, a
+    pixel that is nodata in some layers only, or a valid pixel with zero
+    mass raises GridFormatError.
+    """
+    m = stack.manifest
+    if m.kind is not kind:
+        raise GridFormatError(f"expected {kind.value} stack, got {m.kind.value}")
+    probs = np.empty((m.height_px, m.width, len(stack.grids)), dtype=np.float64)
+    n_valid = np.zeros((m.height_px, m.width), dtype=np.intp)
+    for i, grid in enumerate(stack.grids):
+        probs[:, :, i] = grid.values
+        n_valid += grid.valid_mask()
+    valid = n_valid == len(stack.grids)
+    if np.any((n_valid > 0) & ~valid):
+        raise GridFormatError("pixel that is nodata in some layers but not in others")
+    sums = probs.sum(axis=-1)
+    if np.any(valid & (sums <= 0)):
+        raise GridFormatError("pixel with data but zero probability mass")
+    np.divide(probs, sums[:, :, None], out=probs, where=valid[:, :, None])
+    return CategoryField(list(m.layer_labels), probs, valid, timestep, nodata=m.nodata)

@@ -23,8 +23,8 @@ from .graph_build import (DEFAULT_EDGE_DROPOUT, MAX_SUBGRAPH_NODES, NODE_FEATURE
                           GridGraph, NormStats, SplitAssignment, Tile, auto_n_subgraphs,
                           build_graph, fit_norm_stats, log_normalize,
                           normalize_adjacency, sample_epoch, tile_region)
-from .grid_store import (DEFAULT_NODATA, GridStack, PriorField, RasterGrid, StackKind,
-                         StackManifest, _staged_dir)
+from .grid_store import (DEFAULT_NODATA, CategoryField, GridStack, RasterGrid, StackKind,
+                         _staged_dir, stack_to_field)
 from .numcore import NonFiniteError, Tape, Var
 
 DEFAULT_HIDDEN = 25
@@ -104,42 +104,6 @@ class EncoderOutput:
 
     logits: Var
     probabilities: Var
-
-
-@dataclass
-class PosteriorField:
-    """Per-pixel category distributions on the full raster for one timestep."""
-
-    categories: list[str]
-    probs: np.ndarray   # (H, W, K) float64; nodata where no node existed
-    valid: np.ndarray   # (H, W) bool
-    timestep: str = ""
-    nodata: float = DEFAULT_NODATA
-
-    def __post_init__(self):
-        self.probs = np.asarray(self.probs, dtype=np.float64)
-        self.valid = np.asarray(self.valid, dtype=bool)
-        h, w, k = self.probs.shape
-        if k != len(self.categories):
-            raise ValueError("probs last axis != number of categories")
-        if self.valid.shape != (h, w):
-            raise ValueError("valid mask shape mismatch")
-        if np.any(self.valid):
-            rows = self.probs[self.valid]
-            if not np.all(np.isfinite(rows)):
-                raise ValueError("non-finite posterior probability")
-            if rows.min() < 0:
-                raise ValueError("negative posterior probability")
-            if np.max(np.abs(rows.sum(axis=1) - 1.0)) > 1e-9:
-                raise ValueError("posterior row does not sum to 1")
-
-    @property
-    def k(self) -> int:
-        return self.probs.shape[2]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.probs.shape[:2]
 
 
 def _register(tape: Tape, params: ModelParams) -> dict[str, Var]:
@@ -313,15 +277,15 @@ def _forward_losses(params: ModelParams, a_hat: sp.csr_matrix, x: np.ndarray,
     return total, breakdown
 
 
-def node_prior(prior: PriorField, graph: GridGraph) -> tuple[np.ndarray, np.ndarray]:
+def node_prior(prior: CategoryField, graph: GridGraph) -> tuple[np.ndarray, np.ndarray]:
     """Prior vectors and has-prior mask at the graph's node pixels."""
     xs = graph.node_pixels[:, 0]
     ys = graph.node_pixels[:, 1]
-    return prior.proportions[ys, xs], prior.has_prior[ys, xs]
+    return prior.probs[ys, xs], prior.valid[ys, xs]
 
 
 def train_step(params: ModelParams, optimizer: Adam, subgraph: GridGraph,
-               prior: PriorField, config: TrainConfig,
+               prior: CategoryField, config: TrainConfig,
                rng: np.random.Generator) -> LossBreakdown:
     """One Gumbel-sampled forward/backward pass plus an Adam update.
 
@@ -378,7 +342,7 @@ def _mean_breakdown(items: list[LossBreakdown]) -> LossBreakdown:
                          sum(b.total for b in items) / n)
 
 
-def train(params: ModelParams, height_series: GridStack, prior: PriorField,
+def train(params: ModelParams, height_series: GridStack, prior: CategoryField,
           splits: SplitAssignment, config: TrainConfig,
           norm_stats: NormStats | None = None) -> TrainResult:
     """Train one shared parameter set over all timesteps' training graphs.
@@ -450,7 +414,7 @@ INFER_CORE = math.isqrt(MAX_SUBGRAPH_NODES) - 2 * INFER_HALO  # 215 px
 
 
 def infer_posterior(params: ModelParams, heights: RasterGrid, norm_stats: NormStats,
-                    categories: list[str], timestep: str = "") -> PosteriorField:
+                    categories: list[str], timestep: str = "") -> CategoryField:
     """Posterior probabilities for every node pixel of the raster; pixels
     without a node are nodata.
 
@@ -485,35 +449,12 @@ def infer_posterior(params: ModelParams, heights: RasterGrid, norm_stats: NormSt
         xs, ys = xs[in_core], ys[in_core]
         probs[ys, xs] = enc.probabilities.value[in_core]
         valid[ys, xs] = True
-    return PosteriorField(list(categories), probs, valid, timestep)
+    return CategoryField(list(categories), probs, valid, timestep)
 
 
-def posterior_to_stack(post: PosteriorField) -> GridStack:
-    h, w, k = post.probs.shape
-    manifest = StackManifest(StackKind.POSTERIOR, w, h, list(post.categories),
-                             nodata=post.nodata)
-    grids = []
-    for i in range(k):
-        vals = np.where(post.valid, post.probs[:, :, i], post.nodata)
-        grids.append(RasterGrid(w, h, vals.astype(np.float32), nodata=post.nodata))
-    return GridStack(manifest, grids)
-
-
-def stack_to_posterior(stack: GridStack, timestep: str = "") -> PosteriorField:
-    if stack.manifest.kind is not StackKind.POSTERIOR:
-        raise ValueError(f"expected POSTERIOR stack, got {stack.manifest.kind.value}")
-    layers = np.stack([g.values.astype(np.float64) for g in stack.grids], axis=-1)
-    valid_layers = np.stack([g.valid_mask() for g in stack.grids], axis=-1)
-    valid = valid_layers.all(axis=-1)
-    # float32 storage drifts row sums by ~1e-7; renormalize at valid pixels
-    sums = layers.sum(axis=-1)
-    if np.any(valid & (sums <= 0)):
-        raise ValueError("posterior pixel with zero probability mass")
-    sums = np.where(valid, sums, 1.0)
-    probs = np.where(valid[:, :, None], layers / sums[:, :, None],
-                     stack.manifest.nodata)
-    return PosteriorField(list(stack.manifest.layer_labels), probs, valid, timestep,
-                          nodata=stack.manifest.nodata)
+def stack_to_posterior(stack: GridStack, timestep: str = "") -> CategoryField:
+    # the benchmark (bench/stages.py) reads posteriors back through this name
+    return stack_to_field(stack, StackKind.POSTERIOR, timestep)
 
 
 def save_checkpoint(path: str | Path, params: ModelParams, norm_stats: NormStats,

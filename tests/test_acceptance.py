@@ -14,7 +14,7 @@ from vulnaudit import grid_store as gs
 from vulnaudit import model as md
 from vulnaudit import numcore as nc
 from vulnaudit import synth as sy
-from vulnaudit.model import PosteriorField
+from vulnaudit.grid_store import CategoryField
 from vulnaudit.numcore import Tape, Var
 
 from oracles import (aitchison_double_loop, central_difference,
@@ -50,7 +50,7 @@ def random_posterior_field(rng, h, w, k, p_valid, timestep):
     valid = rng.random((h, w)) < p_valid
     probs = rng.dirichlet(np.ones(k), size=(h, w))
     probs = np.where(valid[:, :, None], probs, -1.0)
-    return PosteriorField([f"c{i}" for i in range(k)], probs, valid, timestep)
+    return CategoryField([f"c{i}" for i in range(k)], probs, valid, timestep)
 
 
 def _relu_kink_margin(params, a_hat, x, g):
@@ -203,8 +203,9 @@ def test_criterion_5_synthetic_recovery(tmp_path):
 
     truth = gs.read_grid_stack(tmp_path / "data" / "ground_truth")
     gt_codes = np.stack([g.values for g in truth.grids]).argmax(axis=0)
-    prior = gs.stack_to_prior(
-        gs.read_grid_stack(tmp_path / "out" / "prepared" / "prior_proportions"))
+    prior = gs.stack_to_field(
+        gs.read_grid_stack(tmp_path / "out" / "prepared" / "prior_proportions"),
+        gs.StackKind.PRIOR_PROPORTIONS)
     splits = cli._load_splits(tmp_path / "out" / "prepared" / "splits.json")
     test_mask = np.zeros((64, 64), dtype=bool)
     for t in splits.test:
@@ -213,14 +214,14 @@ def test_criterion_5_synthetic_recovery(tmp_path):
     assert test_mask.any(), "test split is empty"
 
     heights = gs.read_grid_stack(tmp_path / "data" / "heights")
-    prior_pred = prior.proportions.argmax(axis=2)
+    prior_pred = prior.probs.argmax(axis=2)
     accs, bases, majorities = [], [], []
     for label, hgrid in zip(heights.manifest.layer_labels, heights.grids):
         post = md.stack_to_posterior(
             gs.read_grid_stack(tmp_path / "out" / "posteriors" / label), label)
         nodes = test_mask & post.valid & (hgrid.values > 0)
         accs.append(float((post.probs.argmax(axis=2)[nodes] == gt_codes[nodes]).mean()))
-        correct = (prior_pred[nodes] == gt_codes[nodes]) & prior.has_prior[nodes]
+        correct = (prior_pred[nodes] == gt_codes[nodes]) & prior.valid[nodes]
         bases.append(float(correct.mean()))
         # the accuracy of always answering the most common true category
         majorities.append(float(np.bincount(gt_codes[nodes]).max() / nodes.sum()))

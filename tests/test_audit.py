@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from vulnaudit import audit as au
-from vulnaudit.grid_store import PriorField, RasterGrid, StackKind
-from vulnaudit.model import PosteriorField
+from vulnaudit.grid_store import CategoryField, RasterGrid, StackKind
 
 from oracles import aitchison_double_loop
 
@@ -13,8 +12,8 @@ def posterior_from(probs, valid=None, timestep="t0"):
     if valid is None:
         valid = np.ones(probs.shape[:2], dtype=bool)
     probs = np.where(valid[:, :, None], probs, -1.0)
-    return PosteriorField([f"c{i}" for i in range(probs.shape[2])],
-                          probs, valid, timestep)
+    return CategoryField([f"c{i}" for i in range(probs.shape[2])],
+                         probs, valid, timestep)
 
 
 def random_posterior(rng, h, w, k, p_valid=1.0, timestep="t0"):
@@ -83,7 +82,7 @@ class TestAdMap:
     def test_equal_fields_give_zero(self):
         rng = np.random.default_rng(4)
         probs = rng.dirichlet(np.ones(3), size=(4, 5))
-        prior = PriorField(["c0", "c1", "c2"], probs, np.ones((4, 5), dtype=bool))
+        prior = CategoryField(["c0", "c1", "c2"], probs, np.ones((4, 5), dtype=bool))
         post = posterior_from(probs)
         out = au.ad_map(prior, post)
         valid = out.grid.valid_mask()
@@ -93,7 +92,7 @@ class TestAdMap:
     def test_missing_prior_gives_nodata(self):
         probs = np.full((1, 2, 2), 0.5)
         mask = np.array([[True, False]])
-        prior = PriorField(["a", "b"], np.where(mask[:, :, None], probs, 0.0), mask)
+        prior = CategoryField(["a", "b"], np.where(mask[:, :, None], probs, 0.0), mask)
         out = au.ad_map(prior, posterior_from(probs))
         assert out.grid.valid_mask()[0, 0]
         assert not out.grid.valid_mask()[0, 1]
@@ -102,14 +101,14 @@ class TestAdMap:
         rng = np.random.default_rng(5)
         h, w, k = 3, 4, 3
         prior_probs = rng.dirichlet(np.ones(k), size=(h, w))
-        prior = PriorField([f"c{i}" for i in range(k)], prior_probs,
-                           rng.random((h, w)) < 0.8)
-        prior.proportions[~prior.has_prior] = 0.0
+        prior = CategoryField([f"c{i}" for i in range(k)], prior_probs,
+                              rng.random((h, w)) < 0.8)
+        prior.probs[~prior.valid] = 0.0
         post = random_posterior(rng, h, w, k, p_valid=0.8)
         out = au.ad_map(prior, post, epsilon=1e-6)
         for y in range(h):
             for x in range(w):
-                if prior.has_prior[y, x] and post.valid[y, x]:
+                if prior.valid[y, x] and post.valid[y, x]:
                     expected = aitchison_double_loop(prior_probs[y, x],
                                                      post.probs[y, x], 1e-6)
                     assert out.grid.values[y, x] == pytest.approx(expected, abs=1e-5)
@@ -117,8 +116,8 @@ class TestAdMap:
                     assert out.grid.values[y, x] == np.float32(-1.0)
 
     def test_dimension_mismatch(self):
-        prior = PriorField(["a", "b"], np.full((2, 2, 2), 0.5),
-                           np.ones((2, 2), dtype=bool))
+        prior = CategoryField(["a", "b"], np.full((2, 2, 2), 0.5),
+                              np.ones((2, 2), dtype=bool))
         with pytest.raises(ValueError):
             au.ad_map(prior, random_posterior(np.random.default_rng(0), 3, 3, 2))
 

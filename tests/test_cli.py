@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -62,8 +63,8 @@ class TestSynth:
         truth = gs.read_grid_stack(tmp_path / "d" / "ground_truth")
         prior = gs.normalize_prior_counts(counts)
         truth_props = np.stack([g.values for g in truth.grids], axis=-1)
-        assert prior.has_prior.all()
-        np.testing.assert_array_equal(prior.proportions, truth_props)
+        assert prior.valid.all()
+        np.testing.assert_array_equal(prior.probs, truth_props)
 
     def test_heights_separable_by_threshold(self, tmp_path):
         # Bayes-style threshold between log-height means 0.5 and 2.0
@@ -188,9 +189,39 @@ class TestPrepare:
         config = write_config(tmp_path / "c.json", tmp_path / "data", tmp_path / "out",
                               tile_size=3, upsample_factor=4)
         assert cli.main(["prepare", "--config", str(config)]) == 0
-        prior = gs.stack_to_prior(
-            gs.read_grid_stack(tmp_path / "out" / "prepared" / "prior_proportions"))
-        assert (prior.width, prior.height_px) == (6, 6)
+        prior = gs.stack_to_field(
+            gs.read_grid_stack(tmp_path / "out" / "prepared" / "prior_proportions"),
+            gs.StackKind.PRIOR_PROPORTIONS)
+        assert prior.shape == (6, 6)
+
+    def test_readme_prepare_bytes_pinned(self, tmp_path):
+        # digests of the README spec's prepared prior and splits, taken before
+        # the prior and posterior codecs were merged; prep_report.json is left
+        # out, as its float reductions may differ by platform
+        spec = write_spec(tmp_path / "spec.json", width=64, height_px=64, timesteps=3,
+                          k=3, mean_log_heights=[0.5, 1.5, 2.5],
+                          std_log_heights=[0.3, 0.3, 0.3], block_size=8, seed=42,
+                          corruption=0.2)
+        config = write_config(tmp_path / "config.json", tmp_path / "data",
+                              tmp_path / "out", tile_size=16, upsample_factor=8)
+        assert cli.main(["synth", "--spec", str(spec), "--out", str(tmp_path / "data")]) == 0
+        assert cli.main(["prepare", "--config", str(config)]) == 0
+        prepared = tmp_path / "out" / "prepared"
+        digests = {str(p.relative_to(prepared)): hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in [*sorted((prepared / "prior_proportions").iterdir()),
+                             prepared / "splits.json"]}
+        assert digests == {
+            "prior_proportions/cat0.f32":
+                "6ffb9f49809693dfb5ded4d7762164878306a7f7ea7f89926dfd0fb95080e736",
+            "prior_proportions/cat1.f32":
+                "7bb35bed64e9b7ab05bb21ec733b0cce5611233d2667885ced86dbfa9b0d9ddf",
+            "prior_proportions/cat2.f32":
+                "c74858392c330a97ea2a6556623af4519c08efd6a942c9060755895389b82108",
+            "prior_proportions/manifest.json":
+                "6818a51bbd26af690c2c74d416793f4765c488e71eb615dca4ea8eff132c8c82",
+            "splits.json":
+                "f5c1b03882a67520269f156892593cf2834b02003bc0d966b3823ce08c31da6a",
+        }
 
     def test_undersized_prior_rejected(self, tmp_path, capsys):
         self.write_hand_built(tmp_path, side=6)
@@ -232,6 +263,17 @@ class TestTrain:
         err = capsys.readouterr().err
         assert re.search(r"epoch \d+, timestep '(t0|t1)', subgraph \d+: "
                          r"gcn_layer produced non-finite values", err), err
+
+    def test_zero_mass_prior_exits_2_naming_stack(self, toy_run, capsys):
+        tmp_path, config = toy_run
+        assert cli.main(["prepare", "--config", str(config)]) == 0
+        path = tmp_path / "out" / "prepared" / "prior_proportions"
+        stack = gs.read_grid_stack(path)
+        for grid in stack.grids:
+            grid.values[grid.valid_mask()] = 0.0
+        gs.write_grid_stack(stack, path)
+        assert cli.main(["train", "--config", str(config)]) == 2
+        assert str(path) in capsys.readouterr().err
 
     def test_train_without_prepare_exits_2(self, toy_run):
         tmp_path, config = toy_run
@@ -340,6 +382,14 @@ class TestAudit:
         assert not (tmp_path / "out" / "audit").exists()
         assert not (tmp_path / "out" / "audit_config_echo.json").exists()
 
+    def test_nonpositive_threshold_exits_2_before_writing(self, toy_run, capsys):
+        tmp_path, config = self.run_pipeline(toy_run)
+        assert cli.main(["audit", "--config", str(config),
+                         "--posteriors", str(tmp_path / "out" / "posteriors"),
+                         "--threshold-m", "0"]) == 2
+        assert "threshold_m" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "audit").exists()
+
     def test_failed_rewrite_keeps_previous_file(self, toy_run, monkeypatch):
         tmp_path, config = self.run_pipeline(toy_run)
         argv = ["audit", "--config", str(config),
@@ -406,9 +456,14 @@ class TestConfigHandling:
         ("spec", lambda doc: {**doc, "seed": 42.7}, "'seed'"),
         ("spec", lambda doc: {**doc, "labels": [1, 2]}, "'labels'"),
         ("spec", lambda doc: {**doc, "labels": "ab"}, "'labels'"),
+        ("config", lambda doc: {**doc, "train": {"learning_rate": float("nan")}},
+         "'learning_rate'"),
+        ("config", lambda doc: {**doc, "train": {"tau": float("inf")}}, "'tau'"),
+        ("config", lambda doc: {**doc, "min_edge": 10 ** 400}, "'min_edge'"),
     ], ids=["float-tile-size", "bool-split-seed", "bool-min-edge", "float-epochs",
             "float-n-subgraphs", "float-region-x", "float-width", "float-seed",
-            "int-labels", "string-labels"])
+            "int-labels", "string-labels", "nan-learning-rate", "infinite-tau",
+            "huge-min-edge"])
     def test_scalar_of_wrong_type_exits_2(self, toy_run, capsys, document, edit, named):
         tmp_path, config = toy_run
         path = config if document == "config" else tmp_path / "data" / "synth_config_echo.json"

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from vulnaudit import graph_build as gb
-from vulnaudit.grid_store import PriorField, RasterGrid
+from vulnaudit.grid_store import CategoryField, RasterGrid
 
 from oracles import brute_force_grid_edges, dense_normalized_adjacency
 
@@ -22,8 +22,8 @@ def full_tile(grid):
 def one_hot_prior(codes, k):
     codes = np.asarray(codes)
     props = np.eye(k)[codes]
-    return PriorField([f"c{i}" for i in range(k)], props,
-                      np.ones(codes.shape, dtype=bool))
+    return CategoryField([f"c{i}" for i in range(k)], props,
+                         np.ones(codes.shape, dtype=bool))
 
 
 class TestTileRegion:
@@ -208,8 +208,8 @@ class TestSplitTiles:
         assert len(seen) == len(set(seen)) == len(tiles)
 
     def test_tiles_without_prior_form_none_stratum(self):
-        prior = PriorField(["a", "b"], np.zeros((2, 2, 2)),
-                           np.zeros((2, 2), dtype=bool))
+        prior = CategoryField(["a", "b"], np.zeros((2, 2, 2)),
+                              np.zeros((2, 2), dtype=bool))
         tiles = gb.tile_region(2, 2, 1)
         splits = gb.split_tiles(tiles, prior, seed=0)
         assert all(t.dominant_category is None for t in splits.all_tiles())

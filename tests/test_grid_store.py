@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vulnaudit import grid_store as gs
-from vulnaudit.grid_store import (GridFormatError, GridStack, PriorField, RasterGrid,
+from vulnaudit.grid_store import (CategoryField, GridFormatError, GridStack, RasterGrid,
                                   StackKind, StackManifest)
 
 
@@ -176,17 +176,17 @@ class TestNormalizePriorCounts:
 
     def test_symmetric_counts(self):
         prior = gs.normalize_prior_counts(self.make_counts([[[2.0]], [[2.0]]]))
-        assert prior.has_prior[0, 0]
-        np.testing.assert_allclose(prior.proportions[0, 0], [0.5, 0.5])
+        assert prior.valid[0, 0]
+        np.testing.assert_allclose(prior.probs[0, 0], [0.5, 0.5])
 
     def test_zero_counts_mean_no_prior(self):
         prior = gs.normalize_prior_counts(self.make_counts([[[0.0]], [[0.0]]]))
-        assert not prior.has_prior[0, 0]
+        assert not prior.valid[0, 0]
 
     def test_direct_arithmetic(self):
         prior = gs.normalize_prior_counts(
             self.make_counts([[[3.0]], [[1.0]], [[0.0]]]))
-        np.testing.assert_allclose(prior.proportions[0, 0], [0.75, 0.25, 0.0])
+        np.testing.assert_allclose(prior.probs[0, 0], [0.75, 0.25, 0.0])
 
     def test_negative_count_rejected(self):
         # -1.0 is the nodata sentinel, so use a different negative value
@@ -196,7 +196,7 @@ class TestNormalizePriorCounts:
     def test_all_nodata_pixel_has_no_prior(self):
         counts = self.make_counts([[[-1.0]], [[-1.0]]])  # nodata sentinel
         prior = gs.normalize_prior_counts(counts)
-        assert not prior.has_prior[0, 0]
+        assert not prior.valid[0, 0]
 
     def test_simplex_invariant_fuzz(self):
         rng = np.random.default_rng(1)
@@ -205,39 +205,39 @@ class TestNormalizePriorCounts:
             arrays = [rng.integers(0, 5, size=(h, w)).astype(np.float32)
                       for _ in range(k)]
             prior = gs.normalize_prior_counts(self.make_counts(arrays))
-            if prior.has_prior.any():
-                sums = prior.proportions[prior.has_prior].sum(axis=1)
+            if prior.valid.any():
+                sums = prior.probs[prior.valid].sum(axis=1)
                 np.testing.assert_allclose(sums, 1.0, atol=1e-6)
 
 
 class TestUpsampleNearest:
     def single_pixel(self, vec):
         k = len(vec)
-        return PriorField([f"c{i}" for i in range(k)],
-                          np.array(vec, dtype=float).reshape(1, 1, k),
-                          np.ones((1, 1), dtype=bool))
+        return CategoryField([f"c{i}" for i in range(k)],
+                             np.array(vec, dtype=float).reshape(1, 1, k),
+                             np.ones((1, 1), dtype=bool))
 
     def test_constant_replication(self):
         fine = gs.upsample_nearest(self.single_pixel([0.25, 0.75]), 3)
-        assert fine.proportions.shape == (3, 3, 2)
-        assert np.all(fine.proportions == [0.25, 0.75])
-        assert fine.has_prior.all()
+        assert fine.probs.shape == (3, 3, 2)
+        assert np.all(fine.probs == [0.25, 0.75])
+        assert fine.valid.all()
 
     def test_factor_one_identity(self):
         coarse = self.single_pixel([0.1, 0.9])
         fine = gs.upsample_nearest(coarse, 1)
-        np.testing.assert_array_equal(fine.proportions, coarse.proportions)
+        np.testing.assert_array_equal(fine.probs, coarse.probs)
 
     def test_index_arithmetic_oracle(self):
         props = np.array([[[1.0, 0.0], [0.0, 1.0]]])  # 2 wide, 1 tall
-        coarse = PriorField(["a", "b"], props, np.ones((1, 2), dtype=bool))
+        coarse = CategoryField(["a", "b"], props, np.ones((1, 2), dtype=bool))
         factor = 2
         fine = gs.upsample_nearest(coarse, factor)
-        assert fine.proportions.shape == (2, 4, 2)
+        assert fine.probs.shape == (2, 4, 2)
         for y in range(2):
             for x in range(4):
                 np.testing.assert_array_equal(
-                    fine.proportions[y, x], props[y // factor, x // factor])
+                    fine.probs[y, x], props[y // factor, x // factor])
 
     def test_zero_factor_rejected(self):
         with pytest.raises(ValueError):
@@ -247,12 +247,12 @@ class TestUpsampleNearest:
         rng = np.random.default_rng(2)
         raw = rng.random((3, 4, 3))
         props = raw / raw.sum(axis=2, keepdims=True)
-        coarse = PriorField(["a", "b", "c"], props, np.ones((3, 4), dtype=bool))
+        coarse = CategoryField(["a", "b", "c"], props, np.ones((3, 4), dtype=bool))
         fine = gs.upsample_nearest(coarse, 3)
         before = {tuple(v) for v in props.reshape(-1, 3)}
-        after = {tuple(v) for v in fine.proportions.reshape(-1, 3)}
+        after = {tuple(v) for v in fine.probs.reshape(-1, 3)}
         assert before == after
-        np.testing.assert_allclose(fine.proportions.sum(axis=2), 1.0, atol=1e-12)
+        np.testing.assert_allclose(fine.probs.sum(axis=2), 1.0, atol=1e-12)
 
 
 class TestPriorStackRoundTrip:
@@ -262,8 +262,43 @@ class TestPriorStackRoundTrip:
         props = raw / raw.sum(axis=2, keepdims=True)
         mask = rng.random((4, 5)) < 0.7
         props[~mask] = 0.0
-        prior = PriorField(["a", "b", "c"], props, mask)
-        back = gs.stack_to_prior(gs.prior_to_stack(prior))
-        np.testing.assert_array_equal(back.has_prior, mask)
-        np.testing.assert_allclose(back.proportions[mask], props[mask], atol=1e-6)
+        prior = CategoryField(["a", "b", "c"], props, mask)
+        kind = StackKind.PRIOR_PROPORTIONS
+        back = gs.stack_to_field(gs.field_to_stack(prior, kind), kind)
+        np.testing.assert_array_equal(back.valid, mask)
+        np.testing.assert_allclose(back.probs[mask], props[mask], atol=1e-6)
         assert back.categories == ["a", "b", "c"]
+
+
+class TestCategoryFieldRule:
+    @pytest.mark.parametrize("row, named", [
+        ([np.nan, 1.0], "non-finite"),
+        ([-0.25, 1.25], "negative"),
+        ([0.5, 0.5 + 1e-7], "sum to 1"),
+    ], ids=["nan", "negative", "off-simplex"])
+    def test_bad_row_at_valid_pixel_rejected(self, row, named):
+        probs = np.array([[row, [0.5, 0.5]]])
+        with pytest.raises(ValueError, match=named):
+            CategoryField(["a", "b"], probs, np.ones((1, 2), dtype=bool))
+        # the same row at an invalid pixel is not checked
+        CategoryField(["a", "b"], probs, np.array([[False, True]]))
+
+    def test_zero_mass_prior_pixel_rejected(self):
+        stack = make_stack(StackKind.PRIOR_PROPORTIONS, 2, 1,
+                           {"a": np.array([[0.0, 0.25]], dtype=np.float32),
+                            "b": np.array([[0.0, 0.75]], dtype=np.float32)})
+        with pytest.raises(GridFormatError, match="zero probability mass"):
+            gs.stack_to_field(stack, StackKind.PRIOR_PROPORTIONS)
+
+    def test_posterior_pixel_nodata_in_some_layers_rejected(self):
+        stack = make_stack(StackKind.POSTERIOR, 2, 1,
+                           {"a": np.array([[-1.0, 0.25]], dtype=np.float32),
+                            "b": np.array([[1.0, 0.75]], dtype=np.float32)})
+        with pytest.raises(GridFormatError, match="nodata in some layers"):
+            gs.stack_to_field(stack, StackKind.POSTERIOR)
+
+    def test_kind_must_match(self):
+        stack = make_stack(StackKind.POSTERIOR, 1, 1,
+                           {"a": np.array([[1.0]], dtype=np.float32)})
+        with pytest.raises(GridFormatError, match="expected PRIOR_PROPORTIONS"):
+            gs.stack_to_field(stack, StackKind.PRIOR_PROPORTIONS)

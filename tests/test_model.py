@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from vulnaudit import graph_build as gb
 from vulnaudit import model as md
 from vulnaudit import numcore as nc
-from vulnaudit.grid_store import GridStack, PriorField, RasterGrid, StackKind, StackManifest
+from vulnaudit.grid_store import CategoryField, GridStack, RasterGrid, StackKind, StackManifest
 from vulnaudit.numcore import Tape, Var
 
 from oracles import central_difference, max_relative_error, softmax_reference
@@ -242,7 +242,7 @@ def toy_dataset(seed=0, side=8, tile=4, timesteps=2):
              for _ in range(timesteps)]
     stack = GridStack(StackManifest(StackKind.HEIGHT_SERIES, side, side,
                                     [f"t{i}" for i in range(timesteps)]), grids)
-    prior = PriorField(["a", "b"], np.eye(2)[codes], np.ones((side, side), dtype=bool))
+    prior = CategoryField(["a", "b"], np.eye(2)[codes], np.ones((side, side), dtype=bool))
     tiles = gb.tile_region(side, side, tile)
     splits = gb.split_tiles(tiles, prior, (0.5, 0.25, 0.25), seed=seed)
     return stack, prior, splits, codes
