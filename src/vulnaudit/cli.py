@@ -335,7 +335,9 @@ def cmd_audit(cfg: RunConfig, posteriors_dir: str) -> int:
     regions = cfg.regions or [Region(0, 0, hm.width, hm.height_px, "full")]
     for region in regions:
         au.check_region(region.rect, hm.width, hm.height_px)
-    prior, _, _ = _load_prepared(cfg)
+    # the prior is all audit needs of the prepared dataset
+    prior = _read_field(_prepared_dir(cfg) / "prior_proportions",
+                        gs.StackKind.PRIOR_PROPORTIONS)
     labels = list(hm.layer_labels)
     posteriors = _load_posteriors(Path(posteriors_dir), labels)
     out = Path(cfg.out_dir) / "audit"

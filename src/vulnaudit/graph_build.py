@@ -18,9 +18,9 @@ DEFAULT_SPLIT_TOLERANCE = 0.25
 MAX_SUBGRAPH_NODES = 50_000
 NODE_FEATURES = 1  # build_graph gives each node one feature: its height
 
-# 8-neighbor offsets; scanning half of them with both edge directions added
-# covers the full neighborhood
-_HALF_NEIGHBORHOOD = ((1, 0), (0, 1), (1, 1), (-1, 1))
+# 8-neighbor (dx, dy) offsets in row-major order, so with row-major node
+# numbering each node's neighbor indices come out ascending
+_NEIGHBORHOOD = ((-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1))
 
 
 @dataclass(frozen=True)
@@ -105,33 +105,32 @@ def tiles_mask(tiles: list[Tile], width: int, height_px: int) -> np.ndarray:
     return mask
 
 
-def _node_mask(heights: RasterGrid, tiles: list[Tile]) -> np.ndarray:
+def node_mask(heights: RasterGrid, tiles: list[Tile]) -> np.ndarray:
     """In-tile pixels with a valid height > 0: the pixels that become nodes."""
     in_tiles = tiles_mask(tiles, heights.width, heights.height_px)
     return in_tiles & (heights.values > 0) & heights.valid_mask()
 
 
 def build_graph(heights: RasterGrid, tiles: list[Tile]) -> GridGraph:
-    """Nodes are in-tile pixels with height > 0; edges join 8-neighbor nodes."""
-    node_mask = _node_mask(heights, tiles)
-    ys, xs = np.nonzero(node_mask)  # row-major node order
-    n = len(xs)
-    index = np.full(node_mask.shape, -1, dtype=np.int64)
-    index[ys, xs] = np.arange(n)
+    """Nodes are in-tile pixels with height > 0; edges join 8-neighbor nodes.
 
-    rows_all, cols_all = [], []
-    h, w = node_mask.shape
-    for dx, dy in _HALF_NEIGHBORHOOD:
-        x2, y2 = xs + dx, ys + dy
-        ok = (x2 >= 0) & (x2 < w) & (y2 >= 0) & (y2 < h)
-        ok[ok] &= node_mask[y2[ok], x2[ok]]
-        u = index[ys[ok], xs[ok]]
-        v = index[y2[ok], x2[ok]]
-        rows_all.extend((u, v))
-        cols_all.extend((v, u))
-    rows, cols = np.concatenate(rows_all), np.concatenate(cols_all)
-    # the half-neighbourhood scan yields each arc once, so no duplicates to sum
-    adjacency = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    The adjacency is written as sorted CSR directly: row i lists the node
+    indices found at node i's eight neighbor offsets, in row-major order, in
+    an index raster padded with -1."""
+    mask = node_mask(heights, tiles)
+    ys, xs = np.nonzero(mask)  # row-major node order
+    n = len(xs)
+    h, w = mask.shape
+    index = np.full((h + 2, w + 2), -1, dtype=np.int64)
+    index[ys + 1, xs + 1] = np.arange(n)
+    nbr = np.empty((n, len(_NEIGHBORHOOD)), dtype=np.int64)
+    for j, (dx, dy) in enumerate(_NEIGHBORHOOD):
+        nbr[:, j] = index[ys + 1 + dy, xs + 1 + dx]
+    present = nbr >= 0
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(present.sum(axis=1), out=indptr[1:])
+    indices = nbr[present]
+    adjacency = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
 
     features = heights.values[ys, xs].astype(np.float64).reshape(n, NODE_FEATURES)
     pixels = np.column_stack([xs, ys]).astype(np.int32)
@@ -163,7 +162,7 @@ def fit_norm_stats(grids: list[RasterGrid], tiles: list[Tile]) -> NormStats:
     """``log_normalize`` statistics over the node heights inside ``tiles``,
     pooled over every grid in order: the same pool as the concatenated
     ``build_graph(grid, tiles).features``, without building the graphs."""
-    pooled = np.concatenate([g.values[_node_mask(g, tiles)].astype(np.float64)
+    pooled = np.concatenate([g.values[node_mask(g, tiles)].astype(np.float64)
                              for g in grids])
     if not pooled.size:
         raise ValueError("no training nodes at any timestep")

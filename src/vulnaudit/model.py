@@ -20,9 +20,9 @@ import scipy.sparse as sp
 
 from . import numcore as nc
 from .graph_build import (DEFAULT_EDGE_DROPOUT, MAX_SUBGRAPH_NODES, NODE_FEATURES,
-                          GridGraph, NormStats, SplitAssignment, Tile, auto_n_subgraphs,
-                          build_graph, fit_norm_stats, log_normalize,
-                          normalize_adjacency, sample_epoch, tile_region)
+                          EpochSample, GridGraph, NormStats, SplitAssignment, Tile,
+                          auto_n_subgraphs, build_graph, fit_norm_stats, log_normalize,
+                          node_mask, normalize_adjacency, sample_epoch, tile_region)
 from .grid_store import (DEFAULT_NODATA, CategoryField, GridStack, RasterGrid, StackKind,
                          _staged_dir, stack_to_field)
 from .numcore import NonFiniteError, Tape, Var
@@ -342,6 +342,15 @@ def _mean_breakdown(items: list[LossBreakdown]) -> LossBreakdown:
                          sum(b.total for b in items) / n)
 
 
+def _sample_timestep(grid: RasterGrid, tiles: list[Tile], norm_stats: NormStats,
+                     n_sub: int, dropout: float, seed: int) -> EpochSample:
+    """One timestep's training graph, with normalized features, sampled for
+    one epoch; the whole-region graph is dropped on return."""
+    g = build_graph(grid, tiles)
+    feats, _ = log_normalize(g.features, norm_stats)
+    return sample_epoch(GridGraph(g.node_pixels, g.adjacency, feats), n_sub, dropout, seed)
+
+
 def train(params: ModelParams, height_series: GridStack, prior: CategoryField,
           splits: SplitAssignment, config: TrainConfig,
           norm_stats: NormStats | None = None) -> TrainResult:
@@ -351,17 +360,22 @@ def train(params: ModelParams, height_series: GridStack, prior: CategoryField,
     timestep and interleaves the timesteps round-robin. Validation losses are
     computed on the validation tiles with no dropout and no sampling noise.
     Fully deterministic given ``config.seed``.
+
+    No whole-region training graph outlives its epoch: each epoch builds
+    one timestep's graph at a time and keeps only its sampled subgraphs.
     """
     labels = list(height_series.manifest.layer_labels)
     if norm_stats is None:
         norm_stats = fit_norm_stats(height_series.grids, splits.train)
-    normed: dict[str, GridGraph] = {}
+    # the timesteps that have training nodes, and their node counts
+    train_grids: dict[str, RasterGrid] = {}
+    sizes: list[int] = []
     for label, grid in zip(labels, height_series.grids):
-        g = build_graph(grid, splits.train)
-        if g.n_nodes:
-            feats, _ = log_normalize(g.features, norm_stats)
-            normed[label] = GridGraph(g.node_pixels, g.adjacency, feats)
-    if not normed:
+        n_nodes = int(node_mask(grid, splits.train).sum())
+        if n_nodes:
+            train_grids[label] = grid
+            sizes.append(n_nodes)
+    if not train_grids:
         raise ValueError("no training nodes at any timestep")
 
     # validation inputs are fixed across epochs
@@ -374,20 +388,20 @@ def train(params: ModelParams, height_series: GridStack, prior: CategoryField,
         p0, mask = node_prior(prior, g)
         val_inputs.append((normalize_adjacency(g), feats, p0, mask))
 
-    n_sub = config.n_subgraphs or auto_n_subgraphs(max(g.n_nodes for g in normed.values()))
-    smallest = min(g.n_nodes for g in normed.values())
-    if n_sub > smallest:
-        raise ValueError(f"n_subgraphs={n_sub} exceeds smallest training graph ({smallest} nodes)")
+    n_sub = config.n_subgraphs or auto_n_subgraphs(max(sizes))
+    if n_sub > min(sizes):
+        raise ValueError(f"n_subgraphs={n_sub} exceeds smallest training graph "
+                         f"({min(sizes)} nodes)")
 
     optimizer = Adam(config.learning_rate, config.adam_betas, config.adam_eps)
     history: list[EpochLosses] = []
     for epoch in range(config.epochs):
-        samples = [sample_epoch(g, n_sub, config.edge_dropout,
-                                derive_seed(config.seed, 1, epoch, ti))
-                   for ti, g in enumerate(normed.values())]
+        samples = [_sample_timestep(grid, splits.train, norm_stats, n_sub, config.edge_dropout,
+                                    derive_seed(config.seed, 1, epoch, ti))
+                   for ti, grid in enumerate(train_grids.values())]
         step_losses: list[LossBreakdown] = []
         for i in range(n_sub):
-            for ti, (label, sample) in enumerate(zip(normed, samples)):
+            for ti, (label, sample) in enumerate(zip(train_grids, samples)):
                 sub = sample.subgraphs[i]
                 rng = np.random.default_rng(
                     np.random.SeedSequence([config.seed, 2, epoch, ti, i]))

@@ -5,6 +5,11 @@ one fused entry, ``gcn_layer``, taking its normalized adjacency as a scipy
 CSR matrix. Values are float64 ndarrays end to end (raster storage elsewhere
 is float32 and gets upcast on entry), and each kernel checks its output so a
 diverging run fails naming the op that produced the first non-finite value.
+
+The tape keeps one N x width array per graph convolution, its output: the
+backward reads the ReLU mask back from that output and recomputes A @ H from
+the layer's input, which the tape already holds as the previous entry's
+output (or a constant).
 """
 
 from __future__ import annotations
@@ -107,25 +112,27 @@ def gcn_layer(tape: Tape, a: sp.csr_matrix, h: Var, w: Var, b: Var,
 
     A is a constant scipy CSR matrix. Finiteness is checked once, on the
     pre-activation: ReLU would map a -inf to 0 and hide it.
+
+    The tape entry keeps only ``out``. The backward takes the ReLU mask as
+    ``out > 0``, which is where the pre-activation was positive, and
+    recomputes ``A @ H`` for grad-W with the same kernel on the same
+    operands, so the gradients are the floats a stored copy would give.
     """
     hv, wv, bv = h.value, w.value, b.value
     if (hv.ndim != 2 or wv.ndim != 2 or a.shape[1] != hv.shape[0]
             or hv.shape[1] != wv.shape[0] or bv.shape != (wv.shape[1],)):
         raise ValueError(f"gcn_layer shape mismatch: A {a.shape}, H {hv.shape}, "
                          f"W {wv.shape}, b {bv.shape}")
-    ah = a @ hv
-    pre = ah @ wv
+    pre = (a @ hv) @ wv
     pre += bv
     _check_finite("gcn_layer", pre)
-    mask = None
     if activate:
-        mask = pre > 0.0  # subgradient at 0 is 0
-        np.maximum(pre, 0.0, out=pre)
+        np.maximum(pre, 0.0, out=pre)  # subgradient at 0 is 0
     out = Var(pre)
 
     def bwd(dout):
-        dpre = dout if mask is None else dout * mask
-        return ((h, a.T @ (dpre @ wv.T)), (w, ah.T @ dpre), (b, dpre.sum(axis=0)))
+        dpre = dout * (pre > 0.0) if activate else dout
+        return ((h, a.T @ (dpre @ wv.T)), (w, (a @ hv).T @ dpre), (b, dpre.sum(axis=0)))
 
     tape.record(out, bwd)
     return out

@@ -8,6 +8,9 @@ can disagree.
 import math
 
 import numpy as np
+import scipy.sparse as sp
+
+from vulnaudit.numcore import Var, _check_finite
 
 
 def central_difference(loss_fn, arrays: dict[str, np.ndarray],
@@ -84,3 +87,47 @@ def softmax_reference(logits) -> np.ndarray:
     e = np.exp(z - z.max())
     return e / e.sum()
 
+
+def coo_grid_adjacency(mask: np.ndarray):
+    """8-neighbor adjacency of the True pixels of ``mask`` (nodes numbered in
+    row-major pixel order), built as ``graph_build.build_graph`` once did:
+    each arc from a half-neighbourhood scan, both directions added, then
+    converted from COO to CSR by scipy."""
+    ys, xs = np.nonzero(mask)
+    n = len(xs)
+    index = np.full(mask.shape, -1, dtype=np.int64)
+    index[ys, xs] = np.arange(n)
+    rows_all, cols_all = [], []
+    h, w = mask.shape
+    for dx, dy in ((1, 0), (0, 1), (1, 1), (-1, 1)):
+        x2, y2 = xs + dx, ys + dy
+        ok = (x2 >= 0) & (x2 < w) & (y2 >= 0) & (y2 < h)
+        ok[ok] &= mask[y2[ok], x2[ok]]
+        u = index[ys[ok], xs[ok]]
+        v = index[y2[ok], x2[ok]]
+        rows_all.extend((u, v))
+        cols_all.extend((v, u))
+    rows, cols = np.concatenate(rows_all), np.concatenate(cols_all)
+    return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+
+
+def gcn_layer_saving_activations(tape, a, h, w, b, activate: bool):
+    """``numcore.gcn_layer`` as it was when its tape entry kept ``A @ H`` and
+    a separate bool ReLU mask beside its output."""
+    hv, wv, bv = h.value, w.value, b.value
+    ah = a @ hv
+    pre = ah @ wv
+    pre += bv
+    _check_finite("gcn_layer", pre)
+    mask = None
+    if activate:
+        mask = pre > 0.0
+        np.maximum(pre, 0.0, out=pre)
+    out = Var(pre)
+
+    def bwd(dout):
+        dpre = dout if mask is None else dout * mask
+        return ((h, a.T @ (dpre @ wv.T)), (w, ah.T @ dpre), (b, dpre.sum(axis=0)))
+
+    tape.record(out, bwd)
+    return out

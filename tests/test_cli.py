@@ -33,6 +33,13 @@ def write_config(path, data_dir, out_dir, **overrides):
     return path
 
 
+def write_readme_spec(path):
+    """The README's 64 x 64 example spec."""
+    return write_spec(path, width=64, height_px=64, timesteps=3, k=3,
+                      mean_log_heights=[0.5, 1.5, 2.5], std_log_heights=[0.3, 0.3, 0.3],
+                      block_size=8, seed=42, corruption=0.2)
+
+
 @pytest.fixture
 def toy_run(tmp_path):
     spec = write_spec(tmp_path / "spec.json")
@@ -198,10 +205,7 @@ class TestPrepare:
         # digests of the README spec's prepared prior and splits, taken before
         # the prior and posterior codecs were merged; prep_report.json is left
         # out, as its float reductions may differ by platform
-        spec = write_spec(tmp_path / "spec.json", width=64, height_px=64, timesteps=3,
-                          k=3, mean_log_heights=[0.5, 1.5, 2.5],
-                          std_log_heights=[0.3, 0.3, 0.3], block_size=8, seed=42,
-                          corruption=0.2)
+        spec = write_readme_spec(tmp_path / "spec.json")
         config = write_config(tmp_path / "config.json", tmp_path / "data",
                               tmp_path / "out", tile_size=16, upsample_factor=8)
         assert cli.main(["synth", "--spec", str(spec), "--out", str(tmp_path / "data")]) == 0
@@ -410,6 +414,29 @@ class TestAudit:
         monkeypatch.undo()
         assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
 
+    def test_reads_only_the_prepared_prior(self, tmp_path):
+        # the README 64 x 64 pipeline; audit must not need splits.json
+        data, out = tmp_path / "data", tmp_path / "out"
+        config = write_config(tmp_path / "config.json", data, out, tile_size=16,
+                              upsample_factor=8, train={"epochs": 2})
+        posteriors = ["--posteriors", str(out / "posteriors")]
+        for argv in (["synth", "--spec", str(write_readme_spec(tmp_path / "spec.json")),
+                      "--out", str(data)],
+                     ["prepare", "--config", str(config)],
+                     ["train", "--config", str(config)],
+                     ["infer", "--config", str(config),
+                      "--checkpoint", str(out / "checkpoint")],
+                     ["audit", "--config", str(config), *posteriors]):
+            assert cli.main(argv) == 0, argv
+        (out / "audit").rename(tmp_path / "first_audit")
+        (out / "prepared" / "splits.json").rename(tmp_path / "splits.json")
+        assert cli.main(["audit", "--config", str(config), *posteriors]) == 0
+
+        def files(root):
+            return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+        assert files(out / "audit") == files(tmp_path / "first_audit")
+
     def test_single_timestep_warns_and_exits_zero(self, tmp_path, capsys):
         spec = write_spec(tmp_path / "spec.json", timesteps=1)
         cli.main(["synth", "--spec", str(spec), "--out", str(tmp_path / "data")])
@@ -505,10 +532,7 @@ class TestEndToEnd:
         # transitions are the identity over the categories; the largest
         # entry error measured 0.2416 (the cat1 diagonal reads 0.7584), and
         # the bound leaves a margin of 0.0584 above it.
-        spec = write_spec(tmp_path / "spec.json", width=64, height_px=64, timesteps=3,
-                          k=3, mean_log_heights=[0.5, 1.5, 2.5],
-                          std_log_heights=[0.3, 0.3, 0.3], block_size=8, seed=42,
-                          corruption=0.2)
+        spec = write_readme_spec(tmp_path / "spec.json")
         data, out = tmp_path / "data", tmp_path / "out"
         config = write_config(tmp_path / "config.json", data, out, tile_size=16,
                               upsample_factor=8, train={})

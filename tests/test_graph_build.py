@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from vulnaudit import graph_build as gb
 from vulnaudit.grid_store import CategoryField, RasterGrid
 
-from oracles import brute_force_grid_edges, dense_normalized_adjacency
+from oracles import brute_force_grid_edges, coo_grid_adjacency, dense_normalized_adjacency
 
 
 def heights_grid(values):
@@ -110,6 +110,30 @@ class TestBuildGraph:
             expected = brute_force_grid_edges(
                 {(int(x), int(y)) for x, y in graph.node_pixels})
             assert len(expected) == graph.n_undirected_edges
+
+    @pytest.mark.parametrize("h, w", [(1, 1), (1, 23), (23, 1), (9, 13), (24, 31)])
+    def test_csr_equals_coo_construction(self, h, w):
+        # the same indptr, indices, data and dtypes as building the arcs in
+        # COO and converting; the first trial has no node at all, and the
+        # odd trials use a positive nodata sentinel so that the validity
+        # mask, not only the height > 0 test, removes pixels
+        rng = np.random.default_rng(100 * h + w)
+        for trial in range(8):
+            vals = rng.uniform(0.5, 9.0, size=(h, w)).astype(np.float32)
+            vals[rng.random((h, w)) < rng.uniform(0.0, 0.8)] = 0.0
+            nodata = 5.0 if trial % 2 else -1.0
+            vals[rng.random((h, w)) < 0.15] = nodata
+            if trial == 0:
+                vals[:] = 0.0
+            grid = RasterGrid(w, h, vals, nodata=nodata)
+            tiles = [t for t in gb.tile_region(w, h, 4) if rng.random() < 0.8]
+            got = gb.build_graph(grid, tiles).adjacency
+            want = coo_grid_adjacency(gb.node_mask(grid, tiles))
+            assert got.shape == want.shape
+            for field in ("indptr", "indices", "data"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert a.dtype == b.dtype, field
+                np.testing.assert_array_equal(a, b)
 
 
 class TestLogNormalize:

@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,8 @@ from vulnaudit import numcore as nc
 from vulnaudit.grid_store import CategoryField, GridStack, RasterGrid, StackKind, StackManifest
 from vulnaudit.numcore import Tape, Var
 
-from oracles import central_difference, max_relative_error, softmax_reference
+from oracles import (central_difference, gcn_layer_saving_activations, max_relative_error,
+                     softmax_reference)
 
 
 def grid_graph(values):
@@ -305,6 +307,61 @@ class TestTrain:
         result = md.train(md.ModelParams.initialize(1, 2, seed=2), stack, prior,
                           splits, config)
         assert result.history[-1].train.total < result.history[0].train.total
+
+
+class TestTrainMemory:
+    """The tape keeps one array per graph convolution and gives the floats
+    of a layer that also kept A @ H and its ReLU mask."""
+
+    @pytest.mark.parametrize("n_sub", [1, 3])
+    def test_same_floats_as_layer_saving_activations(self, monkeypatch, n_sub):
+        stack, prior, splits, _ = toy_dataset(seed=5, side=12, tile=4, timesteps=3)
+        stack.grids[1] = RasterGrid(12, 12, np.zeros((12, 12), dtype=np.float32))
+        config = md.TrainConfig(epochs=3, seed=9, n_subgraphs=n_sub)
+
+        def run():
+            return md.train(md.ModelParams.initialize(1, 2, hidden=7, seed=3),
+                            stack, prior, splits, config)
+
+        ours = run()
+        calls = []
+
+        def oracle(*args):
+            calls.append(1)
+            return gcn_layer_saving_activations(*args)
+
+        monkeypatch.setattr(nc, "gcn_layer", oracle)
+        theirs = run()
+        assert calls
+        assert len(ours.history) == 3
+        assert ([(e.train, e.val) for e in ours.history]
+                == [(e.train, e.val) for e in theirs.history])
+        for name in md.PARAM_ORDER:
+            assert (ours.params.weights[name].tobytes()
+                    == theirs.params.weights[name].tobytes()), name
+
+    def test_forward_keeps_about_five_node_arrays(self):
+        # Bytes the tape holds after one training forward, in units of
+        # N x hidden float64: 5.5 measured here, against 10.2 when each layer
+        # also kept A @ H and a bool ReLU mask.
+        graph = grid_graph(np.full((60, 60), 2.0))
+        a_hat = gb.normalize_adjacency(graph)
+        x, _ = gb.log_normalize(graph.features)
+        n, hidden, k = graph.n_nodes, 25, 5
+        params = random_params(k=k, hidden=hidden, seed=1)
+        rng = np.random.default_rng(0)
+        prior_p = rng.dirichlet(np.ones(k), size=n)
+        mask = rng.random(n) < 0.7
+        tape = Tape()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            md._forward_losses(params, a_hat, x, prior_p, mask, md.TrainConfig(),
+                               np.random.default_rng(1), tape)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= 6.0 * n * hidden * 8, held / (n * hidden * 8)
 
 
 class TestInferPosterior:
