@@ -26,13 +26,11 @@ CHANGE_NODATA = -9999.0
 @dataclass
 class AitchisonMap:
     grid: RasterGrid
-    epsilon: float
 
 
 @dataclass
 class ChangeMap:
     grid: RasterGrid
-    threshold_m: float
 
 
 @dataclass
@@ -61,17 +59,24 @@ def _smooth(v: np.ndarray, epsilon: float) -> np.ndarray:
     return out / out.sum(axis=-1, keepdims=True)
 
 
-def aitchison_distance(p, q, epsilon: float = DEFAULT_EPSILON) -> float:
-    """Compositional distance sqrt(1/(2K) sum_ij (ln(p_i/p_j) - ln(q_i/q_j))^2)."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape or p.ndim != 1 or p.size < 2:
-        raise ValueError("inputs must be equal-length vectors with K >= 2")
+def _aitchison_rows(p: np.ndarray, q: np.ndarray, epsilon: float) -> np.ndarray:
+    """Compositional distance sqrt(1/(2K) sum_ij (ln(p_i/p_j) - ln(q_i/q_j))^2)
+    between the compositions along the last axis of ``p`` and ``q``."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     d = np.log(_smooth(p, epsilon)) - np.log(_smooth(q, epsilon))
     # the double log-ratio sum collapses to the centered-log-ratio norm
-    return float(np.sqrt(max((d * d).sum() - d.sum() ** 2 / p.size, 0.0)))
+    k = p.shape[-1]
+    return np.sqrt(np.maximum((d * d).sum(axis=-1) - d.sum(axis=-1) ** 2 / k, 0.0))
+
+
+def aitchison_distance(p, q, epsilon: float = DEFAULT_EPSILON) -> float:
+    """Aitchison distance between two compositions of K >= 2 parts."""
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    if p.shape != q.shape or p.ndim != 1 or p.size < 2:
+        raise ValueError("inputs must be equal-length vectors with K >= 2")
+    return float(_aitchison_rows(p, q, epsilon))
 
 
 def ad_map(prior: CategoryField, posterior: CategoryField,
@@ -81,19 +86,11 @@ def ad_map(prior: CategoryField, posterior: CategoryField,
         raise ValueError("prior/posterior dimensions differ")
     if prior.k != posterior.k:
         raise ValueError("prior/posterior category counts differ")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
     mask = prior.valid & posterior.valid
+    out = np.full(posterior.shape, DEFAULT_NODATA, dtype=np.float64)
+    out[mask] = _aitchison_rows(prior.probs[mask], posterior.probs[mask], epsilon)
     h, w = posterior.shape
-    out = np.full((h, w), DEFAULT_NODATA, dtype=np.float64)
-    if mask.any():
-        d = np.log(_smooth(prior.probs[mask], epsilon)) \
-            - np.log(_smooth(posterior.probs[mask], epsilon))
-        k = prior.k
-        vals = np.sqrt(np.maximum((d * d).sum(axis=1) - d.sum(axis=1) ** 2 / k, 0.0))
-        out[mask] = vals
-    grid = RasterGrid(w, h, out.astype(np.float32), nodata=DEFAULT_NODATA)
-    return AitchisonMap(grid, epsilon)
+    return AitchisonMap(RasterGrid(w, h, out.astype(np.float32), nodata=DEFAULT_NODATA))
 
 
 def change_map(h_t: RasterGrid, h_t1: RasterGrid,
@@ -115,7 +112,7 @@ def change_map(h_t: RasterGrid, h_t1: RasterGrid,
     codes[delta < -threshold_m] = -1.0
     grid = RasterGrid(h_t.width, h_t.height_px, codes.astype(np.float32),
                       nodata=CHANGE_NODATA)
-    return ChangeMap(grid, threshold_m)
+    return ChangeMap(grid)
 
 
 def check_region(region: tuple[int, int, int, int], width: int, height_px: int) -> None:

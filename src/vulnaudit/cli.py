@@ -47,6 +47,40 @@ class Region:
         return self.x, self.y, self.width, self.height
 
 
+SPLIT_NAMES = ("train", "test", "validation")
+
+
+@dataclass
+class SplitRow:
+    """One tile of ``prepared/splits.json``: its rectangle in pixels, its
+    dominant prior category and its split."""
+    x: int
+    y: int
+    w: int
+    h: int
+    dominant: int | None
+    split: str
+
+    def __post_init__(self):
+        if self.w < 1 or self.h < 1:
+            raise ValueError(f"tile at ({self.x}, {self.y}) is {self.w}x{self.h}")
+        if self.split not in SPLIT_NAMES:
+            raise ValueError(f"split must be one of {', '.join(SPLIT_NAMES)}, "
+                             f"got {self.split!r}")
+
+
+@dataclass
+class SplitsFile:
+    """``prepared/splits.json``: the split settings and the tiles in row-major
+    order of their origins."""
+    tile_size: int
+    ratios: tuple[float, float, float]
+    seed: int
+    tolerance: float
+    tiles: list[SplitRow]
+    balanced: bool = True
+
+
 @dataclass
 class RunConfig:
     heights: str
@@ -80,13 +114,14 @@ class RunConfig:
 
 def _convert(tp, value, where: str):
     """``value`` as annotated type ``tp``: lists and tuples element by
-    element, ``X | None`` passing None through, dataclasses through
-    ``_dataclass_from_doc``, and scalars strictly: an ``int`` takes only a
-    JSON integer, a ``float`` an integer or a decimal that is finite as a
-    float (not NaN, an infinity or an integer beyond the float range), a
-    ``str`` only a string, and none of them ``true``/``false``. A value of
-    another type is a ConfigError naming ``where``; nothing is truncated or
-    stringified."""
+    element, a fixed-length ``tuple[A, B, ...]`` (one without ``...``) only
+    from a list of exactly its length, ``X | None`` passing None through,
+    dataclasses through ``_dataclass_from_doc``, and scalars strictly: an
+    ``int`` takes only a JSON integer, a ``float`` an integer or a decimal
+    that is finite as a float (not NaN, an infinity or an integer beyond the
+    float range), a ``str`` only a string, and only a ``bool`` takes
+    ``true``/``false``. A value of another type is a ConfigError naming
+    ``where``; nothing is truncated or stringified."""
     if is_dataclass(tp):
         return _dataclass_from_doc(tp, value, where)
     origin, args = typing.get_origin(tp), typing.get_args(tp)
@@ -96,9 +131,13 @@ def _convert(tp, value, where: str):
     if origin in (list, tuple):
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{where}: expected a list, got {value!r}")
+        if origin is tuple and Ellipsis not in args:
+            if len(value) != len(args):
+                raise ConfigError(f"{where}: expected {len(args)} values, got {len(value)}")
+            return tuple(_convert(a, v, where) for a, v in zip(args, value))
         return origin(_convert(args[0], v, where) for v in value)
     accepted = (int, float) if tp is float else (tp,)
-    if isinstance(value, bool) or not isinstance(value, accepted):
+    if isinstance(value, bool) is not (tp is bool) or not isinstance(value, accepted):
         raise ConfigError(f"{where}: expected {tp.__name__}, got {value!r}")
     if tp is float and not abs(value) <= sys.float_info.max:  # NaN fails too
         raise ConfigError(f"{where}: expected a finite number")
@@ -175,6 +214,15 @@ def _prepared_dir(cfg: RunConfig) -> Path:
     return prep
 
 
+def _check_extent(heights: gs.GridStack, prior_shape: tuple[int, int]) -> None:
+    """The heights stack must have the prepared prior's (height, width)."""
+    hm = heights.manifest
+    ph, pw = prior_shape
+    if (hm.height_px, hm.width) != (ph, pw):
+        raise ConfigError(f"heights stack is {hm.width}x{hm.height_px} but the prepared "
+                          f"prior is {pw}x{ph}; run prepare on this heights stack")
+
+
 def _load_prepared(cfg: RunConfig) -> tuple[gs.CategoryField, gb.SplitAssignment, gb.NormStats]:
     prep = _prepared_dir(cfg)
     prior = _read_field(prep / "prior_proportions", gs.StackKind.PRIOR_PROPORTIONS)
@@ -185,18 +233,13 @@ def _load_prepared(cfg: RunConfig) -> tuple[gs.CategoryField, gb.SplitAssignment
 
 
 def _save_splits(splits: gb.SplitAssignment, cfg: RunConfig, path: Path) -> None:
-    rows = []
-    for name, part in (("train", splits.train), ("test", splits.test),
-                       ("validation", splits.validation)):
-        for t in part:
-            rows.append({"x": t.origin_x, "y": t.origin_y, "w": t.width,
-                         "h": t.height, "dominant": t.dominant_category,
-                         "split": name})
-    rows.sort(key=lambda r: (r["y"], r["x"]))
-    doc = {"tile_size": cfg.tile_size, "ratios": list(cfg.split_ratios),
-           "seed": cfg.split_seed, "tolerance": cfg.split_tolerance,
-           "balanced": splits.balanced, "tiles": rows}
-    _write_json_atomic(path, doc)
+    parts = (splits.train, splits.test, splits.validation)
+    rows = [SplitRow(t.origin_x, t.origin_y, t.width, t.height, t.dominant_category, name)
+            for name, part in zip(SPLIT_NAMES, parts) for t in part]
+    rows.sort(key=lambda r: (r.y, r.x))
+    doc = SplitsFile(cfg.tile_size, cfg.split_ratios, cfg.split_seed, cfg.split_tolerance,
+                     rows, splits.balanced)
+    _write_json_atomic(path, asdict(doc))
 
 
 def _write_json_atomic(path: Path, doc: dict) -> None:
@@ -205,16 +248,16 @@ def _write_json_atomic(path: Path, doc: dict) -> None:
 
 
 def _load_splits(path: Path) -> gb.SplitAssignment:
+    """Read ``splits.json`` through the config parser: a row with a value
+    of the wrong type or an unknown split is a ConfigError naming ``path``."""
     if not path.is_file():
         raise ConfigError(f"splits file not found: {path}")
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    parts: dict[str, list[gb.Tile]] = {"train": [], "test": [], "validation": []}
-    for row in doc["tiles"]:
-        tile = gb.Tile(row["x"], row["y"], row["w"], row["h"], row["dominant"])
-        parts[row["split"]].append(tile)
-    assignment = gb.SplitAssignment(parts["train"], parts["test"], parts["validation"])
-    assignment.balanced = bool(doc.get("balanced", True))
-    return assignment
+    doc = _dataclass_from_doc(SplitsFile, json.loads(path.read_text(encoding="utf-8")),
+                              str(path))
+    parts: dict[str, list[gb.Tile]] = {name: [] for name in SPLIT_NAMES}
+    for row in doc.tiles:
+        parts[row.split].append(gb.Tile(row.x, row.y, row.w, row.h, row.dominant))
+    return gb.SplitAssignment(*parts.values(), balanced=doc.balanced)
 
 
 def cmd_prepare(cfg: RunConfig) -> int:
@@ -270,6 +313,7 @@ def cmd_prepare(cfg: RunConfig) -> int:
 def cmd_train(cfg: RunConfig) -> int:
     heights = _read_heights(cfg)
     prior, splits, stats = _load_prepared(cfg)
+    _check_extent(heights, prior.shape)
     params = md.ModelParams.initialize(f_dim=1, k_cats=prior.k,
                                        seed=cfg.train.seed)
     result = md.train(params, heights, prior, splits, cfg.train, stats)
@@ -303,8 +347,10 @@ def cmd_infer(cfg: RunConfig, checkpoint: str) -> int:
     if not ckpt_path.is_dir():
         raise ConfigError(f"checkpoint not found: {ckpt_path}")
     params, stats, _ = md.load_checkpoint(ckpt_path)
-    # the category labels are all infer needs of the prepared prior
-    categories = gs.read_manifest(_prepared_dir(cfg) / "prior_proportions").layer_labels
+    # the extent and category labels are all infer needs of the prepared prior
+    prior = gs.read_manifest(_prepared_dir(cfg) / "prior_proportions")
+    _check_extent(heights, (prior.height_px, prior.width))
+    categories = prior.layer_labels
     if len(categories) != params.k_cats:
         raise ConfigError(f"checkpoint has {params.k_cats} categories, "
                           f"prior has {len(categories)}")
@@ -338,6 +384,7 @@ def cmd_audit(cfg: RunConfig, posteriors_dir: str) -> int:
     # the prior is all audit needs of the prepared dataset
     prior = _read_field(_prepared_dir(cfg) / "prior_proportions",
                         gs.StackKind.PRIOR_PROPORTIONS)
+    _check_extent(heights, prior.shape)
     labels = list(hm.layer_labels)
     posteriors = _load_posteriors(Path(posteriors_dir), labels)
     out = Path(cfg.out_dir) / "audit"
@@ -465,9 +512,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_train(cfg)
         if args.command == "infer":
             return cmd_infer(cfg, args.checkpoint)
-        if args.command == "audit":
-            return cmd_audit(cfg, args.posteriors)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_audit(cfg, args.posteriors)
     except (md.TrainAbortError, NonFiniteError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

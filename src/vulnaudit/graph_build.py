@@ -4,7 +4,7 @@ dropout."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,9 +32,6 @@ class Tile:
     width: int
     height: int
     dominant_category: int | None = None
-
-    def with_dominant(self, cat: int | None) -> "Tile":
-        return Tile(self.origin_x, self.origin_y, self.width, self.height, cat)
 
 
 @dataclass
@@ -200,11 +197,8 @@ def dominant_categories(tiles: list[Tile], prior: CategoryField) -> list[Tile]:
                             t.origin_x:t.origin_x + t.width]
         mask = prior.valid[t.origin_y:t.origin_y + t.height,
                            t.origin_x:t.origin_x + t.width]
-        if not mask.any():
-            out.append(t.with_dominant(None))
-            continue
-        totals = block[mask].sum(axis=0)
-        out.append(t.with_dominant(int(np.argmax(totals))))
+        dominant = int(np.argmax(block[mask].sum(axis=0))) if mask.any() else None
+        out.append(replace(t, dominant_category=dominant))
     return out
 
 

@@ -29,8 +29,8 @@ from .numcore import NonFiniteError, Tape, Var
 
 DEFAULT_HIDDEN = 25
 DEFAULT_LEARNING_RATE = 1e-3
-DEFAULT_ADAM_BETAS = (0.9, 0.999)
-DEFAULT_ADAM_EPS = 1e-8
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
 CLAMP = 1e-9
 
 PARAM_ORDER = ("enc_w1", "enc_b1", "enc_w2", "enc_b2", "enc_w3", "enc_b3",
@@ -70,10 +70,6 @@ class ModelParams:
                 weights[name] = np.zeros(dims[w_name][1], dtype=np.float64)
         return cls(f_dim, k_cats, hidden, weights)
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.f_dim, self.k_cats, self.hidden,
-                           {k: v.copy() for k, v in self.weights.items()})
-
 
 @dataclass
 class TrainConfig:
@@ -84,16 +80,18 @@ class TrainConfig:
     n_subgraphs: int | None = None  # None: sized so subgraphs stay under the node cap
     seed: int = 0
     loss_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)  # (rec, kl, ce)
-    adam_betas: tuple[float, float] = DEFAULT_ADAM_BETAS
-    adam_eps: float = DEFAULT_ADAM_EPS
 
     def __post_init__(self):
         if self.tau <= 0:
             raise ValueError("tau must be positive")
+        if self.learning_rate < 0:
+            raise ValueError("learning_rate must be non-negative")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
         if not 0.0 <= self.edge_dropout < 1.0:
             raise ValueError("edge_dropout must lie in [0, 1)")
+        if self.n_subgraphs is not None and self.n_subgraphs < 1:
+            raise ValueError("n_subgraphs must be >= 1, or null for automatic")
         if min(self.loss_weights) < 0:
             raise ValueError("loss weights must be non-negative")
 
@@ -143,17 +141,14 @@ def sample_gumbel(shape, rng: np.random.Generator) -> np.ndarray:
 
 def gumbel_softmax_sample(logits: np.ndarray, tau: float,
                           rng: np.random.Generator) -> np.ndarray:
-    """One relaxed categorical draw: softmax((logits + gumbel noise) / tau)."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    logits = np.asarray(logits, dtype=np.float64)
-    return nc.softmax_values((logits + sample_gumbel(logits.shape, rng)) / tau)
+    """One relaxed categorical draw, ``gumbel_softmax_var``'s value."""
+    return gumbel_softmax_var(Tape(), Var(logits), tau, rng).value
 
 
 def gumbel_softmax_var(tape: Tape, logits: Var, tau: float,
                        rng: np.random.Generator) -> Var:
-    """Taped relaxed draw; the noise is a constant, gradients flow through the
-    softmax only."""
+    """Taped relaxed draw, softmax((logits + gumbel noise) * (1 / tau)); the
+    noise is a constant, gradients flow through the softmax only."""
     if tau <= 0:
         raise ValueError("tau must be positive")
     g = sample_gumbel(logits.value.shape, rng)
@@ -176,78 +171,74 @@ def loss_rec(tape: Tape, recon: Var, target: np.ndarray) -> Var:
     return out
 
 
+def _masked_mean(tape: Tape, posterior: Var, mask: np.ndarray, terms) -> Var:
+    """Record the mean over the m masked nodes of a per-node loss of the
+    posterior. ``terms(mask)`` gives the loss summed over the masked nodes
+    and its gradient at every entry; both are divided by m and the gradient
+    is zeroed off the mask. Zero, with a zero gradient, when the mask is
+    empty."""
+    mask = np.asarray(mask, dtype=bool)
+    m = int(mask.sum())
+    if m == 0:
+        out, grad = Var(0.0), np.zeros_like(posterior.value)
+    else:
+        total, grad = terms(mask)
+        out = Var(total / m)
+        grad = grad / m
+        grad[~mask] = 0.0
+    tape.record(out, lambda dout: ((posterior, grad * dout),))
+    return out
+
+
 def loss_kl(tape: Tape, posterior: Var, prior_p: np.ndarray, mask: np.ndarray) -> Var:
     """Mean over masked nodes of sum_k p log(p / p0), both clamped at 1e-9
     inside the logs. Zero when the mask is empty."""
     p = posterior.value
     p0 = np.asarray(prior_p, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
-    m = int(mask.sum())
-    if m == 0:
-        out = Var(0.0)
-        tape.record(out, lambda dout: ((posterior, np.zeros_like(p)),))
-        return out
-    log_ratio = np.log(np.maximum(p, CLAMP)) - np.log(np.maximum(p0, CLAMP))
-    out = Var((p[mask] * log_ratio[mask]).sum() / m)
-    gate = (p >= CLAMP).astype(np.float64)
-    grad = (log_ratio + gate) / m
-    grad[~mask] = 0.0
 
-    def bwd(dout):
-        return ((posterior, grad * dout),)
+    def terms(mask):
+        log_ratio = np.log(np.maximum(p, CLAMP)) - np.log(np.maximum(p0, CLAMP))
+        return (p[mask] * log_ratio[mask]).sum(), log_ratio + (p >= CLAMP)
 
-    tape.record(out, bwd)
-    return out
+    return _masked_mean(tape, posterior, mask, terms)
 
 
 def loss_ce(tape: Tape, posterior: Var, prior_p: np.ndarray, mask: np.ndarray) -> Var:
     """Mean over masked nodes of -sum_k p0 log(p), p clamped at 1e-9."""
     p = posterior.value
     p0 = np.asarray(prior_p, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
-    m = int(mask.sum())
-    if m == 0:
-        out = Var(0.0)
-        tape.record(out, lambda dout: ((posterior, np.zeros_like(p)),))
-        return out
-    pc = np.maximum(p, CLAMP)
-    out = Var(-(p0[mask] * np.log(pc[mask])).sum() / m)
-    grad = -(p0 * (p >= CLAMP)) / pc / m
-    grad[~mask] = 0.0
 
-    def bwd(dout):
-        return ((posterior, grad * dout),)
+    def terms(mask):
+        pc = np.maximum(p, CLAMP)
+        return -(p0[mask] * np.log(pc[mask])).sum(), -(p0 * (p >= CLAMP)) / pc
 
-    tape.record(out, bwd)
-    return out
+    return _masked_mean(tape, posterior, mask, terms)
 
 
 class Adam:
-    """Bias-corrected Adam over a name-keyed weight dict."""
+    """Bias-corrected Adam over a name-keyed weight dict, with the fixed
+    betas ADAM_BETAS and epsilon ADAM_EPS."""
 
-    def __init__(self, lr: float = DEFAULT_LEARNING_RATE,
-                 betas: tuple[float, float] = DEFAULT_ADAM_BETAS,
-                 eps: float = DEFAULT_ADAM_EPS):
+    def __init__(self, lr: float):
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.t = 0
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
 
     def step(self, weights: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         self.t += 1
+        b1, b2 = ADAM_BETAS
         for name, w in weights.items():
             g = grads[name]
             m = self._m.setdefault(name, np.zeros_like(w))
             v = self._v.setdefault(name, np.zeros_like(w))
-            m *= self.b1
-            m += (1 - self.b1) * g
-            v *= self.b2
-            v += (1 - self.b2) * g * g
-            m_hat = m / (1 - self.b1 ** self.t)
-            v_hat = v / (1 - self.b2 ** self.t)
-            w -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            m_hat = m / (1 - b1 ** self.t)
+            v_hat = v / (1 - b2 ** self.t)
+            w -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass
@@ -393,7 +384,7 @@ def train(params: ModelParams, height_series: GridStack, prior: CategoryField,
         raise ValueError(f"n_subgraphs={n_sub} exceeds smallest training graph "
                          f"({min(sizes)} nodes)")
 
-    optimizer = Adam(config.learning_rate, config.adam_betas, config.adam_eps)
+    optimizer = Adam(config.learning_rate)
     history: list[EpochLosses] = []
     for epoch in range(config.epochs):
         samples = [_sample_timestep(grid, splits.train, norm_stats, n_sub, config.edge_dropout,

@@ -115,6 +115,20 @@ class TestAdMap:
                 else:
                     assert out.grid.values[y, x] == np.float32(-1.0)
 
+    def test_single_pixel_equals_aitchison_distance(self):
+        # ad_map and aitchison_distance share one kernel: a 1 x 1 map holds
+        # the scalar distance, cast to float32
+        rng = np.random.default_rng(11)
+        for k in (2, 3, 5, 9):
+            for _ in range(20):
+                p, q = rng.dirichlet(np.ones(k), size=2)
+                p[rng.integers(k)] = 0.0  # a zero part takes the epsilon smoothing
+                p /= p.sum()
+                prior = CategoryField([f"c{i}" for i in range(k)], p[None, None, :],
+                                      np.ones((1, 1), dtype=bool))
+                out = au.ad_map(prior, posterior_from(q[None, None, :]))
+                assert out.grid.values[0, 0] == np.float32(au.aitchison_distance(p, q))
+
     def test_dimension_mismatch(self):
         prior = CategoryField(["a", "b"], np.full((2, 2, 2), 0.5),
                               np.ones((2, 2), dtype=bool))

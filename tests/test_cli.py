@@ -464,7 +464,15 @@ class TestConfigHandling:
         (lambda doc: {**doc, "tile_sise": 8}, "tile_sise"),
         (lambda doc: {**doc, "train": {"learning_rte": 0.1}}, "learning_rte"),
         (lambda doc: {k: v for k, v in doc.items() if k != "heights"}, "heights"),
-    ], ids=["list", "train-list", "unknown-key", "unknown-train-key", "missing-key"])
+        (lambda doc: {**doc, "split_ratios": [0.5, 0.5]}, "'split_ratios'"),
+        (lambda doc: {**doc, "split_ratios": [0.25] * 4}, "'split_ratios'"),
+        (lambda doc: {**doc, "train": {"loss_weights": [1.0, 1.0]}}, "'loss_weights'"),
+        (lambda doc: {**doc, "train": {"n_subgraphs": 0}}, "n_subgraphs"),
+        (lambda doc: {**doc, "train": {"learning_rate": -1.0}}, "learning_rate"),
+        (lambda doc: {**doc, "train": {"adam_eps": 1e-8}}, "adam_eps"),
+    ], ids=["list", "train-list", "unknown-key", "unknown-train-key", "missing-key",
+            "two-ratios", "four-ratios", "two-loss-weights", "zero-subgraphs",
+            "negative-learning-rate", "removed-adam-key"])
     def test_bad_config_exits_2(self, toy_run, capsys, edit, named):
         tmp_path, config = toy_run
         config.write_text(json.dumps(edit(json.loads(config.read_text()))))
@@ -523,6 +531,38 @@ class TestConfigHandling:
         tmp_path, config = toy_run
         with pytest.raises(cli.ConfigError):
             cli.load_run_config(config, {"split_ratios": (0.5, 0.2, 0.2)})
+
+    def test_heights_of_another_extent_exit_2(self, toy_run, capsys):
+        tmp_path, config = toy_run
+        out = tmp_path / "out"
+        assert cli.main(["prepare", "--config", str(config)]) == 0
+        assert cli.main(["train", "--config", str(config)]) == 0
+        spec = write_spec(tmp_path / "big.json", width=32, height_px=32)
+        assert cli.main(["synth", "--spec", str(spec), "--out", str(tmp_path / "big")]) == 0
+        doc = json.loads(config.read_text())
+        config.write_text(json.dumps({**doc, "heights": str(tmp_path / "big" / "heights")}))
+        capsys.readouterr()
+        for argv in (["train"], ["infer", "--checkpoint", str(out / "checkpoint")]):
+            assert cli.main(argv + ["--config", str(config)]) == 2
+            err = capsys.readouterr().err
+            assert "32x32" in err and "16x16" in err, err
+        assert not (out / "posteriors").exists()
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("x", "0", "'x'"),
+        ("split", "holdout", "holdout"),
+        ("h", -1, "8x-1"),
+    ], ids=["string-coordinate", "unknown-split", "negative-height"])
+    def test_bad_splits_row_exits_2_naming_file(self, toy_run, capsys, key, value, named):
+        tmp_path, config = toy_run
+        assert cli.main(["prepare", "--config", str(config)]) == 0
+        path = tmp_path / "out" / "prepared" / "splits.json"
+        doc = json.loads(path.read_text())
+        doc["tiles"][0][key] = value
+        path.write_text(json.dumps(doc))
+        assert cli.main(["train", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and named in err, err
 
 
 class TestEndToEnd:
