@@ -82,6 +82,21 @@ class SplitsFile:
 
 
 @dataclass
+class PrepReport:
+    """``prepared/prep_report.json``: the feature normalisation fitted on the
+    training tiles, the node count of each timestep and the number of tiles
+    per dominant category."""
+    norm_mean: float
+    norm_std: float
+    node_counts: dict[str, int]
+    tile_category_histogram: dict[str, int]
+    balanced: bool
+
+    def __post_init__(self):
+        gb.NormStats(self.norm_mean, self.norm_std)  # raises unless the std is positive
+
+
+@dataclass
 class RunConfig:
     heights: str
     prior_counts: str
@@ -115,7 +130,8 @@ class RunConfig:
 def _convert(tp, value, where: str):
     """``value`` as annotated type ``tp``: lists and tuples element by
     element, a fixed-length ``tuple[A, B, ...]`` (one without ``...``) only
-    from a list of exactly its length, ``X | None`` passing None through,
+    from a list of exactly its length, a ``dict[str, V]`` from an object
+    value by value, ``X | None`` passing None through,
     dataclasses through ``_dataclass_from_doc``, and scalars strictly: an
     ``int`` takes only a JSON integer, a ``float`` an integer or a decimal
     that is finite as a float (not NaN, an infinity or an integer beyond the
@@ -136,6 +152,10 @@ def _convert(tp, value, where: str):
                 raise ConfigError(f"{where}: expected {len(args)} values, got {len(value)}")
             return tuple(_convert(a, v, where) for a, v in zip(args, value))
         return origin(_convert(args[0], v, where) for v in value)
+    if origin is dict:
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where}: expected an object, got {value!r}")
+        return {k: _convert(args[1], v, where) for k, v in value.items()}
     accepted = (int, float) if tp is float else (tp,)
     if isinstance(value, bool) is not (tp is bool) or not isinstance(value, accepted):
         raise ConfigError(f"{where}: expected {tp.__name__}, got {value!r}")
@@ -227,9 +247,18 @@ def _load_prepared(cfg: RunConfig) -> tuple[gs.CategoryField, gb.SplitAssignment
     prep = _prepared_dir(cfg)
     prior = _read_field(prep / "prior_proportions", gs.StackKind.PRIOR_PROPORTIONS)
     splits = _load_splits(prep / "splits.json")
-    report = json.loads((prep / "prep_report.json").read_text(encoding="utf-8"))
-    stats = gb.NormStats(float(report["norm_mean"]), float(report["norm_std"]))
-    return prior, splits, stats
+    report = _load_prep_report(prep / "prep_report.json")
+    return prior, splits, gb.NormStats(report.norm_mean, report.norm_std)
+
+
+def _load_prep_report(path: Path) -> PrepReport:
+    """Read ``prep_report.json`` through the config parser: a missing key, a
+    non-finite ``norm_mean`` or a ``norm_std`` that is not finite and
+    positive is a ConfigError naming ``path``."""
+    if not path.is_file():
+        raise ConfigError(f"prep report not found: {path}")
+    return _dataclass_from_doc(PrepReport, json.loads(path.read_text(encoding="utf-8")),
+                               str(path))
 
 
 def _save_splits(splits: gb.SplitAssignment, cfg: RunConfig, path: Path) -> None:
@@ -296,14 +325,13 @@ def cmd_prepare(cfg: RunConfig) -> int:
     gs.write_grid_stack(gs.field_to_stack(fine, gs.StackKind.PRIOR_PROPORTIONS),
                         prep / "prior_proportions")
     _save_splits(splits, cfg, prep / "splits.json")
-    report = {"norm_mean": stats.mean, "norm_std": stats.std,
-              "node_counts": node_counts, "tile_category_histogram": histogram,
-              "balanced": splits.balanced}
-    _write_json_atomic(prep / "prep_report.json", report)
+    report = PrepReport(stats.mean, stats.std, node_counts, histogram, splits.balanced)
+    _write_json_atomic(prep / "prep_report.json", asdict(report))
 
     # self-check: every artifact must re-validate on read
     _read_field(prep / "prior_proportions", gs.StackKind.PRIOR_PROPORTIONS)
     _load_splits(prep / "splits.json")
+    _load_prep_report(prep / "prep_report.json")
     _echo_config(cfg, "prepare")
     print(f"prepared dataset under {prep}: {sum(node_counts.values())} nodes "
           f"across {len(node_counts)} timesteps, balanced={splits.balanced}")

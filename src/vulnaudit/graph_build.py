@@ -4,6 +4,7 @@ dropout."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,8 +58,15 @@ class GridGraph:
 
 @dataclass
 class NormStats:
+    """``log_normalize`` statistics: a finite mean and a finite, positive std."""
+
     mean: float
     std: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.mean) and math.isfinite(self.std) and self.std > 0):
+            raise ValueError(f"norm stats need a finite mean and a finite, positive std, "
+                             f"got mean {self.mean!r} and std {self.std!r}")
 
 
 @dataclass

@@ -55,20 +55,25 @@ class ModelParams:
                    seed: int = 0) -> "ModelParams":
         """Glorot-uniform weights, zero biases, deterministic in the seed."""
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9107]))
-        dims = {
-            "enc_w1": (f_dim, hidden), "enc_w2": (hidden, hidden), "enc_w3": (hidden, k_cats),
-            "dec_w1": (k_cats, hidden), "dec_w2": (hidden, hidden), "dec_w3": (hidden, f_dim),
-        }
         weights: dict[str, np.ndarray] = {}
-        for name in PARAM_ORDER:
-            if name.endswith(("w1", "w2", "w3")):
-                fan_in, fan_out = dims[name]
-                limit = np.sqrt(6.0 / (fan_in + fan_out))
-                weights[name] = rng.uniform(-limit, limit, size=dims[name])
+        for name, shape in param_shapes(f_dim, k_cats, hidden).items():
+            if len(shape) == 2:
+                limit = np.sqrt(6.0 / sum(shape))
+                weights[name] = rng.uniform(-limit, limit, size=shape)
             else:
-                w_name = name.replace("b", "w")
-                weights[name] = np.zeros(dims[w_name][1], dtype=np.float64)
+                weights[name] = np.zeros(shape, dtype=np.float64)
         return cls(f_dim, k_cats, hidden, weights)
+
+
+def param_shapes(f_dim: int, k_cats: int, hidden: int) -> dict[str, tuple[int, ...]]:
+    """The shape of each weight matrix and bias vector, in PARAM_ORDER."""
+    layers = ((f_dim, hidden), (hidden, hidden), (hidden, k_cats),
+              (k_cats, hidden), (hidden, hidden), (hidden, f_dim))
+    shapes: dict[str, tuple[int, ...]] = {}
+    for w_name, b_name, (fan_in, fan_out) in zip(PARAM_ORDER[::2], PARAM_ORDER[1::2], layers):
+        shapes[w_name] = (fan_in, fan_out)
+        shapes[b_name] = (fan_out,)
+    return shapes
 
 
 @dataclass
@@ -486,17 +491,38 @@ def save_checkpoint(path: str | Path, params: ModelParams, norm_stats: NormStats
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, NormStats, dict]:
+    """Read what ``save_checkpoint`` wrote, strictly. The manifest must list
+    PARAM_ORDER, give every weight the shape that its positive integer
+    f_dim, k_cats and hidden imply, and hold a finite norm_mean and a finite,
+    positive norm_std; each blob must hold exactly 4 bytes per weight, all
+    finite. Anything else is a ValueError naming the file."""
     path = Path(path)
     manifest_file = path / "manifest.json"
     if not manifest_file.is_file():
         raise FileNotFoundError(f"missing checkpoint manifest: {manifest_file}")
     doc = json.loads(manifest_file.read_text(encoding="utf-8"))
+    try:
+        dims = [doc[key] for key in ("f_dim", "k_cats", "hidden")]
+        if not all(type(d) is int and d >= 1 for d in dims):
+            raise ValueError(f"f_dim, k_cats and hidden must be positive integers, got {dims}")
+        if doc["param_order"] != list(PARAM_ORDER):
+            raise ValueError(f"param_order must be {list(PARAM_ORDER)}")
+        shapes = param_shapes(*dims)
+        if doc["shapes"] != {name: list(shape) for name, shape in shapes.items()}:
+            raise ValueError(f"shapes do not match f_dim, k_cats, hidden = {dims}")
+        stats = NormStats(float(doc["norm_mean"]), float(doc["norm_std"]))
+    except KeyError as exc:
+        raise ValueError(f"{manifest_file}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{manifest_file}: {exc}") from exc
     weights = {}
-    for name in doc["param_order"]:
-        blob = (path / f"{name}.f32").read_bytes()
-        shape = tuple(doc["shapes"][name])
-        arr = np.frombuffer(blob, dtype="<f4").astype(np.float64).reshape(shape)
-        weights[name] = arr
-    params = ModelParams(int(doc["f_dim"]), int(doc["k_cats"]), int(doc["hidden"]), weights)
-    stats = NormStats(float(doc["norm_mean"]), float(doc["norm_std"]))
-    return params, stats, doc.get("config", {})
+    for name, shape in shapes.items():
+        blob_file = path / f"{name}.f32"
+        blob = blob_file.read_bytes()
+        if len(blob) != 4 * math.prod(shape):
+            raise ValueError(f"{blob_file}: {len(blob)} bytes, expected 4 per weight "
+                             f"of shape {shape}")
+        weights[name] = np.frombuffer(blob, dtype="<f4").astype(np.float64).reshape(shape)
+        if not np.isfinite(weights[name]).all():
+            raise ValueError(f"{blob_file}: non-finite weights")
+    return ModelParams(*dims, weights), stats, doc.get("config", {})

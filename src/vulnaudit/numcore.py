@@ -6,10 +6,10 @@ CSR matrix. Values are float64 ndarrays end to end (raster storage elsewhere
 is float32 and gets upcast on entry), and each kernel checks its output so a
 diverging run fails naming the op that produced the first non-finite value.
 
-The tape keeps one N x width array per graph convolution, its output: the
-backward reads the ReLU mask back from that output and recomputes A @ H from
-the layer's input, which the tape already holds as the previous entry's
-output (or a constant).
+The tape keeps one N x width array per graph convolution, its output, and
+the layer multiplies by A at the narrower of its two widths, forward and
+backward (see ``gcn_layer``). The backward hands every rule an adjoint the
+rule owns, so a rule may reuse it as scratch space (see ``backward``).
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ class Var:
         return f"Var(shape={self.value.shape}, name={self.name!r})"
 
 
-# backward_fn(dout) -> iterable of (input Var, gradient contribution)
+# backward_fn(dout) -> iterable of (input Var, gradient contribution); the
+# rule owns ``dout`` and may overwrite it (see ``backward``)
 BackwardFn = Callable[[np.ndarray], Iterable[tuple[Var, np.ndarray]]]
 
 
@@ -53,6 +54,12 @@ class Tape:
     resulting parameter gradients into ``grads``, so successive recorded losses
     accumulate additively. Parameters are registered once per name and must
     wrap the same underlying array for the lifetime of the tape.
+
+    A recorded backward rule owns the adjoint ``dout`` it is given and may
+    overwrite it. In return each gradient it returns must be an array that
+    nothing else holds: never one array for two inputs, never its output's
+    value or an array another entry still reads. The one exception is a
+    pass-through of ``dout`` itself to a single input, as ``add_const`` does.
     """
 
     def __init__(self):
@@ -83,6 +90,10 @@ def backward(tape: Tape, loss: Var) -> dict[str, np.ndarray]:
 
     Returns the tape's accumulator map {param name: gradient}; entries are
     consumed, so calling again without recording a new forward pass raises.
+
+    Each entry's adjoint is popped before its rule runs, and a sum of two
+    contributions is a new array, so the rule gets the only reference to its
+    ``dout``; the Tape docstring gives what a rule must return in exchange.
     """
     if not tape._entries:
         raise RuntimeError("backward called with no recorded forward pass "
@@ -108,31 +119,49 @@ def backward(tape: Tape, loss: Var) -> dict[str, np.ndarray]:
 
 def gcn_layer(tape: Tape, a: sp.csr_matrix, h: Var, w: Var, b: Var,
               activate: bool) -> Var:
-    """One graph convolution, out = (A @ H) @ W + b, ReLU'd when ``activate``.
+    """One graph convolution, out = A @ H @ W + b, ReLU'd when ``activate``.
 
     A is a constant scipy CSR matrix. Finiteness is checked once, on the
     pre-activation: ReLU would map a -inf to 0 and hide it.
 
-    The tape entry keeps only ``out``. The backward takes the ReLU mask as
-    ``out > 0``, which is where the pre-activation was positive, and
-    recomputes ``A @ H`` for grad-W with the same kernel on the same
-    operands, so the gradients are the floats a stored copy would give.
+    The sparse product runs at the narrower of the layer's two widths: the
+    forward is A @ (H @ W) when W narrows or keeps the width and (A @ H) @ W
+    when it widens. The tape entry keeps only ``out``. The backward owns its
+    adjoint and multiplies it in place by the ReLU mask, read back as
+    ``out > 0`` (where the pre-activation was positive), to give dpre; then
+
+    - narrowing or square W: one sparse product S = A.T @ dpre gives
+      grad-W = H.T @ S and grad-H = S @ W.T, the latter written into dpre's
+      buffer when the shapes agree;
+    - widening W: grad-W = (A @ H).T @ dpre, recomputed at H's width, and
+      grad-H = A.T @ (dpre @ W.T).
+
+    ``A.T`` keeps the rule right for a rectangular or asymmetric A.
     """
     hv, wv, bv = h.value, w.value, b.value
     if (hv.ndim != 2 or wv.ndim != 2 or a.shape[1] != hv.shape[0]
             or hv.shape[1] != wv.shape[0] or bv.shape != (wv.shape[1],)):
         raise ValueError(f"gcn_layer shape mismatch: A {a.shape}, H {hv.shape}, "
                          f"W {wv.shape}, b {bv.shape}")
-    pre = (a @ hv) @ wv
+    narrows = wv.shape[1] <= wv.shape[0]
+    pre = a @ (hv @ wv) if narrows else (a @ hv) @ wv
     pre += bv
     _check_finite("gcn_layer", pre)
     if activate:
         np.maximum(pre, 0.0, out=pre)  # subgradient at 0 is 0
     out = Var(pre)
 
-    def bwd(dout):
-        dpre = dout * (pre > 0.0) if activate else dout
-        return ((h, a.T @ (dpre @ wv.T)), (w, (a @ hv).T @ dpre), (b, dpre.sum(axis=0)))
+    def bwd(dpre):  # the adjoint, owned: masked and reused in place
+        if activate:
+            dpre *= pre > 0.0
+        grad_b = dpre.sum(axis=0)
+        if not narrows:
+            return ((h, a.T @ (dpre @ wv.T)), (w, (a @ hv).T @ dpre), (b, grad_b))
+        s = a.T @ dpre
+        grad_w = hv.T @ s
+        grad_h = (np.matmul(s, wv.T, out=dpre) if dpre.shape == hv.shape
+                  else s @ wv.T)
+        return ((h, grad_h), (w, grad_w), (b, grad_b))
 
     tape.record(out, bwd)
     return out

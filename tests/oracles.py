@@ -131,3 +131,30 @@ def gcn_layer_saving_activations(tape, a, h, w, b, activate: bool):
 
     tape.record(out, bwd)
     return out
+
+
+def gcn_layer_width_ordered_saving_activations(tape, a, h, w, b, activate: bool):
+    """``numcore.gcn_layer``'s products in its order (A at the narrower
+    width), with the tape entry keeping a separate bool ReLU mask and, for a
+    widening W, ``A @ H``; every gradient is a fresh array."""
+    hv, wv, bv = h.value, w.value, b.value
+    narrows = wv.shape[1] <= wv.shape[0]
+    ah = None if narrows else a @ hv
+    pre = a @ (hv @ wv) if narrows else ah @ wv
+    pre += bv
+    _check_finite("gcn_layer", pre)
+    mask = None
+    if activate:
+        mask = pre > 0.0
+        np.maximum(pre, 0.0, out=pre)
+    out = Var(pre)
+
+    def bwd(dout):
+        dpre = dout if mask is None else dout * mask
+        if narrows:
+            s = a.T @ dpre
+            return ((h, s @ wv.T), (w, hv.T @ s), (b, dpre.sum(axis=0)))
+        return ((h, a.T @ (dpre @ wv.T)), (w, ah.T @ dpre), (b, dpre.sum(axis=0)))
+
+    tape.record(out, bwd)
+    return out

@@ -40,6 +40,11 @@ def write_readme_spec(path):
                       block_size=8, seed=42, corruption=0.2)
 
 
+def edit_json(raw, **changes):
+    """JSON bytes with the given top-level keys set."""
+    return json.dumps({**json.loads(raw), **changes}).encode()
+
+
 @pytest.fixture
 def toy_run(tmp_path):
     spec = write_spec(tmp_path / "spec.json")
@@ -283,6 +288,28 @@ class TestTrain:
         tmp_path, config = toy_run
         assert cli.main(["train", "--config", str(config)]) == 2
 
+    @pytest.mark.parametrize("key, value, named", [
+        ("norm_std", None, "norm_std"),
+        ("norm_mean", float("nan"), "norm_mean"),
+        ("norm_std", float("inf"), "norm_std"),
+        ("norm_std", 0.0, "positive std"),
+        ("norm_std", -1.0, "positive std"),
+    ], ids=["missing-key", "nan-mean", "infinite-std", "zero-std", "negative-std"])
+    def test_bad_prep_report_exits_2_naming_file(self, toy_run, capsys, key, value, named):
+        tmp_path, config = toy_run
+        assert cli.main(["prepare", "--config", str(config)]) == 0
+        path = tmp_path / "out" / "prepared" / "prep_report.json"
+        doc = json.loads(path.read_text())
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+        path.write_text(json.dumps(doc))
+        assert cli.main(["train", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and named in err, err
+        assert not (tmp_path / "out" / "checkpoint").exists()
+
 
 class TestInfer:
     def test_posteriors_written_and_valid(self, toy_run):
@@ -314,6 +341,28 @@ class TestInfer:
         stack = gs.read_grid_stack(tmp_path / "out" / "posteriors" / "t1")
         for grid in stack.grids:
             assert not grid.valid_mask().any()
+
+    @pytest.mark.parametrize("name, edit, named", [
+        ("manifest.json", lambda raw: edit_json(raw, hidden=7), "shapes do not match"),
+        ("manifest.json", lambda raw: edit_json(raw, norm_std=0), "positive std"),
+        ("manifest.json", lambda raw: edit_json(raw, param_order=list(md.PARAM_ORDER[:-1])),
+         "param_order"),
+        ("enc_b1.f32", lambda raw: np.full(len(raw) // 4, np.nan, "<f4").tobytes(),
+         "non-finite weights"),
+        ("dec_w2.f32", lambda raw: raw[:-4], "4 per weight"),
+    ], ids=["hidden", "zero-norm-std", "short-param-order", "nan-blob", "truncated-blob"])
+    def test_bad_checkpoint_exits_2_naming_file(self, toy_run, capsys, name, edit, named):
+        tmp_path, config = toy_run
+        ckpt = tmp_path / "out" / "checkpoint"
+        assert cli.main(["prepare", "--config", str(config)]) == 0
+        assert cli.main(["train", "--config", str(config), "--epochs", "1"]) == 0
+        path = ckpt / name
+        path.write_bytes(edit(path.read_bytes()))
+        capsys.readouterr()
+        assert cli.main(["infer", "--config", str(config), "--checkpoint", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and named in err, err
+        assert not (tmp_path / "out" / "posteriors").exists()
 
 
 class TestAudit:

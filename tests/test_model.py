@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,8 @@ from vulnaudit import numcore as nc
 from vulnaudit.grid_store import CategoryField, GridStack, RasterGrid, StackKind, StackManifest
 from vulnaudit.numcore import Tape, Var
 
-from oracles import (central_difference, gcn_layer_saving_activations, max_relative_error,
+from oracles import (central_difference, gcn_layer_saving_activations,
+                     gcn_layer_width_ordered_saving_activations, max_relative_error,
                      softmax_reference)
 
 
@@ -310,40 +312,59 @@ class TestTrain:
 
 
 class TestTrainMemory:
-    """The tape keeps one array per graph convolution and gives the floats
-    of a layer that also kept A @ H and its ReLU mask."""
+    """The tape keeps one array per graph convolution, and its backward
+    reuses the adjoints it owns, without changing the floats of a layer that
+    makes the same products but also keeps A @ H and its ReLU mask."""
 
-    @pytest.mark.parametrize("n_sub", [1, 3])
-    def test_same_floats_as_layer_saving_activations(self, monkeypatch, n_sub):
+    @staticmethod
+    def train_with(monkeypatch, layer, n_sub):
         stack, prior, splits, _ = toy_dataset(seed=5, side=12, tile=4, timesteps=3)
         stack.grids[1] = RasterGrid(12, 12, np.zeros((12, 12), dtype=np.float32))
         config = md.TrainConfig(epochs=3, seed=9, n_subgraphs=n_sub)
-
-        def run():
-            return md.train(md.ModelParams.initialize(1, 2, hidden=7, seed=3),
-                            stack, prior, splits, config)
-
-        ours = run()
         calls = []
 
-        def oracle(*args):
+        def counted(*args):
             calls.append(1)
-            return gcn_layer_saving_activations(*args)
+            return layer(*args)
 
-        monkeypatch.setattr(nc, "gcn_layer", oracle)
-        theirs = run()
-        assert calls
-        assert len(ours.history) == 3
+        with monkeypatch.context() as patch:
+            patch.setattr(nc, "gcn_layer", counted)
+            result = md.train(md.ModelParams.initialize(1, 2, hidden=7, seed=3),
+                              stack, prior, splits, config)
+        assert calls and len(result.history) == 3
+        return result
+
+    @pytest.mark.parametrize("n_sub", [1, 3])
+    def test_same_floats_as_layer_saving_activations(self, monkeypatch, n_sub):
+        ours = self.train_with(monkeypatch, nc.gcn_layer, n_sub)
+        theirs = self.train_with(monkeypatch, gcn_layer_width_ordered_saving_activations,
+                                 n_sub)
         assert ([(e.train, e.val) for e in ours.history]
                 == [(e.train, e.val) for e in theirs.history])
         for name in md.PARAM_ORDER:
             assert (ours.params.weights[name].tobytes()
                     == theirs.params.weights[name].tobytes()), name
 
-    def test_forward_keeps_about_five_node_arrays(self):
-        # Bytes the tape holds after one training forward, in units of
-        # N x hidden float64: 5.5 measured here, against 10.2 when each layer
-        # also kept A @ H and a bool ReLU mask.
+    @pytest.mark.parametrize("n_sub", [1, 3])
+    def test_close_to_layer_in_the_old_product_order(self, monkeypatch, n_sub):
+        # (A @ H) @ W everywhere and a recomputed A @ H for grad-W: other
+        # roundings, so the results agree to 1e-12, not to the bit
+        ours = self.train_with(monkeypatch, nc.gcn_layer, n_sub)
+        theirs = self.train_with(monkeypatch, gcn_layer_saving_activations, n_sub)
+        for e_ours, e_theirs in zip(ours.history, theirs.history):
+            for part in ("train", "val"):
+                np.testing.assert_allclose(
+                    astuple(getattr(e_ours, part)), astuple(getattr(e_theirs, part)),
+                    rtol=0, atol=1e-12)
+        for name in md.PARAM_ORDER:
+            np.testing.assert_allclose(ours.params.weights[name],
+                                       theirs.params.weights[name], rtol=0, atol=1e-12,
+                                       err_msg=name)
+
+    @staticmethod
+    def training_forward():
+        """One 60x60 training forward (hidden 25, k 5) on a fresh tape, and the
+        bytes of one N x hidden float64 array."""
         graph = grid_graph(np.full((60, 60), 2.0))
         a_hat = gb.normalize_adjacency(graph)
         x, _ = gb.log_normalize(graph.features)
@@ -353,15 +374,42 @@ class TestTrainMemory:
         prior_p = rng.dirichlet(np.ones(k), size=n)
         mask = rng.random(n) < 0.7
         tape = Tape()
+
+        def forward():
+            return md._forward_losses(params, a_hat, x, prior_p, mask, md.TrainConfig(),
+                                      np.random.default_rng(1), tape)[0]
+
+        return tape, forward, n * hidden * 8
+
+    def test_forward_keeps_about_five_node_arrays(self):
+        # Bytes the tape holds after one training forward, in units of
+        # N x hidden float64: 5.5 measured here, against 10.2 when each layer
+        # also kept A @ H and a bool ReLU mask.
+        _, forward, unit = self.training_forward()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            md._forward_losses(params, a_hat, x, prior_p, mask, md.TrainConfig(),
-                               np.random.default_rng(1), tape)
+            forward()
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert held <= 6.0 * n * hidden * 8, held / (n * hidden * 8)
+        assert held <= 6.0 * unit, held / unit
+
+    def test_backward_peak_about_two_node_arrays(self):
+        # Peak bytes the backward allocates beyond the taped forward, in
+        # units of N x hidden float64: 2.2 measured here, against 4.2 when a
+        # square layer masked into a new dpre, made A.T @ (dpre @ W.T) and
+        # recomputed A @ H beside its adjoint.
+        tape, forward, unit = self.training_forward()
+        total = forward()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            nc.backward(tape, total)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.0 * unit, peak / unit
 
 
 class TestInferPosterior:

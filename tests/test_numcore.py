@@ -172,19 +172,19 @@ class TestGcnLayer:
                 expected = np.maximum(expected, 0.0)
             assert np.max(np.abs(out.value - expected)) < 1e-12
 
-    @pytest.mark.parametrize("activate", [False, True])
-    def test_gradient_check(self, activate):
-        rng = np.random.default_rng(23)
-        a, dense = random_sparse(rng, 6, 6, density=0.5)
-        arrays = {"h": rng.normal(size=(6, 4)), "w": rng.normal(size=(4, 3)),
-                  "b": rng.normal(size=3)}
-        project = rng.normal(size=(3, 1))  # a weighted loss, not a plain sum
+    @staticmethod
+    def check_gradient(rng, a, dense, f_in, f_out, activate):
+        """Central differences against the backward of one layer on A, its
+        output projected to one column so that entries weigh unequally."""
+        arrays = {"h": rng.normal(size=(a.shape[1], f_in)),
+                  "w": rng.normal(size=(f_in, f_out)), "b": rng.normal(size=f_out)}
+        project = rng.normal(size=(f_out, 1))  # a weighted loss, not a plain sum
         pre = (dense @ arrays["h"]) @ arrays["w"] + arrays["b"]
         assert np.abs(pre).min() > 1e-3  # central differences stay off the kink
 
         def forward(tape, h, w, b):
             out = nc.gcn_layer(tape, a, h, w, b, activate)
-            return nc.sum_all(tape, nc.gcn_layer(tape, eye(6), out, Var(project),
+            return nc.sum_all(tape, nc.gcn_layer(tape, eye(a.shape[0]), out, Var(project),
                                                  Var(np.zeros(1)), False))
 
         def loss():
@@ -192,6 +192,61 @@ class TestGcnLayer:
 
         tape = Tape()
         total = forward(tape, *(tape.param(n, arrays[n]) for n in ("h", "w", "b")))
+        grads = nc.backward(tape, total)
+        assert max_relative_error(grads, central_difference(loss, arrays)) < 1e-6
+
+    @pytest.mark.parametrize("activate", [False, True])
+    def test_gradient_check(self, activate):
+        rng = np.random.default_rng(23)
+        a, dense = random_sparse(rng, 6, 6, density=0.5)
+        self.check_gradient(rng, a, dense, 4, 3, activate)
+
+    @pytest.mark.parametrize("f_in, f_out", [(4, 3), (4, 4), (3, 5)],
+                             ids=["narrowing", "square", "widening"])
+    @pytest.mark.parametrize("a_rows, a_cols", [(7, 5), (6, 6)],
+                             ids=["rectangular", "square-asymmetric"])
+    def test_gradient_check_each_product_order(self, f_in, f_out, a_rows, a_cols):
+        # A @ (H @ W) or (A @ H) @ W forward, one or two sparse products
+        # backward; A.T, not A, carries the adjoint back to H
+        rng = np.random.default_rng(29)
+        a, dense = random_sparse(rng, a_rows, a_cols, density=0.5)
+        assert a_rows != a_cols or np.abs(dense - dense.T).max() > 0.1
+        self.check_gradient(rng, a, dense, f_in, f_out, True)
+
+    def test_owned_adjoints_under_fan_out_and_pass_through(self):
+        # g1 feeds two layers, and g4 reaches g5 through add_const. Each
+        # layer masks its adjoint and may write grad-H into it, so an adjoint
+        # shared by two entries, or one that add_const's pass-through left
+        # held elsewhere, would corrupt a gradient.
+        rng = np.random.default_rng(31)
+        a, dense = random_sparse(rng, 6, 6, density=0.5)
+        shapes = {"h": (6, 3), "w1": (3, 3), "w2": (3, 3), "w3": (3, 3), "w4": (3, 5),
+                  "w5": (5, 3), "b1": (3,), "b2": (3,), "b3": (3,), "b4": (5,), "b5": (3,)}
+        arrays = {n: rng.normal(size=shape) for n, shape in shapes.items()}
+        c = rng.normal(size=(6, 5))
+        project = rng.normal(size=(3, 1))
+
+        def forward(tape, v, margins=None):
+            def layer(x, i, activate):
+                if margins is not None and activate:
+                    pre = dense @ x.value @ v[f"w{i}"].value + v[f"b{i}"].value
+                    margins.append(np.abs(pre).min())
+                return nc.gcn_layer(tape, a, x, v[f"w{i}"], v[f"b{i}"], activate)
+
+            g1 = layer(v["h"], 1, True)
+            g2, g3 = layer(g1, 2, True), layer(g1, 3, False)
+            g5 = layer(nc.add_const(tape, layer(v["h"], 4, True), c), 5, True)
+            total = nc.weighted_sum(tape, [g2, g3, g5], [1.0, 1.0, -0.5])
+            return nc.sum_all(tape, nc.gcn_layer(tape, eye(6), total, Var(project),
+                                                 Var(np.zeros(1)), False))
+
+        def loss():
+            return float(forward(Tape(), {n: Var(x) for n, x in arrays.items()}).value)
+
+        margins = []
+        tape = Tape()
+        total = forward(tape, {n: tape.param(n, x) for n, x in arrays.items()}, margins)
+        assert min(margins) > 1e-3  # central differences stay off the kink
         grads = nc.backward(tape, total)
         assert max_relative_error(grads, central_difference(loss, arrays)) < 1e-6
 
