@@ -109,8 +109,12 @@ class EncoderOutput:
     probabilities: Var
 
 
-def _register(tape: Tape, params: ModelParams) -> dict[str, Var]:
-    return {name: tape.param(name, params.weights[name]) for name in PARAM_ORDER}
+def _stack_layers(tape: Tape, params: ModelParams,
+                  stack: str) -> tuple[tuple[Var, Var], ...]:
+    """Register every parameter on the tape (once); return the (W, b) pairs
+    of the ``enc`` or ``dec`` stack."""
+    pv = {name: tape.param(name, params.weights[name]) for name in PARAM_ORDER}
+    return tuple((pv[f"{stack}_w{i}"], pv[f"{stack}_b{i}"]) for i in (1, 2, 3))
 
 
 def encode(params: ModelParams, a_hat: sp.csr_matrix, x: np.ndarray,
@@ -120,10 +124,7 @@ def encode(params: ModelParams, a_hat: sp.csr_matrix, x: np.ndarray,
     if x.ndim != 2 or x.shape[1] != params.f_dim:
         raise ValueError(f"feature-dimension mismatch: got {x.shape}, expected (*, {params.f_dim})")
     tape = tape if tape is not None else Tape()
-    pv = _register(tape, params)
-    h = nc.gcn_layer(tape, a_hat, tape.constant(x), pv["enc_w1"], pv["enc_b1"], True)
-    h = nc.gcn_layer(tape, a_hat, h, pv["enc_w2"], pv["enc_b2"], True)
-    logits = nc.gcn_layer(tape, a_hat, h, pv["enc_w3"], pv["enc_b3"], False)
+    logits = nc.gcn_block(tape, a_hat, tape.constant(x), _stack_layers(tape, params, "enc"))
     return EncoderOutput(logits, nc.softmax_rows(tape, logits))
 
 
@@ -133,10 +134,7 @@ def decode(params: ModelParams, a_hat: sp.csr_matrix, v: Var,
     if v.value.shape[1] != params.k_cats:
         raise ValueError(f"latent dimension mismatch: got {v.value.shape}, "
                          f"expected (*, {params.k_cats})")
-    pv = _register(tape, params)
-    h = nc.gcn_layer(tape, a_hat, v, pv["dec_w1"], pv["dec_b1"], True)
-    h = nc.gcn_layer(tape, a_hat, h, pv["dec_w2"], pv["dec_b2"], True)
-    return nc.gcn_layer(tape, a_hat, h, pv["dec_w3"], pv["dec_b3"], False)
+    return nc.gcn_block(tape, a_hat, v, _stack_layers(tape, params, "dec"))
 
 
 def sample_gumbel(shape, rng: np.random.Generator) -> np.ndarray:

@@ -1,15 +1,20 @@
 """Reverse-mode tape over the handful of kernels the model needs.
 
-Every kernel carries a hand-derived backward rule. The graph convolution is
-one fused entry, ``gcn_layer``, taking its normalized adjacency as a scipy
-CSR matrix. Values are float64 ndarrays end to end (raster storage elsewhere
-is float32 and gets upcast on entry), and each kernel checks its output so a
-diverging run fails naming the op that produced the first non-finite value.
+Every kernel carries a hand-derived backward rule. Graph convolutions take
+their normalized adjacency as a scipy CSR matrix: ``gcn_layer`` is one
+convolution, and ``gcn_block`` is the model's three-layer stack (ReLU, ReLU,
+linear) as one entry. Values are float64 ndarrays end to end (raster storage
+elsewhere is float32 and gets upcast on entry), and each kernel checks its
+output so a diverging run fails naming the op that produced the first
+non-finite value.
 
-The tape keeps one N x width array per graph convolution, its output, and
-the layer multiplies by A at the narrower of its two widths, forward and
-backward (see ``gcn_layer``). The backward hands every rule an adjoint the
-rule owns, so a rule may reuse it as scratch space (see ``backward``).
+Each convolution multiplies by A at the narrower of its two widths, forward
+and backward; the layer and the block share that per-layer product and
+gradient rule. A ``gcn_layer`` entry keeps its output; a ``gcn_block``
+entry keeps A @ H (or the first activation, when the first layer does not
+widen) and the middle activation, and recomputes the first activation in
+its backward. The backward hands every rule an adjoint the rule owns, so a
+rule may reuse it as scratch space (see ``backward``).
 """
 
 from __future__ import annotations
@@ -117,6 +122,53 @@ def backward(tape: Tape, loss: Var) -> dict[str, np.ndarray]:
     return tape.grads
 
 
+def _narrows(w: np.ndarray) -> bool:
+    """The width rule: A multiplies H @ W when W narrows or keeps the width,
+    and H when W widens, so the sparse product runs at the narrower width."""
+    return w.shape[1] <= w.shape[0]
+
+
+def _check_shapes(op: str, a: sp.csr_matrix, h_shape: tuple[int, ...], w: np.ndarray,
+                  b: np.ndarray) -> None:
+    if (len(h_shape) != 2 or w.ndim != 2 or a.shape[1] != h_shape[0]
+            or h_shape[1] != w.shape[0] or b.shape != (w.shape[1],)):
+        raise ValueError(f"{op} shape mismatch: A {a.shape}, H {h_shape}, "
+                         f"W {w.shape}, b {b.shape}")
+
+
+def _first_product(a: sp.csr_matrix, h: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """A layer's first product, at its narrower width: H @ W or A @ H."""
+    return h @ w if _narrows(w) else a @ h
+
+
+def _finish_layer(a: sp.csr_matrix, first: np.ndarray, w: np.ndarray,
+                  b: np.ndarray, activate: bool) -> np.ndarray:
+    """A @ (H @ W) + b or (A @ H) @ W + b from the first product, checked
+    for finiteness before the ReLU (which would map a -inf to 0)."""
+    pre = a @ first if _narrows(w) else first @ w
+    pre += b
+    _check_finite("gcn_layer", pre)
+    if activate:
+        np.maximum(pre, 0.0, out=pre)  # subgradient at 0 is 0
+    return pre
+
+
+def _layer_grads(a: sp.csr_matrix, dpre: np.ndarray, h: np.ndarray, w: np.ndarray,
+                 ah: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(grad-H, grad-W, grad-b) of one layer from its adjoint ``dpre``,
+    already masked by the ReLU. The rule owns ``dpre`` and may write grad-H
+    into it. A widening layer takes grad-W from A @ H: ``ah`` when the
+    caller kept it, else recomputed."""
+    grad_b = dpre.sum(axis=0)
+    if not _narrows(w):
+        ah = a @ h if ah is None else ah
+        return a.T @ (dpre @ w.T), ah.T @ dpre, grad_b
+    s = a.T @ dpre
+    grad_w = h.T @ s
+    grad_h = np.matmul(s, w.T, out=dpre) if dpre.shape == h.shape else s @ w.T
+    return grad_h, grad_w, grad_b
+
+
 def gcn_layer(tape: Tape, a: sp.csr_matrix, h: Var, w: Var, b: Var,
               activate: bool) -> Var:
     """One graph convolution, out = A @ H @ W + b, ReLU'd when ``activate``.
@@ -139,29 +191,64 @@ def gcn_layer(tape: Tape, a: sp.csr_matrix, h: Var, w: Var, b: Var,
     ``A.T`` keeps the rule right for a rectangular or asymmetric A.
     """
     hv, wv, bv = h.value, w.value, b.value
-    if (hv.ndim != 2 or wv.ndim != 2 or a.shape[1] != hv.shape[0]
-            or hv.shape[1] != wv.shape[0] or bv.shape != (wv.shape[1],)):
-        raise ValueError(f"gcn_layer shape mismatch: A {a.shape}, H {hv.shape}, "
-                         f"W {wv.shape}, b {bv.shape}")
-    narrows = wv.shape[1] <= wv.shape[0]
-    pre = a @ (hv @ wv) if narrows else (a @ hv) @ wv
-    pre += bv
-    _check_finite("gcn_layer", pre)
-    if activate:
-        np.maximum(pre, 0.0, out=pre)  # subgradient at 0 is 0
+    _check_shapes("gcn_layer", a, hv.shape, wv, bv)
+    pre = _finish_layer(a, _first_product(a, hv, wv), wv, bv, activate)
     out = Var(pre)
 
     def bwd(dpre):  # the adjoint, owned: masked and reused in place
         if activate:
             dpre *= pre > 0.0
-        grad_b = dpre.sum(axis=0)
-        if not narrows:
-            return ((h, a.T @ (dpre @ wv.T)), (w, (a @ hv).T @ dpre), (b, grad_b))
-        s = a.T @ dpre
-        grad_w = hv.T @ s
-        grad_h = (np.matmul(s, wv.T, out=dpre) if dpre.shape == hv.shape
-                  else s @ wv.T)
+        grad_h, grad_w, grad_b = _layer_grads(a, dpre, hv, wv)
         return ((h, grad_h), (w, grad_w), (b, grad_b))
+
+    tape.record(out, bwd)
+    return out
+
+
+def gcn_block(tape: Tape, a: sp.csr_matrix, h: Var,
+              layers: tuple[tuple[Var, Var], tuple[Var, Var], tuple[Var, Var]]) -> Var:
+    """Three graph convolutions on one A, ReLU, ReLU, then linear, as one
+    tape entry: the same products, in the same order, as three
+    ``gcn_layer`` calls, so the same floats.
+
+    The entry keeps two arrays: A @ H when the first layer widens (Z1 when
+    it narrows or keeps the width) and Z2, the second layer's output. The
+    forward drops Z1 once Z1 @ W2 exists, before the second sparse product.
+    The backward takes layer 3's gradients from Z2, masks dZ2 by Z2 > 0 and
+    drops Z2, recomputes Z1 = ReLU((A @ H) @ W1 + b1) from the kept A @ H (the
+    same product on the same arrays, so the same bits), takes layer 2's
+    gradients with dZ1 written into dZ2's buffer, masks dZ1 by Z1 > 0, drops
+    Z1, and ends with layer 1's gradients.
+    """
+    (w1, b1), (w2, b2), (w3, b3) = layers
+    hv = h.value
+    shape = hv.shape
+    for i, (w, b) in enumerate(layers, 1):
+        _check_shapes(f"gcn_block layer {i}", a, shape, w.value, b.value)
+        shape = (a.shape[0], w.value.shape[1])
+    w1v, w2v, w3v = w1.value, w2.value, w3.value
+    widens = not _narrows(w1v)
+    first = _first_product(a, hv, w1v)
+    z1 = _finish_layer(a, first, w1v, b1.value, True)
+    kept = first if widens else z1  # the narrow A @ H, or Z1
+    first = _first_product(a, z1, w2v)
+    z1 = None
+    z2 = _finish_layer(a, first, w2v, b2.value, True)
+    first = None
+    out = Var(_finish_layer(a, _first_product(a, z2, w3v), w3v, b3.value, False))
+
+    def bwd(d3):  # the adjoint, owned
+        nonlocal z2
+        dz2, grad_w3, grad_b3 = _layer_grads(a, d3, z2, w3v)
+        dz2 *= z2 > 0.0
+        z2 = None
+        z1 = _finish_layer(a, kept, w1v, b1.value, True) if widens else kept
+        dz1, grad_w2, grad_b2 = _layer_grads(a, dz2, z1, w2v)
+        dz1 *= z1 > 0.0
+        z1 = None
+        grad_h, grad_w1, grad_b1 = _layer_grads(a, dz1, hv, w1v, kept if widens else None)
+        return ((h, grad_h), (w1, grad_w1), (b1, grad_b1), (w2, grad_w2),
+                (b2, grad_b2), (w3, grad_w3), (b3, grad_b3))
 
     tape.record(out, bwd)
     return out

@@ -158,3 +158,15 @@ def gcn_layer_width_ordered_saving_activations(tape, a, h, w, b, activate: bool)
 
     tape.record(out, bwd)
     return out
+
+
+def gcn_block_of(layer):
+    """``numcore.gcn_block`` as three taped calls of ``layer``, one tape entry
+    each."""
+    def block(tape, a, h, layers):
+        (w1, b1), (w2, b2), (w3, b3) = layers
+        h = layer(tape, a, h, w1, b1, True)
+        h = layer(tape, a, h, w2, b2, True)
+        return layer(tape, a, h, w3, b3, False)
+
+    return block

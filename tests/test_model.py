@@ -12,7 +12,7 @@ from vulnaudit import numcore as nc
 from vulnaudit.grid_store import CategoryField, GridStack, RasterGrid, StackKind, StackManifest
 from vulnaudit.numcore import Tape, Var
 
-from oracles import (central_difference, gcn_layer_saving_activations,
+from oracles import (central_difference, gcn_block_of, gcn_layer_saving_activations,
                      gcn_layer_width_ordered_saving_activations, max_relative_error,
                      softmax_reference)
 
@@ -312,12 +312,13 @@ class TestTrain:
 
 
 class TestTrainMemory:
-    """The tape keeps one array per graph convolution, and its backward
-    reuses the adjoints it owns, without changing the floats of a layer that
-    makes the same products but also keeps A @ H and its ReLU mask."""
+    """Each three-layer stack is one tape entry keeping two arrays, and its
+    backward reuses the adjoints it owns, without changing the floats of
+    three layers that make the same products but also keep A @ H, their
+    ReLU masks and every activation."""
 
     @staticmethod
-    def train_with(monkeypatch, layer, n_sub):
+    def train_with(monkeypatch, block, n_sub):
         stack, prior, splits, _ = toy_dataset(seed=5, side=12, tile=4, timesteps=3)
         stack.grids[1] = RasterGrid(12, 12, np.zeros((12, 12), dtype=np.float32))
         config = md.TrainConfig(epochs=3, seed=9, n_subgraphs=n_sub)
@@ -325,10 +326,10 @@ class TestTrainMemory:
 
         def counted(*args):
             calls.append(1)
-            return layer(*args)
+            return block(*args)
 
         with monkeypatch.context() as patch:
-            patch.setattr(nc, "gcn_layer", counted)
+            patch.setattr(nc, "gcn_block", counted)
             result = md.train(md.ModelParams.initialize(1, 2, hidden=7, seed=3),
                               stack, prior, splits, config)
         assert calls and len(result.history) == 3
@@ -336,9 +337,9 @@ class TestTrainMemory:
 
     @pytest.mark.parametrize("n_sub", [1, 3])
     def test_same_floats_as_layer_saving_activations(self, monkeypatch, n_sub):
-        ours = self.train_with(monkeypatch, nc.gcn_layer, n_sub)
-        theirs = self.train_with(monkeypatch, gcn_layer_width_ordered_saving_activations,
-                                 n_sub)
+        ours = self.train_with(monkeypatch, nc.gcn_block, n_sub)
+        theirs = self.train_with(
+            monkeypatch, gcn_block_of(gcn_layer_width_ordered_saving_activations), n_sub)
         assert ([(e.train, e.val) for e in ours.history]
                 == [(e.train, e.val) for e in theirs.history])
         for name in md.PARAM_ORDER:
@@ -349,8 +350,9 @@ class TestTrainMemory:
     def test_close_to_layer_in_the_old_product_order(self, monkeypatch, n_sub):
         # (A @ H) @ W everywhere and a recomputed A @ H for grad-W: other
         # roundings, so the results agree to 1e-12, not to the bit
-        ours = self.train_with(monkeypatch, nc.gcn_layer, n_sub)
-        theirs = self.train_with(monkeypatch, gcn_layer_saving_activations, n_sub)
+        ours = self.train_with(monkeypatch, nc.gcn_block, n_sub)
+        theirs = self.train_with(monkeypatch, gcn_block_of(gcn_layer_saving_activations),
+                                 n_sub)
         for e_ours, e_theirs in zip(ours.history, theirs.history):
             for part in ("train", "val"):
                 np.testing.assert_allclose(
@@ -362,54 +364,67 @@ class TestTrainMemory:
                                        err_msg=name)
 
     @staticmethod
-    def training_forward():
-        """One 60x60 training forward (hidden 25, k 5) on a fresh tape, and the
-        bytes of one N x hidden float64 array."""
+    def training_graph():
+        """The 60x60 graph's A and features, model parameters (hidden 25,
+        k 5), and the bytes of one N x hidden float64 array."""
         graph = grid_graph(np.full((60, 60), 2.0))
         a_hat = gb.normalize_adjacency(graph)
         x, _ = gb.log_normalize(graph.features)
-        n, hidden, k = graph.n_nodes, 25, 5
-        params = random_params(k=k, hidden=hidden, seed=1)
+        hidden = 25
+        return a_hat, x, random_params(k=5, hidden=hidden, seed=1), graph.n_nodes * hidden * 8
+
+    @classmethod
+    def training_forward(cls):
+        """One 60x60 training forward on a fresh tape, and the unit."""
+        a_hat, x, params, unit = cls.training_graph()
         rng = np.random.default_rng(0)
-        prior_p = rng.dirichlet(np.ones(k), size=n)
-        mask = rng.random(n) < 0.7
+        prior_p = rng.dirichlet(np.ones(params.k_cats), size=len(x))
+        mask = rng.random(len(x)) < 0.7
         tape = Tape()
 
         def forward():
             return md._forward_losses(params, a_hat, x, prior_p, mask, md.TrainConfig(),
                                       np.random.default_rng(1), tape)[0]
 
-        return tape, forward, n * hidden * 8
+        return tape, forward, unit
 
-    def test_forward_keeps_about_five_node_arrays(self):
+    @staticmethod
+    def traced(fn):
+        """(bytes held after ``fn``, peak bytes during it), both beyond what
+        was held before it."""
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = fn()  # noqa: F841  (held until measured)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return held - before, peak - before
+
+    def test_forward_keeps_about_four_node_arrays(self):
         # Bytes the tape holds after one training forward, in units of
-        # N x hidden float64: 5.5 measured here, against 10.2 when each layer
-        # also kept A @ H and a bool ReLU mask.
+        # N x hidden float64: 3.76 measured here, 5.52 when each layer was
+        # its own entry keeping its output, 10.2 when each also kept A @ H
+        # and a bool ReLU mask.
         _, forward, unit = self.training_forward()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            forward()
-            held = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert held <= 6.0 * unit, held / unit
+        held, _ = self.traced(forward)
+        assert held <= 4.25 * unit, held / unit
 
-    def test_backward_peak_about_two_node_arrays(self):
-        # Peak bytes the backward allocates beyond the taped forward, in
-        # units of N x hidden float64: 2.2 measured here, against 4.2 when a
-        # square layer masked into a new dpre, made A.T @ (dpre @ W.T) and
-        # recomputed A @ H beside its adjoint.
+    def test_step_peak_about_six_node_arrays(self):
+        # Peak bytes of one training forward and backward together, in units
+        # of N x hidden float64: 6.00 measured here, 7.73 when each layer was
+        # its own entry keeping its output. Tracing starts before the
+        # forward, so the arrays the backward frees count as freed.
         tape, forward, unit = self.training_forward()
-        total = forward()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            nc.backward(tape, total)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3.0 * unit, peak / unit
+        _, peak = self.traced(lambda: nc.backward(tape, forward()))
+        assert peak <= 6.5 * unit, peak / unit
+
+    def test_encode_peak_about_two_node_arrays(self):
+        # Peak bytes of encode on a fresh tape, as infer runs it: 2.19 units
+        # measured here, 3.03 when Z1 lived beside Z1 @ W2 and A @ (Z1 @ W2).
+        a_hat, x, params, unit = self.training_graph()
+        _, peak = self.traced(lambda: md.encode(params, a_hat, x))
+        assert peak <= 2.25 * unit, peak / unit
 
 
 class TestInferPosterior:

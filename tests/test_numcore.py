@@ -271,6 +271,124 @@ class TestGcnLayer:
                 gcn(Tape(), eye(1), [[10.0]], [[-1e308]], [0.0], activate=True)
 
 
+BLOCK_NAMES = ("h", "w1", "b1", "w2", "b2", "w3", "b3")
+
+
+class TestGcnBlock:
+    """gcn_block: three layers on one A, ReLU, ReLU, linear, as one entry
+    that keeps A @ H (or Z1) and Z2 and recomputes Z1 in the backward."""
+
+    @staticmethod
+    def block_arrays(rng, n, f_in, hidden, f_out):
+        widths = {"w1": (f_in, hidden), "w2": (hidden, hidden), "w3": (hidden, f_out)}
+        arrays = {"h": rng.normal(size=(n, f_in))}
+        for i in (1, 2, 3):
+            arrays[f"w{i}"] = rng.normal(size=widths[f"w{i}"])
+            arrays[f"b{i}"] = rng.normal(size=widths[f"w{i}"][1])
+        return arrays
+
+    @staticmethod
+    def block(tape, a, v):
+        return nc.gcn_block(tape, a, v["h"], tuple((v[f"w{i}"], v[f"b{i}"]) for i in (1, 2, 3)))
+
+    @staticmethod
+    def three_layers(tape, a, v):
+        h = nc.gcn_layer(tape, a, v["h"], v["w1"], v["b1"], True)
+        h = nc.gcn_layer(tape, a, h, v["w2"], v["b2"], True)
+        return nc.gcn_layer(tape, a, h, v["w3"], v["b3"], False)
+
+    @staticmethod
+    def a_of(rng, kind, n=6):
+        a, dense = random_sparse(rng, n, n, density=0.5)
+        if kind == "symmetric":
+            dense = dense + dense.T
+            a = sp.csr_matrix(dense)
+        else:
+            assert np.abs(dense - dense.T).max() > 0.1
+        return a, dense
+
+    WIDTHS = pytest.mark.parametrize("f_in, hidden, f_out", [(2, 4, 3), (3, 3, 2), (5, 3, 4)],
+                                     ids=["first-widening", "first-square",
+                                          "first-narrowing"])
+    A_KINDS = pytest.mark.parametrize("kind", ["symmetric", "asymmetric"])
+
+    @staticmethod
+    def projected(tape, stack, a, v, project):
+        """The stack's output projected to one column and summed, so that
+        its entries weigh unequally."""
+        return nc.sum_all(tape, nc.gcn_layer(tape, eye(a.shape[0]), stack(tape, a, v),
+                                             Var(project), Var(np.zeros(1)), False))
+
+    @WIDTHS
+    @A_KINDS
+    def test_gradient_check(self, f_in, hidden, f_out, kind):
+        # all seven inputs by central differences
+        rng = np.random.default_rng(37)
+        a, dense = self.a_of(rng, kind)
+        arrays = self.block_arrays(rng, 6, f_in, hidden, f_out)
+        project = rng.normal(size=(f_out, 1))
+        z = arrays["h"]
+        for i in (1, 2):  # central differences stay off the kink
+            pre = dense @ z @ arrays[f"w{i}"] + arrays[f"b{i}"]
+            assert np.abs(pre).min() > 1e-3
+            z = np.maximum(pre, 0.0)
+
+        def loss():
+            v = {n: Var(x) for n, x in arrays.items()}
+            return float(self.projected(Tape(), self.block, a, v, project).value)
+
+        tape = Tape()
+        v = {n: tape.param(n, arrays[n]) for n in BLOCK_NAMES}
+        grads = nc.backward(tape, self.projected(tape, self.block, a, v, project))
+        assert set(grads) == set(BLOCK_NAMES)
+        assert max_relative_error(grads, central_difference(loss, arrays)) < 1e-6
+
+    @WIDTHS
+    @A_KINDS
+    def test_same_bits_as_three_layers(self, f_in, hidden, f_out, kind):
+        rng = np.random.default_rng(41)
+        a, _ = self.a_of(rng, kind)
+        arrays = self.block_arrays(rng, 6, f_in, hidden, f_out)
+        project = rng.normal(size=(f_out, 1))
+        results = []
+        for stack in (self.block, self.three_layers):
+            tape = Tape()
+            v = {n: tape.param(n, arrays[n]) for n in BLOCK_NAMES}
+            total = self.projected(tape, stack, a, v, project)
+            grads = nc.backward(tape, total)
+            results.append((total.value.tobytes(), {n: g.tobytes() for n, g in grads.items()}))
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("a_shape, shapes", [
+        ((3, 3), {"h": (3, 2), "w1": (3, 4)}),   # H columns != W1 rows
+        ((3, 3), {"w2": (3, 4)}),                # W2 rows != W1 columns
+        ((3, 3), {"w3": (2, 2)}),                # W3 rows != W2 columns
+        ((3, 3), {"b2": (2,)}),                  # bias length != W2 columns
+        ((3, 3), {"b3": (1, 2)}),
+        ((3, 3), {"w1": (2,)}),                  # W1 not a matrix
+        ((3, 4), {"h": (4, 2)}),                 # A not square: Z1 has 3 rows
+        ((3, 3), {"h": (4, 2)}),                 # A columns != H rows
+    ])
+    def test_shape_mismatch(self, a_shape, shapes):
+        default = {"h": (3, 2), "w1": (2, 4), "b1": (4,), "w2": (4, 4), "b2": (4,),
+                   "w3": (4, 2), "b3": (2,)}
+        v = {n: Var(np.ones({**default, **shapes}[n])) for n in BLOCK_NAMES}
+        with pytest.raises(ValueError, match="gcn_block layer [123] shape mismatch"):
+            self.block(Tape(), sp.csr_matrix(np.ones(a_shape)), v)
+
+    @pytest.mark.parametrize("h, w1, w2, w3", [
+        (10.0, -1e308, 1.0, 1.0),    # layer 1: -inf, which its ReLU would hide
+        (1.0, 1e300, -1e300, 1.0),   # layer 2: -inf, likewise
+        (1.0, 1e300, 1.0, 1e300),    # layer 3: +inf
+    ], ids=["layer-1", "layer-2", "layer-3"])
+    def test_nonfinite_in_each_layer_raises(self, h, w1, w2, w3):
+        v = {"h": h, "w1": w1, "b1": 0.0, "w2": w2, "b2": 0.0, "w3": w3, "b3": 0.0}
+        v = {n: Var(np.full((1, 1) if n[0] in "hw" else (1,), x)) for n, x in v.items()}
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteError, match="gcn_layer produced non-finite values"):
+                self.block(Tape(), eye(1), v)
+
+
 class TestSoftmaxRows:
     def test_uniform(self):
         out = nc.softmax_rows(Tape(), Var(np.zeros((2, 4))))
