@@ -1,10 +1,11 @@
 """Rasters to graphs: tiling, node filtering, 8-neighbor adjacency, feature
 normalization, balanced splits, and per-epoch subgraph sampling with edge
-dropout."""
+dropout, each subgraph built from the raster when it is drawn."""
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -80,11 +81,6 @@ class SplitAssignment:
         return [*self.train, *self.test, *self.validation]
 
 
-@dataclass
-class EpochSample:
-    subgraphs: list[GridGraph]
-
-
 def tile_region(width: int, height_px: int, tile_size: int = DEFAULT_TILE_SIZE) -> list[Tile]:
     """Cover the extent with non-overlapping tiles; boundary tiles are clipped."""
     if width <= 0 or height_px <= 0:
@@ -117,12 +113,15 @@ def node_mask(heights: RasterGrid, tiles: list[Tile]) -> np.ndarray:
 
 
 def build_graph(heights: RasterGrid, tiles: list[Tile]) -> GridGraph:
-    """Nodes are in-tile pixels with height > 0; edges join 8-neighbor nodes.
+    """Nodes are in-tile pixels with height > 0; edges join 8-neighbor nodes."""
+    return _mask_graph(heights, node_mask(heights, tiles))
 
-    The adjacency is written as sorted CSR directly: row i lists the node
-    indices found at node i's eight neighbor offsets, in row-major order, in
-    an index raster padded with -1."""
-    mask = node_mask(heights, tiles)
+
+def _mask_graph(heights: RasterGrid, mask: np.ndarray) -> GridGraph:
+    """The 8-neighbor graph on the pixels of ``mask``, nodes in row-major
+    order. The adjacency is written as sorted CSR directly: row i lists the
+    node indices found at node i's eight neighbor offsets, in row-major
+    order, in an index raster padded with -1."""
     ys, xs = np.nonzero(mask)  # row-major node order
     n = len(xs)
     h, w = mask.shape
@@ -273,12 +272,6 @@ def _category_distribution(tiles: list[Tile]) -> dict[int, float]:
     return {k: v / total for k, v in counts.items()}
 
 
-def _induced_subgraph(graph: GridGraph, nodes: np.ndarray) -> GridGraph:
-    nodes = np.sort(nodes)
-    sub_adj = graph.adjacency[nodes][:, nodes]
-    return GridGraph(graph.node_pixels[nodes], sub_adj, graph.features[nodes])
-
-
 def _drop_edges(graph: GridGraph, fraction: float, rng: np.random.Generator) -> GridGraph:
     """Remove ``round(fraction * m)`` of the m undirected edges, both arcs of
     each. The one rng draw is ``rng.choice(m, n_drop, replace=False)`` over
@@ -293,27 +286,29 @@ def _drop_edges(graph: GridGraph, fraction: float, rng: np.random.Generator) -> 
     return GridGraph(graph.node_pixels, upper + upper.T, graph.features)
 
 
-def sample_epoch(train_graph: GridGraph, n_subgraphs: int,
-                 dropout: float = DEFAULT_EDGE_DROPOUT, seed: int = 0) -> EpochSample:
-    """Randomly partition the training nodes into near-equal induced subgraphs
-    and drop the configured fraction of each subgraph's undirected edges
-    (both directions removed). Deterministic given the seed.
-
-    The rng contract: one ``permutation(n)`` splits the nodes into parts, then
-    each part in turn makes ``_drop_edges``'s one ``choice`` over its
-    upper-triangle arcs in CSR order. The permutation is drawn even for a
-    single part, whose induced subgraph is the whole graph."""
-    n = train_graph.n_nodes
+def epoch_subgraphs(heights: RasterGrid, tiles: list[Tile], n_subgraphs: int,
+                    dropout: float = DEFAULT_EDGE_DROPOUT, seed: int = 0) -> Iterator[GridGraph]:
+    """One epoch's training subgraphs: the nodes of ``build_graph(heights,
+    tiles)`` split at random into ``n_subgraphs`` near-equal parts, each part's
+    induced subgraph with ``round(dropout * m)`` of its m undirected edges
+    dropped. Deterministic given the seed: one ``permutation(n)`` over the
+    row-major nodes, split by ``np.array_split``, then per part in order
+    ``_drop_edges``'s one ``choice``. The permutation is drawn, and bad
+    arguments raise, at the call; until the last part the iterator keeps only
+    a raster of part ids and the rng. Each part is built when it is drawn, as
+    the 8-neighbor graph on its pixels, with raw heights as features."""
+    pixels = np.flatnonzero(node_mask(heights, tiles))  # row-major nodes
+    n = len(pixels)
     if n_subgraphs < 1 or n_subgraphs > n:
         raise ValueError(f"n_subgraphs must be in [1, {n}]")
     if not 0.0 <= dropout < 1.0:
         raise ValueError("dropout must lie in [0, 1)")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    perm = rng.permutation(n)
-    subgraphs = ([train_graph] if n_subgraphs == 1 else
-                 [_induced_subgraph(train_graph, part)
-                  for part in np.array_split(perm, n_subgraphs)])
-    return EpochSample([_drop_edges(g, dropout, rng) for g in subgraphs])
+    part_ids = np.zeros((heights.height_px, heights.width), np.min_scalar_type(n_subgraphs))
+    for i, part in enumerate(np.array_split(rng.permutation(n), n_subgraphs), 1):
+        part_ids.flat[pixels[part]] = i
+    return (_drop_edges(_mask_graph(heights, part_ids == i), dropout, rng)
+            for i in range(1, n_subgraphs + 1))
 
 
 def auto_n_subgraphs(n_nodes: int) -> int:

@@ -20,9 +20,9 @@ import scipy.sparse as sp
 
 from . import numcore as nc
 from .graph_build import (DEFAULT_EDGE_DROPOUT, MAX_SUBGRAPH_NODES, NODE_FEATURES,
-                          EpochSample, GridGraph, NormStats, SplitAssignment, Tile,
-                          auto_n_subgraphs, build_graph, fit_norm_stats, log_normalize,
-                          node_mask, normalize_adjacency, sample_epoch, tile_region)
+                          GridGraph, NormStats, SplitAssignment, Tile, auto_n_subgraphs,
+                          build_graph, epoch_subgraphs, fit_norm_stats, log_normalize,
+                          node_mask, normalize_adjacency, tile_region)
 from .grid_store import (DEFAULT_NODATA, CategoryField, GridStack, RasterGrid, StackKind,
                          _staged_dir, stack_to_field)
 from .numcore import NonFiniteError, Tape, Var
@@ -336,13 +336,16 @@ def _mean_breakdown(items: list[LossBreakdown]) -> LossBreakdown:
                          sum(b.total for b in items) / n)
 
 
-def _sample_timestep(grid: RasterGrid, tiles: list[Tile], norm_stats: NormStats,
-                     n_sub: int, dropout: float, seed: int) -> EpochSample:
-    """One timestep's training graph, with normalized features, sampled for
-    one epoch; the whole-region graph is dropped on return."""
-    g = build_graph(grid, tiles)
-    feats, _ = log_normalize(g.features, norm_stats)
-    return sample_epoch(GridGraph(g.node_pixels, g.adjacency, feats), n_sub, dropout, seed)
+def _validation_losses(params: ModelParams, grid: RasterGrid, tiles: list[Tile],
+                       norm_stats: NormStats, prior: CategoryField,
+                       config: TrainConfig) -> LossBreakdown | None:
+    """Noise-free losses on a validation graph built for the call; None without nodes."""
+    graph = build_graph(grid, tiles)
+    if not graph.n_nodes:
+        return None
+    feats, _ = log_normalize(graph.features, norm_stats)
+    prior_p, mask = node_prior(prior, graph)
+    return evaluate_losses(params, normalize_adjacency(graph), feats, prior_p, mask, config)
 
 
 def train(params: ModelParams, height_series: GridStack, prior: CategoryField,
@@ -355,32 +358,22 @@ def train(params: ModelParams, height_series: GridStack, prior: CategoryField,
     computed on the validation tiles with no dropout and no sampling noise.
     Fully deterministic given ``config.seed``.
 
-    No whole-region training graph outlives its epoch: each epoch builds
-    one timestep's graph at a time and keeps only its sampled subgraphs.
+    Between steps train holds only each timestep's partition, as a raster of
+    part ids (see ``epoch_subgraphs``): each step's graph is built from the
+    raster when the step runs and dropped before the next is built, and each
+    validation graph lives only while its losses are computed.
     """
-    labels = list(height_series.manifest.layer_labels)
     if norm_stats is None:
         norm_stats = fit_norm_stats(height_series.grids, splits.train)
     # the timesteps that have training nodes, and their node counts
     train_grids: dict[str, RasterGrid] = {}
     sizes: list[int] = []
-    for label, grid in zip(labels, height_series.grids):
-        n_nodes = int(node_mask(grid, splits.train).sum())
-        if n_nodes:
+    for label, grid in zip(height_series.manifest.layer_labels, height_series.grids):
+        if n_nodes := int(node_mask(grid, splits.train).sum()):
             train_grids[label] = grid
             sizes.append(n_nodes)
     if not train_grids:
         raise ValueError("no training nodes at any timestep")
-
-    # validation inputs are fixed across epochs
-    val_inputs = []
-    for label, grid in zip(labels, height_series.grids):
-        g = build_graph(grid, splits.validation)
-        if not g.n_nodes:
-            continue
-        feats, _ = log_normalize(g.features, norm_stats)
-        p0, mask = node_prior(prior, g)
-        val_inputs.append((normalize_adjacency(g), feats, p0, mask))
 
     n_sub = config.n_subgraphs or auto_n_subgraphs(max(sizes))
     if n_sub > min(sizes):
@@ -390,13 +383,14 @@ def train(params: ModelParams, height_series: GridStack, prior: CategoryField,
     optimizer = Adam(config.learning_rate)
     history: list[EpochLosses] = []
     for epoch in range(config.epochs):
-        samples = [_sample_timestep(grid, splits.train, norm_stats, n_sub, config.edge_dropout,
+        samplers = [epoch_subgraphs(grid, splits.train, n_sub, config.edge_dropout,
                                     derive_seed(config.seed, 1, epoch, ti))
-                   for ti, grid in enumerate(train_grids.values())]
+                    for ti, grid in enumerate(train_grids.values())]
         step_losses: list[LossBreakdown] = []
         for i in range(n_sub):
-            for ti, (label, sample) in enumerate(zip(train_grids, samples)):
-                sub = sample.subgraphs[i]
+            for ti, (label, parts) in enumerate(zip(train_grids, samplers)):
+                sub = next(parts)  # log_normalize is elementwise: per part, same bits
+                sub.features, _ = log_normalize(sub.features, norm_stats)
                 rng = np.random.default_rng(
                     np.random.SeedSequence([config.seed, 2, epoch, ti, i]))
                 try:
@@ -405,8 +399,10 @@ def train(params: ModelParams, height_series: GridStack, prior: CategoryField,
                 except NonFiniteError as exc:
                     raise TrainAbortError(
                         f"epoch {epoch}, timestep {label!r}, subgraph {i}: {exc}") from exc
-        val_losses = [evaluate_losses(params, a, x, p0, m, config)
-                      for a, x, p0, m in val_inputs]
+                del sub  # before the next step's graph is built
+        val_losses = [losses for grid in height_series.grids
+                      if (losses := _validation_losses(params, grid, splits.validation,
+                                                       norm_stats, prior, config)) is not None]
         history.append(EpochLosses(epoch, _mean_breakdown(step_losses),
                                    _mean_breakdown(val_losses)))
     return TrainResult(params, history, norm_stats)

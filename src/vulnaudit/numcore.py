@@ -141,16 +141,25 @@ def _first_product(a: sp.csr_matrix, h: np.ndarray, w: np.ndarray) -> np.ndarray
     return h @ w if _narrows(w) else a @ h
 
 
-def _finish_layer(a: sp.csr_matrix, first: np.ndarray, w: np.ndarray,
-                  b: np.ndarray, activate: bool) -> np.ndarray:
-    """A @ (H @ W) + b or (A @ H) @ W + b from the first product, checked
-    for finiteness before the ReLU (which would map a -inf to 0)."""
+def _pre_activation(a: sp.csr_matrix, first: np.ndarray, w: np.ndarray,
+                    b: np.ndarray) -> np.ndarray:
+    """A @ (H @ W) + b or (A @ H) @ W + b from the first product, unchecked."""
     pre = a @ first if _narrows(w) else first @ w
     pre += b
-    _check_finite("gcn_layer", pre)
-    if activate:
-        np.maximum(pre, 0.0, out=pre)  # subgradient at 0 is 0
     return pre
+
+
+def _relu(x: np.ndarray) -> np.ndarray:
+    return np.maximum(x, 0.0, out=x)  # in place; subgradient at 0 is 0
+
+
+def _finish_layer(a: sp.csr_matrix, first: np.ndarray, w: np.ndarray,
+                  b: np.ndarray, activate: bool) -> np.ndarray:
+    """A forward layer from its first product, checked for finiteness before
+    the ReLU (which would map a -inf to 0)."""
+    pre = _pre_activation(a, first, w, b)
+    _check_finite("gcn_layer", pre)
+    return _relu(pre) if activate else pre
 
 
 def _layer_grads(a: sp.csr_matrix, dpre: np.ndarray, h: np.ndarray, w: np.ndarray,
@@ -215,10 +224,11 @@ def gcn_block(tape: Tape, a: sp.csr_matrix, h: Var,
     it narrows or keeps the width) and Z2, the second layer's output. The
     forward drops Z1 once Z1 @ W2 exists, before the second sparse product.
     The backward takes layer 3's gradients from Z2, masks dZ2 by Z2 > 0 and
-    drops Z2, recomputes Z1 = ReLU((A @ H) @ W1 + b1) from the kept A @ H (the
-    same product on the same arrays, so the same bits), takes layer 2's
-    gradients with dZ1 written into dZ2's buffer, masks dZ1 by Z1 > 0, drops
-    Z1, and ends with layer 1's gradients.
+    drops Z2, recomputes Z1 = ReLU((A @ H) @ W1 + b1) from the kept A @ H
+    without a finite check (the same product on the same arrays gives the
+    bits the forward checked), takes layer 2's gradients with dZ1 written
+    into dZ2's buffer, masks dZ1 by Z1 > 0, drops Z1, and ends with layer
+    1's gradients.
     """
     (w1, b1), (w2, b2), (w3, b3) = layers
     hv = h.value
@@ -242,7 +252,7 @@ def gcn_block(tape: Tape, a: sp.csr_matrix, h: Var,
         dz2, grad_w3, grad_b3 = _layer_grads(a, d3, z2, w3v)
         dz2 *= z2 > 0.0
         z2 = None
-        z1 = _finish_layer(a, kept, w1v, b1.value, True) if widens else kept
+        z1 = _relu(_pre_activation(a, kept, w1v, b1.value)) if widens else kept
         dz1, grad_w2, grad_b2 = _layer_grads(a, dz2, z1, w2v)
         dz1 *= z1 > 0.0
         z1 = None

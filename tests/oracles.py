@@ -10,6 +10,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
+from vulnaudit import graph_build as gb
 from vulnaudit.numcore import Var, _check_finite
 
 
@@ -109,6 +110,23 @@ def coo_grid_adjacency(mask: np.ndarray):
         cols_all.extend((v, u))
     rows, cols = np.concatenate(rows_all), np.concatenate(cols_all)
     return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+
+
+def sample_epoch_from_whole_graph(heights, tiles, n_subgraphs: int, dropout: float,
+                                  seed: int) -> list:
+    """``graph_build.epoch_subgraphs`` as it was when it sampled a built
+    whole-region graph: the same rng stream (one permutation, then one
+    dropout draw per part), but each part cut from the whole graph's
+    adjacency by fancy indexing, and every part held in one list."""
+    graph = gb.build_graph(heights, tiles)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    parts = []
+    for part in np.array_split(rng.permutation(graph.n_nodes), n_subgraphs):
+        nodes = np.sort(part)
+        parts.append(graph if n_subgraphs == 1 else
+                     gb.GridGraph(graph.node_pixels[nodes],
+                                  graph.adjacency[nodes][:, nodes], graph.features[nodes]))
+    return [gb._drop_edges(g, dropout, rng) for g in parts]
 
 
 def gcn_layer_saving_activations(tape, a, h, w, b, activate: bool):

@@ -7,7 +7,8 @@ import scipy.sparse as sp
 from vulnaudit import graph_build as gb
 from vulnaudit.grid_store import CategoryField, RasterGrid
 
-from oracles import brute_force_grid_edges, coo_grid_adjacency, dense_normalized_adjacency
+from oracles import (brute_force_grid_edges, coo_grid_adjacency, dense_normalized_adjacency,
+                     sample_epoch_from_whole_graph)
 
 
 def heights_grid(values):
@@ -245,15 +246,17 @@ class TestSplitTiles:
 
 
 class TestSampleEpoch:
-    def make_graph(self, side=4):
-        grid = heights_grid(np.ones((side, side)))
-        return gb.build_graph(grid, full_tile(grid))
+    """``epoch_subgraphs``: one epoch's sample, each part built from the raster."""
+
+    @staticmethod
+    def sample(vals, n_sub, dropout, seed):
+        grid = heights_grid(vals)
+        return list(gb.epoch_subgraphs(grid, full_tile(grid), n_sub, dropout, seed))
 
     def test_identity_when_no_dropout_single_part(self):
-        graph = self.make_graph()
-        sample = gb.sample_epoch(graph, 1, dropout=0.0, seed=5)
-        assert len(sample.subgraphs) == 1
-        sub = sample.subgraphs[0]
+        grid = heights_grid(np.ones((4, 4)))
+        graph = gb.build_graph(grid, full_tile(grid))
+        (sub,) = gb.epoch_subgraphs(grid, full_tile(grid), 1, dropout=0.0, seed=5)
         np.testing.assert_array_equal(sub.node_pixels, graph.node_pixels)
         np.testing.assert_array_equal(sub.adjacency.toarray(),
                                       graph.adjacency.toarray())
@@ -261,40 +264,40 @@ class TestSampleEpoch:
     def test_dropout_counting(self):
         # path of 11 nodes has exactly 10 undirected edges
         grid = heights_grid(np.ones((1, 11)))
-        graph = gb.build_graph(grid, full_tile(grid))
-        assert graph.n_undirected_edges == 10
-        sample = gb.sample_epoch(graph, 1, dropout=0.2, seed=2)
-        assert sample.subgraphs[0].n_undirected_edges == 8
+        assert gb.build_graph(grid, full_tile(grid)).n_undirected_edges == 10
+        (sub,) = self.sample(np.ones((1, 11)), 1, dropout=0.2, seed=2)
+        assert sub.n_undirected_edges == 8
 
     def test_deterministic(self):
-        graph = self.make_graph()
-        a = gb.sample_epoch(graph, 3, dropout=0.2, seed=11)
-        b = gb.sample_epoch(graph, 3, dropout=0.2, seed=11)
-        for sa, sb in zip(a.subgraphs, b.subgraphs):
+        a = self.sample(np.ones((4, 4)), 3, dropout=0.2, seed=11)
+        b = self.sample(np.ones((4, 4)), 3, dropout=0.2, seed=11)
+        for sa, sb in zip(a, b, strict=True):
             np.testing.assert_array_equal(sa.node_pixels, sb.node_pixels)
             np.testing.assert_array_equal(sa.adjacency.toarray(),
                                           sb.adjacency.toarray())
 
     def test_partition_property(self):
-        graph = self.make_graph(5)
-        sample = gb.sample_epoch(graph, 4, dropout=0.1, seed=3)
-        pixels = [tuple(p) for sub in sample.subgraphs for p in sub.node_pixels]
+        grid = heights_grid(np.ones((5, 5)))
+        graph = gb.build_graph(grid, full_tile(grid))
+        subs = self.sample(np.ones((5, 5)), 4, dropout=0.1, seed=3)
+        pixels = [tuple(p) for sub in subs for p in sub.node_pixels]
         assert len(pixels) == graph.n_nodes
         assert set(pixels) == {tuple(p) for p in graph.node_pixels}
-        sizes = [s.n_nodes for s in sample.subgraphs]
+        sizes = [s.n_nodes for s in subs]
         assert max(sizes) - min(sizes) <= 1
 
     def test_post_dropout_symmetry(self):
-        graph = self.make_graph(6)
-        sample = gb.sample_epoch(graph, 2, dropout=0.3, seed=13)
-        for sub in sample.subgraphs:
+        for sub in self.sample(np.ones((6, 6)), 2, dropout=0.3, seed=13):
             adj = sub.adjacency.toarray()
             np.testing.assert_array_equal(adj, adj.T)
 
     def test_too_many_subgraphs(self):
-        graph = self.make_graph(2)
-        with pytest.raises(ValueError):
-            gb.sample_epoch(graph, 5, dropout=0.0, seed=0)
+        # bad arguments raise at the call, before any part is drawn
+        grid = heights_grid(np.ones((2, 2)))
+        with pytest.raises(ValueError, match="n_subgraphs"):
+            gb.epoch_subgraphs(grid, full_tile(grid), 5, dropout=0.0, seed=0)
+        with pytest.raises(ValueError, match="dropout"):
+            gb.epoch_subgraphs(grid, full_tile(grid), 1, dropout=1.0, seed=0)
 
     # sha256 over every subgraph's node pixels, adjacency and Â (indptr,
     # indices, data) of one fixed sample: pins which nodes each part gets and
@@ -308,13 +311,36 @@ class TestSampleEpoch:
     def test_sampling_stream_pinned(self, n_sub):
         rng = np.random.default_rng(1907)
         vals = np.where(rng.random((30, 31)) < 0.6, rng.uniform(0.5, 9.0, (30, 31)), 0.0)
-        grid = heights_grid(vals)
-        sample = gb.sample_epoch(gb.build_graph(grid, full_tile(grid)), n_sub,
-                                 dropout=0.2, seed=10903)
         digest = hashlib.sha256()
-        for sub in sample.subgraphs:
+        for sub in self.sample(vals, n_sub, dropout=0.2, seed=10903):
             digest.update(sub.node_pixels.tobytes())
             for m in (sub.adjacency, gb.normalize_adjacency(sub)):
                 for arr in (m.indptr, m.indices, m.data):
                     digest.update(arr.tobytes())
         assert digest.hexdigest() == self.SAMPLE_DIGESTS[n_sub]
+
+    @pytest.mark.parametrize("n_sub", [1, 2, 3, 7])
+    @pytest.mark.parametrize("dropout", [0.0, 0.2])
+    def test_same_bytes_as_cutting_the_whole_graph(self, n_sub, dropout):
+        rng = np.random.default_rng(100 * n_sub + int(10 * dropout))
+        for trial in range(12):
+            h, w = (int(v) for v in rng.integers(3, 25, size=2))
+            vals = rng.lognormal(0.5, 0.8, size=(h, w)).astype(np.float32)
+            vals[rng.random((h, w)) < 0.25] = 0.0
+            vals[rng.random((h, w)) < 0.1] = -1.0  # nodata
+            grid = RasterGrid(w, h, vals, nodata=-1.0)
+            # keep some tiles, so part of the raster is not covered
+            tiles = gb.tile_region(w, h, int(rng.integers(2, 7)))
+            tiles = [t for t in tiles if rng.random() < 0.7] or tiles[:1]
+            if gb.node_mask(grid, tiles).sum() < n_sub:
+                continue
+            ours = list(gb.epoch_subgraphs(grid, tiles, n_sub, dropout, trial))
+            ref = sample_epoch_from_whole_graph(grid, tiles, n_sub, dropout, trial)
+            assert len(ours) == len(ref) == n_sub
+            for a, b in zip(ours, ref):
+                for x, y in ((a.node_pixels, b.node_pixels), (a.features, b.features),
+                             (a.adjacency.indptr, b.adjacency.indptr),
+                             (a.adjacency.indices, b.adjacency.indices),
+                             (a.adjacency.data, b.adjacency.data)):
+                    assert (x.dtype, x.shape) == (y.dtype, y.shape)
+                    assert x.tobytes() == y.tobytes()
