@@ -8,22 +8,17 @@ merged configuration is echoed to the output directory. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-import types
-import typing
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import audit as au
 from . import graph_build as gb
 from . import grid_store as gs
 from . import model as md
+from . import schema
 from .numcore import NonFiniteError
-
-
-class ConfigError(ValueError):
-    """Bad or missing configuration/input."""
+from .schema import ConfigError
 
 
 @dataclass
@@ -127,84 +122,24 @@ class RunConfig:
         return Path(self.out_dir) / "prepared"
 
 
-def _convert(tp, value, where: str):
-    """``value`` as annotated type ``tp``: lists and tuples element by
-    element, a fixed-length ``tuple[A, B, ...]`` (one without ``...``) only
-    from a list of exactly its length, a ``dict[str, V]`` from an object
-    value by value, ``X | None`` passing None through,
-    dataclasses through ``_dataclass_from_doc``, and scalars strictly: an
-    ``int`` takes only a JSON integer, a ``float`` an integer or a decimal
-    that is finite as a float (not NaN, an infinity or an integer beyond the
-    float range), a ``str`` only a string, and only a ``bool`` takes
-    ``true``/``false``. A value of another type is a ConfigError naming
-    ``where``; nothing is truncated or stringified."""
-    if is_dataclass(tp):
-        return _dataclass_from_doc(tp, value, where)
-    origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin in (typing.Union, types.UnionType):
-        inner = [a for a in args if a is not type(None)]
-        return None if value is None else _convert(inner[0], value, where)
-    if origin in (list, tuple):
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{where}: expected a list, got {value!r}")
-        if origin is tuple and Ellipsis not in args:
-            if len(value) != len(args):
-                raise ConfigError(f"{where}: expected {len(args)} values, got {len(value)}")
-            return tuple(_convert(a, v, where) for a, v in zip(args, value))
-        return origin(_convert(args[0], v, where) for v in value)
-    if origin is dict:
-        if not isinstance(value, dict):
-            raise ConfigError(f"{where}: expected an object, got {value!r}")
-        return {k: _convert(args[1], v, where) for k, v in value.items()}
-    accepted = (int, float) if tp is float else (tp,)
-    if isinstance(value, bool) is not (tp is bool) or not isinstance(value, accepted):
-        raise ConfigError(f"{where}: expected {tp.__name__}, got {value!r}")
-    if tp is float and not abs(value) <= sys.float_info.max:  # NaN fails too
-        raise ConfigError(f"{where}: expected a finite number")
-    return tp(value)
-
-
-def _dataclass_from_doc(cls, doc, where: str):
-    """Build dataclass ``cls`` from the JSON object ``doc`` using the class's
-    own fields: a present key is converted to its field's type, an absent one
-    takes the field's default. A non-object document, an unknown key, a
-    missing required key or a bad value is a ConfigError naming ``where``."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{where}: expected a JSON object, got {type(doc).__name__}")
-    unknown = sorted(doc.keys() - {f.name for f in fields(cls)})
-    if unknown:
-        raise ConfigError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
-    hints = typing.get_type_hints(cls)
-    try:
-        return cls(**{name: _convert(hints[name], value, f"{where}, section {name!r}")
-                      for name, value in doc.items()})
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: bad config value: {exc}") from exc
-
-
 # CLI flags that override a key of the ``train`` section
 _TRAIN_FLAGS = {"epochs": "epochs", "seed": "seed", "lr": "learning_rate"}
 
 
 def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc = schema.read_json(path)
     overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
     train = {_TRAIN_FLAGS[k]: overrides.pop(k) for k in list(overrides) if k in _TRAIN_FLAGS}
     # a document or train section that is not an object is reported by the parser
     if isinstance(doc, dict) and isinstance(doc.get("train", {}), dict):
         doc = {**doc, **overrides, "train": {**doc.get("train", {}), **train}}
-    return _dataclass_from_doc(RunConfig, doc, str(path))
+    return schema.from_doc(RunConfig, doc, str(path))
 
 
 def _echo_config(cfg: RunConfig, command: str) -> None:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json_atomic(out / f"{command}_config_echo.json", asdict(cfg))
+    gs.write_atomic(out / f"{command}_config_echo.json", schema.dumps(cfg))
 
 
 def _read_heights(cfg: RunConfig) -> gs.GridStack:
@@ -247,18 +182,8 @@ def _load_prepared(cfg: RunConfig) -> tuple[gs.CategoryField, gb.SplitAssignment
     prep = _prepared_dir(cfg)
     prior = _read_field(prep / "prior_proportions", gs.StackKind.PRIOR_PROPORTIONS)
     splits = _load_splits(prep / "splits.json")
-    report = _load_prep_report(prep / "prep_report.json")
+    report = schema.load(PrepReport, prep / "prep_report.json")
     return prior, splits, gb.NormStats(report.norm_mean, report.norm_std)
-
-
-def _load_prep_report(path: Path) -> PrepReport:
-    """Read ``prep_report.json`` through the config parser: a missing key, a
-    non-finite ``norm_mean`` or a ``norm_std`` that is not finite and
-    positive is a ConfigError naming ``path``."""
-    if not path.is_file():
-        raise ConfigError(f"prep report not found: {path}")
-    return _dataclass_from_doc(PrepReport, json.loads(path.read_text(encoding="utf-8")),
-                               str(path))
 
 
 def _save_splits(splits: gb.SplitAssignment, cfg: RunConfig, path: Path) -> None:
@@ -268,21 +193,13 @@ def _save_splits(splits: gb.SplitAssignment, cfg: RunConfig, path: Path) -> None
     rows.sort(key=lambda r: (r.y, r.x))
     doc = SplitsFile(cfg.tile_size, cfg.split_ratios, cfg.split_seed, cfg.split_tolerance,
                      rows, splits.balanced)
-    _write_json_atomic(path, asdict(doc))
-
-
-def _write_json_atomic(path: Path, doc: dict) -> None:
-    """Write ``doc`` as indented, key-sorted JSON through ``gs.write_atomic``."""
-    gs.write_atomic(path, json.dumps(doc, indent=2, sort_keys=True, default=list) + "\n")
+    gs.write_atomic(path, schema.dumps(doc))
 
 
 def _load_splits(path: Path) -> gb.SplitAssignment:
     """Read ``splits.json`` through the config parser: a row with a value
     of the wrong type or an unknown split is a ConfigError naming ``path``."""
-    if not path.is_file():
-        raise ConfigError(f"splits file not found: {path}")
-    doc = _dataclass_from_doc(SplitsFile, json.loads(path.read_text(encoding="utf-8")),
-                              str(path))
+    doc = schema.load(SplitsFile, path)
     parts: dict[str, list[gb.Tile]] = {name: [] for name in SPLIT_NAMES}
     for row in doc.tiles:
         parts[row.split].append(gb.Tile(row.x, row.y, row.w, row.h, row.dominant))
@@ -326,12 +243,12 @@ def cmd_prepare(cfg: RunConfig) -> int:
                         prep / "prior_proportions")
     _save_splits(splits, cfg, prep / "splits.json")
     report = PrepReport(stats.mean, stats.std, node_counts, histogram, splits.balanced)
-    _write_json_atomic(prep / "prep_report.json", asdict(report))
+    gs.write_atomic(prep / "prep_report.json", schema.dumps(report))
 
     # self-check: every artifact must re-validate on read
     _read_field(prep / "prior_proportions", gs.StackKind.PRIOR_PROPORTIONS)
     _load_splits(prep / "splits.json")
-    _load_prep_report(prep / "prep_report.json")
+    schema.load(PrepReport, prep / "prep_report.json")
     _echo_config(cfg, "prepare")
     print(f"prepared dataset under {prep}: {sum(node_counts.values())} nodes "
           f"across {len(node_counts)} timesteps, balanced={splits.balanced}")
@@ -467,7 +384,7 @@ def cmd_audit(cfg: RunConfig, posteriors_dir: str) -> int:
             index["transitions"][name] = {"period": tm.period,
                                           "zero_mass_rows": tm.zero_mass_rows}
 
-    _write_json_atomic(out / "index.json", index)
+    gs.write_atomic(out / "index.json", schema.dumps(index))
     # self-check written stacks
     gs.read_grid_stack(out / "ad_maps")
     if len(heights.grids) >= 2:
@@ -481,12 +398,11 @@ def cmd_synth(spec_path: str, out_dir: str) -> int:
     # imported here: the other commands need neither the generator nor the
     # scipy.ndimage it loads (about 5 MiB of each stage's peak RSS)
     from . import synth as sy
-    doc = json.loads(Path(spec_path).read_text(encoding="utf-8"))
-    spec = _dataclass_from_doc(sy.SyntheticSpec, doc, spec_path)
+    spec = schema.load(sy.SyntheticSpec, spec_path)
     paths = sy.write_dataset(spec, out_dir)
     for path in paths.values():
         gs.read_grid_stack(path)  # self-check
-    _write_json_atomic(Path(out_dir) / "synth_config_echo.json", asdict(spec))
+    gs.write_atomic(Path(out_dir) / "synth_config_echo.json", schema.dumps(spec))
     print(f"wrote synthetic dataset under {out_dir}: "
           + ", ".join(sorted(p.name for p in paths.values())))
     return 0
@@ -544,8 +460,7 @@ def main(argv: list[str] | None = None) -> int:
     except (md.TrainAbortError, NonFiniteError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, gs.GridFormatError, FileNotFoundError, NotADirectoryError,
-            json.JSONDecodeError, KeyError, ValueError, OSError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,17 +13,18 @@ category per layer; a pixel is nodata in every layer or in none.
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 import uuid
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
+
+from . import schema
 
 DEFAULT_NODATA = -1.0
 SIMPLEX_TOL = 1e-9
@@ -31,7 +32,7 @@ SIMPLEX_TOL = 1e-9
 _BAD_LABEL_PARTS = ("/", "\\", "..")
 
 
-class GridFormatError(ValueError):
+class GridFormatError(schema.ConfigError):
     """Malformed stack directory, manifest, or layer payload."""
 
 
@@ -81,10 +82,11 @@ class RasterGrid:
 
 @dataclass
 class StackManifest:
+    """A stack's ``manifest.json``; the labels are stored under ``layers``."""
     kind: StackKind
     width: int
     height_px: int
-    layer_labels: list[str]
+    layer_labels: list[str] = field(metadata={"key": "layers"})
     nodata: float = DEFAULT_NODATA
     crs_note: str = ""
 
@@ -125,28 +127,15 @@ def validate_stack(stack: GridStack) -> None:
 
 
 def read_manifest(path: str | Path) -> StackManifest:
-    """Load and check only the manifest of the stack directory ``path``."""
+    """Load and check only the manifest of the stack directory ``path``,
+    strictly (see ``schema.from_doc``); any fault is a GridFormatError."""
     manifest_file = Path(path) / "manifest.json"
     if not manifest_file.is_file():
         raise GridFormatError(f"missing manifest: {manifest_file}")
     try:
-        raw = json.loads(manifest_file.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise GridFormatError(f"unreadable manifest: {exc}") from exc
-    try:
-        manifest = StackManifest(
-            kind=raw["kind"],
-            width=int(raw["width"]),
-            height_px=int(raw["height_px"]),
-            layer_labels=list(raw["layers"]),
-            nodata=float(raw["nodata"]),
-            crs_note=str(raw.get("crs_note", "")),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, GridFormatError):
-            raise
-        raise GridFormatError(f"bad manifest fields: {exc}") from exc
-    return manifest
+        return schema.load(StackManifest, manifest_file)
+    except schema.ConfigError as exc:
+        raise GridFormatError(str(exc)) from exc
 
 
 def read_grid_stack(path: str | Path) -> GridStack:
@@ -178,17 +167,8 @@ def write_grid_stack(stack: GridStack, path: str | Path) -> None:
     """
     validate_stack(stack)
     m = stack.manifest
-    doc = {
-        "kind": m.kind.value,
-        "width": m.width,
-        "height_px": m.height_px,
-        "nodata": m.nodata,
-        "layers": m.layer_labels,
-        "crs_note": m.crs_note,
-    }
     with _staged_dir(path) as tmp:
-        (tmp / "manifest.json").write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        (tmp / "manifest.json").write_text(schema.dumps(m), encoding="utf-8")
         for label, grid in zip(m.layer_labels, stack.grids):
             (tmp / f"{label}.f32").write_bytes(
                 np.ascontiguousarray(grid.values, dtype="<f4").tobytes())

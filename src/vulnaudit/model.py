@@ -10,15 +10,15 @@ two restricted to nodes that carry a prior.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import numcore as nc
+from . import schema
 from .graph_build import (DEFAULT_EDGE_DROPOUT, MAX_SUBGRAPH_NODES, NODE_FEATURES,
                           GridGraph, NormStats, SplitAssignment, Tile, auto_n_subgraphs,
                           build_graph, epoch_subgraphs, fit_norm_stats, log_normalize,
@@ -461,56 +461,55 @@ def stack_to_posterior(stack: GridStack, timestep: str = "") -> CategoryField:
     return stack_to_field(stack, StackKind.POSTERIOR, timestep)
 
 
+@dataclass
+class CheckpointManifest:
+    """A checkpoint's ``manifest.json``. The order must be PARAM_ORDER, the
+    shapes those that the positive f_dim, k_cats and hidden imply, and the
+    normalisation a finite mean and a finite, positive std."""
+    f_dim: int
+    k_cats: int
+    hidden: int
+    param_order: list[str]
+    shapes: dict[str, list[int]]
+    norm_mean: float
+    norm_std: float
+    config: TrainConfig
+
+    def __post_init__(self):
+        dims = [self.f_dim, self.k_cats, self.hidden]
+        if min(dims) < 1:
+            raise ValueError(f"f_dim, k_cats and hidden must be positive integers, got {dims}")
+        if self.param_order != list(PARAM_ORDER):
+            raise ValueError(f"param_order must be {list(PARAM_ORDER)}")
+        if self.shapes != {name: list(shape) for name, shape in param_shapes(*dims).items()}:
+            raise ValueError(f"shapes do not match f_dim, k_cats, hidden = {dims}")
+        NormStats(self.norm_mean, self.norm_std)  # raises unless the std is positive
+
+
 def save_checkpoint(path: str | Path, params: ModelParams, norm_stats: NormStats,
                     config: TrainConfig) -> None:
     """Manifest JSON plus one little-endian f32 blob per weight/bias, written
     into a temporary directory that then takes the place of ``path``, so a
     failed write never leaves a manifest beside another save's blobs."""
-    manifest = {
-        "f_dim": params.f_dim,
-        "k_cats": params.k_cats,
-        "hidden": params.hidden,
-        "param_order": list(PARAM_ORDER),
-        "shapes": {name: list(params.weights[name].shape) for name in PARAM_ORDER},
-        "norm_mean": norm_stats.mean,
-        "norm_std": norm_stats.std,
-        "config": asdict(config),
-    }
+    manifest = CheckpointManifest(
+        params.f_dim, params.k_cats, params.hidden, list(PARAM_ORDER),
+        {name: list(params.weights[name].shape) for name in PARAM_ORDER},
+        norm_stats.mean, norm_stats.std, config)
     with _staged_dir(path) as tmp:
-        (tmp / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        (tmp / "manifest.json").write_text(schema.dumps(manifest), encoding="utf-8")
         for name in PARAM_ORDER:
             (tmp / f"{name}.f32").write_bytes(
                 np.ascontiguousarray(params.weights[name], dtype="<f4").tobytes())
 
 
-def load_checkpoint(path: str | Path) -> tuple[ModelParams, NormStats, dict]:
-    """Read what ``save_checkpoint`` wrote, strictly. The manifest must list
-    PARAM_ORDER, give every weight the shape that its positive integer
-    f_dim, k_cats and hidden imply, and hold a finite norm_mean and a finite,
-    positive norm_std; each blob must hold exactly 4 bytes per weight, all
-    finite. Anything else is a ValueError naming the file."""
+def load_checkpoint(path: str | Path) -> tuple[ModelParams, NormStats, TrainConfig]:
+    """Read what ``save_checkpoint`` wrote, strictly: the manifest as a
+    ``CheckpointManifest``, then each blob, which must hold exactly 4 bytes
+    per weight, all finite. Anything else is a ValueError naming the file."""
     path = Path(path)
-    manifest_file = path / "manifest.json"
-    if not manifest_file.is_file():
-        raise FileNotFoundError(f"missing checkpoint manifest: {manifest_file}")
-    doc = json.loads(manifest_file.read_text(encoding="utf-8"))
-    try:
-        dims = [doc[key] for key in ("f_dim", "k_cats", "hidden")]
-        if not all(type(d) is int and d >= 1 for d in dims):
-            raise ValueError(f"f_dim, k_cats and hidden must be positive integers, got {dims}")
-        if doc["param_order"] != list(PARAM_ORDER):
-            raise ValueError(f"param_order must be {list(PARAM_ORDER)}")
-        shapes = param_shapes(*dims)
-        if doc["shapes"] != {name: list(shape) for name, shape in shapes.items()}:
-            raise ValueError(f"shapes do not match f_dim, k_cats, hidden = {dims}")
-        stats = NormStats(float(doc["norm_mean"]), float(doc["norm_std"]))
-    except KeyError as exc:
-        raise ValueError(f"{manifest_file}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{manifest_file}: {exc}") from exc
+    m = schema.load(CheckpointManifest, path / "manifest.json")
     weights = {}
-    for name, shape in shapes.items():
+    for name, shape in param_shapes(m.f_dim, m.k_cats, m.hidden).items():
         blob_file = path / f"{name}.f32"
         blob = blob_file.read_bytes()
         if len(blob) != 4 * math.prod(shape):
@@ -519,4 +518,5 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, NormStats, dict]:
         weights[name] = np.frombuffer(blob, dtype="<f4").astype(np.float64).reshape(shape)
         if not np.isfinite(weights[name]).all():
             raise ValueError(f"{blob_file}: non-finite weights")
-    return ModelParams(*dims, weights), stats, doc.get("config", {})
+    return (ModelParams(m.f_dim, m.k_cats, m.hidden, weights),
+            NormStats(m.norm_mean, m.norm_std), m.config)

@@ -350,7 +350,13 @@ class TestInfer:
         ("enc_b1.f32", lambda raw: np.full(len(raw) // 4, np.nan, "<f4").tobytes(),
          "non-finite weights"),
         ("dec_w2.f32", lambda raw: raw[:-4], "4 per weight"),
-    ], ids=["hidden", "zero-norm-std", "short-param-order", "nan-blob", "truncated-blob"])
+        ("manifest.json", lambda raw: edit_json(raw, norm_std=True), "'norm_std'"),
+        ("manifest.json", lambda raw: edit_json(raw, norm_mean="0.25"), "'norm_mean'"),
+        ("manifest.json", lambda raw: edit_json(
+            raw, config={**json.loads(raw)["config"], "adam_eps": 1e-8}), "'adam_eps'"),
+        ("manifest.json", lambda raw: edit_json(raw, notes="run 1"), "'notes'"),
+    ], ids=["hidden", "zero-norm-std", "short-param-order", "nan-blob", "truncated-blob",
+            "norm-std-true", "string-norm-mean", "config-unknown-key", "unknown-top-key"])
     def test_bad_checkpoint_exits_2_naming_file(self, toy_run, capsys, name, edit, named):
         tmp_path, config = toy_run
         ckpt = tmp_path / "out" / "checkpoint"
@@ -612,6 +618,41 @@ class TestConfigHandling:
         assert cli.main(["train", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert str(path) in err and named in err, err
+
+
+def truncate(raw):
+    return raw[:len(raw) // 2]
+
+
+class TestMalformedJson:
+    @pytest.mark.parametrize("name, edit, command", [
+        ("config.json", truncate, "train"),
+        ("out/prepared/splits.json", truncate, "train"),
+        ("out/prepared/prep_report.json", truncate, "train"),
+        ("out/checkpoint/manifest.json", truncate, "infer"),
+        ("data/heights/manifest.json", truncate, "train"),
+        ("data/heights/manifest.json", lambda raw: edit_json(raw, width=16.0), "train"),
+    ], ids=["truncated-config", "truncated-splits", "truncated-prep-report",
+            "truncated-checkpoint-manifest", "truncated-heights-manifest",
+            "float-heights-width"])
+    def test_exits_2_naming_file_and_writes_nothing(self, toy_run, capsys, name, edit,
+                                                    command):
+        tmp_path, config = toy_run
+        assert cli.main(["prepare", "--config", str(config)]) == 0
+        assert cli.main(["train", "--config", str(config), "--epochs", "1"]) == 0
+        path = tmp_path / name
+        path.write_bytes(edit(path.read_bytes()))
+        before = {p: (p.read_bytes(), p.stat().st_mtime_ns)
+                  for p in tmp_path.rglob("*") if p.is_file()}
+        argv = [command, "--config", str(config)]
+        if command == "infer":
+            argv += ["--checkpoint", str(tmp_path / "out" / "checkpoint")]
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err, err
+        assert {p: (p.read_bytes(), p.stat().st_mtime_ns)
+                for p in tmp_path.rglob("*") if p.is_file()} == before
 
 
 class TestEndToEnd:

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +91,26 @@ class TestReadErrors:
     def test_duplicate_labels(self):
         with pytest.raises(GridFormatError, match="duplicate"):
             StackManifest(StackKind.HEIGHT_SERIES, 1, 1, ["a", "a"])
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("width", 4.9, "'width'"),
+        ("width", "4", "'width'"),
+        ("nodata", "-1", "'nodata'"),
+        ("crs_note", 5, "'crs_note'"),
+        ("layers", "ab", "'layers'"),
+        ("layer_count", 2, "'layer_count'"),
+        ("kind", "BOGUS", "'kind'"),
+    ], ids=["float-width", "string-width", "string-nodata", "int-crs-note",
+            "string-layers", "unknown-key", "unknown-kind"])
+    def test_manifest_read_strictly(self, tmp_path, key, value, named):
+        ones = np.ones((4, 4), np.float32)
+        gs.write_grid_stack(make_stack(StackKind.HEIGHT_SERIES, 4, 4, {"a": ones, "b": ones}),
+                            tmp_path / "s")
+        path = tmp_path / "s" / "manifest.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
+        with pytest.raises(GridFormatError) as info:
+            gs.read_grid_stack(tmp_path / "s")
+        assert str(path) in str(info.value) and named in str(info.value), info.value
 
     def test_non_finite_value(self, tmp_path):
         stack = make_stack(StackKind.HEIGHT_SERIES, 1, 1,

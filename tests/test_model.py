@@ -615,7 +615,7 @@ class TestCheckpoint:
         loaded, stats2, cfg_doc = md.load_checkpoint(tmp_path / "a")
         assert (loaded.f_dim, loaded.k_cats, loaded.hidden) == (1, 3, 5)
         assert (stats2.mean, stats2.std) == (0.25, 1.5)
-        assert cfg_doc["epochs"] == 7
+        assert cfg_doc.epochs == 7
         md.save_checkpoint(tmp_path / "b", loaded, stats2, config)
         for f in sorted((tmp_path / "a").iterdir()):
             assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes()
