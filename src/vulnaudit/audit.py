@@ -17,7 +17,7 @@ from .grid_store import (DEFAULT_NODATA, CategoryField, GridStack, RasterGrid,
                          StackKind, StackManifest, write_atomic)
 
 NONE_LABEL = "NONE"
-DEFAULT_EPSILON = 1e-6
+EPSILON = 1e-6  # the value that replaces a zero part before the log-ratios
 DEFAULT_CHANGE_THRESHOLD_M = 1.5
 # codes are -1/0/+1, so the change-map sentinel must live outside that set
 CHANGE_NODATA = -9999.0
@@ -53,34 +53,31 @@ class RegionalTrend:
     empty: list[bool]                  # True where the region held no node pixel
 
 
-def _smooth(v: np.ndarray, epsilon: float) -> np.ndarray:
-    """Replace zero components with epsilon, then renormalize to the simplex."""
-    out = np.where(v == 0.0, epsilon, v)
+def _smooth(v: np.ndarray) -> np.ndarray:
+    """Replace zero components with EPSILON, then renormalize to the simplex."""
+    out = np.where(v == 0.0, EPSILON, v)
     return out / out.sum(axis=-1, keepdims=True)
 
 
-def _aitchison_rows(p: np.ndarray, q: np.ndarray, epsilon: float) -> np.ndarray:
+def _aitchison_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Compositional distance sqrt(1/(2K) sum_ij (ln(p_i/p_j) - ln(q_i/q_j))^2)
     between the compositions along the last axis of ``p`` and ``q``."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    d = np.log(_smooth(p, epsilon)) - np.log(_smooth(q, epsilon))
+    d = np.log(_smooth(p)) - np.log(_smooth(q))
     # the double log-ratio sum collapses to the centered-log-ratio norm
     k = p.shape[-1]
     return np.sqrt(np.maximum((d * d).sum(axis=-1) - d.sum(axis=-1) ** 2 / k, 0.0))
 
 
-def aitchison_distance(p, q, epsilon: float = DEFAULT_EPSILON) -> float:
+def aitchison_distance(p, q) -> float:
     """Aitchison distance between two compositions of K >= 2 parts."""
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape or p.ndim != 1 or p.size < 2:
         raise ValueError("inputs must be equal-length vectors with K >= 2")
-    return float(_aitchison_rows(p, q, epsilon))
+    return float(_aitchison_rows(p, q))
 
 
-def ad_map(prior: CategoryField, posterior: CategoryField,
-           epsilon: float = DEFAULT_EPSILON) -> AitchisonMap:
+def ad_map(prior: CategoryField, posterior: CategoryField) -> AitchisonMap:
     """Pixel-wise distance where both a prior and a posterior exist."""
     if prior.shape != posterior.shape:
         raise ValueError("prior/posterior dimensions differ")
@@ -88,7 +85,7 @@ def ad_map(prior: CategoryField, posterior: CategoryField,
         raise ValueError("prior/posterior category counts differ")
     mask = prior.valid & posterior.valid
     out = np.full(posterior.shape, DEFAULT_NODATA, dtype=np.float64)
-    out[mask] = _aitchison_rows(prior.probs[mask], posterior.probs[mask], epsilon)
+    out[mask] = _aitchison_rows(prior.probs[mask], posterior.probs[mask])
     h, w = posterior.shape
     return AitchisonMap(RasterGrid(w, h, out.astype(np.float32), nodata=DEFAULT_NODATA))
 
@@ -201,7 +198,7 @@ def transition_matrix(posteriors: list[CategoryField],
                             [labels[i] for i in np.nonzero(zero_rows)[0]])
 
 
-def transition_to_dot(tm: TransitionMatrix, min_edge: float = 0.0) -> str:
+def transition_to_dot(tm: TransitionMatrix, min_edge: float) -> str:
     """DOT digraph with one edge per normalized entry >= min_edge."""
     lines = ["digraph transitions {", "  rankdir=LR;"]
     for label in tm.labels:
@@ -220,16 +217,17 @@ def transition_to_dot(tm: TransitionMatrix, min_edge: float = 0.0) -> str:
 def write_transition_csv(tm: TransitionMatrix, path: str | Path,
                          which: str = "normalized") -> None:
     matrix = tm.normalized if which == "normalized" else tm.raw
-    lines = ["from\\to," + ",".join(tm.labels)]
-    for label, row in zip(tm.labels, matrix):
-        lines.append(label + "," + ",".join(f"{v:.9g}" for v in row))
-    write_atomic(path, "\n".join(lines) + "\n")
+    _write_rows(path, ["from\\to", *tm.labels], tm.labels, matrix)
 
 
 def write_trend_csv(trend: RegionalTrend, path: str | Path) -> None:
-    lines = ["timestep," + ",".join(trend.categories)]
-    for label, row in zip(trend.timesteps, trend.series):
-        lines.append(label + "," + ",".join(f"{v:.9g}" for v in row))
+    _write_rows(path, ["timestep", *trend.categories], trend.timesteps, trend.series)
+
+
+def _write_rows(path: str | Path, header: list[str], labels: list[str], rows) -> None:
+    """A CSV of ``header``, then one ``label,%.9g,%.9g,...`` line per row."""
+    lines = [",".join(header)] + [label + "," + ",".join(f"{v:.9g}" for v in row)
+                                  for label, row in zip(labels, rows)]
     write_atomic(path, "\n".join(lines) + "\n")
 
 

@@ -34,7 +34,7 @@ class Region:
     def __post_init__(self):
         if self.name is None:
             self.name = f"r{self.x}_{self.y}"
-        if not self.name or any(p in self.name for p in gs._BAD_LABEL_PARTS):
+        if not gs.usable_label(self.name):
             raise ValueError(f"unusable region name {self.name!r}")
 
     @property
@@ -331,66 +331,56 @@ def cmd_audit(cfg: RunConfig, posteriors_dir: str) -> int:
                         gs.StackKind.PRIOR_PROPORTIONS)
     _check_extent(heights, prior.shape)
     labels = list(hm.layer_labels)
+    # consecutive timesteps name both the change maps and the transitions
+    pairs = [f"{a}_to_{b}" for a, b in zip(labels, labels[1:])]
     posteriors = _load_posteriors(Path(posteriors_dir), labels)
     out = Path(cfg.out_dir) / "audit"
     out.mkdir(parents=True, exist_ok=True)
-    index: dict = {"artifacts": [], "transitions": {}}
+    artifacts: list[str] = []
+    transitions: dict[str, dict] = {}
 
-    ad_grids = []
-    for post in posteriors:
-        ad = au.ad_map(prior, post)
-        ad_grids.append(ad.grid)
-        au.write_ppm_heatmap(ad.grid, out / f"ad_{post.timestep}.ppm")
-        index["artifacts"].append(f"ad_{post.timestep}.ppm")
-    gs.write_grid_stack(au.maps_to_stack(ad_grids, labels, gs.StackKind.AD_MAP),
-                        out / "ad_maps")
-    index["artifacts"].append("ad_maps")
+    def write_maps(prefix: str, names: list[str], grids: list[gs.RasterGrid],
+                   kind: gs.StackKind) -> None:
+        """Each grid's heatmap, then their stack, re-read as a self-check."""
+        for name, grid in zip(names, grids):
+            au.write_ppm_heatmap(grid, out / f"{prefix}_{name}.ppm")
+            artifacts.append(f"{prefix}_{name}.ppm")
+        gs.write_grid_stack(au.maps_to_stack(grids, names, kind), out / f"{prefix}_maps")
+        gs.read_grid_stack(out / f"{prefix}_maps")
+        artifacts.append(f"{prefix}_maps")
 
-    if len(heights.grids) >= 2:
-        change_grids, change_labels = [], []
-        for a, b, la, lb in zip(heights.grids, heights.grids[1:], labels, labels[1:]):
-            cm = au.change_map(a, b, cfg.threshold_m)
-            pair = f"{la}_to_{lb}"
-            change_grids.append(cm.grid)
-            change_labels.append(pair)
-            au.write_ppm_heatmap(cm.grid, out / f"change_{pair}.ppm")
-            index["artifacts"].append(f"change_{pair}.ppm")
-        gs.write_grid_stack(
-            au.maps_to_stack(change_grids, change_labels, gs.StackKind.CHANGE_MAP),
-            out / "change_maps")
-        index["artifacts"].append("change_maps")
+    write_maps("ad", labels, [au.ad_map(prior, post).grid for post in posteriors],
+               gs.StackKind.AD_MAP)
+    if pairs:
+        write_maps("change", pairs, [au.change_map(a, b, cfg.threshold_m).grid
+                                     for a, b in zip(heights.grids, heights.grids[1:])],
+                   gs.StackKind.CHANGE_MAP)
 
     for region in regions:
         trend = au.regional_trend(posteriors, region.rect)
         au.write_trend_csv(trend, out / f"trend_{region.name}.csv")
-        index["artifacts"].append(f"trend_{region.name}.csv")
+        artifacts.append(f"trend_{region.name}.csv")
 
-    if len(posteriors) < 2:
+    if not pairs:
         print("warning: fewer than 2 timesteps, transition outputs disabled",
               file=sys.stderr)
     else:
-        matrices = [au.transition_matrix(list(pair), "one_step")
-                    for pair in zip(posteriors, posteriors[1:])]
-        matrices.append(au.transition_matrix(posteriors, "averaged"))
-        names = [f"{a}_to_{b}" for a, b in zip(labels, labels[1:])] + ["averaged"]
-        for name, tm in zip(names, matrices):
+        matrices = {name: au.transition_matrix([a, b], "one_step")
+                    for name, a, b in zip(pairs, posteriors, posteriors[1:])}
+        matrices["averaged"] = au.transition_matrix(posteriors, "averaged")
+        for name, tm in matrices.items():
             au.write_transition_csv(tm, out / f"transition_{name}.csv")
             au.write_transition_csv(tm, out / f"transition_{name}_raw.csv", which="raw")
             gs.write_atomic(out / f"transition_{name}.dot",
                             au.transition_to_dot(tm, cfg.min_edge))
-            index["artifacts"] += [f"transition_{name}.csv",
-                                   f"transition_{name}_raw.csv",
-                                   f"transition_{name}.dot"]
-            index["transitions"][name] = {"period": tm.period,
-                                          "zero_mass_rows": tm.zero_mass_rows}
+            artifacts += [f"transition_{name}.csv", f"transition_{name}_raw.csv",
+                          f"transition_{name}.dot"]
+            transitions[name] = {"period": tm.period, "zero_mass_rows": tm.zero_mass_rows}
 
-    gs.write_atomic(out / "index.json", schema.dumps(index))
-    # self-check written stacks
-    gs.read_grid_stack(out / "ad_maps")
-    if len(heights.grids) >= 2:
-        gs.read_grid_stack(out / "change_maps")
+    gs.write_atomic(out / "index.json",
+                    schema.dumps({"artifacts": artifacts, "transitions": transitions}))
     _echo_config(cfg, "audit")
-    print(f"wrote {len(index['artifacts'])} audit artifacts under {out}")
+    print(f"wrote {len(artifacts)} audit artifacts under {out}")
     return 0
 
 

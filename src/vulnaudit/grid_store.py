@@ -13,6 +13,7 @@ category per layer; a pixel is nodata in every layer or in none.
 
 from __future__ import annotations
 
+import math
 import os
 import shutil
 import uuid
@@ -29,7 +30,10 @@ from . import schema
 DEFAULT_NODATA = -1.0
 SIMPLEX_TOL = 1e-9
 
-_BAD_LABEL_PARTS = ("/", "\\", "..")
+
+def usable_label(label: str) -> bool:
+    """Whether ``label`` can name a file: non-empty, with no ``/``, ``\\`` or ``..``."""
+    return bool(label) and not any(p in label for p in ("/", "\\", ".."))
 
 
 class GridFormatError(schema.ConfigError):
@@ -97,7 +101,7 @@ class StackManifest:
         if len(set(self.layer_labels)) != len(self.layer_labels):
             raise GridFormatError("duplicate labels in manifest")
         for label in self.layer_labels:
-            if not label or any(p in label for p in _BAD_LABEL_PARTS):
+            if not usable_label(label):
                 raise GridFormatError(f"unusable layer label {label!r}")
 
 
@@ -141,37 +145,45 @@ def read_manifest(path: str | Path) -> StackManifest:
 def read_grid_stack(path: str | Path) -> GridStack:
     """Load a stack directory; values are read bit-exactly as little-endian f32."""
     path = Path(path)
-    manifest = read_manifest(path)
-    expected = 4 * manifest.width * manifest.height_px
-    grids = []
-    for label in manifest.layer_labels:
-        layer_file = path / f"{label}.f32"
-        if not layer_file.is_file():
-            raise GridFormatError(f"missing layer: {layer_file}")
-        blob = layer_file.read_bytes()
-        if len(blob) != expected:
-            raise GridFormatError(
-                f"layer {label!r} has {len(blob)} bytes, expected {expected}")
-        values = np.frombuffer(blob, dtype="<f4").astype(np.float32)
-        grids.append(RasterGrid(manifest.width, manifest.height_px, values,
-                                nodata=manifest.nodata))
-    return GridStack(manifest, grids)
+    m = read_manifest(path)
+    grids = [RasterGrid(m.width, m.height_px,
+                        read_array(path / f"{label}.f32", (m.height_px, m.width)),
+                        nodata=m.nodata)
+             for label in m.layer_labels]
+    return GridStack(m, grids)
 
 
 def write_grid_stack(stack: GridStack, path: str | Path) -> None:
-    """Write manifest + layer files; re-reading yields an equal stack.
-
-    The files go into a sibling temporary directory that then takes the
-    place of ``path``, so a write that fails part-way leaves ``path`` holding
-    the previous stack or nothing, never new files beside old ones.
-    """
+    """Write manifest + layer files through ``write_arrays``; re-reading
+    yields an equal stack."""
     validate_stack(stack)
     m = stack.manifest
+    write_arrays(path, m, {label: grid.values
+                           for label, grid in zip(m.layer_labels, stack.grids)})
+
+
+def write_arrays(path: str | Path, manifest, arrays: dict[str, np.ndarray]) -> None:
+    """Write ``manifest`` (a dataclass) as ``manifest.json`` and each array as
+    ``<name>.f32``, row-major little-endian f32, into a staged directory that
+    then takes the place of ``path`` (see ``_staged_dir``)."""
     with _staged_dir(path) as tmp:
-        (tmp / "manifest.json").write_text(schema.dumps(m), encoding="utf-8")
-        for label, grid in zip(m.layer_labels, stack.grids):
-            (tmp / f"{label}.f32").write_bytes(
-                np.ascontiguousarray(grid.values, dtype="<f4").tobytes())
+        (tmp / "manifest.json").write_text(schema.dumps(manifest), encoding="utf-8")
+        for name, values in arrays.items():
+            (tmp / f"{name}.f32").write_bytes(
+                np.ascontiguousarray(values, dtype="<f4").tobytes())
+
+
+def read_array(path: str | Path, shape: tuple[int, ...]) -> np.ndarray:
+    """The float32 array of ``shape`` in the ``.f32`` file ``path``, read
+    bit-exactly. A missing file, or one that does not hold exactly 4 bytes
+    per value, is a GridFormatError naming ``path``."""
+    path = Path(path)
+    if not path.is_file():
+        raise GridFormatError(f"missing layer: {path}")
+    size, expected = path.stat().st_size, 4 * math.prod(shape)
+    if size != expected:
+        raise GridFormatError(f"{path}: {size} bytes, expected {expected}, 4 per value")
+    return np.fromfile(path, dtype="<f4").reshape(shape)
 
 
 @contextmanager

@@ -24,7 +24,7 @@ from .graph_build import (DEFAULT_EDGE_DROPOUT, MAX_SUBGRAPH_NODES, NODE_FEATURE
                           build_graph, epoch_subgraphs, fit_norm_stats, log_normalize,
                           node_mask, normalize_adjacency, tile_region)
 from .grid_store import (DEFAULT_NODATA, CategoryField, GridStack, RasterGrid, StackKind,
-                         _staged_dir, stack_to_field)
+                         read_array, stack_to_field, write_arrays)
 from .numcore import NonFiniteError, Tape, Var
 
 DEFAULT_HIDDEN = 25
@@ -488,34 +488,26 @@ class CheckpointManifest:
 
 def save_checkpoint(path: str | Path, params: ModelParams, norm_stats: NormStats,
                     config: TrainConfig) -> None:
-    """Manifest JSON plus one little-endian f32 blob per weight/bias, written
-    into a temporary directory that then takes the place of ``path``, so a
-    failed write never leaves a manifest beside another save's blobs."""
+    """Manifest JSON plus one little-endian f32 blob per weight/bias, staged
+    by ``write_arrays``, so a failed write never leaves a manifest beside
+    another save's blobs."""
     manifest = CheckpointManifest(
         params.f_dim, params.k_cats, params.hidden, list(PARAM_ORDER),
         {name: list(params.weights[name].shape) for name in PARAM_ORDER},
         norm_stats.mean, norm_stats.std, config)
-    with _staged_dir(path) as tmp:
-        (tmp / "manifest.json").write_text(schema.dumps(manifest), encoding="utf-8")
-        for name in PARAM_ORDER:
-            (tmp / f"{name}.f32").write_bytes(
-                np.ascontiguousarray(params.weights[name], dtype="<f4").tobytes())
+    write_arrays(path, manifest, {name: params.weights[name] for name in PARAM_ORDER})
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, NormStats, TrainConfig]:
     """Read what ``save_checkpoint`` wrote, strictly: the manifest as a
-    ``CheckpointManifest``, then each blob, which must hold exactly 4 bytes
-    per weight, all finite. Anything else is a ValueError naming the file."""
+    ``CheckpointManifest``, then each blob through ``read_array``, all
+    finite. Anything else is a ValueError naming the file."""
     path = Path(path)
     m = schema.load(CheckpointManifest, path / "manifest.json")
     weights = {}
     for name, shape in param_shapes(m.f_dim, m.k_cats, m.hidden).items():
         blob_file = path / f"{name}.f32"
-        blob = blob_file.read_bytes()
-        if len(blob) != 4 * math.prod(shape):
-            raise ValueError(f"{blob_file}: {len(blob)} bytes, expected 4 per weight "
-                             f"of shape {shape}")
-        weights[name] = np.frombuffer(blob, dtype="<f4").astype(np.float64).reshape(shape)
+        weights[name] = read_array(blob_file, shape).astype(np.float64)
         if not np.isfinite(weights[name]).all():
             raise ValueError(f"{blob_file}: non-finite weights")
     return (ModelParams(m.f_dim, m.k_cats, m.hidden, weights),

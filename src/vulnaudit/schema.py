@@ -10,7 +10,7 @@ import json
 import sys
 import types
 import typing
-from dataclasses import fields, is_dataclass
+from dataclasses import MISSING, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -62,19 +62,24 @@ def from_doc(cls, doc, where: str):
     """Build dataclass ``cls`` from the JSON object ``doc`` using the class's
     own fields: a present key is converted to its field's type, an absent one
     takes the field's default. A non-object document, an unknown key, a
-    missing required key or a bad value is a ConfigError naming ``where``."""
+    missing required key (one whose field has no default) or a bad value is
+    a ConfigError naming ``where``; keys are named as the file spells them."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{where}: expected a JSON object, got {type(doc).__name__}")
-    names = {f.metadata.get("key", f.name): f.name for f in fields(cls)}
-    unknown = sorted(doc.keys() - names.keys())
+    keyed = {f.metadata.get("key", f.name): f for f in fields(cls)}
+    unknown = sorted(doc.keys() - keyed.keys())
     if unknown:
         raise ConfigError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
+    missing = [key for key, f in keyed.items() if key not in doc
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ConfigError(f"{where}: missing key(s) {', '.join(map(repr, missing))}")
     hints = typing.get_type_hints(cls)
-    values = {names[key]: convert(hints[names[key]], value, f"{where}, section {key!r}")
-              for key, value in doc.items()}
+    values = {keyed[k].name: convert(hints[keyed[k].name], v, f"{where}, section {k!r}")
+              for k, v in doc.items()}
     try:
         return cls(**values)
-    except (TypeError, ValueError) as exc:  # a missing key, or a rule of the class
+    except (TypeError, ValueError) as exc:  # a rule of the class
         raise ConfigError(f"{where}: bad value: {exc}") from exc
 
 

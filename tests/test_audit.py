@@ -105,7 +105,7 @@ class TestAdMap:
                               rng.random((h, w)) < 0.8)
         prior.probs[~prior.valid] = 0.0
         post = random_posterior(rng, h, w, k, p_valid=0.8)
-        out = au.ad_map(prior, post, epsilon=1e-6)
+        out = au.ad_map(prior, post)
         for y in range(h):
             for x in range(w):
                 if prior.valid[y, x] and post.valid[y, x]:

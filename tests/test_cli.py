@@ -1,11 +1,14 @@
+import gc
 import hashlib
 import json
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from vulnaudit import audit as au
 from vulnaudit import cli
 from vulnaudit import graph_build as gb
 from vulnaudit import grid_store as gs
@@ -349,7 +352,7 @@ class TestInfer:
          "param_order"),
         ("enc_b1.f32", lambda raw: np.full(len(raw) // 4, np.nan, "<f4").tobytes(),
          "non-finite weights"),
-        ("dec_w2.f32", lambda raw: raw[:-4], "4 per weight"),
+        ("dec_w2.f32", lambda raw: raw[:-4], "4 per value"),
         ("manifest.json", lambda raw: edit_json(raw, norm_std=True), "'norm_std'"),
         ("manifest.json", lambda raw: edit_json(raw, norm_mean="0.25"), "'norm_mean'"),
         ("manifest.json", lambda raw: edit_json(
@@ -369,6 +372,16 @@ class TestInfer:
         err = capsys.readouterr().err
         assert str(path) in err and named in err, err
         assert not (tmp_path / "out" / "posteriors").exists()
+
+    def test_missing_blob_exits_2_naming_it(self, toy_run, capsys):
+        tmp_path, config = toy_run
+        ckpt = tmp_path / "out" / "checkpoint"
+        assert cli.main(["prepare", "--config", str(config)]) == 0
+        assert cli.main(["train", "--config", str(config), "--epochs", "1"]) == 0
+        (ckpt / "dec_w2.f32").unlink()
+        capsys.readouterr()
+        assert cli.main(["infer", "--config", str(config), "--checkpoint", str(ckpt)]) == 2
+        assert f"missing layer: {ckpt / 'dec_w2.f32'}" in capsys.readouterr().err
 
 
 class TestAudit:
@@ -504,6 +517,36 @@ class TestAudit:
                          "--posteriors", str(tmp_path / "out" / "posteriors")]) == 0
         assert "fewer than 2 timesteps" in capsys.readouterr().err
         assert not list((tmp_path / "out" / "audit").glob("transition_*"))
+
+    def test_maps_dropped_before_transitions(self, tmp_path, monkeypatch):
+        spec = write_spec(tmp_path / "spec.json", timesteps=3)
+        assert cli.main(["synth", "--spec", str(spec), "--out", str(tmp_path / "data")]) == 0
+        config = write_config(tmp_path / "c.json", tmp_path / "data", tmp_path / "out")
+        self.run_pipeline((tmp_path, config))
+        refs, live = [], []
+
+        def keeping_ref(fn):
+            def wrapper(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                refs.append(weakref.ref(result.grid))
+                return result
+            return wrapper
+
+        real_transition = au.transition_matrix
+
+        def transition_matrix(*args, **kwargs):
+            if not live:
+                gc.collect()
+                live.append([ref for ref in refs if ref() is not None])
+            return real_transition(*args, **kwargs)
+
+        monkeypatch.setattr(au, "ad_map", keeping_ref(au.ad_map))
+        monkeypatch.setattr(au, "change_map", keeping_ref(au.change_map))
+        monkeypatch.setattr(au, "transition_matrix", transition_matrix)
+        assert cli.main(["audit", "--config", str(config),
+                         "--posteriors", str(tmp_path / "out" / "posteriors")]) == 0
+        assert len(refs) == 3 + 2  # an AD map per timestep, a change map per pair
+        assert live == [[]]  # every map was freed before the first transition
 
 
 class TestConfigHandling:
@@ -653,6 +696,28 @@ class TestMalformedJson:
         assert str(path) in err, err
         assert {p: (p.read_bytes(), p.stat().st_mtime_ns)
                 for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+@pytest.mark.parametrize("name, key, command", [
+    ("data/heights/manifest.json", "layers", "train"),
+    ("out/checkpoint/manifest.json", "config", "infer"),
+], ids=["heights-layers", "checkpoint-config"])
+def test_missing_key_named_as_the_file_spells_it(toy_run, capsys, name, key, command):
+    tmp_path, config = toy_run
+    assert cli.main(["prepare", "--config", str(config)]) == 0
+    assert cli.main(["train", "--config", str(config), "--epochs", "1"]) == 0
+    path = tmp_path / name
+    doc = json.loads(path.read_text())
+    del doc[key]
+    path.write_text(json.dumps(doc))
+    argv = [command, "--config", str(config)]
+    if command == "infer":
+        argv += ["--checkpoint", str(tmp_path / "out" / "checkpoint")]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: missing key(s) {key!r}" in err, err
+    assert "layer_labels" not in err
 
 
 class TestEndToEnd:
