@@ -113,6 +113,8 @@ class RunConfig:
             raise ConfigError("upsample_factor must be >= 1")
         if self.threshold_m <= 0:
             raise ConfigError("threshold_m must be positive")
+        if not 0 <= self.min_edge <= 1:
+            raise ConfigError(f"min_edge must lie in [0, 1], got {self.min_edge!r}")
         names = [r.name for r in self.regions]
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate region names in {names}: each names a trend file")
@@ -309,14 +311,20 @@ def cmd_infer(cfg: RunConfig, checkpoint: str) -> int:
     return 0
 
 
-def _load_posteriors(posteriors_dir: Path,
-                     labels: list[str]) -> list[gs.CategoryField]:
+def _load_posteriors(posteriors_dir: Path, labels: list[str],
+                     categories: list[str]) -> list[gs.CategoryField]:
+    """Each timestep's posterior; one whose categories are not ``categories``,
+    in order, is a ConfigError naming its stack."""
     fields = []
     for label in labels:
         path = posteriors_dir / label
         if not path.is_dir():
             raise ConfigError(f"posterior stack not found: {path}")
-        fields.append(_read_field(path, gs.StackKind.POSTERIOR, label))
+        post = _read_field(path, gs.StackKind.POSTERIOR, label)
+        if post.categories != categories:
+            raise ConfigError(f"{path}: categories {post.categories} are not the "
+                              f"prepared prior's {categories}")
+        fields.append(post)
     return fields
 
 
@@ -333,7 +341,7 @@ def cmd_audit(cfg: RunConfig, posteriors_dir: str) -> int:
     labels = list(hm.layer_labels)
     # consecutive timesteps name both the change maps and the transitions
     pairs = [f"{a}_to_{b}" for a, b in zip(labels, labels[1:])]
-    posteriors = _load_posteriors(Path(posteriors_dir), labels)
+    posteriors = _load_posteriors(Path(posteriors_dir), labels, prior.categories)
     out = Path(cfg.out_dir) / "audit"
     out.mkdir(parents=True, exist_ok=True)
     artifacts: list[str] = []
@@ -447,7 +455,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "infer":
             return cmd_infer(cfg, args.checkpoint)
         return cmd_audit(cfg, args.posteriors)
-    except (md.TrainAbortError, NonFiniteError) as exc:
+    except NonFiniteError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, KeyError, OSError) as exc:

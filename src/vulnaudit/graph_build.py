@@ -7,11 +7,14 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .grid_store import CategoryField, RasterGrid
+
+if TYPE_CHECKING:  # scipy is imported only where a CSR matrix is built
+    import scipy.sparse as sp
 
 DEFAULT_TILE_SIZE = 450
 DEFAULT_EDGE_DROPOUT = 0.20
@@ -122,6 +125,7 @@ def _mask_graph(heights: RasterGrid, mask: np.ndarray) -> GridGraph:
     order. The adjacency is written as sorted CSR directly: row i lists the
     node indices found at node i's eight neighbor offsets, in row-major
     order, in an index raster padded with -1."""
+    import scipy.sparse as sp
     ys, xs = np.nonzero(mask)  # row-major node order
     n = len(xs)
     h, w = mask.shape
@@ -184,6 +188,7 @@ def normalize_adjacency(graph_or_adj: GridGraph | sp.csr_matrix) -> sp.csr_matri
 
     The result has sorted column indices, which fixes the summation order of
     every product with it."""
+    import scipy.sparse as sp
     adj = graph_or_adj.adjacency if isinstance(graph_or_adj, GridGraph) else graph_or_adj
     if adj.shape[0] != adj.shape[1] or (adj != adj.T).nnz:
         raise ValueError("adjacency must be symmetric")
@@ -277,6 +282,7 @@ def _drop_edges(graph: GridGraph, fraction: float, rng: np.random.Generator) -> 
     each. The one rng draw is ``rng.choice(m, n_drop, replace=False)`` over
     the upper-triangle arcs in CSR (row-major) order; no draw when nothing
     is dropped."""
+    import scipy.sparse as sp
     upper = sp.triu(graph.adjacency, k=1, format="csr")
     n_drop = int(round(fraction * upper.nnz))  # round-half-to-even for determinism
     if n_drop == 0:

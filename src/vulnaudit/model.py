@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import numcore as nc
 from . import schema
@@ -27,6 +27,9 @@ from .grid_store import (DEFAULT_NODATA, CategoryField, GridStack, RasterGrid, S
                          read_array, stack_to_field, write_arrays)
 from .numcore import NonFiniteError, Tape, Var
 
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
 DEFAULT_HIDDEN = 25
 DEFAULT_LEARNING_RATE = 1e-3
 ADAM_BETAS = (0.9, 0.999)
@@ -35,10 +38,6 @@ CLAMP = 1e-9
 
 PARAM_ORDER = ("enc_w1", "enc_b1", "enc_w2", "enc_b2", "enc_w3", "enc_b3",
                "dec_w1", "dec_b1", "dec_w2", "dec_b2", "dec_w3", "dec_b3")
-
-
-class TrainAbortError(RuntimeError):
-    """Training hit a non-finite value; message carries epoch/subgraph context."""
 
 
 @dataclass
@@ -397,7 +396,7 @@ def train(params: ModelParams, height_series: GridStack, prior: CategoryField,
                     step_losses.append(train_step(params, optimizer, sub, prior,
                                                   config, rng))
                 except NonFiniteError as exc:
-                    raise TrainAbortError(
+                    raise NonFiniteError(
                         f"epoch {epoch}, timestep {label!r}, subgraph {i}: {exc}") from exc
                 del sub  # before the next step's graph is built
         val_losses = [losses for grid in height_series.grids

@@ -19,10 +19,12 @@ rule may reuse it as scratch space (see ``backward``).
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 class NonFiniteError(FloatingPointError):

@@ -456,10 +456,35 @@ class TestAudit:
 
     def test_nonpositive_threshold_exits_2_before_writing(self, toy_run, capsys):
         tmp_path, config = self.run_pipeline(toy_run)
+        for flag, value, key in [("--threshold-m", "0", "threshold_m"),
+                                 ("--min-edge", "1.5", "min_edge")]:
+            assert cli.main(["audit", "--config", str(config),
+                             "--posteriors", str(tmp_path / "out" / "posteriors"),
+                             flag, value]) == 2
+            assert key in capsys.readouterr().err
+            assert not (tmp_path / "out" / "audit").exists()
+
+    @pytest.mark.parametrize("stacks, relabel", [
+        (["t0", "t1"], lambda layers: ["x" + name for name in layers]),
+        (["t1"], lambda layers: ["x" + name for name in layers]),
+        (["t0"], lambda layers: layers[::-1]),
+    ], ids=["all-relabelled", "one-relabelled", "reordered"])
+    def test_posterior_categories_not_the_priors_exit_2(self, toy_run, capsys, stacks,
+                                                          relabel):
+        tmp_path, config = self.run_pipeline(toy_run)
+        posteriors = tmp_path / "out" / "posteriors"
+        for label in stacks:  # rename each layer in the manifest and on disk
+            stack = posteriors / label
+            doc = json.loads((stack / "manifest.json").read_text())
+            layers = relabel(doc["layers"])
+            for name in doc["layers"]:
+                (stack / f"{name}.f32").rename(stack / f"{name}.old")
+            for old, new in zip(doc["layers"], layers):
+                (stack / f"{old}.old").rename(stack / f"{new}.f32")
+            (stack / "manifest.json").write_text(json.dumps({**doc, "layers": layers}))
         assert cli.main(["audit", "--config", str(config),
-                         "--posteriors", str(tmp_path / "out" / "posteriors"),
-                         "--threshold-m", "0"]) == 2
-        assert "threshold_m" in capsys.readouterr().err
+                         "--posteriors", str(posteriors)]) == 2
+        assert f"{posteriors / stacks[0]}: categories" in capsys.readouterr().err
         assert not (tmp_path / "out" / "audit").exists()
 
     def test_failed_rewrite_keeps_previous_file(self, toy_run, monkeypatch):
@@ -568,9 +593,12 @@ class TestConfigHandling:
         (lambda doc: {**doc, "train": {"n_subgraphs": 0}}, "n_subgraphs"),
         (lambda doc: {**doc, "train": {"learning_rate": -1.0}}, "learning_rate"),
         (lambda doc: {**doc, "train": {"adam_eps": 1e-8}}, "adam_eps"),
+        (lambda doc: {**doc, "min_edge": -1}, "min_edge"),
+        (lambda doc: {**doc, "min_edge": 2}, "min_edge"),
     ], ids=["list", "train-list", "unknown-key", "unknown-train-key", "missing-key",
             "two-ratios", "four-ratios", "two-loss-weights", "zero-subgraphs",
-            "negative-learning-rate", "removed-adam-key"])
+            "negative-learning-rate", "removed-adam-key", "negative-min-edge",
+            "min-edge-above-one"])
     def test_bad_config_exits_2(self, toy_run, capsys, edit, named):
         tmp_path, config = toy_run
         config.write_text(json.dumps(edit(json.loads(config.read_text()))))

@@ -1,4 +1,8 @@
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from vulnaudit import schema
@@ -43,3 +47,42 @@ def test_no_module_uses_another_modules_private_names():
                   and not node.attr.startswith("__")]
     assert len(modules) > 5, "too few modules found: the test reads the wrong directory"
     assert found == []
+
+
+def scipy_modules_after(argv: list[str] | None, cwd: Path) -> tuple[int | None, list[str]]:
+    """Import ``vulnaudit.cli`` in a new interpreter with only the package's
+    source on the path, run ``cli.main(argv)`` unless argv is None, and
+    return its exit code and the scipy modules loaded by then."""
+    script = ("import json, sys\nfrom vulnaudit import cli\n"
+              f"code = None if {argv!r} is None else cli.main({argv!r})\n"
+              "print(json.dumps([code, sorted(m for m in sys.modules"
+              " if m.split('.')[0] == 'scipy')]))")
+    env = {**os.environ, "PYTHONPATH": str(Path(schema.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    code, modules = json.loads(done.stdout.splitlines()[-1])
+    return code, modules
+
+
+def test_prepare_and_audit_never_load_scipy(tmp_path):
+    # scipy.sparse is graph_build's to import, when a stage builds a graph
+    (tmp_path / "spec.json").write_text(json.dumps(
+        {"width": 16, "height_px": 16, "timesteps": 2, "k": 2,
+         "mean_log_heights": [0.5, 2.0], "std_log_heights": [0.3, 0.3],
+         "block_size": 4, "seed": 7, "corruption": 0.1}))
+    (tmp_path / "config.json").write_text(json.dumps(
+        {"heights": "data/heights", "prior_counts": "data/prior_counts", "out_dir": "out",
+         "tile_size": 8, "upsample_factor": 4, "train": {"epochs": 1}}))
+    config = ["--config", "config.json"]
+    assert scipy_modules_after(None, tmp_path) == (None, [])
+    assert scipy_modules_after(["synth", "--spec", "spec.json", "--out", "data"],
+                               tmp_path)[0] == 0
+    assert scipy_modules_after(["prepare", *config], tmp_path) == (0, [])
+    code, modules = scipy_modules_after(["train", *config], tmp_path)
+    assert code == 0 and "scipy.sparse" in modules, "train must show the check reads sys.modules"
+    assert scipy_modules_after(["infer", *config, "--checkpoint", "out/checkpoint"],
+                               tmp_path)[0] == 0
+    assert scipy_modules_after(["audit", *config, "--posteriors", "out/posteriors"],
+                               tmp_path) == (0, [])
+    assert (tmp_path / "out" / "audit" / "index.json").is_file()
