@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import typing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -129,13 +130,28 @@ _TRAIN_FLAGS = {"epochs": "epochs", "seed": "seed", "lr": "learning_rate"}
 
 
 def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
-    doc = schema.read_json(path)
-    overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
-    train = {_TRAIN_FLAGS[k]: overrides.pop(k) for k in list(overrides) if k in _TRAIN_FLAGS}
-    # a document or train section that is not an object is reported by the parser
-    if isinstance(doc, dict) and isinstance(doc.get("train", {}), dict):
-        doc = {**doc, **overrides, "train": {**doc.get("train", {}), **train}}
-    return schema.from_doc(RunConfig, doc, str(path))
+    """The config file, parsed on its own, with each given flag applied on
+    top; a bad flag value is a ConfigError naming the flag, not the file."""
+    cfg = schema.load(RunConfig, path)
+    for name, value in (overrides or {}).items():
+        if value is None:
+            continue
+        flag = "--" + name.replace("_", "-")
+        if name in _TRAIN_FLAGS:
+            cfg = replace(cfg, train=_override(cfg.train, _TRAIN_FLAGS[name], value, flag))
+        else:
+            cfg = _override(cfg, name, value, flag)
+    return cfg
+
+
+def _override(config, key: str, value, flag: str):
+    """``config`` with field ``key`` set to the value of ``flag``, converted and
+    range-checked as the file's value would be."""
+    value = schema.convert(typing.get_type_hints(type(config))[key], value, flag)
+    try:
+        return replace(config, **{key: value})  # re-runs __post_init__'s rules
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{flag}: bad value: {exc}") from exc
 
 
 def _echo_config(cfg: RunConfig, command: str) -> None:
@@ -230,7 +246,7 @@ def cmd_prepare(cfg: RunConfig) -> int:
     splits = gb.split_tiles(tiles, fine, cfg.split_ratios, cfg.split_seed,
                             cfg.split_tolerance)
 
-    node_counts = {label: int(((g.values > 0) & g.valid_mask()).sum())
+    node_counts = {label: int(gb.node_mask(g, tiles).sum())
                    for label, g in zip(hm.layer_labels, heights.grids)}
     stats = gb.fit_norm_stats(heights.grids, splits.train)
 
@@ -261,7 +277,7 @@ def cmd_train(cfg: RunConfig) -> int:
     heights = _read_heights(cfg)
     prior, splits, stats = _load_prepared(cfg)
     _check_extent(heights, prior.shape)
-    params = md.ModelParams.initialize(f_dim=1, k_cats=prior.k,
+    params = md.ModelParams.initialize(f_dim=gb.NODE_FEATURES, k_cats=prior.k,
                                        seed=cfg.train.seed)
     result = md.train(params, heights, prior, splits, cfg.train, stats)
 
@@ -312,18 +328,21 @@ def cmd_infer(cfg: RunConfig, checkpoint: str) -> int:
 
 
 def _load_posteriors(posteriors_dir: Path, labels: list[str],
-                     categories: list[str]) -> list[gs.CategoryField]:
-    """Each timestep's posterior; one whose categories are not ``categories``,
-    in order, is a ConfigError naming its stack."""
+                     prior: gs.CategoryField) -> list[gs.CategoryField]:
+    """Each timestep's posterior; one whose categories (in order) or extent
+    are not the prior's is a ConfigError naming its stack."""
     fields = []
     for label in labels:
         path = posteriors_dir / label
         if not path.is_dir():
             raise ConfigError(f"posterior stack not found: {path}")
         post = _read_field(path, gs.StackKind.POSTERIOR, label)
-        if post.categories != categories:
+        if post.categories != prior.categories:
             raise ConfigError(f"{path}: categories {post.categories} are not the "
-                              f"prepared prior's {categories}")
+                              f"prepared prior's {prior.categories}")
+        if post.shape != prior.shape:
+            (h, w), (ph, pw) = post.shape, prior.shape
+            raise ConfigError(f"{path}: extent {w}x{h} is not the prepared prior's {pw}x{ph}")
         fields.append(post)
     return fields
 
@@ -341,7 +360,7 @@ def cmd_audit(cfg: RunConfig, posteriors_dir: str) -> int:
     labels = list(hm.layer_labels)
     # consecutive timesteps name both the change maps and the transitions
     pairs = [f"{a}_to_{b}" for a, b in zip(labels, labels[1:])]
-    posteriors = _load_posteriors(Path(posteriors_dir), labels, prior.categories)
+    posteriors = _load_posteriors(Path(posteriors_dir), labels, prior)
     out = Path(cfg.out_dir) / "audit"
     out.mkdir(parents=True, exist_ok=True)
     artifacts: list[str] = []
@@ -363,6 +382,7 @@ def cmd_audit(cfg: RunConfig, posteriors_dir: str) -> int:
         write_maps("change", pairs, [au.change_map(a, b, cfg.threshold_m).grid
                                      for a, b in zip(heights.grids, heights.grids[1:])],
                    gs.StackKind.CHANGE_MAP)
+    del heights, prior  # only the map families read them
 
     for region in regions:
         trend = au.regional_trend(posteriors, region.rect)

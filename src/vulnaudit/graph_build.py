@@ -44,7 +44,8 @@ class GridGraph:
     """Filtered pixel nodes with sparse symmetric 8-neighbor adjacency.
 
     Node i sits at raster pixel ``node_pixels[i]``, numbered in row-major
-    pixel order; column 0 of ``features[i]`` is its raw or normalized height.
+    pixel order; column 0 of ``features[i]`` is its raw height (the model
+    normalizes it at its input).
     """
 
     node_pixels: np.ndarray            # (N, 2) int32, columns (x, y)

@@ -277,21 +277,26 @@ def node_prior(prior: CategoryField, graph: GridGraph) -> tuple[np.ndarray, np.n
     return prior.probs[ys, xs], prior.valid[ys, xs]
 
 
-def train_step(params: ModelParams, optimizer: Adam, subgraph: GridGraph,
-               prior: CategoryField, config: TrainConfig,
-               rng: np.random.Generator) -> LossBreakdown:
-    """One Gumbel-sampled forward/backward pass plus an Adam update.
+def _encoder_input(graph: GridGraph,
+                   norm_stats: NormStats) -> tuple[sp.csr_matrix, np.ndarray]:
+    """The encoder's input, A_hat and the log-normalized features, for a graph
+    of raw heights. log_normalize is elementwise: per part, same bits."""
+    # features first: made after A_hat, they raised infer's peak RSS 4 MiB on a 512² raster
+    x = log_normalize(graph.features, norm_stats)[0]
+    return normalize_adjacency(graph), x
 
-    The subgraph's features must already be normalized; the prior is looked up
-    at the subgraph's node pixels.
-    """
+
+def train_step(params: ModelParams, optimizer: Adam, subgraph: GridGraph,
+               norm_stats: NormStats, prior: CategoryField, config: TrainConfig,
+               rng: np.random.Generator) -> LossBreakdown:
+    """One Gumbel-sampled forward/backward pass plus an Adam update on a
+    graph of raw heights; the prior is looked up at its node pixels."""
     if subgraph.n_nodes == 0:
         raise ValueError("empty subgraph")
     prior_p, mask = node_prior(prior, subgraph)
-    a_hat = normalize_adjacency(subgraph)
+    a_hat, x = _encoder_input(subgraph, norm_stats)
     tape = Tape()
-    total, breakdown = _forward_losses(params, a_hat, subgraph.features,
-                                       prior_p, mask, config, rng, tape)
+    total, breakdown = _forward_losses(params, a_hat, x, prior_p, mask, config, rng, tape)
     grads = nc.backward(tape, total)
     optimizer.step(params.weights, grads)
     return breakdown
@@ -342,9 +347,8 @@ def _validation_losses(params: ModelParams, grid: RasterGrid, tiles: list[Tile],
     graph = build_graph(grid, tiles)
     if not graph.n_nodes:
         return None
-    feats, _ = log_normalize(graph.features, norm_stats)
     prior_p, mask = node_prior(prior, graph)
-    return evaluate_losses(params, normalize_adjacency(graph), feats, prior_p, mask, config)
+    return evaluate_losses(params, *_encoder_input(graph, norm_stats), prior_p, mask, config)
 
 
 def train(params: ModelParams, height_series: GridStack, prior: CategoryField,
@@ -388,17 +392,14 @@ def train(params: ModelParams, height_series: GridStack, prior: CategoryField,
         step_losses: list[LossBreakdown] = []
         for i in range(n_sub):
             for ti, (label, parts) in enumerate(zip(train_grids, samplers)):
-                sub = next(parts)  # log_normalize is elementwise: per part, same bits
-                sub.features, _ = log_normalize(sub.features, norm_stats)
                 rng = np.random.default_rng(
                     np.random.SeedSequence([config.seed, 2, epoch, ti, i]))
-                try:
-                    step_losses.append(train_step(params, optimizer, sub, prior,
-                                                  config, rng))
+                try:  # the part graph lives only while its step runs
+                    step_losses.append(train_step(params, optimizer, next(parts),
+                                                  norm_stats, prior, config, rng))
                 except NonFiniteError as exc:
                     raise NonFiniteError(
                         f"epoch {epoch}, timestep {label!r}, subgraph {i}: {exc}") from exc
-                del sub  # before the next step's graph is built
         val_losses = [losses for grid in height_series.grids
                       if (losses := _validation_losses(params, grid, splits.validation,
                                                        norm_stats, prior, config)) is not None]
@@ -444,8 +445,7 @@ def infer_posterior(params: ModelParams, heights: RasterGrid, norm_stats: NormSt
         graph = build_graph(window, [Tile(0, 0, window.width, window.height_px)])
         if graph.n_nodes == 0:
             continue
-        feats, _ = log_normalize(graph.features, norm_stats)
-        enc = encode(params, normalize_adjacency(graph), feats)
+        enc = encode(params, *_encoder_input(graph, norm_stats))
         xs = graph.node_pixels[:, 0] + x0
         ys = graph.node_pixels[:, 1] + y0
         in_core = (xs >= core.origin_x) & (xs < cx1) & (ys >= core.origin_y) & (ys < cy1)

@@ -3,6 +3,7 @@ import hashlib
 import json
 import re
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -461,7 +462,8 @@ class TestAudit:
             assert cli.main(["audit", "--config", str(config),
                              "--posteriors", str(tmp_path / "out" / "posteriors"),
                              flag, value]) == 2
-            assert key in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert f"error: {flag}: " in err and key in err, err
             assert not (tmp_path / "out" / "audit").exists()
 
     @pytest.mark.parametrize("stacks, relabel", [
@@ -485,6 +487,19 @@ class TestAudit:
         assert cli.main(["audit", "--config", str(config),
                          "--posteriors", str(posteriors)]) == 2
         assert f"{posteriors / stacks[0]}: categories" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "audit").exists()
+
+    def test_posterior_of_another_extent_exits_2(self, toy_run, capsys):
+        tmp_path, config = self.run_pipeline(toy_run)
+        posteriors = tmp_path / "out" / "posteriors"
+        stack = posteriors / "t1"
+        post = gs.stack_to_field(gs.read_grid_stack(stack), gs.StackKind.POSTERIOR, "t1")
+        cropped = replace(post, probs=post.probs[:8], valid=post.valid[:8])
+        gs.write_grid_stack(gs.field_to_stack(cropped, gs.StackKind.POSTERIOR), stack)
+        assert cli.main(["audit", "--config", str(config),
+                         "--posteriors", str(posteriors)]) == 2
+        err = capsys.readouterr().err
+        assert f"{stack}: extent 16x8" in err and "16x16" in err, err
         assert not (tmp_path / "out" / "audit").exists()
 
     def test_failed_rewrite_keeps_previous_file(self, toy_run, monkeypatch):
@@ -548,7 +563,19 @@ class TestAudit:
         assert cli.main(["synth", "--spec", str(spec), "--out", str(tmp_path / "data")]) == 0
         config = write_config(tmp_path / "c.json", tmp_path / "data", tmp_path / "out")
         self.run_pipeline((tmp_path, config))
-        refs, live = [], []
+        refs, inputs, live = [], [], []
+        real_read_heights, real_read_field = cli._read_heights, cli._read_field
+
+        def read_heights(*args):
+            stack = real_read_heights(*args)
+            inputs.extend(weakref.ref(obj) for g in stack.grids for obj in (g, g.values))
+            return stack
+
+        def read_field(path, kind, *args):
+            field = real_read_field(path, kind, *args)
+            if kind is gs.StackKind.PRIOR_PROPORTIONS:
+                inputs.extend([weakref.ref(field.probs), weakref.ref(field.valid)])
+            return field
 
         def keeping_ref(fn):
             def wrapper(*args, **kwargs):
@@ -562,16 +589,20 @@ class TestAudit:
         def transition_matrix(*args, **kwargs):
             if not live:
                 gc.collect()
-                live.append([ref for ref in refs if ref() is not None])
+                live.append([ref for ref in refs + inputs if ref() is not None])
             return real_transition(*args, **kwargs)
 
+        monkeypatch.setattr(cli, "_read_heights", read_heights)
+        monkeypatch.setattr(cli, "_read_field", read_field)
         monkeypatch.setattr(au, "ad_map", keeping_ref(au.ad_map))
         monkeypatch.setattr(au, "change_map", keeping_ref(au.change_map))
         monkeypatch.setattr(au, "transition_matrix", transition_matrix)
         assert cli.main(["audit", "--config", str(config),
                          "--posteriors", str(tmp_path / "out" / "posteriors")]) == 0
         assert len(refs) == 3 + 2  # an AD map per timestep, a change map per pair
-        assert live == [[]]  # every map was freed before the first transition
+        assert len(inputs) == 3 * 2 + 2  # each heights grid and its values, the prior
+        # every map, the heights and the prior were freed before the first transition
+        assert live == [[]]
 
 
 class TestConfigHandling:
@@ -580,6 +611,25 @@ class TestConfigHandling:
         cfg = cli.load_run_config(config, {"epochs": 9, "lr": 0.5})
         assert cfg.train.epochs == 9
         assert cfg.train.learning_rate == 0.5
+
+    @pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--lr", "-1"),
+                                             ("--epochs", "-1")],
+                             ids=["nan-lr", "negative-lr", "negative-epochs"])
+    def test_bad_train_flag_exits_2_naming_the_flag(self, toy_run, capsys, flag, value):
+        tmp_path, config = toy_run
+        assert cli.main(["train", "--config", str(config), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}: ") and str(config) not in err, err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_file_is_checked_before_its_flags(self, toy_run, capsys):
+        # a flag does not mend a bad value in the file: the file stands alone
+        tmp_path, config = toy_run
+        doc = json.loads(config.read_text())
+        config.write_text(json.dumps({**doc, "train": {"learning_rate": -1.0}}))
+        assert cli.main(["train", "--config", str(config), "--lr", "0.1"]) == 2
+        err = capsys.readouterr().err
+        assert f"{config}, section 'train': bad value: learning_rate" in err, err
 
     @pytest.mark.parametrize("edit, named", [
         (lambda doc: [], "JSON object"),

@@ -256,30 +256,30 @@ def toy_dataset(seed=0, side=8, tile=4, timesteps=2):
 class TestTrainStep:
     def setup_step(self, lr):
         stack, prior, splits, _ = toy_dataset(seed=1, side=5, tile=5)
-        graph = gb.build_graph(stack.grids[0], splits.train)
-        feats, _ = gb.log_normalize(graph.features)
-        graph = gb.GridGraph(graph.node_pixels, graph.adjacency, feats)
+        graph = gb.build_graph(stack.grids[0], splits.train)  # raw heights
+        _, stats = gb.log_normalize(graph.features)
         params = md.ModelParams.initialize(1, 2, hidden=6, seed=4)
         config = md.TrainConfig(learning_rate=lr, epochs=1)
-        return params, graph, prior, config
+        return params, graph, stats, prior, config
 
     def test_zero_learning_rate_is_noop(self):
-        params, graph, prior, config = self.setup_step(0.0)
+        params, graph, stats, prior, config = self.setup_step(0.0)
         before = {k: v.copy() for k, v in params.weights.items()}
-        breakdown = md.train_step(params, md.Adam(0.0), graph, prior, config,
+        breakdown = md.train_step(params, md.Adam(0.0), graph, stats, prior, config,
                                   np.random.default_rng(0))
         assert np.isfinite(breakdown.total)
         for name in before:
             np.testing.assert_array_equal(params.weights[name], before[name])
 
     def test_single_step_decreases_loss(self):
-        params, graph, prior, config = self.setup_step(1e-3)
+        params, graph, stats, prior, config = self.setup_step(1e-3)
         prior_p, mask = md.node_prior(prior, graph)
         a_hat = gb.normalize_adjacency(graph)
-        before = md.evaluate_losses(params, a_hat, graph.features, prior_p, mask, config)
-        md.train_step(params, md.Adam(config.learning_rate), graph, prior, config,
+        feats, _ = gb.log_normalize(graph.features, stats)
+        before = md.evaluate_losses(params, a_hat, feats, prior_p, mask, config)
+        md.train_step(params, md.Adam(config.learning_rate), graph, stats, prior, config,
                       np.random.default_rng(7))
-        after = md.evaluate_losses(params, a_hat, graph.features, prior_p, mask, config)
+        after = md.evaluate_losses(params, a_hat, feats, prior_p, mask, config)
         assert after.total < before.total
 
 
