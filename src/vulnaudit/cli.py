@@ -13,6 +13,8 @@ import typing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import audit as au
 from . import graph_build as gb
 from . import grid_store as gs
@@ -277,8 +279,9 @@ def cmd_train(cfg: RunConfig) -> int:
     heights = _read_heights(cfg)
     prior, splits, stats = _load_prepared(cfg)
     _check_extent(heights, prior.shape)
+    # float32, the dtype the checkpoint stores: it holds the trained weights bit for bit
     params = md.ModelParams.initialize(f_dim=gb.NODE_FEATURES, k_cats=prior.k,
-                                       seed=cfg.train.seed)
+                                       seed=cfg.train.seed).astype(np.float32)
     result = md.train(params, heights, prior, splits, cfg.train, stats)
 
     out = Path(cfg.out_dir)

@@ -42,12 +42,23 @@ PARAM_ORDER = ("enc_w1", "enc_b1", "enc_w2", "enc_b2", "enc_w3", "enc_b3",
 
 @dataclass
 class ModelParams:
-    """Encoder/decoder weight matrices and bias vectors, keyed by PARAM_ORDER."""
+    """Encoder/decoder weight matrices and bias vectors, keyed by PARAM_ORDER.
+    The model computes in the weights' dtype (see ``_encoder_input``)."""
 
     f_dim: int
     k_cats: int
     hidden: int
     weights: dict[str, np.ndarray]
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The weights' dtype, which the model computes in."""
+        return self.weights[PARAM_ORDER[0]].dtype
+
+    def astype(self, dtype) -> "ModelParams":
+        """The same model with every weight and bias cast to ``dtype``."""
+        return ModelParams(self.f_dim, self.k_cats, self.hidden,
+                           {name: w.astype(dtype) for name, w in self.weights.items()})
 
     @classmethod
     def initialize(cls, f_dim: int, k_cats: int, hidden: int = DEFAULT_HIDDEN,
@@ -118,8 +129,11 @@ def _stack_layers(tape: Tape, params: ModelParams,
 
 def encode(params: ModelParams, a_hat: sp.csr_matrix, x: np.ndarray,
            tape: Tape | None = None) -> EncoderOutput:
-    """ReLU(A(ReLU(A(A X W1 + b1) W2 + b2)) W3 + b3) -> logits; softmax -> probabilities."""
-    x = np.asarray(x, dtype=np.float64)
+    """ReLU(A(ReLU(A(A X W1 + b1) W2 + b2)) W3 + b3) -> logits; softmax -> probabilities.
+
+    Computes in the dtype of ``x`` and the weights, which the caller makes
+    agree (``_encoder_input``)."""
+    x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] != params.f_dim:
         raise ValueError(f"feature-dimension mismatch: got {x.shape}, expected (*, {params.f_dim})")
     tape = tape if tape is not None else Tape()
@@ -150,16 +164,17 @@ def gumbel_softmax_sample(logits: np.ndarray, tau: float,
 def gumbel_softmax_var(tape: Tape, logits: Var, tau: float,
                        rng: np.random.Generator) -> Var:
     """Taped relaxed draw, softmax((logits + gumbel noise) * (1 / tau)); the
-    noise is a constant, gradients flow through the softmax only."""
+    noise is a constant in the logits' dtype, gradients flow through the
+    softmax only."""
     if tau <= 0:
         raise ValueError("tau must be positive")
-    g = sample_gumbel(logits.value.shape, rng)
+    g = sample_gumbel(logits.value.shape, rng).astype(logits.value.dtype, copy=False)
     return nc.softmax_rows(tape, nc.scale(tape, nc.add_const(tape, logits, g), 1.0 / tau))
 
 
 def loss_rec(tape: Tape, recon: Var, target: np.ndarray) -> Var:
-    """Mean squared error over all N*F entries."""
-    t = np.asarray(target, dtype=np.float64)
+    """Mean squared error over all N*F entries, in the reconstruction's dtype."""
+    t = np.asarray(target, dtype=recon.value.dtype)
     if recon.value.shape != t.shape:
         raise ValueError(f"reconstruction shape {recon.value.shape} != target {t.shape}")
     diff = recon.value - t
@@ -182,7 +197,7 @@ def _masked_mean(tape: Tape, posterior: Var, mask: np.ndarray, terms) -> Var:
     mask = np.asarray(mask, dtype=bool)
     m = int(mask.sum())
     if m == 0:
-        out, grad = Var(0.0), np.zeros_like(posterior.value)
+        out, grad = Var(np.zeros((), posterior.value.dtype)), np.zeros_like(posterior.value)
     else:
         total, grad = terms(mask)
         out = Var(total / m)
@@ -194,9 +209,9 @@ def _masked_mean(tape: Tape, posterior: Var, mask: np.ndarray, terms) -> Var:
 
 def loss_kl(tape: Tape, posterior: Var, prior_p: np.ndarray, mask: np.ndarray) -> Var:
     """Mean over masked nodes of sum_k p log(p / p0), both clamped at 1e-9
-    inside the logs. Zero when the mask is empty."""
+    inside the logs, in the posterior's dtype. Zero when the mask is empty."""
     p = posterior.value
-    p0 = np.asarray(prior_p, dtype=np.float64)
+    p0 = np.asarray(prior_p, dtype=p.dtype)
 
     def terms(mask):
         log_ratio = np.log(np.maximum(p, CLAMP)) - np.log(np.maximum(p0, CLAMP))
@@ -206,9 +221,10 @@ def loss_kl(tape: Tape, posterior: Var, prior_p: np.ndarray, mask: np.ndarray) -
 
 
 def loss_ce(tape: Tape, posterior: Var, prior_p: np.ndarray, mask: np.ndarray) -> Var:
-    """Mean over masked nodes of -sum_k p0 log(p), p clamped at 1e-9."""
+    """Mean over masked nodes of -sum_k p0 log(p), p clamped at 1e-9, in the
+    posterior's dtype."""
     p = posterior.value
-    p0 = np.asarray(prior_p, dtype=np.float64)
+    p0 = np.asarray(prior_p, dtype=p.dtype)
 
     def terms(mask):
         pc = np.maximum(p, CLAMP)
@@ -277,13 +293,14 @@ def node_prior(prior: CategoryField, graph: GridGraph) -> tuple[np.ndarray, np.n
     return prior.probs[ys, xs], prior.valid[ys, xs]
 
 
-def _encoder_input(graph: GridGraph,
-                   norm_stats: NormStats) -> tuple[sp.csr_matrix, np.ndarray]:
+def _encoder_input(graph: GridGraph, norm_stats: NormStats,
+                   dtype) -> tuple[sp.csr_matrix, np.ndarray]:
     """The encoder's input, A_hat and the log-normalized features, for a graph
-    of raw heights. log_normalize is elementwise: per part, same bits."""
+    of raw heights, both cast to ``dtype``, the weights' dtype: the model
+    computes in it. log_normalize is elementwise: per part, same bits."""
     # features first: made after A_hat, they raised infer's peak RSS 4 MiB on a 512² raster
-    x = log_normalize(graph.features, norm_stats)[0]
-    return normalize_adjacency(graph), x
+    x = log_normalize(graph.features, norm_stats)[0].astype(dtype, copy=False)
+    return normalize_adjacency(graph).astype(dtype, copy=False), x
 
 
 def train_step(params: ModelParams, optimizer: Adam, subgraph: GridGraph,
@@ -294,7 +311,7 @@ def train_step(params: ModelParams, optimizer: Adam, subgraph: GridGraph,
     if subgraph.n_nodes == 0:
         raise ValueError("empty subgraph")
     prior_p, mask = node_prior(prior, subgraph)
-    a_hat, x = _encoder_input(subgraph, norm_stats)
+    a_hat, x = _encoder_input(subgraph, norm_stats, params.dtype)
     tape = Tape()
     total, breakdown = _forward_losses(params, a_hat, x, prior_p, mask, config, rng, tape)
     grads = nc.backward(tape, total)
@@ -348,7 +365,8 @@ def _validation_losses(params: ModelParams, grid: RasterGrid, tiles: list[Tile],
     if not graph.n_nodes:
         return None
     prior_p, mask = node_prior(prior, graph)
-    return evaluate_losses(params, *_encoder_input(graph, norm_stats), prior_p, mask, config)
+    return evaluate_losses(params, *_encoder_input(graph, norm_stats, params.dtype),
+                           prior_p, mask, config)
 
 
 def train(params: ModelParams, height_series: GridStack, prior: CategoryField,
@@ -426,7 +444,8 @@ def infer_posterior(params: ModelParams, heights: RasterGrid, norm_stats: NormSt
     on the graph of its window (the core plus an INFER_HALO-pixel halo,
     clipped to the raster) and only its core pixels are written. The result
     equals encoding the full-raster graph, while memory is bounded by one
-    window of at most MAX_SUBGRAPH_NODES nodes.
+    window of at most MAX_SUBGRAPH_NODES nodes. Windows are encoded in the
+    weights' dtype; each core's rows are a float64 softmax of its logits.
     """
     if params.f_dim != NODE_FEATURES:
         raise ValueError(f"feature-dimension mismatch: graph has "
@@ -445,12 +464,13 @@ def infer_posterior(params: ModelParams, heights: RasterGrid, norm_stats: NormSt
         graph = build_graph(window, [Tile(0, 0, window.width, window.height_px)])
         if graph.n_nodes == 0:
             continue
-        enc = encode(params, *_encoder_input(graph, norm_stats))
+        enc = encode(params, *_encoder_input(graph, norm_stats, params.dtype))
         xs = graph.node_pixels[:, 0] + x0
         ys = graph.node_pixels[:, 1] + y0
         in_core = (xs >= core.origin_x) & (xs < cx1) & (ys >= core.origin_y) & (ys < cy1)
         xs, ys = xs[in_core], ys[in_core]
-        probs[ys, xs] = enc.probabilities.value[in_core]
+        # a float64 softmax of the logits: rows sum to 1 within SIMPLEX_TOL
+        probs[ys, xs] = nc.softmax_values(enc.logits.value[in_core].astype(np.float64))
         valid[ys, xs] = True
     return CategoryField(list(categories), probs, valid, timestep)
 
@@ -506,7 +526,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, NormStats, TrainConf
     weights = {}
     for name, shape in param_shapes(m.f_dim, m.k_cats, m.hidden).items():
         blob_file = path / f"{name}.f32"
-        weights[name] = read_array(blob_file, shape).astype(np.float64)
+        weights[name] = read_array(blob_file, shape)
         if not np.isfinite(weights[name]).all():
             raise ValueError(f"{blob_file}: non-finite weights")
     return (ModelParams(m.f_dim, m.k_cats, m.hidden, weights),

@@ -3,10 +3,11 @@
 Every kernel carries a hand-derived backward rule. Graph convolutions take
 their normalized adjacency as a scipy CSR matrix: ``gcn_layer`` is one
 convolution, and ``gcn_block`` is the model's three-layer stack (ReLU, ReLU,
-linear) as one entry. Values are float64 ndarrays end to end (raster storage
-elsewhere is float32 and gets upcast on entry), and each kernel checks its
-output so a diverging run fails naming the op that produced the first
-non-finite value.
+linear) as one entry. Values are float32 or float64 ndarrays: ``Var``
+keeps a float32 value as float32 and makes anything else float64, and no
+kernel casts its result, so a tape computes in the dtype of what it is fed
+(the model feeds it its weights' dtype). Each kernel checks its output so a
+diverging run fails naming the op that produced the first non-finite value.
 
 Each convolution multiplies by A at the narrower of its two widths, forward
 and backward; the layer and the block share that per-layer product and
@@ -36,13 +37,21 @@ def _check_finite(op: str, value: np.ndarray) -> None:
         raise NonFiniteError(f"{op} produced non-finite values")
 
 
+def _as_value(value) -> np.ndarray:
+    """``value`` as an ndarray, float32 if it is float32, else float64; no
+    copy when it already is one of the two."""
+    value = np.asarray(value)
+    return value if value.dtype == np.float32 else value.astype(np.float64, copy=False)
+
+
 class Var:
-    """A value tracked on a tape."""
+    """A value tracked on a tape: a float32 array stays float32, anything
+    else becomes float64."""
 
     __slots__ = ("value", "name")
 
     def __init__(self, value, name: str | None = None):
-        self.value = np.asarray(value, dtype=np.float64)
+        self.value = _as_value(value)
         self.name = name
 
     def __repr__(self):
@@ -80,7 +89,7 @@ class Tape:
                     self._params[name].value, value):
                 raise ValueError(f"parameter {name!r} re-registered with a different array")
             return self._params[name]
-        var = Var(value, name=name)  # no copy when value is already float64
+        var = Var(value, name=name)  # no copy when value is float32 or float64
         self._params[name] = var
         self.grads.setdefault(name, np.zeros_like(var.value))
         return var
@@ -267,8 +276,9 @@ def gcn_block(tape: Tape, a: sp.csr_matrix, h: Var,
 
 
 def softmax_values(logits: np.ndarray) -> np.ndarray:
-    """Row softmax with max subtraction; works on 1-D or 2-D input."""
-    z = np.asarray(logits, dtype=np.float64)
+    """Row softmax with max subtraction; works on 1-D or 2-D input, in
+    float32 for float32 logits and float64 for any other."""
+    z = _as_value(logits)
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)

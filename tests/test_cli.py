@@ -268,11 +268,17 @@ class TestTrain:
                                        "val_total"]
         assert len(lines) == 4  # 3 epochs
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_diverging_run_exits_3(self, toy_run, capsys):
         tmp_path, config = toy_run
         cli.main(["prepare", "--config", str(config)])
-        assert cli.main(["train", "--config", str(config), "--lr", "1e300"]) == 3
+        with pytest.warns(RuntimeWarning) as caught:
+            assert cli.main(["train", "--config", str(config), "--lr", "1e300"]) == 3
+        # the deliberate divergence: lr 1e300 overflows float32 in Adam's update,
+        # which then multiplies inf by 0, and the next forward adds NaNs in gcn_layer
+        assert {(Path(w.filename).name, str(w.message)) for w in caught} == {
+            ("model.py", "overflow encountered in cast"),
+            ("model.py", "invalid value encountered in multiply"),
+            ("numcore.py", "invalid value encountered in add")}
         err = capsys.readouterr().err
         assert re.search(r"epoch \d+, timestep '(t0|t1)', subgraph \d+: "
                          r"gcn_layer produced non-finite values", err), err
