@@ -155,47 +155,57 @@ def _extended_distribution(post: CategoryField) -> np.ndarray:
     return ext
 
 
-def transition_matrix(posteriors: list[CategoryField],
-                      mode: str = "averaged") -> TransitionMatrix:
-    """Expected category-to-category transition mass between consecutive steps.
+def transition_matrices(posteriors: list[CategoryField]) -> list[TransitionMatrix]:
+    """Expected category-to-category transition mass between consecutive
+    steps: the matrix of each consecutive pair in order, then the averaged one.
 
-    Raw entries average the per-pixel products of consecutive distributions
-    over all H*W pixels and all consecutive pairs; rows are then normalized to
-    sum to one. A row with no raw mass has no observed source category and is
-    pinned one-hot on NONE (recorded in ``zero_mass_rows``).
+    One walk builds each timestep's extended distribution once and each pair
+    product Pₜᵀ·Pₜ₊₁ once. A pair's raw entries average its per-pixel
+    products over all H*W pixels; the averaged raw matrix is the pair
+    products summed in order and divided once by H*W*(T-1). Rows are then
+    normalized to sum to one (see ``_row_normalized``).
     """
-    if mode not in ("one_step", "averaged"):
-        raise ValueError(f"unknown mode {mode!r}")
     if len(posteriors) < 2:
         raise ValueError("need at least 2 timesteps")
-    if mode == "one_step" and len(posteriors) != 2:
-        raise ValueError("one_step mode takes exactly one consecutive pair")
     first = posteriors[0]
     for p in posteriors[1:]:
         if p.shape != first.shape or p.categories != first.categories:
             raise ValueError("posterior fields disagree on shape or categories")
-    k = first.k
     hw = first.shape[0] * first.shape[1]
-    n_pairs = len(posteriors) - 1
-    raw = np.zeros((k + 1, k + 1), dtype=np.float64)
-    ext_prev = _extended_distribution(posteriors[0])
+    pairs, ext_prev = [], _extended_distribution(first)
     for nxt in posteriors[1:]:
         ext_next = _extended_distribution(nxt)
-        raw += ext_prev.T @ ext_next
+        pairs.append(ext_prev.T @ ext_next)
         ext_prev = ext_next
-    raw /= hw * n_pairs
+    periods = [f"{a.timestep} -> {b.timestep}" for a, b in zip(posteriors, posteriors[1:])]
+    raws = [pair / hw for pair in pairs] + [sum(pairs) / (hw * len(pairs))]
+    return [_row_normalized(first.categories, raw, period)
+            for raw, period in zip(raws, periods + ["averaged"])]
 
+
+def _row_normalized(categories: list[str], raw: np.ndarray, period: str) -> TransitionMatrix:
+    """``raw`` with each row divided by its sum. A row with no raw mass has
+    no observed source category and is pinned one-hot on NONE (recorded in
+    ``zero_mass_rows``)."""
+    labels = list(categories) + [NONE_LABEL]
     normalized = np.zeros_like(raw)
     row_sums = raw.sum(axis=1)
     zero_rows = row_sums == 0.0
     np.divide(raw, row_sums[:, None], out=normalized, where=~zero_rows[:, None])
-    normalized[zero_rows, k] = 1.0
-
-    labels = list(first.categories) + [NONE_LABEL]
-    period = "averaged" if mode == "averaged" else \
-        f"{posteriors[0].timestep} -> {posteriors[1].timestep}"
+    normalized[zero_rows, -1] = 1.0
     return TransitionMatrix(labels, raw, normalized, period,
                             [labels[i] for i in np.nonzero(zero_rows)[0]])
+
+
+def transition_matrix(posteriors: list[CategoryField],
+                      mode: str = "averaged") -> TransitionMatrix:
+    """The ``averaged`` matrix of ``transition_matrices``, or the
+    ``one_step`` matrix of exactly one consecutive pair."""
+    if mode not in ("one_step", "averaged"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "one_step" and len(posteriors) > 2:
+        raise ValueError("one_step mode takes exactly one consecutive pair")
+    return transition_matrices(posteriors)[0 if mode == "one_step" else -1]
 
 
 def transition_to_dot(tm: TransitionMatrix, min_edge: float) -> str:

@@ -232,7 +232,10 @@ def cmd_prepare(cfg: RunConfig) -> int:
     if not counts_path.is_dir():
         raise ConfigError(f"prior counts stack not found: {counts_path}")
     counts = gs.read_grid_stack(counts_path)
-    coarse = gs.normalize_prior_counts(counts)
+    try:
+        coarse = gs.normalize_prior_counts(counts)
+    except ValueError as exc:
+        raise ConfigError(f"{counts_path}: {exc}") from exc
     fine = gs.upsample_nearest(coarse, cfg.upsample_factor)
     hm = heights.manifest
     fine_h, fine_w = fine.shape
@@ -322,8 +325,11 @@ def cmd_infer(cfg: RunConfig, checkpoint: str) -> int:
                           f"prior has {len(categories)}")
     out = Path(cfg.out_dir) / "posteriors"
     for label, grid in zip(heights.manifest.layer_labels, heights.grids):
-        post = md.infer_posterior(params, grid, stats, categories, timestep=label)
-        gs.write_grid_stack(gs.field_to_stack(post, gs.StackKind.POSTERIOR), out / label)
+        # unnamed, the posterior is freed once its stack is built and the stack
+        # once written, before the self-check decode and the next inference
+        gs.write_grid_stack(gs.field_to_stack(
+            md.infer_posterior(params, grid, stats, categories, timestep=label),
+            gs.StackKind.POSTERIOR), out / label)
         _read_field(out / label, gs.StackKind.POSTERIOR, label)  # self-check
     _echo_config(cfg, "infer")
     print(f"wrote {len(heights.grids)} posterior stacks under {out}")
@@ -365,51 +371,51 @@ def cmd_audit(cfg: RunConfig, posteriors_dir: str) -> int:
     pairs = [f"{a}_to_{b}" for a, b in zip(labels, labels[1:])]
     posteriors = _load_posteriors(Path(posteriors_dir), labels, prior)
     out = Path(cfg.out_dir) / "audit"
-    out.mkdir(parents=True, exist_ok=True)
     artifacts: list[str] = []
     transitions: dict[str, dict] = {}
+    # the audit is written whole into a staged directory that then replaces
+    # ``out``, so no file of an earlier run survives beside this run's index
+    with gs.staged_dir(out) as stage:
 
-    def write_maps(prefix: str, names: list[str], grids: list[gs.RasterGrid],
-                   kind: gs.StackKind) -> None:
-        """Each grid's heatmap, then their stack, re-read as a self-check."""
-        for name, grid in zip(names, grids):
-            au.write_ppm_heatmap(grid, out / f"{prefix}_{name}.ppm")
-            artifacts.append(f"{prefix}_{name}.ppm")
-        gs.write_grid_stack(au.maps_to_stack(grids, names, kind), out / f"{prefix}_maps")
-        gs.read_grid_stack(out / f"{prefix}_maps")
-        artifacts.append(f"{prefix}_maps")
+        def write_maps(prefix: str, names: list[str], grids: list[gs.RasterGrid],
+                       kind: gs.StackKind) -> None:
+            """Each grid's heatmap, then their stack, re-read as a self-check."""
+            for name, grid in zip(names, grids):
+                au.write_ppm_heatmap(grid, stage / f"{prefix}_{name}.ppm")
+                artifacts.append(f"{prefix}_{name}.ppm")
+            gs.write_grid_stack(au.maps_to_stack(grids, names, kind), stage / f"{prefix}_maps")
+            gs.read_grid_stack(stage / f"{prefix}_maps")
+            artifacts.append(f"{prefix}_maps")
 
-    write_maps("ad", labels, [au.ad_map(prior, post).grid for post in posteriors],
-               gs.StackKind.AD_MAP)
-    if pairs:
-        write_maps("change", pairs, [au.change_map(a, b, cfg.threshold_m).grid
-                                     for a, b in zip(heights.grids, heights.grids[1:])],
-                   gs.StackKind.CHANGE_MAP)
-    del heights, prior  # only the map families read them
+        write_maps("ad", labels, [au.ad_map(prior, post).grid for post in posteriors],
+                   gs.StackKind.AD_MAP)
+        if pairs:
+            write_maps("change", pairs, [au.change_map(a, b, cfg.threshold_m).grid
+                                         for a, b in zip(heights.grids, heights.grids[1:])],
+                       gs.StackKind.CHANGE_MAP)
+        del heights, prior  # only the map families read them
 
-    for region in regions:
-        trend = au.regional_trend(posteriors, region.rect)
-        au.write_trend_csv(trend, out / f"trend_{region.name}.csv")
-        artifacts.append(f"trend_{region.name}.csv")
+        for region in regions:
+            trend = au.regional_trend(posteriors, region.rect)
+            au.write_trend_csv(trend, stage / f"trend_{region.name}.csv")
+            artifacts.append(f"trend_{region.name}.csv")
 
-    if not pairs:
-        print("warning: fewer than 2 timesteps, transition outputs disabled",
-              file=sys.stderr)
-    else:
-        matrices = {name: au.transition_matrix([a, b], "one_step")
-                    for name, a, b in zip(pairs, posteriors, posteriors[1:])}
-        matrices["averaged"] = au.transition_matrix(posteriors, "averaged")
-        for name, tm in matrices.items():
-            au.write_transition_csv(tm, out / f"transition_{name}.csv")
-            au.write_transition_csv(tm, out / f"transition_{name}_raw.csv", which="raw")
-            gs.write_atomic(out / f"transition_{name}.dot",
-                            au.transition_to_dot(tm, cfg.min_edge))
-            artifacts += [f"transition_{name}.csv", f"transition_{name}_raw.csv",
-                          f"transition_{name}.dot"]
-            transitions[name] = {"period": tm.period, "zero_mass_rows": tm.zero_mass_rows}
+        if not pairs:
+            print("warning: fewer than 2 timesteps, transition outputs disabled",
+                  file=sys.stderr)
+        else:
+            # one walk gives each pair's matrix in order, then the averaged one
+            for name, tm in zip(pairs + ["averaged"], au.transition_matrices(posteriors)):
+                au.write_transition_csv(tm, stage / f"transition_{name}.csv")
+                au.write_transition_csv(tm, stage / f"transition_{name}_raw.csv", which="raw")
+                gs.write_atomic(stage / f"transition_{name}.dot",
+                                au.transition_to_dot(tm, cfg.min_edge))
+                artifacts += [f"transition_{name}.csv", f"transition_{name}_raw.csv",
+                              f"transition_{name}.dot"]
+                transitions[name] = {"period": tm.period, "zero_mass_rows": tm.zero_mass_rows}
 
-    gs.write_atomic(out / "index.json",
-                    schema.dumps({"artifacts": artifacts, "transitions": transitions}))
+        gs.write_atomic(stage / "index.json",
+                        schema.dumps({"artifacts": artifacts, "transitions": transitions}))
     _echo_config(cfg, "audit")
     print(f"wrote {len(artifacts)} audit artifacts under {out}")
     return 0

@@ -143,14 +143,23 @@ def read_manifest(path: str | Path) -> StackManifest:
 
 
 def read_grid_stack(path: str | Path) -> GridStack:
-    """Load a stack directory; values are read bit-exactly as little-endian f32."""
+    """Load a stack directory; values are read bit-exactly as little-endian f32.
+    A bad layer value is a GridFormatError naming its layer file, and a
+    stack that breaks ``validate_stack`` one naming ``path``."""
     path = Path(path)
     m = read_manifest(path)
-    grids = [RasterGrid(m.width, m.height_px,
-                        read_array(path / f"{label}.f32", (m.height_px, m.width)),
-                        nodata=m.nodata)
-             for label in m.layer_labels]
-    return GridStack(m, grids)
+    grids = []
+    for label in m.layer_labels:
+        layer = path / f"{label}.f32"
+        values = read_array(layer, (m.height_px, m.width))
+        try:
+            grids.append(RasterGrid(m.width, m.height_px, values, nodata=m.nodata))
+        except GridFormatError as exc:
+            raise GridFormatError(f"{layer}: {exc}") from exc
+    try:
+        return GridStack(m, grids)
+    except GridFormatError as exc:
+        raise GridFormatError(f"{path}: {exc}") from exc
 
 
 def write_grid_stack(stack: GridStack, path: str | Path) -> None:
@@ -165,8 +174,8 @@ def write_grid_stack(stack: GridStack, path: str | Path) -> None:
 def write_arrays(path: str | Path, manifest, arrays: dict[str, np.ndarray]) -> None:
     """Write ``manifest`` (a dataclass) as ``manifest.json`` and each array as
     ``<name>.f32``, row-major little-endian f32, into a staged directory that
-    then takes the place of ``path`` (see ``_staged_dir``)."""
-    with _staged_dir(path) as tmp:
+    then takes the place of ``path`` (see ``staged_dir``)."""
+    with staged_dir(path) as tmp:
         (tmp / "manifest.json").write_text(schema.dumps(manifest), encoding="utf-8")
         for name, values in arrays.items():
             (tmp / f"{name}.f32").write_bytes(
@@ -187,7 +196,7 @@ def read_array(path: str | Path, shape: tuple[int, ...]) -> np.ndarray:
 
 
 @contextmanager
-def _staged_dir(path: str | Path) -> Iterator[Path]:
+def staged_dir(path: str | Path) -> Iterator[Path]:
     """Yield a fresh sibling temporary directory to fill; when the block
     completes, it takes the place of ``path``. If the block raises, ``path``
     keeps its previous contents (or stays absent) and the temporary directory

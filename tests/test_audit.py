@@ -256,6 +256,26 @@ class TestTransitionMatrix:
             assert tm.raw.min() >= 0.0
             assert tm.normalized.min() >= 0.0 and tm.normalized.max() <= 1.0
 
+    @pytest.mark.parametrize("t, p_valid", [(2, 1.0), (5, 0.6)])
+    def test_one_walk_equals_each_mode(self, t, p_valid):
+        # p_valid 1 leaves the NONE row without mass, so it is pinned
+        rng = np.random.default_rng(t)
+        posts = [random_posterior(rng, 5, 6, 3, p_valid=p_valid, timestep=f"t{i}")
+                 for i in range(t)]
+        walk = au.transition_matrices(posts)
+        expected = [au.transition_matrix([a, b], "one_step") for a, b in zip(posts, posts[1:])]
+        expected.append(au.transition_matrix(posts, "averaged"))
+        assert len(walk) == len(expected) == t
+        for got, want in zip(walk, expected):
+            np.testing.assert_array_equal(got.raw, want.raw)
+            np.testing.assert_array_equal(got.normalized, want.normalized)
+            assert (got.labels, got.period, got.zero_mass_rows) == \
+                (want.labels, want.period, want.zero_mass_rows)
+        assert [tm.period for tm in walk] == \
+            [f"t{i} -> t{i + 1}" for i in range(t - 1)] + ["averaged"]
+        if p_valid == 1.0:
+            assert walk[-1].zero_mass_rows == ["NONE"]
+
     def test_too_few_timesteps(self):
         post = posterior_from(np.full((1, 1, 2), 0.5))
         with pytest.raises(ValueError):

@@ -57,6 +57,24 @@ def toy_run(tmp_path):
     return tmp_path, config
 
 
+@pytest.fixture
+def toy_run3(tmp_path):
+    """A three-timestep toy dataset, prepared and trained."""
+    spec = write_spec(tmp_path / "spec.json", timesteps=3)
+    assert cli.main(["synth", "--spec", str(spec), "--out", str(tmp_path / "data")]) == 0
+    config = write_config(tmp_path / "config.json", tmp_path / "data", tmp_path / "out")
+    assert cli.main(["prepare", "--config", str(config)]) == 0
+    assert cli.main(["train", "--config", str(config)]) == 0
+    return tmp_path, config
+
+
+def set_first_data_value(path, value):
+    """Set the first value of the ``.f32`` layer ``path`` that is not nodata."""
+    values = np.fromfile(path, dtype="<f4")
+    values[np.argmax(values != gs.DEFAULT_NODATA)] = value
+    values.tofile(path)
+
+
 class TestSynth:
     def test_writes_three_stacks(self, tmp_path):
         spec = write_spec(tmp_path / "spec.json")
@@ -390,6 +408,33 @@ class TestInfer:
         assert cli.main(["infer", "--config", str(config), "--checkpoint", str(ckpt)]) == 2
         assert f"missing layer: {ckpt / 'dec_w2.f32'}" in capsys.readouterr().err
 
+    def test_posterior_dropped_once_its_stack_is_built(self, toy_run3, monkeypatch):
+        tmp_path, config = toy_run3
+        refs, live = [], []
+        real_infer, real_read_field = md.infer_posterior, cli._read_field
+
+        def record_live():
+            gc.collect()
+            live.append([ref for ref in refs if ref() is not None])
+
+        def infer_posterior(*args, **kwargs):
+            record_live()
+            post = real_infer(*args, **kwargs)
+            refs.append(weakref.ref(post.probs))
+            return post
+
+        def read_field(*args):  # the self-check decode
+            record_live()
+            return real_read_field(*args)
+
+        monkeypatch.setattr(md, "infer_posterior", infer_posterior)
+        monkeypatch.setattr(cli, "_read_field", read_field)
+        assert cli.main(["infer", "--config", str(config),
+                         "--checkpoint", str(tmp_path / "out" / "checkpoint")]) == 0
+        assert len(refs) == 3
+        # no posterior was live at a self-check or at the next inference
+        assert live == [[]] * 6
+
 
 class TestAudit:
     def run_pipeline(self, toy_run):
@@ -508,6 +553,36 @@ class TestAudit:
         assert f"{stack}: extent 16x8" in err and "16x16" in err, err
         assert not (tmp_path / "out" / "audit").exists()
 
+    def test_one_walk_builds_each_distribution_once(self, toy_run3, monkeypatch):
+        tmp_path, config = toy_run3
+        assert cli.main(["infer", "--config", str(config),
+                         "--checkpoint", str(tmp_path / "out" / "checkpoint")]) == 0
+        built = []
+        real_extended = au._extended_distribution
+
+        def extended_distribution(post):
+            built.append(post.timestep)
+            return real_extended(post)
+
+        monkeypatch.setattr(au, "_extended_distribution", extended_distribution)
+        assert cli.main(["audit", "--config", str(config),
+                         "--posteriors", str(tmp_path / "out" / "posteriors")]) == 0
+        assert built == ["t0", "t1", "t2"]
+
+    def test_rerun_with_another_region_leaves_no_stale_file(self, toy_run):
+        tmp_path, config = self.run_pipeline(toy_run)
+        out = tmp_path / "out" / "audit"
+        for name in ("harbor", "quay"):
+            write_config(config, tmp_path / "data", tmp_path / "out",
+                         regions=[{"name": name, "x": 0, "y": 0, "width": 8, "height": 8}])
+            assert cli.main(["audit", "--config", str(config),
+                             "--posteriors", str(tmp_path / "out" / "posteriors")]) == 0
+            assert (out / f"trend_{name}.csv").is_file()
+        index = json.loads((out / "index.json").read_text())
+        assert sorted(p.name for p in out.iterdir()) == sorted(index["artifacts"] + ["index.json"])
+        assert not (out / "trend_harbor.csv").exists()
+        assert not list(out.parent.glob(".audit*"))  # no staged directory left behind
+
     def test_failed_rewrite_keeps_previous_file(self, toy_run, monkeypatch):
         tmp_path, config = self.run_pipeline(toy_run)
         argv = ["audit", "--config", str(config),
@@ -590,19 +665,19 @@ class TestAudit:
                 return result
             return wrapper
 
-        real_transition = au.transition_matrix
+        real_transitions = au.transition_matrices
 
-        def transition_matrix(*args, **kwargs):
+        def transition_matrices(*args, **kwargs):
             if not live:
                 gc.collect()
                 live.append([ref for ref in refs + inputs if ref() is not None])
-            return real_transition(*args, **kwargs)
+            return real_transitions(*args, **kwargs)
 
         monkeypatch.setattr(cli, "_read_heights", read_heights)
         monkeypatch.setattr(cli, "_read_field", read_field)
         monkeypatch.setattr(au, "ad_map", keeping_ref(au.ad_map))
         monkeypatch.setattr(au, "change_map", keeping_ref(au.change_map))
-        monkeypatch.setattr(au, "transition_matrix", transition_matrix)
+        monkeypatch.setattr(au, "transition_matrices", transition_matrices)
         assert cli.main(["audit", "--config", str(config),
                          "--posteriors", str(tmp_path / "out" / "posteriors")]) == 0
         assert len(refs) == 3 + 2  # an AD map per timestep, a change map per pair
@@ -802,6 +877,34 @@ def test_missing_key_named_as_the_file_spells_it(toy_run, capsys, name, key, com
     err = capsys.readouterr().err
     assert f"{path}: missing key(s) {key!r}" in err, err
     assert "layer_labels" not in err
+
+
+@pytest.mark.parametrize("case, named, message", [
+    ("nan-height", "data/heights/t1.f32", "non-finite value outside nodata sentinel"),
+    ("posterior-above-one", "out/posteriors/t1",
+     "range violation: POSTERIOR value outside [0,1]"),
+    ("counts-of-another-kind", "data/heights", "expected PRIOR_COUNTS stack, got HEIGHT_SERIES"),
+], ids=["nan-height", "posterior-above-one", "counts-of-another-kind"])
+def test_bad_stack_value_exits_2_naming_it(toy_run, capsys, case, named, message):
+    tmp_path, config = toy_run
+    argv = ["prepare", "--config", str(config)]
+    if case == "nan-height":
+        set_first_data_value(tmp_path / named, np.nan)
+    elif case == "posterior-above-one":
+        for stage in ("prepare", "train"):
+            assert cli.main([stage, "--config", str(config)]) == 0
+        assert cli.main(["infer", "--config", str(config),
+                         "--checkpoint", str(tmp_path / "out" / "checkpoint")]) == 0
+        set_first_data_value(min((tmp_path / named).glob("*.f32")), 1.5)
+        argv = ["audit", "--config", str(config),
+                "--posteriors", str(tmp_path / "out" / "posteriors")]
+    else:
+        write_config(config, tmp_path / "data", tmp_path / "out",
+                     prior_counts=str(tmp_path / "data" / "heights"))
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {tmp_path / named}: {message}\n" == err, err
 
 
 class TestEndToEnd:
