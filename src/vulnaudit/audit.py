@@ -231,7 +231,10 @@ def write_transition_csv(tm: TransitionMatrix, path: str | Path,
 
 
 def write_trend_csv(trend: RegionalTrend, path: str | Path) -> None:
-    _write_rows(path, ["timestep", *trend.categories], trend.timesteps, trend.series)
+    """One row per timestep; a timestep whose region held no node pixel has
+    no mean, and its row reads ``nan``."""
+    rows = np.where(np.asarray(trend.empty)[:, None], np.nan, trend.series)
+    _write_rows(path, ["timestep", *trend.categories], trend.timesteps, rows)
 
 
 def _write_rows(path: str | Path, header: list[str], labels: list[str], rows) -> None:

@@ -236,14 +236,17 @@ def cmd_prepare(cfg: RunConfig) -> int:
         coarse = gs.normalize_prior_counts(counts)
     except ValueError as exc:
         raise ConfigError(f"{counts_path}: {exc}") from exc
-    fine = gs.upsample_nearest(coarse, cfg.upsample_factor)
-    hm = heights.manifest
-    fine_h, fine_w = fine.shape
-    if fine_w < hm.width or fine_h < hm.height_px:
+    # the upsampled prior must cover the heights and overhang them by less
+    # than one block: a coarser or finer prior would be misregistered
+    hm, f = heights.manifest, cfg.upsample_factor
+    (coarse_h, coarse_w), blocks = coarse.shape, (-(-hm.width // f), -(-hm.height_px // f))
+    if (coarse_w, coarse_h) != blocks:
         raise ConfigError(
-            f"upsampled prior {fine_w}x{fine_h} does not cover "
-            f"heights {hm.width}x{hm.height_px}; check upsample_factor")
-    if (fine_w, fine_h) != (hm.width, hm.height_px):
+            f"{counts_path}: prior counts {coarse_w}x{coarse_h} upsampled by "
+            f"upsample_factor {f} do not fit heights {hm.width}x{hm.height_px}: "
+            f"expected {blocks[0]}x{blocks[1]} blocks")
+    fine = gs.upsample_nearest(coarse, f)
+    if fine.shape != (hm.height_px, hm.width):
         fine = replace(fine, probs=fine.probs[:hm.height_px, :hm.width],
                        valid=fine.valid[:hm.height_px, :hm.width])
 
@@ -291,8 +294,9 @@ def cmd_train(cfg: RunConfig) -> int:
     md.save_checkpoint(out / "checkpoint", result.params, result.norm_stats, cfg.train)
     lines = ["epoch,train_rec,train_kl,train_ce,train_total,"
              "val_rec,val_kl,val_ce,val_total"]
+    no_val = md.LossBreakdown(*[float("nan")] * 4)  # no validation node: no loss
     for row in result.history:
-        t, v = row.train, row.val
+        t, v = row.train, row.val or no_val
         lines.append(",".join([str(row.epoch)] +
                               [repr(x) for x in (t.rec, t.kl, t.ce, t.total,
                                                  v.rec, v.kl, v.ce, v.total)]))
@@ -302,9 +306,11 @@ def cmd_train(cfg: RunConfig) -> int:
     _echo_config(cfg, "train")
     if result.history:
         last = result.history[-1]
+        val = ("no validation nodes, val columns nan" if last.val is None
+               else f"val total {last.val.total:.6f}")
         print(f"epoch {last.epoch}: train total {last.train.total:.6f} "
               f"(rec {last.train.rec:.6f}, kl {last.train.kl:.6f}, ce {last.train.ce:.6f}); "
-              f"val total {last.val.total:.6f}")
+              f"{val}")
     else:
         print("epochs=0: checkpoint holds the initial parameters")
     return 0

@@ -121,11 +121,19 @@ def build_graph(heights: RasterGrid, tiles: list[Tile]) -> GridGraph:
     return _mask_graph(heights, node_mask(heights, tiles))
 
 
-def _mask_graph(heights: RasterGrid, mask: np.ndarray) -> GridGraph:
+def _mask_graph(heights: RasterGrid, mask: np.ndarray, dropout: float = 0.0,
+                rng: np.random.Generator | None = None) -> GridGraph:
     """The 8-neighbor graph on the pixels of ``mask``, nodes in row-major
-    order. The adjacency is written as sorted CSR directly: row i lists the
-    node indices found at node i's eight neighbor offsets, in row-major
-    order, in an index raster padded with -1."""
+    order, with ``round(dropout * m)`` of its m undirected edges dropped.
+
+    Node i's neighbors are the node indices at its eight ``_NEIGHBORHOOD``
+    offsets, found in an index raster padded with -1. Slots 4-7 point to
+    later nodes, so their arcs read row-major are the CSR upper triangle,
+    and slot 7 - s is the opposite of slot s. The one rng draw is
+    ``rng.choice(m, n_drop, replace=False)`` over those upper arcs, and each
+    drawn edge is removed with both its arcs; there is no draw when nothing
+    is dropped. The adjacency is then written as sorted CSR directly: row i
+    lists node i's remaining neighbors in slot order."""
     import scipy.sparse as sp
     ys, xs = np.nonzero(mask)  # row-major node order
     n = len(xs)
@@ -136,6 +144,13 @@ def _mask_graph(heights: RasterGrid, mask: np.ndarray) -> GridGraph:
     for j, (dx, dy) in enumerate(_NEIGHBORHOOD):
         nbr[:, j] = index[ys + 1 + dy, xs + 1 + dx]
     present = nbr >= 0
+    n_drop = int(round(dropout * np.count_nonzero(present[:, 4:])))  # half to even
+    if n_drop:
+        rows, slots = np.nonzero(present[:, 4:])  # the upper arcs, row-major
+        drop = rng.choice(len(rows), size=n_drop, replace=False)
+        rows, slots = rows[drop], slots[drop] + 4
+        present[rows, slots] = False
+        present[nbr[rows, slots], 7 - slots] = False
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(present.sum(axis=1), out=indptr[1:])
     indices = nbr[present]
@@ -278,21 +293,6 @@ def _category_distribution(tiles: list[Tile]) -> dict[int, float]:
     return {k: v / total for k, v in counts.items()}
 
 
-def _drop_edges(graph: GridGraph, fraction: float, rng: np.random.Generator) -> GridGraph:
-    """Remove ``round(fraction * m)`` of the m undirected edges, both arcs of
-    each. The one rng draw is ``rng.choice(m, n_drop, replace=False)`` over
-    the upper-triangle arcs in CSR (row-major) order; no draw when nothing
-    is dropped."""
-    import scipy.sparse as sp
-    upper = sp.triu(graph.adjacency, k=1, format="csr")
-    n_drop = int(round(fraction * upper.nnz))  # round-half-to-even for determinism
-    if n_drop == 0:
-        return graph
-    upper.data[rng.choice(upper.nnz, size=n_drop, replace=False)] = 0.0
-    upper.eliminate_zeros()
-    return GridGraph(graph.node_pixels, upper + upper.T, graph.features)
-
-
 def epoch_subgraphs(heights: RasterGrid, tiles: list[Tile], n_subgraphs: int,
                     dropout: float = DEFAULT_EDGE_DROPOUT, seed: int = 0) -> Iterator[GridGraph]:
     """One epoch's training subgraphs: the nodes of ``build_graph(heights,
@@ -300,7 +300,7 @@ def epoch_subgraphs(heights: RasterGrid, tiles: list[Tile], n_subgraphs: int,
     induced subgraph with ``round(dropout * m)`` of its m undirected edges
     dropped. Deterministic given the seed: one ``permutation(n)`` over the
     row-major nodes, split by ``np.array_split``, then per part in order
-    ``_drop_edges``'s one ``choice``. The permutation is drawn, and bad
+    ``_mask_graph``'s one dropout ``choice``. The permutation is drawn, and bad
     arguments raise, at the call; until the last part the iterator keeps only
     a raster of part ids and the rng. Each part is built when it is drawn, as
     the 8-neighbor graph on its pixels, with raw heights as features."""
@@ -314,7 +314,7 @@ def epoch_subgraphs(heights: RasterGrid, tiles: list[Tile], n_subgraphs: int,
     part_ids = np.zeros((heights.height_px, heights.width), np.min_scalar_type(n_subgraphs))
     for i, part in enumerate(np.array_split(rng.permutation(n), n_subgraphs), 1):
         part_ids.flat[pixels[part]] = i
-    return (_drop_edges(_mask_graph(heights, part_ids == i), dropout, rng)
+    return (_mask_graph(heights, part_ids == i, dropout, rng)
             for i in range(1, n_subgraphs + 1))
 
 

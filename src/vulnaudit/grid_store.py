@@ -32,8 +32,10 @@ SIMPLEX_TOL = 1e-9
 
 
 def usable_label(label: str) -> bool:
-    """Whether ``label`` can name a file: non-empty, with no ``/``, ``\\`` or ``..``."""
-    return bool(label) and not any(p in label for p in ("/", "\\", ".."))
+    """Whether ``label`` can name a file and a CSV or DOT field: non-empty,
+    with no ``/``, ``\\``, ``..``, ``,``, ``"`` or control character."""
+    return (bool(label) and not any(p in label for p in ("/", "\\", "..", ",", '"'))
+            and not any(ord(c) < 0x20 or 0x7F <= ord(c) <= 0x9F for c in label))  # Cc
 
 
 class GridFormatError(schema.ConfigError):
@@ -267,7 +269,6 @@ class CategoryField:
     probs: np.ndarray  # (H, W, K) float64
     valid: np.ndarray  # (H, W) bool
     timestep: str = ""
-    nodata: float = DEFAULT_NODATA
 
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=np.float64)
@@ -327,12 +328,11 @@ def upsample_nearest(coarse: CategoryField, factor: int) -> CategoryField:
 
 def field_to_stack(field: CategoryField, kind: StackKind) -> GridStack:
     """Encode a field as a ``kind`` stack, one float32 layer per category;
-    invalid pixels are nodata in every layer."""
+    invalid pixels are ``DEFAULT_NODATA`` in every layer."""
     h, w = field.shape
-    manifest = StackManifest(kind, w, h, list(field.categories), nodata=field.nodata)
+    manifest = StackManifest(kind, w, h, list(field.categories))
     grids = [RasterGrid(w, h, np.where(field.valid, field.probs[:, :, i],
-                                       field.nodata).astype(np.float32),
-                        nodata=field.nodata)
+                                       DEFAULT_NODATA).astype(np.float32))
              for i in range(field.k)]
     return GridStack(manifest, grids)
 
@@ -362,4 +362,4 @@ def stack_to_field(stack: GridStack, kind: StackKind, timestep: str = "") -> Cat
     if np.any(valid & (sums <= 0)):
         raise GridFormatError("pixel with data but zero probability mass")
     np.divide(probs, sums[:, :, None], out=probs, where=valid[:, :, None])
-    return CategoryField(list(m.layer_labels), probs, valid, timestep, nodata=m.nodata)
+    return CategoryField(list(m.layer_labels), probs, valid, timestep)

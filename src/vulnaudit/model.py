@@ -332,7 +332,7 @@ def evaluate_losses(params: ModelParams, a_hat: sp.csr_matrix, x: np.ndarray,
 class EpochLosses:
     epoch: int
     train: LossBreakdown
-    val: LossBreakdown
+    val: LossBreakdown | None  # None when no timestep has a validation node
 
 
 @dataclass
@@ -348,8 +348,6 @@ def derive_seed(*parts: int) -> int:
 
 
 def _mean_breakdown(items: list[LossBreakdown]) -> LossBreakdown:
-    if not items:
-        return LossBreakdown(0.0, 0.0, 0.0, 0.0)
     n = len(items)
     return LossBreakdown(sum(b.rec for b in items) / n,
                          sum(b.kl for b in items) / n,
@@ -422,7 +420,7 @@ def train(params: ModelParams, height_series: GridStack, prior: CategoryField,
                       if (losses := _validation_losses(params, grid, splits.validation,
                                                        norm_stats, prior, config)) is not None]
         history.append(EpochLosses(epoch, _mean_breakdown(step_losses),
-                                   _mean_breakdown(val_losses)))
+                                   _mean_breakdown(val_losses) if val_losses else None))
     return TrainResult(params, history, norm_stats)
 
 

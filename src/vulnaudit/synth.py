@@ -17,7 +17,7 @@ import numpy as np
 from scipy import ndimage
 
 from .grid_store import (GridStack, RasterGrid, StackKind, StackManifest,
-                         write_grid_stack)
+                         usable_label, write_grid_stack)
 
 
 @dataclass
@@ -62,6 +62,9 @@ class SyntheticSpec:
             self.labels = [f"cat{i}" for i in range(self.k)]
         elif len(self.labels) != self.k:
             raise ValueError(f"labels has {len(self.labels)} entries, k is {self.k}")
+        for label in self.labels:
+            if not usable_label(label):
+                raise ValueError(f"labels: unusable label {label!r}")
 
 
 def default_spec(width: int = 64, height_px: int = 64, timesteps: int = 3,

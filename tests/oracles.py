@@ -112,12 +112,28 @@ def coo_grid_adjacency(mask: np.ndarray):
     return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
 
 
+def drop_edges_by_mirroring(graph, fraction: float, rng: np.random.Generator):
+    """Edge dropout as ``graph_build`` once applied it to a built graph: cut
+    the CSR upper triangle, zero ``rng.choice(m, round(fraction * m),
+    replace=False)`` of its m arcs, prune them, and add the transpose back.
+    No draw when nothing is dropped."""
+    upper = sp.triu(graph.adjacency, k=1, format="csr")
+    n_drop = int(round(fraction * upper.nnz))
+    if n_drop == 0:
+        return graph
+    upper.data[rng.choice(upper.nnz, size=n_drop, replace=False)] = 0.0
+    upper.eliminate_zeros()
+    return gb.GridGraph(graph.node_pixels, upper + upper.T, graph.features)
+
+
 def sample_epoch_from_whole_graph(heights, tiles, n_subgraphs: int, dropout: float,
                                   seed: int) -> list:
     """``graph_build.epoch_subgraphs`` as it was when it sampled a built
-    whole-region graph: the same rng stream (one permutation, then one
-    dropout draw per part), but each part cut from the whole graph's
-    adjacency by fancy indexing, and every part held in one list."""
+    whole-region graph and dropped edges from each built part: the same rng
+    stream (one permutation, then one dropout draw per part), but each part
+    cut from the whole graph's adjacency by fancy indexing, its edges
+    dropped by ``drop_edges_by_mirroring``, and every part held in one
+    list."""
     graph = gb.build_graph(heights, tiles)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     parts = []
@@ -126,7 +142,7 @@ def sample_epoch_from_whole_graph(heights, tiles, n_subgraphs: int, dropout: flo
         parts.append(graph if n_subgraphs == 1 else
                      gb.GridGraph(graph.node_pixels[nodes],
                                   graph.adjacency[nodes][:, nodes], graph.features[nodes]))
-    return [gb._drop_edges(g, dropout, rng) for g in parts]
+    return [drop_edges_by_mirroring(g, dropout, rng) for g in parts]
 
 
 def gcn_layer_saving_activations(tape, a, h, w, b, activate: bool):

@@ -331,6 +331,16 @@ class TestExports:
         assert lines[0] == "timestep,a,b"
         assert lines[1] == "t0,0.25,0.75"
 
+    def test_trend_csv_empty_rows_read_nan(self, tmp_path):
+        # a timestep whose region held no node pixel has no mean to write
+        post = posterior_from(np.full((2, 2, 2), 0.5), timestep="t0")
+        empty = posterior_from(np.full((2, 2, 2), 0.5), np.zeros((2, 2), dtype=bool),
+                               timestep="t1")
+        trend = au.regional_trend([post, empty], (0, 0, 2, 2))
+        au.write_trend_csv(trend, tmp_path / "trend.csv")
+        lines = (tmp_path / "trend.csv").read_text().strip().splitlines()
+        assert lines[1:] == ["t0,0.5,0.5", "t1,nan,nan"]
+
     def test_ppm_heatmap(self, tmp_path):
         grid = RasterGrid(2, 2, np.array([[0.0, 1.0], [-1.0, 0.5]], dtype=np.float32))
         au.write_ppm_heatmap(grid, tmp_path / "m.ppm")

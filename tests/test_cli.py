@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import math
 import re
 import weakref
 from dataclasses import replace
@@ -116,6 +117,7 @@ class TestSynth:
         (lambda doc: {**doc, "width": 0}, "width"),
         (lambda doc: {**doc, "height_px": -4}, "height_px"),
         (lambda doc: {**doc, "labels": ["a", "b", "c"]}, "labels"),
+        (lambda doc: {**doc, "labels": ['low, "x"', "b"]}, "labels"),
         (lambda doc: {**doc, "mean_log_heights": [0.5, float("inf")]}, "mean_log_heights"),
         (lambda doc: {**doc, "mean_log_heights": [0.5, float("nan")]}, "mean_log_heights"),
         (lambda doc: {**doc, "std_log_heights": [0.3, -0.1]}, "std_log_heights"),
@@ -123,8 +125,8 @@ class TestSynth:
         (lambda doc: {**doc, "n_blobs": -5}, "n_blobs"),
         (lambda doc: {**doc, "n_blobs": 0}, "n_blobs"),
     ], ids=["list", "unknown-key", "zero-width", "negative-height", "labels-not-k",
-            "inf-mean", "nan-mean", "negative-std", "nan-std", "negative-blobs",
-            "zero-blobs"])
+            "csv-breaking-label", "inf-mean", "nan-mean", "negative-std", "nan-std",
+            "negative-blobs", "zero-blobs"])
     def test_bad_spec_exits_2(self, tmp_path, capsys, edit, named):
         spec = write_spec(tmp_path / "spec.json")
         spec.write_text(json.dumps(edit(json.loads(spec.read_text()))))
@@ -254,6 +256,32 @@ class TestPrepare:
                 "f5c1b03882a67520269f156892593cf2834b02003bc0d966b3823ce08c31da6a",
         }
 
+    def test_overhanging_prior_rejected(self, tmp_path, capsys):
+        # 2x2 counts upsampled x32 cover 64x64: their top-left block alone
+        # would cover the 16x16 heights, so the prior would be misregistered
+        self.write_hand_built(tmp_path, side=16)
+        config = write_config(tmp_path / "c.json", tmp_path / "data", tmp_path / "out",
+                              tile_size=8, upsample_factor=32)
+        assert cli.main(["prepare", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert all(s in err for s in ("upsample_factor", "2x2", "16x16")), err
+        assert not (tmp_path / "out" / "prepared").exists()
+
+    def test_label_breaking_csv_and_dot_rejected(self, tmp_path, capsys):
+        # a comma or quote in a category label would break the audit's CSV
+        # header and DOT node names
+        self.write_hand_built(tmp_path, side=8)
+        counts = tmp_path / "data" / "prior_counts"
+        manifest = counts / "manifest.json"
+        manifest.write_bytes(edit_json(manifest.read_bytes(), layers=["a,b", "c"]))
+        (counts / "a.f32").rename(counts / "a,b.f32")
+        (counts / "b.f32").rename(counts / "c.f32")
+        config = write_config(tmp_path / "c.json", tmp_path / "data", tmp_path / "out",
+                              tile_size=4, upsample_factor=4)
+        assert cli.main(["prepare", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert str(manifest) in err and "'a,b'" in err, err
+
     def test_undersized_prior_rejected(self, tmp_path, capsys):
         self.write_hand_built(tmp_path, side=6)
         config = write_config(tmp_path / "c.json", tmp_path / "data", tmp_path / "out",
@@ -285,6 +313,22 @@ class TestTrain:
                                        "train_total", "val_rec", "val_kl", "val_ce",
                                        "val_total"]
         assert len(lines) == 4  # 3 epochs
+
+    def test_no_validation_node_writes_nan(self, toy_run, capsys):
+        # the toy run's four 8-pixel tiles all go to train: with no
+        # validation node there is no validation loss, not a loss of 0
+        tmp_path, config = toy_run
+        assert cli.main(["prepare", "--config", str(config)]) == 0
+        splits = json.loads((tmp_path / "out" / "prepared" / "splits.json").read_text())
+        assert "validation" not in {row["split"] for row in splits["tiles"]}
+        assert cli.main(["train", "--config", str(config)]) == 0
+        rows = (tmp_path / "out" / "losses.csv").read_text().strip().splitlines()[1:]
+        assert len(rows) == 3
+        for row in rows:
+            values = row.split(",")
+            assert all(math.isfinite(float(v)) for v in values[1:5])
+            assert values[5:] == ["nan"] * 4
+        assert "no validation nodes" in capsys.readouterr().out
 
     def test_diverging_run_exits_3(self, toy_run, capsys):
         tmp_path, config = toy_run
@@ -489,11 +533,12 @@ class TestAudit:
         ({"name": "a/b", "x": 0, "y": 0, "width": 4, "height": 4}, "a/b"),
         ({"name": "..", "x": 0, "y": 0, "width": 4, "height": 4}, ".."),
         ({"name": "a\\b", "x": 0, "y": 0, "width": 4, "height": 4}, "unusable"),
+        ({"name": "a,b", "x": 0, "y": 0, "width": 4, "height": 4}, "unusable"),
         ({"x": 10, "y": 0, "width": 10, "height": 4}, "out of bounds"),
         ({"x": 0, "y": -1, "width": 4, "height": 4}, "out of bounds"),
         ({"name": "ok", "x": 4, "y": 4, "width": 4, "height": 4}, "duplicate"),
     ], ids=["unknown-key", "missing-key", "slash-name", "dotdot-name",
-            "backslash-name", "past-edge", "negative-origin", "duplicate-name"])
+            "backslash-name", "comma-name", "past-edge", "negative-origin", "duplicate-name"])
     def test_bad_region_exits_2_before_writing(self, toy_run, capsys, region, named):
         tmp_path, config = self.run_pipeline(toy_run)
         doc = json.loads(config.read_text())

@@ -8,7 +8,7 @@ from vulnaudit import graph_build as gb
 from vulnaudit.grid_store import CategoryField, RasterGrid
 
 from oracles import (brute_force_grid_edges, coo_grid_adjacency, dense_normalized_adjacency,
-                     sample_epoch_from_whole_graph)
+                     drop_edges_by_mirroring, sample_epoch_from_whole_graph)
 
 
 def heights_grid(values):
@@ -18,6 +18,18 @@ def heights_grid(values):
 
 def full_tile(grid):
     return [gb.Tile(0, 0, grid.width, grid.height_px)]
+
+
+def assert_same_graph_bytes(a, b):
+    """Node pixels, features, and the adjacency's and Â's CSR arrays equal
+    in dtype, shape and bytes."""
+    pairs = [(a.node_pixels, b.node_pixels), (a.features, b.features)]
+    for m, n in ((a.adjacency, b.adjacency),
+                 (gb.normalize_adjacency(a), gb.normalize_adjacency(b))):
+        pairs += [(m.indptr, n.indptr), (m.indices, n.indices), (m.data, n.data)]
+    for x, y in pairs:
+        assert (x.dtype, x.shape) == (y.dtype, y.shape)
+        assert x.tobytes() == y.tobytes()
 
 
 def one_hot_prior(codes, k):
@@ -111,6 +123,18 @@ class TestBuildGraph:
             expected = brute_force_grid_edges(
                 {(int(x), int(y)) for x, y in graph.node_pixels})
             assert len(expected) == graph.n_undirected_edges
+
+    def test_neighborhood_slots(self):
+        # slot 7 - s is the opposite offset of slot s, and with row-major
+        # node numbering slots 0-3 point to earlier nodes and 4-7 to later
+        # ones, in ascending order: the arcs of slots 4-7 are the upper
+        # triangle, in CSR order
+        hood = gb._NEIGHBORHOOD
+        for s, (dx, dy) in enumerate(hood):
+            assert hood[7 - s] == (-dx, -dy)
+        order = [(dy, dx) for dx, dy in hood]
+        assert order == sorted(order)
+        assert all(o < (0, 0) for o in order[:4]) and all(o > (0, 0) for o in order[4:])
 
     @pytest.mark.parametrize("h, w", [(1, 1), (1, 23), (23, 1), (9, 13), (24, 31)])
     def test_csr_equals_coo_construction(self, h, w):
@@ -338,9 +362,32 @@ class TestSampleEpoch:
             ref = sample_epoch_from_whole_graph(grid, tiles, n_sub, dropout, trial)
             assert len(ours) == len(ref) == n_sub
             for a, b in zip(ours, ref):
-                for x, y in ((a.node_pixels, b.node_pixels), (a.features, b.features),
-                             (a.adjacency.indptr, b.adjacency.indptr),
-                             (a.adjacency.indices, b.adjacency.indices),
-                             (a.adjacency.data, b.adjacency.data)):
-                    assert (x.dtype, x.shape) == (y.dtype, y.shape)
-                    assert x.tobytes() == y.tobytes()
+                assert_same_graph_bytes(a, b)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.2, 0.5, 0.9])
+    def test_dropout_on_the_neighbor_table_matches_mirroring(self, dropout):
+        # dropping edges from the neighbor table before the CSR matrix is
+        # built gives the bytes, and leaves the rng where, the old route
+        # left them: build, cut the upper triangle, prune and mirror. At 3
+        # parts, the later parts' draws check the rng stream
+        rng = np.random.default_rng(int(100 * dropout))
+        for trial in range(30):
+            h, w = (int(v) for v in rng.integers(1, 40, size=2))
+            density = rng.uniform(0.2, 1.0)
+            vals = np.where(rng.random((h, w)) < density,
+                            rng.uniform(0.5, 9.0, size=(h, w)), 0.0)
+            grid = heights_grid(vals)
+            mask = gb.node_mask(grid, full_tile(grid))
+            ours_rng, ref_rng = (np.random.default_rng(trial) for _ in range(2))
+            assert_same_graph_bytes(
+                gb._mask_graph(grid, mask, dropout, ours_rng),
+                drop_edges_by_mirroring(gb._mask_graph(grid, mask), dropout, ref_rng))
+            assert ours_rng.random() == ref_rng.random()
+            for n_sub in (1, 3):
+                if mask.sum() < n_sub:
+                    continue
+                ours = list(gb.epoch_subgraphs(grid, full_tile(grid), n_sub, dropout, trial))
+                ref = sample_epoch_from_whole_graph(grid, full_tile(grid), n_sub,
+                                                    dropout, trial)
+                for a, b in zip(ours, ref, strict=True):
+                    assert_same_graph_bytes(a, b)

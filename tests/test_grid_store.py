@@ -92,6 +92,18 @@ class TestReadErrors:
         with pytest.raises(GridFormatError, match="duplicate"):
             StackManifest(StackKind.HEIGHT_SERIES, 1, 1, ["a", "a"])
 
+    # a label names a file, a CSV column and a DOT node
+    @pytest.mark.parametrize("label", ["", "a/b", "a\\b", "..", "a,b", 'a"b', "a\tb",
+                                       "a\nb", "a\x00b", "a\x7fb", "a\x85b"])
+    def test_unusable_label(self, label):
+        assert not gs.usable_label(label)
+        with pytest.raises(GridFormatError, match="unusable layer label"):
+            StackManifest(StackKind.HEIGHT_SERIES, 1, 1, [label])
+
+    @pytest.mark.parametrize("label", ["t0", "low rise", "café", "a.b", "a-b_c"])
+    def test_usable_label(self, label):
+        assert gs.usable_label(label)
+
     @pytest.mark.parametrize("key, value, named", [
         ("width", 4.9, "'width'"),
         ("width", "4", "'width'"),
