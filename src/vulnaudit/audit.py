@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
-from .grid_store import (DEFAULT_NODATA, CategoryField, GridStack, RasterGrid,
-                         StackKind, StackManifest, write_atomic)
+from .grid_store import (DEFAULT_NODATA, NONE_LABEL, CategoryField, GridStack,
+                         RasterGrid, StackKind, StackManifest, write_atomic)
 
-NONE_LABEL = "NONE"
 EPSILON = 1e-6  # the value that replaces a zero part before the log-ratios
 DEFAULT_CHANGE_THRESHOLD_M = 1.5
 # codes are -1/0/+1, so the change-map sentinel must live outside that set
@@ -120,29 +120,30 @@ def check_region(region: tuple[int, int, int, int], width: int, height_px: int) 
         raise ValueError(f"region {region} out of bounds for {width}x{height_px} raster")
 
 
+def region_mean(post: CategoryField,
+                region: tuple[int, int, int, int]) -> tuple[np.ndarray, bool]:
+    """The mean posterior over the node pixels inside the (x, y, width,
+    height) rectangle, and whether it held none; then the mean is zeros."""
+    x, y, w, h = region
+    inside = post.valid[y:y + h, x:x + w]
+    if not inside.any():
+        return np.zeros(post.k), True
+    return post.probs[y:y + h, x:x + w][inside].mean(axis=0), False
+
+
 def regional_trend(posteriors: list[CategoryField],
                    region: tuple[int, int, int, int]) -> RegionalTrend:
     """Per-timestep mean posterior over node pixels inside the rectangle."""
     if not posteriors:
         raise ValueError("no posterior fields given")
-    x, y, w, h = region
     ph, pw = posteriors[0].shape
     check_region(region, pw, ph)
-    series = []
-    empty = []
     for post in posteriors:
         if post.shape != (ph, pw) or post.categories != posteriors[0].categories:
             raise ValueError("posterior fields disagree on shape or categories")
-        sub_valid = post.valid[y:y + h, x:x + w]
-        sub_probs = post.probs[y:y + h, x:x + w]
-        if sub_valid.any():
-            series.append(sub_probs[sub_valid].mean(axis=0))
-            empty.append(False)
-        else:
-            series.append(np.zeros(post.k))
-            empty.append(True)
+    means, empty = zip(*(region_mean(post, region) for post in posteriors))
     return RegionalTrend(tuple(region), [p.timestep for p in posteriors],
-                         list(posteriors[0].categories), np.array(series), empty)
+                         list(posteriors[0].categories), np.array(means), list(empty))
 
 
 def _extended_distribution(post: CategoryField) -> np.ndarray:
@@ -155,38 +156,45 @@ def _extended_distribution(post: CategoryField) -> np.ndarray:
     return ext
 
 
-def transition_matrices(posteriors: list[CategoryField]) -> list[TransitionMatrix]:
+def transition_matrices(posteriors: Iterable[CategoryField]) -> list[TransitionMatrix]:
     """Expected category-to-category transition mass between consecutive
     steps: the matrix of each consecutive pair in order, then the averaged one.
 
-    One walk builds each timestep's extended distribution once and each pair
-    product Pₜᵀ·Pₜ₊₁ once. A pair's raw entries average its per-pixel
-    products over all H*W pixels; the averaged raw matrix is the pair
-    products summed in order and divided once by H*W*(T-1). Rows are then
-    normalized to sum to one (see ``_row_normalized``).
+    One pass consumes ``posteriors`` once, in order, so it may be a stream:
+    it holds only the previous timestep's extended distribution and the pair
+    products Pₜᵀ·Pₜ₊₁, each built once. A pair's raw entries average its
+    per-pixel products over all H*W pixels; the averaged raw matrix is the
+    pair products summed in order and divided once by H*W*(T-1). Rows are
+    then normalized to sum to one (see ``_row_normalized``). Fewer than two
+    fields have no pair and give no matrix.
     """
-    if len(posteriors) < 2:
-        raise ValueError("need at least 2 timesteps")
-    first = posteriors[0]
-    for p in posteriors[1:]:
-        if p.shape != first.shape or p.categories != first.categories:
+    pairs, timesteps = [], []
+    for post in posteriors:
+        if timesteps and (post.shape, post.categories) != (shape, categories):
             raise ValueError("posterior fields disagree on shape or categories")
-    hw = first.shape[0] * first.shape[1]
-    pairs, ext_prev = [], _extended_distribution(first)
-    for nxt in posteriors[1:]:
-        ext_next = _extended_distribution(nxt)
-        pairs.append(ext_prev.T @ ext_next)
+        shape, categories = post.shape, post.categories
+        ext_next = _extended_distribution(post)
+        if timesteps:
+            pairs.append(ext_prev.T @ ext_next)
+        timesteps.append(post.timestep)
+        del post  # a stream's next field is read without this one
         ext_prev = ext_next
-    periods = [f"{a.timestep} -> {b.timestep}" for a, b in zip(posteriors, posteriors[1:])]
+    if not pairs:
+        return []
+    hw = shape[0] * shape[1]
+    periods = [f"{a} -> {b}" for a, b in zip(timesteps, timesteps[1:])]
     raws = [pair / hw for pair in pairs] + [sum(pairs) / (hw * len(pairs))]
-    return [_row_normalized(first.categories, raw, period)
+    return [_row_normalized(categories, raw, period)
             for raw, period in zip(raws, periods + ["averaged"])]
 
 
 def _row_normalized(categories: list[str], raw: np.ndarray, period: str) -> TransitionMatrix:
     """``raw`` with each row divided by its sum. A row with no raw mass has
     no observed source category and is pinned one-hot on NONE (recorded in
-    ``zero_mass_rows``)."""
+    ``zero_mass_rows``). A category named NONE would collide with that
+    state, so it is rejected."""
+    if NONE_LABEL in categories:
+        raise ValueError(f"category {NONE_LABEL!r} collides with the no-building state")
     labels = list(categories) + [NONE_LABEL]
     normalized = np.zeros_like(raw)
     row_sums = raw.sum(axis=1)
@@ -203,6 +211,8 @@ def transition_matrix(posteriors: list[CategoryField],
     ``one_step`` matrix of exactly one consecutive pair."""
     if mode not in ("one_step", "averaged"):
         raise ValueError(f"unknown mode {mode!r}")
+    if len(posteriors) < 2:
+        raise ValueError("need at least 2 timesteps")
     if mode == "one_step" and len(posteriors) > 2:
         raise ValueError("one_step mode takes exactly one consecutive pair")
     return transition_matrices(posteriors)[0 if mode == "one_step" else -1]

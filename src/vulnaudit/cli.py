@@ -342,24 +342,21 @@ def cmd_infer(cfg: RunConfig, checkpoint: str) -> int:
     return 0
 
 
-def _load_posteriors(posteriors_dir: Path, labels: list[str],
-                     prior: gs.CategoryField) -> list[gs.CategoryField]:
-    """Each timestep's posterior; one whose categories (in order) or extent
-    are not the prior's is a ConfigError naming its stack."""
-    fields = []
-    for label in labels:
-        path = posteriors_dir / label
-        if not path.is_dir():
-            raise ConfigError(f"posterior stack not found: {path}")
-        post = _read_field(path, gs.StackKind.POSTERIOR, label)
-        if post.categories != prior.categories:
-            raise ConfigError(f"{path}: categories {post.categories} are not the "
-                              f"prepared prior's {prior.categories}")
-        if post.shape != prior.shape:
-            (h, w), (ph, pw) = post.shape, prior.shape
-            raise ConfigError(f"{path}: extent {w}x{h} is not the prepared prior's {pw}x{ph}")
-        fields.append(post)
-    return fields
+def _check_posterior(path: Path, prior: gs.CategoryField) -> None:
+    """The manifest of a timestep's posterior stack: one of another kind,
+    or whose categories (in order) or extent are not the prior's, is a
+    ConfigError naming ``path``."""
+    if not path.is_dir():
+        raise ConfigError(f"posterior stack not found: {path}")
+    m = gs.read_manifest(path)
+    if m.kind is not gs.StackKind.POSTERIOR:
+        raise ConfigError(f"{path}: expected POSTERIOR stack, got {m.kind.value}")
+    if m.layer_labels != prior.categories:
+        raise ConfigError(f"{path}: categories {m.layer_labels} are not the "
+                          f"prepared prior's {prior.categories}")
+    if (m.height_px, m.width) != prior.shape:
+        raise ConfigError(f"{path}: extent {m.width}x{m.height_px} is not the "
+                          f"prepared prior's {prior.shape[1]}x{prior.shape[0]}")
 
 
 def cmd_audit(cfg: RunConfig, posteriors_dir: str) -> int:
@@ -372,16 +369,36 @@ def cmd_audit(cfg: RunConfig, posteriors_dir: str) -> int:
     prior = _read_field(_prepared_dir(cfg) / "prior_proportions",
                         gs.StackKind.PRIOR_PROPORTIONS)
     _check_extent(heights, prior.shape)
-    labels = list(hm.layer_labels)
+    labels, categories = list(hm.layer_labels), prior.categories
+    posteriors = Path(posteriors_dir)
+    for label in labels:  # every stack is checked before anything is written
+        _check_posterior(posteriors / label, prior)
     # consecutive timesteps name both the change maps and the transitions
     pairs = [f"{a}_to_{b}" for a, b in zip(labels, labels[1:])]
-    posteriors = _load_posteriors(Path(posteriors_dir), labels, prior)
+    change_grids = [au.change_map(a, b, cfg.threshold_m).grid
+                    for a, b in zip(heights.grids, heights.grids[1:])]
+    del heights  # only the change maps read them
+    ad_grids, means = [], [[] for _ in regions]  # filled as each posterior is read
+
+    def read_posterior(label: str) -> gs.CategoryField:
+        """Timestep ``label``'s posterior; its AD map and region means are
+        taken as it is read."""
+        post = _read_field(posteriors / label, gs.StackKind.POSTERIOR, label)
+        ad_grids.append(au.ad_map(prior, post).grid)
+        for rows, region in zip(means, regions):
+            rows.append(au.region_mean(post, region.rect))
+        return post
+
     out = Path(cfg.out_dir) / "audit"
     artifacts: list[str] = []
     transitions: dict[str, dict] = {}
     # the audit is written whole into a staged directory that then replaces
     # ``out``, so no file of an earlier run survives beside this run's index
     with gs.staged_dir(out) as stage:
+        # one pass: each posterior is read once, in timestep order, and is
+        # freed before the next one is read
+        matrices = au.transition_matrices(map(read_posterior, labels))
+        del prior  # only the AD maps read it
 
         def write_maps(prefix: str, names: list[str], grids: list[gs.RasterGrid],
                        kind: gs.StackKind) -> None:
@@ -393,32 +410,29 @@ def cmd_audit(cfg: RunConfig, posteriors_dir: str) -> int:
             gs.read_grid_stack(stage / f"{prefix}_maps")
             artifacts.append(f"{prefix}_maps")
 
-        write_maps("ad", labels, [au.ad_map(prior, post).grid for post in posteriors],
-                   gs.StackKind.AD_MAP)
+        write_maps("ad", labels, ad_grids, gs.StackKind.AD_MAP)
         if pairs:
-            write_maps("change", pairs, [au.change_map(a, b, cfg.threshold_m).grid
-                                         for a, b in zip(heights.grids, heights.grids[1:])],
-                       gs.StackKind.CHANGE_MAP)
-        del heights, prior  # only the map families read them
+            write_maps("change", pairs, change_grids, gs.StackKind.CHANGE_MAP)
 
-        for region in regions:
-            trend = au.regional_trend(posteriors, region.rect)
+        for region, rows in zip(regions, means):
+            series, empty = zip(*rows)
+            trend = au.RegionalTrend(region.rect, labels, list(categories),
+                                     np.array(series), list(empty))
             au.write_trend_csv(trend, stage / f"trend_{region.name}.csv")
             artifacts.append(f"trend_{region.name}.csv")
 
         if not pairs:
             print("warning: fewer than 2 timesteps, transition outputs disabled",
                   file=sys.stderr)
-        else:
-            # one walk gives each pair's matrix in order, then the averaged one
-            for name, tm in zip(pairs + ["averaged"], au.transition_matrices(posteriors)):
-                au.write_transition_csv(tm, stage / f"transition_{name}.csv")
-                au.write_transition_csv(tm, stage / f"transition_{name}_raw.csv", which="raw")
-                gs.write_atomic(stage / f"transition_{name}.dot",
-                                au.transition_to_dot(tm, cfg.min_edge))
-                artifacts += [f"transition_{name}.csv", f"transition_{name}_raw.csv",
-                              f"transition_{name}.dot"]
-                transitions[name] = {"period": tm.period, "zero_mass_rows": tm.zero_mass_rows}
+        # each pair's matrix in order, then the averaged one
+        for name, tm in zip(pairs + ["averaged"], matrices):
+            au.write_transition_csv(tm, stage / f"transition_{name}.csv")
+            au.write_transition_csv(tm, stage / f"transition_{name}_raw.csv", which="raw")
+            gs.write_atomic(stage / f"transition_{name}.dot",
+                            au.transition_to_dot(tm, cfg.min_edge))
+            artifacts += [f"transition_{name}.csv", f"transition_{name}_raw.csv",
+                          f"transition_{name}.dot"]
+            transitions[name] = {"period": tm.period, "zero_mass_rows": tm.zero_mass_rows}
 
         gs.write_atomic(stage / "index.json",
                         schema.dumps({"artifacts": artifacts, "transitions": transitions}))

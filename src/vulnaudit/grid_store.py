@@ -29,6 +29,7 @@ from . import schema
 
 DEFAULT_NODATA = -1.0
 SIMPLEX_TOL = 1e-9
+NONE_LABEL = "NONE"  # the no-building state, which no category may name
 
 
 def usable_label(label: str) -> bool:
@@ -300,11 +301,14 @@ def normalize_prior_counts(counts: GridStack) -> CategoryField:
     """Turn per-category count layers into per-pixel proportions.
 
     Pixels whose counts sum to zero (or are nodata in every layer) carry no
-    prior. A negative count at a non-nodata pixel is an error.
+    prior. A negative count at a non-nodata pixel, or a category labelled
+    NONE_LABEL, is an error.
     """
     m = counts.manifest
     if m.kind is not StackKind.PRIOR_COUNTS:
         raise ValueError(f"expected PRIOR_COUNTS stack, got {m.kind.value}")
+    if NONE_LABEL in m.layer_labels:
+        raise ValueError(f"category label {NONE_LABEL!r} names the no-building state")
     layers = np.stack([g.values.astype(np.float64) for g in counts.grids])  # (K, H, W)
     valid = np.stack([g.valid_mask() for g in counts.grids])
     if np.any((layers < 0) & valid):

@@ -62,9 +62,11 @@ class SyntheticSpec:
             self.labels = [f"cat{i}" for i in range(self.k)]
         elif len(self.labels) != self.k:
             raise ValueError(f"labels has {len(self.labels)} entries, k is {self.k}")
-        for label in self.labels:
+        for i, label in enumerate(self.labels):
             if not usable_label(label):
                 raise ValueError(f"labels: unusable label {label!r}")
+            if label in self.labels[:i]:
+                raise ValueError(f"labels: repeated label {label!r}")
 
 
 def default_spec(width: int = 64, height_px: int = 64, timesteps: int = 3,

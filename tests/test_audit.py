@@ -276,6 +276,31 @@ class TestTransitionMatrix:
         if p_valid == 1.0:
             assert walk[-1].zero_mass_rows == ["NONE"]
 
+    @pytest.mark.parametrize("t, p_valid", [(2, 1.0), (5, 0.6)])
+    def test_a_stream_equals_the_list(self, t, p_valid):
+        rng = np.random.default_rng(10 + t)
+        posts = [random_posterior(rng, 5, 6, 3, p_valid=p_valid, timestep=f"t{i}")
+                 for i in range(t)]
+        streamed = au.transition_matrices(iter(posts))
+        listed = au.transition_matrices(posts)
+        assert len(streamed) == len(listed) == t
+        for got, want in zip(streamed, listed):
+            np.testing.assert_array_equal(got.raw, want.raw)
+            np.testing.assert_array_equal(got.normalized, want.normalized)
+            assert (got.labels, got.period, got.zero_mass_rows) == \
+                (want.labels, want.period, want.zero_mass_rows)
+
+    def test_fewer_than_two_fields_give_no_matrix(self):
+        post = posterior_from(np.full((1, 1, 2), 0.5))
+        assert au.transition_matrices(iter([post])) == []
+        assert au.transition_matrices([]) == []
+
+    def test_category_named_none_rejected(self):
+        # it would collide with the no-building state in the CSVs and the DOT
+        post = CategoryField(["NONE", "b"], np.full((2, 2, 2), 0.5), np.ones((2, 2), bool))
+        with pytest.raises(ValueError, match="'NONE' collides with the no-building state"):
+            au.transition_matrices([post, post])
+
     def test_too_few_timesteps(self):
         post = posterior_from(np.full((1, 1, 2), 0.5))
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import re
+import tracemalloc
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -118,6 +119,8 @@ class TestSynth:
         (lambda doc: {**doc, "height_px": -4}, "height_px"),
         (lambda doc: {**doc, "labels": ["a", "b", "c"]}, "labels"),
         (lambda doc: {**doc, "labels": ['low, "x"', "b"]}, "labels"),
+        (lambda doc: {**doc, "labels": ["a", "a"]},
+         "spec.json: bad value: labels: repeated label 'a'"),
         (lambda doc: {**doc, "mean_log_heights": [0.5, float("inf")]}, "mean_log_heights"),
         (lambda doc: {**doc, "mean_log_heights": [0.5, float("nan")]}, "mean_log_heights"),
         (lambda doc: {**doc, "std_log_heights": [0.3, -0.1]}, "std_log_heights"),
@@ -125,8 +128,8 @@ class TestSynth:
         (lambda doc: {**doc, "n_blobs": -5}, "n_blobs"),
         (lambda doc: {**doc, "n_blobs": 0}, "n_blobs"),
     ], ids=["list", "unknown-key", "zero-width", "negative-height", "labels-not-k",
-            "csv-breaking-label", "inf-mean", "nan-mean", "negative-std", "nan-std",
-            "negative-blobs", "zero-blobs"])
+            "csv-breaking-label", "duplicate-labels", "inf-mean", "nan-mean",
+            "negative-std", "nan-std", "negative-blobs", "zero-blobs"])
     def test_bad_spec_exits_2(self, tmp_path, capsys, edit, named):
         spec = write_spec(tmp_path / "spec.json")
         spec.write_text(json.dumps(edit(json.loads(spec.read_text()))))
@@ -281,6 +284,20 @@ class TestPrepare:
         assert cli.main(["prepare", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert str(manifest) in err and "'a,b'" in err, err
+
+    def test_none_label_rejected(self, tmp_path, capsys):
+        # a category NONE would collide with the audit's no-building state
+        self.write_hand_built(tmp_path, side=8)
+        counts = tmp_path / "data" / "prior_counts"
+        manifest = counts / "manifest.json"
+        manifest.write_bytes(edit_json(manifest.read_bytes(), layers=["NONE", "b"]))
+        (counts / "a.f32").rename(counts / "NONE.f32")
+        config = write_config(tmp_path / "c.json", tmp_path / "data", tmp_path / "out",
+                              tile_size=4, upsample_factor=4)
+        assert cli.main(["prepare", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {counts}: category label 'NONE'" in err, err
+        assert not (tmp_path / "out" / "prepared").exists()
 
     def test_undersized_prior_rejected(self, tmp_path, capsys):
         self.write_hand_built(tmp_path, side=6)
@@ -684,51 +701,89 @@ class TestAudit:
         assert "fewer than 2 timesteps" in capsys.readouterr().err
         assert not list((tmp_path / "out" / "audit").glob("transition_*"))
 
-    def test_maps_dropped_before_transitions(self, tmp_path, monkeypatch):
-        spec = write_spec(tmp_path / "spec.json", timesteps=3)
-        assert cli.main(["synth", "--spec", str(spec), "--out", str(tmp_path / "data")]) == 0
-        config = write_config(tmp_path / "c.json", tmp_path / "data", tmp_path / "out")
-        self.run_pipeline((tmp_path, config))
-        refs, inputs, live = [], [], []
+    def test_each_posterior_freed_before_the_next_is_read(self, toy_run3, monkeypatch):
+        tmp_path, config = toy_run3
+        assert cli.main(["infer", "--config", str(config),
+                         "--checkpoint", str(tmp_path / "out" / "checkpoint")]) == 0
+        refs, read, live = [], [], []
         real_read_heights, real_read_field = cli._read_heights, cli._read_field
 
         def read_heights(*args):
             stack = real_read_heights(*args)
-            inputs.extend(weakref.ref(obj) for g in stack.grids for obj in (g, g.values))
+            refs.extend(weakref.ref(obj) for g in stack.grids for obj in (g, g.values))
             return stack
 
         def read_field(path, kind, *args):
+            if kind is not gs.StackKind.POSTERIOR:
+                return real_read_field(path, kind, *args)
+            gc.collect()
+            live.append([ref for ref in refs if ref() is not None])
             field = real_read_field(path, kind, *args)
-            if kind is gs.StackKind.PRIOR_PROPORTIONS:
-                inputs.extend([weakref.ref(field.probs), weakref.ref(field.valid)])
+            read.append(field.timestep)
+            refs.extend([weakref.ref(field.probs), weakref.ref(field.valid)])
             return field
-
-        def keeping_ref(fn):
-            def wrapper(*args, **kwargs):
-                result = fn(*args, **kwargs)
-                refs.append(weakref.ref(result.grid))
-                return result
-            return wrapper
-
-        real_transitions = au.transition_matrices
-
-        def transition_matrices(*args, **kwargs):
-            if not live:
-                gc.collect()
-                live.append([ref for ref in refs + inputs if ref() is not None])
-            return real_transitions(*args, **kwargs)
 
         monkeypatch.setattr(cli, "_read_heights", read_heights)
         monkeypatch.setattr(cli, "_read_field", read_field)
-        monkeypatch.setattr(au, "ad_map", keeping_ref(au.ad_map))
-        monkeypatch.setattr(au, "change_map", keeping_ref(au.change_map))
-        monkeypatch.setattr(au, "transition_matrices", transition_matrices)
         assert cli.main(["audit", "--config", str(config),
                          "--posteriors", str(tmp_path / "out" / "posteriors")]) == 0
-        assert len(refs) == 3 + 2  # an AD map per timestep, a change map per pair
-        assert len(inputs) == 3 * 2 + 2  # each heights grid and its values, the prior
-        # every map, the heights and the prior were freed before the first transition
-        assert live == [[]]
+        assert read == ["t0", "t1", "t2"]  # each posterior read once, in order
+        assert len(refs) == 3 * 2 + 3 * 2  # each heights grid and its values, each posterior
+        # the heights and every earlier posterior were freed before each read
+        assert live == [[]] * 3
+
+    def test_peak_memory_does_not_grow_with_timesteps(self, tmp_path):
+        # Audit's traced peak on one 64 x 64 raster with random posteriors
+        # (K=2) measured 190 bytes per pixel at T=2 and 234 at T=8 (ratio
+        # 1.23): of each timestep only the float32 AD and change maps, 8
+        # bytes per pixel, are kept. Loading every posterior before the walk
+        # read 186 and 333 (ratio 1.79).
+        peaks = []
+        for t in (2, 8):
+            run = tmp_path / f"t{t}"
+            spec = write_spec(tmp_path / f"spec{t}.json", width=64, height_px=64, timesteps=t)
+            assert cli.main(["synth", "--spec", str(spec), "--out", str(run / "data")]) == 0
+            config = write_config(run / "c.json", run / "data", run / "out")
+            assert cli.main(["prepare", "--config", str(config)]) == 0
+            rng = np.random.default_rng(t)
+            heights = gs.read_grid_stack(run / "data" / "heights")
+            for label, grid in zip(heights.manifest.layer_labels, heights.grids):
+                post = gs.CategoryField(["cat0", "cat1"], rng.dirichlet([1, 1], size=(64, 64)),
+                                        grid.values > 0, label)
+                gs.write_grid_stack(gs.field_to_stack(post, gs.StackKind.POSTERIOR),
+                                    run / "out" / "posteriors" / label)
+            del heights, post
+            tracemalloc.start()
+            try:
+                assert cli.main(["audit", "--config", str(config),
+                                 "--posteriors", str(run / "out" / "posteriors")]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.4 * peaks[0], peaks
+
+    @pytest.mark.parametrize("value, named, message", [
+        (np.nan, "t2/cat1.f32", "non-finite value outside nodata sentinel"),
+        (1.5, "t2", "range violation: POSTERIOR value outside [0,1]"),
+    ], ids=["nan", "above-one"])
+    def test_bad_value_in_the_last_posterior_keeps_previous_audit(self, toy_run3, capsys,
+                                                                   value, named, message):
+        # posterior values are read inside the staged directory, during the walk
+        tmp_path, config = toy_run3
+        posteriors = tmp_path / "out" / "posteriors"
+        argv = ["audit", "--config", str(config), "--posteriors", str(posteriors)]
+        assert cli.main(["infer", "--config", str(config),
+                         "--checkpoint", str(tmp_path / "out" / "checkpoint")]) == 0
+        assert cli.main(argv) == 0
+        out = tmp_path / "out" / "audit"
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        set_first_data_value(posteriors / "t2" / "cat1.f32", value)
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: {posteriors / named}: {message}\n" == err, err
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+        assert not list(out.parent.glob(".audit*"))  # no staged directory left behind
 
 
 class TestConfigHandling:
