@@ -330,13 +330,18 @@ def cmd_infer(cfg: RunConfig, checkpoint: str) -> int:
         raise ConfigError(f"checkpoint has {params.k_cats} categories, "
                           f"prior has {len(categories)}")
     out = Path(cfg.out_dir) / "posteriors"
-    for label, grid in zip(heights.manifest.layer_labels, heights.grids):
-        # unnamed, the posterior is freed once its stack is built and the stack
-        # once written, before the self-check decode and the next inference
-        gs.write_grid_stack(gs.field_to_stack(
-            md.infer_posterior(params, grid, stats, categories, timestep=label),
-            gs.StackKind.POSTERIOR), out / label)
-        _read_field(out / label, gs.StackKind.POSTERIOR, label)  # self-check
+    # every timestep is written into a staged directory that then replaces
+    # ``out``, so a run that fails part-way leaves the previous posteriors
+    # whole, never new timesteps beside old ones
+    with gs.staged_dir(out) as stage:
+        for label, grid in zip(heights.manifest.layer_labels, heights.grids):
+            # unnamed, the posterior is freed once its stack is built and the
+            # stack once written, before the self-check decode and the next
+            # inference
+            gs.write_grid_stack(gs.field_to_stack(
+                md.infer_posterior(params, grid, stats, categories, timestep=label),
+                gs.StackKind.POSTERIOR), stage / label)
+            _read_field(stage / label, gs.StackKind.POSTERIOR, label)  # self-check
     _echo_config(cfg, "infer")
     print(f"wrote {len(heights.grids)} posterior stacks under {out}")
     return 0

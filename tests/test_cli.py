@@ -17,6 +17,7 @@ from vulnaudit import graph_build as gb
 from vulnaudit import grid_store as gs
 from vulnaudit import model as md
 from vulnaudit import synth as sy
+from vulnaudit.numcore import NonFiniteError
 
 
 def write_spec(path, **overrides):
@@ -495,6 +496,32 @@ class TestInfer:
         assert len(refs) == 3
         # no posterior was live at a self-check or at the next inference
         assert live == [[]] * 6
+
+    def test_interrupted_rerun_keeps_previous_posteriors(self, toy_run3, monkeypatch, capsys):
+        tmp_path, config = toy_run3
+        out, ckpt = tmp_path / "out", str(tmp_path / "out" / "checkpoint")
+        assert cli.main(["infer", "--config", str(config), "--checkpoint", ckpt]) == 0
+        before = {p.relative_to(out): p.read_bytes()
+                  for p in (out / "posteriors").rglob("*") if p.is_file()}
+        # a retrained checkpoint, so the rerun's first timestep differs
+        assert cli.main(["train", "--config", str(config), "--seed", "1"]) == 0
+        real_infer, calls = md.infer_posterior, []
+
+        def infer_posterior(*args, **kwargs):
+            calls.append(kwargs["timestep"])
+            if len(calls) == 2:
+                raise NonFiniteError("encode: non-finite logits")
+            return real_infer(*args, **kwargs)
+
+        monkeypatch.setattr(md, "infer_posterior", infer_posterior)
+        capsys.readouterr()
+        assert cli.main(["infer", "--config", str(config), "--checkpoint", ckpt]) == 3
+        assert "non-finite logits" in capsys.readouterr().err
+        assert calls == ["t0", "t1"]
+        after = {p.relative_to(out): p.read_bytes()
+                 for p in (out / "posteriors").rglob("*") if p.is_file()}
+        assert after == before
+        assert not [p.name for p in out.iterdir() if p.name.startswith(".")]
 
 
 class TestAudit:

@@ -657,8 +657,8 @@ class TestTiledInference:
         post = md.infer_posterior(self.params(k=3), grid,
                                   gb.NormStats(0.5, 0.4), ["a", "b", "c"])
         assert post.valid.all()
-        assert len(nodes) == 6
-        assert max(nodes) <= gb.MAX_SUBGRAPH_NODES
+        assert len(nodes) == 12
+        assert max(nodes) <= (md.INFER_CORE + 2 * md.INFER_HALO) ** 2 == 18_496
 
 
 class TestTiledInferenceFloat32(TestTiledInference):
@@ -666,6 +666,53 @@ class TestTiledInferenceFloat32(TestTiledInference):
     each window's float32 products equal the full graph's bit for bit."""
 
     dtype = np.float32
+
+
+class TestInferWindowSize:
+    """INFER_CORE sets only one window's size: the posterior does not depend
+    on it, and infer's peak memory does."""
+
+    stats = gb.NormStats(0.9, 0.6)
+    cats = ["a", "b", "c"]
+
+    @staticmethod
+    def params():
+        return md.ModelParams.initialize(1, 3, md.DEFAULT_HIDDEN, seed=5).astype(np.float32)
+
+    def test_posterior_bytes_do_not_depend_on_core(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        h, w = 2 * md.INFER_CORE + 41, 2 * md.INFER_CORE + 9  # 3 x 3 windows
+        vals = rng.lognormal(0.5, 0.8, size=(h, w)).astype(np.float32)
+        vals[rng.random((h, w)) < 0.3] = 0.0
+        vals[rng.random((h, w)) < 0.1] = -1.0  # nodata
+        grid = RasterGrid(w, h, vals)
+        params = self.params()
+        tiled = md.infer_posterior(params, grid, self.stats, self.cats)
+        monkeypatch.setattr(md, "INFER_CORE", max(h, w))  # one window
+        whole = md.infer_posterior(params, grid, self.stats, self.cats)
+        assert 0 < tiled.valid.sum() < h * w
+        assert tiled.valid.tobytes() == whole.valid.tobytes()
+        assert tiled.probs.tobytes() == whole.probs.tobytes()
+
+    def test_peak_memory_below_training_cap_sized_windows(self, monkeypatch):
+        # 12.5 vs 24.8 MiB measured here with 128- and 215-pixel cores, the
+        # latter the largest square window under the 50k-node training cap
+        grid = RasterGrid(400, 400, np.full((400, 400), 2.0, dtype=np.float32))
+        params = self.params()
+
+        def peak():
+            tracemalloc.start()
+            try:
+                md.infer_posterior(params, grid, self.stats, self.cats)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        md.infer_posterior(params, grid, self.stats, self.cats)  # warm-up
+        small = peak()
+        monkeypatch.setattr(md, "INFER_CORE", 215)
+        large = peak()
+        assert small <= 0.6 * large, (small / 2**20, large / 2**20)
 
 
 class TestCheckpoint:
