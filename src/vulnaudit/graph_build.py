@@ -1,6 +1,7 @@
-"""Rasters to graphs: tiling, node filtering, 8-neighbor adjacency, feature
-normalization, balanced splits, and per-epoch subgraph sampling with edge
-dropout, each subgraph built from the raster when it is drawn."""
+"""Rasters to graphs: tiling, node filtering, the normalized 8-neighbor
+adjacency, feature normalization, balanced splits, and per-epoch subgraph
+sampling with edge dropout, each subgraph built from the raster when it is
+drawn."""
 
 from __future__ import annotations
 
@@ -41,15 +42,17 @@ class Tile:
 
 @dataclass
 class GridGraph:
-    """Filtered pixel nodes with sparse symmetric 8-neighbor adjacency.
+    """Filtered pixel nodes and their normalized 8-neighbor adjacency Â.
 
     Node i sits at raster pixel ``node_pixels[i]``, numbered in row-major
     pixel order; column 0 of ``features[i]`` is its raw height (the model
-    normalizes it at its input).
+    normalizes it at its input). ``a_hat`` is D^(-1/2) (A + I) D^(-1/2) of
+    the binary graph A, as sorted float64 CSR, the bytes that
+    ``normalize_adjacency`` gives for A; ``_mask_graph`` writes it directly.
     """
 
     node_pixels: np.ndarray            # (N, 2) int32, columns (x, y)
-    adjacency: sp.csr_matrix           # (N, N) binary, symmetric, zero diagonal
+    a_hat: sp.csr_matrix               # (N, N) float64, symmetric, A + I's pattern
     features: np.ndarray               # (N, F) float64
 
     @property
@@ -58,7 +61,20 @@ class GridGraph:
 
     @property
     def n_undirected_edges(self) -> int:
-        return self.adjacency.nnz // 2
+        return (self.a_hat.nnz - self.n_nodes) // 2
+
+    @property
+    def adjacency(self):
+        """The binary graph A, derived from Â by dropping each row's one
+        self-loop; ``normalize_adjacency`` of it gives Â back, byte for byte."""
+        import scipy.sparse as sp
+        a_hat = self.a_hat
+        rows = np.repeat(np.arange(self.n_nodes, dtype=a_hat.indices.dtype),
+                         np.diff(a_hat.indptr))
+        off_diagonal = a_hat.indices != rows
+        indptr = a_hat.indptr - np.arange(self.n_nodes + 1, dtype=a_hat.indptr.dtype)
+        return sp.csr_matrix((np.ones(self.n_undirected_edges * 2),
+                              a_hat.indices[off_diagonal], indptr), shape=a_hat.shape)
 
 
 @dataclass
@@ -124,41 +140,54 @@ def build_graph(heights: RasterGrid, tiles: list[Tile]) -> GridGraph:
 def _mask_graph(heights: RasterGrid, mask: np.ndarray, dropout: float = 0.0,
                 rng: np.random.Generator | None = None) -> GridGraph:
     """The 8-neighbor graph on the pixels of ``mask``, nodes in row-major
-    order, with ``round(dropout * m)`` of its m undirected edges dropped.
+    order, with ``round(dropout * m)`` of its m undirected edges dropped,
+    carried as its normalized adjacency Â.
 
-    Node i's neighbors are the node indices at its eight ``_NEIGHBORHOOD``
-    offsets, found in an index raster padded with -1. Slots 4-7 point to
-    later nodes, so their arcs read row-major are the CSR upper triangle,
-    and slot 7 - s is the opposite of slot s. The one rng draw is
+    Row i of an int32 table lists node i's neighbors at its eight
+    ``_NEIGHBORHOOD`` offsets, found in an index raster padded with -1, with
+    i itself between slots 3 and 4: slots 0-3 point to earlier nodes and the
+    last four to later ones, so a row read in slot order is the sorted CSR
+    row of A + I. The last four slots' arcs read row-major are the upper
+    triangle, and slot 8 - s is the opposite of slot s. The one rng draw is
     ``rng.choice(m, n_drop, replace=False)`` over those upper arcs, and each
     drawn edge is removed with both its arcs; there is no draw when nothing
-    is dropped. The adjacency is then written as sorted CSR directly: row i
-    lists node i's remaining neighbors in slot order."""
+    is dropped. With d = (count present)^(-1/2) in float64, each value is
+    written as d[i]·d[j], which equals ``normalize_adjacency``'s
+    (d[i]·1.0)·d[j] bit for bit."""
     import scipy.sparse as sp
     ys, xs = np.nonzero(mask)  # row-major node order
     n = len(xs)
+    if n * (len(_NEIGHBORHOOD) + 1) > np.iinfo(np.int32).max:
+        raise ValueError(f"{n} nodes overflow the int32 indices of A_hat")
     h, w = mask.shape
-    index = np.full((h + 2, w + 2), -1, dtype=np.int64)
+    index = np.full((h + 2, w + 2), -1, dtype=np.int32)
     index[ys + 1, xs + 1] = np.arange(n)
-    nbr = np.empty((n, len(_NEIGHBORHOOD)), dtype=np.int64)
+    nbr = np.empty((n, len(_NEIGHBORHOOD) + 1), dtype=np.int32)
+    nbr[:, 4] = np.arange(n)
     for j, (dx, dy) in enumerate(_NEIGHBORHOOD):
-        nbr[:, j] = index[ys + 1 + dy, xs + 1 + dx]
+        nbr[:, j + (j >= 4)] = index[ys + 1 + dy, xs + 1 + dx]
+    del index
     present = nbr >= 0
-    n_drop = int(round(dropout * np.count_nonzero(present[:, 4:])))  # half to even
+    n_drop = int(round(dropout * np.count_nonzero(present[:, 5:])))  # half to even
     if n_drop:
-        rows, slots = np.nonzero(present[:, 4:])  # the upper arcs, row-major
+        rows, slots = np.nonzero(present[:, 5:])  # the upper arcs, row-major
         drop = rng.choice(len(rows), size=n_drop, replace=False)
-        rows, slots = rows[drop], slots[drop] + 4
+        rows, slots = rows[drop], slots[drop] + 5
         present[rows, slots] = False
-        present[nbr[rows, slots], 7 - slots] = False
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(present.sum(axis=1), out=indptr[1:])
+        present[nbr[rows, slots], 8 - slots] = False
+    counts = present.sum(axis=1, dtype=np.int32)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
     indices = nbr[present]
-    adjacency = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+    del nbr, present
+    d = 1.0 / np.sqrt(counts.astype(np.float64))
+    data = np.repeat(d, counts)
+    data *= d[indices]
+    a_hat = sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
     features = heights.values[ys, xs].astype(np.float64).reshape(n, NODE_FEATURES)
     pixels = np.column_stack([xs, ys]).astype(np.int32)
-    return GridGraph(pixels, adjacency, features)
+    return GridGraph(pixels, a_hat, features)
 
 
 def log_normalize(features: np.ndarray,
@@ -203,7 +232,9 @@ def normalize_adjacency(graph_or_adj: GridGraph | sp.csr_matrix) -> sp.csr_matri
     ``(d[i] * a_ij) * d[j]`` too.
 
     The result has sorted column indices, which fixes the summation order of
-    every product with it."""
+    every product with it. No pipeline stage calls this: ``_mask_graph``
+    writes the same bytes directly. It is the reference the builder is
+    tested against, and acceptance 4 compares it with a dense oracle."""
     import scipy.sparse as sp
     adj = graph_or_adj.adjacency if isinstance(graph_or_adj, GridGraph) else graph_or_adj
     if adj.shape[0] != adj.shape[1] or (adj != adj.T).nnz:

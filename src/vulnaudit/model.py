@@ -21,7 +21,7 @@ from . import schema
 from .graph_build import (DEFAULT_EDGE_DROPOUT, NODE_FEATURES, GridGraph, NormStats,
                           SplitAssignment, Tile, auto_n_subgraphs, build_graph,
                           epoch_subgraphs, fit_norm_stats, log_normalize, node_mask,
-                          normalize_adjacency, tile_region)
+                          tile_region)
 from .grid_store import (DEFAULT_NODATA, CategoryField, GridStack, RasterGrid, StackKind,
                          read_array, stack_to_field, write_arrays)
 from .numcore import NonFiniteError, Tape, Var
@@ -294,23 +294,32 @@ def node_prior(prior: CategoryField, graph: GridGraph) -> tuple[np.ndarray, np.n
 
 def _encoder_input(graph: GridGraph, norm_stats: NormStats,
                    dtype) -> tuple[sp.csr_matrix, np.ndarray]:
-    """The encoder's input, A_hat and the log-normalized features, for a graph
-    of raw heights, both cast to ``dtype``, the weights' dtype: the model
-    computes in it. log_normalize is elementwise: per part, same bits."""
+    """The encoder's input, the graph's A_hat and the log-normalized
+    features, both cast to ``dtype``, the weights' dtype: the model computes
+    in it. Only A_hat's values are cast; its index arrays are the graph's.
+    log_normalize is elementwise: per part, same bits."""
+    import scipy.sparse as sp
     # features first: made after A_hat, they raised infer's peak RSS 4 MiB on a 512² raster
     x = log_normalize(graph.features, norm_stats)[0].astype(dtype, copy=False)
-    return normalize_adjacency(graph).astype(dtype, copy=False), x
+    a = graph.a_hat
+    return sp.csr_matrix((a.data.astype(dtype, copy=False), a.indices, a.indptr),
+                         shape=a.shape), x
 
 
 def train_step(params: ModelParams, optimizer: Adam, subgraph: GridGraph,
                norm_stats: NormStats, prior: CategoryField, config: TrainConfig,
                rng: np.random.Generator) -> LossBreakdown:
     """One Gumbel-sampled forward/backward pass plus an Adam update on a
-    graph of raw heights; the prior is looked up at its node pixels."""
+    graph of raw heights; the prior is looked up at its node pixels.
+
+    The graph is dropped once its prior rows and encoder input exist, so a
+    caller that passes it by expression, as ``train`` does, frees it before
+    the forward (the callee owns its arguments from Python 3.11 on)."""
     if subgraph.n_nodes == 0:
         raise ValueError("empty subgraph")
     prior_p, mask = node_prior(prior, subgraph)
     a_hat, x = _encoder_input(subgraph, norm_stats, params.dtype)
+    del subgraph
     tape = Tape()
     total, breakdown = _forward_losses(params, a_hat, x, prior_p, mask, config, rng, tape)
     grads = nc.backward(tape, total)
@@ -362,8 +371,9 @@ def _validation_losses(params: ModelParams, grid: RasterGrid, tiles: list[Tile],
     if not graph.n_nodes:
         return None
     prior_p, mask = node_prior(prior, graph)
-    return evaluate_losses(params, *_encoder_input(graph, norm_stats, params.dtype),
-                           prior_p, mask, config)
+    a_hat, x = _encoder_input(graph, norm_stats, params.dtype)
+    del graph
+    return evaluate_losses(params, a_hat, x, prior_p, mask, config)
 
 
 def train(params: ModelParams, height_series: GridStack, prior: CategoryField,
@@ -471,13 +481,16 @@ def infer_posterior(params: ModelParams, heights: RasterGrid, norm_stats: NormSt
         graph = build_graph(window, [Tile(0, 0, window.width, window.height_px)])
         if graph.n_nodes == 0:
             continue
-        enc = encode(params, *_encoder_input(graph, norm_stats, params.dtype))
         xs = graph.node_pixels[:, 0] + x0
         ys = graph.node_pixels[:, 1] + y0
+        a_hat, x = _encoder_input(graph, norm_stats, params.dtype)
+        del graph  # its float64 A_hat goes before the encoder runs
+        logits = encode(params, a_hat, x).logits.value
+        del a_hat, x  # nor does the input live on into the next window's build
         in_core = (xs >= core.origin_x) & (xs < cx1) & (ys >= core.origin_y) & (ys < cy1)
         xs, ys = xs[in_core], ys[in_core]
         # a float64 softmax of the logits: rows sum to 1 within SIMPLEX_TOL
-        probs[ys, xs] = nc.softmax_values(enc.logits.value[in_core].astype(np.float64))
+        probs[ys, xs] = nc.softmax_values(logits[in_core].astype(np.float64))
         valid[ys, xs] = True
     return CategoryField(list(categories), probs, valid, timestep)
 

@@ -235,11 +235,15 @@ def gcn_block(tape: Tape, a: sp.csr_matrix, h: Var,
     it narrows or keeps the width) and Z2, the second layer's output. The
     forward drops Z1 once Z1 @ W2 exists, before the second sparse product.
     The backward takes layer 3's gradients from Z2, masks dZ2 by Z2 > 0 and
-    drops Z2, recomputes Z1 = ReLU((A @ H) @ W1 + b1) from the kept A @ H
+    drops Z2. For a narrowing or square W2 it then forms S = A.T @ dZ2 and
+    drops dZ2, recomputes Z1 = ReLU((A @ H) @ W1 + b1) from the kept A @ H
     without a finite check (the same product on the same arrays gives the
-    bits the forward checked), takes layer 2's gradients with dZ1 written
-    into dZ2's buffer, masks dZ1 by Z1 > 0, drops Z1, and ends with layer
-    1's gradients.
+    bits the forward checked), takes grad-W2 = Z1.T @ S, keeps the mask
+    Z1 > 0 and drops Z1, forms dZ1 = S @ W2.T and drops S, masks dZ1, and
+    ends with layer 1's gradients. These are ``gcn_layer``'s products on
+    the same arrays, so the same bits, but no more than two N x hidden
+    arrays are live at a time, not three. A widening W2 keeps dZ2 until
+    grad-W2 = (A @ Z1).T @ dZ2 is taken.
     """
     (w1, b1), (w2, b2), (w3, b3) = layers
     hv = h.value
@@ -263,10 +267,20 @@ def gcn_block(tape: Tape, a: sp.csr_matrix, h: Var,
         dz2, grad_w3, grad_b3 = _layer_grads(a, d3, z2, w3v)
         dz2 *= z2 > 0.0
         z2 = None
+        # layer 2: _layer_grads' products, each array dropped after its last read
+        narrows = _narrows(w2v)
+        grad_b2 = dz2.sum(axis=0)
+        if narrows:  # S = A.T @ dZ2 is all that is read of dZ2 from here on
+            s, dz2 = a.T @ dz2, None
+        else:
+            s = dz2 @ w2v.T
         z1 = _relu(_pre_activation(a, kept, w1v, b1.value)) if widens else kept
-        dz1, grad_w2, grad_b2 = _layer_grads(a, dz2, z1, w2v)
-        dz1 *= z1 > 0.0
-        z1 = None
+        grad_w2 = z1.T @ s if narrows else (a @ z1).T @ dz2
+        z1_positive = z1 > 0.0
+        z1 = dz2 = None
+        dz1 = s @ w2v.T if narrows else a.T @ s
+        s = None
+        dz1 *= z1_positive
         grad_h, grad_w1, grad_b1 = _layer_grads(a, dz1, hv, w1v, kept if widens else None)
         return ((h, grad_h), (w1, grad_w1), (b1, grad_b1), (w2, grad_w2),
                 (b2, grad_b2), (w3, grad_w3), (b3, grad_b3))

@@ -112,18 +112,32 @@ def coo_grid_adjacency(mask: np.ndarray):
     return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
 
 
-def drop_edges_by_mirroring(graph, fraction: float, rng: np.random.Generator):
-    """Edge dropout as ``graph_build`` once applied it to a built graph: cut
-    the CSR upper triangle, zero ``rng.choice(m, round(fraction * m),
-    replace=False)`` of its m arcs, prune them, and add the transpose back.
-    No draw when nothing is dropped."""
-    upper = sp.triu(graph.adjacency, k=1, format="csr")
+def graph_of_binary(node_pixels, adjacency, features):
+    """A ``GridGraph`` from a binary adjacency, its Â by
+    ``graph_build.normalize_adjacency``."""
+    return gb.GridGraph(node_pixels, gb.normalize_adjacency(adjacency), features)
+
+
+def coo_grid_nodes(heights, mask: np.ndarray):
+    """Node pixels (x, y) and raw-height features of the True pixels of
+    ``mask``, in row-major order."""
+    ys, xs = np.nonzero(mask)
+    return (np.column_stack([xs, ys]).astype(np.int32),
+            heights.values[ys, xs].astype(np.float64).reshape(-1, 1))
+
+
+def drop_edges_by_mirroring(adjacency, fraction: float, rng: np.random.Generator):
+    """Edge dropout as ``graph_build`` once applied it to a built binary
+    adjacency: cut the CSR upper triangle, zero ``rng.choice(m, round(fraction
+    * m), replace=False)`` of its m arcs, prune them, and add the transpose
+    back. No draw when nothing is dropped."""
+    upper = sp.triu(adjacency, k=1, format="csr")
     n_drop = int(round(fraction * upper.nnz))
     if n_drop == 0:
-        return graph
+        return adjacency
     upper.data[rng.choice(upper.nnz, size=n_drop, replace=False)] = 0.0
     upper.eliminate_zeros()
-    return gb.GridGraph(graph.node_pixels, upper + upper.T, graph.features)
+    return upper + upper.T
 
 
 def sample_epoch_from_whole_graph(heights, tiles, n_subgraphs: int, dropout: float,
@@ -131,18 +145,20 @@ def sample_epoch_from_whole_graph(heights, tiles, n_subgraphs: int, dropout: flo
     """``graph_build.epoch_subgraphs`` as it was when it sampled a built
     whole-region graph and dropped edges from each built part: the same rng
     stream (one permutation, then one dropout draw per part), but each part
-    cut from the whole graph's adjacency by fancy indexing, its edges
-    dropped by ``drop_edges_by_mirroring``, and every part held in one
-    list."""
-    graph = gb.build_graph(heights, tiles)
+    cut from the whole ``coo_grid_adjacency`` by fancy indexing, its edges
+    dropped by ``drop_edges_by_mirroring``, every part held in one list, and
+    each part's Â made by ``normalize_adjacency``."""
+    mask = gb.node_mask(heights, tiles)
+    adjacency = coo_grid_adjacency(mask)
+    pixels, features = coo_grid_nodes(heights, mask)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     parts = []
-    for part in np.array_split(rng.permutation(graph.n_nodes), n_subgraphs):
+    for part in np.array_split(rng.permutation(len(pixels)), n_subgraphs):
         nodes = np.sort(part)
-        parts.append(graph if n_subgraphs == 1 else
-                     gb.GridGraph(graph.node_pixels[nodes],
-                                  graph.adjacency[nodes][:, nodes], graph.features[nodes]))
-    return [drop_edges_by_mirroring(g, dropout, rng) for g in parts]
+        parts.append((pixels, adjacency, features) if n_subgraphs == 1 else
+                     (pixels[nodes], adjacency[nodes][:, nodes], features[nodes]))
+    return [graph_of_binary(p, drop_edges_by_mirroring(a, dropout, rng), f)
+            for p, a, f in parts]
 
 
 def gcn_layer_saving_activations(tape, a, h, w, b, activate: bool):

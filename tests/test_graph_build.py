@@ -7,8 +7,9 @@ import scipy.sparse as sp
 from vulnaudit import graph_build as gb
 from vulnaudit.grid_store import CategoryField, RasterGrid
 
-from oracles import (brute_force_grid_edges, coo_grid_adjacency, dense_normalized_adjacency,
-                     drop_edges_by_mirroring, sample_epoch_from_whole_graph)
+from oracles import (brute_force_grid_edges, coo_grid_adjacency, coo_grid_nodes,
+                     dense_normalized_adjacency, drop_edges_by_mirroring, graph_of_binary,
+                     sample_epoch_from_whole_graph)
 
 
 def heights_grid(values):
@@ -20,16 +21,25 @@ def full_tile(grid):
     return [gb.Tile(0, 0, grid.width, grid.height_px)]
 
 
-def assert_same_graph_bytes(a, b):
-    """Node pixels, features, and the adjacency's and Â's CSR arrays equal
-    in dtype, shape and bytes."""
-    pairs = [(a.node_pixels, b.node_pixels), (a.features, b.features)]
-    for m, n in ((a.adjacency, b.adjacency),
-                 (gb.normalize_adjacency(a), gb.normalize_adjacency(b))):
-        pairs += [(m.indptr, n.indptr), (m.indices, n.indices), (m.data, n.data)]
-    for x, y in pairs:
+def assert_same_csr_bytes(m, n):
+    """Two CSR matrices' shapes, and their indptr, indices and data equal in
+    dtype, shape and bytes."""
+    assert m.shape == n.shape
+    for x, y in ((m.indptr, n.indptr), (m.indices, n.indices), (m.data, n.data)):
         assert (x.dtype, x.shape) == (y.dtype, y.shape)
         assert x.tobytes() == y.tobytes()
+
+
+def assert_same_graph_bytes(a, b):
+    """Node pixels, features, the carried Â's and the binary view's CSR
+    arrays, and the edge count equal; with ``b`` from an oracle, ``a``'s Â
+    is ``normalize_adjacency`` of the oracle's binary graph."""
+    for x, y in ((a.node_pixels, b.node_pixels), (a.features, b.features)):
+        assert (x.dtype, x.shape) == (y.dtype, y.shape)
+        assert x.tobytes() == y.tobytes()
+    assert_same_csr_bytes(a.a_hat, b.a_hat)
+    assert_same_csr_bytes(a.adjacency, b.adjacency)
+    assert a.n_undirected_edges == b.n_undirected_edges
 
 
 def one_hot_prior(codes, k):
@@ -152,13 +162,13 @@ class TestBuildGraph:
                 vals[:] = 0.0
             grid = RasterGrid(w, h, vals, nodata=nodata)
             tiles = [t for t in gb.tile_region(w, h, 4) if rng.random() < 0.8]
-            got = gb.build_graph(grid, tiles).adjacency
+            graph = gb.build_graph(grid, tiles)
             want = coo_grid_adjacency(gb.node_mask(grid, tiles))
-            assert got.shape == want.shape
-            for field in ("indptr", "indices", "data"):
-                a, b = getattr(got, field), getattr(want, field)
-                assert a.dtype == b.dtype, field
-                np.testing.assert_array_equal(a, b)
+            assert_same_csr_bytes(graph.adjacency, want)
+            # the builder writes Â: normalize_adjacency's bytes for the
+            # oracle's binary graph
+            assert_same_csr_bytes(graph.a_hat, gb.normalize_adjacency(want))
+            assert graph.n_undirected_edges == want.nnz // 2
 
 
 class TestLogNormalize:
@@ -379,9 +389,10 @@ class TestSampleEpoch:
             grid = heights_grid(vals)
             mask = gb.node_mask(grid, full_tile(grid))
             ours_rng, ref_rng = (np.random.default_rng(trial) for _ in range(2))
-            assert_same_graph_bytes(
-                gb._mask_graph(grid, mask, dropout, ours_rng),
-                drop_edges_by_mirroring(gb._mask_graph(grid, mask), dropout, ref_rng))
+            pixels, features = coo_grid_nodes(grid, mask)
+            dropped = drop_edges_by_mirroring(coo_grid_adjacency(mask), dropout, ref_rng)
+            assert_same_graph_bytes(gb._mask_graph(grid, mask, dropout, ours_rng),
+                                    graph_of_binary(pixels, dropped, features))
             assert ours_rng.random() == ref_rng.random()
             for n_sub in (1, 3):
                 if mask.sum() < n_sub:

@@ -279,8 +279,9 @@ class TestGcnBlock:
     that keeps A @ H (or Z1) and Z2 and recomputes Z1 in the backward."""
 
     @staticmethod
-    def block_arrays(rng, n, f_in, hidden, f_out):
-        widths = {"w1": (f_in, hidden), "w2": (hidden, hidden), "w3": (hidden, f_out)}
+    def block_arrays(rng, n, f_in, hidden, f_out, hidden2=None):
+        hidden2 = hidden if hidden2 is None else hidden2
+        widths = {"w1": (f_in, hidden), "w2": (hidden, hidden2), "w3": (hidden2, f_out)}
         arrays = {"h": rng.normal(size=(n, f_in))}
         for i in (1, 2, 3):
             arrays[f"w{i}"] = rng.normal(size=widths[f"w{i}"])
@@ -348,8 +349,20 @@ class TestGcnBlock:
     def test_same_bits_as_three_layers(self, f_in, hidden, f_out, kind):
         rng = np.random.default_rng(41)
         a, _ = self.a_of(rng, kind)
-        arrays = self.block_arrays(rng, 6, f_in, hidden, f_out)
-        project = rng.normal(size=(f_out, 1))
+        self.assert_same_bits_as_three_layers(
+            a, self.block_arrays(rng, 6, f_in, hidden, f_out), rng.normal(size=(f_out, 1)))
+
+    @pytest.mark.parametrize("hidden, hidden2", [(3, 5), (5, 3)],
+                             ids=["middle-widening", "middle-narrowing"])
+    @A_KINDS
+    def test_same_bits_as_three_layers_with_unequal_hidden_widths(self, hidden, hidden2, kind):
+        # the backward orders the middle layer's products by its width rule
+        rng = np.random.default_rng(43)
+        a, _ = self.a_of(rng, kind)
+        self.assert_same_bits_as_three_layers(
+            a, self.block_arrays(rng, 6, 2, hidden, 3, hidden2), rng.normal(size=(3, 1)))
+
+    def assert_same_bits_as_three_layers(self, a, arrays, project):
         results = []
         for stack in (self.block, self.three_layers):
             tape = Tape()
