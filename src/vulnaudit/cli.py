@@ -260,21 +260,21 @@ def cmd_prepare(cfg: RunConfig) -> int:
 
     histogram: dict[str, int] = {}
     for t in splits.all_tiles():
-        key = "NONE" if t.dominant_category is None else fine.categories[t.dominant_category]
+        key = gs.NONE_LABEL if t.dominant_category is None else fine.categories[t.dominant_category]
         histogram[key] = histogram.get(key, 0) + 1
 
     prep = cfg.prepared_dir
-    prep.mkdir(parents=True, exist_ok=True)
-    gs.write_grid_stack(gs.field_to_stack(fine, gs.StackKind.PRIOR_PROPORTIONS),
-                        prep / "prior_proportions")
-    _save_splits(splits, cfg, prep / "splits.json")
-    report = PrepReport(stats.mean, stats.std, node_counts, histogram, splits.balanced)
-    gs.write_atomic(prep / "prep_report.json", schema.dumps(report))
-
-    # self-check: every artifact must re-validate on read
-    _read_field(prep / "prior_proportions", gs.StackKind.PRIOR_PROPORTIONS)
-    _load_splits(prep / "splits.json")
-    schema.load(PrepReport, prep / "prep_report.json")
+    # staged, then swapped in whole: a failed rerun leaves no new splits beside an old report
+    with gs.staged_dir(prep) as stage:
+        gs.write_grid_stack(gs.field_to_stack(fine, gs.StackKind.PRIOR_PROPORTIONS),
+                            stage / "prior_proportions")
+        _save_splits(splits, cfg, stage / "splits.json")
+        report = PrepReport(stats.mean, stats.std, node_counts, histogram, splits.balanced)
+        gs.write_atomic(stage / "prep_report.json", schema.dumps(report))
+        # self-check: every artifact must re-validate on read
+        _read_field(stage / "prior_proportions", gs.StackKind.PRIOR_PROPORTIONS)
+        _load_splits(stage / "splits.json")
+        schema.load(PrepReport, stage / "prep_report.json")
     _echo_config(cfg, "prepare")
     print(f"prepared dataset under {prep}: {sum(node_counts.values())} nodes "
           f"across {len(node_counts)} timesteps, balanced={splits.balanced}")
@@ -322,8 +322,11 @@ def cmd_infer(cfg: RunConfig, checkpoint: str) -> int:
     if not ckpt_path.is_dir():
         raise ConfigError(f"checkpoint not found: {ckpt_path}")
     params, stats, _ = md.load_checkpoint(ckpt_path)
-    # the extent and category labels are all infer needs of the prepared prior
-    prior = gs.read_manifest(_prepared_dir(cfg) / "prior_proportions")
+    # the kind, extent and category labels are all infer needs of the prepared prior
+    prior_path = _prepared_dir(cfg) / "prior_proportions"
+    prior = gs.read_manifest(prior_path)
+    if prior.kind is not gs.StackKind.PRIOR_PROPORTIONS:
+        raise ConfigError(f"{prior_path}: expected PRIOR_PROPORTIONS stack, got {prior.kind.value}")
     _check_extent(heights, (prior.height_px, prior.width))
     categories = prior.layer_labels
     if len(categories) != params.k_cats:

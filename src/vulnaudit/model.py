@@ -136,7 +136,7 @@ def encode(params: ModelParams, a_hat: sp.csr_matrix, x: np.ndarray,
     if x.ndim != 2 or x.shape[1] != params.f_dim:
         raise ValueError(f"feature-dimension mismatch: got {x.shape}, expected (*, {params.f_dim})")
     tape = tape if tape is not None else Tape()
-    logits = nc.gcn_block(tape, a_hat, tape.constant(x), _stack_layers(tape, params, "enc"))
+    logits = nc.gcn_block(tape, a_hat, Var(x), _stack_layers(tape, params, "enc"))
     return EncoderOutput(logits, nc.softmax_rows(tape, logits))
 
 
@@ -314,7 +314,7 @@ def train_step(params: ModelParams, optimizer: Adam, subgraph: GridGraph,
 
     The graph is dropped once its prior rows and encoder input exist, so a
     caller that passes it by expression, as ``train`` does, frees it before
-    the forward (the callee owns its arguments from Python 3.11 on)."""
+    the forward (from Python 3.11, the floor, the callee owns its arguments)."""
     if subgraph.n_nodes == 0:
         raise ValueError("empty subgraph")
     prior_p, mask = node_prior(prior, subgraph)

@@ -15,7 +15,7 @@ gradient rule. A ``gcn_layer`` entry keeps its output; a ``gcn_block``
 entry keeps A @ H (or the first activation, when the first layer does not
 widen) and the middle activation, and recomputes the first activation in
 its backward. The backward hands every rule an adjoint the rule owns, so a
-rule may reuse it as scratch space (see ``backward``).
+rule may reuse it as scratch space; no tape keeps a gradient (see ``backward``).
 """
 
 from __future__ import annotations
@@ -48,14 +48,13 @@ class Var:
     """A value tracked on a tape: a float32 array stays float32, anything
     else becomes float64."""
 
-    __slots__ = ("value", "name")
+    __slots__ = ("value",)
 
-    def __init__(self, value, name: str | None = None):
+    def __init__(self, value):
         self.value = _as_value(value)
-        self.name = name
 
     def __repr__(self):
-        return f"Var(shape={self.value.shape}, name={self.name!r})"
+        return f"Var(shape={self.value.shape})"
 
 
 # backward_fn(dout) -> iterable of (input Var, gradient contribution); the
@@ -64,12 +63,13 @@ BackwardFn = Callable[[np.ndarray], Iterable[tuple[Var, np.ndarray]]]
 
 
 class Tape:
-    """Ordered record of kernel calls plus persistent gradient accumulators.
+    """Ordered record of the kernel calls of one forward pass, and the
+    parameters they read, by name.
 
-    ``backward`` consumes the recorded ops in exact reverse order and adds the
-    resulting parameter gradients into ``grads``, so successive recorded losses
-    accumulate additively. Parameters are registered once per name and must
-    wrap the same underlying array for the lifetime of the tape.
+    ``backward`` consumes the recorded ops in exact reverse order and returns
+    one loss's parameter gradients; the tape keeps none of them. Parameters
+    are registered once per name and must wrap the same underlying array for
+    the lifetime of the tape.
 
     A recorded backward rule owns the adjoint ``dout`` it is given and may
     overwrite it. In return each gradient it returns must be an array that
@@ -81,7 +81,6 @@ class Tape:
     def __init__(self):
         self._entries: list[tuple[Var, BackwardFn]] = []
         self._params: dict[str, Var] = {}
-        self.grads: dict[str, np.ndarray] = {}
 
     def param(self, name: str, value: np.ndarray) -> Var:
         if name in self._params:
@@ -89,13 +88,9 @@ class Tape:
                     self._params[name].value, value):
                 raise ValueError(f"parameter {name!r} re-registered with a different array")
             return self._params[name]
-        var = Var(value, name=name)  # no copy when value is float32 or float64
+        var = Var(value)  # no copy when value is float32 or float64
         self._params[name] = var
-        self.grads.setdefault(name, np.zeros_like(var.value))
         return var
-
-    def constant(self, value) -> Var:
-        return Var(value)
 
     def record(self, out: Var, backward_fn: BackwardFn) -> None:
         self._entries.append((out, backward_fn))
@@ -104,8 +99,9 @@ class Tape:
 def backward(tape: Tape, loss: Var) -> dict[str, np.ndarray]:
     """Propagate a unit seed from ``loss`` back through the tape.
 
-    Returns the tape's accumulator map {param name: gradient}; entries are
-    consumed, so calling again without recording a new forward pass raises.
+    Returns a new map {param name: gradient} of this loss alone, zeros for a
+    parameter it does not reach; entries are consumed, so calling again
+    without recording a new forward pass raises.
 
     Each entry's adjoint is popped before its rule runs, and a sum of two
     contributions is a new array, so the rule gets the only reference to its
@@ -125,12 +121,9 @@ def backward(tape: Tape, loss: Var) -> dict[str, np.ndarray]:
                 adjoint[key] = adjoint[key] + grad
             else:
                 adjoint[key] = grad
-    for name, var in tape._params.items():
-        contrib = adjoint.get(id(var))
-        if contrib is not None:
-            tape.grads[name] += contrib
     tape._entries.clear()
-    return tape.grads
+    return {name: adjoint[id(var)] if id(var) in adjoint else np.zeros_like(var.value)
+            for name, var in tape._params.items()}
 
 
 def _narrows(w: np.ndarray) -> bool:

@@ -191,7 +191,8 @@ class TestPrepare:
         real_write = Path.write_text
 
         def flaky_write(self, data, *args, **kwargs):
-            if self.parent == prepared and name in self.name:
+            # the rerun writes into a staged sibling of prepared/
+            if self.parent.parent == prepared.parent and name in self.name:
                 real_write(self, data[:len(data) // 2], *args, **kwargs)
                 raise OSError("disk full")  # a crash or a full disk mid-write
             return real_write(self, data, *args, **kwargs)
@@ -202,6 +203,37 @@ class TestPrepare:
         assert (prepared / name).read_bytes() == before
         assert sorted(p.name for p in prepared.iterdir()) == \
             ["prep_report.json", "prior_proportions", "splits.json"]
+
+    def test_failed_rerun_keeps_previous_prepared_whole(self, toy_run, monkeypatch, capsys):
+        # a rerun with another split seed whose report write fails must not
+        # leave its splits beside the first run's report: train would read
+        # normalization statistics fitted on other tiles
+        tmp_path, config = toy_run
+        assert cli.main(["prepare", "--config", str(config)]) == 0
+        out = tmp_path / "out"
+        prepared = out / "prepared"
+        before = {p.relative_to(prepared): p.read_bytes()
+                  for p in prepared.rglob("*") if p.is_file()}
+        config.write_bytes(edit_json(config.read_bytes(), split_seed=1))
+        real_write = Path.write_text
+
+        def failing_report_write(self, data, *args, **kwargs):
+            if "prep_report.json" in self.name:
+                raise OSError("disk full")
+            return real_write(self, data, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", failing_report_write)
+        capsys.readouterr()
+        assert cli.main(["prepare", "--config", str(config)]) == 2
+        assert "disk full" in capsys.readouterr().err
+        monkeypatch.undo()
+        after = {p.relative_to(prepared): p.read_bytes()
+                 for p in prepared.rglob("*") if p.is_file()}
+        assert after == before
+        assert not [p.name for p in out.iterdir() if p.name.startswith(".prepared")]
+        # the same rerun, completed, does change the splits
+        assert cli.main(["prepare", "--config", str(config)]) == 0
+        assert (prepared / "splits.json").read_bytes() != before[Path("splits.json")]
 
     def test_rerun_byte_identical_splits(self, toy_run):
         tmp_path, config = toy_run
@@ -458,6 +490,20 @@ class TestInfer:
         assert cli.main(["infer", "--config", str(config), "--checkpoint", str(ckpt)]) == 2
         err = capsys.readouterr().err
         assert str(path) in err and named in err, err
+        assert not (tmp_path / "out" / "posteriors").exists()
+
+    def test_prepared_prior_of_another_kind_exits_2(self, toy_run, capsys):
+        tmp_path, config = toy_run
+        ckpt = tmp_path / "out" / "checkpoint"
+        assert cli.main(["prepare", "--config", str(config)]) == 0
+        assert cli.main(["train", "--config", str(config), "--epochs", "1"]) == 0
+        prior = tmp_path / "out" / "prepared" / "prior_proportions"
+        manifest = prior / "manifest.json"
+        manifest.write_bytes(edit_json(manifest.read_bytes(), kind="POSTERIOR"))
+        capsys.readouterr()
+        assert cli.main(["infer", "--config", str(config), "--checkpoint", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert f"{prior}: expected PRIOR_PROPORTIONS stack, got POSTERIOR" in err, err
         assert not (tmp_path / "out" / "posteriors").exists()
 
     def test_missing_blob_exits_2_naming_it(self, toy_run, capsys):

@@ -1,5 +1,4 @@
 import gc
-import sys
 import tracemalloc
 from dataclasses import astuple
 from pathlib import Path
@@ -65,7 +64,7 @@ class TestEncodeDecode:
     def test_zero_weights_decode_to_zero(self):
         tape = Tape()
         a_hat = sp.csr_matrix(np.eye(2))
-        v = tape.constant(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        v = Var(np.array([[1.0, 0.0], [0.0, 1.0]]))
         out = md.decode(zero_params(k=2), a_hat, v, tape)
         np.testing.assert_array_equal(out.value, np.zeros((2, 1)))
 
@@ -86,8 +85,8 @@ class TestEncodeDecode:
 
         tape = Tape()
         v = rng.dirichlet(np.ones(3), size=graph.n_nodes)
-        dec = md.decode(params, a_hat, tape.constant(v), tape)
-        dec_p = md.decode(params, a_perm, Tape().constant(p_mat @ v), Tape())
+        dec = md.decode(params, a_hat, Var(v), tape)
+        dec_p = md.decode(params, a_perm, Var(p_mat @ v), Tape())
         np.testing.assert_allclose(dec_p.value, p_mat @ dec.value, atol=1e-12)
 
     def test_feature_dimension_mismatch(self):
@@ -504,7 +503,7 @@ class TestTrainMemory:
         # dense 256x192 part (N = 49,152 nodes, hidden 25, dropout 0.2), in
         # units of N x hidden float32. Tracing starts before the part is
         # built. Measured here: 5.42; 6.17 when the caller holds the graph,
-        # as every caller does before Python 3.11; 7.13 when the builder
+        # as every caller did before Python 3.11; 7.13 when the builder
         # wrote the binary graph, the step normalized it and kept the
         # graph, and the block's backward held three N x hidden arrays.
         rng = np.random.default_rng(3)
@@ -525,8 +524,7 @@ class TestTrainMemory:
         step(0)  # Adam's moments and the first-call allocations
         _, peak = self.traced(lambda: step(1))
         unit = h * w * hidden * 4
-        bound = 5.9 if sys.version_info >= (3, 11) else 6.6
-        assert peak <= bound * unit, peak / unit
+        assert peak <= 5.9 * unit, peak / unit
 
     @staticmethod
     def live_bytes_at_steps(monkeypatch, timesteps):

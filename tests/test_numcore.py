@@ -482,13 +482,16 @@ class TestTape:
         grads = nc.backward(tape, nc.sum_all(tape, w))
         np.testing.assert_array_equal(grads["w"], np.ones((2, 3)))
 
-    def test_successive_losses_accumulate(self):
+    def test_rerecorded_tape_returns_only_the_new_loss_gradient(self):
+        # the tape keeps no gradient between losses: each backward returns a
+        # new map holding its own loss's gradient alone
         tape = Tape()
         w = tape.param("w", np.ones((2, 2)))
-        nc.backward(tape, nc.sum_all(tape, w))
+        first = nc.backward(tape, nc.sum_all(tape, w))
         loss2 = nc.sum_all(tape, nc.scale(tape, w, 2.0))
         grads = nc.backward(tape, loss2)
-        np.testing.assert_array_equal(grads["w"], np.full((2, 2), 3.0))
+        np.testing.assert_array_equal(grads["w"], np.full((2, 2), 2.0))
+        np.testing.assert_array_equal(first["w"], np.ones((2, 2)))
 
     def test_backward_before_forward(self):
         with pytest.raises(RuntimeError):
@@ -514,15 +517,15 @@ class TestFiniteness:
         rng = np.random.default_rng(12)
         for _ in range(50):
             tape = Tape()
-            x = tape.constant(rng.uniform(-100, 100, size=(6, 4)))
-            w = tape.constant(rng.uniform(-100, 100, size=(4, 3)))
+            x = Var(rng.uniform(-100, 100, size=(6, 4)))
+            w = Var(rng.uniform(-100, 100, size=(4, 3)))
             a, _ = random_sparse(rng, 6, 6)
             out = nc.softmax_rows(tape, nc.gcn_layer(tape, a, x, w, Var(np.zeros(3)), True))
             assert np.all(np.isfinite(out.value))
 
     def test_overflow_raises_named_error(self):
         tape = Tape()
-        x = tape.constant(np.array([[1e308]]))
+        x = Var(np.array([[1e308]]))
         with np.errstate(over="ignore"):
             with pytest.raises(NonFiniteError, match="add_const"):
                 nc.add_const(tape, x, np.array([[1e308]]))
