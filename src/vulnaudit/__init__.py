@@ -8,7 +8,7 @@ from .graph_build import (GridGraph, SplitAssignment, Tile, build_graph, epoch_s
                           log_normalize, normalize_adjacency, split_tiles, tile_region)
 from .model import (ModelParams, TrainConfig, encode, decode,
                     gumbel_softmax_sample, infer_posterior, train)
-from .audit import (aitchison_distance, ad_map, change_map, regional_trend,
-                    transition_matrix, transition_to_dot)
+from .audit import (aitchison_distance, ad_map, change_map, transition_matrix,
+                    transition_to_dot)
 
 __version__ = "0.1.0"

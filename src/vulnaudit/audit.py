@@ -44,15 +44,6 @@ class TransitionMatrix:
     zero_mass_rows: list[str]  # rows that had no raw mass and were pinned to NONE
 
 
-@dataclass
-class RegionalTrend:
-    region: tuple[int, int, int, int]  # x, y, width, height
-    timesteps: list[str]
-    categories: list[str]
-    series: np.ndarray                 # (T, K) mean posterior per timestep
-    empty: list[bool]                  # True where the region held no node pixel
-
-
 def _smooth(v: np.ndarray) -> np.ndarray:
     """Replace zero components with EPSILON, then renormalize to the simplex."""
     out = np.where(v == 0.0, EPSILON, v)
@@ -120,30 +111,14 @@ def check_region(region: tuple[int, int, int, int], width: int, height_px: int) 
         raise ValueError(f"region {region} out of bounds for {width}x{height_px} raster")
 
 
-def region_mean(post: CategoryField,
-                region: tuple[int, int, int, int]) -> tuple[np.ndarray, bool]:
+def region_mean(post: CategoryField, region: tuple[int, int, int, int]) -> np.ndarray:
     """The mean posterior over the node pixels inside the (x, y, width,
-    height) rectangle, and whether it held none; then the mean is zeros."""
+    height) rectangle; a region that held none has no mean, and reads NaN."""
     x, y, w, h = region
     inside = post.valid[y:y + h, x:x + w]
     if not inside.any():
-        return np.zeros(post.k), True
-    return post.probs[y:y + h, x:x + w][inside].mean(axis=0), False
-
-
-def regional_trend(posteriors: list[CategoryField],
-                   region: tuple[int, int, int, int]) -> RegionalTrend:
-    """Per-timestep mean posterior over node pixels inside the rectangle."""
-    if not posteriors:
-        raise ValueError("no posterior fields given")
-    ph, pw = posteriors[0].shape
-    check_region(region, pw, ph)
-    for post in posteriors:
-        if post.shape != (ph, pw) or post.categories != posteriors[0].categories:
-            raise ValueError("posterior fields disagree on shape or categories")
-    means, empty = zip(*(region_mean(post, region) for post in posteriors))
-    return RegionalTrend(tuple(region), [p.timestep for p in posteriors],
-                         list(posteriors[0].categories), np.array(means), list(empty))
+        return np.full(post.k, np.nan)
+    return post.probs[y:y + h, x:x + w][inside].mean(axis=0)
 
 
 def _extended_distribution(post: CategoryField) -> np.ndarray:
@@ -240,11 +215,11 @@ def write_transition_csv(tm: TransitionMatrix, path: str | Path,
     _write_rows(path, ["from\\to", *tm.labels], tm.labels, matrix)
 
 
-def write_trend_csv(trend: RegionalTrend, path: str | Path) -> None:
-    """One row per timestep; a timestep whose region held no node pixel has
-    no mean, and its row reads ``nan``."""
-    rows = np.where(np.asarray(trend.empty)[:, None], np.nan, trend.series)
-    _write_rows(path, ["timestep", *trend.categories], trend.timesteps, rows)
+def write_trend_csv(timesteps: list[str], categories: list[str], series: np.ndarray,
+                    path: str | Path) -> None:
+    """One row per timestep of the (T, K) mean posteriors ``series`` (see
+    ``region_mean``); a NaN row, a region with no node pixel, reads ``nan``."""
+    _write_rows(path, ["timestep", *categories], timesteps, series)
 
 
 def _write_rows(path: str | Path, header: list[str], labels: list[str], rows) -> None:

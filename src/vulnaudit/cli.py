@@ -162,20 +162,10 @@ def _echo_config(cfg: RunConfig, command: str) -> None:
     gs.write_atomic(out / f"{command}_config_echo.json", schema.dumps(cfg))
 
 
-def _read_heights(cfg: RunConfig) -> gs.GridStack:
-    path = Path(cfg.heights)
-    if not path.is_dir():
-        raise ConfigError(f"heights stack not found: {path}")
-    stack = gs.read_grid_stack(path)
-    if stack.manifest.kind is not gs.StackKind.HEIGHT_SERIES:
-        raise ConfigError(f"{path} is not a HEIGHT_SERIES stack")
-    return stack
-
-
 def _read_field(path: Path, kind: gs.StackKind, timestep: str = "") -> gs.CategoryField:
     """Decode the ``kind`` stack at ``path``; a stack that breaks the
     category-field rule is a ConfigError naming ``path``."""
-    stack = gs.read_grid_stack(path)
+    stack = gs.read_grid_stack(path, kind)
     try:
         return gs.stack_to_field(stack, kind, timestep)
     except ValueError as exc:
@@ -189,13 +179,14 @@ def _prepared_dir(cfg: RunConfig) -> Path:
     return prep
 
 
-def _check_extent(heights: gs.GridStack, prior_shape: tuple[int, int]) -> None:
-    """The heights stack must have the prepared prior's (height, width)."""
-    hm = heights.manifest
+def _check_extent(path: str | Path, m: gs.StackManifest,
+                  prior_shape: tuple[int, int]) -> None:
+    """The stack at ``path``, of manifest ``m``, must have the prepared
+    prior's (height, width)."""
     ph, pw = prior_shape
-    if (hm.height_px, hm.width) != (ph, pw):
-        raise ConfigError(f"heights stack is {hm.width}x{hm.height_px} but the prepared "
-                          f"prior is {pw}x{ph}; run prepare on this heights stack")
+    if (m.height_px, m.width) != (ph, pw):
+        raise ConfigError(f"{path}: extent {m.width}x{m.height_px} is not the "
+                          f"prepared prior's {pw}x{ph}")
 
 
 def _load_prepared(cfg: RunConfig) -> tuple[gs.CategoryField, gb.SplitAssignment, gb.NormStats]:
@@ -227,11 +218,9 @@ def _load_splits(path: Path) -> gb.SplitAssignment:
 
 
 def cmd_prepare(cfg: RunConfig) -> int:
-    heights = _read_heights(cfg)
+    heights = gs.read_grid_stack(cfg.heights, gs.StackKind.HEIGHT_SERIES)
     counts_path = Path(cfg.prior_counts)
-    if not counts_path.is_dir():
-        raise ConfigError(f"prior counts stack not found: {counts_path}")
-    counts = gs.read_grid_stack(counts_path)
+    counts = gs.read_grid_stack(counts_path, gs.StackKind.PRIOR_COUNTS)
     try:
         coarse = gs.normalize_prior_counts(counts)
     except ValueError as exc:
@@ -282,15 +271,18 @@ def cmd_prepare(cfg: RunConfig) -> int:
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    heights = _read_heights(cfg)
+    heights = gs.read_grid_stack(cfg.heights, gs.StackKind.HEIGHT_SERIES)
     prior, splits, stats = _load_prepared(cfg)
-    _check_extent(heights, prior.shape)
+    _check_extent(cfg.heights, heights.manifest, prior.shape)
     # float32, the dtype the checkpoint stores: it holds the trained weights bit for bit
     params = md.ModelParams.initialize(f_dim=gb.NODE_FEATURES, k_cats=prior.k,
                                        seed=cfg.train.seed).astype(np.float32)
     result = md.train(params, heights, prior, splits, cfg.train, stats)
 
     out = Path(cfg.out_dir)
+    # gone before the checkpoint is replaced: a rerun that fails at either
+    # write leaves no losses of another checkpoint
+    (out / "losses.csv").unlink(missing_ok=True)
     md.save_checkpoint(out / "checkpoint", result.params, result.norm_stats, cfg.train)
     lines = ["epoch,train_rec,train_kl,train_ce,train_total,"
              "val_rec,val_kl,val_ce,val_total"]
@@ -317,17 +309,15 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_infer(cfg: RunConfig, checkpoint: str) -> int:
-    heights = _read_heights(cfg)
+    heights = gs.read_grid_stack(cfg.heights, gs.StackKind.HEIGHT_SERIES)
     ckpt_path = Path(checkpoint)
     if not ckpt_path.is_dir():
         raise ConfigError(f"checkpoint not found: {ckpt_path}")
     params, stats, _ = md.load_checkpoint(ckpt_path)
     # the kind, extent and category labels are all infer needs of the prepared prior
     prior_path = _prepared_dir(cfg) / "prior_proportions"
-    prior = gs.read_manifest(prior_path)
-    if prior.kind is not gs.StackKind.PRIOR_PROPORTIONS:
-        raise ConfigError(f"{prior_path}: expected PRIOR_PROPORTIONS stack, got {prior.kind.value}")
-    _check_extent(heights, (prior.height_px, prior.width))
+    prior = gs.read_manifest(prior_path, gs.StackKind.PRIOR_PROPORTIONS)
+    _check_extent(cfg.heights, heights.manifest, (prior.height_px, prior.width))
     categories = prior.layer_labels
     if len(categories) != params.k_cats:
         raise ConfigError(f"checkpoint has {params.k_cats} categories, "
@@ -350,25 +340,8 @@ def cmd_infer(cfg: RunConfig, checkpoint: str) -> int:
     return 0
 
 
-def _check_posterior(path: Path, prior: gs.CategoryField) -> None:
-    """The manifest of a timestep's posterior stack: one of another kind,
-    or whose categories (in order) or extent are not the prior's, is a
-    ConfigError naming ``path``."""
-    if not path.is_dir():
-        raise ConfigError(f"posterior stack not found: {path}")
-    m = gs.read_manifest(path)
-    if m.kind is not gs.StackKind.POSTERIOR:
-        raise ConfigError(f"{path}: expected POSTERIOR stack, got {m.kind.value}")
-    if m.layer_labels != prior.categories:
-        raise ConfigError(f"{path}: categories {m.layer_labels} are not the "
-                          f"prepared prior's {prior.categories}")
-    if (m.height_px, m.width) != prior.shape:
-        raise ConfigError(f"{path}: extent {m.width}x{m.height_px} is not the "
-                          f"prepared prior's {prior.shape[1]}x{prior.shape[0]}")
-
-
 def cmd_audit(cfg: RunConfig, posteriors_dir: str) -> int:
-    heights = _read_heights(cfg)
+    heights = gs.read_grid_stack(cfg.heights, gs.StackKind.HEIGHT_SERIES)
     hm = heights.manifest
     regions = cfg.regions or [Region(0, 0, hm.width, hm.height_px, "full")]
     for region in regions:
@@ -376,11 +349,16 @@ def cmd_audit(cfg: RunConfig, posteriors_dir: str) -> int:
     # the prior is all audit needs of the prepared dataset
     prior = _read_field(_prepared_dir(cfg) / "prior_proportions",
                         gs.StackKind.PRIOR_PROPORTIONS)
-    _check_extent(heights, prior.shape)
+    _check_extent(cfg.heights, hm, prior.shape)
     labels, categories = list(hm.layer_labels), prior.categories
     posteriors = Path(posteriors_dir)
-    for label in labels:  # every stack is checked before anything is written
-        _check_posterior(posteriors / label, prior)
+    for label in labels:  # every manifest is checked before anything is written
+        path = posteriors / label
+        m = gs.read_manifest(path, gs.StackKind.POSTERIOR)
+        if m.layer_labels != categories:
+            raise ConfigError(f"{path}: categories {m.layer_labels} are not the "
+                              f"prepared prior's {categories}")
+        _check_extent(path, m, prior.shape)
     # consecutive timesteps name both the change maps and the transitions
     pairs = [f"{a}_to_{b}" for a, b in zip(labels, labels[1:])]
     change_grids = [au.change_map(a, b, cfg.threshold_m).grid
@@ -423,10 +401,8 @@ def cmd_audit(cfg: RunConfig, posteriors_dir: str) -> int:
             write_maps("change", pairs, change_grids, gs.StackKind.CHANGE_MAP)
 
         for region, rows in zip(regions, means):
-            series, empty = zip(*rows)
-            trend = au.RegionalTrend(region.rect, labels, list(categories),
-                                     np.array(series), list(empty))
-            au.write_trend_csv(trend, stage / f"trend_{region.name}.csv")
+            au.write_trend_csv(labels, categories, np.array(rows),
+                               stage / f"trend_{region.name}.csv")
             artifacts.append(f"trend_{region.name}.csv")
 
         if not pairs:

@@ -133,24 +133,32 @@ def validate_stack(stack: GridStack) -> None:
                 raise GridFormatError(f"range violation: {m.kind.value} value outside [0,1]")
 
 
-def read_manifest(path: str | Path) -> StackManifest:
+def read_manifest(path: str | Path, kind: StackKind | None = None) -> StackManifest:
     """Load and check only the manifest of the stack directory ``path``,
-    strictly (see ``schema.from_doc``); any fault is a GridFormatError."""
-    manifest_file = Path(path) / "manifest.json"
+    strictly (see ``schema.from_doc``). A missing or malformed manifest is a
+    GridFormatError naming the file; given a ``kind``, a manifest of another
+    kind is one naming ``path``."""
+    path = Path(path)
+    manifest_file = path / "manifest.json"
     if not manifest_file.is_file():
         raise GridFormatError(f"missing manifest: {manifest_file}")
     try:
-        return schema.load(StackManifest, manifest_file)
+        m = schema.load(StackManifest, manifest_file)
     except schema.ConfigError as exc:
         raise GridFormatError(str(exc)) from exc
+    if kind is not None and m.kind is not kind:
+        raise GridFormatError(f"{path}: expected {kind.value} stack, got {m.kind.value}")
+    return m
 
 
-def read_grid_stack(path: str | Path) -> GridStack:
+def read_grid_stack(path: str | Path, kind: StackKind | None = None) -> GridStack:
     """Load a stack directory; values are read bit-exactly as little-endian f32.
-    A bad layer value is a GridFormatError naming its layer file, and a
-    stack that breaks ``validate_stack`` one naming ``path``."""
+    The manifest is checked first, its kind too when ``kind`` is given (see
+    ``read_manifest``), so a stack of another kind opens no layer file. A bad
+    layer value is a GridFormatError naming its layer file, and a stack that
+    breaks ``validate_stack`` one naming ``path``."""
     path = Path(path)
-    m = read_manifest(path)
+    m = read_manifest(path, kind)
     grids = []
     for label in m.layer_labels:
         layer = path / f"{label}.f32"

@@ -187,31 +187,29 @@ class TestRegionalTrend:
     def test_single_pixel_region(self):
         rng = np.random.default_rng(8)
         posts = [random_posterior(rng, 3, 3, 2, timestep=f"t{i}") for i in range(3)]
-        trend = au.regional_trend(posts, (1, 2, 1, 1))
-        for i, post in enumerate(posts):
-            np.testing.assert_allclose(trend.series[i], post.probs[2, 1])
+        for post in posts:
+            np.testing.assert_allclose(au.region_mean(post, (1, 2, 1, 1)), post.probs[2, 1])
 
     def test_uniform_posterior_flat_trend(self):
         posts = [posterior_from(np.full((2, 2, 4), 0.25), timestep=f"t{i}")
                  for i in range(2)]
-        trend = au.regional_trend(posts, (0, 0, 2, 2))
-        np.testing.assert_allclose(trend.series, 0.25)
+        series = np.array([au.region_mean(post, (0, 0, 2, 2)) for post in posts])
+        np.testing.assert_allclose(series, 0.25)
 
     def test_two_pixel_mean(self):
         probs = np.array([[[1.0, 0.0], [0.0, 1.0]]])
-        trend = au.regional_trend([posterior_from(probs)], (0, 0, 2, 1))
-        np.testing.assert_allclose(trend.series[0], [0.5, 0.5])
+        np.testing.assert_allclose(au.region_mean(posterior_from(probs), (0, 0, 2, 1)),
+                                   [0.5, 0.5])
 
     def test_empty_region_flagged(self):
+        # a region with no node pixel has no mean: its row is NaN
         post = posterior_from(np.full((2, 2, 2), 0.5), np.zeros((2, 2), dtype=bool))
-        trend = au.regional_trend([post], (0, 0, 2, 2))
-        assert trend.empty == [True]
-        np.testing.assert_array_equal(trend.series[0], [0.0, 0.0])
+        mean = au.region_mean(post, (0, 0, 2, 2))
+        assert mean.shape == (2,) and np.isnan(mean).all()
 
     def test_out_of_bounds(self):
-        post = posterior_from(np.full((2, 2, 2), 0.5))
         with pytest.raises(ValueError):
-            au.regional_trend([post], (1, 1, 3, 1))
+            au.check_region((1, 1, 3, 1), 2, 2)
 
 
 class TestTransitionMatrix:
@@ -349,9 +347,8 @@ class TestExports:
         assert lines[1] == "a,0.5,0.5"
 
     def test_trend_csv(self, tmp_path):
-        trend = au.RegionalTrend((0, 0, 1, 1), ["t0", "t1"], ["a", "b"],
-                                 np.array([[0.25, 0.75], [0.5, 0.5]]), [False, False])
-        au.write_trend_csv(trend, tmp_path / "trend.csv")
+        au.write_trend_csv(["t0", "t1"], ["a", "b"], np.array([[0.25, 0.75], [0.5, 0.5]]),
+                           tmp_path / "trend.csv")
         lines = (tmp_path / "trend.csv").read_text().strip().splitlines()
         assert lines[0] == "timestep,a,b"
         assert lines[1] == "t0,0.25,0.75"
@@ -361,8 +358,8 @@ class TestExports:
         post = posterior_from(np.full((2, 2, 2), 0.5), timestep="t0")
         empty = posterior_from(np.full((2, 2, 2), 0.5), np.zeros((2, 2), dtype=bool),
                                timestep="t1")
-        trend = au.regional_trend([post, empty], (0, 0, 2, 2))
-        au.write_trend_csv(trend, tmp_path / "trend.csv")
+        series = np.array([au.region_mean(p, (0, 0, 2, 2)) for p in (post, empty)])
+        au.write_trend_csv(["t0", "t1"], post.categories, series, tmp_path / "trend.csv")
         lines = (tmp_path / "trend.csv").read_text().strip().splitlines()
         assert lines[1:] == ["t0,0.5,0.5", "t1,nan,nan"]
 

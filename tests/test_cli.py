@@ -406,6 +406,28 @@ class TestTrain:
         assert cli.main(["train", "--config", str(config)]) == 2
         assert str(path) in capsys.readouterr().err
 
+    def test_failed_rerun_leaves_no_losses_of_another_checkpoint(self, toy_run, monkeypatch,
+                                                                 capsys):
+        # the rerun's checkpoint is published before its losses are written:
+        # the first run's losses must not stay beside it
+        tmp_path, config = toy_run
+        losses = tmp_path / "out" / "losses.csv"
+        assert cli.main(["prepare", "--config", str(config)]) == 0
+        assert cli.main(["train", "--config", str(config)]) == 0
+        assert losses.is_file()
+        real_write = gs.write_atomic
+
+        def failing_losses_write(path, data):
+            if Path(path).name == "losses.csv":
+                raise OSError("disk full")
+            return real_write(path, data)
+
+        monkeypatch.setattr(gs, "write_atomic", failing_losses_write)
+        capsys.readouterr()
+        assert cli.main(["train", "--config", str(config), "--seed", "1"]) == 2
+        assert "disk full" in capsys.readouterr().err
+        assert not losses.exists()
+
     def test_train_without_prepare_exits_2(self, toy_run):
         tmp_path, config = toy_run
         assert cli.main(["train", "--config", str(config)]) == 2
@@ -779,11 +801,12 @@ class TestAudit:
         assert cli.main(["infer", "--config", str(config),
                          "--checkpoint", str(tmp_path / "out" / "checkpoint")]) == 0
         refs, read, live = [], [], []
-        real_read_heights, real_read_field = cli._read_heights, cli._read_field
+        real_read_stack, real_read_field = gs.read_grid_stack, cli._read_field
 
-        def read_heights(*args):
-            stack = real_read_heights(*args)
-            refs.extend(weakref.ref(obj) for g in stack.grids for obj in (g, g.values))
+        def read_stack(path, kind=None):
+            stack = real_read_stack(path, kind)
+            if kind is gs.StackKind.HEIGHT_SERIES:
+                refs.extend(weakref.ref(obj) for g in stack.grids for obj in (g, g.values))
             return stack
 
         def read_field(path, kind, *args):
@@ -796,7 +819,7 @@ class TestAudit:
             refs.extend([weakref.ref(field.probs), weakref.ref(field.valid)])
             return field
 
-        monkeypatch.setattr(cli, "_read_heights", read_heights)
+        monkeypatch.setattr(gs, "read_grid_stack", read_stack)
         monkeypatch.setattr(cli, "_read_field", read_field)
         assert cli.main(["audit", "--config", str(config),
                          "--posteriors", str(tmp_path / "out" / "posteriors")]) == 0
@@ -972,10 +995,12 @@ class TestConfigHandling:
         doc = json.loads(config.read_text())
         config.write_text(json.dumps({**doc, "heights": str(tmp_path / "big" / "heights")}))
         capsys.readouterr()
-        for argv in (["train"], ["infer", "--checkpoint", str(out / "checkpoint")]):
+        for argv in (["train"], ["infer", "--checkpoint", str(out / "checkpoint")],
+                     ["audit", "--posteriors", str(out / "posteriors")]):
             assert cli.main(argv + ["--config", str(config)]) == 2
             err = capsys.readouterr().err
-            assert "32x32" in err and "16x16" in err, err
+            assert f"{tmp_path / 'big' / 'heights'}: extent 32x32" in err, err
+            assert "16x16" in err, err
         assert not (out / "posteriors").exists()
 
     @pytest.mark.parametrize("key, value, named", [
@@ -1057,7 +1082,10 @@ def test_missing_key_named_as_the_file_spells_it(toy_run, capsys, name, key, com
     ("posterior-above-one", "out/posteriors/t1",
      "range violation: POSTERIOR value outside [0,1]"),
     ("counts-of-another-kind", "data/heights", "expected PRIOR_COUNTS stack, got HEIGHT_SERIES"),
-], ids=["nan-height", "posterior-above-one", "counts-of-another-kind"])
+    ("heights-of-another-kind", "data/prior_counts",
+     "expected HEIGHT_SERIES stack, got PRIOR_COUNTS"),
+], ids=["nan-height", "posterior-above-one", "counts-of-another-kind",
+        "heights-of-another-kind"])
 def test_bad_stack_value_exits_2_naming_it(toy_run, capsys, case, named, message):
     tmp_path, config = toy_run
     argv = ["prepare", "--config", str(config)]
@@ -1071,13 +1099,32 @@ def test_bad_stack_value_exits_2_naming_it(toy_run, capsys, case, named, message
         set_first_data_value(min((tmp_path / named).glob("*.f32")), 1.5)
         argv = ["audit", "--config", str(config),
                 "--posteriors", str(tmp_path / "out" / "posteriors")]
-    else:
+    elif case == "counts-of-another-kind":
         write_config(config, tmp_path / "data", tmp_path / "out",
                      prior_counts=str(tmp_path / "data" / "heights"))
+    else:
+        write_config(config, tmp_path / "data", tmp_path / "out",
+                     heights=str(tmp_path / "data" / "prior_counts"))
     capsys.readouterr()
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert f"error: {tmp_path / named}: {message}\n" == err, err
+
+
+def test_stack_of_another_kind_fails_before_its_layers_are_read(toy_run, capsys):
+    # the kind is checked on the manifest, so a missing layer of a stack of
+    # another kind is never reached
+    tmp_path, config = toy_run
+    counts = tmp_path / "data" / "prior_counts"
+    (counts / "cat1.f32").unlink()
+    write_config(config, tmp_path / "data", tmp_path / "out", heights=str(counts))
+    out = tmp_path / "out"
+    for argv in (["prepare"], ["train"], ["infer", "--checkpoint", str(out / "checkpoint")],
+                 ["audit", "--posteriors", str(out / "posteriors")]):
+        capsys.readouterr()
+        assert cli.main(argv + ["--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {counts}: expected HEIGHT_SERIES stack, got PRIOR_COUNTS\n", err
 
 
 class TestEndToEnd:

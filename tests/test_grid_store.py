@@ -80,6 +80,18 @@ class TestReadErrors:
         with pytest.raises(GridFormatError, match="missing layer"):
             gs.read_grid_stack(tmp_path / "s")
 
+    def test_kind_checked_before_any_layer(self, tmp_path):
+        stack = make_stack(StackKind.PRIOR_COUNTS, 1, 1, {"a": np.ones((1, 1), np.float32)})
+        gs.write_grid_stack(stack, tmp_path / "s")
+        (tmp_path / "s" / "a.f32").unlink()  # never opened
+        message = f"{tmp_path / 's'}: expected HEIGHT_SERIES stack, got PRIOR_COUNTS"
+        for read in (gs.read_manifest, gs.read_grid_stack):
+            with pytest.raises(GridFormatError) as caught:
+                read(tmp_path / "s", StackKind.HEIGHT_SERIES)
+            assert str(caught.value) == message
+        assert gs.read_manifest(tmp_path / "s", StackKind.PRIOR_COUNTS).kind \
+            is StackKind.PRIOR_COUNTS
+
     def test_byte_length_mismatch(self, tmp_path):
         stack = make_stack(StackKind.HEIGHT_SERIES, 2, 2,
                            {"a": np.ones((2, 2), np.float32)})
