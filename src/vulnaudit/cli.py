@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import sys
 import typing
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -100,9 +102,7 @@ class RunConfig:
     prior_counts: str
     out_dir: str
     tile_size: int = gb.DEFAULT_TILE_SIZE
-    split_ratios: tuple[float, float, float] = gb.DEFAULT_SPLIT_RATIOS
     split_seed: int = 0
-    split_tolerance: float = gb.DEFAULT_SPLIT_TOLERANCE
     upsample_factor: int = 1
     train: md.TrainConfig = field(default_factory=md.TrainConfig)
     regions: list[Region] = field(default_factory=list)
@@ -110,8 +110,6 @@ class RunConfig:
     threshold_m: float = au.DEFAULT_CHANGE_THRESHOLD_M
 
     def __post_init__(self):
-        if abs(sum(self.split_ratios) - 1.0) > 1e-9:
-            raise ConfigError("split_ratios must sum to 1")
         if self.upsample_factor < 1:
             raise ConfigError("upsample_factor must be >= 1")
         if self.threshold_m <= 0:
@@ -156,10 +154,15 @@ def _override(config, key: str, value, flag: str):
         raise ConfigError(f"{flag}: bad value: {exc}") from exc
 
 
-def _echo_config(cfg: RunConfig, command: str) -> None:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    gs.write_atomic(out / f"{command}_config_echo.json", schema.dumps(cfg))
+@contextmanager
+def _echoed(out_dir: str | Path, command: str, config) -> Iterator[None]:
+    """Around a command's publishes: its previous ``<command>_config_echo.json``
+    goes before the first, and ``config`` is echoed after the last, so a rerun
+    that fails in between leaves no echo of another run's config."""
+    echo = Path(out_dir) / f"{command}_config_echo.json"
+    echo.unlink(missing_ok=True)
+    yield  # every publish makes out_dir
+    gs.write_atomic(echo, schema.dumps(config))
 
 
 def _read_field(path: Path, kind: gs.StackKind, timestep: str = "") -> gs.CategoryField:
@@ -202,8 +205,8 @@ def _save_splits(splits: gb.SplitAssignment, cfg: RunConfig, path: Path) -> None
     rows = [SplitRow(t.origin_x, t.origin_y, t.width, t.height, t.dominant_category, name)
             for name, part in zip(SPLIT_NAMES, parts) for t in part]
     rows.sort(key=lambda r: (r.y, r.x))
-    doc = SplitsFile(cfg.tile_size, cfg.split_ratios, cfg.split_seed, cfg.split_tolerance,
-                     rows, splits.balanced)
+    doc = SplitsFile(cfg.tile_size, gb.DEFAULT_SPLIT_RATIOS, cfg.split_seed,
+                     gb.DEFAULT_SPLIT_TOLERANCE, rows, splits.balanced)
     gs.write_atomic(path, schema.dumps(doc))
 
 
@@ -240,8 +243,7 @@ def cmd_prepare(cfg: RunConfig) -> int:
                        valid=fine.valid[:hm.height_px, :hm.width])
 
     tiles = gb.tile_region(hm.width, hm.height_px, cfg.tile_size)
-    splits = gb.split_tiles(tiles, fine, cfg.split_ratios, cfg.split_seed,
-                            cfg.split_tolerance)
+    splits = gb.split_tiles(tiles, fine, seed=cfg.split_seed)
 
     node_counts = {label: int(gb.node_mask(g, tiles).sum())
                    for label, g in zip(hm.layer_labels, heights.grids)}
@@ -254,7 +256,7 @@ def cmd_prepare(cfg: RunConfig) -> int:
 
     prep = cfg.prepared_dir
     # staged, then swapped in whole: a failed rerun leaves no new splits beside an old report
-    with gs.staged_dir(prep) as stage:
+    with _echoed(cfg.out_dir, "prepare", cfg), gs.staged_dir(prep) as stage:
         gs.write_grid_stack(gs.field_to_stack(fine, gs.StackKind.PRIOR_PROPORTIONS),
                             stage / "prior_proportions")
         _save_splits(splits, cfg, stage / "splits.json")
@@ -264,7 +266,6 @@ def cmd_prepare(cfg: RunConfig) -> int:
         _read_field(stage / "prior_proportions", gs.StackKind.PRIOR_PROPORTIONS)
         _load_splits(stage / "splits.json")
         schema.load(PrepReport, stage / "prep_report.json")
-    _echo_config(cfg, "prepare")
     print(f"prepared dataset under {prep}: {sum(node_counts.values())} nodes "
           f"across {len(node_counts)} timesteps, balanced={splits.balanced}")
     return 0
@@ -279,11 +280,6 @@ def cmd_train(cfg: RunConfig) -> int:
                                        seed=cfg.train.seed).astype(np.float32)
     result = md.train(params, heights, prior, splits, cfg.train, stats)
 
-    out = Path(cfg.out_dir)
-    # gone before the checkpoint is replaced: a rerun that fails at either
-    # write leaves no losses of another checkpoint
-    (out / "losses.csv").unlink(missing_ok=True)
-    md.save_checkpoint(out / "checkpoint", result.params, result.norm_stats, cfg.train)
     lines = ["epoch,train_rec,train_kl,train_ce,train_total,"
              "val_rec,val_kl,val_ce,val_total"]
     no_val = md.LossBreakdown(*[float("nan")] * 4)  # no validation node: no loss
@@ -292,10 +288,14 @@ def cmd_train(cfg: RunConfig) -> int:
         lines.append(",".join([str(row.epoch)] +
                               [repr(x) for x in (t.rec, t.kl, t.ce, t.total,
                                                  v.rec, v.kl, v.ce, v.total)]))
-    gs.write_atomic(out / "losses.csv", "\n".join(lines) + "\n")
-
-    md.load_checkpoint(out / "checkpoint")  # self-check
-    _echo_config(cfg, "train")
+    out = Path(cfg.out_dir)
+    with _echoed(out, "train", cfg):
+        # gone before the checkpoint is replaced: a rerun that fails at either
+        # write leaves no losses of another checkpoint
+        (out / "losses.csv").unlink(missing_ok=True)
+        md.save_checkpoint(out / "checkpoint", result.params, result.norm_stats, cfg.train)
+        gs.write_atomic(out / "losses.csv", "\n".join(lines) + "\n")
+        md.load_checkpoint(out / "checkpoint")  # self-check
     if result.history:
         last = result.history[-1]
         val = ("no validation nodes, val columns nan" if last.val is None
@@ -326,7 +326,7 @@ def cmd_infer(cfg: RunConfig, checkpoint: str) -> int:
     # every timestep is written into a staged directory that then replaces
     # ``out``, so a run that fails part-way leaves the previous posteriors
     # whole, never new timesteps beside old ones
-    with gs.staged_dir(out) as stage:
+    with _echoed(cfg.out_dir, "infer", cfg), gs.staged_dir(out) as stage:
         for label, grid in zip(heights.manifest.layer_labels, heights.grids):
             # unnamed, the posterior is freed once its stack is built and the
             # stack once written, before the self-check decode and the next
@@ -335,7 +335,6 @@ def cmd_infer(cfg: RunConfig, checkpoint: str) -> int:
                 md.infer_posterior(params, grid, stats, categories, timestep=label),
                 gs.StackKind.POSTERIOR), stage / label)
             _read_field(stage / label, gs.StackKind.POSTERIOR, label)  # self-check
-    _echo_config(cfg, "infer")
     print(f"wrote {len(heights.grids)} posterior stacks under {out}")
     return 0
 
@@ -380,7 +379,7 @@ def cmd_audit(cfg: RunConfig, posteriors_dir: str) -> int:
     transitions: dict[str, dict] = {}
     # the audit is written whole into a staged directory that then replaces
     # ``out``, so no file of an earlier run survives beside this run's index
-    with gs.staged_dir(out) as stage:
+    with _echoed(cfg.out_dir, "audit", cfg), gs.staged_dir(out) as stage:
         # one pass: each posterior is read once, in timestep order, and is
         # freed before the next one is read
         matrices = au.transition_matrices(map(read_posterior, labels))
@@ -420,7 +419,6 @@ def cmd_audit(cfg: RunConfig, posteriors_dir: str) -> int:
 
         gs.write_atomic(stage / "index.json",
                         schema.dumps({"artifacts": artifacts, "transitions": transitions}))
-    _echo_config(cfg, "audit")
     print(f"wrote {len(artifacts)} audit artifacts under {out}")
     return 0
 
@@ -430,10 +428,10 @@ def cmd_synth(spec_path: str, out_dir: str) -> int:
     # scipy.ndimage it loads (about 5 MiB of each stage's peak RSS)
     from . import synth as sy
     spec = schema.load(sy.SyntheticSpec, spec_path)
-    paths = sy.write_dataset(spec, out_dir)
-    for path in paths.values():
-        gs.read_grid_stack(path)  # self-check
-    gs.write_atomic(Path(out_dir) / "synth_config_echo.json", schema.dumps(spec))
+    with _echoed(out_dir, "synth", spec):
+        paths = sy.write_dataset(spec, out_dir)
+        for path in paths.values():
+            gs.read_grid_stack(path)  # self-check
     print(f"wrote synthetic dataset under {out_dir}: "
           + ", ".join(sorted(p.name for p in paths.values())))
     return 0

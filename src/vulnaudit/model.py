@@ -33,6 +33,8 @@ DEFAULT_HIDDEN = 25
 DEFAULT_LEARNING_RATE = 1e-3
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
+GUMBEL_TAU = 1.0
+LOSS_WEIGHTS = (1.0, 1.0, 1.0)  # (rec, kl, ce)
 CLAMP = 1e-9
 
 PARAM_ORDER = ("enc_w1", "enc_b1", "enc_w2", "enc_b2", "enc_w3", "enc_b3",
@@ -87,27 +89,18 @@ def param_shapes(f_dim: int, k_cats: int, hidden: int) -> dict[str, tuple[int, .
 
 @dataclass
 class TrainConfig:
-    tau: float = 1.0
     learning_rate: float = DEFAULT_LEARNING_RATE
     epochs: int = 200
-    edge_dropout: float = DEFAULT_EDGE_DROPOUT
     n_subgraphs: int | None = None  # None: sized so subgraphs stay under the node cap
     seed: int = 0
-    loss_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)  # (rec, kl, ce)
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be non-negative")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
-        if not 0.0 <= self.edge_dropout < 1.0:
-            raise ValueError("edge_dropout must lie in [0, 1)")
         if self.n_subgraphs is not None and self.n_subgraphs < 1:
             raise ValueError("n_subgraphs must be >= 1, or null for automatic")
-        if min(self.loss_weights) < 0:
-            raise ValueError("loss weights must be non-negative")
 
 
 @dataclass
@@ -267,19 +260,18 @@ class LossBreakdown:
 
 
 def _forward_losses(params: ModelParams, a_hat: sp.csr_matrix, x: np.ndarray,
-                    prior_p: np.ndarray, mask: np.ndarray, config: TrainConfig,
-                    rng: np.random.Generator | None,
+                    prior_p: np.ndarray, mask: np.ndarray, rng: np.random.Generator | None,
                     tape: Tape) -> tuple[Var, LossBreakdown]:
     enc = encode(params, a_hat, x, tape)
     if rng is not None:
-        v = gumbel_softmax_var(tape, enc.logits, config.tau, rng)
+        v = gumbel_softmax_var(tape, enc.logits, GUMBEL_TAU, rng)
     else:
         v = enc.probabilities  # expected probabilities, no sampling noise
     recon = decode(params, a_hat, v, tape)
     l_rec = loss_rec(tape, recon, x)
     l_kl = loss_kl(tape, enc.probabilities, prior_p, mask)
     l_ce = loss_ce(tape, enc.probabilities, prior_p, mask)
-    total = nc.weighted_sum(tape, [l_rec, l_kl, l_ce], list(config.loss_weights))
+    total = nc.weighted_sum(tape, [l_rec, l_kl, l_ce], list(LOSS_WEIGHTS))
     breakdown = LossBreakdown(float(l_rec.value), float(l_kl.value),
                               float(l_ce.value), float(total.value))
     return total, breakdown
@@ -307,7 +299,7 @@ def _encoder_input(graph: GridGraph, norm_stats: NormStats,
 
 
 def train_step(params: ModelParams, optimizer: Adam, subgraph: GridGraph,
-               norm_stats: NormStats, prior: CategoryField, config: TrainConfig,
+               norm_stats: NormStats, prior: CategoryField,
                rng: np.random.Generator) -> LossBreakdown:
     """One Gumbel-sampled forward/backward pass plus an Adam update on a
     graph of raw heights; the prior is looked up at its node pixels.
@@ -321,18 +313,16 @@ def train_step(params: ModelParams, optimizer: Adam, subgraph: GridGraph,
     a_hat, x = _encoder_input(subgraph, norm_stats, params.dtype)
     del subgraph
     tape = Tape()
-    total, breakdown = _forward_losses(params, a_hat, x, prior_p, mask, config, rng, tape)
+    total, breakdown = _forward_losses(params, a_hat, x, prior_p, mask, rng, tape)
     grads = nc.backward(tape, total)
     optimizer.step(params.weights, grads)
     return breakdown
 
 
 def evaluate_losses(params: ModelParams, a_hat: sp.csr_matrix, x: np.ndarray,
-                    prior_p: np.ndarray, mask: np.ndarray,
-                    config: TrainConfig) -> LossBreakdown:
+                    prior_p: np.ndarray, mask: np.ndarray) -> LossBreakdown:
     """Loss terms without sampling noise (latent = expected probabilities)."""
-    _, breakdown = _forward_losses(params, a_hat, x, prior_p, mask, config,
-                                   None, Tape())
+    _, breakdown = _forward_losses(params, a_hat, x, prior_p, mask, None, Tape())
     return breakdown
 
 
@@ -364,8 +354,7 @@ def _mean_breakdown(items: list[LossBreakdown]) -> LossBreakdown:
 
 
 def _validation_losses(params: ModelParams, grid: RasterGrid, tiles: list[Tile],
-                       norm_stats: NormStats, prior: CategoryField,
-                       config: TrainConfig) -> LossBreakdown | None:
+                       norm_stats: NormStats, prior: CategoryField) -> LossBreakdown | None:
     """Noise-free losses on a validation graph built for the call; None without nodes."""
     graph = build_graph(grid, tiles)
     if not graph.n_nodes:
@@ -373,7 +362,7 @@ def _validation_losses(params: ModelParams, grid: RasterGrid, tiles: list[Tile],
     prior_p, mask = node_prior(prior, graph)
     a_hat, x = _encoder_input(graph, norm_stats, params.dtype)
     del graph
-    return evaluate_losses(params, a_hat, x, prior_p, mask, config)
+    return evaluate_losses(params, a_hat, x, prior_p, mask)
 
 
 def train(params: ModelParams, height_series: GridStack, prior: CategoryField,
@@ -411,7 +400,7 @@ def train(params: ModelParams, height_series: GridStack, prior: CategoryField,
     optimizer = Adam(config.learning_rate)
     history: list[EpochLosses] = []
     for epoch in range(config.epochs):
-        samplers = [epoch_subgraphs(grid, splits.train, n_sub, config.edge_dropout,
+        samplers = [epoch_subgraphs(grid, splits.train, n_sub, DEFAULT_EDGE_DROPOUT,
                                     derive_seed(config.seed, 1, epoch, ti))
                     for ti, grid in enumerate(train_grids.values())]
         step_losses: list[LossBreakdown] = []
@@ -421,13 +410,13 @@ def train(params: ModelParams, height_series: GridStack, prior: CategoryField,
                     np.random.SeedSequence([config.seed, 2, epoch, ti, i]))
                 try:  # the part graph lives only while its step runs
                     step_losses.append(train_step(params, optimizer, next(parts),
-                                                  norm_stats, prior, config, rng))
+                                                  norm_stats, prior, rng))
                 except NonFiniteError as exc:
                     raise NonFiniteError(
                         f"epoch {epoch}, timestep {label!r}, subgraph {i}: {exc}") from exc
         val_losses = [losses for grid in height_series.grids
                       if (losses := _validation_losses(params, grid, splits.validation,
-                                                       norm_stats, prior, config)) is not None]
+                                                       norm_stats, prior)) is not None]
         history.append(EpochLosses(epoch, _mean_breakdown(step_losses),
                                    _mean_breakdown(val_losses) if val_losses else None))
     return TrainResult(params, history, norm_stats)

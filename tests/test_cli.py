@@ -498,9 +498,12 @@ class TestInfer:
         ("manifest.json", lambda raw: edit_json(raw, norm_mean="0.25"), "'norm_mean'"),
         ("manifest.json", lambda raw: edit_json(
             raw, config={**json.loads(raw)["config"], "adam_eps": 1e-8}), "'adam_eps'"),
+        ("manifest.json", lambda raw: edit_json(
+            raw, config={**json.loads(raw)["config"], "tau": 1.0}), "unknown key(s) 'tau'"),
         ("manifest.json", lambda raw: edit_json(raw, notes="run 1"), "'notes'"),
     ], ids=["hidden", "zero-norm-std", "short-param-order", "nan-blob", "truncated-blob",
-            "norm-std-true", "string-norm-mean", "config-unknown-key", "unknown-top-key"])
+            "norm-std-true", "string-norm-mean", "config-unknown-key", "config-removed-tau",
+            "unknown-top-key"])
     def test_bad_checkpoint_exits_2_naming_file(self, toy_run, capsys, name, edit, named):
         tmp_path, config = toy_run
         ckpt = tmp_path / "out" / "checkpoint"
@@ -914,17 +917,23 @@ class TestConfigHandling:
         (lambda doc: {**doc, "tile_sise": 8}, "tile_sise"),
         (lambda doc: {**doc, "train": {"learning_rte": 0.1}}, "learning_rte"),
         (lambda doc: {k: v for k, v in doc.items() if k != "heights"}, "heights"),
-        (lambda doc: {**doc, "split_ratios": [0.5, 0.5]}, "'split_ratios'"),
-        (lambda doc: {**doc, "split_ratios": [0.25] * 4}, "'split_ratios'"),
-        (lambda doc: {**doc, "train": {"loss_weights": [1.0, 1.0]}}, "'loss_weights'"),
         (lambda doc: {**doc, "train": {"n_subgraphs": 0}}, "n_subgraphs"),
         (lambda doc: {**doc, "train": {"learning_rate": -1.0}}, "learning_rate"),
         (lambda doc: {**doc, "train": {"adam_eps": 1e-8}}, "adam_eps"),
+        # fixed values, not keys: each exits 2 even when set to its fixed value
+        (lambda doc: {**doc, "train": {"tau": 1.0}}, "unknown key(s) 'tau'"),
+        (lambda doc: {**doc, "train": {"edge_dropout": 0.2}}, "unknown key(s) 'edge_dropout'"),
+        (lambda doc: {**doc, "train": {"loss_weights": [1.0, 1.0, 1.0]}},
+         "unknown key(s) 'loss_weights'"),
+        (lambda doc: {**doc, "split_ratios": [0.7, 0.15, 0.15]},
+         "unknown key(s) 'split_ratios'"),
+        (lambda doc: {**doc, "split_tolerance": 0.25}, "unknown key(s) 'split_tolerance'"),
         (lambda doc: {**doc, "min_edge": -1}, "min_edge"),
         (lambda doc: {**doc, "min_edge": 2}, "min_edge"),
     ], ids=["list", "train-list", "unknown-key", "unknown-train-key", "missing-key",
-            "two-ratios", "four-ratios", "two-loss-weights", "zero-subgraphs",
-            "negative-learning-rate", "removed-adam-key", "negative-min-edge",
+            "zero-subgraphs", "negative-learning-rate", "removed-adam-key",
+            "removed-tau-key", "removed-edge-dropout-key", "removed-loss-weights-key",
+            "removed-split-ratios-key", "removed-split-tolerance-key", "negative-min-edge",
             "min-edge-above-one"])
     def test_bad_config_exits_2(self, toy_run, capsys, edit, named):
         tmp_path, config = toy_run
@@ -946,11 +955,12 @@ class TestConfigHandling:
         ("spec", lambda doc: {**doc, "labels": "ab"}, "'labels'"),
         ("config", lambda doc: {**doc, "train": {"learning_rate": float("nan")}},
          "'learning_rate'"),
-        ("config", lambda doc: {**doc, "train": {"tau": float("inf")}}, "'tau'"),
+        ("config", lambda doc: {**doc, "train": {"learning_rate": float("inf")}},
+         "'learning_rate'"),
         ("config", lambda doc: {**doc, "min_edge": 10 ** 400}, "'min_edge'"),
     ], ids=["float-tile-size", "bool-split-seed", "bool-min-edge", "float-epochs",
             "float-n-subgraphs", "float-region-x", "float-width", "float-seed",
-            "int-labels", "string-labels", "nan-learning-rate", "infinite-tau",
+            "int-labels", "string-labels", "nan-learning-rate", "infinite-learning-rate",
             "huge-min-edge"])
     def test_scalar_of_wrong_type_exits_2(self, toy_run, capsys, document, edit, named):
         tmp_path, config = toy_run
@@ -979,11 +989,6 @@ class TestConfigHandling:
 
     def test_missing_config_file(self, tmp_path):
         assert cli.main(["prepare", "--config", str(tmp_path / "nope.json")]) == 2
-
-    def test_bad_ratios_rejected(self, toy_run):
-        tmp_path, config = toy_run
-        with pytest.raises(cli.ConfigError):
-            cli.load_run_config(config, {"split_ratios": (0.5, 0.2, 0.2)})
 
     def test_heights_of_another_extent_exit_2(self, toy_run, capsys):
         tmp_path, config = toy_run
@@ -1018,6 +1023,19 @@ class TestConfigHandling:
         assert cli.main(["train", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert str(path) in err and named in err, err
+
+    @pytest.mark.parametrize("ratios", [[0.85, 0.15], [0.7, 0.1, 0.1, 0.1]],
+                             ids=["two-ratios", "four-ratios"])
+    def test_splits_ratios_of_another_length_exit_2(self, toy_run, capsys, ratios):
+        # the fixed-length tuple rule: splits.json records the three split ratios
+        tmp_path, config = toy_run
+        assert cli.main(["prepare", "--config", str(config)]) == 0
+        path = tmp_path / "out" / "prepared" / "splits.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "ratios": ratios}))
+        capsys.readouterr()
+        assert cli.main(["train", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and f"expected 3 values, got {len(ratios)}" in err, err
 
 
 def truncate(raw):
@@ -1125,6 +1143,35 @@ def test_stack_of_another_kind_fails_before_its_layers_are_read(toy_run, capsys)
         assert cli.main(argv + ["--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {counts}: expected HEIGHT_SERIES stack, got PRIOR_COUNTS\n", err
+
+
+@pytest.mark.parametrize("command", ["synth", "prepare", "train", "infer", "audit"])
+def test_failed_echo_write_leaves_no_echo(toy_run, monkeypatch, capsys, command):
+    # a command echoes its config after it publishes its outputs: a rerun
+    # that fails at the echo must not leave the previous run's echo beside them
+    tmp_path, config = toy_run
+    out = tmp_path / "out"
+    argv = {"synth": ["--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "data")],
+            "prepare": ["--config", str(config)],
+            "train": ["--config", str(config)],
+            "infer": ["--config", str(config), "--checkpoint", str(out / "checkpoint")],
+            "audit": ["--config", str(config), "--posteriors", str(out / "posteriors")]}
+    for name in ("prepare", "train", "infer", "audit"):
+        assert cli.main([name, *argv[name]]) == 0
+    echo = (tmp_path / "data" if command == "synth" else out) / f"{command}_config_echo.json"
+    assert echo.is_file()
+    real_write = gs.write_atomic
+
+    def failing_echo_write(path, data):
+        if Path(path).name.endswith("_config_echo.json"):
+            raise OSError("disk full")
+        return real_write(path, data)
+
+    monkeypatch.setattr(gs, "write_atomic", failing_echo_write)
+    capsys.readouterr()
+    assert cli.main([command, *argv[command]]) == 2
+    assert "disk full" in capsys.readouterr().err
+    assert not echo.exists()
 
 
 class TestEndToEnd:

@@ -238,6 +238,12 @@ class TestSplitTiles:
         splits = gb.split_tiles(tiles, prior, (0.8, 0.1, 0.1), seed=3)
         assert (len(splits.train), len(splits.test), len(splits.validation)) == (8, 1, 1)
 
+    def test_bad_ratios_rejected(self):
+        prior = one_hot_prior(np.zeros((1, 10), dtype=int), 2)
+        for ratios in ((0.5, 0.2, 0.2), (1.0, 0.0, 0.0)):
+            with pytest.raises(ValueError, match="positive and sum to 1"):
+                gb.split_tiles(gb.tile_region(10, 1, 1), prior, ratios)
+
     def test_deterministic_given_seed(self):
         prior = one_hot_prior(np.zeros((4, 4), dtype=int), 2)
         tiles = gb.tile_region(4, 4, 2)

@@ -265,7 +265,7 @@ class TestTrainStep:
     def test_zero_learning_rate_is_noop(self):
         params, graph, stats, prior, config = self.setup_step(0.0)
         before = {k: v.copy() for k, v in params.weights.items()}
-        breakdown = md.train_step(params, md.Adam(0.0), graph, stats, prior, config,
+        breakdown = md.train_step(params, md.Adam(0.0), graph, stats, prior,
                                   np.random.default_rng(0))
         assert np.isfinite(breakdown.total)
         for name in before:
@@ -276,10 +276,10 @@ class TestTrainStep:
         prior_p, mask = md.node_prior(prior, graph)
         a_hat = gb.normalize_adjacency(graph)
         feats, _ = gb.log_normalize(graph.features, stats)
-        before = md.evaluate_losses(params, a_hat, feats, prior_p, mask, config)
-        md.train_step(params, md.Adam(config.learning_rate), graph, stats, prior, config,
+        before = md.evaluate_losses(params, a_hat, feats, prior_p, mask)
+        md.train_step(params, md.Adam(config.learning_rate), graph, stats, prior,
                       np.random.default_rng(7))
-        after = md.evaluate_losses(params, a_hat, feats, prior_p, mask, config)
+        after = md.evaluate_losses(params, a_hat, feats, prior_p, mask)
         assert after.total < before.total
 
     @pytest.mark.parametrize("has_prior", [True, False], ids=["prior", "no-prior"])
@@ -305,8 +305,7 @@ class TestTrainStep:
         monkeypatch.setattr(Tape, "record", recording)
         monkeypatch.setattr(nc, "backward", keeping_grads)
         optimizer = md.Adam(config.learning_rate)
-        md.train_step(params, optimizer, graph, stats, prior, config,
-                      np.random.default_rng(0))
+        md.train_step(params, optimizer, graph, stats, prior, np.random.default_rng(0))
         assert recorded and set(recorded) == {np.dtype(np.float32)}, recorded
         for name in md.PARAM_ORDER:
             for kind, arrays in (("weight", params.weights), ("gradient", grads),
@@ -453,7 +452,7 @@ class TestTrainMemory:
         tape = Tape()
 
         def forward():
-            return md._forward_losses(params, a_hat, x, prior_p, mask, md.TrainConfig(),
+            return md._forward_losses(params, a_hat, x, prior_p, mask,
                                       np.random.default_rng(1), tape)[0]
 
         return tape, forward, unit
@@ -513,12 +512,12 @@ class TestTrainMemory:
                               np.ones((h, w), dtype=bool))
         tiles = [gb.Tile(0, 0, w, h)]
         params = md.ModelParams.initialize(1, k, hidden, seed=0).astype(np.float32)
-        optimizer, config = md.Adam(1e-3), md.TrainConfig()
+        optimizer = md.Adam(1e-3)
         stats = gb.fit_norm_stats([grid], tiles)
 
         def step(seed):
             parts = gb.epoch_subgraphs(grid, tiles, 1, 0.2, seed)
-            md.train_step(params, optimizer, next(parts), stats, prior, config,
+            md.train_step(params, optimizer, next(parts), stats, prior,
                           np.random.default_rng(seed))
 
         step(0)  # Adam's moments and the first-call allocations
