@@ -52,13 +52,12 @@ SPLIT_NAMES = ("train", "test", "validation")
 
 @dataclass
 class SplitRow:
-    """One tile of ``prepared/splits.json``: its rectangle in pixels, its
-    dominant prior category and its split."""
+    """One tile of ``prepared/splits.json``: its rectangle in pixels and its
+    split."""
     x: int
     y: int
     w: int
     h: int
-    dominant: int | None
     split: str
 
     def __post_init__(self):
@@ -71,14 +70,10 @@ class SplitRow:
 
 @dataclass
 class SplitsFile:
-    """``prepared/splits.json``: the split settings and the tiles in row-major
-    order of their origins."""
-    tile_size: int
-    ratios: tuple[float, float, float]
-    seed: int
-    tolerance: float
+    """``prepared/splits.json``: the tiles in row-major order of their
+    origins, and whether each split's category mix met the tolerance."""
     tiles: list[SplitRow]
-    balanced: bool = True
+    balanced: bool
 
 
 @dataclass
@@ -86,14 +81,9 @@ class PrepReport:
     """``prepared/prep_report.json``: the feature normalisation fitted on the
     training tiles, the node count of each timestep and the number of tiles
     per dominant category."""
-    norm_mean: float
-    norm_std: float
+    norm: gb.NormStats
     node_counts: dict[str, int]
     tile_category_histogram: dict[str, int]
-    balanced: bool
-
-    def __post_init__(self):
-        gb.NormStats(self.norm_mean, self.norm_std)  # raises unless the std is positive
 
 
 @dataclass
@@ -110,6 +100,10 @@ class RunConfig:
     threshold_m: float = au.DEFAULT_CHANGE_THRESHOLD_M
 
     def __post_init__(self):
+        if self.tile_size < 1:
+            raise ConfigError("tile_size must be >= 1")
+        if self.split_seed < 0:
+            raise ConfigError("split_seed must be non-negative")
         if self.upsample_factor < 1:
             raise ConfigError("upsample_factor must be >= 1")
         if self.threshold_m <= 0:
@@ -196,18 +190,15 @@ def _load_prepared(cfg: RunConfig) -> tuple[gs.CategoryField, gb.SplitAssignment
     prep = _prepared_dir(cfg)
     prior = _read_field(prep / "prior_proportions", gs.StackKind.PRIOR_PROPORTIONS)
     splits = _load_splits(prep / "splits.json")
-    report = schema.load(PrepReport, prep / "prep_report.json")
-    return prior, splits, gb.NormStats(report.norm_mean, report.norm_std)
+    return prior, splits, schema.load(PrepReport, prep / "prep_report.json").norm
 
 
-def _save_splits(splits: gb.SplitAssignment, cfg: RunConfig, path: Path) -> None:
+def _save_splits(splits: gb.SplitAssignment, path: Path) -> None:
     parts = (splits.train, splits.test, splits.validation)
-    rows = [SplitRow(t.origin_x, t.origin_y, t.width, t.height, t.dominant_category, name)
+    rows = [SplitRow(t.origin_x, t.origin_y, t.width, t.height, name)
             for name, part in zip(SPLIT_NAMES, parts) for t in part]
     rows.sort(key=lambda r: (r.y, r.x))
-    doc = SplitsFile(cfg.tile_size, gb.DEFAULT_SPLIT_RATIOS, cfg.split_seed,
-                     gb.DEFAULT_SPLIT_TOLERANCE, rows, splits.balanced)
-    gs.write_atomic(path, schema.dumps(doc))
+    gs.write_atomic(path, schema.dumps(SplitsFile(rows, splits.balanced)))
 
 
 def _load_splits(path: Path) -> gb.SplitAssignment:
@@ -216,7 +207,7 @@ def _load_splits(path: Path) -> gb.SplitAssignment:
     doc = schema.load(SplitsFile, path)
     parts: dict[str, list[gb.Tile]] = {name: [] for name in SPLIT_NAMES}
     for row in doc.tiles:
-        parts[row.split].append(gb.Tile(row.x, row.y, row.w, row.h, row.dominant))
+        parts[row.split].append(gb.Tile(row.x, row.y, row.w, row.h))
     return gb.SplitAssignment(*parts.values(), balanced=doc.balanced)
 
 
@@ -259,8 +250,8 @@ def cmd_prepare(cfg: RunConfig) -> int:
     with _echoed(cfg.out_dir, "prepare", cfg), gs.staged_dir(prep) as stage:
         gs.write_grid_stack(gs.field_to_stack(fine, gs.StackKind.PRIOR_PROPORTIONS),
                             stage / "prior_proportions")
-        _save_splits(splits, cfg, stage / "splits.json")
-        report = PrepReport(stats.mean, stats.std, node_counts, histogram, splits.balanced)
+        _save_splits(splits, stage / "splits.json")
+        report = PrepReport(stats, node_counts, histogram)
         gs.write_atomic(stage / "prep_report.json", schema.dumps(report))
         # self-check: every artifact must re-validate on read
         _read_field(stage / "prior_proportions", gs.StackKind.PRIOR_PROPORTIONS)
@@ -319,9 +310,11 @@ def cmd_infer(cfg: RunConfig, checkpoint: str) -> int:
     prior = gs.read_manifest(prior_path, gs.StackKind.PRIOR_PROPORTIONS)
     _check_extent(cfg.heights, heights.manifest, (prior.height_px, prior.width))
     categories = prior.layer_labels
-    if len(categories) != params.k_cats:
-        raise ConfigError(f"checkpoint has {params.k_cats} categories, "
-                          f"prior has {len(categories)}")
+    if (params.f_dim, params.k_cats) != (gb.NODE_FEATURES, len(categories)):
+        raise ConfigError(
+            f"{ckpt_path / 'manifest.json'}: f_dim {params.f_dim} and k_cats "
+            f"{params.k_cats} do not fit {gb.NODE_FEATURES} feature per node and the "
+            f"{len(categories)} categories of the prepared prior {prior_path}")
     out = Path(cfg.out_dir) / "posteriors"
     # every timestep is written into a staged directory that then replaces
     # ``out``, so a run that fails part-way leaves the previous posteriors

@@ -101,6 +101,8 @@ class TrainConfig:
             raise ValueError("epochs must be non-negative")
         if self.n_subgraphs is not None and self.n_subgraphs < 1:
             raise ValueError("n_subgraphs must be >= 1, or null for automatic")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass
@@ -485,33 +487,26 @@ def infer_posterior(params: ModelParams, heights: RasterGrid, norm_stats: NormSt
 
 
 def stack_to_posterior(stack: GridStack, timestep: str = "") -> CategoryField:
-    # the benchmark (bench/stages.py) reads posteriors back through this name
+    # acceptance 5 and the benchmark (bench/stages.py) read posteriors back
+    # through this name
     return stack_to_field(stack, StackKind.POSTERIOR, timestep)
 
 
 @dataclass
 class CheckpointManifest:
-    """A checkpoint's ``manifest.json``. The order must be PARAM_ORDER, the
-    shapes those that the positive f_dim, k_cats and hidden imply, and the
-    normalisation a finite mean and a finite, positive std."""
+    """A checkpoint's ``manifest.json``: the positive dimensions that give
+    each blob's shape (``param_shapes``), the feature normalisation and the
+    train section it was trained with. Blobs are named by PARAM_ORDER."""
     f_dim: int
     k_cats: int
     hidden: int
-    param_order: list[str]
-    shapes: dict[str, list[int]]
-    norm_mean: float
-    norm_std: float
+    norm: NormStats
     config: TrainConfig
 
     def __post_init__(self):
         dims = [self.f_dim, self.k_cats, self.hidden]
         if min(dims) < 1:
             raise ValueError(f"f_dim, k_cats and hidden must be positive integers, got {dims}")
-        if self.param_order != list(PARAM_ORDER):
-            raise ValueError(f"param_order must be {list(PARAM_ORDER)}")
-        if self.shapes != {name: list(shape) for name, shape in param_shapes(*dims).items()}:
-            raise ValueError(f"shapes do not match f_dim, k_cats, hidden = {dims}")
-        NormStats(self.norm_mean, self.norm_std)  # raises unless the std is positive
 
 
 def save_checkpoint(path: str | Path, params: ModelParams, norm_stats: NormStats,
@@ -519,10 +514,8 @@ def save_checkpoint(path: str | Path, params: ModelParams, norm_stats: NormStats
     """Manifest JSON plus one little-endian f32 blob per weight/bias, staged
     by ``write_arrays``, so a failed write never leaves a manifest beside
     another save's blobs."""
-    manifest = CheckpointManifest(
-        params.f_dim, params.k_cats, params.hidden, list(PARAM_ORDER),
-        {name: list(params.weights[name].shape) for name in PARAM_ORDER},
-        norm_stats.mean, norm_stats.std, config)
+    manifest = CheckpointManifest(params.f_dim, params.k_cats, params.hidden,
+                                  norm_stats, config)
     write_arrays(path, manifest, {name: params.weights[name] for name in PARAM_ORDER})
 
 
@@ -538,5 +531,4 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, NormStats, TrainConf
         weights[name] = read_array(blob_file, shape)
         if not np.isfinite(weights[name]).all():
             raise ValueError(f"{blob_file}: non-finite weights")
-    return (ModelParams(m.f_dim, m.k_cats, m.hidden, weights),
-            NormStats(m.norm_mean, m.norm_std), m.config)
+    return ModelParams(m.f_dim, m.k_cats, m.hidden, weights), m.norm, m.config

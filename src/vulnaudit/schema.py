@@ -20,30 +20,25 @@ class ConfigError(ValueError):
 
 
 def convert(tp, value, where: str):
-    """``value`` as annotated type ``tp``: lists and tuples element by
-    element, a fixed-length ``tuple[A, B, ...]`` (one without ``...``) only
-    from a list of exactly its length, a ``dict[str, V]`` from an object
-    value by value, ``X | None`` passing None through, dataclasses through
-    ``from_doc``, and scalars strictly: an ``int`` takes only a JSON integer,
-    a ``float`` an integer or a decimal that is finite as a float (not NaN,
-    an infinity or an integer beyond the float range), a ``str`` only a
-    string, a str-valued ``Enum`` only one of its values, and only a
-    ``bool`` takes ``true``/``false``. A value of another type is a
-    ConfigError naming ``where``; nothing is truncated or stringified."""
+    """``value`` as annotated type ``tp``: a list element by element, a
+    ``dict[str, V]`` from an object value by value, ``X | None`` passing
+    None through, dataclasses through ``from_doc``, and scalars strictly: an
+    ``int`` takes only a JSON integer, a ``float`` an integer or a decimal
+    that is finite as a float (not NaN, an infinity or an integer beyond the
+    float range), a ``str`` only a string, a str-valued ``Enum`` only one of
+    its values, and only a ``bool`` takes ``true``/``false``. A value of
+    another type is a ConfigError naming ``where``; nothing is truncated or
+    stringified."""
     if is_dataclass(tp):
         return from_doc(tp, value, where)
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin in (typing.Union, types.UnionType):
         inner = [a for a in args if a is not type(None)]
         return None if value is None else convert(inner[0], value, where)
-    if origin in (list, tuple):
-        if not isinstance(value, (list, tuple)):
+    if origin is list:
+        if not isinstance(value, list):
             raise ConfigError(f"{where}: expected a list, got {value!r}")
-        if origin is tuple and Ellipsis not in args:
-            if len(value) != len(args):
-                raise ConfigError(f"{where}: expected {len(args)} values, got {len(value)}")
-            return tuple(convert(a, v, where) for a, v in zip(args, value))
-        return origin(convert(args[0], v, where) for v in value)
+        return [convert(args[0], v, where) for v in value]
     if origin is dict:
         if not isinstance(value, dict):
             raise ConfigError(f"{where}: expected an object, got {value!r}")

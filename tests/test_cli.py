@@ -52,6 +52,32 @@ def edit_json(raw, **changes):
     return json.dumps({**json.loads(raw), **changes}).encode()
 
 
+def edit_norm(raw, key, value):
+    """JSON bytes with key ``key`` of the ``norm`` object set to ``value``,
+    or deleted when ``value`` is None."""
+    doc = json.loads(raw)
+    if value is None:
+        del doc["norm"][key]
+    else:
+        doc["norm"][key] = value
+    return json.dumps(doc).encode()
+
+
+# bad ``norm`` objects, as prep_report.json and the checkpoint manifest
+# hold them: the key, its bad value (None: missing) and the error after the file
+BAD_NORMS = [
+    ("std", None, "section 'norm': missing key(s) 'std'"),
+    ("mean", float("nan"), "section 'norm', section 'mean': expected a finite number"),
+    ("std", float("inf"), "section 'norm', section 'std': expected a finite number"),
+    ("std", 0.0, "section 'norm': bad value: norm stats need a finite mean and a "
+                 "finite, positive std"),
+    ("std", -1.0, "section 'norm': bad value: norm stats need a finite mean and a "
+                  "finite, positive std"),
+    ("std", True, "section 'norm', section 'std': expected float, got True"),
+    ("mean", "0.25", "section 'norm', section 'mean': expected float, got '0.25'"),
+]
+
+
 @pytest.fixture
 def toy_run(tmp_path):
     spec = write_spec(tmp_path / "spec.json")
@@ -154,7 +180,7 @@ class TestPrepare:
             ["prep_report.json", "prior_proportions", "splits.json"]
         report = json.loads((prepared / "prep_report.json").read_text())
         assert set(report["node_counts"]) == {"t0", "t1"}
-        assert report["norm_std"] > 0
+        assert report["norm"]["std"] > 0
 
     def test_norm_stats_equal_pooled_graph_features(self, toy_run):
         tmp_path, config = toy_run
@@ -172,7 +198,7 @@ class TestPrepare:
         pooled = np.concatenate([gb.build_graph(g, train_tiles).features.ravel()
                                  for g in heights.grids])
         _, expected = gb.log_normalize(pooled)
-        assert (report["norm_mean"], report["norm_std"]) == (expected.mean, expected.std)
+        assert report["norm"] == {"mean": expected.mean, "std": expected.std}
 
     def test_missing_prior_path_names_it(self, tmp_path, capsys):
         spec = write_spec(tmp_path / "spec.json")
@@ -268,8 +294,10 @@ class TestPrepare:
 
     def test_readme_prepare_bytes_pinned(self, tmp_path):
         # digests of the README spec's prepared prior and splits, taken before
-        # the prior and posterior codecs were merged; prep_report.json is left
-        # out, as its float reductions may differ by platform
+        # the prior and posterior codecs were merged; splits.json's re-taken
+        # when it came to hold only the tile rows and the balance flag, with
+        # the rows unchanged. prep_report.json is left out, as its float
+        # reductions may differ by platform
         spec = write_readme_spec(tmp_path / "spec.json")
         config = write_config(tmp_path / "config.json", tmp_path / "data",
                               tmp_path / "out", tile_size=16, upsample_factor=8)
@@ -289,7 +317,7 @@ class TestPrepare:
             "prior_proportions/manifest.json":
                 "6818a51bbd26af690c2c74d416793f4765c488e71eb615dca4ea8eff132c8c82",
             "splits.json":
-                "f5c1b03882a67520269f156892593cf2834b02003bc0d966b3823ce08c31da6a",
+                "9b98d3ee910338957bf497394c0b4bef9ff7801fa71d2a6c934734b8c0ee5750",
         }
 
     def test_overhanging_prior_rejected(self, tmp_path, capsys):
@@ -432,26 +460,17 @@ class TestTrain:
         tmp_path, config = toy_run
         assert cli.main(["train", "--config", str(config)]) == 2
 
-    @pytest.mark.parametrize("key, value, named", [
-        ("norm_std", None, "norm_std"),
-        ("norm_mean", float("nan"), "norm_mean"),
-        ("norm_std", float("inf"), "norm_std"),
-        ("norm_std", 0.0, "positive std"),
-        ("norm_std", -1.0, "positive std"),
-    ], ids=["missing-key", "nan-mean", "infinite-std", "zero-std", "negative-std"])
+    @pytest.mark.parametrize("key, value, named", BAD_NORMS,
+                             ids=["missing-key", "nan-mean", "infinite-std", "zero-std",
+                                  "negative-std", "bool-std", "string-mean"])
     def test_bad_prep_report_exits_2_naming_file(self, toy_run, capsys, key, value, named):
         tmp_path, config = toy_run
         assert cli.main(["prepare", "--config", str(config)]) == 0
         path = tmp_path / "out" / "prepared" / "prep_report.json"
-        doc = json.loads(path.read_text())
-        if value is None:
-            del doc[key]
-        else:
-            doc[key] = value
-        path.write_text(json.dumps(doc))
+        path.write_bytes(edit_norm(path.read_bytes(), key, value))
         assert cli.main(["train", "--config", str(config)]) == 2
         err = capsys.readouterr().err
-        assert str(path) in err and named in err, err
+        assert f"{path}, {named}" in err, err
         assert not (tmp_path / "out" / "checkpoint").exists()
 
 
@@ -487,23 +506,25 @@ class TestInfer:
             assert not grid.valid_mask().any()
 
     @pytest.mark.parametrize("name, edit, named", [
-        ("manifest.json", lambda raw: edit_json(raw, hidden=7), "shapes do not match"),
-        ("manifest.json", lambda raw: edit_json(raw, norm_std=0), "positive std"),
-        ("manifest.json", lambda raw: edit_json(raw, param_order=list(md.PARAM_ORDER[:-1])),
-         "param_order"),
+        # the blob shapes follow from the dimensions: enc_w1 holds 1x25 weights, not 1x7
+        ("manifest.json", lambda raw: edit_json(raw, hidden=7),
+         "enc_w1.f32: 100 bytes, expected 28, 4 per value"),
         ("enc_b1.f32", lambda raw: np.full(len(raw) // 4, np.nan, "<f4").tobytes(),
-         "non-finite weights"),
-        ("dec_w2.f32", lambda raw: raw[:-4], "4 per value"),
-        ("manifest.json", lambda raw: edit_json(raw, norm_std=True), "'norm_std'"),
-        ("manifest.json", lambda raw: edit_json(raw, norm_mean="0.25"), "'norm_mean'"),
+         "enc_b1.f32: non-finite weights"),
+        ("dec_w2.f32", lambda raw: raw[:-4], "dec_w2.f32: 2496 bytes, expected 2500, 4 per value"),
+        *[("manifest.json", lambda raw, key=key, value=value: edit_norm(raw, key, value),
+           f"manifest.json, {named}") for key, value, named in BAD_NORMS],
         ("manifest.json", lambda raw: edit_json(
-            raw, config={**json.loads(raw)["config"], "adam_eps": 1e-8}), "'adam_eps'"),
+            raw, config={**json.loads(raw)["config"], "adam_eps": 1e-8}),
+         "manifest.json, section 'config': unknown key(s) 'adam_eps'"),
         ("manifest.json", lambda raw: edit_json(
-            raw, config={**json.loads(raw)["config"], "tau": 1.0}), "unknown key(s) 'tau'"),
-        ("manifest.json", lambda raw: edit_json(raw, notes="run 1"), "'notes'"),
-    ], ids=["hidden", "zero-norm-std", "short-param-order", "nan-blob", "truncated-blob",
-            "norm-std-true", "string-norm-mean", "config-unknown-key", "config-removed-tau",
-            "unknown-top-key"])
+            raw, config={**json.loads(raw)["config"], "tau": 1.0}),
+         "manifest.json, section 'config': unknown key(s) 'tau'"),
+        ("manifest.json", lambda raw: edit_json(raw, notes="run 1"),
+         "manifest.json: unknown key(s) 'notes'"),
+    ], ids=["hidden", "nan-blob", "truncated-blob", "missing-norm-key", "nan-norm-mean",
+            "infinite-norm-std", "zero-norm-std", "negative-norm-std", "norm-std-true",
+            "string-norm-mean", "config-unknown-key", "config-removed-tau", "unknown-top-key"])
     def test_bad_checkpoint_exits_2_naming_file(self, toy_run, capsys, name, edit, named):
         tmp_path, config = toy_run
         ckpt = tmp_path / "out" / "checkpoint"
@@ -514,8 +535,32 @@ class TestInfer:
         capsys.readouterr()
         assert cli.main(["infer", "--config", str(config), "--checkpoint", str(ckpt)]) == 2
         err = capsys.readouterr().err
-        assert str(path) in err and named in err, err
+        assert str(ckpt / named) in err, err
         assert not (tmp_path / "out" / "posteriors").exists()
+
+    @pytest.mark.parametrize("f_dim, k_cats", [(2, 2), (1, 3)],
+                             ids=["two-features", "three-categories"])
+    def test_checkpoint_of_another_shape_exits_2_before_staging(self, toy_run, capsys,
+                                                                f_dim, k_cats):
+        # the checkpoint must fit the heights' one feature and the prior's two
+        # categories; a misfit is found before the previous echo goes
+        tmp_path, config = toy_run
+        out = tmp_path / "out"
+        ckpt = out / "checkpoint"
+        for argv in (["prepare"], ["train", "--epochs", "1"], ["infer", "--checkpoint", str(ckpt)]):
+            assert cli.main(argv + ["--config", str(config)]) == 0
+        before = {p: p.read_bytes() for p in out.rglob("*")
+                  if p.is_file() and ckpt not in p.parents}
+        params = md.ModelParams.initialize(f_dim, k_cats).astype(np.float32)
+        md.save_checkpoint(ckpt, params, gb.NormStats(0.0, 1.0), md.TrainConfig())
+        capsys.readouterr()
+        assert cli.main(["infer", "--config", str(config), "--checkpoint", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert str(ckpt / "manifest.json") in err, err
+        assert str(out / "prepared" / "prior_proportions") in err, err
+        assert out / "infer_config_echo.json" in before
+        assert {p: p.read_bytes() for p in out.rglob("*")
+                if p.is_file() and ckpt not in p.parents} == before
 
     def test_prepared_prior_of_another_kind_exits_2(self, toy_run, capsys):
         tmp_path, config = toy_run
@@ -893,8 +938,8 @@ class TestConfigHandling:
         assert cfg.train.learning_rate == 0.5
 
     @pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--lr", "-1"),
-                                             ("--epochs", "-1")],
-                             ids=["nan-lr", "negative-lr", "negative-epochs"])
+                                             ("--epochs", "-1"), ("--seed", "-1")],
+                             ids=["nan-lr", "negative-lr", "negative-epochs", "negative-seed"])
     def test_bad_train_flag_exits_2_naming_the_flag(self, toy_run, capsys, flag, value):
         tmp_path, config = toy_run
         assert cli.main(["train", "--config", str(config), flag, value]) == 2
@@ -930,11 +975,17 @@ class TestConfigHandling:
         (lambda doc: {**doc, "split_tolerance": 0.25}, "unknown key(s) 'split_tolerance'"),
         (lambda doc: {**doc, "min_edge": -1}, "min_edge"),
         (lambda doc: {**doc, "min_edge": 2}, "min_edge"),
+        (lambda doc: {**doc, "split_seed": -1},
+         "config.json: bad value: split_seed must be non-negative"),
+        (lambda doc: {**doc, "train": {"seed": -3}},
+         "config.json, section 'train': bad value: seed must be non-negative"),
+        (lambda doc: {**doc, "tile_size": 0}, "config.json: bad value: tile_size must be >= 1"),
     ], ids=["list", "train-list", "unknown-key", "unknown-train-key", "missing-key",
             "zero-subgraphs", "negative-learning-rate", "removed-adam-key",
             "removed-tau-key", "removed-edge-dropout-key", "removed-loss-weights-key",
             "removed-split-ratios-key", "removed-split-tolerance-key", "negative-min-edge",
-            "min-edge-above-one"])
+            "min-edge-above-one", "negative-split-seed", "negative-train-seed",
+            "zero-tile-size"])
     def test_bad_config_exits_2(self, toy_run, capsys, edit, named):
         tmp_path, config = toy_run
         config.write_text(json.dumps(edit(json.loads(config.read_text()))))
@@ -1024,18 +1075,6 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert str(path) in err and named in err, err
 
-    @pytest.mark.parametrize("ratios", [[0.85, 0.15], [0.7, 0.1, 0.1, 0.1]],
-                             ids=["two-ratios", "four-ratios"])
-    def test_splits_ratios_of_another_length_exit_2(self, toy_run, capsys, ratios):
-        # the fixed-length tuple rule: splits.json records the three split ratios
-        tmp_path, config = toy_run
-        assert cli.main(["prepare", "--config", str(config)]) == 0
-        path = tmp_path / "out" / "prepared" / "splits.json"
-        path.write_text(json.dumps({**json.loads(path.read_text()), "ratios": ratios}))
-        capsys.readouterr()
-        assert cli.main(["train", "--config", str(config)]) == 2
-        err = capsys.readouterr().err
-        assert str(path) in err and f"expected 3 values, got {len(ratios)}" in err, err
 
 
 def truncate(raw):
@@ -1093,6 +1132,48 @@ def test_missing_key_named_as_the_file_spells_it(toy_run, capsys, name, key, com
     err = capsys.readouterr().err
     assert f"{path}: missing key(s) {key!r}" in err, err
     assert "layer_labels" not in err
+
+
+@pytest.mark.parametrize("name, key, value, command", [
+    ("out/prepared/splits.json", "ratios", [0.7, 0.15, 0.15], "train"),
+    ("out/prepared/prep_report.json", "norm_mean", 0.25, "train"),
+    ("out/checkpoint/manifest.json", "param_order", list(md.PARAM_ORDER), "infer"),
+    ("out/checkpoint/manifest.json", "shapes",
+     {name: list(shape) for name, shape in md.param_shapes(1, 2, md.DEFAULT_HIDDEN).items()},
+     "infer"),
+], ids=["splits-ratios", "report-norm-mean", "checkpoint-param-order", "checkpoint-shapes"])
+def test_old_format_exits_2_naming_file_and_key(toy_run, capsys, name, key, value, command):
+    # a key that files of the earlier format held, with the value they held:
+    # such a file is regenerated, not read with the key ignored
+    tmp_path, config = toy_run
+    assert cli.main(["prepare", "--config", str(config)]) == 0
+    assert cli.main(["train", "--config", str(config), "--epochs", "1"]) == 0
+    path = tmp_path / name
+    path.write_bytes(edit_json(path.read_bytes(), **{key: value}))
+    argv = [command, "--config", str(config)]
+    if command == "infer":
+        argv += ["--checkpoint", str(tmp_path / "out" / "checkpoint")]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: unknown key(s) {key!r}" in err, err
+
+
+def test_json_files_hold_their_keys_only(toy_run):
+    # splits, normalisation and checkpoint each state a fact once: no
+    # module constant, no value the reader derives, no flag held twice
+    tmp_path, config = toy_run
+    assert cli.main(["prepare", "--config", str(config)]) == 0
+    assert cli.main(["train", "--config", str(config), "--epochs", "1"]) == 0
+    out = tmp_path / "out"
+    splits, report, manifest = (
+        json.loads((out / name).read_text()) for name in
+        ("prepared/splits.json", "prepared/prep_report.json", "checkpoint/manifest.json"))
+    assert sorted(splits) == ["balanced", "tiles"]
+    assert {tuple(sorted(row)) for row in splits["tiles"]} == {("h", "split", "w", "x", "y")}
+    assert sorted(report) == ["node_counts", "norm", "tile_category_histogram"]
+    assert sorted(manifest) == ["config", "f_dim", "hidden", "k_cats", "norm"]
+    assert sorted(report["norm"]) == sorted(manifest["norm"]) == ["mean", "std"]
 
 
 @pytest.mark.parametrize("case, named, message", [
