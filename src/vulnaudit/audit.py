@@ -15,7 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from .grid_store import (DEFAULT_NODATA, NONE_LABEL, CategoryField, GridStack,
-                         RasterGrid, StackKind, StackManifest, write_atomic)
+                         RasterGrid, StackKind, StackManifest, row_bands, write_atomic)
 
 EPSILON = 1e-6  # the value that replaces a zero part before the log-ratios
 DEFAULT_CHANGE_THRESHOLD_M = 1.5
@@ -69,16 +69,18 @@ def aitchison_distance(p, q) -> float:
 
 
 def ad_map(prior: CategoryField, posterior: CategoryField) -> AitchisonMap:
-    """Pixel-wise distance where both a prior and a posterior exist."""
+    """Pixel-wise distance where both a prior and a posterior exist, taken
+    one row band at a time (see ``grid_store.row_bands``)."""
     if prior.shape != posterior.shape:
         raise ValueError("prior/posterior dimensions differ")
     if prior.k != posterior.k:
         raise ValueError("prior/posterior category counts differ")
-    mask = prior.valid & posterior.valid
-    out = np.full(posterior.shape, DEFAULT_NODATA, dtype=np.float64)
-    out[mask] = _aitchison_rows(prior.probs[mask], posterior.probs[mask])
     h, w = posterior.shape
-    return AitchisonMap(RasterGrid(w, h, out.astype(np.float32), nodata=DEFAULT_NODATA))
+    out = np.full((h, w), DEFAULT_NODATA, dtype=np.float32)
+    for band in row_bands(h, w):  # float64 -> float32 assignment rounds as astype does
+        mask = prior.valid[band] & posterior.valid[band]
+        out[band][mask] = _aitchison_rows(prior.probs[band][mask], posterior.probs[band][mask])
+    return AitchisonMap(RasterGrid(w, h, out, nodata=DEFAULT_NODATA))
 
 
 def change_map(h_t: RasterGrid, h_t1: RasterGrid,

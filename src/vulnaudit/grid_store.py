@@ -30,6 +30,17 @@ from . import schema
 DEFAULT_NODATA = -1.0
 SIMPLEX_TOL = 1e-9
 NONE_LABEL = "NONE"  # the no-building state, which no category may name
+# the pixels of one row band: per-pixel kernels hold their temporaries for
+# one band at a time, so their memory does not grow with the raster
+BAND_PIXELS = 1 << 15
+
+
+def row_bands(height_px: int, width: int) -> Iterator[slice]:
+    """Consecutive row slices that cover ``height_px`` rows of ``width``
+    pixels, each at most BAND_PIXELS pixels (but at least one row)."""
+    step = max(1, BAND_PIXELS // max(width, 1))
+    for top in range(0, height_px, step):
+        yield slice(top, min(top + step, height_px))
 
 
 def usable_label(label: str) -> bool:
@@ -287,14 +298,23 @@ class CategoryField:
             raise ValueError("probs last axis != number of categories")
         if self.valid.shape != (h, w):
             raise ValueError("valid mask shape mismatch")
-        if np.any(self.valid):
-            rows = self.probs[self.valid]
+        # checked one row band at a time; a rule broken in any band raises
+        # the error the whole field would, non-finite before negative
+        # before off-simplex
+        negative = off_simplex = False
+        for band in row_bands(h, w):
+            valid = self.valid[band]
+            if not valid.any():
+                continue
+            rows = self.probs[band][valid]
             if not np.all(np.isfinite(rows)):
                 raise ValueError("non-finite category probability")
-            if rows.min() < 0:
-                raise ValueError("negative category probability")
-            if np.max(np.abs(rows.sum(axis=1) - 1.0)) > SIMPLEX_TOL:
-                raise ValueError("category probabilities do not sum to 1")
+            negative |= rows.min() < 0
+            off_simplex |= np.max(np.abs(rows.sum(axis=1) - 1.0)) > SIMPLEX_TOL
+        if negative:
+            raise ValueError("negative category probability")
+        if off_simplex:
+            raise ValueError("category probabilities do not sum to 1")
 
     @property
     def k(self) -> int:
@@ -363,15 +383,24 @@ def stack_to_field(stack: GridStack, kind: StackKind, timestep: str = "") -> Cat
     if m.kind is not kind:
         raise GridFormatError(f"expected {kind.value} stack, got {m.kind.value}")
     probs = np.empty((m.height_px, m.width, len(stack.grids)), dtype=np.float64)
-    n_valid = np.zeros((m.height_px, m.width), dtype=np.intp)
-    for i, grid in enumerate(stack.grids):
-        probs[:, :, i] = grid.values
-        n_valid += grid.valid_mask()
-    valid = n_valid == len(stack.grids)
-    if np.any((n_valid > 0) & ~valid):
-        raise GridFormatError("pixel that is nodata in some layers but not in others")
-    sums = probs.sum(axis=-1)
-    if np.any(valid & (sums <= 0)):
+    valid = np.empty((m.height_px, m.width), dtype=bool)
+    nodata = np.float32(m.nodata)
+    zero_mass = False
+    # decoded, checked and renormalised one row band at a time; a pixel that
+    # is nodata in some layers only is reported before a zero-mass pixel in
+    # any band, as a whole-raster check would
+    for band in row_bands(m.height_px, m.width):
+        rows = probs[band]
+        for i, grid in enumerate(stack.grids):
+            rows[:, :, i] = grid.values[band]
+        has_data = rows != nodata  # float32 -> float64 is exact, so this is the f32 test
+        valid[band] = band_valid = has_data.all(axis=-1)
+        if np.any(has_data.any(axis=-1) & ~band_valid):
+            raise GridFormatError("pixel that is nodata in some layers but not in others")
+        sums = rows.sum(axis=-1)
+        zero_mass = zero_mass or bool(np.any(band_valid & (sums <= 0)))
+        if not zero_mass:
+            np.divide(rows, sums[:, :, None], out=rows, where=band_valid[:, :, None])
+    if zero_mass:
         raise GridFormatError("pixel with data but zero probability mass")
-    np.divide(probs, sums[:, :, None], out=probs, where=valid[:, :, None])
     return CategoryField(list(m.layer_labels), probs, valid, timestep)

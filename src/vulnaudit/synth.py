@@ -129,16 +129,22 @@ def generate(spec: SyntheticSpec) -> dict[str, GridStack]:
     sigma = np.asarray(spec.std_log_heights)[categories]
     height_grids = []
     for _ in range(spec.timesteps):
-        heights = np.exp(rng.normal(size=(h, w)) * sigma + mu)
-        height_grids.append(RasterGrid(w, h, heights.astype(np.float32)))
+        z = rng.normal(size=(h, w))  # exp(z * sigma + mu), computed in place
+        z *= sigma
+        z += mu
+        np.exp(z, out=z)
+        height_grids.append(RasterGrid(w, h, z.astype(np.float32)))
+    del mu, sigma, z
     heights_stack = GridStack(
         StackManifest(StackKind.HEIGHT_SERIES, w, h,
                       [f"t{i}" for i in range(spec.timesteps)]),
         height_grids)
 
-    one_hot = np.eye(k)[categories]  # (H, W, K)
+    # each category's pixels counted per block from its own mask: no (H, W, K) one-hot
     bw, bh = w // b, h // b
-    counts = one_hot.reshape(bh, b, bw, b, k).sum(axis=(1, 3))  # (bh, bw, K)
+    counts = np.empty((bh, bw, k))
+    for i in range(k):
+        counts[:, :, i] = (categories == i).reshape(bh, b, bw, b).sum(axis=(1, 3))
     corrupt = rng.random((bh, bw)) < spec.corruption
     n_corrupt = int(corrupt.sum())
     if n_corrupt:
@@ -149,7 +155,7 @@ def generate(spec: SyntheticSpec) -> dict[str, GridStack]:
 
     truth_stack = GridStack(
         StackManifest(StackKind.PRIOR_PROPORTIONS, w, h, list(spec.labels)),
-        [RasterGrid(w, h, one_hot[:, :, i].astype(np.float32)) for i in range(k)])
+        [RasterGrid(w, h, (categories == i).astype(np.float32)) for i in range(k)])
 
     return {"heights": heights_stack, "prior_counts": counts_stack,
             "ground_truth": truth_stack}

@@ -11,6 +11,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from vulnaudit import graph_build as gb
+from vulnaudit import grid_store as gs
 from vulnaudit.numcore import Var, _check_finite
 
 
@@ -220,3 +221,48 @@ def gcn_block_of(layer):
         return layer(tape, a, h, w3, b3, False)
 
     return block
+
+
+def stack_to_field_whole(stack, kind, timestep=""):
+    """``grid_store.stack_to_field`` over the whole raster at once, with a
+    per-pixel count of layers holding data: (probs, valid) as float64 and
+    bool arrays, or the GridFormatError message the stack gives."""
+    m = stack.manifest
+    probs = np.empty((m.height_px, m.width, len(stack.grids)), dtype=np.float64)
+    n_valid = np.zeros((m.height_px, m.width), dtype=np.intp)
+    for i, grid in enumerate(stack.grids):
+        probs[:, :, i] = grid.values
+        n_valid += grid.valid_mask()
+    valid = n_valid == len(stack.grids)
+    if np.any((n_valid > 0) & ~valid):
+        return "pixel that is nodata in some layers but not in others"
+    sums = probs.sum(axis=-1)
+    if np.any(valid & (sums <= 0)):
+        return "pixel with data but zero probability mass"
+    np.divide(probs, sums[:, :, None], out=probs, where=valid[:, :, None])
+    return probs, valid
+
+
+def category_field_error_whole(probs, valid):
+    """The ValueError message of the ``CategoryField`` rule checked on every
+    valid row at once, or None for a field that keeps it."""
+    if not np.any(valid):
+        return None
+    rows = probs[valid]
+    if not np.all(np.isfinite(rows)):
+        return "non-finite category probability"
+    if rows.min() < 0:
+        return "negative category probability"
+    if np.max(np.abs(rows.sum(axis=1) - 1.0)) > gs.SIMPLEX_TOL:
+        return "category probabilities do not sum to 1"
+    return None
+
+
+def ad_map_whole(prior, posterior, rows_distance):
+    """The float32 AD map with ``rows_distance`` (the audit's row kernel)
+    applied to every pixel where both fields are valid at once, computed in
+    float64 and then cast; -1 elsewhere."""
+    mask = prior.valid & posterior.valid
+    out = np.full(posterior.shape, -1.0, dtype=np.float64)
+    out[mask] = rows_distance(prior.probs[mask], posterior.probs[mask])
+    return out.astype(np.float32)

@@ -4,7 +4,7 @@ import pytest
 from vulnaudit import audit as au
 from vulnaudit.grid_store import CategoryField, RasterGrid, StackKind
 
-from oracles import aitchison_double_loop
+from oracles import ad_map_whole, aitchison_double_loop
 
 
 def posterior_from(probs, valid=None, timestep="t0"):
@@ -128,6 +128,21 @@ class TestAdMap:
                                       np.ones((1, 1), dtype=bool))
                 out = au.ad_map(prior, posterior_from(q[None, None, :]))
                 assert out.grid.values[0, 0] == np.float32(au.aitchison_distance(p, q))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_banded_map_equals_whole_raster_oracle(self, k):
+        # 250 rows of 300 pixels span three row bands
+        rng = np.random.default_rng(k)
+        h, w = 250, 300
+        prior_probs = rng.dirichlet(np.ones(k), size=(h, w))
+        one_hot = rng.random((h, w)) < 0.3  # zero parts take the epsilon smoothing
+        prior_probs[one_hot] = np.eye(k)[rng.integers(k, size=one_hot.sum())]
+        prior = CategoryField([f"c{i}" for i in range(k)], prior_probs,
+                              rng.random((h, w)) < 0.8)
+        post = random_posterior(rng, h, w, k, p_valid=0.7)
+        out = au.ad_map(prior, post).grid.values
+        assert out.dtype == np.float32
+        assert out.tobytes() == ad_map_whole(prior, post, au._aitchison_rows).tobytes()
 
     def test_dimension_mismatch(self):
         prior = CategoryField(["a", "b"], np.full((2, 2, 2), 0.5),

@@ -1063,7 +1063,12 @@ class TestConfigHandling:
         ("x", "0", "'x'"),
         ("split", "holdout", "holdout"),
         ("h", -1, "8x-1"),
-    ], ids=["string-coordinate", "unknown-split", "negative-height"])
+        # the first tile moved onto the second: the test split could hold training pixels
+        ("x", 8, "tile 1 (8x8 at x=8, y=0) overlaps an earlier tile"),
+        ("x", 1000, "tile 0 (8x8 at x=1000, y=0) leaves the 16x16 heights extent"),
+        ("y", -1, "tile 0 (8x8 at x=0, y=-1) leaves the 16x16 heights extent"),
+    ], ids=["string-coordinate", "unknown-split", "negative-height", "overlapping-tile",
+            "tile-outside", "negative-origin"])
     def test_bad_splits_row_exits_2_naming_file(self, toy_run, capsys, key, value, named):
         tmp_path, config = toy_run
         assert cli.main(["prepare", "--config", str(config)]) == 0
@@ -1074,7 +1079,25 @@ class TestConfigHandling:
         assert cli.main(["train", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert str(path) in err and named in err, err
+        assert not (tmp_path / "out" / "checkpoint").exists()
 
+    def test_prepare_reads_its_splits_back_against_the_extent(self, toy_run, monkeypatch,
+                                                              capsys):
+        tmp_path, config = toy_run
+        save = cli._save_splits
+
+        def save_overlapping(splits, path):
+            save(splits, path)
+            doc = json.loads(path.read_text())
+            doc["tiles"].append({**doc["tiles"][0], "split": "test"})
+            path.write_text(json.dumps(doc))
+
+        monkeypatch.setattr(cli, "_save_splits", save_overlapping)
+        assert cli.main(["prepare", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "splits.json: tile 4 (8x8 at x=0, y=0) overlaps an earlier tile" in err, err
+        assert not (tmp_path / "out" / "prepared").exists()
+        assert not (tmp_path / "out" / "prepare_config_echo.json").exists()
 
 
 def truncate(raw):

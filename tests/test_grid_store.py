@@ -8,6 +8,8 @@ from vulnaudit import grid_store as gs
 from vulnaudit.grid_store import (CategoryField, GridFormatError, GridStack, RasterGrid,
                                   StackKind, StackManifest)
 
+from oracles import category_field_error_whole, stack_to_field_whole
+
 
 def make_stack(kind, width, height, layers, nodata=-1.0):
     manifest = StackManifest(kind, width, height, list(layers), nodata=nodata)
@@ -347,3 +349,101 @@ class TestCategoryFieldRule:
                            {"a": np.array([[1.0]], dtype=np.float32)})
         with pytest.raises(GridFormatError, match="expected PRIOR_PROPORTIONS"):
             gs.stack_to_field(stack, StackKind.PRIOR_PROPORTIONS)
+
+
+# 250 rows of 300 pixels span three row bands of 109, 109 and 32 rows
+BAND_H, BAND_W = 250, 300
+LAST = (BAND_H - 1, BAND_W - 1)  # a pixel of the last band
+PARTIAL_NODATA = "pixel that is nodata in some layers but not in others"
+ZERO_MASS = "pixel with data but zero probability mass"
+
+
+class TestRowBands:
+    @pytest.mark.parametrize("h, w", [(BAND_H, BAND_W), (1, 1), (3, 2 * gs.BAND_PIXELS),
+                                      (gs.BAND_PIXELS + 5, 1), (0, 4)])
+    def test_bands_cover_the_rows_in_order(self, h, w):
+        bands = list(gs.row_bands(h, w))
+        rows = [y for band in bands for y in range(h)[band]]
+        assert rows == list(range(h))
+        # a band holds at most BAND_PIXELS pixels, or one row wider than that
+        assert all((b.stop - b.start) * w <= gs.BAND_PIXELS or b.stop - b.start == 1
+                   for b in bands)
+
+    def test_test_raster_spans_three_bands(self):
+        assert [(b.start, b.stop) for b in gs.row_bands(BAND_H, BAND_W)] == \
+            [(0, 109), (109, 218), (218, 250)]
+
+
+def banded_layers(seed=0, k=3):
+    """Float32 category layers of a BAND_H x BAND_W field, a third of its
+    pixels nodata, some rows with a zero part."""
+    rng = np.random.default_rng(seed)
+    probs = rng.dirichlet(np.ones(k), size=(BAND_H, BAND_W))
+    probs[rng.random((BAND_H, BAND_W)) < 0.2, 0] = 0.0
+    probs /= probs.sum(axis=-1, keepdims=True)
+    valid = rng.random((BAND_H, BAND_W)) > 0.3
+    valid[LAST] = True
+    return {f"c{i}": np.where(valid, probs[:, :, i], -1.0).astype(np.float32)
+            for i in range(k)}
+
+
+def set_pixel(layers, yx, values):
+    for layer, value in zip(layers.values(), values):
+        layer[yx] = value
+
+
+class TestBandedCategoryField:
+    @pytest.mark.parametrize("kind", [StackKind.PRIOR_PROPORTIONS, StackKind.POSTERIOR])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_decode_equals_whole_raster_oracle(self, kind, seed):
+        stack = make_stack(kind, BAND_W, BAND_H, banded_layers(seed))
+        field = gs.stack_to_field(stack, kind, "t0")
+        probs, valid = stack_to_field_whole(stack, kind)
+        assert field.probs.tobytes() == probs.tobytes()
+        np.testing.assert_array_equal(field.valid, valid)
+        assert field.timestep == "t0"
+
+    @pytest.mark.parametrize("defects, message", [
+        ([(LAST, [0.5, -1.0, 0.5])], PARTIAL_NODATA),
+        ([(LAST, [0.0, 0.0, 0.0])], ZERO_MASS),
+        # a partial-nodata pixel in any band is reported before a zero-mass
+        # pixel in an earlier one, as a whole-raster check would
+        ([((0, 0), [0.0, 0.0, 0.0]), (LAST, [-1.0, 0.5, 0.5])], PARTIAL_NODATA),
+    ], ids=["partial-nodata-last-band", "zero-mass-last-band", "partial-after-zero-mass"])
+    def test_bad_pixel_raises_the_whole_raster_error(self, defects, message):
+        layers = banded_layers()
+        for yx, values in defects:
+            set_pixel(layers, yx, values)
+        stack = make_stack(StackKind.POSTERIOR, BAND_W, BAND_H, layers)
+        assert stack_to_field_whole(stack, StackKind.POSTERIOR) == message
+        with pytest.raises(GridFormatError, match=f"^{message}$"):
+            gs.stack_to_field(stack, StackKind.POSTERIOR)
+
+    @pytest.mark.parametrize("defects, named", [
+        ([], None),
+        ([(LAST, [np.nan, 0.5, 0.5])], "non-finite"),
+        ([(LAST, [-0.25, 1.0, 0.25])], "negative"),
+        ([(LAST, [0.5, 0.5, 1e-7])], "sum to 1"),
+        ([((0, 0), [-0.25, 1.0, 0.25]), (LAST, [np.inf, 0.0, 0.0])], "non-finite"),
+        ([((0, 0), [0.5, 0.5, 1e-7]), (LAST, [-0.25, 1.0, 0.25])], "negative"),
+    ], ids=["none", "nan-last-band", "negative-last-band", "off-simplex-last-band",
+            "non-finite-after-negative", "negative-after-off-simplex"])
+    def test_check_equals_whole_raster_oracle(self, defects, named):
+        field = gs.stack_to_field(make_stack(StackKind.POSTERIOR, BAND_W, BAND_H,
+                                             banded_layers()), StackKind.POSTERIOR)
+        probs, valid = field.probs.copy(), field.valid
+        for yx, values in defects:
+            valid[yx] = True
+            probs[yx] = values
+        expected = category_field_error_whole(probs, valid)
+        assert (expected is None) == (named is None)
+        if named is None:
+            CategoryField(field.categories, probs, valid)
+            return
+        assert named in expected
+        with pytest.raises(ValueError, match=f"^{expected}$"):
+            CategoryField(field.categories, probs, valid)
+        # the same rows at invalid pixels are not checked
+        for yx, _ in defects:
+            valid[yx] = False
+        CategoryField(field.categories, probs, valid)

@@ -129,3 +129,30 @@ def test_default_spec_dataset_digest(tmp_path):
     written = {f.relative_to(tmp_path).as_posix(): hashlib.sha256(f.read_bytes()).hexdigest()
                for f in tmp_path.rglob("*") if f.is_file()}
     assert written == DEFAULT_SPEC_SHA256
+
+
+# sha256 of each file that write_dataset writes for a non-square spec of
+# 264 x 200 pixels and 4 timesteps, taken before the generator built its
+# heights in place and its counts from per-category masks
+WIDE_SPEC_SHA256 = {
+    "ground_truth/cat0.f32": "adf0033fc77ac591455b53de24f6e538511111fa592f05f640254c93399772f2",
+    "ground_truth/cat1.f32": "9324c784c98259f05156641791da26847d5bee5f96095aef9930abd19280e099",
+    "ground_truth/cat2.f32": "c62050102d63179de4f5ca30e1d24b5c2267822808ace431f9abb0ac0609a84c",
+    "ground_truth/manifest.json": "51f91dcbe2a0ed5ca5323909738ddc4059940f48b46160a7191a399597cd046d",
+    "heights/manifest.json": "88b905066c1179fb24e9c6ee3560ece8120aa673bfc14acacc2b5495e5d3340f",
+    "heights/t0.f32": "54206f388b8d8efdc01d1da791912fba9f0013e084cea38ead86e2722c54e80e",
+    "heights/t1.f32": "c584b070d77909070a96c1a6873527e19255c49c61d156f02914e55cab1c0523",
+    "heights/t2.f32": "b26c27cd906dcbb6e9a47697fab3037c383cc4d91776709ee6843ffc096728b4",
+    "heights/t3.f32": "020c9b47a1647e5ca79114b858067e29a5f5ae5b430ddc223fee0a6860039fcd",
+    "prior_counts/cat0.f32": "a86cb49bbbeb905b9326191bdea9d73284492c1127afc7188713a356387dd9ef",
+    "prior_counts/cat1.f32": "a2b9c040dba6bc480aad0ebf1cf5feeb98733353717b866cb2b0a010401538a7",
+    "prior_counts/cat2.f32": "8132cb7927b6b8167c5f08a8cc68bc925c73d5d9df4b971d34595cdac24d7d2c",
+    "prior_counts/manifest.json": "aace0699bd954ce2a0bbf8e8e0ddb26dd191290c25f83b896b9a4900b52911aa",
+}
+
+
+def test_wide_spec_dataset_digest(tmp_path):
+    sy.write_dataset(sy.default_spec(width=264, height_px=200, timesteps=4), tmp_path)
+    written = {f.relative_to(tmp_path).as_posix(): hashlib.sha256(f.read_bytes()).hexdigest()
+               for f in tmp_path.rglob("*") if f.is_file()}
+    assert written == WIDE_SPEC_SHA256
