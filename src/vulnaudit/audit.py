@@ -211,10 +211,10 @@ def transition_to_dot(tm: TransitionMatrix, min_edge: float) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_transition_csv(tm: TransitionMatrix, path: str | Path,
-                         which: str = "normalized") -> None:
-    matrix = tm.normalized if which == "normalized" else tm.raw
-    _write_rows(path, ["from\\to", *tm.labels], tm.labels, matrix)
+def write_transition_csv(labels: list[str], matrix: np.ndarray, path: str | Path) -> None:
+    """One row per source state of a transition ``matrix`` (a
+    ``TransitionMatrix``'s ``raw`` or ``normalized``), its states ``labels``."""
+    _write_rows(path, ["from\\to", *labels], labels, matrix)
 
 
 def write_trend_csv(timesteps: list[str], categories: list[str], series: np.ndarray,

@@ -259,8 +259,8 @@ def cmd_prepare(cfg: RunConfig) -> int:
     stats = gb.fit_norm_stats(heights.grids, splits.train)
 
     histogram: dict[str, int] = {}
-    for t in splits.all_tiles():
-        key = gs.NONE_LABEL if t.dominant_category is None else fine.categories[t.dominant_category]
+    for dominant in gb.dominant_categories(tiles, fine):
+        key = gs.NONE_LABEL if dominant is None else fine.categories[dominant]
         histogram[key] = histogram.get(key, 0) + 1
 
     prep = cfg.prepared_dir
@@ -419,8 +419,8 @@ def cmd_audit(cfg: RunConfig, posteriors_dir: str) -> int:
                   file=sys.stderr)
         # each pair's matrix in order, then the averaged one
         for name, tm in zip(pairs + ["averaged"], matrices):
-            au.write_transition_csv(tm, stage / f"transition_{name}.csv")
-            au.write_transition_csv(tm, stage / f"transition_{name}_raw.csv", which="raw")
+            au.write_transition_csv(tm.labels, tm.normalized, stage / f"transition_{name}.csv")
+            au.write_transition_csv(tm.labels, tm.raw, stage / f"transition_{name}_raw.csv")
             gs.write_atomic(stage / f"transition_{name}.dot",
                             au.transition_to_dot(tm, cfg.min_edge))
             artifacts += [f"transition_{name}.csv", f"transition_{name}_raw.csv",

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -37,7 +37,6 @@ class Tile:
     origin_y: int
     width: int
     height: int
-    dominant_category: int | None = None
 
 
 @dataclass
@@ -247,17 +246,16 @@ def normalize_adjacency(graph_or_adj: GridGraph | sp.csr_matrix) -> sp.csr_matri
     return a_hat
 
 
-def dominant_categories(tiles: list[Tile], prior: CategoryField) -> list[Tile]:
-    """Label each tile with the argmax of prior proportions summed over its
-    pixels that carry a prior (None when no such pixel exists)."""
+def dominant_categories(tiles: list[Tile], prior: CategoryField) -> list[int | None]:
+    """Each tile's dominant category: the argmax of prior proportions summed
+    over its pixels that carry a prior (None when no such pixel exists)."""
     out = []
     for t in tiles:
         block = prior.probs[t.origin_y:t.origin_y + t.height,
                             t.origin_x:t.origin_x + t.width]
         mask = prior.valid[t.origin_y:t.origin_y + t.height,
                            t.origin_x:t.origin_x + t.width]
-        dominant = int(np.argmax(block[mask].sum(axis=0))) if mask.any() else None
-        out.append(replace(t, dominant_category=dominant))
+        out.append(int(np.argmax(block[mask].sum(axis=0))) if mask.any() else None)
     return out
 
 
@@ -278,50 +276,34 @@ def split_tiles(tiles: list[Tile], prior: CategoryField,
 
     Within each stratum the split sizes follow the ratios by largest-remainder
     apportionment (ties to the earlier of train, test, validation), so the
-    assignment is deterministic given the seed.
+    assignment is deterministic given the seed. It is balanced when each
+    non-empty split's share of every stratum is within ``tolerance`` of the
+    stratum's share of all tiles.
     """
     if not tiles:
         raise ValueError("empty tiling")
     if min(ratios) <= 0 or abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError("ratios must be positive and sum to 1")
-    tiles = dominant_categories(tiles, prior)
     strata: dict[int, list[Tile]] = {}
-    for t in tiles:
-        key = -1 if t.dominant_category is None else t.dominant_category
-        strata.setdefault(key, []).append(t)
+    for t, dominant in zip(tiles, dominant_categories(tiles, prior)):
+        strata.setdefault(-1 if dominant is None else dominant, []).append(t)
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     splits: tuple[list[Tile], list[Tile], list[Tile]] = ([], [], [])
+    sizes: dict[int, list[int]] = {}  # each stratum's tile count per split
     for key in sorted(strata):
         group = strata[key]
-        perm = rng.permutation(len(group))
-        shuffled = [group[i] for i in perm]
-        n_train, n_test, n_val = _largest_remainder(len(group), ratios)
+        shuffled = [group[i] for i in rng.permutation(len(group))]
+        sizes[key] = _largest_remainder(len(group), ratios)
+        n_train, n_test, _ = sizes[key]
         splits[0].extend(shuffled[:n_train])
         splits[1].extend(shuffled[n_train:n_train + n_test])
         splits[2].extend(shuffled[n_train + n_test:])
 
-    assignment = SplitAssignment(*splits)
-    global_dist = _category_distribution(tiles)
-    balanced = True
-    for part in splits:
-        if not part:
-            continue
-        dist = _category_distribution(part)
-        keys = set(global_dist) | set(dist)
-        if any(abs(dist.get(k, 0.0) - global_dist.get(k, 0.0)) > tolerance for k in keys):
-            balanced = False
-    assignment.balanced = balanced
-    return assignment
-
-
-def _category_distribution(tiles: list[Tile]) -> dict[int, float]:
-    counts: dict[int, int] = {}
-    for t in tiles:
-        key = -1 if t.dominant_category is None else t.dominant_category
-        counts[key] = counts.get(key, 0) + 1
-    total = len(tiles)
-    return {k: v / total for k, v in counts.items()}
+    balanced = all(abs(counts[i] / len(part) - len(strata[key]) / len(tiles)) <= tolerance
+                   for i, part in enumerate(splits) if part
+                   for key, counts in sizes.items())
+    return SplitAssignment(*splits, balanced=balanced)
 
 
 def epoch_subgraphs(heights: RasterGrid, tiles: list[Tile], n_subgraphs: int,

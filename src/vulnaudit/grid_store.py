@@ -112,6 +112,8 @@ class StackManifest:
         self.kind = StackKind(self.kind)
         if self.width <= 0 or self.height_px <= 0:
             raise GridFormatError("manifest dimensions must be positive")
+        if not self.layer_labels:
+            raise GridFormatError("a stack needs at least one layer")
         if len(set(self.layer_labels)) != len(self.layer_labels):
             raise GridFormatError("duplicate labels in manifest")
         for label in self.layer_labels:

@@ -126,10 +126,7 @@ def encode(params: ModelParams, a_hat: sp.csr_matrix, x: np.ndarray,
     """ReLU(A(ReLU(A(A X W1 + b1) W2 + b2)) W3 + b3) -> logits; softmax -> probabilities.
 
     Computes in the dtype of ``x`` and the weights, which the caller makes
-    agree (``_encoder_input``)."""
-    x = np.asarray(x)
-    if x.ndim != 2 or x.shape[1] != params.f_dim:
-        raise ValueError(f"feature-dimension mismatch: got {x.shape}, expected (*, {params.f_dim})")
+    agree (``_encoder_input``). ``gcn_block`` checks the widths."""
     tape = tape if tape is not None else Tape()
     logits = nc.gcn_block(tape, a_hat, Var(x), _stack_layers(tape, params, "enc"))
     return EncoderOutput(logits, nc.softmax_rows(tape, logits))
@@ -138,9 +135,6 @@ def encode(params: ModelParams, a_hat: sp.csr_matrix, x: np.ndarray,
 def decode(params: ModelParams, a_hat: sp.csr_matrix, v: Var,
            tape: Tape) -> Var:
     """Mirror of the encoder on the latent sample; final layer is linear."""
-    if v.value.shape[1] != params.k_cats:
-        raise ValueError(f"latent dimension mismatch: got {v.value.shape}, "
-                         f"expected (*, {params.k_cats})")
     return nc.gcn_block(tape, a_hat, v, _stack_layers(tape, params, "dec"))
 
 

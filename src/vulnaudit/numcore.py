@@ -224,19 +224,21 @@ def gcn_block(tape: Tape, a: sp.csr_matrix, h: Var,
     tape entry: the same products, in the same order, as three
     ``gcn_layer`` calls, so the same floats.
 
+    The middle layer must not widen: the model's W2 is hidden x hidden
+    (``model.param_shapes``), and a widening W2 is a ValueError.
+
     The entry keeps two arrays: A @ H when the first layer widens (Z1 when
     it narrows or keeps the width) and Z2, the second layer's output. The
     forward drops Z1 once Z1 @ W2 exists, before the second sparse product.
     The backward takes layer 3's gradients from Z2, masks dZ2 by Z2 > 0 and
-    drops Z2. For a narrowing or square W2 it then forms S = A.T @ dZ2 and
-    drops dZ2, recomputes Z1 = ReLU((A @ H) @ W1 + b1) from the kept A @ H
-    without a finite check (the same product on the same arrays gives the
-    bits the forward checked), takes grad-W2 = Z1.T @ S, keeps the mask
-    Z1 > 0 and drops Z1, forms dZ1 = S @ W2.T and drops S, masks dZ1, and
-    ends with layer 1's gradients. These are ``gcn_layer``'s products on
-    the same arrays, so the same bits, but no more than two N x hidden
-    arrays are live at a time, not three. A widening W2 keeps dZ2 until
-    grad-W2 = (A @ Z1).T @ dZ2 is taken.
+    drops Z2. It then forms S = A.T @ dZ2 and drops dZ2, recomputes
+    Z1 = ReLU((A @ H) @ W1 + b1) from the kept A @ H without a finite check
+    (the same product on the same arrays gives the bits the forward
+    checked), takes grad-W2 = Z1.T @ S, keeps the mask Z1 > 0 and drops Z1,
+    forms dZ1 = S @ W2.T and drops S, masks dZ1, and ends with layer 1's
+    gradients. These are ``gcn_layer``'s products on the same arrays, so
+    the same bits, but no more than two N x hidden arrays are live at a
+    time, not three.
     """
     (w1, b1), (w2, b2), (w3, b3) = layers
     hv = h.value
@@ -245,6 +247,8 @@ def gcn_block(tape: Tape, a: sp.csr_matrix, h: Var,
         _check_shapes(f"gcn_block layer {i}", a, shape, w.value, b.value)
         shape = (a.shape[0], w.value.shape[1])
     w1v, w2v, w3v = w1.value, w2.value, w3.value
+    if not _narrows(w2v):
+        raise ValueError(f"gcn_block layer 2 widens: W {w2v.shape}")
     widens = not _narrows(w1v)
     first = _first_product(a, hv, w1v)
     z1 = _finish_layer(a, first, w1v, b1.value, True)
@@ -261,17 +265,13 @@ def gcn_block(tape: Tape, a: sp.csr_matrix, h: Var,
         dz2 *= z2 > 0.0
         z2 = None
         # layer 2: _layer_grads' products, each array dropped after its last read
-        narrows = _narrows(w2v)
         grad_b2 = dz2.sum(axis=0)
-        if narrows:  # S = A.T @ dZ2 is all that is read of dZ2 from here on
-            s, dz2 = a.T @ dz2, None
-        else:
-            s = dz2 @ w2v.T
+        s, dz2 = a.T @ dz2, None  # all that is read of dZ2 from here on
         z1 = _relu(_pre_activation(a, kept, w1v, b1.value)) if widens else kept
-        grad_w2 = z1.T @ s if narrows else (a @ z1).T @ dz2
+        grad_w2 = z1.T @ s
         z1_positive = z1 > 0.0
-        z1 = dz2 = None
-        dz1 = s @ w2v.T if narrows else a.T @ s
+        z1 = None
+        dz1 = s @ w2v.T
         s = None
         dz1 *= z1_positive
         grad_h, grad_w1, grad_b1 = _layer_grads(a, dz1, hv, w1v, kept if widens else None)
@@ -321,17 +321,6 @@ def scale(tape: Tape, x: Var, s: float) -> Var:
 
     def bwd(dout):
         return ((x, dout * s),)
-
-    tape.record(out, bwd)
-    return out
-
-
-def sum_all(tape: Tape, x: Var) -> Var:
-    out = Var(x.value.sum())
-    _check_finite("sum_all", out.value)
-
-    def bwd(dout):
-        return ((x, np.full_like(x.value, float(dout))),)
 
     tape.record(out, bwd)
     return out

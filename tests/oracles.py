@@ -162,6 +162,19 @@ def sample_epoch_from_whole_graph(heights, tiles, n_subgraphs: int, dropout: flo
             for p, a, f in parts]
 
 
+def taped_sum(tape, x):
+    """The sum of every entry of ``x`` as a taped scalar, whose backward
+    hands each entry the incoming gradient: the scalar loss the numcore
+    tests differentiate."""
+    out = Var(x.value.sum())
+
+    def bwd(dout):
+        return ((x, np.full_like(x.value, float(dout))),)
+
+    tape.record(out, bwd)
+    return out
+
+
 def gcn_layer_saving_activations(tape, a, h, w, b, activate: bool):
     """``numcore.gcn_layer`` as it was when its tape entry kept ``A @ H`` and
     a separate bool ReLU mask beside its output."""

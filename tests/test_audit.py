@@ -354,9 +354,8 @@ class TestTransitionDot:
 
 class TestExports:
     def test_transition_csv(self, tmp_path):
-        tm = au.TransitionMatrix(["a", "NONE"], np.array([[0.5, 0.5], [0.0, 1.0]]),
-                                 np.array([[0.5, 0.5], [0.0, 1.0]]), "t0 -> t1", [])
-        au.write_transition_csv(tm, tmp_path / "t.csv")
+        au.write_transition_csv(["a", "NONE"], np.array([[0.5, 0.5], [0.0, 1.0]]),
+                                tmp_path / "t.csv")
         lines = (tmp_path / "t.csv").read_text().strip().splitlines()
         assert lines[0] == "from\\to,a,NONE"
         assert lines[1] == "a,0.5,0.5"

@@ -268,6 +268,26 @@ class TestPrepare:
         cli.main(["prepare", "--config", str(config)])
         assert (tmp_path / "out" / "prepared" / "splits.json").read_bytes() == first
 
+    def test_splits_read_back_equal_the_split_tiles(self, toy_run, monkeypatch):
+        # the tiles train reads from splits.json are, split by split, the
+        # tiles that prepare split, and compare equal to them
+        tmp_path, config = toy_run
+        made = []
+
+        def recorded(*args, **kwargs):
+            made.append(split_tiles(*args, **kwargs))
+            return made[-1]
+
+        split_tiles = gb.split_tiles
+        monkeypatch.setattr(gb, "split_tiles", recorded)
+        assert cli.main(["prepare", "--config", str(config)]) == 0
+        loaded = cli._load_splits(tmp_path / "out" / "prepared" / "splits.json", (16, 16))
+        for name in cli.SPLIT_NAMES:
+            def row_major(tiles):
+                return sorted(tiles, key=lambda t: (t.origin_y, t.origin_x))
+            assert row_major(getattr(loaded, name)) == row_major(getattr(made[0], name)), name
+        assert loaded.balanced == made[0].balanced
+
     def write_hand_built(self, tmp_path, side):
         rng = np.random.default_rng(0)
         heights = gs.GridStack(
@@ -1231,6 +1251,26 @@ def test_bad_stack_value_exits_2_naming_it(toy_run, capsys, case, named, message
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert f"error: {tmp_path / named}: {message}\n" == err, err
+
+
+@pytest.mark.parametrize("command", ["prepare", "infer", "audit"])
+def test_heights_with_no_layers_exit_2_naming_the_manifest(toy_run3, capsys, command):
+    # a heights manifest listing no layer would give no posterior at all, or
+    # fail deep in a stage without naming a file; every output stays as it was
+    tmp_path, config = toy_run3
+    out = tmp_path / "out"
+    argv = {"prepare": [], "infer": ["--checkpoint", str(out / "checkpoint")],
+            "audit": ["--posteriors", str(out / "posteriors")]}
+    for stage in ("infer", "audit"):
+        assert cli.main([stage, "--config", str(config)] + argv[stage]) == 0
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    manifest = tmp_path / "data" / "heights" / "manifest.json"
+    manifest.write_bytes(edit_json(manifest.read_bytes(), layers=[]))
+    capsys.readouterr()
+    assert cli.main([command, "--config", str(config)] + argv[command]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {manifest}: bad value: a stack needs at least one layer\n", err
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
 
 def test_stack_of_another_kind_fails_before_its_layers_are_read(toy_run, capsys):

@@ -256,9 +256,10 @@ class TestSplitTiles:
         codes = np.concatenate([np.zeros(10, int), np.ones(10, int)]).reshape(1, 20)
         prior = one_hot_prior(codes, 2)
         tiles = gb.tile_region(20, 1, 1)
+        assert gb.dominant_categories(tiles, prior) == [0] * 10 + [1] * 10
         splits = gb.split_tiles(tiles, prior, (0.5, 0.25, 0.25), seed=0)
         for cat in (0, 1):
-            per_split = [sum(1 for t in part if t.dominant_category == cat)
+            per_split = [gb.dominant_categories(part, prior).count(cat)
                          for part in (splits.train, splits.test, splits.validation)]
             # exact half to train; the indivisible quarter splits 3/2
             assert per_split[0] == 5
@@ -277,7 +278,8 @@ class TestSplitTiles:
                               np.zeros((2, 2), dtype=bool))
         tiles = gb.tile_region(2, 2, 1)
         splits = gb.split_tiles(tiles, prior, seed=0)
-        assert all(t.dominant_category is None for t in splits.all_tiles())
+        assert sorted(splits.all_tiles(), key=lambda t: (t.origin_y, t.origin_x)) == tiles
+        assert gb.dominant_categories(tiles, prior) == [None] * 4
 
     def test_empty_tiling_rejected(self):
         prior = one_hot_prior(np.zeros((1, 1), dtype=int), 2)

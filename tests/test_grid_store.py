@@ -106,6 +106,10 @@ class TestReadErrors:
         with pytest.raises(GridFormatError, match="duplicate"):
             StackManifest(StackKind.HEIGHT_SERIES, 1, 1, ["a", "a"])
 
+    def test_no_layers(self):
+        with pytest.raises(GridFormatError, match="a stack needs at least one layer"):
+            StackManifest(StackKind.HEIGHT_SERIES, 1, 1, [])
+
     # a label names a file, a CSV column and a DOT node
     @pytest.mark.parametrize("label", ["", "a/b", "a\\b", "..", "a,b", 'a"b', "a\tb",
                                        "a\nb", "a\x00b", "a\x7fb", "a\x85b"])

@@ -92,7 +92,7 @@ class TestEncodeDecode:
     def test_feature_dimension_mismatch(self):
         graph = grid_graph(np.ones((2, 2)))
         a_hat = gb.normalize_adjacency(graph)
-        with pytest.raises(ValueError, match="feature-dimension"):
+        with pytest.raises(ValueError, match="gcn_block layer 1 shape mismatch"):
             md.encode(random_params(f_dim=2), a_hat, graph.features)
 
 
