@@ -12,7 +12,7 @@ import scipy.sparse as sp
 
 from vulnaudit import graph_build as gb
 from vulnaudit import grid_store as gs
-from vulnaudit.numcore import Var, _check_finite
+from vulnaudit.numcore import GRAD_BLOCK_ROWS, Var, _check_finite
 
 
 def central_difference(loss_fn, arrays: dict[str, np.ndarray],
@@ -197,10 +197,23 @@ def gcn_layer_saving_activations(tape, a, h, w, b, activate: bool):
     return out
 
 
+def weight_grad_by_blocks(x, d, rows: int):
+    """x.T @ d summed as ``numcore._weight_grad`` sums it, block by block in
+    a loop: the rows past the last whole block of ``rows`` rows, then each
+    block's product added in order."""
+    n = len(x) - len(x) % rows
+    blocks = [x[i:i + rows].T @ d[i:i + rows] for i in range(0, n, rows)]
+    grad = x[n:].T @ d[n:]
+    if blocks:
+        grad += np.stack(blocks).sum(axis=0)
+    return grad
+
+
 def gcn_layer_width_ordered_saving_activations(tape, a, h, w, b, activate: bool):
     """``numcore.gcn_layer``'s products in its order (A at the narrower
     width), with the tape entry keeping a separate bool ReLU mask and, for a
-    widening W, ``A @ H``; every gradient is a fresh array."""
+    widening W, ``A @ H``; every gradient is a fresh array, and each weight
+    gradient is ``weight_grad_by_blocks``."""
     hv, wv, bv = h.value, w.value, b.value
     narrows = wv.shape[1] <= wv.shape[0]
     ah = None if narrows else a @ hv
@@ -217,8 +230,11 @@ def gcn_layer_width_ordered_saving_activations(tape, a, h, w, b, activate: bool)
         dpre = dout if mask is None else dout * mask
         if narrows:
             s = a.T @ dpre
-            return ((h, s @ wv.T), (w, hv.T @ s), (b, dpre.sum(axis=0)))
-        return ((h, a.T @ (dpre @ wv.T)), (w, ah.T @ dpre), (b, dpre.sum(axis=0)))
+            grad_h, grad_w = s @ wv.T, weight_grad_by_blocks(hv, s, GRAD_BLOCK_ROWS)
+        else:
+            grad_h = a.T @ (dpre @ wv.T)
+            grad_w = weight_grad_by_blocks(ah, dpre, GRAD_BLOCK_ROWS)
+        return ((h, grad_h), (w, grad_w), (b, dpre.sum(axis=0)))
 
     tape.record(out, bwd)
     return out

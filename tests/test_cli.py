@@ -2,7 +2,10 @@ import gc
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -389,6 +392,33 @@ class TestPrepare:
 
 
 class TestTrain:
+    def test_checkpoint_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # a weight gradient sums over every node; one BLAS product over tens
+        # of thousands of rows splits that sum across threads. Each thread
+        # count is set before its process loads BLAS. One epoch takes a step
+        # per timestep: Adam's first step moves each weight by about the
+        # learning rate whatever the gradient's low bits, so it takes three.
+        spec = write_spec(tmp_path / "spec.json", width=256, height_px=256, timesteps=3)
+        assert cli.main(["synth", "--spec", str(spec), "--out", str(tmp_path / "data")]) == 0
+        config = write_config(tmp_path / "config.json", tmp_path / "data", tmp_path / "out",
+                              tile_size=64)
+        assert cli.main(["prepare", "--config", str(config)]) == 0
+        cfg = cli.load_run_config(config)
+        heights = gs.read_grid_stack(cfg.heights, gs.StackKind.HEIGHT_SERIES)
+        _, splits, _ = cli._load_prepared(cfg, heights.manifest)
+        assert all(gb.node_mask(grid, splits.train).sum() >= 32_768 for grid in heights.grids)
+        runs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+            subprocess.run([sys.executable, "-m", "vulnaudit.cli", "train", "--config",
+                            str(config), "--epochs", "1"], env=env, check=True,
+                           capture_output=True)
+            out = tmp_path / "out"
+            runs.append({p.name: p.read_bytes()
+                         for p in [*(out / "checkpoint").iterdir(), out / "losses.csv"]})
+        assert runs[0] == runs[1]
+
     def test_zero_epochs_keeps_initial_params(self, toy_run):
         tmp_path, config = toy_run
         cli.main(["prepare", "--config", str(config)])

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,7 +11,7 @@ from vulnaudit import graph_build as gb
 from vulnaudit import numcore as nc
 from vulnaudit.numcore import NonFiniteError, Tape, Var
 
-from oracles import central_difference, max_relative_error, taped_sum
+from oracles import central_difference, max_relative_error, taped_sum, weight_grad_by_blocks
 
 
 def random_sparse(rng, rows, cols, density=0.3):
@@ -408,6 +413,41 @@ class TestGcnBlock:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteError, match="gcn_layer produced non-finite values"):
                 self.block(Tape(), eye(1), v)
+
+
+class TestWeightGrad:
+    """``_weight_grad``: x.T @ d summed block by block, so that its bits do
+    not depend on the BLAS thread count."""
+
+    @pytest.mark.parametrize("n", [0, 1, 127, 128, 129, 1000, 31_672])
+    @pytest.mark.parametrize("widths", [(25, 25), (25, 3), (3, 25), (25, 1), (1, 25)])
+    def test_same_bits_as_block_loop(self, n, widths):
+        rng = np.random.default_rng(n)
+        x, d = (rng.normal(size=(n, w)).astype(np.float32) for w in widths)
+        grad = nc._weight_grad(x, d)
+        assert grad.dtype == np.float32 and grad.shape == widths
+        assert grad.tobytes() == weight_grad_by_blocks(x, d, nc.GRAD_BLOCK_ROWS).tobytes()
+        np.testing.assert_allclose(grad, x.astype(np.float64).T @ d, rtol=0, atol=1e-3)
+
+    def test_same_bytes_at_one_and_two_blas_threads(self):
+        # node counts of sparse-churn's training subgraphs (31,672) and of a
+        # dense 46,000-node graph, at the model's widths; one BLAS product
+        # over these rows gives other bytes at 2 threads than at 1
+        script = (
+            "import hashlib, numpy as np\n"
+            "from vulnaudit import numcore as nc\n"
+            "rng = np.random.default_rng(0)\n"
+            "for n in (31672, 46000):\n"
+            "    for w in ((25, 25), (25, 3), (3, 25), (25, 1), (1, 25)):\n"
+            "        x, d = (rng.normal(size=(n, k)).astype(np.float32) for k in w)\n"
+            "        print(hashlib.sha256(nc._weight_grad(x, d).tobytes()).hexdigest())\n")
+        runs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "PYTHONPATH": str(Path(nc.__file__).parents[1])}
+            runs.append(subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                       capture_output=True, text=True).stdout)
+        assert len(runs[0].split()) == 10 and runs[0] == runs[1]
 
 
 class TestSoftmaxRows:
