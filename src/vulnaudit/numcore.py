@@ -177,8 +177,9 @@ def _weight_grad(x: np.ndarray, d: np.ndarray) -> np.ndarray:
     """x.T @ d, a weight gradient: a sum over the N node rows, in an order
     that does not depend on the BLAS thread count. One BLAS product over all
     N rows splits that sum across threads, so its bits would depend on the
-    count (OpenBLAS 0.3.31, float32, widths 25, 3 and 1: for most N from
-    1,655 rows up). Here the rows past the last whole block of
+    count (OpenBLAS 0.3.31, float32, 1 against 2 threads: 25 x 25 and 25 x 3
+    gradients differ for most N from 1,655 rows up, 25 x 1 ones from about
+    32,768). Here the rows past the last whole block of
     GRAD_BLOCK_ROWS rows make one product, and each block's product, small
     enough that BLAS runs it on one thread, is added to it in block order."""
     n = len(x) - len(x) % GRAD_BLOCK_ROWS

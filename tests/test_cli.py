@@ -275,19 +275,19 @@ class TestPrepare:
         # the tiles train reads from splits.json are, split by split, the
         # tiles that prepare split, and compare equal to them
         tmp_path, config = toy_run
-        made = []
+        split_tiles, made = gb.split_tiles, []
 
         def recorded(*args, **kwargs):
             made.append(split_tiles(*args, **kwargs))
             return made[-1]
 
-        split_tiles = gb.split_tiles
+        def row_major(tiles):
+            return sorted(tiles, key=lambda t: (t.origin_y, t.origin_x))
+
         monkeypatch.setattr(gb, "split_tiles", recorded)
         assert cli.main(["prepare", "--config", str(config)]) == 0
         loaded = cli._load_splits(tmp_path / "out" / "prepared" / "splits.json", (16, 16))
         for name in cli.SPLIT_NAMES:
-            def row_major(tiles):
-                return sorted(tiles, key=lambda t: (t.origin_y, t.origin_x))
             assert row_major(getattr(loaded, name)) == row_major(getattr(made[0], name)), name
         assert loaded.balanced == made[0].balanced
 
@@ -397,11 +397,14 @@ class TestTrain:
         # of thousands of rows splits that sum across threads. Each thread
         # count is set before its process loads BLAS. One epoch takes a step
         # per timestep: Adam's first step moves each weight by about the
-        # learning rate whatever the gradient's low bits, so it takes three.
-        spec = write_spec(tmp_path / "spec.json", width=256, height_px=256, timesteps=3)
+        # learning rate whatever the gradient's low bits, so the run takes three.
+        # 50-pixel tiles: node counts that are no multiple of a large power
+        # of two, at which one product's split sums happen to agree
+        spec = write_spec(tmp_path / "spec.json", width=250, height_px=250, timesteps=3,
+                          block_size=5)
         assert cli.main(["synth", "--spec", str(spec), "--out", str(tmp_path / "data")]) == 0
         config = write_config(tmp_path / "config.json", tmp_path / "data", tmp_path / "out",
-                              tile_size=64)
+                              tile_size=50, upsample_factor=5)
         assert cli.main(["prepare", "--config", str(config)]) == 0
         cfg = cli.load_run_config(config)
         heights = gs.read_grid_stack(cfg.heights, gs.StackKind.HEIGHT_SERIES)

@@ -265,6 +265,18 @@ class TestSplitTiles:
             assert per_split[0] == 5
             assert sorted(per_split[1:]) == [2, 3]
 
+    def test_balanced_flag_follows_the_tolerance(self):
+        # ten tiles of category 0 split 5/3/2 and two of category 1 split
+        # 1/1/0: category 0's share is 5/6, 3/4 and 1 in the splits against
+        # 10/12 overall, so validation misses it by 1/6
+        codes = np.concatenate([np.zeros(10, int), np.ones(2, int)]).reshape(1, 12)
+        prior = one_hot_prior(codes, 2)
+        tiles = gb.tile_region(12, 1, 1)
+        for tolerance, balanced in ((0.25, True), (0.17, True), (0.16, False), (0.0, False)):
+            splits = gb.split_tiles(tiles, prior, (0.5, 0.25, 0.25), seed=0,
+                                    tolerance=tolerance)
+            assert splits.balanced is balanced, tolerance
+
     def test_disjoint_and_exhaustive(self):
         rng = np.random.default_rng(17)
         prior = one_hot_prior(rng.integers(0, 3, size=(6, 6)), 3)
