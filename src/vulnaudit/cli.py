@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 import typing
+from collections import Counter
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -252,16 +253,14 @@ def cmd_prepare(cfg: RunConfig) -> int:
                        valid=fine.valid[:hm.height_px, :hm.width])
 
     tiles = gb.tile_region(hm.width, hm.height_px, cfg.tile_size)
-    splits = gb.split_tiles(tiles, fine, seed=cfg.split_seed)
+    dominants = gb.dominant_categories(tiles, fine)
+    splits = gb.split_tiles(tiles, dominants, seed=cfg.split_seed)
 
     node_counts = {label: int(gb.node_mask(g, tiles).sum())
                    for label, g in zip(hm.layer_labels, heights.grids)}
     stats = gb.fit_norm_stats(heights.grids, splits.train)
 
-    histogram: dict[str, int] = {}
-    for dominant in gb.dominant_categories(tiles, fine):
-        key = gs.NONE_LABEL if dominant is None else fine.categories[dominant]
-        histogram[key] = histogram.get(key, 0) + 1
+    histogram = Counter(gs.NONE_LABEL if d is None else fine.categories[d] for d in dominants)
 
     prep = cfg.prepared_dir
     # staged, then swapped in whole: a failed rerun leaves no new splits beside an old report
@@ -338,12 +337,9 @@ def cmd_infer(cfg: RunConfig, checkpoint: str) -> int:
     # whole, never new timesteps beside old ones
     with _echoed(cfg.out_dir, "infer", cfg), gs.staged_dir(out) as stage:
         for label, grid in zip(heights.manifest.layer_labels, heights.grids):
-            # unnamed, the posterior is freed once its stack is built and the
-            # stack once written, before the self-check decode and the next
-            # inference
-            gs.write_grid_stack(gs.field_to_stack(
-                md.infer_posterior(params, grid, stats, categories, timestep=label),
-                gs.StackKind.POSTERIOR), stage / label)
+            # unnamed, the stack is freed before the self-check decode and next inference
+            gs.write_grid_stack(md.infer_posterior(params, grid, stats, categories),
+                                stage / label)
             _read_field(stage / label, gs.StackKind.POSTERIOR, label)  # self-check
     print(f"wrote {len(heights.grids)} posterior stacks under {out}")
     return 0

@@ -269,10 +269,10 @@ def _largest_remainder(n: int, ratios: tuple[float, float, float]) -> list[int]:
     return base
 
 
-def split_tiles(tiles: list[Tile], prior: CategoryField,
+def split_tiles(tiles: list[Tile], dominants: list[int | None],
                 ratios: tuple[float, float, float] = DEFAULT_SPLIT_RATIOS,
                 seed: int = 0, tolerance: float = DEFAULT_SPLIT_TOLERANCE) -> SplitAssignment:
-    """Stratified random train/test/validation assignment by dominant category.
+    """Stratified random train/test/validation assignment by the tiles' ``dominant_categories``.
 
     Within each stratum the split sizes follow the ratios by largest-remainder
     apportionment (ties to the earlier of train, test, validation), so the
@@ -285,7 +285,7 @@ def split_tiles(tiles: list[Tile], prior: CategoryField,
     if min(ratios) <= 0 or abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError("ratios must be positive and sum to 1")
     strata: dict[int, list[Tile]] = {}
-    for t, dominant in zip(tiles, dominant_categories(tiles, prior)):
+    for t, dominant in zip(tiles, dominants, strict=True):
         strata.setdefault(-1 if dominant is None else dominant, []).append(t)
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))

@@ -6,9 +6,9 @@ row-major, top row first. Values are kept as float32 in memory so that
 write -> read round-trips are bit-exact.
 
 A prior and a posterior are both a ``CategoryField``: one categorical
-distribution per pixel. ``field_to_stack`` and ``stack_to_field`` are the one
-codec between a field and a PRIOR_PROPORTIONS or POSTERIOR stack, with one
-category per layer; a pixel is nodata in every layer or in none.
+distribution per pixel. ``stack_to_field`` decodes a PRIOR_PROPORTIONS or
+POSTERIOR stack, one category per layer, as ``field_to_stack`` (or infer,
+core by core) encodes it: a pixel is nodata in every layer or in none.
 """
 
 from __future__ import annotations
@@ -372,7 +372,7 @@ def field_to_stack(field: CategoryField, kind: StackKind) -> GridStack:
 
 
 def stack_to_field(stack: GridStack, kind: StackKind, timestep: str = "") -> CategoryField:
-    """Decode a ``kind`` stack written by ``field_to_stack``.
+    """Decode a ``kind`` stack written by ``field_to_stack`` or ``infer_posterior``.
 
     Each pixel must be nodata in every layer (an invalid pixel, whose row
     holds the nodata value) or in none (a valid pixel, which must have

@@ -23,7 +23,7 @@ from .graph_build import (DEFAULT_EDGE_DROPOUT, NODE_FEATURES, GridGraph, NormSt
                           epoch_subgraphs, fit_norm_stats, log_normalize, node_mask,
                           tile_region)
 from .grid_store import (DEFAULT_NODATA, CategoryField, GridStack, RasterGrid, StackKind,
-                         read_array, stack_to_field, write_arrays)
+                         StackManifest, read_array, stack_to_field, write_arrays)
 from .numcore import NonFiniteError, Tape, Var
 
 if TYPE_CHECKING:
@@ -425,29 +425,28 @@ def train(params: ModelParams, height_series: GridStack, prior: CategoryField,
 # core size gives the same bytes: the size only trades one window's memory
 # against halo work, and owes nothing to the training node cap. It was
 # measured (2 vCPU, one BLAS thread, float32 weights, hidden 25, K = 3). On a
-# dense 256x256 raster the traced peak fell from 22.6 MiB with 215-pixel
-# cores to 9.8 MiB with 128-pixel ones, in the same time. On a dense 512x512
-# raster smaller cores stop paying: the peak reads 29.5 MiB at 215, 18.8 at
-# 128 and 16.4 at 96 or 32, a floor set by the output arrays, while 32-pixel
-# cores take 1.4x as long, as the halo adds 56% to their windows (13% at
-# 128). A window holds at most 136**2 = 18,496 nodes.
+# dense 256x256 raster the traced peak fell from 15.4 MiB with 215-pixel
+# cores to 6.3 MiB with 128-pixel ones, in no more time. On a dense 512x512
+# raster smaller cores stop paying: the peak reads 18.8 MiB at 215, 8.9 at
+# 128, 6.5 at 96 and 5.3 at 32, near the 3 MiB of the output layers, while
+# 32-pixel cores take 1.4x as long, as the halo adds 56% to their windows
+# (13% at 128). A window holds at most 136**2 = 18,496 nodes.
 INFER_HALO = 4
 INFER_CORE = 128
 
 
 def infer_posterior(params: ModelParams, heights: RasterGrid, norm_stats: NormStats,
-                    categories: list[str], timestep: str = "") -> CategoryField:
-    """Posterior probabilities for every node pixel of the raster; pixels
-    without a node are nodata.
+                    categories: list[str]) -> GridStack:
+    """The raster's POSTERIOR stack: one float32 layer per category, nodata off nodes.
 
     The raster is cut into INFER_CORE-pixel core tiles. Each core is encoded
     on the graph of its window (the core plus an INFER_HALO-pixel halo,
     clipped to the raster) and only its core pixels are written. The result
     equals encoding the full-raster graph, byte for byte at any core size,
     while memory is bounded by one window of at most
-    (INFER_CORE + 2*INFER_HALO)**2 = 18,496 nodes plus the output arrays.
+    (INFER_CORE + 2*INFER_HALO)**2 = 18,496 nodes plus the output layers.
     Windows are encoded in the weights' dtype; each core's rows are a
-    float64 softmax of its logits.
+    float64 softmax of its logits, checked, then rounded into the layers.
     """
     if params.f_dim != NODE_FEATURES:
         raise ValueError(f"feature-dimension mismatch: graph has "
@@ -455,8 +454,7 @@ def infer_posterior(params: ModelParams, heights: RasterGrid, norm_stats: NormSt
     if len(categories) != params.k_cats:
         raise ValueError("category count does not match model")
     h, w = heights.height_px, heights.width
-    probs = np.full((h, w, len(categories)), DEFAULT_NODATA, dtype=np.float64)
-    valid = np.zeros((h, w), dtype=bool)
+    layers = [np.full((h, w), DEFAULT_NODATA, dtype=np.float32) for _ in categories]
     for core in tile_region(w, h, INFER_CORE):
         cx1, cy1 = core.origin_x + core.width, core.origin_y + core.height
         x0, y0 = max(core.origin_x - INFER_HALO, 0), max(core.origin_y - INFER_HALO, 0)
@@ -474,10 +472,14 @@ def infer_posterior(params: ModelParams, heights: RasterGrid, norm_stats: NormSt
         del a_hat, x  # nor does the input live on into the next window's build
         in_core = (xs >= core.origin_x) & (xs < cx1) & (ys >= core.origin_y) & (ys < cy1)
         xs, ys = xs[in_core], ys[in_core]
-        # a float64 softmax of the logits: rows sum to 1 within SIMPLEX_TOL
-        probs[ys, xs] = nc.softmax_values(logits[in_core].astype(np.float64))
-        valid[ys, xs] = True
-    return CategoryField(list(categories), probs, valid, timestep)
+        # checked as an N x 1 CategoryField, then rounded to nearest float32
+        rows = nc.softmax_values(logits[in_core].astype(np.float64))
+        CategoryField(categories, rows[:, None], np.ones((len(rows), 1), dtype=bool))
+        for i, layer in enumerate(layers):
+            layer[ys, xs] = rows[:, i]
+        del rows  # nor do a core's float64 rows live on into the next window
+    return GridStack(StackManifest(StackKind.POSTERIOR, w, h, list(categories)),
+                     [RasterGrid(w, h, layer) for layer in layers])
 
 
 def stack_to_posterior(stack: GridStack, timestep: str = "") -> CategoryField:

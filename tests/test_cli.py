@@ -10,6 +10,7 @@ import tracemalloc
 import weakref
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from vulnaudit import cli
 from vulnaudit import graph_build as gb
 from vulnaudit import grid_store as gs
 from vulnaudit import model as md
+from vulnaudit import numcore as nc
 from vulnaudit import synth as sy
 from vulnaudit.numcore import NonFiniteError
 
@@ -650,9 +652,11 @@ class TestInfer:
 
         def infer_posterior(*args, **kwargs):
             record_live()
-            post = real_infer(*args, **kwargs)
-            refs.append(weakref.ref(post.probs))
-            return post
+            stack = real_infer(*args, **kwargs)
+            # each layer array, and the array it views
+            refs.extend(weakref.ref(a) for grid in stack.grids
+                        for a in (grid.values, grid.values.base) if a is not None)
+            return stack
 
         def read_field(*args):  # the self-check decode
             record_live()
@@ -662,8 +666,8 @@ class TestInfer:
         monkeypatch.setattr(cli, "_read_field", read_field)
         assert cli.main(["infer", "--config", str(config),
                          "--checkpoint", str(tmp_path / "out" / "checkpoint")]) == 0
-        assert len(refs) == 3
-        # no posterior was live at a self-check or at the next inference
+        assert len(refs) == 3 * 2 * 2  # timesteps x categories x (layer, its base)
+        # no posterior layer was live at a self-check or at the next inference
         assert live == [[]] * 6
 
     def test_interrupted_rerun_keeps_previous_posteriors(self, toy_run3, monkeypatch, capsys):
@@ -676,20 +680,46 @@ class TestInfer:
         assert cli.main(["train", "--config", str(config), "--seed", "1"]) == 0
         real_infer, calls = md.infer_posterior, []
 
-        def infer_posterior(*args, **kwargs):
-            calls.append(kwargs["timestep"])
+        def infer_posterior(params, heights, *args, **kwargs):
+            calls.append(heights.values.tobytes())
             if len(calls) == 2:
                 raise NonFiniteError("encode: non-finite logits")
-            return real_infer(*args, **kwargs)
+            return real_infer(params, heights, *args, **kwargs)
 
         monkeypatch.setattr(md, "infer_posterior", infer_posterior)
         capsys.readouterr()
         assert cli.main(["infer", "--config", str(config), "--checkpoint", ckpt]) == 3
         assert "non-finite logits" in capsys.readouterr().err
-        assert calls == ["t0", "t1"]
+        heights = gs.read_grid_stack(tmp_path / "data" / "heights")
+        assert calls == [grid.values.tobytes() for grid in heights.grids[:2]]  # t0, t1
         after = {p.relative_to(out): p.read_bytes()
                  for p in (out / "posteriors").rglob("*") if p.is_file()}
         assert after == before
+        assert not [p.name for p in out.iterdir() if p.name.startswith(".")]
+
+    @pytest.mark.parametrize("bad_rows, rule", [
+        # every value in [0, 1], so the stack's range check passes and the
+        # decode would renormalise the row to a believable posterior
+        (lambda z: np.full_like(z, 2.0 / z.shape[1]), "category probabilities do not sum to 1"),
+        (lambda z: np.full_like(z, np.nan), "non-finite category probability"),
+    ], ids=["sums-to-2", "nan"])
+    def test_bad_core_rows_exit_2_naming_the_rule(self, toy_run3, monkeypatch, capsys,
+                                                  bad_rows, rule):
+        # each core's float64 rows meet the category-field rule before they
+        # are rounded into the float32 layers
+        tmp_path, config = toy_run3
+        out, ckpt = tmp_path / "out", str(tmp_path / "out" / "checkpoint")
+        assert cli.main(["infer", "--config", str(config), "--checkpoint", ckpt]) == 0
+        before = {p: p.read_bytes() for p in (out / "posteriors").rglob("*") if p.is_file()}
+        # only infer's own softmax: the encoder's keeps the real one
+        monkeypatch.setattr(md, "nc", SimpleNamespace(**{**vars(nc), "softmax_values": bad_rows}))
+        capsys.readouterr()
+        assert cli.main(["infer", "--config", str(config), "--checkpoint", ckpt]) == 2
+        assert rule in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in (out / "posteriors").rglob("*")
+                if p.is_file()} == before
+        # the failed rerun leaves the previous posteriors but no echo (see cli._echoed)
+        assert not (out / "infer_config_echo.json").exists()
         assert not [p.name for p in out.iterdir() if p.name.startswith(".")]
 
 

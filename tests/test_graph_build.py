@@ -235,20 +235,21 @@ class TestSplitTiles:
     def test_single_stratum_ratios(self):
         prior = one_hot_prior(np.zeros((1, 10), dtype=int), 2)
         tiles = gb.tile_region(10, 1, 1)
-        splits = gb.split_tiles(tiles, prior, (0.8, 0.1, 0.1), seed=3)
+        splits = gb.split_tiles(tiles, gb.dominant_categories(tiles, prior), (0.8, 0.1, 0.1),
+                                seed=3)
         assert (len(splits.train), len(splits.test), len(splits.validation)) == (8, 1, 1)
 
     def test_bad_ratios_rejected(self):
-        prior = one_hot_prior(np.zeros((1, 10), dtype=int), 2)
+        tiles = gb.tile_region(10, 1, 1)
         for ratios in ((0.5, 0.2, 0.2), (1.0, 0.0, 0.0)):
             with pytest.raises(ValueError, match="positive and sum to 1"):
-                gb.split_tiles(gb.tile_region(10, 1, 1), prior, ratios)
+                gb.split_tiles(tiles, [0] * 10, ratios)
 
     def test_deterministic_given_seed(self):
         prior = one_hot_prior(np.zeros((4, 4), dtype=int), 2)
         tiles = gb.tile_region(4, 4, 2)
-        a = gb.split_tiles(tiles, prior, seed=9)
-        b = gb.split_tiles(tiles, prior, seed=9)
+        a = gb.split_tiles(tiles, gb.dominant_categories(tiles, prior), seed=9)
+        b = gb.split_tiles(tiles, gb.dominant_categories(tiles, prior), seed=9)
         assert a.train == b.train and a.test == b.test and a.validation == b.validation
 
     def test_two_strata_counting_oracle(self):
@@ -256,8 +257,9 @@ class TestSplitTiles:
         codes = np.concatenate([np.zeros(10, int), np.ones(10, int)]).reshape(1, 20)
         prior = one_hot_prior(codes, 2)
         tiles = gb.tile_region(20, 1, 1)
-        assert gb.dominant_categories(tiles, prior) == [0] * 10 + [1] * 10
-        splits = gb.split_tiles(tiles, prior, (0.5, 0.25, 0.25), seed=0)
+        dominants = gb.dominant_categories(tiles, prior)
+        assert dominants == [0] * 10 + [1] * 10
+        splits = gb.split_tiles(tiles, dominants, (0.5, 0.25, 0.25), seed=0)
         for cat in (0, 1):
             per_split = [gb.dominant_categories(part, prior).count(cat)
                          for part in (splits.train, splits.test, splits.validation)]
@@ -273,15 +275,15 @@ class TestSplitTiles:
         prior = one_hot_prior(codes, 2)
         tiles = gb.tile_region(12, 1, 1)
         for tolerance, balanced in ((0.25, True), (0.17, True), (0.16, False), (0.0, False)):
-            splits = gb.split_tiles(tiles, prior, (0.5, 0.25, 0.25), seed=0,
-                                    tolerance=tolerance)
+            splits = gb.split_tiles(tiles, gb.dominant_categories(tiles, prior),
+                                    (0.5, 0.25, 0.25), seed=0, tolerance=tolerance)
             assert splits.balanced is balanced, tolerance
 
     def test_disjoint_and_exhaustive(self):
         rng = np.random.default_rng(17)
         prior = one_hot_prior(rng.integers(0, 3, size=(6, 6)), 3)
         tiles = gb.tile_region(6, 6, 2)
-        splits = gb.split_tiles(tiles, prior, seed=1)
+        splits = gb.split_tiles(tiles, gb.dominant_categories(tiles, prior), seed=1)
         seen = [(t.origin_x, t.origin_y) for t in splits.all_tiles()]
         assert len(seen) == len(set(seen)) == len(tiles)
 
@@ -289,14 +291,20 @@ class TestSplitTiles:
         prior = CategoryField(["a", "b"], np.zeros((2, 2, 2)),
                               np.zeros((2, 2), dtype=bool))
         tiles = gb.tile_region(2, 2, 1)
-        splits = gb.split_tiles(tiles, prior, seed=0)
+        dominants = gb.dominant_categories(tiles, prior)
+        assert dominants == [None] * 4
+        splits = gb.split_tiles(tiles, dominants, seed=0)
         assert sorted(splits.all_tiles(), key=lambda t: (t.origin_y, t.origin_x)) == tiles
-        assert gb.dominant_categories(tiles, prior) == [None] * 4
 
     def test_empty_tiling_rejected(self):
-        prior = one_hot_prior(np.zeros((1, 1), dtype=int), 2)
         with pytest.raises(ValueError, match="empty"):
-            gb.split_tiles([], prior)
+            gb.split_tiles([], [])
+
+    @pytest.mark.parametrize("n", [9, 11])
+    def test_one_dominant_category_per_tile(self, n):
+        # a list that misses or adds a tile would stratify the tiles wrongly
+        with pytest.raises(ValueError, match="zip"):
+            gb.split_tiles(gb.tile_region(10, 1, 1), [0] * n)
 
 
 class TestSampleEpoch:
