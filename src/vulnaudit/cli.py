@@ -1,7 +1,7 @@
 """Command-line pipeline: prepare, train, infer, audit, synth.
 
-Configuration comes from a single JSON file; a few flags override it and the
-merged configuration is echoed to the output directory. Exit codes: 0 success,
+Configuration comes from a single JSON file, which is echoed, with its
+defaults filled in, to the output directory. Exit codes: 0 success,
 2 input/config error, 3 numerical failure.
 """
 
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import typing
 from collections import Counter
 from collections.abc import Iterator
 from contextlib import contextmanager
@@ -118,35 +117,6 @@ class RunConfig:
     @property
     def prepared_dir(self) -> Path:
         return Path(self.out_dir) / "prepared"
-
-
-# CLI flags that override a key of the ``train`` section
-_TRAIN_FLAGS = {"epochs": "epochs", "seed": "seed", "lr": "learning_rate"}
-
-
-def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
-    """The config file, parsed on its own, with each given flag applied on
-    top; a bad flag value is a ConfigError naming the flag, not the file."""
-    cfg = schema.load(RunConfig, path)
-    for name, value in (overrides or {}).items():
-        if value is None:
-            continue
-        flag = "--" + name.replace("_", "-")
-        if name in _TRAIN_FLAGS:
-            cfg = replace(cfg, train=_override(cfg.train, _TRAIN_FLAGS[name], value, flag))
-        else:
-            cfg = _override(cfg, name, value, flag)
-    return cfg
-
-
-def _override(config, key: str, value, flag: str):
-    """``config`` with field ``key`` set to the value of ``flag``, converted and
-    range-checked as the file's value would be."""
-    value = schema.convert(typing.get_type_hints(type(config))[key], value, flag)
-    try:
-        return replace(config, **{key: value})  # re-runs __post_init__'s rules
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{flag}: bad value: {exc}") from exc
 
 
 @contextmanager
@@ -455,9 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the model on the prepared dataset")
     p.add_argument("--config", required=True)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--lr", type=float)
 
     p = sub.add_parser("infer", help="write posterior stacks per timestep")
     p.add_argument("--config", required=True)
@@ -466,8 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="distance/change maps, trends, transitions")
     p.add_argument("--config", required=True)
     p.add_argument("--posteriors", required=True)
-    p.add_argument("--min-edge", type=float, dest="min_edge")
-    p.add_argument("--threshold-m", type=float, dest="threshold_m")
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--spec", required=True)
@@ -480,12 +445,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "synth":
             return cmd_synth(args.spec, args.out)
-        overrides = {}
-        if args.command == "train":
-            overrides = {"epochs": args.epochs, "seed": args.seed, "lr": args.lr}
-        elif args.command == "audit":
-            overrides = {"min_edge": args.min_edge, "threshold_m": args.threshold_m}
-        cfg = load_run_config(args.config, overrides)
+        cfg = schema.load(RunConfig, args.config)
         if args.command == "prepare":
             return cmd_prepare(cfg)
         if args.command == "train":

@@ -96,9 +96,6 @@ class SplitAssignment:
     validation: list[Tile]
     balanced: bool = True  # False when a split's category mix misses the tolerance
 
-    def all_tiles(self) -> list[Tile]:
-        return [*self.train, *self.test, *self.validation]
-
 
 def tile_region(width: int, height_px: int, tile_size: int = DEFAULT_TILE_SIZE) -> list[Tile]:
     """Cover the extent with non-overlapping tiles; boundary tiles are clipped."""

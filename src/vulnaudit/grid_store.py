@@ -188,8 +188,8 @@ def read_grid_stack(path: str | Path, kind: StackKind | None = None) -> GridStac
 
 def write_grid_stack(stack: GridStack, path: str | Path) -> None:
     """Write manifest + layer files through ``write_arrays``; re-reading
-    yields an equal stack."""
-    validate_stack(stack)
+    yields an equal stack. ``validate_stack`` is not re-run: ``GridStack``
+    ran it when the stack was built."""
     m = stack.manifest
     write_arrays(path, m, {label: grid.values
                            for label, grid in zip(m.layer_labels, stack.grids)})

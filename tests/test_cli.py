@@ -21,6 +21,7 @@ from vulnaudit import graph_build as gb
 from vulnaudit import grid_store as gs
 from vulnaudit import model as md
 from vulnaudit import numcore as nc
+from vulnaudit import schema
 from vulnaudit import synth as sy
 from vulnaudit.numcore import NonFiniteError
 
@@ -43,6 +44,13 @@ def write_config(path, data_dir, out_dir, **overrides):
     doc.update(overrides)
     path.write_text(json.dumps(doc), encoding="utf-8")
     return path
+
+
+def set_train(config, **keys):
+    """Set the given keys of the ``train`` section of the config file ``config``."""
+    doc = json.loads(config.read_text())
+    doc["train"].update(keys)
+    config.write_text(json.dumps(doc))
 
 
 def write_readme_spec(path):
@@ -406,9 +414,9 @@ class TestTrain:
                           block_size=5)
         assert cli.main(["synth", "--spec", str(spec), "--out", str(tmp_path / "data")]) == 0
         config = write_config(tmp_path / "config.json", tmp_path / "data", tmp_path / "out",
-                              tile_size=50, upsample_factor=5)
+                              tile_size=50, upsample_factor=5, train={"epochs": 1, "seed": 0})
         assert cli.main(["prepare", "--config", str(config)]) == 0
-        cfg = cli.load_run_config(config)
+        cfg = schema.load(cli.RunConfig, config)
         heights = gs.read_grid_stack(cfg.heights, gs.StackKind.HEIGHT_SERIES)
         _, splits, _ = cli._load_prepared(cfg, heights.manifest)
         assert all(gb.node_mask(grid, splits.train).sum() >= 32_768 for grid in heights.grids)
@@ -417,8 +425,7 @@ class TestTrain:
             env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
                    "PYTHONPATH": str(Path(cli.__file__).parents[1])}
             subprocess.run([sys.executable, "-m", "vulnaudit.cli", "train", "--config",
-                            str(config), "--epochs", "1"], env=env, check=True,
-                           capture_output=True)
+                            str(config)], env=env, check=True, capture_output=True)
             out = tmp_path / "out"
             runs.append({p.name: p.read_bytes()
                          for p in [*(out / "checkpoint").iterdir(), out / "losses.csv"]})
@@ -427,7 +434,8 @@ class TestTrain:
     def test_zero_epochs_keeps_initial_params(self, toy_run):
         tmp_path, config = toy_run
         cli.main(["prepare", "--config", str(config)])
-        assert cli.main(["train", "--config", str(config), "--epochs", "0"]) == 0
+        set_train(config, epochs=0)
+        assert cli.main(["train", "--config", str(config)]) == 0
         losses = (tmp_path / "out" / "losses.csv").read_text().splitlines()
         assert len(losses) == 1  # header only
         params, _, _ = md.load_checkpoint(tmp_path / "out" / "checkpoint")
@@ -466,8 +474,9 @@ class TestTrain:
     def test_diverging_run_exits_3(self, toy_run, capsys):
         tmp_path, config = toy_run
         cli.main(["prepare", "--config", str(config)])
+        set_train(config, learning_rate=1e300)
         with pytest.warns(RuntimeWarning) as caught:
-            assert cli.main(["train", "--config", str(config), "--lr", "1e300"]) == 3
+            assert cli.main(["train", "--config", str(config)]) == 3
         # the deliberate divergence: lr 1e300 overflows float32 in Adam's update,
         # which then multiplies inf by 0, and the next forward adds NaNs in gcn_layer
         assert {(Path(w.filename).name, str(w.message)) for w in caught} == {
@@ -507,7 +516,8 @@ class TestTrain:
 
         monkeypatch.setattr(gs, "write_atomic", failing_losses_write)
         capsys.readouterr()
-        assert cli.main(["train", "--config", str(config), "--seed", "1"]) == 2
+        set_train(config, seed=1)
+        assert cli.main(["train", "--config", str(config)]) == 2
         assert "disk full" in capsys.readouterr().err
         assert not losses.exists()
 
@@ -584,7 +594,8 @@ class TestInfer:
         tmp_path, config = toy_run
         ckpt = tmp_path / "out" / "checkpoint"
         assert cli.main(["prepare", "--config", str(config)]) == 0
-        assert cli.main(["train", "--config", str(config), "--epochs", "1"]) == 0
+        set_train(config, epochs=1)
+        assert cli.main(["train", "--config", str(config)]) == 0
         path = ckpt / name
         path.write_bytes(edit(path.read_bytes()))
         capsys.readouterr()
@@ -602,7 +613,8 @@ class TestInfer:
         tmp_path, config = toy_run
         out = tmp_path / "out"
         ckpt = out / "checkpoint"
-        for argv in (["prepare"], ["train", "--epochs", "1"], ["infer", "--checkpoint", str(ckpt)]):
+        set_train(config, epochs=1)
+        for argv in (["prepare"], ["train"], ["infer", "--checkpoint", str(ckpt)]):
             assert cli.main(argv + ["--config", str(config)]) == 0
         before = {p: p.read_bytes() for p in out.rglob("*")
                   if p.is_file() and ckpt not in p.parents}
@@ -621,7 +633,8 @@ class TestInfer:
         tmp_path, config = toy_run
         ckpt = tmp_path / "out" / "checkpoint"
         assert cli.main(["prepare", "--config", str(config)]) == 0
-        assert cli.main(["train", "--config", str(config), "--epochs", "1"]) == 0
+        set_train(config, epochs=1)
+        assert cli.main(["train", "--config", str(config)]) == 0
         prior = tmp_path / "out" / "prepared" / "prior_proportions"
         manifest = prior / "manifest.json"
         manifest.write_bytes(edit_json(manifest.read_bytes(), kind="POSTERIOR"))
@@ -635,7 +648,8 @@ class TestInfer:
         tmp_path, config = toy_run
         ckpt = tmp_path / "out" / "checkpoint"
         assert cli.main(["prepare", "--config", str(config)]) == 0
-        assert cli.main(["train", "--config", str(config), "--epochs", "1"]) == 0
+        set_train(config, epochs=1)
+        assert cli.main(["train", "--config", str(config)]) == 0
         (ckpt / "dec_w2.f32").unlink()
         capsys.readouterr()
         assert cli.main(["infer", "--config", str(config), "--checkpoint", str(ckpt)]) == 2
@@ -670,6 +684,22 @@ class TestInfer:
         # no posterior layer was live at a self-check or at the next inference
         assert live == [[]] * 6
 
+    def test_each_stack_validated_once_per_build(self, toy_run3, monkeypatch):
+        # GridStack validates each stack it builds; the writer does not
+        # validate it again. So each posterior is checked when infer builds
+        # it and when the self-check reads it back, and the heights once
+        tmp_path, config = toy_run3
+        real_validate, kinds = gs.validate_stack, []
+
+        def validate_stack(stack):
+            kinds.append(stack.manifest.kind)
+            return real_validate(stack)
+
+        monkeypatch.setattr(gs, "validate_stack", validate_stack)
+        assert cli.main(["infer", "--config", str(config),
+                         "--checkpoint", str(tmp_path / "out" / "checkpoint")]) == 0
+        assert kinds == [gs.StackKind.HEIGHT_SERIES] + [gs.StackKind.POSTERIOR] * 2 * 3
+
     def test_interrupted_rerun_keeps_previous_posteriors(self, toy_run3, monkeypatch, capsys):
         tmp_path, config = toy_run3
         out, ckpt = tmp_path / "out", str(tmp_path / "out" / "checkpoint")
@@ -677,7 +707,8 @@ class TestInfer:
         before = {p.relative_to(out): p.read_bytes()
                   for p in (out / "posteriors").rglob("*") if p.is_file()}
         # a retrained checkpoint, so the rerun's first timestep differs
-        assert cli.main(["train", "--config", str(config), "--seed", "1"]) == 0
+        set_train(config, seed=1)
+        assert cli.main(["train", "--config", str(config)]) == 0
         real_infer, calls = md.infer_posterior, []
 
         def infer_posterior(params, heights, *args, **kwargs):
@@ -767,8 +798,8 @@ class TestAudit:
         out = tmp_path / "out"
         assert (out / "audit" / "trend_r2_3.csv").is_file()
         assert (out / "audit" / "trend_east.csv").is_file()
-        assert cli.load_run_config(out / "audit_config_echo.json") == \
-            cli.load_run_config(config)
+        assert schema.load(cli.RunConfig, out / "audit_config_echo.json") == \
+            schema.load(cli.RunConfig, config)
 
     @pytest.mark.parametrize("region, named", [
         ({"x": 0, "y": 0, "width": 4, "height": 4, "colour": "red"}, "colour"),
@@ -796,13 +827,13 @@ class TestAudit:
 
     def test_nonpositive_threshold_exits_2_before_writing(self, toy_run, capsys):
         tmp_path, config = self.run_pipeline(toy_run)
-        for flag, value, key in [("--threshold-m", "0", "threshold_m"),
-                                 ("--min-edge", "1.5", "min_edge")]:
+        doc = json.loads(config.read_text())
+        for key, value in [("threshold_m", 0), ("min_edge", 1.5)]:
+            config.write_text(json.dumps({**doc, key: value}))
             assert cli.main(["audit", "--config", str(config),
-                             "--posteriors", str(tmp_path / "out" / "posteriors"),
-                             flag, value]) == 2
+                             "--posteriors", str(tmp_path / "out" / "posteriors")]) == 2
             err = capsys.readouterr().err
-            assert f"error: {flag}: " in err and key in err, err
+            assert f"{config}: bad value: {key}" in err, err
             assert not (tmp_path / "out" / "audit").exists()
 
     @pytest.mark.parametrize("stacks, relabel", [
@@ -1014,30 +1045,22 @@ class TestAudit:
 
 
 class TestConfigHandling:
-    def test_flag_overrides_win(self, toy_run):
+    @pytest.mark.parametrize("command, flag, value", [
+        ("train", "--epochs", "1"), ("train", "--seed", "1"), ("train", "--lr", "0.1"),
+        ("audit", "--min-edge", "0.5"), ("audit", "--threshold-m", "1"),
+    ], ids=["epochs", "seed", "lr", "min-edge", "threshold-m"])
+    def test_removed_flag_exits_2_unrecognized(self, toy_run, capsys, command, flag, value):
+        # a run's values are set in its config file only
         tmp_path, config = toy_run
-        cfg = cli.load_run_config(config, {"epochs": 9, "lr": 0.5})
-        assert cfg.train.epochs == 9
-        assert cfg.train.learning_rate == 0.5
-
-    @pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--lr", "-1"),
-                                             ("--epochs", "-1"), ("--seed", "-1")],
-                             ids=["nan-lr", "negative-lr", "negative-epochs", "negative-seed"])
-    def test_bad_train_flag_exits_2_naming_the_flag(self, toy_run, capsys, flag, value):
-        tmp_path, config = toy_run
-        assert cli.main(["train", "--config", str(config), flag, value]) == 2
+        argv = [command, "--config", str(config), flag, value]
+        if command == "audit":
+            argv += ["--posteriors", str(tmp_path / "out" / "posteriors")]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {flag}: ") and str(config) not in err, err
+        assert f"unrecognized arguments: {flag} {value}" in err, err
         assert not (tmp_path / "out").exists()
-
-    def test_config_file_is_checked_before_its_flags(self, toy_run, capsys):
-        # a flag does not mend a bad value in the file: the file stands alone
-        tmp_path, config = toy_run
-        doc = json.loads(config.read_text())
-        config.write_text(json.dumps({**doc, "train": {"learning_rate": -1.0}}))
-        assert cli.main(["train", "--config", str(config), "--lr", "0.1"]) == 2
-        err = capsys.readouterr().err
-        assert f"{config}, section 'train': bad value: learning_rate" in err, err
 
     @pytest.mark.parametrize("edit, named", [
         (lambda doc: [], "JSON object"),
@@ -1063,12 +1086,16 @@ class TestConfigHandling:
         (lambda doc: {**doc, "train": {"seed": -3}},
          "config.json, section 'train': bad value: seed must be non-negative"),
         (lambda doc: {**doc, "tile_size": 0}, "config.json: bad value: tile_size must be >= 1"),
+        (lambda doc: {**doc, "train": {"epochs": -1}},
+         "config.json, section 'train': bad value: epochs must be non-negative"),
+        (lambda doc: {**doc, "threshold_m": 0},
+         "config.json: bad value: threshold_m must be positive"),
     ], ids=["list", "train-list", "unknown-key", "unknown-train-key", "missing-key",
             "zero-subgraphs", "negative-learning-rate", "removed-adam-key",
             "removed-tau-key", "removed-edge-dropout-key", "removed-loss-weights-key",
             "removed-split-ratios-key", "removed-split-tolerance-key", "negative-min-edge",
             "min-edge-above-one", "negative-split-seed", "negative-train-seed",
-            "zero-tile-size"])
+            "zero-tile-size", "negative-epochs", "zero-threshold"])
     def test_bad_config_exits_2(self, toy_run, capsys, edit, named):
         tmp_path, config = toy_run
         config.write_text(json.dumps(edit(json.loads(config.read_text()))))
@@ -1115,9 +1142,9 @@ class TestConfigHandling:
                          "--checkpoint", str(out / "checkpoint")]) == 0
         assert cli.main(["audit", "--config", str(config),
                          "--posteriors", str(out / "posteriors")]) == 0
-        expected = cli.load_run_config(config)
+        expected = schema.load(cli.RunConfig, config)
         for command in ("prepare", "train", "infer", "audit"):
-            assert cli.load_run_config(out / f"{command}_config_echo.json") == expected
+            assert schema.load(cli.RunConfig, out / f"{command}_config_echo.json") == expected
         echo = tmp_path / "data" / "synth_config_echo.json"
         assert cli.main(["synth", "--spec", str(echo), "--out", str(tmp_path / "again")]) == 0
 
@@ -1202,7 +1229,8 @@ class TestMalformedJson:
                                                     command):
         tmp_path, config = toy_run
         assert cli.main(["prepare", "--config", str(config)]) == 0
-        assert cli.main(["train", "--config", str(config), "--epochs", "1"]) == 0
+        set_train(config, epochs=1)
+        assert cli.main(["train", "--config", str(config)]) == 0
         path = tmp_path / name
         path.write_bytes(edit(path.read_bytes()))
         before = {p: (p.read_bytes(), p.stat().st_mtime_ns)
@@ -1225,7 +1253,8 @@ class TestMalformedJson:
 def test_missing_key_named_as_the_file_spells_it(toy_run, capsys, name, key, command):
     tmp_path, config = toy_run
     assert cli.main(["prepare", "--config", str(config)]) == 0
-    assert cli.main(["train", "--config", str(config), "--epochs", "1"]) == 0
+    set_train(config, epochs=1)
+    assert cli.main(["train", "--config", str(config)]) == 0
     path = tmp_path / name
     doc = json.loads(path.read_text())
     del doc[key]
@@ -1253,7 +1282,8 @@ def test_old_format_exits_2_naming_file_and_key(toy_run, capsys, name, key, valu
     # such a file is regenerated, not read with the key ignored
     tmp_path, config = toy_run
     assert cli.main(["prepare", "--config", str(config)]) == 0
-    assert cli.main(["train", "--config", str(config), "--epochs", "1"]) == 0
+    set_train(config, epochs=1)
+    assert cli.main(["train", "--config", str(config)]) == 0
     path = tmp_path / name
     path.write_bytes(edit_json(path.read_bytes(), **{key: value}))
     argv = [command, "--config", str(config)]
@@ -1270,7 +1300,8 @@ def test_json_files_hold_their_keys_only(toy_run):
     # module constant, no value the reader derives, no flag held twice
     tmp_path, config = toy_run
     assert cli.main(["prepare", "--config", str(config)]) == 0
-    assert cli.main(["train", "--config", str(config), "--epochs", "1"]) == 0
+    set_train(config, epochs=1)
+    assert cli.main(["train", "--config", str(config)]) == 0
     out = tmp_path / "out"
     splits, report, manifest = (
         json.loads((out / name).read_text()) for name in

@@ -284,7 +284,8 @@ class TestSplitTiles:
         prior = one_hot_prior(rng.integers(0, 3, size=(6, 6)), 3)
         tiles = gb.tile_region(6, 6, 2)
         splits = gb.split_tiles(tiles, gb.dominant_categories(tiles, prior), seed=1)
-        seen = [(t.origin_x, t.origin_y) for t in splits.all_tiles()]
+        seen = [(t.origin_x, t.origin_y)
+                for t in [*splits.train, *splits.test, *splits.validation]]
         assert len(seen) == len(set(seen)) == len(tiles)
 
     def test_tiles_without_prior_form_none_stratum(self):
@@ -294,7 +295,8 @@ class TestSplitTiles:
         dominants = gb.dominant_categories(tiles, prior)
         assert dominants == [None] * 4
         splits = gb.split_tiles(tiles, dominants, seed=0)
-        assert sorted(splits.all_tiles(), key=lambda t: (t.origin_y, t.origin_x)) == tiles
+        assert sorted([*splits.train, *splits.test, *splits.validation],
+                      key=lambda t: (t.origin_y, t.origin_x)) == tiles
 
     def test_empty_tiling_rejected(self):
         with pytest.raises(ValueError, match="empty"):
