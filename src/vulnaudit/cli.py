@@ -11,7 +11,7 @@ import argparse
 import sys
 from collections import Counter
 from collections.abc import Iterator
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -120,13 +120,17 @@ class RunConfig:
 
 
 @contextmanager
-def _echoed(out_dir: str | Path, command: str, config) -> Iterator[None]:
-    """Around a command's publishes: its previous ``<command>_config_echo.json``
-    goes before the first, and ``config`` is echoed after the last, so a rerun
-    that fails in between leaves no echo of another run's config."""
+def _echoed(out_dir: str | Path, command: str, config,
+            staged: Path | None = None) -> Iterator[Path | None]:
+    """Around a command's publishes: the old ``<command>_config_echo.json`` goes
+    before the block or, given ``staged``, once ``gs.staged_dir(staged)`` is filled,
+    so a failed rerun keeps outputs and echo together; ``config`` is echoed last."""
     echo = Path(out_dir) / f"{command}_config_echo.json"
-    echo.unlink(missing_ok=True)
-    yield  # every publish makes out_dir
+    if staged is None:
+        echo.unlink(missing_ok=True)
+    with gs.staged_dir(staged) if staged else nullcontext() as stage:
+        yield stage  # every publish makes out_dir
+        echo.unlink(missing_ok=True)
     gs.write_atomic(echo, schema.dumps(config))
 
 
@@ -234,7 +238,7 @@ def cmd_prepare(cfg: RunConfig) -> int:
 
     prep = cfg.prepared_dir
     # staged, then swapped in whole: a failed rerun leaves no new splits beside an old report
-    with _echoed(cfg.out_dir, "prepare", cfg), gs.staged_dir(prep) as stage:
+    with _echoed(cfg.out_dir, "prepare", cfg, prep) as stage:
         gs.write_grid_stack(gs.field_to_stack(fine, gs.StackKind.PRIOR_PROPORTIONS),
                             stage / "prior_proportions")
         _save_splits(splits, stage / "splits.json")
@@ -305,7 +309,7 @@ def cmd_infer(cfg: RunConfig, checkpoint: str) -> int:
     # every timestep is written into a staged directory that then replaces
     # ``out``, so a run that fails part-way leaves the previous posteriors
     # whole, never new timesteps beside old ones
-    with _echoed(cfg.out_dir, "infer", cfg), gs.staged_dir(out) as stage:
+    with _echoed(cfg.out_dir, "infer", cfg, out) as stage:
         for label, grid in zip(heights.manifest.layer_labels, heights.grids):
             # unnamed, the stack is freed before the self-check decode and next inference
             gs.write_grid_stack(md.infer_posterior(params, grid, stats, categories),
@@ -355,7 +359,7 @@ def cmd_audit(cfg: RunConfig, posteriors_dir: str) -> int:
     transitions: dict[str, dict] = {}
     # the audit is written whole into a staged directory that then replaces
     # ``out``, so no file of an earlier run survives beside this run's index
-    with _echoed(cfg.out_dir, "audit", cfg), gs.staged_dir(out) as stage:
+    with _echoed(cfg.out_dir, "audit", cfg, out) as stage:
         # one pass: each posterior is read once, in timestep order, and is
         # freed before the next one is read
         matrices = au.transition_matrices(map(read_posterior, labels))

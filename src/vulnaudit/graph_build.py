@@ -304,7 +304,7 @@ def split_tiles(tiles: list[Tile], dominants: list[int | None],
 
 
 def epoch_subgraphs(heights: RasterGrid, tiles: list[Tile], n_subgraphs: int,
-                    dropout: float = DEFAULT_EDGE_DROPOUT, seed: int = 0) -> Iterator[GridGraph]:
+                    dropout: float, seed: int) -> Iterator[GridGraph]:
     """One epoch's training subgraphs: the nodes of ``build_graph(heights,
     tiles)`` split at random into ``n_subgraphs`` near-equal parts, each part's
     induced subgraph with ``round(dropout * m)`` of its m undirected edges

@@ -87,15 +87,12 @@ class RasterGrid:
             raise GridFormatError(
                 f"values length {self.values.size} != {self.width}x{self.height_px}")
         self.values = self.values.reshape(self.height_px, self.width)
-        bad = ~np.isfinite(self.values) & ~self._sentinel_mask(self.values)
-        if np.any(bad):
+        if np.any(~np.isfinite(self.values) & self.valid_mask()):
             raise GridFormatError("non-finite value outside nodata sentinel")
-
-    def _sentinel_mask(self, arr: np.ndarray) -> np.ndarray:
-        return arr == np.float32(self.nodata)
+        self.values.flags.writeable = False  # a checked layer stays as checked
 
     def valid_mask(self) -> np.ndarray:
-        return ~self._sentinel_mask(self.values)
+        return self.values != np.float32(self.nodata)
 
 
 @dataclass
@@ -189,7 +186,7 @@ def read_grid_stack(path: str | Path, kind: StackKind | None = None) -> GridStac
 def write_grid_stack(stack: GridStack, path: str | Path) -> None:
     """Write manifest + layer files through ``write_arrays``; re-reading
     yields an equal stack. ``validate_stack`` is not re-run: ``GridStack``
-    ran it when the stack was built."""
+    ran it when the stack was built, and each layer has been read-only since."""
     m = stack.manifest
     write_arrays(path, m, {label: grid.values
                            for label, grid in zip(m.layer_labels, stack.grids)})

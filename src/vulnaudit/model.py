@@ -91,7 +91,6 @@ def param_shapes(f_dim: int, k_cats: int, hidden: int) -> dict[str, tuple[int, .
 class TrainConfig:
     learning_rate: float = DEFAULT_LEARNING_RATE
     epochs: int = 200
-    n_subgraphs: int | None = None  # None: sized so subgraphs stay under the node cap
     seed: int = 0
 
     def __post_init__(self):
@@ -99,8 +98,6 @@ class TrainConfig:
             raise ValueError("learning_rate must be non-negative")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
-        if self.n_subgraphs is not None and self.n_subgraphs < 1:
-            raise ValueError("n_subgraphs must be >= 1, or null for automatic")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
@@ -388,10 +385,11 @@ def train(params: ModelParams, height_series: GridStack, prior: CategoryField,
     if not train_grids:
         raise ValueError("no training nodes at any timestep")
 
-    n_sub = config.n_subgraphs or auto_n_subgraphs(max(sizes))
-    if n_sub > min(sizes):
-        raise ValueError(f"n_subgraphs={n_sub} exceeds smallest training graph "
-                         f"({min(sizes)} nodes)")
+    n_sub = auto_n_subgraphs(max(sizes))  # parts per timestep, sized by the largest
+    for label, n_nodes in zip(train_grids, sizes):
+        if n_nodes < n_sub:
+            raise ValueError(f"timestep {label!r} has {n_nodes} training nodes, "
+                             f"fewer than the {n_sub} subgraphs of each epoch")
 
     optimizer = Adam(config.learning_rate)
     history: list[EpochLosses] = []

@@ -36,11 +36,11 @@ class SyntheticSpec:
 
     def __post_init__(self):
         if self.k < 2:
-            raise ValueError("need at least 2 categories")
+            raise ValueError(f"k must be >= 2 categories, got {self.k}")
         if len(self.mean_log_heights) != self.k or len(self.std_log_heights) != self.k:
-            raise ValueError("height distribution parameters must match k")
+            raise ValueError(f"mean_log_heights and std_log_heights need k = {self.k} values")
         if len(set(self.mean_log_heights)) != self.k:
-            raise ValueError("mean log-heights must be distinct")
+            raise ValueError("mean_log_heights must be distinct")
         if not all(math.isfinite(m) for m in self.mean_log_heights):
             raise ValueError("mean_log_heights must be finite")
         if not all(math.isfinite(s) and s >= 0 for s in self.std_log_heights):
@@ -55,7 +55,7 @@ class SyntheticSpec:
         if self.width % self.block_size or self.height_px % self.block_size:
             raise ValueError("extent must be a multiple of block_size")
         if self.timesteps < 1:
-            raise ValueError("need at least one timestep")
+            raise ValueError(f"timesteps must be >= 1, got {self.timesteps}")
         if self.n_blobs is not None and self.n_blobs < 1:
             raise ValueError(f"n_blobs must be >= 1 when given, got {self.n_blobs}")
         if self.labels is None:

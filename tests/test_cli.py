@@ -167,9 +167,20 @@ class TestSynth:
         (lambda doc: {**doc, "std_log_heights": [float("nan"), 0.3]}, "std_log_heights"),
         (lambda doc: {**doc, "n_blobs": -5}, "n_blobs"),
         (lambda doc: {**doc, "n_blobs": 0}, "n_blobs"),
+        (lambda doc: {**doc, "mean_log_heights": [0.5, 2.0, 3.5]},
+         "mean_log_heights and std_log_heights need k = 2 values"),
+        (lambda doc: {**doc, "std_log_heights": [0.3]},
+         "mean_log_heights and std_log_heights need k = 2 values"),
+        (lambda doc: {**doc, "mean_log_heights": [1.0, 1.0]}, "mean_log_heights must be distinct"),
+        (lambda doc: {**doc, "corruption": 1.0}, "corruption"),
+        (lambda doc: {**doc, "block_size": 0}, "block_size must be >= 1"),
+        (lambda doc: {**doc, "block_size": 3}, "multiple of block_size"),
+        (lambda doc: {**doc, "timesteps": 0}, "timesteps must be >= 1"),
     ], ids=["list", "unknown-key", "zero-width", "negative-height", "labels-not-k",
             "csv-breaking-label", "duplicate-labels", "inf-mean", "nan-mean",
-            "negative-std", "nan-std", "negative-blobs", "zero-blobs"])
+            "negative-std", "nan-std", "negative-blobs", "zero-blobs", "means-not-k",
+            "stds-not-k", "equal-means", "full-corruption", "zero-block", "partial-block",
+            "zero-timesteps"])
     def test_bad_spec_exits_2(self, tmp_path, capsys, edit, named):
         spec = write_spec(tmp_path / "spec.json")
         spec.write_text(json.dumps(edit(json.loads(spec.read_text()))))
@@ -199,6 +210,8 @@ class TestPrepare:
         tmp_path, config = toy_run
         # zero and nodata heights must stay out of the pool, as they are not nodes
         heights = gs.read_grid_stack(tmp_path / "data" / "heights")
+        for grid in heights.grids:  # a read stack's layers are read-only
+            grid.values = grid.values.copy()
         heights.grids[0].values[::3, ::3] = 0.0
         heights.grids[1].values[1::4, 2::4] = heights.grids[1].nodata
         gs.write_grid_stack(heights, tmp_path / "data" / "heights")
@@ -253,6 +266,7 @@ class TestPrepare:
         prepared = out / "prepared"
         before = {p.relative_to(prepared): p.read_bytes()
                   for p in prepared.rglob("*") if p.is_file()}
+        echo = (out / "prepare_config_echo.json").read_bytes()
         config.write_bytes(edit_json(config.read_bytes(), split_seed=1))
         real_write = Path.write_text
 
@@ -269,6 +283,7 @@ class TestPrepare:
         after = {p.relative_to(prepared): p.read_bytes()
                  for p in prepared.rglob("*") if p.is_file()}
         assert after == before
+        assert (out / "prepare_config_echo.json").read_bytes() == echo  # kept with them
         assert not [p.name for p in out.iterdir() if p.name.startswith(".prepared")]
         # the same rerun, completed, does change the splits
         assert cli.main(["prepare", "--config", str(config)]) == 0
@@ -493,7 +508,7 @@ class TestTrain:
         path = tmp_path / "out" / "prepared" / "prior_proportions"
         stack = gs.read_grid_stack(path)
         for grid in stack.grids:
-            grid.values[grid.valid_mask()] = 0.0
+            grid.values = np.where(grid.valid_mask(), 0.0, grid.values)
         gs.write_grid_stack(stack, path)
         assert cli.main(["train", "--config", str(config)]) == 2
         assert str(path) in capsys.readouterr().err
@@ -585,11 +600,15 @@ class TestInfer:
         ("manifest.json", lambda raw: edit_json(
             raw, config={**json.loads(raw)["config"], "tau": 1.0}),
          "manifest.json, section 'config': unknown key(s) 'tau'"),
+        ("manifest.json", lambda raw: edit_json(
+            raw, config={**json.loads(raw)["config"], "n_subgraphs": None}),
+         "manifest.json, section 'config': unknown key(s) 'n_subgraphs'"),
         ("manifest.json", lambda raw: edit_json(raw, notes="run 1"),
          "manifest.json: unknown key(s) 'notes'"),
     ], ids=["hidden", "nan-blob", "truncated-blob", "missing-norm-key", "nan-norm-mean",
             "infinite-norm-std", "zero-norm-std", "negative-norm-std", "norm-std-true",
-            "string-norm-mean", "config-unknown-key", "config-removed-tau", "unknown-top-key"])
+            "string-norm-mean", "config-unknown-key", "config-removed-tau",
+            "config-removed-n-subgraphs", "unknown-top-key"])
     def test_bad_checkpoint_exits_2_naming_file(self, toy_run, capsys, name, edit, named):
         tmp_path, config = toy_run
         ckpt = tmp_path / "out" / "checkpoint"
@@ -742,6 +761,7 @@ class TestInfer:
         out, ckpt = tmp_path / "out", str(tmp_path / "out" / "checkpoint")
         assert cli.main(["infer", "--config", str(config), "--checkpoint", ckpt]) == 0
         before = {p: p.read_bytes() for p in (out / "posteriors").rglob("*") if p.is_file()}
+        echo = (out / "infer_config_echo.json").read_bytes()
         # only infer's own softmax: the encoder's keeps the real one
         monkeypatch.setattr(md, "nc", SimpleNamespace(**{**vars(nc), "softmax_values": bad_rows}))
         capsys.readouterr()
@@ -749,8 +769,8 @@ class TestInfer:
         assert rule in capsys.readouterr().err
         assert {p: p.read_bytes() for p in (out / "posteriors").rglob("*")
                 if p.is_file()} == before
-        # the failed rerun leaves the previous posteriors but no echo (see cli._echoed)
-        assert not (out / "infer_config_echo.json").exists()
+        # the failed rerun keeps the previous posteriors and their echo
+        assert (out / "infer_config_echo.json").read_bytes() == echo
         assert not [p.name for p in out.iterdir() if p.name.startswith(".")]
 
 
@@ -909,6 +929,7 @@ class TestAudit:
         assert cli.main(argv) == 0
         out = tmp_path / "out" / "audit"
         before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        echo = (out.parent / "audit_config_echo.json").read_bytes()
         real_write = Path.write_text
 
         def flaky_write(self, data, *args, **kwargs):
@@ -921,6 +942,7 @@ class TestAudit:
         assert cli.main(argv) == 2
         monkeypatch.undo()
         assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+        assert (out.parent / "audit_config_echo.json").read_bytes() == echo  # kept with them
 
     def test_reads_only_the_prepared_prior(self, tmp_path):
         # the README 64 x 64 pipeline; audit must not need splits.json
@@ -1068,12 +1090,13 @@ class TestConfigHandling:
         (lambda doc: {**doc, "tile_sise": 8}, "tile_sise"),
         (lambda doc: {**doc, "train": {"learning_rte": 0.1}}, "learning_rte"),
         (lambda doc: {k: v for k, v in doc.items() if k != "heights"}, "heights"),
-        (lambda doc: {**doc, "train": {"n_subgraphs": 0}}, "n_subgraphs"),
         (lambda doc: {**doc, "train": {"learning_rate": -1.0}}, "learning_rate"),
         (lambda doc: {**doc, "train": {"adam_eps": 1e-8}}, "adam_eps"),
         # fixed values, not keys: each exits 2 even when set to its fixed value
         (lambda doc: {**doc, "train": {"tau": 1.0}}, "unknown key(s) 'tau'"),
         (lambda doc: {**doc, "train": {"edge_dropout": 0.2}}, "unknown key(s) 'edge_dropout'"),
+        # worked out from the training-node count, not set
+        (lambda doc: {**doc, "train": {"n_subgraphs": 3}}, "unknown key(s) 'n_subgraphs'"),
         (lambda doc: {**doc, "train": {"loss_weights": [1.0, 1.0, 1.0]}},
          "unknown key(s) 'loss_weights'"),
         (lambda doc: {**doc, "split_ratios": [0.7, 0.15, 0.15]},
@@ -1091,8 +1114,8 @@ class TestConfigHandling:
         (lambda doc: {**doc, "threshold_m": 0},
          "config.json: bad value: threshold_m must be positive"),
     ], ids=["list", "train-list", "unknown-key", "unknown-train-key", "missing-key",
-            "zero-subgraphs", "negative-learning-rate", "removed-adam-key",
-            "removed-tau-key", "removed-edge-dropout-key", "removed-loss-weights-key",
+            "negative-learning-rate", "removed-adam-key", "removed-tau-key",
+            "removed-edge-dropout-key", "removed-n-subgraphs-key", "removed-loss-weights-key",
             "removed-split-ratios-key", "removed-split-tolerance-key", "negative-min-edge",
             "min-edge-above-one", "negative-split-seed", "negative-train-seed",
             "zero-tile-size", "negative-epochs", "zero-threshold"])
@@ -1107,7 +1130,9 @@ class TestConfigHandling:
         ("config", lambda doc: {**doc, "split_seed": True}, "'split_seed'"),
         ("config", lambda doc: {**doc, "min_edge": False}, "'min_edge'"),
         ("config", lambda doc: {**doc, "train": {"epochs": 2.9}}, "'epochs'"),
-        ("config", lambda doc: {**doc, "train": {"n_subgraphs": 1.5}}, "'n_subgraphs'"),
+        # a removed key is unknown whatever its value's type
+        ("config", lambda doc: {**doc, "train": {"n_subgraphs": 1.5}},
+         "unknown key(s) 'n_subgraphs'"),
         ("config", lambda doc: {**doc, "regions": [{"x": 1.5, "y": 0, "width": 4,
                                                     "height": 4}]}, "'x'"),
         ("spec", lambda doc: {**doc, "width": 64.9}, "'width'"),
@@ -1120,7 +1145,7 @@ class TestConfigHandling:
          "'learning_rate'"),
         ("config", lambda doc: {**doc, "min_edge": 10 ** 400}, "'min_edge'"),
     ], ids=["float-tile-size", "bool-split-seed", "bool-min-edge", "float-epochs",
-            "float-n-subgraphs", "float-region-x", "float-width", "float-seed",
+            "float-removed-n-subgraphs-key", "float-region-x", "float-width", "float-seed",
             "int-labels", "string-labels", "nan-learning-rate", "infinite-learning-rate",
             "huge-min-edge"])
     def test_scalar_of_wrong_type_exits_2(self, toy_run, capsys, document, edit, named):

@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +166,15 @@ class TestWriteErrors:
         with pytest.raises(GridFormatError, match="grids for"):
             GridStack(manifest, [grid])
 
+    def test_layers_of_built_and_read_stacks_are_read_only(self, tmp_path):
+        # the writer trusts the constructor's check: a POSTERIOR value set to
+        # 2.0 after it would be written unchecked
+        built = make_stack(StackKind.POSTERIOR, 2, 2, {"a": np.full((2, 2), 0.5, np.float32)})
+        gs.write_grid_stack(built, tmp_path / "s")
+        for stack in (built, gs.read_grid_stack(tmp_path / "s")):
+            with pytest.raises(ValueError, match="read-only"):
+                stack.grids[0].values[0, 0] = 2.0
+
 
 class TestAtomicWrite:
     @staticmethod
@@ -204,6 +214,25 @@ class TestAtomicWrite:
         gs.write_grid_stack(new, tmp_path / "s")
         assert gs.stacks_equal(gs.read_grid_stack(tmp_path / "s"), new)
         assert [p.name for p in tmp_path.iterdir()] == ["s"]
+
+    def test_failed_swap_moves_previous_stack_back(self, tmp_path, monkeypatch):
+        # the staged directory cannot take the place of the previous one,
+        # which was already moved aside: it is moved back
+        gs.write_grid_stack(self.two_layer_stack(1.0), tmp_path / "s")
+        before = {p.name: p.read_bytes() for p in (tmp_path / "s").iterdir()}
+        real_replace = os.replace
+
+        def failing_swap(src, dst):
+            if ".s.tmp-" in Path(src).name:
+                raise OSError("swap failed")
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(gs.os, "replace", failing_swap)
+        with pytest.raises(OSError, match="swap failed"):
+            gs.write_grid_stack(self.two_layer_stack(3.0), tmp_path / "s")
+        monkeypatch.undo()
+        assert {p.name: p.read_bytes() for p in (tmp_path / "s").iterdir()} == before
+        assert [p.name for p in tmp_path.iterdir()] == ["s"]  # no .tmp- or .old- sibling
 
     def test_failed_first_write_leaves_nothing(self, tmp_path, monkeypatch):
         self.fail_second_layer(monkeypatch, 0.5)

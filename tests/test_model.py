@@ -255,6 +255,11 @@ def toy_dataset(seed=0, side=8, tile=4, timesteps=2):
     return stack, prior, splits, codes
 
 
+# node caps that cut the 12x12 toy datasets' 80 training nodes per timestep
+# into 1 and 3 parts
+BY_NODE_CAP = pytest.mark.parametrize("n_sub, cap", [(1, 80), (3, 27)], ids=["1", "3"])
+
+
 class TestTrainStep:
     def setup_step(self, lr):
         stack, prior, splits, _ = toy_dataset(seed=1, side=5, tile=5)
@@ -337,10 +342,11 @@ class TestTrain:
             np.testing.assert_array_equal(r1.params.weights[name],
                                           r2.params.weights[name])
 
-    @pytest.mark.parametrize("n_sub", [1, 3])
-    def test_same_run_as_sampling_the_whole_graph(self, monkeypatch, n_sub):
+    @BY_NODE_CAP
+    def test_same_run_as_sampling_the_whole_graph(self, monkeypatch, n_sub, cap):
         stack, prior, splits, _ = toy_dataset(seed=6, side=12, tile=4, timesteps=2)
-        config = md.TrainConfig(epochs=2, seed=4, n_subgraphs=n_sub)
+        config = md.TrainConfig(epochs=2, seed=4)
+        monkeypatch.setattr(gb, "MAX_SUBGRAPH_NODES", cap)
 
         def run():
             return md.train(md.ModelParams.initialize(1, 2, hidden=5, seed=2),
@@ -350,13 +356,13 @@ class TestTrain:
         calls = []
 
         def oracle(*args):
-            calls.append(1)
+            calls.append(args[2])
             return iter(sample_epoch_from_whole_graph(*args))
 
         with monkeypatch.context() as patch:
             patch.setattr(md, "epoch_subgraphs", oracle)
             theirs = run()
-        assert len(calls) == 4  # two epochs of two timesteps
+        assert calls == [n_sub] * 4  # two epochs of two timesteps
         assert ours.history == theirs.history
         for name in md.PARAM_ORDER:
             assert (ours.params.weights[name].tobytes()
@@ -368,6 +374,20 @@ class TestTrain:
         result = md.train(md.ModelParams.initialize(1, 2, seed=2), stack, prior,
                           splits, config)
         assert result.history[-1].train.total < result.history[0].train.total
+
+    def test_timestep_with_fewer_nodes_than_parts_is_named(self, monkeypatch):
+        # the part count follows the largest timestep: t0's 80 training
+        # nodes make 3 parts at a cap of 27, more than t1's 2
+        stack, prior, splits, _ = toy_dataset(seed=6, side=12, tile=4, timesteps=2)
+        tile = splits.train[0]
+        sparse = np.zeros((12, 12), dtype=np.float32)
+        sparse[tile.origin_y, tile.origin_x:tile.origin_x + 2] = 1.0
+        stack.grids[1] = RasterGrid(12, 12, sparse)
+        monkeypatch.setattr(gb, "MAX_SUBGRAPH_NODES", 27)
+        with pytest.raises(ValueError, match="timestep 't1' has 2 training nodes, "
+                                             "fewer than the 3 subgraphs of each epoch"):
+            md.train(md.ModelParams.initialize(1, 2, seed=2), stack, prior, splits,
+                     md.TrainConfig(epochs=1))
 
     def test_float32_training_tracks_float64(self):
         # The per-epoch train and validation loss totals of one run in
@@ -389,41 +409,50 @@ class TestTrainMemory:
     ReLU masks and every activation."""
 
     @staticmethod
-    def train_with(monkeypatch, block, n_sub):
+    def train_with(monkeypatch, block, n_sub, cap):
+        """Three epochs on two timesteps of 80 training nodes (and an empty
+        one), each cut into ``n_sub`` parts at a node cap of ``cap``."""
         stack, prior, splits, _ = toy_dataset(seed=5, side=12, tile=4, timesteps=3)
         stack.grids[1] = RasterGrid(12, 12, np.zeros((12, 12), dtype=np.float32))
-        config = md.TrainConfig(epochs=3, seed=9, n_subgraphs=n_sub)
-        calls = []
+        config = md.TrainConfig(epochs=3, seed=9)
+        calls, parts, sampler = [], [], md.epoch_subgraphs
 
         def counted(*args):
             calls.append(1)
             return block(*args)
 
+        def recorded(*args):
+            parts.append(args[2])
+            return sampler(*args)
+
         with monkeypatch.context() as patch:
             patch.setattr(nc, "gcn_block", counted)
+            patch.setattr(md, "epoch_subgraphs", recorded)
+            patch.setattr(gb, "MAX_SUBGRAPH_NODES", cap)
             result = md.train(md.ModelParams.initialize(1, 2, hidden=7, seed=3),
                               stack, prior, splits, config)
         assert calls and len(result.history) == 3
+        assert parts == [n_sub] * 6  # three epochs of two timesteps
         return result
 
-    @pytest.mark.parametrize("n_sub", [1, 3])
-    def test_same_floats_as_layer_saving_activations(self, monkeypatch, n_sub):
-        ours = self.train_with(monkeypatch, nc.gcn_block, n_sub)
+    @BY_NODE_CAP
+    def test_same_floats_as_layer_saving_activations(self, monkeypatch, n_sub, cap):
+        ours = self.train_with(monkeypatch, nc.gcn_block, n_sub, cap)
         theirs = self.train_with(
-            monkeypatch, gcn_block_of(gcn_layer_width_ordered_saving_activations), n_sub)
+            monkeypatch, gcn_block_of(gcn_layer_width_ordered_saving_activations), n_sub, cap)
         assert ([(e.train, e.val) for e in ours.history]
                 == [(e.train, e.val) for e in theirs.history])
         for name in md.PARAM_ORDER:
             assert (ours.params.weights[name].tobytes()
                     == theirs.params.weights[name].tobytes()), name
 
-    @pytest.mark.parametrize("n_sub", [1, 3])
-    def test_close_to_layer_in_the_old_product_order(self, monkeypatch, n_sub):
+    @BY_NODE_CAP
+    def test_close_to_layer_in_the_old_product_order(self, monkeypatch, n_sub, cap):
         # (A @ H) @ W everywhere and a recomputed A @ H for grad-W: other
         # roundings, so the results agree to 1e-12, not to the bit
-        ours = self.train_with(monkeypatch, nc.gcn_block, n_sub)
+        ours = self.train_with(monkeypatch, nc.gcn_block, n_sub, cap)
         theirs = self.train_with(monkeypatch, gcn_block_of(gcn_layer_saving_activations),
-                                 n_sub)
+                                 n_sub, cap)
         for e_ours, e_theirs in zip(ours.history, theirs.history):
             for part in ("train", "val"):
                 np.testing.assert_allclose(
@@ -543,7 +572,8 @@ class TestTrainMemory:
         tiles = gb.tile_region(60, 60, 10)
         splits = gb.split_tiles(tiles, gb.dominant_categories(tiles, prior), seed=1)
         params = md.ModelParams.initialize(1, 2, hidden=4, seed=3)
-        config = md.TrainConfig(epochs=2, seed=5, n_subgraphs=2)
+        config = md.TrainConfig(epochs=2, seed=5)
+        monkeypatch.setattr(gb, "MAX_SUBGRAPH_NODES", 1250)  # 2500 training nodes: 2 parts
         live = []
         train_step = md.train_step
 
