@@ -18,7 +18,8 @@ from .grid_store import (DEFAULT_NODATA, NONE_LABEL, CategoryField, GridStack,
                          RasterGrid, StackKind, StackManifest, row_bands, write_atomic)
 
 EPSILON = 1e-6  # the value that replaces a zero part before the log-ratios
-DEFAULT_CHANGE_THRESHOLD_M = 1.5
+CHANGE_THRESHOLD_M = 1.5
+MIN_EDGE = 0.05  # the smallest transition probability drawn as a DOT edge
 # codes are -1/0/+1, so the change-map sentinel must live outside that set
 CHANGE_NODATA = -9999.0
 
@@ -84,7 +85,7 @@ def ad_map(prior: CategoryField, posterior: CategoryField) -> AitchisonMap:
 
 
 def change_map(h_t: RasterGrid, h_t1: RasterGrid,
-               threshold_m: float = DEFAULT_CHANGE_THRESHOLD_M) -> ChangeMap:
+               threshold_m: float = CHANGE_THRESHOLD_M) -> ChangeMap:
     """Code +1/-1 where the height delta strictly exceeds +-threshold, else 0.
 
     Nodata (absent building) counts as height 0, so demolition registers as a
@@ -195,8 +196,8 @@ def transition_matrix(posteriors: list[CategoryField],
     return transition_matrices(posteriors)[0 if mode == "one_step" else -1]
 
 
-def transition_to_dot(tm: TransitionMatrix, min_edge: float) -> str:
-    """DOT digraph with one edge per normalized entry >= min_edge."""
+def transition_to_dot(tm: TransitionMatrix) -> str:
+    """DOT digraph with one edge per normalized entry >= MIN_EDGE."""
     lines = ["digraph transitions {", "  rankdir=LR;"]
     for label in tm.labels:
         lines.append(f'  "{label}";')
@@ -204,7 +205,7 @@ def transition_to_dot(tm: TransitionMatrix, min_edge: float) -> str:
     for i in range(n):
         for j in range(n):
             p = tm.normalized[i, j]
-            if p >= min_edge:
+            if p >= MIN_EDGE:
                 lines.append(f'  "{tm.labels[i]}" -> "{tm.labels[j]}" '
                              f'[label="{p:.3f}"];')
     lines.append("}")

@@ -96,8 +96,6 @@ class RunConfig:
     upsample_factor: int = 1
     train: md.TrainConfig = field(default_factory=md.TrainConfig)
     regions: list[Region] = field(default_factory=list)
-    min_edge: float = 0.05
-    threshold_m: float = au.DEFAULT_CHANGE_THRESHOLD_M
 
     def __post_init__(self):
         if self.tile_size < 1:
@@ -106,10 +104,6 @@ class RunConfig:
             raise ConfigError("split_seed must be non-negative")
         if self.upsample_factor < 1:
             raise ConfigError("upsample_factor must be >= 1")
-        if self.threshold_m <= 0:
-            raise ConfigError("threshold_m must be positive")
-        if not 0 <= self.min_edge <= 1:
-            raise ConfigError(f"min_edge must lie in [0, 1], got {self.min_edge!r}")
         names = [r.name for r in self.regions]
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate region names in {names}: each names a trend file")
@@ -123,14 +117,15 @@ class RunConfig:
 def _echoed(out_dir: str | Path, command: str, config,
             staged: Path | None = None) -> Iterator[Path | None]:
     """Around a command's publishes: the old ``<command>_config_echo.json`` goes
-    before the block or, given ``staged``, once ``gs.staged_dir(staged)`` is filled,
-    so a failed rerun keeps outputs and echo together; ``config`` is echoed last."""
+    before the block or, given ``staged``, once ``gs.staged_dir(staged)`` has
+    swapped its directory in, so a failed rerun keeps outputs and echo
+    together; ``config`` is echoed last."""
     echo = Path(out_dir) / f"{command}_config_echo.json"
     if staged is None:
         echo.unlink(missing_ok=True)
     with gs.staged_dir(staged) if staged else nullcontext() as stage:
         yield stage  # every publish makes out_dir
-        echo.unlink(missing_ok=True)
+    echo.unlink(missing_ok=True)
     gs.write_atomic(echo, schema.dumps(config))
 
 
@@ -340,7 +335,7 @@ def cmd_audit(cfg: RunConfig, posteriors_dir: str) -> int:
         _check_extent(path, m, prior.shape)
     # consecutive timesteps name both the change maps and the transitions
     pairs = [f"{a}_to_{b}" for a, b in zip(labels, labels[1:])]
-    change_grids = [au.change_map(a, b, cfg.threshold_m).grid
+    change_grids = [au.change_map(a, b).grid
                     for a, b in zip(heights.grids, heights.grids[1:])]
     del heights  # only the change maps read them
     ad_grids, means = [], [[] for _ in regions]  # filled as each posterior is read
@@ -391,8 +386,7 @@ def cmd_audit(cfg: RunConfig, posteriors_dir: str) -> int:
         for name, tm in zip(pairs + ["averaged"], matrices):
             au.write_transition_csv(tm.labels, tm.normalized, stage / f"transition_{name}.csv")
             au.write_transition_csv(tm.labels, tm.raw, stage / f"transition_{name}_raw.csv")
-            gs.write_atomic(stage / f"transition_{name}.dot",
-                            au.transition_to_dot(tm, cfg.min_edge))
+            gs.write_atomic(stage / f"transition_{name}.dot", au.transition_to_dot(tm))
             artifacts += [f"transition_{name}.csv", f"transition_{name}_raw.csv",
                           f"transition_{name}.dot"]
             transitions[name] = {"period": tm.period, "zero_mass_rows": tm.zero_mass_rows}

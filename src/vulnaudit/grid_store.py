@@ -82,14 +82,19 @@ class RasterGrid:
     def __post_init__(self):
         if self.width <= 0 or self.height_px <= 0:
             raise GridFormatError("grid dimensions must be positive")
-        self.values = np.ascontiguousarray(self.values, dtype=np.float32)
-        if self.values.size != self.width * self.height_px:
+        array = np.ascontiguousarray(self.values, dtype=np.float32)
+        if array.size != self.width * self.height_px:
             raise GridFormatError(
-                f"values length {self.values.size} != {self.width}x{self.height_px}")
-        self.values = self.values.reshape(self.height_px, self.width)
+                f"values length {array.size} != {self.width}x{self.height_px}")
+        self.values = array.reshape(self.height_px, self.width)
         if np.any(~np.isfinite(self.values) & self.valid_mask()):
             raise GridFormatError("non-finite value outside nodata sentinel")
-        self.values.flags.writeable = False  # a checked layer stays as checked
+        # a checked layer stays as checked: where no copy was made, the
+        # caller's array and each array it views are locked with it
+        self.values.flags.writeable = False
+        while isinstance(array, np.ndarray):
+            array.flags.writeable = False
+            array = array.base
 
     def valid_mask(self) -> np.ndarray:
         return self.values != np.float32(self.nodata)

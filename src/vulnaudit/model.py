@@ -30,7 +30,7 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 DEFAULT_HIDDEN = 25
-DEFAULT_LEARNING_RATE = 1e-3
+LEARNING_RATE = 1e-3
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
 GUMBEL_TAU = 1.0
@@ -89,13 +89,10 @@ def param_shapes(f_dim: int, k_cats: int, hidden: int) -> dict[str, tuple[int, .
 
 @dataclass
 class TrainConfig:
-    learning_rate: float = DEFAULT_LEARNING_RATE
     epochs: int = 200
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be non-negative")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
         if self.seed < 0:
@@ -391,7 +388,7 @@ def train(params: ModelParams, height_series: GridStack, prior: CategoryField,
             raise ValueError(f"timestep {label!r} has {n_nodes} training nodes, "
                              f"fewer than the {n_sub} subgraphs of each epoch")
 
-    optimizer = Adam(config.learning_rate)
+    optimizer = Adam(LEARNING_RATE)
     history: list[EpochLosses] = []
     for epoch in range(config.epochs):
         samplers = [epoch_subgraphs(grid, splits.train, n_sub, DEFAULT_EDGE_DROPOUT,

@@ -332,23 +332,25 @@ class TestTransitionDot:
         return au.TransitionMatrix(labels, normalized.copy(), normalized,
                                    "t0 -> t1", [])
 
-    def test_identity_keeps_only_self_loops(self):
-        dot = au.transition_to_dot(self.make_tm(np.eye(3)), min_edge=0.5)
+    def test_identity_keeps_only_self_loops(self, monkeypatch):
+        monkeypatch.setattr(au, "MIN_EDGE", 0.5)
+        dot = au.transition_to_dot(self.make_tm(np.eye(3)))
         edges = [l for l in dot.splitlines() if "->" in l]
         assert len(edges) == 3
         assert all(f'"{lab}" -> "{lab}"' in line
                    for lab, line in zip(["c0", "c1", "NONE"], edges))
 
-    def test_uniform_rows_below_threshold(self):
+    def test_uniform_rows_below_threshold(self, monkeypatch):
         k1 = 3
-        dot = au.transition_to_dot(self.make_tm(np.full((k1, k1), 1.0 / k1)),
-                                   min_edge=1.0 / k1 + 0.01)
+        monkeypatch.setattr(au, "MIN_EDGE", 1.0 / k1 + 0.01)
+        dot = au.transition_to_dot(self.make_tm(np.full((k1, k1), 1.0 / k1)))
         assert not any("->" in l for l in dot.splitlines())
 
-    def test_full_matrix_min_edge_zero(self):
+    def test_full_matrix_min_edge_zero(self, monkeypatch):
+        monkeypatch.setattr(au, "MIN_EDGE", 0.0)
         rng = np.random.default_rng(11)
         normalized = rng.dirichlet(np.ones(4), size=4)
-        dot = au.transition_to_dot(self.make_tm(normalized), min_edge=0.0)
+        dot = au.transition_to_dot(self.make_tm(normalized))
         assert sum("->" in l for l in dot.splitlines()) == 16
 
 

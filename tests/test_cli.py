@@ -486,10 +486,10 @@ class TestTrain:
             assert values[5:] == ["nan"] * 4
         assert "no validation nodes" in capsys.readouterr().out
 
-    def test_diverging_run_exits_3(self, toy_run, capsys):
+    def test_diverging_run_exits_3(self, toy_run, capsys, monkeypatch):
         tmp_path, config = toy_run
         cli.main(["prepare", "--config", str(config)])
-        set_train(config, learning_rate=1e300)
+        monkeypatch.setattr(md, "LEARNING_RATE", 1e300)
         with pytest.warns(RuntimeWarning) as caught:
             assert cli.main(["train", "--config", str(config)]) == 3
         # the deliberate divergence: lr 1e300 overflows float32 in Adam's update,
@@ -603,12 +603,15 @@ class TestInfer:
         ("manifest.json", lambda raw: edit_json(
             raw, config={**json.loads(raw)["config"], "n_subgraphs": None}),
          "manifest.json, section 'config': unknown key(s) 'n_subgraphs'"),
+        ("manifest.json", lambda raw: edit_json(
+            raw, config={**json.loads(raw)["config"], "learning_rate": 0.001}),
+         "manifest.json, section 'config': unknown key(s) 'learning_rate'"),
         ("manifest.json", lambda raw: edit_json(raw, notes="run 1"),
          "manifest.json: unknown key(s) 'notes'"),
     ], ids=["hidden", "nan-blob", "truncated-blob", "missing-norm-key", "nan-norm-mean",
             "infinite-norm-std", "zero-norm-std", "negative-norm-std", "norm-std-true",
             "string-norm-mean", "config-unknown-key", "config-removed-tau",
-            "config-removed-n-subgraphs", "unknown-top-key"])
+            "config-removed-n-subgraphs", "config-removed-learning-rate", "unknown-top-key"])
     def test_bad_checkpoint_exits_2_naming_file(self, toy_run, capsys, name, edit, named):
         tmp_path, config = toy_run
         ckpt = tmp_path / "out" / "checkpoint"
@@ -846,6 +849,8 @@ class TestAudit:
         assert not (tmp_path / "out" / "audit_config_echo.json").exists()
 
     def test_nonpositive_threshold_exits_2_before_writing(self, toy_run, capsys):
+        # the change threshold and the DOT edge cut are audit.CHANGE_THRESHOLD_M
+        # and audit.MIN_EDGE, not keys: a config that sets either exits 2
         tmp_path, config = self.run_pipeline(toy_run)
         doc = json.loads(config.read_text())
         for key, value in [("threshold_m", 0), ("min_edge", 1.5)]:
@@ -853,7 +858,7 @@ class TestAudit:
             assert cli.main(["audit", "--config", str(config),
                              "--posteriors", str(tmp_path / "out" / "posteriors")]) == 2
             err = capsys.readouterr().err
-            assert f"{config}: bad value: {key}" in err, err
+            assert f"{config}: unknown key(s) '{key}'" in err, err
             assert not (tmp_path / "out" / "audit").exists()
 
     @pytest.mark.parametrize("stacks, relabel", [
@@ -1090,9 +1095,10 @@ class TestConfigHandling:
         (lambda doc: {**doc, "tile_sise": 8}, "tile_sise"),
         (lambda doc: {**doc, "train": {"learning_rte": 0.1}}, "learning_rte"),
         (lambda doc: {k: v for k, v in doc.items() if k != "heights"}, "heights"),
-        (lambda doc: {**doc, "train": {"learning_rate": -1.0}}, "learning_rate"),
         (lambda doc: {**doc, "train": {"adam_eps": 1e-8}}, "adam_eps"),
         # fixed values, not keys: each exits 2 even when set to its fixed value
+        (lambda doc: {**doc, "train": {"learning_rate": 1e-3}},
+         "unknown key(s) 'learning_rate'"),
         (lambda doc: {**doc, "train": {"tau": 1.0}}, "unknown key(s) 'tau'"),
         (lambda doc: {**doc, "train": {"edge_dropout": 0.2}}, "unknown key(s) 'edge_dropout'"),
         # worked out from the training-node count, not set
@@ -1102,8 +1108,8 @@ class TestConfigHandling:
         (lambda doc: {**doc, "split_ratios": [0.7, 0.15, 0.15]},
          "unknown key(s) 'split_ratios'"),
         (lambda doc: {**doc, "split_tolerance": 0.25}, "unknown key(s) 'split_tolerance'"),
-        (lambda doc: {**doc, "min_edge": -1}, "min_edge"),
-        (lambda doc: {**doc, "min_edge": 2}, "min_edge"),
+        (lambda doc: {**doc, "min_edge": 0.05}, "config.json: unknown key(s) 'min_edge'"),
+        (lambda doc: {**doc, "threshold_m": 1.5}, "config.json: unknown key(s) 'threshold_m'"),
         (lambda doc: {**doc, "split_seed": -1},
          "config.json: bad value: split_seed must be non-negative"),
         (lambda doc: {**doc, "train": {"seed": -3}},
@@ -1111,14 +1117,14 @@ class TestConfigHandling:
         (lambda doc: {**doc, "tile_size": 0}, "config.json: bad value: tile_size must be >= 1"),
         (lambda doc: {**doc, "train": {"epochs": -1}},
          "config.json, section 'train': bad value: epochs must be non-negative"),
-        (lambda doc: {**doc, "threshold_m": 0},
-         "config.json: bad value: threshold_m must be positive"),
+        (lambda doc: {**doc, "upsample_factor": 0},
+         "config.json: bad value: upsample_factor must be >= 1"),
     ], ids=["list", "train-list", "unknown-key", "unknown-train-key", "missing-key",
-            "negative-learning-rate", "removed-adam-key", "removed-tau-key",
+            "removed-adam-key", "removed-learning-rate-key", "removed-tau-key",
             "removed-edge-dropout-key", "removed-n-subgraphs-key", "removed-loss-weights-key",
-            "removed-split-ratios-key", "removed-split-tolerance-key", "negative-min-edge",
-            "min-edge-above-one", "negative-split-seed", "negative-train-seed",
-            "zero-tile-size", "negative-epochs", "zero-threshold"])
+            "removed-split-ratios-key", "removed-split-tolerance-key", "removed-min-edge-key",
+            "removed-threshold-m-key", "negative-split-seed", "negative-train-seed",
+            "zero-tile-size", "negative-epochs", "zero-upsample-factor"])
     def test_bad_config_exits_2(self, toy_run, capsys, edit, named):
         tmp_path, config = toy_run
         config.write_text(json.dumps(edit(json.loads(config.read_text()))))
@@ -1128,7 +1134,6 @@ class TestConfigHandling:
     @pytest.mark.parametrize("document, edit, named", [
         ("config", lambda doc: {**doc, "tile_size": 16.7}, "'tile_size'"),
         ("config", lambda doc: {**doc, "split_seed": True}, "'split_seed'"),
-        ("config", lambda doc: {**doc, "min_edge": False}, "'min_edge'"),
         ("config", lambda doc: {**doc, "train": {"epochs": 2.9}}, "'epochs'"),
         # a removed key is unknown whatever its value's type
         ("config", lambda doc: {**doc, "train": {"n_subgraphs": 1.5}},
@@ -1139,15 +1144,15 @@ class TestConfigHandling:
         ("spec", lambda doc: {**doc, "seed": 42.7}, "'seed'"),
         ("spec", lambda doc: {**doc, "labels": [1, 2]}, "'labels'"),
         ("spec", lambda doc: {**doc, "labels": "ab"}, "'labels'"),
-        ("config", lambda doc: {**doc, "train": {"learning_rate": float("nan")}},
-         "'learning_rate'"),
-        ("config", lambda doc: {**doc, "train": {"learning_rate": float("inf")}},
-         "'learning_rate'"),
-        ("config", lambda doc: {**doc, "min_edge": 10 ** 400}, "'min_edge'"),
-    ], ids=["float-tile-size", "bool-split-seed", "bool-min-edge", "float-epochs",
+        # the run config holds no float: the spec's corruption share is one
+        ("spec", lambda doc: {**doc, "corruption": False}, "'corruption'"),
+        ("spec", lambda doc: {**doc, "corruption": float("nan")}, "'corruption'"),
+        ("spec", lambda doc: {**doc, "corruption": float("inf")}, "'corruption'"),
+        ("spec", lambda doc: {**doc, "corruption": 10 ** 400}, "'corruption'"),
+    ], ids=["float-tile-size", "bool-split-seed", "float-epochs",
             "float-removed-n-subgraphs-key", "float-region-x", "float-width", "float-seed",
-            "int-labels", "string-labels", "nan-learning-rate", "infinite-learning-rate",
-            "huge-min-edge"])
+            "int-labels", "string-labels", "bool-corruption", "nan-corruption",
+            "infinite-corruption", "huge-corruption"])
     def test_scalar_of_wrong_type_exits_2(self, toy_run, capsys, document, edit, named):
         tmp_path, config = toy_run
         path = config if document == "config" else tmp_path / "data" / "synth_config_echo.json"
@@ -1435,6 +1440,37 @@ def test_failed_echo_write_leaves_no_echo(toy_run, monkeypatch, capsys, command)
     assert cli.main([command, *argv[command]]) == 2
     assert "disk full" in capsys.readouterr().err
     assert not echo.exists()
+
+
+@pytest.mark.parametrize("command", ["prepare", "infer", "audit"])
+def test_failed_swap_keeps_previous_directory_and_echo(toy_run, monkeypatch, capsys, command):
+    # a staged command removes its old echo only once the new directory is in
+    # place: a swap that fails after the old directory was moved aside moves it
+    # back, and its echo stays beside it
+    tmp_path, config = toy_run
+    staged = {"prepare": "prepared", "infer": "posteriors", "audit": "audit"}[command]
+    out = tmp_path / "out"
+    argv = {"prepare": [], "train": [], "infer": ["--checkpoint", str(out / "checkpoint")],
+            "audit": ["--posteriors", str(out / "posteriors")]}
+    set_train(config, epochs=1)
+    for name in argv:
+        assert cli.main([name, "--config", str(config), *argv[name]]) == 0
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert out / f"{command}_config_echo.json" in before
+    doc = json.loads(config.read_text())
+    config.write_text(json.dumps({**doc, "split_seed": 1}))  # a new echo would differ
+    real_replace = os.replace
+
+    def failing_swap(src, dst):
+        if Path(src).name.startswith(f".{staged}.tmp-"):
+            raise OSError("swap failed")
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(gs.os, "replace", failing_swap)
+    capsys.readouterr()
+    assert cli.main([command, "--config", str(config), *argv[command]]) == 2
+    assert "swap failed" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
 
 class TestEndToEnd:

@@ -174,6 +174,20 @@ class TestWriteErrors:
         for stack in (built, gs.read_grid_stack(tmp_path / "s")):
             with pytest.raises(ValueError, match="read-only"):
                 stack.grids[0].values[0, 0] = 2.0
+        # a float32 layer is wrapped without a copy: the caller's array, and
+        # the array it is a view of, are locked with it
+        whole = np.full((2, 2, 2), 0.5, np.float32)
+        layer = whole[0]
+        grid = RasterGrid(2, 2, layer)
+        for kept in (layer, whole):
+            with pytest.raises(ValueError, match="read-only"):
+                kept[0, 0] = 2.0
+        assert (grid.values == 0.5).all()
+        # a layer of another dtype is copied, and the caller's array stays writable
+        float64 = np.full((2, 2), 0.5)
+        grid = RasterGrid(2, 2, float64)
+        float64[0, 0] = 2.0
+        assert (grid.values == 0.5).all()
 
 
 class TestAtomicWrite:

@@ -261,16 +261,15 @@ BY_NODE_CAP = pytest.mark.parametrize("n_sub, cap", [(1, 80), (3, 27)], ids=["1"
 
 
 class TestTrainStep:
-    def setup_step(self, lr):
+    def setup_step(self):
         stack, prior, splits, _ = toy_dataset(seed=1, side=5, tile=5)
         graph = gb.build_graph(stack.grids[0], splits.train)  # raw heights
         _, stats = gb.log_normalize(graph.features)
         params = md.ModelParams.initialize(1, 2, hidden=6, seed=4)
-        config = md.TrainConfig(learning_rate=lr, epochs=1)
-        return params, graph, stats, prior, config
+        return params, graph, stats, prior
 
     def test_zero_learning_rate_is_noop(self):
-        params, graph, stats, prior, config = self.setup_step(0.0)
+        params, graph, stats, prior = self.setup_step()
         before = {k: v.copy() for k, v in params.weights.items()}
         breakdown = md.train_step(params, md.Adam(0.0), graph, stats, prior,
                                   np.random.default_rng(0))
@@ -279,12 +278,12 @@ class TestTrainStep:
             np.testing.assert_array_equal(params.weights[name], before[name])
 
     def test_single_step_decreases_loss(self):
-        params, graph, stats, prior, config = self.setup_step(1e-3)
+        params, graph, stats, prior = self.setup_step()
         prior_p, mask = md.node_prior(prior, graph)
         a_hat = gb.normalize_adjacency(graph)
         feats, _ = gb.log_normalize(graph.features, stats)
         before = md.evaluate_losses(params, a_hat, feats, prior_p, mask)
-        md.train_step(params, md.Adam(config.learning_rate), graph, stats, prior,
+        md.train_step(params, md.Adam(1e-3), graph, stats, prior,
                       np.random.default_rng(7))
         after = md.evaluate_losses(params, a_hat, feats, prior_p, mask)
         assert after.total < before.total
@@ -294,7 +293,7 @@ class TestTrainStep:
         # with numpy 2 promotion one float64 array (a prior, a target, the
         # Gumbel noise, a 0-d loss of a node set without prior) would
         # silently upcast every product after it
-        params, graph, stats, prior, config = self.setup_step(1e-3)
+        params, graph, stats, prior = self.setup_step()
         params = params.astype(np.float32)
         if not has_prior:
             prior = CategoryField(prior.categories, prior.probs, np.zeros_like(prior.valid))
@@ -311,7 +310,7 @@ class TestTrainStep:
 
         monkeypatch.setattr(Tape, "record", recording)
         monkeypatch.setattr(nc, "backward", keeping_grads)
-        optimizer = md.Adam(config.learning_rate)
+        optimizer = md.Adam(1e-3)
         md.train_step(params, optimizer, graph, stats, prior, np.random.default_rng(0))
         assert recorded and set(recorded) == {np.dtype(np.float32)}, recorded
         for name in md.PARAM_ORDER:
