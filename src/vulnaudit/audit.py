@@ -93,7 +93,7 @@ def change_map(h_t: RasterGrid, h_t1: RasterGrid,
     """
     if (h_t.width, h_t.height_px) != (h_t1.width, h_t1.height_px):
         raise ValueError("height rasters have different dimensions")
-    if threshold_m <= 0:
+    if not threshold_m > 0:  # NaN fails too
         raise ValueError("threshold must be positive")
     a = np.where(h_t.valid_mask(), h_t.values.astype(np.float64), 0.0)
     b = np.where(h_t1.valid_mask(), h_t1.values.astype(np.float64), 0.0)

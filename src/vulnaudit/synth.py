@@ -16,8 +16,9 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
-from .grid_store import (GridStack, RasterGrid, StackKind, StackManifest,
-                         usable_label, write_grid_stack)
+from .grid_store import GridStack, RasterGrid, StackKind, StackManifest, write_grid_stack
+
+PIXELS_PER_BLOB = 256  # generate plants one seed pixel per this many pixels, at least k
 
 
 @dataclass
@@ -31,8 +32,6 @@ class SyntheticSpec:
     block_size: int
     seed: int
     corruption: float = 0.0
-    n_blobs: int | None = None
-    labels: list[str] | None = None
 
     def __post_init__(self):
         if self.k < 2:
@@ -56,17 +55,6 @@ class SyntheticSpec:
             raise ValueError("extent must be a multiple of block_size")
         if self.timesteps < 1:
             raise ValueError(f"timesteps must be >= 1, got {self.timesteps}")
-        if self.n_blobs is not None and self.n_blobs < 1:
-            raise ValueError(f"n_blobs must be >= 1 when given, got {self.n_blobs}")
-        if self.labels is None:
-            self.labels = [f"cat{i}" for i in range(self.k)]
-        elif len(self.labels) != self.k:
-            raise ValueError(f"labels has {len(self.labels)} entries, k is {self.k}")
-        for i, label in enumerate(self.labels):
-            if not usable_label(label):
-                raise ValueError(f"labels: unusable label {label!r}")
-            if label in self.labels[:i]:
-                raise ValueError(f"labels: repeated label {label!r}")
 
 
 def default_spec(width: int = 64, height_px: int = 64, timesteps: int = 3,
@@ -122,8 +110,8 @@ def generate(spec: SyntheticSpec) -> dict[str, GridStack]:
     """Build the height series, prior counts, and one-hot ground-truth stacks."""
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0x5E7]))
     w, h, k, b = spec.width, spec.height_px, spec.k, spec.block_size
-    n_blobs = spec.n_blobs if spec.n_blobs else max(k, round(w * h / 256))
-    categories = grow_categories(w, h, k, n_blobs, rng)
+    categories = grow_categories(w, h, k, max(k, round(w * h / PIXELS_PER_BLOB)), rng)
+    labels = [f"cat{i}" for i in range(k)]
 
     mu = np.asarray(spec.mean_log_heights)[categories]
     sigma = np.asarray(spec.std_log_heights)[categories]
@@ -150,11 +138,11 @@ def generate(spec: SyntheticSpec) -> dict[str, GridStack]:
     if n_corrupt:
         counts[corrupt] = rng.integers(0, b * b + 1, size=(n_corrupt, k)).astype(np.float64)
     counts_stack = GridStack(
-        StackManifest(StackKind.PRIOR_COUNTS, bw, bh, list(spec.labels)),
+        StackManifest(StackKind.PRIOR_COUNTS, bw, bh, labels),
         [RasterGrid(bw, bh, counts[:, :, i].astype(np.float32)) for i in range(k)])
 
     truth_stack = GridStack(
-        StackManifest(StackKind.PRIOR_PROPORTIONS, w, h, list(spec.labels)),
+        StackManifest(StackKind.PRIOR_PROPORTIONS, w, h, labels),
         [RasterGrid(w, h, (categories == i).astype(np.float32)) for i in range(k)])
 
     return {"heights": heights_stack, "prior_counts": counts_stack,

@@ -197,6 +197,12 @@ class TestChangeMap:
         with pytest.raises(ValueError):
             au.change_map(height([[1.0]]), height([[1.0, 2.0]]))
 
+    @pytest.mark.parametrize("threshold_m", [0.0, -1.5, float("nan")])
+    def test_nonpositive_threshold_raises(self, threshold_m):
+        # a NaN threshold would code no pixel as changed
+        with pytest.raises(ValueError, match="threshold must be positive"):
+            au.change_map(height([[0.0, 3.0]]), height([[2.0, 3.0]]), threshold_m)
+
 
 class TestRegionalTrend:
     def test_single_pixel_region(self):

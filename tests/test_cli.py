@@ -157,16 +157,13 @@ class TestSynth:
         (lambda doc: {**doc, "corruptoin": 0.1}, "corruptoin"),
         (lambda doc: {**doc, "width": 0}, "width"),
         (lambda doc: {**doc, "height_px": -4}, "height_px"),
-        (lambda doc: {**doc, "labels": ["a", "b", "c"]}, "labels"),
-        (lambda doc: {**doc, "labels": ['low, "x"', "b"]}, "labels"),
-        (lambda doc: {**doc, "labels": ["a", "a"]},
-         "spec.json: bad value: labels: repeated label 'a'"),
         (lambda doc: {**doc, "mean_log_heights": [0.5, float("inf")]}, "mean_log_heights"),
         (lambda doc: {**doc, "mean_log_heights": [0.5, float("nan")]}, "mean_log_heights"),
         (lambda doc: {**doc, "std_log_heights": [0.3, -0.1]}, "std_log_heights"),
         (lambda doc: {**doc, "std_log_heights": [float("nan"), 0.3]}, "std_log_heights"),
-        (lambda doc: {**doc, "n_blobs": -5}, "n_blobs"),
-        (lambda doc: {**doc, "n_blobs": 0}, "n_blobs"),
+        # fixed by generate, not keys: the blob count and the labels cat0, cat1, ...
+        (lambda doc: {**doc, "n_blobs": 4}, "spec.json: unknown key(s) 'n_blobs'"),
+        (lambda doc: {**doc, "labels": ["cat0", "cat1"]}, "spec.json: unknown key(s) 'labels'"),
         (lambda doc: {**doc, "mean_log_heights": [0.5, 2.0, 3.5]},
          "mean_log_heights and std_log_heights need k = 2 values"),
         (lambda doc: {**doc, "std_log_heights": [0.3]},
@@ -176,11 +173,10 @@ class TestSynth:
         (lambda doc: {**doc, "block_size": 0}, "block_size must be >= 1"),
         (lambda doc: {**doc, "block_size": 3}, "multiple of block_size"),
         (lambda doc: {**doc, "timesteps": 0}, "timesteps must be >= 1"),
-    ], ids=["list", "unknown-key", "zero-width", "negative-height", "labels-not-k",
-            "csv-breaking-label", "duplicate-labels", "inf-mean", "nan-mean",
-            "negative-std", "nan-std", "negative-blobs", "zero-blobs", "means-not-k",
-            "stds-not-k", "equal-means", "full-corruption", "zero-block", "partial-block",
-            "zero-timesteps"])
+    ], ids=["list", "unknown-key", "zero-width", "negative-height", "inf-mean", "nan-mean",
+            "negative-std", "nan-std", "removed-n-blobs-key", "removed-labels-key",
+            "means-not-k", "stds-not-k", "equal-means", "full-corruption", "zero-block",
+            "partial-block", "zero-timesteps"])
     def test_bad_spec_exits_2(self, tmp_path, capsys, edit, named):
         spec = write_spec(tmp_path / "spec.json")
         spec.write_text(json.dumps(edit(json.loads(spec.read_text()))))
@@ -1142,8 +1138,6 @@ class TestConfigHandling:
                                                     "height": 4}]}, "'x'"),
         ("spec", lambda doc: {**doc, "width": 64.9}, "'width'"),
         ("spec", lambda doc: {**doc, "seed": 42.7}, "'seed'"),
-        ("spec", lambda doc: {**doc, "labels": [1, 2]}, "'labels'"),
-        ("spec", lambda doc: {**doc, "labels": "ab"}, "'labels'"),
         # the run config holds no float: the spec's corruption share is one
         ("spec", lambda doc: {**doc, "corruption": False}, "'corruption'"),
         ("spec", lambda doc: {**doc, "corruption": float("nan")}, "'corruption'"),
@@ -1151,8 +1145,7 @@ class TestConfigHandling:
         ("spec", lambda doc: {**doc, "corruption": 10 ** 400}, "'corruption'"),
     ], ids=["float-tile-size", "bool-split-seed", "float-epochs",
             "float-removed-n-subgraphs-key", "float-region-x", "float-width", "float-seed",
-            "int-labels", "string-labels", "bool-corruption", "nan-corruption",
-            "infinite-corruption", "huge-corruption"])
+            "bool-corruption", "nan-corruption", "infinite-corruption", "huge-corruption"])
     def test_scalar_of_wrong_type_exits_2(self, toy_run, capsys, document, edit, named):
         tmp_path, config = toy_run
         path = config if document == "config" else tmp_path / "data" / "synth_config_echo.json"

@@ -129,10 +129,11 @@ class TestReadErrors:
         ("nodata", "-1", "'nodata'"),
         ("crs_note", 5, "'crs_note'"),
         ("layers", "ab", "'layers'"),
+        ("layers", [1, 2], "'layers'"),
         ("layer_count", 2, "'layer_count'"),
         ("kind", "BOGUS", "'kind'"),
     ], ids=["float-width", "string-width", "string-nodata", "int-crs-note",
-            "string-layers", "unknown-key", "unknown-kind"])
+            "string-layers", "int-layers", "unknown-key", "unknown-kind"])
     def test_manifest_read_strictly(self, tmp_path, key, value, named):
         ones = np.ones((4, 4), np.float32)
         gs.write_grid_stack(make_stack(StackKind.HEIGHT_SERIES, 4, 4, {"a": ones, "b": ones}),
