@@ -1138,6 +1138,9 @@ class TestConfigHandling:
                                                     "height": 4}]}, "'x'"),
         ("spec", lambda doc: {**doc, "width": 64.9}, "'width'"),
         ("spec", lambda doc: {**doc, "seed": 42.7}, "'seed'"),
+        # the spec has no labels list: generate names cat0, cat1, ...
+        ("spec", lambda doc: {**doc, "labels": [1, 2]}, "unknown key(s) 'labels'"),
+        ("spec", lambda doc: {**doc, "labels": "ab"}, "unknown key(s) 'labels'"),
         # the run config holds no float: the spec's corruption share is one
         ("spec", lambda doc: {**doc, "corruption": False}, "'corruption'"),
         ("spec", lambda doc: {**doc, "corruption": float("nan")}, "'corruption'"),
@@ -1145,7 +1148,8 @@ class TestConfigHandling:
         ("spec", lambda doc: {**doc, "corruption": 10 ** 400}, "'corruption'"),
     ], ids=["float-tile-size", "bool-split-seed", "float-epochs",
             "float-removed-n-subgraphs-key", "float-region-x", "float-width", "float-seed",
-            "bool-corruption", "nan-corruption", "infinite-corruption", "huge-corruption"])
+            "int-labels", "string-labels", "bool-corruption", "nan-corruption",
+            "infinite-corruption", "huge-corruption"])
     def test_scalar_of_wrong_type_exits_2(self, toy_run, capsys, document, edit, named):
         tmp_path, config = toy_run
         path = config if document == "config" else tmp_path / "data" / "synth_config_echo.json"
