@@ -254,6 +254,8 @@ def cmd_train(cfg: RunConfig) -> int:
     # float32, the dtype the checkpoint stores: it holds the trained weights bit for bit
     params = md.ModelParams.initialize(f_dim=gb.NODE_FEATURES, k_cats=prior.k,
                                        seed=cfg.train.seed).astype(np.float32)
+    # train reads the prior in float32; rebinding frees the float64 field
+    prior = md.ModelPrior.of(prior, params.dtype)
     result = md.train(params, heights, prior, splits, cfg.train, stats)
 
     lines = ["epoch,train_rec,train_kl,train_ce,train_total,"

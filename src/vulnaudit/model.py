@@ -145,13 +145,13 @@ def gumbel_softmax_sample(logits: np.ndarray, tau: float,
 
 def gumbel_softmax_var(tape: Tape, logits: Var, tau: float,
                        rng: np.random.Generator) -> Var:
-    """Taped relaxed draw, softmax((logits + gumbel noise) * (1 / tau)); the
-    noise is a constant in the logits' dtype, gradients flow through the
-    softmax only."""
+    """Taped relaxed draw, softmax((logits + gumbel noise) * (1 / tau)), as
+    one tape entry (``numcore.gumbel_softmax``); the noise is a constant in
+    the logits' dtype, gradients flow through the softmax only."""
     if tau <= 0:
         raise ValueError("tau must be positive")
     g = sample_gumbel(logits.value.shape, rng).astype(logits.value.dtype, copy=False)
-    return nc.softmax_rows(tape, nc.scale(tape, nc.add_const(tape, logits, g), 1.0 / tau))
+    return nc.gumbel_softmax(tape, logits, g, 1.0 / tau)
 
 
 def loss_rec(tape: Tape, recon: Var, target: np.ndarray) -> Var:
@@ -170,22 +170,29 @@ def loss_rec(tape: Tape, recon: Var, target: np.ndarray) -> Var:
     return out
 
 
-def _masked_mean(tape: Tape, posterior: Var, mask: np.ndarray, terms) -> Var:
+def _masked_mean(tape: Tape, posterior: Var, mask: np.ndarray, total, gradient) -> Var:
     """Record the mean over the m masked nodes of a per-node loss of the
-    posterior. ``terms(mask)`` gives the loss summed over the masked nodes
-    and its gradient at every entry; both are divided by m and the gradient
-    is zeroed off the mask. Zero, with a zero gradient, when the mask is
-    empty."""
+    posterior. ``total(mask)`` gives the loss summed over the masked nodes,
+    and ``gradient()`` its gradient at every entry. The backward calls
+    ``gradient``, divides it by m and zeroes it off the mask, so no gradient
+    is held through the forward, and a forward that is never differentiated
+    (``evaluate_losses``) makes none. Zero, with a zero gradient, when the
+    mask is empty."""
     mask = np.asarray(mask, dtype=bool)
     m = int(mask.sum())
-    if m == 0:
-        out, grad = Var(np.zeros((), posterior.value.dtype)), np.zeros_like(posterior.value)
-    else:
-        total, grad = terms(mask)
-        out = Var(total / m)
-        grad = grad / m
-        grad[~mask] = 0.0
-    tape.record(out, lambda dout: ((posterior, grad * dout),))
+    out = Var(total(mask) / m if m else np.zeros((), posterior.value.dtype))
+
+    def bwd(dout):
+        if m:
+            grad = gradient()
+            grad /= m
+            grad[~mask] = 0.0
+        else:
+            grad = np.zeros_like(posterior.value)
+        grad *= dout
+        return ((posterior, grad),)
+
+    tape.record(out, bwd)
     return out
 
 
@@ -195,11 +202,12 @@ def loss_kl(tape: Tape, posterior: Var, prior_p: np.ndarray, mask: np.ndarray) -
     p = posterior.value
     p0 = np.asarray(prior_p, dtype=p.dtype)
 
-    def terms(mask):
-        log_ratio = np.log(np.maximum(p, CLAMP)) - np.log(np.maximum(p0, CLAMP))
-        return (p[mask] * log_ratio[mask]).sum(), log_ratio + (p >= CLAMP)
+    def log_ratio():  # the forward's and the backward's, the same bits
+        return np.log(np.maximum(p, CLAMP)) - np.log(np.maximum(p0, CLAMP))
 
-    return _masked_mean(tape, posterior, mask, terms)
+    return _masked_mean(tape, posterior, mask,
+                        lambda mask: (p[mask] * log_ratio()[mask]).sum(),
+                        lambda: log_ratio() + (p >= CLAMP))
 
 
 def loss_ce(tape: Tape, posterior: Var, prior_p: np.ndarray, mask: np.ndarray) -> Var:
@@ -208,11 +216,12 @@ def loss_ce(tape: Tape, posterior: Var, prior_p: np.ndarray, mask: np.ndarray) -
     p = posterior.value
     p0 = np.asarray(prior_p, dtype=p.dtype)
 
-    def terms(mask):
+    def total(mask):
         pc = np.maximum(p, CLAMP)
-        return -(p0[mask] * np.log(pc[mask])).sum(), -(p0 * (p >= CLAMP)) / pc
+        return -(p0[mask] * np.log(pc[mask])).sum()
 
-    return _masked_mean(tape, posterior, mask, terms)
+    return _masked_mean(tape, posterior, mask, total,
+                        lambda: -(p0 * (p >= CLAMP)) / np.maximum(p, CLAMP))
 
 
 class Adam:
@@ -267,8 +276,24 @@ def _forward_losses(params: ModelParams, a_hat: sp.csr_matrix, x: np.ndarray,
     return total, breakdown
 
 
-def node_prior(prior: CategoryField, graph: GridGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Prior vectors and has-prior mask at the graph's node pixels."""
+@dataclass(frozen=True)
+class ModelPrior:
+    """A prior as training reads it: a CategoryField's probabilities cast to
+    the model's dtype, and its has-prior mask."""
+
+    probs: np.ndarray  # (H, W, K)
+    valid: np.ndarray  # (H, W) bool
+
+    @classmethod
+    def of(cls, prior: CategoryField | ModelPrior, dtype) -> ModelPrior:
+        """``prior`` in ``dtype``; no copy when it already is."""
+        return cls(prior.probs.astype(dtype, copy=False), prior.valid)
+
+
+def node_prior(prior: CategoryField | ModelPrior,
+               graph: GridGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Prior vectors, in the prior's dtype, and has-prior mask at the
+    graph's node pixels."""
     xs = graph.node_pixels[:, 0]
     ys = graph.node_pixels[:, 1]
     return prior.probs[ys, xs], prior.valid[ys, xs]
@@ -289,10 +314,12 @@ def _encoder_input(graph: GridGraph, norm_stats: NormStats,
 
 
 def train_step(params: ModelParams, optimizer: Adam, subgraph: GridGraph,
-               norm_stats: NormStats, prior: CategoryField,
+               norm_stats: NormStats, prior: CategoryField | ModelPrior,
                rng: np.random.Generator) -> LossBreakdown:
     """One Gumbel-sampled forward/backward pass plus an Adam update on a
-    graph of raw heights; the prior is looked up at its node pixels.
+    graph of raw heights; the prior is looked up at its node pixels and
+    cast to the model's dtype once (no copy for ``train``'s ModelPrior), so
+    the losses make no copy of it.
 
     The graph is dropped once its prior rows and encoder input exist, so a
     caller that passes it by expression, as ``train`` does, frees it before
@@ -300,6 +327,7 @@ def train_step(params: ModelParams, optimizer: Adam, subgraph: GridGraph,
     if subgraph.n_nodes == 0:
         raise ValueError("empty subgraph")
     prior_p, mask = node_prior(prior, subgraph)
+    prior_p = prior_p.astype(params.dtype, copy=False)
     a_hat, x = _encoder_input(subgraph, norm_stats, params.dtype)
     del subgraph
     tape = Tape()
@@ -344,8 +372,9 @@ def _mean_breakdown(items: list[LossBreakdown]) -> LossBreakdown:
 
 
 def _validation_losses(params: ModelParams, grid: RasterGrid, tiles: list[Tile],
-                       norm_stats: NormStats, prior: CategoryField) -> LossBreakdown | None:
-    """Noise-free losses on a validation graph built for the call; None without nodes."""
+                       norm_stats: NormStats, prior: ModelPrior) -> LossBreakdown | None:
+    """Noise-free losses on a validation graph built for the call; None
+    without nodes. The prior is ``train``'s, already in the model's dtype."""
     graph = build_graph(grid, tiles)
     if not graph.n_nodes:
         return None
@@ -355,7 +384,7 @@ def _validation_losses(params: ModelParams, grid: RasterGrid, tiles: list[Tile],
     return evaluate_losses(params, a_hat, x, prior_p, mask)
 
 
-def train(params: ModelParams, height_series: GridStack, prior: CategoryField,
+def train(params: ModelParams, height_series: GridStack, prior: CategoryField | ModelPrior,
           splits: SplitAssignment, config: TrainConfig,
           norm_stats: NormStats | None = None) -> TrainResult:
     """Train one shared parameter set over all timesteps' training graphs.
@@ -368,8 +397,12 @@ def train(params: ModelParams, height_series: GridStack, prior: CategoryField,
     Between steps train holds only each timestep's partition, as a raster of
     part ids (see ``epoch_subgraphs``): each step's graph is built from the
     raster when the step runs and dropped before the next is built, and each
-    validation graph lives only while its losses are computed.
+    validation graph lives only while its losses are computed. It holds the
+    prior only as a ModelPrior in the weights' dtype; a caller that passes a
+    ModelPrior in that dtype, as ``cli.cmd_train`` does, keeps no float64
+    copy beside it.
     """
+    prior = ModelPrior.of(prior, params.dtype)
     if norm_stats is None:
         norm_stats = fit_norm_stats(height_series.grids, splits.train)
     # the timesteps that have training nodes, and their node counts

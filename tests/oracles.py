@@ -12,7 +12,8 @@ import scipy.sparse as sp
 
 from vulnaudit import graph_build as gb
 from vulnaudit import grid_store as gs
-from vulnaudit.numcore import GRAD_BLOCK_ROWS, Var, _check_finite
+from vulnaudit.numcore import (GRAD_BLOCK_ROWS, Var, _check_finite, add_const, scale,
+                               softmax_rows)
 
 
 def central_difference(loss_fn, arrays: dict[str, np.ndarray],
@@ -207,6 +208,79 @@ def weight_grad_by_blocks(x, d, rows: int):
     if blocks:
         grad += np.stack(blocks).sum(axis=0)
     return grad
+
+
+def weight_grad_one_sum(x, d, rows: int):
+    """x.T @ d summed as ``numcore._weight_grad`` summed it before it made
+    its block products in chunks: the rows past the last whole block of
+    ``rows`` rows, plus every block's product in one array, summed along
+    axis 0."""
+    n = len(x) - len(x) % rows
+    grad = x[n:].T @ d[n:]
+    if n:
+        grad += np.matmul(x[:n].reshape(-1, rows, x.shape[1]).transpose(0, 2, 1),
+                          d[:n].reshape(-1, rows, d.shape[1])).sum(axis=0)
+    return grad
+
+
+def relu_mask_whole(d, z):
+    """``d *= z > 0`` with one bool mask over every row, as ``numcore``
+    masked an adjoint before it did so a block of rows at a time."""
+    d *= z > 0.0
+    return d
+
+
+def all_finite_whole(value) -> bool:
+    """The finite check as one ``isfinite`` over the whole array."""
+    return bool(np.all(np.isfinite(value)))
+
+
+def gumbel_softmax_chain(tape, logits, noise, s):
+    """The relaxed draw softmax((logits + noise) * s) as three tape
+    entries, as the model recorded it before ``numcore.gumbel_softmax``."""
+    return softmax_rows(tape, scale(tape, add_const(tape, logits, noise), s))
+
+
+def masked_mean_eager(tape, posterior, mask, terms):
+    """The model's masked-mean loss as it was when the forward computed the
+    gradient: ``terms(mask)`` gives the masked sum and the gradient at every
+    entry, both divided by m, the gradient zeroed off the mask and held on
+    the tape."""
+    mask = np.asarray(mask, dtype=bool)
+    m = int(mask.sum())
+    if m == 0:
+        out, grad = Var(np.zeros((), posterior.value.dtype)), np.zeros_like(posterior.value)
+    else:
+        total, grad = terms(mask)
+        out = Var(total / m)
+        grad = grad / m
+        grad[~mask] = 0.0
+    tape.record(out, lambda dout: ((posterior, grad * dout),))
+    return out
+
+
+def loss_kl_eager(tape, posterior, prior_p, mask, clamp):
+    """``model.loss_kl`` with its gradient computed in the forward."""
+    p = posterior.value
+    p0 = np.asarray(prior_p, dtype=p.dtype)
+
+    def terms(mask):
+        log_ratio = np.log(np.maximum(p, clamp)) - np.log(np.maximum(p0, clamp))
+        return (p[mask] * log_ratio[mask]).sum(), log_ratio + (p >= clamp)
+
+    return masked_mean_eager(tape, posterior, mask, terms)
+
+
+def loss_ce_eager(tape, posterior, prior_p, mask, clamp):
+    """``model.loss_ce`` with its gradient computed in the forward."""
+    p = posterior.value
+    p0 = np.asarray(prior_p, dtype=p.dtype)
+
+    def terms(mask):
+        pc = np.maximum(p, clamp)
+        return -(p0[mask] * np.log(pc[mask])).sum(), -(p0 * (p >= clamp)) / pc
+
+    return masked_mean_eager(tape, posterior, mask, terms)
 
 
 def gcn_layer_width_ordered_saving_activations(tape, a, h, w, b, activate: bool):

@@ -413,6 +413,23 @@ class TestPrepare:
 
 
 class TestTrain:
+    def test_training_holds_the_prior_in_float32_only(self, toy_run, monkeypatch):
+        # cmd_train hands train a float32 ModelPrior and keeps no float64
+        # CategoryField beside it
+        tmp, config = toy_run
+        assert cli.main(["prepare", "--config", str(config)]) == 0
+        seen, train = [], md.train
+
+        def checking(params, heights, prior, *args):
+            gc.collect()
+            fields = [o for o in gc.get_objects() if isinstance(o, gs.CategoryField)]
+            seen.append((type(prior), prior.probs.dtype, len(fields)))
+            return train(params, heights, prior, *args)
+
+        monkeypatch.setattr(md, "train", checking)
+        assert cli.main(["train", "--config", str(config)]) == 0
+        assert seen == [(md.ModelPrior, np.dtype(np.float32), 0)]
+
     def test_checkpoint_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         # a weight gradient sums over every node; one BLAS product over tens
         # of thousands of rows splits that sum across threads. Each thread

@@ -1,6 +1,8 @@
 import os
 import subprocess
 import sys
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,9 @@ from vulnaudit import graph_build as gb
 from vulnaudit import numcore as nc
 from vulnaudit.numcore import NonFiniteError, Tape, Var
 
-from oracles import central_difference, max_relative_error, taped_sum, weight_grad_by_blocks
+from oracles import (all_finite_whole, central_difference, gumbel_softmax_chain,
+                     max_relative_error, relu_mask_whole, taped_sum, weight_grad_by_blocks,
+                     weight_grad_one_sum)
 
 
 def random_sparse(rng, rows, cols, density=0.3):
@@ -450,6 +454,132 @@ class TestWeightGrad:
         assert len(runs[0].split()) == 10 and runs[0] == runs[1]
 
 
+# three whole row blocks, then five weight-gradient blocks and 77 rows
+BLOCKED_N = 3 * nc.ROW_BLOCK + 5 * nc.GRAD_BLOCK_ROWS + 77
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes tracemalloc sees during ``fn``, beyond what was held before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - before
+
+
+class TestRowBlocks:
+    """The passes made a block of rows at a time give the bits of the whole
+    array formulas they replace (``tests/oracles.py``)."""
+
+    @staticmethod
+    def relu_output_and_adjoint(n, width, dtype):
+        """A ReLU output with exact zeros and an adjoint with signs, zeros,
+        NaN and infinities, so each masked entry's bits are telling."""
+        rng = np.random.default_rng(n + width)
+        z = np.maximum(rng.normal(size=(n, width)), 0.0).astype(dtype)
+        d = rng.normal(size=(n, width)).astype(dtype)
+        if n:
+            d.flat[rng.integers(0, d.size, 4)] = [np.nan, np.inf, -np.inf, -0.0]
+        return z, d
+
+    @pytest.mark.parametrize("n", [0, 1, nc.ROW_BLOCK, BLOCKED_N])
+    @pytest.mark.parametrize("width", [25, 3, 1])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_masks_same_bits_as_one_bool_mask(self, n, width, dtype):
+        z, d = self.relu_output_and_adjoint(n, width, dtype)
+        blocked, packed = d.copy(), d.copy()
+        with np.errstate(invalid="ignore"):  # an infinity masked out gives NaN
+            expected = relu_mask_whole(d.copy(), z).tobytes()
+            nc._mask_relu(blocked, z)
+            nc._mask_by_bits(packed, nc._relu_mask_bits(z))
+        assert blocked.tobytes() == expected
+        assert packed.tobytes() == expected
+
+    def test_packed_mask_is_an_eighth_of_the_bool_mask(self):
+        z, _ = self.relu_output_and_adjoint(BLOCKED_N, 25, np.float32)
+        bits = nc._relu_mask_bits(z)
+        assert len(bits) == 4 and sum(b.nbytes for b in bits) == -(-BLOCKED_N * 25 // 8)
+
+    @pytest.mark.parametrize("n", [2 * nc.ROW_BLOCK, BLOCKED_N])
+    @pytest.mark.parametrize("widths", [(25, 25), (25, 3), (3, 25), (25, 1), (1, 25)])
+    def test_weight_grad_same_bits_as_one_sum(self, n, widths):
+        rng = np.random.default_rng(n)
+        x, d = (rng.normal(size=(n, w)).astype(np.float32) for w in widths)
+        expected = weight_grad_one_sum(x, d, nc.GRAD_BLOCK_ROWS)
+        assert nc._weight_grad(x, d).tobytes() == expected.tobytes()
+
+    def test_weight_grad_holds_one_chunk_of_block_products(self):
+        # every block's 25 x 25 product in one array would take 1.28 MB here
+        n = 16 * nc.ROW_BLOCK
+        rng = np.random.default_rng(3)
+        x, d = (rng.normal(size=(n, 25)).astype(np.float32) for _ in range(2))
+        all_blocks = n // nc.GRAD_BLOCK_ROWS * 25 * 25 * 4
+        assert traced_peak(lambda: nc._weight_grad(x, d)) < all_blocks / 8
+
+
+class TestCheckFinite:
+    SHAPE = (2 * nc.ROW_BLOCK + 3, 7)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, (SHAPE[0] // 2) * SHAPE[1] + 3, -1])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_raises_naming_the_op(self, bad, where, dtype):
+        value = np.ones(self.SHAPE, dtype=dtype)
+        value.flat[where] = bad
+        assert not all_finite_whole(value)
+        with pytest.raises(NonFiniteError, match="^some_op produced non-finite values$"):
+            nc._check_finite("some_op", value)
+        with pytest.raises(NonFiniteError, match="some_op"):
+            nc._check_finite("some_op", value.reshape(-1))
+
+    @pytest.mark.parametrize("value", [np.ones((0, 25)), np.ones(0), np.array(2.5),
+                                       np.float32(-3.0), np.ones((5, 0))])
+    def test_passes_on_empty_and_0d(self, value):
+        assert all_finite_whole(value)
+        nc._check_finite("some_op", np.asarray(value))
+
+    def test_0d_nonfinite_raises(self):
+        with pytest.raises(NonFiniteError, match="some_op"):
+            nc._check_finite("some_op", np.array(np.nan))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_allocates_nothing_of_the_arrays_size(self, dtype):
+        value = np.ones((12 * nc.ROW_BLOCK, 25), dtype=dtype)
+        assert traced_peak(lambda: nc._check_finite("some_op", value)) < value.nbytes / 8
+
+
+class TestGumbelSoftmax:
+    """One tape entry, the bits of add_const -> scale -> softmax_rows."""
+
+    @staticmethod
+    def draw(kernel, logits, noise, s, dout):
+        """(value, logits gradient) of ``kernel`` under the loss sum(out * dout)."""
+        tape = Tape()
+        out = kernel(tape, tape.param("logits", logits), noise, s)
+        loss = Var((out.value * dout).sum())
+        tape.record(loss, lambda d: ((out, dout * d),))
+        return out.value, nc.backward(tape, loss)["logits"]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("s", [1.0, 1.0 / 0.3, 0.5])
+    def test_same_bits_as_the_three_entry_chain(self, dtype, s):
+        rng = np.random.default_rng(7)
+        logits, noise, dout = (rng.normal(size=(300, 4)).astype(dtype) * 3 for _ in range(3))
+        ours = self.draw(nc.gumbel_softmax, logits, noise, s, dout)
+        chain = self.draw(gumbel_softmax_chain, logits, noise, s, dout)
+        for one, three in zip(ours, chain):  # the value, then the logits gradient
+            assert one.dtype == dtype and one.tobytes() == three.tobytes()
+
+    def test_nonfinite_raises_named_error(self):
+        with np.errstate(over="ignore"):
+            with pytest.raises(NonFiniteError, match="gumbel_softmax"):
+                nc.gumbel_softmax(Tape(), Var(np.array([[1e308, 0.0]])),
+                                  np.array([[1e308, 0.0]]), 1.0)
+
+
 class TestSoftmaxRows:
     def test_uniform(self):
         out = nc.softmax_rows(Tape(), Var(np.zeros((2, 4))))
@@ -551,6 +681,31 @@ class TestTape:
         nc.backward(tape, loss)
         with pytest.raises(RuntimeError):
             nc.backward(tape, loss)
+
+    def test_backward_drops_each_entry_before_earlier_rules_run(self):
+        # a later entry's rule, and what it closed over, is freed once the
+        # rule has run: no earlier rule runs beside it
+        tape = Tape()
+        w = tape.param("w", np.ones(3))
+        refs, alive = [], []
+
+        def scaled(x, factor):
+            """x * factor as a tape entry whose rule closes over a new array."""
+            kept = np.full(3, factor)
+            refs.append(weakref.ref(kept))
+
+            def bwd(dout):
+                alive.append([ref() is not None for ref in refs])
+                return ((x, dout * kept),)
+
+            out = Var(x.value * kept)
+            tape.record(out, bwd)
+            return out
+
+        grads = nc.backward(tape, taped_sum(tape, scaled(scaled(w, 2.0), 3.0)))
+        np.testing.assert_array_equal(grads["w"], np.full(3, 6.0))
+        assert alive == [[True, True], [True, False]]
+        assert refs[0]() is None and not tape._entries
 
     def test_unused_parameter_gets_zero_gradient(self):
         tape = Tape()
