@@ -78,10 +78,7 @@ class SplitsFile:
 
 @dataclass
 class PrepReport:
-    """``prepared/prep_report.json``: the feature normalisation fitted on the
-    training tiles, the node count of each timestep and the number of tiles
-    per dominant category."""
-    norm: gb.NormStats
+    """``prepared/prep_report.json``: node counts per timestep, tiles per dominant category."""
     node_counts: dict[str, int]
     tile_category_histogram: dict[str, int]
 
@@ -157,15 +154,13 @@ def _check_extent(path: str | Path, m: gs.StackManifest,
 
 
 def _load_prepared(cfg: RunConfig, heights: gs.StackManifest
-                   ) -> tuple[gs.CategoryField, gb.SplitAssignment, gb.NormStats]:
-    """The prepared prior, splits and normalisation, for the heights of
-    manifest ``heights``: the prior must have their extent and each tile
-    must lie inside it."""
+                   ) -> tuple[gs.CategoryField, gb.SplitAssignment]:
+    """The prepared prior and splits, for the heights of manifest ``heights``:
+    the prior must have their extent and each tile must lie inside it."""
     prep = _prepared_dir(cfg)
     prior = _read_field(prep / "prior_proportions", gs.StackKind.PRIOR_PROPORTIONS)
     _check_extent(cfg.heights, heights, prior.shape)
-    splits = _load_splits(prep / "splits.json", prior.shape)
-    return prior, splits, schema.load(PrepReport, prep / "prep_report.json").norm
+    return prior, _load_splits(prep / "splits.json", prior.shape)
 
 
 def _save_splits(splits: gb.SplitAssignment, path: Path) -> None:
@@ -227,7 +222,6 @@ def cmd_prepare(cfg: RunConfig) -> int:
 
     node_counts = {label: int(gb.node_mask(g, tiles).sum())
                    for label, g in zip(hm.layer_labels, heights.grids)}
-    stats = gb.fit_norm_stats(heights.grids, splits.train)
 
     histogram = Counter(gs.NONE_LABEL if d is None else fine.categories[d] for d in dominants)
 
@@ -237,7 +231,7 @@ def cmd_prepare(cfg: RunConfig) -> int:
         gs.write_grid_stack(gs.field_to_stack(fine, gs.StackKind.PRIOR_PROPORTIONS),
                             stage / "prior_proportions")
         _save_splits(splits, stage / "splits.json")
-        report = PrepReport(stats, node_counts, histogram)
+        report = PrepReport(node_counts, histogram)
         gs.write_atomic(stage / "prep_report.json", schema.dumps(report))
         # self-check: every artifact must re-validate on read
         _read_field(stage / "prior_proportions", gs.StackKind.PRIOR_PROPORTIONS)
@@ -250,13 +244,13 @@ def cmd_prepare(cfg: RunConfig) -> int:
 
 def cmd_train(cfg: RunConfig) -> int:
     heights = gs.read_grid_stack(cfg.heights, gs.StackKind.HEIGHT_SERIES)
-    prior, splits, stats = _load_prepared(cfg, heights.manifest)
+    prior, splits = _load_prepared(cfg, heights.manifest)
     # float32, the dtype the checkpoint stores: it holds the trained weights bit for bit
     params = md.ModelParams.initialize(f_dim=gb.NODE_FEATURES, k_cats=prior.k,
                                        seed=cfg.train.seed).astype(np.float32)
     # train reads the prior in float32; rebinding frees the float64 field
     prior = md.ModelPrior.of(prior, params.dtype)
-    result = md.train(params, heights, prior, splits, cfg.train, stats)
+    result = md.train(params, heights, prior, splits, cfg.train)
 
     lines = ["epoch,train_rec,train_kl,train_ce,train_total,"
              "val_rec,val_kl,val_ce,val_total"]
@@ -308,9 +302,11 @@ def cmd_infer(cfg: RunConfig, checkpoint: str) -> int:
     # whole, never new timesteps beside old ones
     with _echoed(cfg.out_dir, "infer", cfg, out) as stage:
         for label, grid in zip(heights.manifest.layer_labels, heights.grids):
-            # unnamed, the stack is freed before the self-check decode and next inference
-            gs.write_grid_stack(md.infer_posterior(params, grid, stats, categories),
-                                stage / label)
+            try:  # unnamed, the stack is freed before the self-check decode and next inference
+                gs.write_grid_stack(md.infer_posterior(params, grid, stats, categories),
+                                    stage / label)
+            except NonFiniteError as exc:
+                raise NonFiniteError(f"timestep {label!r}: {exc}") from exc
             _read_field(stage / label, gs.StackKind.POSTERIOR, label)  # self-check
     print(f"wrote {len(heights.grids)} posterior stacks under {out}")
     return 0

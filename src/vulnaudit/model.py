@@ -385,9 +385,8 @@ def _validation_losses(params: ModelParams, grid: RasterGrid, tiles: list[Tile],
 
 
 def train(params: ModelParams, height_series: GridStack, prior: CategoryField | ModelPrior,
-          splits: SplitAssignment, config: TrainConfig,
-          norm_stats: NormStats | None = None) -> TrainResult:
-    """Train one shared parameter set over all timesteps' training graphs.
+          splits: SplitAssignment, config: TrainConfig) -> TrainResult:
+    """Fit the normalisation and one shared parameter set to all timesteps' training nodes.
 
     Each epoch draws a fresh subgraph partition with edge dropout per
     timestep and interleaves the timesteps round-robin. Validation losses are
@@ -403,8 +402,7 @@ def train(params: ModelParams, height_series: GridStack, prior: CategoryField | 
     copy beside it.
     """
     prior = ModelPrior.of(prior, params.dtype)
-    if norm_stats is None:
-        norm_stats = fit_norm_stats(height_series.grids, splits.train)
+    norm_stats = fit_norm_stats(height_series.grids, splits.train)  # raises on no training node
     # the timesteps that have training nodes, and their node counts
     train_grids: dict[str, RasterGrid] = {}
     sizes: list[int] = []
@@ -412,8 +410,6 @@ def train(params: ModelParams, height_series: GridStack, prior: CategoryField | 
         if n_nodes := int(node_mask(grid, splits.train).sum()):
             train_grids[label] = grid
             sizes.append(n_nodes)
-    if not train_grids:
-        raise ValueError("no training nodes at any timestep")
 
     n_sub = auto_n_subgraphs(max(sizes))  # parts per timestep, sized by the largest
     for label, n_nodes in zip(train_grids, sizes):
@@ -428,19 +424,23 @@ def train(params: ModelParams, height_series: GridStack, prior: CategoryField | 
                                     derive_seed(config.seed, 1, epoch, ti))
                     for ti, grid in enumerate(train_grids.values())]
         step_losses: list[LossBreakdown] = []
-        for i in range(n_sub):
-            for ti, (label, parts) in enumerate(zip(train_grids, samplers)):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence([config.seed, 2, epoch, ti, i]))
-                try:  # the part graph lives only while its step runs
+        val_losses: list[LossBreakdown] = []
+        try:  # a numeric failure names the epoch and ``where`` in it
+            for i in range(n_sub):
+                for ti, (label, parts) in enumerate(zip(train_grids, samplers)):
+                    where = f"timestep {label!r}, subgraph {i}"
+                    rng = np.random.default_rng(
+                        np.random.SeedSequence([config.seed, 2, epoch, ti, i]))
+                    # the part graph lives only while its step runs
                     step_losses.append(train_step(params, optimizer, next(parts),
                                                   norm_stats, prior, rng))
-                except NonFiniteError as exc:
-                    raise NonFiniteError(
-                        f"epoch {epoch}, timestep {label!r}, subgraph {i}: {exc}") from exc
-        val_losses = [losses for grid in height_series.grids
-                      if (losses := _validation_losses(params, grid, splits.validation,
-                                                       norm_stats, prior)) is not None]
+            for label, grid in zip(height_series.manifest.layer_labels, height_series.grids):
+                where = f"validation, timestep {label!r}"
+                if (losses := _validation_losses(params, grid, splits.validation,
+                                                 norm_stats, prior)) is not None:
+                    val_losses.append(losses)
+        except NonFiniteError as exc:
+            raise NonFiniteError(f"epoch {epoch}, {where}: {exc}") from exc
         history.append(EpochLosses(epoch, _mean_breakdown(step_losses),
                                    _mean_breakdown(val_losses) if val_losses else None))
     return TrainResult(params, history, norm_stats)
@@ -496,7 +496,10 @@ def infer_posterior(params: ModelParams, heights: RasterGrid, norm_stats: NormSt
         ys = graph.node_pixels[:, 1] + y0
         a_hat, x = _encoder_input(graph, norm_stats, params.dtype)
         del graph  # its float64 A_hat goes before the encoder runs
-        logits = encode(params, a_hat, x).logits.value
+        try:
+            logits = encode(params, a_hat, x).logits.value
+        except NonFiniteError as exc:
+            raise NonFiniteError(f"core at x={core.origin_x}, y={core.origin_y}: {exc}") from exc
         del a_hat, x  # nor does the input live on into the next window's build
         in_core = (xs >= core.origin_x) & (xs < cx1) & (ys >= core.origin_y) & (ys < cy1)
         xs, ys = xs[in_core], ys[in_core]

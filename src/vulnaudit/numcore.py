@@ -216,12 +216,11 @@ def _mask_by_bits(d: np.ndarray, bits: list[np.ndarray]) -> None:
         block *= np.unpackbits(packed, count=block.size).reshape(block.shape).view(bool)
 
 
-def _finish_layer(a: sp.csr_matrix, first: np.ndarray, w: np.ndarray,
+def _finish_layer(op: str, a: sp.csr_matrix, first: np.ndarray, w: np.ndarray,
                   b: np.ndarray, activate: bool) -> np.ndarray:
-    """A forward layer from its first product, checked for finiteness before
-    the ReLU (which would map a -inf to 0)."""
+    """A forward layer from its first product, finite-checked as ``op`` before the ReLU."""
     pre = _pre_activation(a, first, w, b)
-    _check_finite("gcn_layer", pre)
+    _check_finite(op, pre)
     return _relu(pre) if activate else pre
 
 
@@ -298,7 +297,7 @@ def gcn_layer(tape: Tape, a: sp.csr_matrix, h: Var, w: Var, b: Var,
     """
     hv, wv, bv = h.value, w.value, b.value
     _check_shapes("gcn_layer", a, hv.shape, wv, bv)
-    pre = _finish_layer(a, _first_product(a, hv, wv), wv, bv, activate)
+    pre = _finish_layer("gcn_layer", a, _first_product(a, hv, wv), wv, bv, activate)
     out = Var(pre)
 
     def bwd(dpre):  # the adjoint, owned: masked and reused in place
@@ -347,13 +346,14 @@ def gcn_block(tape: Tape, a: sp.csr_matrix, h: Var,
         raise ValueError(f"gcn_block layer 2 widens: W {w2v.shape}")
     widens = not _narrows(w1v)
     first = _first_product(a, hv, w1v)
-    z1 = _finish_layer(a, first, w1v, b1.value, True)
+    z1 = _finish_layer("gcn_block layer 1", a, first, w1v, b1.value, True)
     kept = first if widens else z1  # the narrow A @ H, or Z1
     first = _first_product(a, z1, w2v)
     z1 = None
-    z2 = _finish_layer(a, first, w2v, b2.value, True)
+    z2 = _finish_layer("gcn_block layer 2", a, first, w2v, b2.value, True)
     first = None
-    out = Var(_finish_layer(a, _first_product(a, z2, w3v), w3v, b3.value, False))
+    out = Var(_finish_layer("gcn_block layer 3", a, _first_product(a, z2, w3v), w3v,
+                            b3.value, False))
 
     def bwd(d3):  # the adjoint, owned
         nonlocal z2

@@ -76,8 +76,8 @@ def edit_norm(raw, key, value):
     return json.dumps(doc).encode()
 
 
-# bad ``norm`` objects, as prep_report.json and the checkpoint manifest
-# hold them: the key, its bad value (None: missing) and the error after the file
+# bad ``norm`` objects, as the checkpoint manifest holds them: the key, its
+# bad value (None: missing) and the error after the file
 BAD_NORMS = [
     ("std", None, "section 'norm': missing key(s) 'std'"),
     ("mean", float("nan"), "section 'norm', section 'mean': expected a finite number"),
@@ -200,7 +200,7 @@ class TestPrepare:
             ["prep_report.json", "prior_proportions", "splits.json"]
         report = json.loads((prepared / "prep_report.json").read_text())
         assert set(report["node_counts"]) == {"t0", "t1"}
-        assert report["norm"]["std"] > 0
+        assert sum(report["tile_category_histogram"].values()) == 4
 
     def test_norm_stats_equal_pooled_graph_features(self, toy_run):
         tmp_path, config = toy_run
@@ -212,15 +212,17 @@ class TestPrepare:
         heights.grids[1].values[1::4, 2::4] = heights.grids[1].nodata
         gs.write_grid_stack(heights, tmp_path / "data" / "heights")
         assert cli.main(["prepare", "--config", str(config)]) == 0
+        set_train(config, epochs=0)
+        assert cli.main(["train", "--config", str(config)]) == 0
         prepared = tmp_path / "out" / "prepared"
-        report = json.loads((prepared / "prep_report.json").read_text())
+        manifest = json.loads((tmp_path / "out" / "checkpoint" / "manifest.json").read_text())
         train_tiles = [gb.Tile(r["x"], r["y"], r["w"], r["h"]) for r in
                        json.loads((prepared / "splits.json").read_text())["tiles"]
                        if r["split"] == "train"]
         pooled = np.concatenate([gb.build_graph(g, train_tiles).features.ravel()
                                  for g in heights.grids])
         _, expected = gb.log_normalize(pooled)
-        assert report["norm"] == {"mean": expected.mean, "std": expected.std}
+        assert manifest["norm"] == {"mean": expected.mean, "std": expected.std}
 
     def test_missing_prior_path_names_it(self, tmp_path, capsys):
         spec = write_spec(tmp_path / "spec.json")
@@ -254,8 +256,8 @@ class TestPrepare:
 
     def test_failed_rerun_keeps_previous_prepared_whole(self, toy_run, monkeypatch, capsys):
         # a rerun with another split seed whose report write fails must not
-        # leave its splits beside the first run's report: train would read
-        # normalization statistics fitted on other tiles
+        # leave its splits beside the first run's report: prepared/ holds
+        # the files of one run, whole
         tmp_path, config = toy_run
         assert cli.main(["prepare", "--config", str(config)]) == 0
         out = tmp_path / "out"
@@ -446,7 +448,7 @@ class TestTrain:
         assert cli.main(["prepare", "--config", str(config)]) == 0
         cfg = schema.load(cli.RunConfig, config)
         heights = gs.read_grid_stack(cfg.heights, gs.StackKind.HEIGHT_SERIES)
-        _, splits, _ = cli._load_prepared(cfg, heights.manifest)
+        _, splits = cli._load_prepared(cfg, heights.manifest)
         assert all(gb.node_mask(grid, splits.train).sum() >= 32_768 for grid in heights.grids)
         runs = []
         for threads in ("1", "2"):
@@ -506,14 +508,59 @@ class TestTrain:
         with pytest.warns(RuntimeWarning) as caught:
             assert cli.main(["train", "--config", str(config)]) == 3
         # the deliberate divergence: lr 1e300 overflows float32 in Adam's update,
-        # which then multiplies inf by 0, and the next forward adds NaNs in gcn_layer
+        # which then multiplies inf by 0, and the next forward adds NaNs in a gcn_block
         assert {(Path(w.filename).name, str(w.message)) for w in caught} == {
             ("model.py", "overflow encountered in cast"),
             ("model.py", "invalid value encountered in multiply"),
             ("numcore.py", "invalid value encountered in add")}
         err = capsys.readouterr().err
         assert re.search(r"epoch \d+, timestep '(t0|t1)', subgraph \d+: "
-                         r"gcn_layer produced non-finite values", err), err
+                         r"gcn_block layer [123] produced non-finite values", err), err
+
+    def test_diverging_validation_names_epoch_and_timestep(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # one timestep in sixteen 4-pixel tiles, two of them validation: epoch
+        # 0's only step overflows the weights, and its validation forward is
+        # the first to meet the NaNs
+        spec = write_spec(tmp_path / "spec.json", timesteps=1)
+        assert cli.main(["synth", "--spec", str(spec), "--out", str(tmp_path / "data")]) == 0
+        config = write_config(tmp_path / "config.json", tmp_path / "data", tmp_path / "out",
+                              tile_size=4, upsample_factor=4, train={"epochs": 2, "seed": 0})
+        assert cli.main(["prepare", "--config", str(config)]) == 0
+        monkeypatch.setattr(md, "LEARNING_RATE", 1e300)
+        capsys.readouterr()
+        with pytest.warns(RuntimeWarning):
+            assert cli.main(["train", "--config", str(config)]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: epoch 0, validation, timestep 't0': "
+            "gcn_block layer 1 produced non-finite values\n")
+        assert not (tmp_path / "out" / "checkpoint").exists()
+
+    def test_runs_without_prep_report(self, toy_run):
+        # train fits the normalisation itself and reads no prep_report.json
+        tmp_path, config = toy_run
+        ckpt = tmp_path / "out" / "checkpoint"
+        assert cli.main(["prepare", "--config", str(config)]) == 0
+        set_train(config, epochs=1)
+        assert cli.main(["train", "--config", str(config)]) == 0
+        intact = {p.name: p.read_bytes() for p in ckpt.iterdir()}
+        (tmp_path / "out" / "prepared" / "prep_report.json").unlink()
+        assert cli.main(["train", "--config", str(config)]) == 0
+        assert {p.name: p.read_bytes() for p in ckpt.iterdir()} == intact
+
+    def test_no_training_row_exits_2(self, toy_run, capsys):
+        tmp_path, config = toy_run
+        assert cli.main(["prepare", "--config", str(config)]) == 0
+        path = tmp_path / "out" / "prepared" / "splits.json"
+        doc = json.loads(path.read_text())
+        for row in doc["tiles"]:
+            if row["split"] == "train":
+                row["split"] = "test"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(["train", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == "error: no training nodes at any timestep\n"
+        assert not (tmp_path / "out" / "checkpoint").exists()
 
     def test_zero_mass_prior_exits_2_naming_stack(self, toy_run, capsys):
         tmp_path, config = toy_run
@@ -552,19 +599,6 @@ class TestTrain:
     def test_train_without_prepare_exits_2(self, toy_run):
         tmp_path, config = toy_run
         assert cli.main(["train", "--config", str(config)]) == 2
-
-    @pytest.mark.parametrize("key, value, named", BAD_NORMS,
-                             ids=["missing-key", "nan-mean", "infinite-std", "zero-std",
-                                  "negative-std", "bool-std", "string-mean"])
-    def test_bad_prep_report_exits_2_naming_file(self, toy_run, capsys, key, value, named):
-        tmp_path, config = toy_run
-        assert cli.main(["prepare", "--config", str(config)]) == 0
-        path = tmp_path / "out" / "prepared" / "prep_report.json"
-        path.write_bytes(edit_norm(path.read_bytes(), key, value))
-        assert cli.main(["train", "--config", str(config)]) == 2
-        err = capsys.readouterr().err
-        assert f"{path}, {named}" in err, err
-        assert not (tmp_path / "out" / "checkpoint").exists()
 
 
 class TestInfer:
@@ -762,6 +796,23 @@ class TestInfer:
                  for p in (out / "posteriors").rglob("*") if p.is_file()}
         assert after == before
         assert not [p.name for p in out.iterdir() if p.name.startswith(".")]
+
+    def test_diverging_window_names_timestep_and_core(self, toy_run3, capsys):
+        tmp_path, config = toy_run3
+        out, ckpt = tmp_path / "out", tmp_path / "out" / "checkpoint"
+        assert cli.main(["infer", "--config", str(config), "--checkpoint", str(ckpt)]) == 0
+        before = {p: p.read_bytes() for p in (out / "posteriors").rglob("*") if p.is_file()}
+        # finite weights, so the checkpoint loads, whose products overflow float32
+        blob = ckpt / "enc_w2.f32"
+        np.full(blob.stat().st_size // 4, 3e38, "<f4").tofile(blob)
+        capsys.readouterr()
+        with np.errstate(over="ignore"):
+            assert cli.main(["infer", "--config", str(config), "--checkpoint", str(ckpt)]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: timestep 't0': core at x=0, y=0: "
+            "gcn_block layer 2 produced non-finite values\n")
+        assert {p: p.read_bytes() for p in (out / "posteriors").rglob("*")
+                if p.is_file()} == before
 
     @pytest.mark.parametrize("bad_rows, rule", [
         # every value in [0, 1], so the stack's range check passes and the
@@ -1262,13 +1313,11 @@ class TestMalformedJson:
     @pytest.mark.parametrize("name, edit, command", [
         ("config.json", truncate, "train"),
         ("out/prepared/splits.json", truncate, "train"),
-        ("out/prepared/prep_report.json", truncate, "train"),
         ("out/checkpoint/manifest.json", truncate, "infer"),
         ("data/heights/manifest.json", truncate, "train"),
         ("data/heights/manifest.json", lambda raw: edit_json(raw, width=16.0), "train"),
-    ], ids=["truncated-config", "truncated-splits", "truncated-prep-report",
-            "truncated-checkpoint-manifest", "truncated-heights-manifest",
-            "float-heights-width"])
+    ], ids=["truncated-config", "truncated-splits", "truncated-checkpoint-manifest",
+            "truncated-heights-manifest", "float-heights-width"])
     def test_exits_2_naming_file_and_writes_nothing(self, toy_run, capsys, name, edit,
                                                     command):
         tmp_path, config = toy_run
@@ -1315,12 +1364,11 @@ def test_missing_key_named_as_the_file_spells_it(toy_run, capsys, name, key, com
 
 @pytest.mark.parametrize("name, key, value, command", [
     ("out/prepared/splits.json", "ratios", [0.7, 0.15, 0.15], "train"),
-    ("out/prepared/prep_report.json", "norm_mean", 0.25, "train"),
     ("out/checkpoint/manifest.json", "param_order", list(md.PARAM_ORDER), "infer"),
     ("out/checkpoint/manifest.json", "shapes",
      {name: list(shape) for name, shape in md.param_shapes(1, 2, md.DEFAULT_HIDDEN).items()},
      "infer"),
-], ids=["splits-ratios", "report-norm-mean", "checkpoint-param-order", "checkpoint-shapes"])
+], ids=["splits-ratios", "checkpoint-param-order", "checkpoint-shapes"])
 def test_old_format_exits_2_naming_file_and_key(toy_run, capsys, name, key, value, command):
     # a key that files of the earlier format held, with the value they held:
     # such a file is regenerated, not read with the key ignored
@@ -1340,7 +1388,7 @@ def test_old_format_exits_2_naming_file_and_key(toy_run, capsys, name, key, valu
 
 
 def test_json_files_hold_their_keys_only(toy_run):
-    # splits, normalisation and checkpoint each state a fact once: no
+    # splits, prep report and checkpoint each state a fact once: no
     # module constant, no value the reader derives, no flag held twice
     tmp_path, config = toy_run
     assert cli.main(["prepare", "--config", str(config)]) == 0
@@ -1352,9 +1400,9 @@ def test_json_files_hold_their_keys_only(toy_run):
         ("prepared/splits.json", "prepared/prep_report.json", "checkpoint/manifest.json"))
     assert sorted(splits) == ["balanced", "tiles"]
     assert {tuple(sorted(row)) for row in splits["tiles"]} == {("h", "split", "w", "x", "y")}
-    assert sorted(report) == ["node_counts", "norm", "tile_category_histogram"]
+    assert sorted(report) == ["node_counts", "tile_category_histogram"]
     assert sorted(manifest) == ["config", "f_dim", "hidden", "k_cats", "norm"]
-    assert sorted(report["norm"]) == sorted(manifest["norm"]) == ["mean", "std"]
+    assert sorted(manifest["norm"]) == ["mean", "std"]
 
 
 @pytest.mark.parametrize("case, named, message", [

@@ -406,16 +406,17 @@ class TestGcnBlock:
         with pytest.raises(ValueError, match="gcn_block layer [123] shape mismatch"):
             self.block(Tape(), sp.csr_matrix(np.ones(a_shape)), v)
 
-    @pytest.mark.parametrize("h, w1, w2, w3", [
-        (10.0, -1e308, 1.0, 1.0),    # layer 1: -inf, which its ReLU would hide
-        (1.0, 1e300, -1e300, 1.0),   # layer 2: -inf, likewise
-        (1.0, 1e300, 1.0, 1e300),    # layer 3: +inf
+    @pytest.mark.parametrize("layer, h, w1, w2, w3", [
+        (1, 10.0, -1e308, 1.0, 1.0),    # -inf, which its ReLU would hide
+        (2, 1.0, 1e300, -1e300, 1.0),   # -inf, likewise
+        (3, 1.0, 1e300, 1.0, 1e300),    # +inf
     ], ids=["layer-1", "layer-2", "layer-3"])
-    def test_nonfinite_in_each_layer_raises(self, h, w1, w2, w3):
+    def test_nonfinite_in_each_layer_raises(self, layer, h, w1, w2, w3):
         v = {"h": h, "w1": w1, "b1": 0.0, "w2": w2, "b2": 0.0, "w3": w3, "b3": 0.0}
         v = {n: Var(np.full((1, 1) if n[0] in "hw" else (1,), x)) for n, x in v.items()}
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NonFiniteError, match="gcn_layer produced non-finite values"):
+            with pytest.raises(NonFiniteError,
+                               match=f"^gcn_block layer {layer} produced non-finite values$"):
                 self.block(Tape(), eye(1), v)
 
 
