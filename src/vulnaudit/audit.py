@@ -107,10 +107,11 @@ def change_map(h_t: RasterGrid, h_t1: RasterGrid,
 
 
 def check_region(region: tuple[int, int, int, int], width: int, height_px: int) -> None:
-    """Raise ValueError unless the (x, y, width, height) rectangle is
-    non-empty and lies inside a width x height_px raster."""
+    """Raise ValueError unless the (x, y, width, height) rectangle, whose
+    origin and size the caller has checked (``cli.Region``), ends inside a
+    width x height_px raster."""
     x, y, w, h = region
-    if x < 0 or y < 0 or w <= 0 or h <= 0 or x + w > width or y + h > height_px:
+    if x + w > width or y + h > height_px:
         raise ValueError(f"region {region} out of bounds for {width}x{height_px} raster")
 
 

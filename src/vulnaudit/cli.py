@@ -28,8 +28,10 @@ from .schema import ConfigError
 
 @dataclass
 class Region:
-    """A regional-trend rectangle in pixels; ``name`` defaults to
-    ``r{x}_{y}`` and names the audit file ``trend_{name}.csv``."""
+    """A regional-trend rectangle in pixels, with a non-negative origin and
+    a positive size; ``name`` defaults to ``r{x}_{y}`` and names the audit
+    file ``trend_{name}.csv``. Whether it lies inside the heights is
+    checked by audit, which reads them."""
     x: int
     y: int
     width: int
@@ -39,6 +41,9 @@ class Region:
     def __post_init__(self):
         if self.name is None:
             self.name = f"r{self.x}_{self.y}"
+        if self.x < 0 or self.y < 0 or self.width < 1 or self.height < 1:
+            raise ValueError(f"region {self.name!r} {self.rect} out of bounds: x and y must "
+                             f"be >= 0, width and height >= 1")
         if not gs.usable_label(self.name):
             raise ValueError(f"unusable region name {self.name!r}")
 
@@ -252,14 +257,9 @@ def cmd_train(cfg: RunConfig) -> int:
     prior = md.ModelPrior.of(prior, params.dtype)
     result = md.train(params, heights, prior, splits, cfg.train)
 
-    lines = ["epoch,train_rec,train_kl,train_ce,train_total,"
-             "val_rec,val_kl,val_ce,val_total"]
-    no_val = md.LossBreakdown(*[float("nan")] * 4)  # no validation node: no loss
-    for row in result.history:
-        t, v = row.train, row.val or no_val
-        lines.append(",".join([str(row.epoch)] +
-                              [repr(x) for x in (t.rec, t.kl, t.ce, t.total,
-                                                 v.rec, v.kl, v.ce, v.total)]))
+    lines = ["epoch,train_rec,train_kl,train_ce,train_total"]
+    for epoch, t in enumerate(result.history):
+        lines.append(",".join([str(epoch)] + [repr(x) for x in (t.rec, t.kl, t.ce, t.total)]))
     out = Path(cfg.out_dir)
     with _echoed(out, "train", cfg):
         # gone before the checkpoint is replaced: a rerun that fails at either
@@ -270,11 +270,8 @@ def cmd_train(cfg: RunConfig) -> int:
         md.load_checkpoint(out / "checkpoint")  # self-check
     if result.history:
         last = result.history[-1]
-        val = ("no validation nodes, val columns nan" if last.val is None
-               else f"val total {last.val.total:.6f}")
-        print(f"epoch {last.epoch}: train total {last.train.total:.6f} "
-              f"(rec {last.train.rec:.6f}, kl {last.train.kl:.6f}, ce {last.train.ce:.6f}); "
-              f"{val}")
+        print(f"epoch {len(result.history) - 1}: train total {last.total:.6f} "
+              f"(rec {last.rec:.6f}, kl {last.kl:.6f}, ce {last.ce:.6f})")
     else:
         print("epochs=0: checkpoint holds the initial parameters")
     return 0

@@ -191,7 +191,7 @@ def log_normalize(features: np.ndarray,
     """x' = (log1p(x) - mean) / std.
 
     With ``stats=None`` the statistics are fitted on the given (training)
-    features and returned for reuse on validation/test/inference features.
+    features and returned for reuse on inference features.
     A std below 1e-12 is replaced by 1 so constant inputs map to zeros.
     """
     x = np.asarray(features, dtype=np.float64)

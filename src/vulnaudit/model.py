@@ -175,9 +175,8 @@ def _masked_mean(tape: Tape, posterior: Var, mask: np.ndarray, total, gradient) 
     posterior. ``total(mask)`` gives the loss summed over the masked nodes,
     and ``gradient()`` its gradient at every entry. The backward calls
     ``gradient``, divides it by m and zeroes it off the mask, so no gradient
-    is held through the forward, and a forward that is never differentiated
-    (``evaluate_losses``) makes none. Zero, with a zero gradient, when the
-    mask is empty."""
+    is held through the forward. Zero, with a zero gradient, when the mask
+    is empty."""
     mask = np.asarray(mask, dtype=bool)
     m = int(mask.sum())
     out = Var(total(mask) / m if m else np.zeros((), posterior.value.dtype))
@@ -259,13 +258,10 @@ class LossBreakdown:
 
 
 def _forward_losses(params: ModelParams, a_hat: sp.csr_matrix, x: np.ndarray,
-                    prior_p: np.ndarray, mask: np.ndarray, rng: np.random.Generator | None,
+                    prior_p: np.ndarray, mask: np.ndarray, rng: np.random.Generator,
                     tape: Tape) -> tuple[Var, LossBreakdown]:
     enc = encode(params, a_hat, x, tape)
-    if rng is not None:
-        v = gumbel_softmax_var(tape, enc.logits, GUMBEL_TAU, rng)
-    else:
-        v = enc.probabilities  # expected probabilities, no sampling noise
+    v = gumbel_softmax_var(tape, enc.logits, GUMBEL_TAU, rng)
     recon = decode(params, a_hat, v, tape)
     l_rec = loss_rec(tape, recon, x)
     l_kl = loss_kl(tape, enc.probabilities, prior_p, mask)
@@ -337,24 +333,10 @@ def train_step(params: ModelParams, optimizer: Adam, subgraph: GridGraph,
     return breakdown
 
 
-def evaluate_losses(params: ModelParams, a_hat: sp.csr_matrix, x: np.ndarray,
-                    prior_p: np.ndarray, mask: np.ndarray) -> LossBreakdown:
-    """Loss terms without sampling noise (latent = expected probabilities)."""
-    _, breakdown = _forward_losses(params, a_hat, x, prior_p, mask, None, Tape())
-    return breakdown
-
-
-@dataclass
-class EpochLosses:
-    epoch: int
-    train: LossBreakdown
-    val: LossBreakdown | None  # None when no timestep has a validation node
-
-
 @dataclass
 class TrainResult:
     params: ModelParams
-    history: list[EpochLosses]
+    history: list[LossBreakdown]  # each epoch's mean step losses, in order
     norm_stats: NormStats
 
 
@@ -371,35 +353,21 @@ def _mean_breakdown(items: list[LossBreakdown]) -> LossBreakdown:
                          sum(b.total for b in items) / n)
 
 
-def _validation_losses(params: ModelParams, grid: RasterGrid, tiles: list[Tile],
-                       norm_stats: NormStats, prior: ModelPrior) -> LossBreakdown | None:
-    """Noise-free losses on a validation graph built for the call; None
-    without nodes. The prior is ``train``'s, already in the model's dtype."""
-    graph = build_graph(grid, tiles)
-    if not graph.n_nodes:
-        return None
-    prior_p, mask = node_prior(prior, graph)
-    a_hat, x = _encoder_input(graph, norm_stats, params.dtype)
-    del graph
-    return evaluate_losses(params, a_hat, x, prior_p, mask)
-
-
 def train(params: ModelParams, height_series: GridStack, prior: CategoryField | ModelPrior,
           splits: SplitAssignment, config: TrainConfig) -> TrainResult:
     """Fit the normalisation and one shared parameter set to all timesteps' training nodes.
 
     Each epoch draws a fresh subgraph partition with edge dropout per
-    timestep and interleaves the timesteps round-robin. Validation losses are
-    computed on the validation tiles with no dropout and no sampling noise.
-    Fully deterministic given ``config.seed``.
+    timestep and interleaves the timesteps round-robin. Only training tiles
+    are read: the validation and test tiles are held out. Fully
+    deterministic given ``config.seed``.
 
     Between steps train holds only each timestep's partition, as a raster of
     part ids (see ``epoch_subgraphs``): each step's graph is built from the
-    raster when the step runs and dropped before the next is built, and each
-    validation graph lives only while its losses are computed. It holds the
-    prior only as a ModelPrior in the weights' dtype; a caller that passes a
-    ModelPrior in that dtype, as ``cli.cmd_train`` does, keeps no float64
-    copy beside it.
+    raster when the step runs and dropped before the next is built. It
+    holds the prior only as a ModelPrior in the weights' dtype; a caller
+    that passes a ModelPrior in that dtype, as ``cli.cmd_train`` does, keeps
+    no float64 copy beside it.
     """
     prior = ModelPrior.of(prior, params.dtype)
     norm_stats = fit_norm_stats(height_series.grids, splits.train)  # raises on no training node
@@ -418,31 +386,23 @@ def train(params: ModelParams, height_series: GridStack, prior: CategoryField | 
                              f"fewer than the {n_sub} subgraphs of each epoch")
 
     optimizer = Adam(LEARNING_RATE)
-    history: list[EpochLosses] = []
+    history: list[LossBreakdown] = []
     for epoch in range(config.epochs):
         samplers = [epoch_subgraphs(grid, splits.train, n_sub, DEFAULT_EDGE_DROPOUT,
                                     derive_seed(config.seed, 1, epoch, ti))
                     for ti, grid in enumerate(train_grids.values())]
         step_losses: list[LossBreakdown] = []
-        val_losses: list[LossBreakdown] = []
-        try:  # a numeric failure names the epoch and ``where`` in it
-            for i in range(n_sub):
-                for ti, (label, parts) in enumerate(zip(train_grids, samplers)):
-                    where = f"timestep {label!r}, subgraph {i}"
-                    rng = np.random.default_rng(
-                        np.random.SeedSequence([config.seed, 2, epoch, ti, i]))
-                    # the part graph lives only while its step runs
+        for i in range(n_sub):
+            for ti, (label, parts) in enumerate(zip(train_grids, samplers)):
+                rng = np.random.default_rng(
+                    np.random.SeedSequence([config.seed, 2, epoch, ti, i]))
+                try:  # the part graph lives only while its step runs
                     step_losses.append(train_step(params, optimizer, next(parts),
                                                   norm_stats, prior, rng))
-            for label, grid in zip(height_series.manifest.layer_labels, height_series.grids):
-                where = f"validation, timestep {label!r}"
-                if (losses := _validation_losses(params, grid, splits.validation,
-                                                 norm_stats, prior)) is not None:
-                    val_losses.append(losses)
-        except NonFiniteError as exc:
-            raise NonFiniteError(f"epoch {epoch}, {where}: {exc}") from exc
-        history.append(EpochLosses(epoch, _mean_breakdown(step_losses),
-                                   _mean_breakdown(val_losses) if val_losses else None))
+                except NonFiniteError as exc:
+                    raise NonFiniteError(f"epoch {epoch}, timestep {label!r}, "
+                                         f"subgraph {i}: {exc}") from exc
+        history.append(_mean_breakdown(step_losses))
     return TrainResult(params, history, norm_stats)
 
 

@@ -1,7 +1,6 @@
 import gc
 import hashlib
 import json
-import math
 import os
 import re
 import subprocess
@@ -481,25 +480,38 @@ class TestTrain:
         assert cli.main(["train", "--config", str(config)]) == 0
         lines = (tmp_path / "out" / "losses.csv").read_text().strip().splitlines()
         assert lines[0].split(",") == ["epoch", "train_rec", "train_kl", "train_ce",
-                                       "train_total", "val_rec", "val_kl", "val_ce",
-                                       "val_total"]
+                                       "train_total"]
         assert len(lines) == 4  # 3 epochs
 
-    def test_no_validation_node_writes_nan(self, toy_run, capsys):
-        # the toy run's four 8-pixel tiles all go to train: with no
-        # validation node there is no validation loss, not a loss of 0
-        tmp_path, config = toy_run
+    def test_validation_tiles_are_held_out(self, tmp_path):
+        # heights raised only inside the validation tiles change no byte
+        # that train writes: train reads no validation pixel
+        spec = write_spec(tmp_path / "spec.json")
+        assert cli.main(["synth", "--spec", str(spec), "--out", str(tmp_path / "data")]) == 0
+        config = write_config(tmp_path / "config.json", tmp_path / "data", tmp_path / "out",
+                              tile_size=4)
         assert cli.main(["prepare", "--config", str(config)]) == 0
-        splits = json.loads((tmp_path / "out" / "prepared" / "splits.json").read_text())
-        assert "validation" not in {row["split"] for row in splits["tiles"]}
-        assert cli.main(["train", "--config", str(config)]) == 0
-        rows = (tmp_path / "out" / "losses.csv").read_text().strip().splitlines()[1:]
-        assert len(rows) == 3
-        for row in rows:
-            values = row.split(",")
-            assert all(math.isfinite(float(v)) for v in values[1:5])
-            assert values[5:] == ["nan"] * 4
-        assert "no validation nodes" in capsys.readouterr().out
+        out = tmp_path / "out"
+
+        def trained():
+            assert cli.main(["train", "--config", str(config)]) == 0
+            return {p.name: p.read_bytes()
+                    for p in [*(out / "checkpoint").iterdir(), out / "losses.csv"]}
+
+        before = trained()
+        tiles = json.loads((out / "prepared" / "splits.json").read_text())["tiles"]
+        validation = [row for row in tiles if row["split"] == "validation"]
+        assert validation
+        raised = 0
+        for layer in (tmp_path / "data" / "heights").glob("*.f32"):
+            values = np.fromfile(layer, dtype="<f4").reshape(16, 16)
+            for row in validation:
+                tile = values[row["y"]:row["y"] + row["h"], row["x"]:row["x"] + row["w"]]
+                raised += int((tile > 0).sum())
+                tile[tile > 0] *= 4.0
+            values.tofile(layer)
+        assert raised
+        assert trained() == before
 
     def test_diverging_run_exits_3(self, toy_run, capsys, monkeypatch):
         tmp_path, config = toy_run
@@ -516,25 +528,6 @@ class TestTrain:
         err = capsys.readouterr().err
         assert re.search(r"epoch \d+, timestep '(t0|t1)', subgraph \d+: "
                          r"gcn_block layer [123] produced non-finite values", err), err
-
-    def test_diverging_validation_names_epoch_and_timestep(self, tmp_path, capsys,
-                                                            monkeypatch):
-        # one timestep in sixteen 4-pixel tiles, two of them validation: epoch
-        # 0's only step overflows the weights, and its validation forward is
-        # the first to meet the NaNs
-        spec = write_spec(tmp_path / "spec.json", timesteps=1)
-        assert cli.main(["synth", "--spec", str(spec), "--out", str(tmp_path / "data")]) == 0
-        config = write_config(tmp_path / "config.json", tmp_path / "data", tmp_path / "out",
-                              tile_size=4, upsample_factor=4, train={"epochs": 2, "seed": 0})
-        assert cli.main(["prepare", "--config", str(config)]) == 0
-        monkeypatch.setattr(md, "LEARNING_RATE", 1e300)
-        capsys.readouterr()
-        with pytest.warns(RuntimeWarning):
-            assert cli.main(["train", "--config", str(config)]) == 3
-        assert capsys.readouterr().err == (
-            "numerical failure: epoch 0, validation, timestep 't0': "
-            "gcn_block layer 1 produced non-finite values\n")
-        assert not (tmp_path / "out" / "checkpoint").exists()
 
     def test_runs_without_prep_report(self, toy_run):
         # train fits the normalisation itself and reads no prep_report.json
@@ -897,9 +890,12 @@ class TestAudit:
         ({"name": "a,b", "x": 0, "y": 0, "width": 4, "height": 4}, "unusable"),
         ({"x": 10, "y": 0, "width": 10, "height": 4}, "out of bounds"),
         ({"x": 0, "y": -1, "width": 4, "height": 4}, "out of bounds"),
+        ({"x": 0, "y": 0, "width": -5, "height": 4}, "out of bounds"),
+        ({"x": 0, "y": 0, "width": 4, "height": 0}, "out of bounds"),
         ({"name": "ok", "x": 4, "y": 4, "width": 4, "height": 4}, "duplicate"),
     ], ids=["unknown-key", "missing-key", "slash-name", "dotdot-name",
-            "backslash-name", "comma-name", "past-edge", "negative-origin", "duplicate-name"])
+            "backslash-name", "comma-name", "past-edge", "negative-origin",
+            "negative-width", "zero-height", "duplicate-name"])
     def test_bad_region_exits_2_before_writing(self, toy_run, capsys, region, named):
         tmp_path, config = self.run_pipeline(toy_run)
         doc = json.loads(config.read_text())
@@ -911,6 +907,27 @@ class TestAudit:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out" / "audit").exists()
         assert not (tmp_path / "out" / "audit_config_echo.json").exists()
+
+    @pytest.mark.parametrize("region, named", [
+        ({"x": 0, "y": -1, "width": 4, "height": 4}, "'r0_-1' (0, -1, 4, 4)"),
+        ({"name": "w", "x": 0, "y": 0, "width": -5, "height": 4}, "'w' (0, 0, -5, 4)"),
+        ({"name": "h", "x": 0, "y": 0, "width": 4, "height": 0}, "'h' (0, 0, 4, 0)"),
+    ], ids=["negative-origin", "negative-width", "zero-height"])
+    @pytest.mark.parametrize("command", [["prepare"], ["train"], ["infer", "--checkpoint", "c"]],
+                             ids=["prepare", "train", "infer"])
+    def test_bad_region_exits_2_in_every_command(self, toy_run, capsys, region, named,
+                                                 command):
+        # the origin and size rules hold when the config loads, before
+        # prepare, train or infer write anything; the extent rule, which
+        # needs the heights, is audit's
+        tmp_path, config = toy_run
+        doc = json.loads(config.read_text())
+        doc["regions"] = [region]
+        config.write_text(json.dumps(doc))
+        assert cli.main([command[0], "--config", str(config), *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert f"region {named} out of bounds" in err, err
+        assert not (tmp_path / "out").exists()
 
     def test_nonpositive_threshold_exits_2_before_writing(self, toy_run, capsys):
         # the change threshold and the DOT edge cut are audit.CHANGE_THRESHOLD_M

@@ -328,11 +328,15 @@ class TestTrainStep:
         prior_p, mask = md.node_prior(prior, graph)
         a_hat = gb.normalize_adjacency(graph)
         feats, _ = gb.log_normalize(graph.features, stats)
-        before = md.evaluate_losses(params, a_hat, feats, prior_p, mask)
+
+        def total():  # under one Gumbel draw, seeded the same both times
+            return md._forward_losses(params, a_hat, feats, prior_p, mask,
+                                      np.random.default_rng(3), Tape())[1].total
+
+        before = total()
         md.train_step(params, md.Adam(1e-3), graph, stats, prior,
                       np.random.default_rng(7))
-        after = md.evaluate_losses(params, a_hat, feats, prior_p, mask)
-        assert after.total < before.total
+        assert total() < before
 
     @pytest.mark.parametrize("has_prior", [True, False], ids=["prior", "no-prior"])
     def test_float32_step_stays_float32(self, monkeypatch, has_prior):
@@ -381,8 +385,7 @@ class TestTrain:
         config = md.TrainConfig(epochs=3, seed=11)
         r1 = md.train(md.ModelParams.initialize(1, 2, seed=1), stack, prior, splits, config)
         r2 = md.train(md.ModelParams.initialize(1, 2, seed=1), stack, prior, splits, config)
-        for a, b in zip(r1.history, r2.history):
-            assert (a.train, a.val) == (b.train, b.val)
+        assert r1.history == r2.history
         for name in r1.params.weights:
             np.testing.assert_array_equal(r1.params.weights[name],
                                           r2.params.weights[name])
@@ -418,7 +421,7 @@ class TestTrain:
         config = md.TrainConfig(epochs=30, seed=2)
         result = md.train(md.ModelParams.initialize(1, 2, seed=2), stack, prior,
                           splits, config)
-        assert result.history[-1].train.total < result.history[0].train.total
+        assert result.history[-1].total < result.history[0].total
 
     def test_timestep_with_fewer_nodes_than_parts_is_named(self, monkeypatch):
         # the part count follows the largest timestep: t0's 80 training
@@ -456,15 +459,14 @@ class TestTrain:
         assert md.ModelPrior.of(prior, np.float64).probs is prior.probs
 
     def test_float32_training_tracks_float64(self):
-        # The per-epoch train and validation loss totals of one run in
-        # float32 and in float64: the largest relative gap measured 1.6e-7
-        # over these 30 epochs (2.1e-7 over 200), about one float32 ulp.
+        # The per-epoch loss totals of one run in float32 and in float64:
+        # the largest relative gap measured 1.5e-7 over these 30 epochs
+        # (2.1e-7 over 200), about one float32 ulp.
         stack, prior, splits, _ = toy_dataset(seed=4)
         config = md.TrainConfig(epochs=30, seed=2)
         runs = [md.train(md.ModelParams.initialize(1, 2, seed=2).astype(dtype), stack,
                          prior, splits, config).history for dtype in (np.float64, np.float32)]
-        gap = max(abs(getattr(e32, part).total / getattr(e64, part).total - 1.0)
-                  for e64, e32 in zip(*runs) for part in ("train", "val"))
+        gap = max(abs(e32.total / e64.total - 1.0) for e64, e32 in zip(*runs))
         assert gap < 2e-6, gap
 
 
@@ -506,8 +508,7 @@ class TestTrainMemory:
         ours = self.train_with(monkeypatch, nc.gcn_block, n_sub, cap)
         theirs = self.train_with(
             monkeypatch, gcn_block_of(gcn_layer_width_ordered_saving_activations), n_sub, cap)
-        assert ([(e.train, e.val) for e in ours.history]
-                == [(e.train, e.val) for e in theirs.history])
+        assert ours.history == theirs.history
         for name in md.PARAM_ORDER:
             assert (ours.params.weights[name].tobytes()
                     == theirs.params.weights[name].tobytes()), name
@@ -520,10 +521,7 @@ class TestTrainMemory:
         theirs = self.train_with(monkeypatch, gcn_block_of(gcn_layer_saving_activations),
                                  n_sub, cap)
         for e_ours, e_theirs in zip(ours.history, theirs.history):
-            for part in ("train", "val"):
-                np.testing.assert_allclose(
-                    astuple(getattr(e_ours, part)), astuple(getattr(e_theirs, part)),
-                    rtol=0, atol=1e-12)
+            np.testing.assert_allclose(astuple(e_ours), astuple(e_theirs), rtol=0, atol=1e-12)
         for name in md.PARAM_ORDER:
             np.testing.assert_allclose(ours.params.weights[name],
                                        theirs.params.weights[name], rtol=0, atol=1e-12,
