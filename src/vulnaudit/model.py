@@ -319,7 +319,9 @@ def train_step(params: ModelParams, optimizer: Adam, subgraph: GridGraph,
 
     The graph is dropped once its prior rows and encoder input exist, so a
     caller that passes it by expression, as ``train`` does, frees it before
-    the forward (from Python 3.11, the floor, the callee owns its arguments)."""
+    the forward (from Python 3.11, the floor, the callee owns its arguments).
+    The prior rows are dropped before the backward: only the KL and CE
+    rules read them, so they are freed once those rules have run."""
     if subgraph.n_nodes == 0:
         raise ValueError("empty subgraph")
     prior_p, mask = node_prior(prior, subgraph)
@@ -328,6 +330,7 @@ def train_step(params: ModelParams, optimizer: Adam, subgraph: GridGraph,
     del subgraph
     tape = Tape()
     total, breakdown = _forward_losses(params, a_hat, x, prior_p, mask, rng, tape)
+    del prior_p
     grads = nc.backward(tape, total)
     optimizer.step(params.weights, grads)
     return breakdown

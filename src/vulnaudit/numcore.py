@@ -16,14 +16,16 @@ and backward; the layer and the block share that per-layer product and
 gradient rule. A ``gcn_layer`` entry keeps its output; a ``gcn_block``
 entry keeps A @ H (or the first activation, when the first layer does not
 widen) and the middle activation, and recomputes the first activation in
-its backward. The backward hands every rule an adjoint the rule owns, so a
-rule may reuse it as scratch space; it drops each entry before running the
-entry's rule, so what a rule closed over is freed once the rule has run,
-and no tape keeps a gradient (see ``backward``). Passes over an N-row array
-that would make a temporary of its size (the ReLU masks, the finite check,
-a weight gradient's block products) run ROW_BLOCK rows at a time. Each
-weight gradient sums its node rows in fixed blocks (``_weight_grad``), so
-its bytes do not depend on the BLAS thread count.
+its backward; each of its products at a hidden width writes into the
+buffer it reads, the sparse ones a band of rows at a time (``band``). The
+backward hands every rule an adjoint the rule owns, so a rule may reuse it
+as scratch space; it drops each entry before running the entry's rule, so
+what a rule closed over is freed once the rule has run, and no tape keeps
+a gradient (see ``backward``). Dense products over N rows, and passes that
+would make a temporary of an N-row array's size (the ReLU masks, the
+finite check, a weight gradient's block products), run ROW_BLOCK rows at a
+time. Each weight gradient sums its node rows in fixed blocks
+(``_weight_grad_of``), so its bytes do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -40,12 +42,17 @@ if TYPE_CHECKING:
 # one product (one BLAS thread, 2-vCPU x86-64 VM)
 GRAD_BLOCK_ROWS = 128
 # rows per block of a pass over an N-row array, so that no pass makes a
-# temporary of the array's size: a ReLU mask (a bool block, or its packed
-# bits), a finite check, and a chunk of a weight gradient's block products.
-# A multiple of GRAD_BLOCK_ROWS and of 8, so a block of packed mask bits
-# ends on a byte. At N = 49,152 and width 25 (one BLAS thread, 2-vCPU
-# x86-64 VM) a blocked finite check took 0.30 ms against 0.29 ms whole
+# temporary of the array's size: a dense product (``_matmul_rows``), a ReLU
+# mask, a finite check, and a chunk of a weight gradient's block products,
+# so a multiple of GRAD_BLOCK_ROWS; and the least rows of a band of a sparse
+# product that overwrites its input (``band``). At N = 49,152 and width 25
+# (one BLAS thread, 2-vCPU x86-64 VM) a blocked finite check took 0.30 ms
+# against 0.29 ms whole
 ROW_BLOCK = 4096
+# rows per run of A whose column range bounds A's bandwidth (see ``band``):
+# on a dense 256 x 192 part graph (49,152 rows, one BLAS thread, 2-vCPU
+# x86-64 VM) the bound took 0.09 ms, one row at a time 2.2 ms
+REACH_ROWS = 64
 
 
 class NonFiniteError(FloatingPointError):
@@ -53,8 +60,9 @@ class NonFiniteError(FloatingPointError):
 
 
 def _row_blocks(n: int) -> Iterator[slice]:
-    """n rows as slices of ROW_BLOCK rows, the last one shorter."""
-    return (slice(i, i + ROW_BLOCK) for i in range(0, n, ROW_BLOCK))
+    """n rows as slices of ROW_BLOCK rows, the last one shorter; one empty
+    slice for no rows, so a pass over them still sees each array's width."""
+    return (slice(i, i + ROW_BLOCK) for i in range(0, max(n, 1), ROW_BLOCK))
 
 
 def _check_finite(op: str, value: np.ndarray) -> None:
@@ -126,6 +134,13 @@ class Tape:
     def record(self, out: Var, backward_fn: BackwardFn) -> None:
         self._entries.append((out, backward_fn))
 
+    def tracks(self, var: Var) -> bool:
+        """Whether a gradient can reach ``var``: it is a registered parameter
+        or the output of a recorded entry. Any other input is a constant,
+        and a rule need not return a gradient for it."""
+        return (any(var is p for p in self._params.values())
+                or any(var is out for out, _ in self._entries))
+
 
 def _accumulate(adjoint: dict[int, np.ndarray],
                 contributions: Iterable[tuple[Var, np.ndarray]]) -> None:
@@ -179,17 +194,117 @@ def _check_shapes(op: str, a: sp.csr_matrix, h_shape: tuple[int, ...], w: np.nda
                          f"W {w.shape}, b {b.shape}")
 
 
-def _first_product(a: sp.csr_matrix, h: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """A layer's first product, at its narrower width: H @ W or A @ H."""
-    return h @ w if _narrows(w) else a @ h
+def band(a: sp.csr_matrix) -> tuple[int, int]:
+    """(rows, reach) of the bands in which a square A's products overwrite
+    their input (``_in_place``). ``reach`` bounds A's bandwidth max|i - j|
+    over its stored entries: it is read from the column range of each run of
+    REACH_ROWS rows of A's CSR, so it needs no sorted indices and is at most
+    REACH_ROWS - 1 above the bandwidth. A band is ROW_BLOCK rows, or
+    ``reach`` rows when that is more, so no output row reads an input row
+    more than a band away."""
+    n = a.shape[0]
+    starts = np.arange(0, n, REACH_ROWS)
+    ends = np.minimum(starts + REACH_ROWS, n)
+    first, last = a.indptr[starts], a.indptr[ends]
+    stored = last > first
+    if not stored.any():
+        return ROW_BLOCK, 0
+    starts, ends, first = starts[stored], ends[stored], first[stored]
+    indices = a.indices[:a.indptr[-1]]
+    low = np.minimum.reduceat(indices, first)
+    high = np.maximum.reduceat(indices, first)
+    reach = int(max((ends - 1 - low).max(), (high - starts).max()))
+    return max(ROW_BLOCK, reach), reach
 
 
-def _pre_activation(a: sp.csr_matrix, first: np.ndarray, w: np.ndarray,
-                    b: np.ndarray) -> np.ndarray:
-    """A @ (H @ W) + b or (A @ H) @ W + b from the first product, unchecked."""
-    pre = a @ first if _narrows(w) else first @ w
-    pre += b
-    return pre
+def _in_place(a: sp.csr_matrix, x: np.ndarray, bands: tuple[int, int],
+              transpose: bool = False,
+              finish: Callable[[np.ndarray], None] | None = None) -> np.ndarray:
+    """A @ x, or A.T @ x, for a square A, written into x's buffer one band
+    of rows at a time (``band``); ``finish`` (bias, finite check, ReLU) runs
+    on each band as it is made.
+
+    An output row reads input rows at most ``reach`` away, so once a band is
+    made, no band still to come reads its rows but the last ``reach``: the
+    rest replace their input rows at once, and those last rows are held
+    until the next band is made. A band of A @ x is A's CSR rows for it, on
+    A's own arrays. A band of A.T @ x comes from the window of A rows that
+    hold entries in its columns, as a CSC matrix on A's own arrays with its
+    row indices (A's columns) shifted to the window. Either way each output
+    row is the sum scipy makes for it in the whole product (over the CSR's
+    entries, or over A's rows ascending from zero), so the bits are the
+    whole product's, for any A. A product of another dtype than x's (a
+    float64 A on float32 x) is made whole, into a new array."""
+    import scipy.sparse as sp
+    if np.result_type(a.dtype, x.dtype) != x.dtype:  # x's buffer would round it
+        result = a.T @ x if transpose else a @ x
+        if finish is not None:
+            finish(result)
+        return result
+    rows, reach = bands
+    n = len(x)
+    indptr, indices, data = a.indptr, a.indices, a.data
+
+    def product(r0: int, r1: int) -> np.ndarray:
+        if not transpose:
+            p0, p1 = indptr[r0], indptr[r1]
+            return sp.csr_matrix((data[p0:p1], indices[p0:p1], _shifted(indptr[r0:r1 + 1], p0)),
+                                 shape=(r1 - r0, n)) @ x
+        i0, i1 = max(r0 - reach, 0), min(r1 + reach, n)  # the A rows read
+        c0, c1 = max(i0 - reach, 0), min(i1 + reach, n)  # their columns
+        p0, p1 = indptr[i0], indptr[i1]
+        window = sp.csc_matrix((data[p0:p1], _shifted(indices[p0:p1], c0),
+                                _shifted(indptr[i0:i1 + 1], p0)), shape=(c1 - c0, i1 - i0))
+        return (window @ x[i0:i1])[r0 - c0:r1 - c0]
+
+    held, tail = 0, None  # the last band's rows the next band reads, from row ``held``
+    for r0 in range(0, n, rows):
+        r1 = min(r0 + rows, n)
+        result = product(r0, r1)
+        if finish is not None:
+            finish(result)
+        if tail is not None:
+            x[held:r0] = tail
+        held = r1 if r1 == n else r1 - reach  # a band is at least ``reach`` rows
+        x[r0:held] = result[:held - r0]
+        tail, result = result[held - r0:].copy(), None
+    return x
+
+
+def _shifted(index: np.ndarray, by: int) -> np.ndarray:
+    """index - by, a new array, or ``index`` itself when ``by`` is 0: a
+    first or only band copies none of A's index arrays."""
+    return index - by if by else index
+
+
+def _into(out: np.ndarray | None, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """``out`` when it has this shape and dtype, else a new array: a result
+    reuses a buffer only where it fits it exactly."""
+    if out is not None and out.shape == shape and out.dtype == dtype:
+        return out
+    return np.empty(shape, dtype)
+
+
+def _matmul_rows(x: np.ndarray, w: np.ndarray, out: np.ndarray | None = None,
+                 positive: np.ndarray | None = None) -> np.ndarray:
+    """x @ w, ROW_BLOCK rows at a time, into ``out`` when it fits (``_into``),
+    times ``positive > 0`` when given: a ReLU's mask, from its output. Each
+    block reads its rows of x and ``positive`` before it writes its rows of
+    ``out``, so ``out`` may be either of them.
+
+    A product with one output column is made whole. For the model's wider
+    outputs 4096-row blocks give the float32 bits of one product (OpenBLAS
+    0.3.31, AVX-512, N up to 49,153), but for a one-column output they do
+    not (N x 25 @ 25 x 1 with a one-row last block, N x 3 @ 3 x 1 at most N
+    past 8,192). float64 blocks can differ from one product past ROW_BLOCK
+    rows, so ``gcn_layer`` makes its dense products here too."""
+    out = _into(out, (len(x), w.shape[1]), np.result_type(x, w))
+    for rows in _row_blocks(len(x)) if w.shape[1] > 1 else (slice(None),):
+        mask = None if positive is None else positive[rows] > 0.0
+        np.matmul(x[rows], w, out=out[rows])  # numpy buffers x's rows if out is x
+        if mask is not None:
+            out[rows] *= mask
+    return out
 
 
 def _relu(x: np.ndarray) -> np.ndarray:
@@ -203,74 +318,111 @@ def _mask_relu(d: np.ndarray, z: np.ndarray) -> None:
         np.multiply(d[rows], z[rows] > 0.0, out=d[rows])
 
 
-def _relu_mask_bits(z: np.ndarray) -> list[np.ndarray]:
-    """``z > 0`` packed to bits, one flat array per block of rows: an
-    eighth of the bool mask's bytes, kept while ``z``'s buffer is reused."""
-    return [np.packbits(z[rows] > 0.0) for rows in _row_blocks(len(z))]
+def _finish(op: str, b: np.ndarray, activate: bool) -> Callable[[np.ndarray], None]:
+    """The end of a forward layer, in place on rows of its pre-activation:
+    add the bias, check finiteness as ``op`` (before the ReLU, which would
+    map a -inf to 0), then the ReLU when ``activate``."""
+    def finish(pre: np.ndarray) -> None:
+        pre += b
+        _check_finite(op, pre)
+        if activate:
+            _relu(pre)
+    return finish
 
 
-def _mask_by_bits(d: np.ndarray, bits: list[np.ndarray]) -> None:
-    """``_mask_relu`` from the bits ``_relu_mask_bits`` packed."""
-    for rows, packed in zip(_row_blocks(len(d)), bits):
-        block = d[rows]
-        block *= np.unpackbits(packed, count=block.size).reshape(block.shape).view(bool)
+def _first_product(a: sp.csr_matrix, h: np.ndarray, w: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """A layer's first product, at its narrower width: H @ W (into ``out``,
+    which may be H) or A @ H."""
+    return _matmul_rows(h, w, out) if _narrows(w) else a @ h
 
 
 def _finish_layer(op: str, a: sp.csr_matrix, first: np.ndarray, w: np.ndarray,
-                  b: np.ndarray, activate: bool) -> np.ndarray:
-    """A forward layer from its first product, finite-checked as ``op`` before the ReLU."""
-    pre = _pre_activation(a, first, w, b)
-    _check_finite(op, pre)
-    return _relu(pre) if activate else pre
+                  b: np.ndarray, activate: bool,
+                  bands: tuple[int, int] | None = None) -> np.ndarray:
+    """A forward layer from its first product, finished by ``_finish``.
+    With ``bands`` a narrowing layer's A @ first is written into ``first``'s
+    buffer (``_in_place``); else every product makes a new array."""
+    finish = _finish(op, b, activate)
+    if _narrows(w) and bands is not None:
+        return _in_place(a, first, bands, finish=finish)
+    pre = a @ first if _narrows(w) else _matmul_rows(first, w)
+    finish(pre)
+    return pre
 
 
 def _weight_grad(x: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """x.T @ d, a weight gradient: a sum over the N node rows, in an order
-    that does not depend on the BLAS thread count. One BLAS product over all
-    N rows splits that sum across threads, so its bits would depend on the
-    count (OpenBLAS 0.3.31, float32, 1 against 2 threads: 25 x 25 and 25 x 3
-    gradients differ for most N from 1,655 rows up, 25 x 1 ones from about
-    32,768). Here the rows past the last whole block of
-    GRAD_BLOCK_ROWS rows make one product, and each block's product, small
-    enough that BLAS runs it on one thread, is added to it in block order.
+    """x.T @ d, a weight gradient, summed by ``_weight_grad_of``."""
+    return _weight_grad_of((x[rows], d[rows]) for rows in _row_blocks(len(x)))
 
-    The block products are made ROW_BLOCK rows at a time. Each chunk's are
-    summed along axis 0, which adds them one by one in order, with the
-    running total of the chunks before as the first term; so the additions
-    are those of one sum over all blocks, in the same order, and no array
-    holds every block's product."""
-    n = len(x) - len(x) % GRAD_BLOCK_ROWS
-    grad = x[n:].T @ d[n:]
-    if n:
-        xb = x[:n].reshape(-1, GRAD_BLOCK_ROWS, x.shape[1]).transpose(0, 2, 1)
-        db = d[:n].reshape(-1, GRAD_BLOCK_ROWS, d.shape[1])
-        per = ROW_BLOCK // GRAD_BLOCK_ROWS
-        # slot 0 carries the running total, the chunk's products follow it
-        terms = np.empty((min(per, len(xb)) + 1,) + grad.shape, dtype=grad.dtype)
-        for i in range(0, len(xb), per):
-            c = min(per, len(xb) - i)
-            np.matmul(xb[i:i + c], db[i:i + c], out=terms[1:1 + c])
-            if i:
+
+def _weight_grad_of(chunks: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """The sum of x.T @ d over ``chunks``, (x, d) row pairs of ROW_BLOCK rows
+    each but the last, in row order: a weight gradient, a sum over the N
+    node rows, in an order that does not depend on the BLAS thread count.
+    One BLAS product over all N rows splits that sum across threads, so its
+    bits would depend on the count (OpenBLAS 0.3.31, float32, 1 against 2
+    threads: 25 x 25 and 25 x 3 gradients differ for most N from 1,655 rows
+    up, 25 x 1 ones from about 32,768). Here the rows past the last whole
+    block of GRAD_BLOCK_ROWS rows make one product, and each block's
+    product, small enough that BLAS runs it on one thread, is added to it in
+    block order.
+
+    Each chunk's block products are summed along axis 0, which adds them one
+    by one in order, with the running total of the chunks before as the
+    first term; so the additions are those of one sum over all blocks, in
+    the same order, and no array holds every block's product. A chunk is
+    read before the next is asked for, so the caller may then overwrite it."""
+    total = None
+    for x, d in chunks:
+        n = len(x) - len(x) % GRAD_BLOCK_ROWS
+        grad = x[n:].T @ d[n:]  # only the last chunk has rows past a whole block
+        if n:
+            c = n // GRAD_BLOCK_ROWS
+            # slot 0 carries the running total, the chunk's products follow it
+            terms = np.empty((c + 1,) + grad.shape, dtype=grad.dtype)
+            np.matmul(x[:n].reshape(c, GRAD_BLOCK_ROWS, x.shape[1]).transpose(0, 2, 1),
+                      d[:n].reshape(c, GRAD_BLOCK_ROWS, d.shape[1]), out=terms[1:])
+            if total is not None:
                 terms[0] = total
-            total = terms[(0 if i else 1):1 + c].sum(axis=0)
+            total = terms[(1 if total is None else 0):].sum(axis=0)
+            terms = None
+        x = d = None  # freed before the caller makes the next chunk
+    if total is not None:
         grad += total
     return grad
 
 
 def _layer_grads(a: sp.csr_matrix, dpre: np.ndarray, h: np.ndarray, w: np.ndarray,
-                 ah: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                 ah: np.ndarray | None = None, bands: tuple[int, int] | None = None,
+                 positive: np.ndarray | None = None, with_h: bool = True,
+                 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """(grad-H, grad-W, grad-b) of one layer from its adjoint ``dpre``,
     already masked by the ReLU. The rule owns ``dpre`` and may write grad-H
     into it. A widening layer takes grad-W from A @ H: ``ah`` when the
-    caller kept it, else recomputed."""
+    caller kept it, else recomputed.
+
+    With ``bands`` the A.T product is written into the array it reads
+    (``_in_place``); ``gcn_block`` passes them where that product runs at a
+    hidden width. ``positive`` masks grad-H by a ReLU's output, and takes
+    grad-H into its buffer when it fits: the layer below's output, read no
+    more. grad-H is None when ``with_h`` is False."""
     grad_b = dpre.sum(axis=0)
     if not _narrows(w):
-        ah = a @ h if ah is None else ah
-        return a.T @ (dpre @ w.T), _weight_grad(ah, dpre), grad_b
-    s = a.T @ dpre
+        grad_w = _weight_grad(a @ h if ah is None else ah, dpre)
+        if not with_h:
+            return None, grad_w, grad_b
+        dh = _matmul_rows(dpre, w.T)
+        dh = a.T @ dh if bands is None else _in_place(a, dh, bands, transpose=True)
+        if positive is not None:
+            _mask_relu(dh, positive)
+        return dh, grad_w, grad_b
+    s = a.T @ dpre if bands is None else _in_place(a, dpre, bands, transpose=True)
     grad_w = _weight_grad(h, s)
-    grad_h = np.matmul(s, w.T, out=dpre) if dpre.shape == h.shape else s @ w.T
-    return grad_h, grad_w, grad_b
+    if not with_h:
+        return None, grad_w, grad_b
+    out = positive if positive is not None else dpre
+    return _matmul_rows(s, w.T, out, positive), grad_w, grad_b
 
 
 def gcn_layer(tape: Tape, a: sp.csr_matrix, h: Var, w: Var, b: Var,
@@ -293,7 +445,10 @@ def gcn_layer(tape: Tape, a: sp.csr_matrix, h: Var, w: Var, b: Var,
     - widening W: grad-W = (A @ H).T @ dpre, recomputed at H's width, and
       grad-H = A.T @ (dpre @ W.T).
 
-    ``A.T`` keeps the rule right for a rectangular or asymmetric A.
+    ``A.T`` keeps the rule right for a rectangular or asymmetric A. Its
+    sparse products are whole; its dense ones are ``gcn_block``'s, made
+    ROW_BLOCK rows at a time (``_matmul_rows``), so the two give the same
+    bits in either dtype.
     """
     hv, wv, bv = h.value, w.value, b.value
     _check_shapes("gcn_layer", a, hv.shape, wv, bv)
@@ -317,23 +472,32 @@ def gcn_block(tape: Tape, a: sp.csr_matrix, h: Var,
     ``gcn_layer`` calls, so the same floats.
 
     The middle layer must not widen: the model's W2 is hidden x hidden
-    (``model.param_shapes``), and a widening W2 is a ValueError.
+    (``model.param_shapes``), and a widening W2 is a ValueError. A is square.
+
+    Every product at a hidden width writes into the buffer it reads: the
+    sparse ones band by band (``_in_place``), with the bias, finite check
+    and ReLU made on each band; the dense ones ROW_BLOCK rows at a time
+    (``_matmul_rows``), each under its ReLU mask. Products at the input's
+    or the output's width make new arrays.
 
     The entry keeps two arrays: A @ H when the first layer widens (Z1 when
-    it narrows or keeps the width) and Z2, the second layer's output. The
-    forward drops Z1 once Z1 @ W2 exists, before the second sparse product.
-    The backward takes layer 3's gradients from Z2, masks dZ2 by Z2 > 0 a
-    block of rows at a time and drops Z2. It then forms S = A.T @ dZ2 and
-    drops dZ2, recomputes Z1 = ReLU((A @ H) @ W1 + b1) from the kept A @ H
-    without a finite check (the same product on the same arrays gives the
-    bits the forward checked), takes grad-W2 = Z1.T @ S, packs the mask
-    Z1 > 0 into bits, writes dZ1 = S @ W2.T into Z1's buffer and drops S,
-    masks dZ1 from the bits, and ends with layer 1's gradients. These are
-    ``gcn_layer``'s products on the same arrays, so the same bits, but the
-    backward holds at most two N x hidden arrays of its own and no N x
-    hidden mask. With the other block's Z2 (the model's encoder keeps its
-    own through the decoder's backward), a training step peaks at three
-    N x hidden arrays.
+    it narrows or keeps the width) and Z2, the second layer's output. When
+    the first layer widens, Z1 @ W2 and then Z2 take Z1's buffer. The
+    backward takes layer 3's gradients from Z2 and writes dZ2 = (S3 @ W3.T)
+    * (Z2 > 0) into Z2's buffer; S = A.T @ dZ2 takes that buffer in turn.
+    It then recomputes Z1 = ReLU((A @ H) @ W1 + b1) from the kept A @ H one
+    block of rows at a time, without a finite check (the same products on
+    the same arrays give the bits the forward checked); each block feeds
+    grad-W2 = Z1.T @ S in ``_weight_grad_of``'s order, and then
+    dZ1 = (S @ W2.T) * (Z1 > 0) is made in the block's buffer and replaces
+    S's rows. Layer 1's gradients end it; grad-H only for an H the tape
+    tracks (``Tape.tracks``): the model's features are a constant.
+
+    So the block holds one N x hidden array of its own, forward and
+    backward, beside the blocks and bands it works in (for N <= ROW_BLOCK
+    one block is all N rows). With the other block's Z2 (the model's
+    encoder keeps its own through the decoder's forward and backward), a
+    training step peaks at two N x hidden arrays.
     """
     (w1, b1), (w2, b2), (w3, b3) = layers
     hv = h.value
@@ -342,36 +506,62 @@ def gcn_block(tape: Tape, a: sp.csr_matrix, h: Var,
         _check_shapes(f"gcn_block layer {i}", a, shape, w.value, b.value)
         shape = (a.shape[0], w.value.shape[1])
     w1v, w2v, w3v = w1.value, w2.value, w3.value
+    b1v = b1.value
     if not _narrows(w2v):
         raise ValueError(f"gcn_block layer 2 widens: W {w2v.shape}")
+    bands = band(a)
     widens = not _narrows(w1v)
+    tracked = tape.tracks(h)
     first = _first_product(a, hv, w1v)
-    z1 = _finish_layer("gcn_block layer 1", a, first, w1v, b1.value, True)
+    z1 = _finish_layer("gcn_block layer 1", a, first, w1v, b1v, True,
+                       None if widens else bands)
     kept = first if widens else z1  # the narrow A @ H, or Z1
-    first = _first_product(a, z1, w2v)
+    # Z1 @ W2 takes Z1's buffer unless the entry keeps Z1 (or W2 narrows)
+    first = _first_product(a, z1, w2v, z1 if widens else None)
     z1 = None
-    z2 = _finish_layer("gcn_block layer 2", a, first, w2v, b2.value, True)
+    z2 = _finish_layer("gcn_block layer 2", a, first, w2v, b2.value, True, bands)
     first = None
     out = Var(_finish_layer("gcn_block layer 3", a, _first_product(a, z2, w3v), w3v,
                             b3.value, False))
 
     def bwd(d3):  # the adjoint, owned
-        nonlocal z2
-        dz2, grad_w3, grad_b3 = _layer_grads(a, d3, z2, w3v)
-        _mask_relu(dz2, z2)
+        nonlocal z2, kept
+        n = len(z2)
+        # dZ2 takes Z2's buffer, or the widening layer 3's own
+        dz2, grad_w3, grad_b3 = _layer_grads(a, d3, z2, w3v, positive=z2,
+                                             bands=None if _narrows(w3v) else bands)
         z2 = None
-        # layer 2: _layer_grads' products, each array dropped after its last read
         grad_b2 = dz2.sum(axis=0)
-        s, dz2 = a.T @ dz2, None  # all that is read of dZ2 from here on
-        z1 = _relu(_pre_activation(a, kept, w1v, b1.value)) if widens else kept
-        grad_w2 = _weight_grad(z1, s)
-        z1_positive = _relu_mask_bits(z1)
-        dz1 = np.matmul(s, w2v.T, out=z1)  # Z1 is read no more: dZ1 takes its buffer
-        s = z1 = None
-        _mask_by_bits(dz1, z1_positive)
-        grad_h, grad_w1, grad_b1 = _layer_grads(a, dz1, hv, w1v, kept if widens else None)
-        return ((h, grad_h), (w1, grad_w1), (b1, grad_b1), (w2, grad_w2),
-                (b2, grad_b2), (w3, grad_w3), (b3, grad_b3))
+        s, dz2 = _in_place(a, dz2, bands, transpose=True), None
+        if widens:
+            dtype = np.result_type(s, w2v)  # dZ1's
+            dz1 = _into(s, (n, w2v.shape[0]), dtype)
+
+            def z1_blocks():
+                """Z1 one block at a time; once grad-W2 has read a block
+                (``_weight_grad_of`` reads each before asking for the
+                next), dZ1's rows are made in its buffer."""
+                for rows in _row_blocks(n):
+                    z1 = kept[rows] @ w1v
+                    z1 += b1v
+                    _relu(z1)
+                    yield z1, s[rows]
+                    positive = z1 > 0.0
+                    block = np.matmul(s[rows], w2v.T, out=_into(z1, z1.shape, dtype))
+                    block *= positive
+                    dz1[rows] = block
+                    del z1, block, positive  # before the next block is made
+
+            grad_w2 = _weight_grad_of(z1_blocks())
+        else:  # the kept Z1, read no more, takes dZ1
+            grad_w2 = _weight_grad(kept, s)
+            dz1, kept = _matmul_rows(s, w2v.T, kept, positive=kept), None
+        s = None
+        grad_h, grad_w1, grad_b1 = _layer_grads(a, dz1, hv, w1v, kept,
+                                                None if widens else bands, with_h=tracked)
+        grads = ((w1, grad_w1), (b1, grad_b1), (w2, grad_w2), (b2, grad_b2),
+                 (w3, grad_w3), (b3, grad_b3))
+        return ((h, grad_h),) + grads if tracked else grads
 
     tape.record(out, bwd)
     return out

@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+import weakref
 from dataclasses import astuple
 from pathlib import Path
 from types import SimpleNamespace
@@ -338,6 +339,38 @@ class TestTrainStep:
                       np.random.default_rng(7))
         assert total() < before
 
+    def test_prior_rows_freed_once_the_loss_rules_have_run(self, monkeypatch):
+        # only the KL and CE rules read the step's prior rows, so they are
+        # freed before the decoder's rule, the first to run after the loss
+        # rules: train_step keeps no reference of its own through the backward
+        params, graph, stats, prior = self.setup_step()
+        params = params.astype(np.float32)
+        prior = md.ModelPrior.of(prior, np.float32)  # its rows need no cast
+        refs, alive = [], []
+        node_prior, block = md.node_prior, nc.gcn_block
+
+        def recorded_rows(*args):
+            rows, mask = node_prior(*args)
+            refs.append(weakref.ref(rows))
+            return rows, mask
+
+        def probed_block(tape, a, h, layers):
+            """gcn_block, its rule noting whether the prior rows are alive."""
+            out = block(tape, a, h, layers)
+            var, rule = tape._entries[-1]
+
+            def probe(dout):
+                alive.append(refs[0]() is not None)
+                return rule(dout)
+
+            tape._entries[-1] = (var, probe)
+            return out
+
+        monkeypatch.setattr(md, "node_prior", recorded_rows)
+        monkeypatch.setattr(nc, "gcn_block", probed_block)
+        md.train_step(params, md.Adam(1e-3), graph, stats, prior, np.random.default_rng(0))
+        assert len(refs) == 1 and alive == [False, False]  # the decoder's rule, the encoder's
+
     @pytest.mark.parametrize("has_prior", [True, False], ids=["prior", "no-prior"])
     def test_float32_step_stays_float32(self, monkeypatch, has_prior):
         # with numpy 2 promotion one float64 array (a prior, a target, the
@@ -577,8 +610,10 @@ class TestTrainMemory:
 
     def test_step_peak_about_four_and_a_half_node_arrays(self):
         # Peak bytes of one training forward and backward together, in units
-        # of N x hidden float64: 4.35 measured here, three N x hidden arrays
-        # and the N x k ones; 5.19 when the decoder's backward masked dZ2
+        # of N x hidden float64: 4.37 measured here, where N is below one
+        # row block, so a block's products still hold three N x hidden
+        # arrays, and the N x k ones; 4.35 before layer 3's S3 (N x 1 here)
+        # was held while dZ2 took Z2's buffer; 5.19 when the decoder's backward masked dZ2
         # with an N x hidden bool beside both blocks' Z2, the losses held
         # their gradients from the forward and the tape kept every entry
         # until the backward ended; 6.00 when the block's backward held
@@ -588,6 +623,33 @@ class TestTrainMemory:
         tape, forward, unit = self.training_forward()
         _, peak = self.traced(lambda: nc.backward(tape, forward()))
         assert peak <= 4.55 * unit, peak / unit
+
+    def test_float32_step_peak_about_two_node_arrays_past_one_row_block(self):
+        # Peak bytes of one float32 training forward and backward on a dense
+        # 128x160 graph (N = 20,480, five row blocks; hidden 25, k 3), in
+        # units of N x hidden float32, the N x k arrays included: 3.15
+        # measured here, two N x hidden arrays, a band of the products that
+        # overwrite their input and the N x k ones; 3.81 when the decoder's
+        # forward and backward held three N x hidden arrays.
+        graph = grid_graph(np.full((128, 160), 2.0))
+        n, hidden = graph.n_nodes, 25
+        assert n >= 4 * nc.ROW_BLOCK
+        a_hat = gb.normalize_adjacency(graph).astype(np.float32)
+        x = gb.log_normalize(graph.features)[0].astype(np.float32)
+        params = random_params(k=3, hidden=hidden, seed=1).astype(np.float32)
+        rng = np.random.default_rng(0)
+        prior_p = rng.dirichlet(np.ones(3), size=n).astype(np.float32)
+        mask = rng.random(n) < 0.7
+        tape = Tape()
+
+        def step():
+            total = md._forward_losses(params, a_hat, x, prior_p, mask,
+                                       np.random.default_rng(1), tape)[0]
+            return nc.backward(tape, total)
+
+        _, peak = self.traced(step)
+        unit = n * hidden * 4
+        assert peak <= 3.35 * unit, peak / unit
 
     def test_encode_peak_about_two_node_arrays(self):
         # Peak bytes of encode on a fresh tape, as infer runs it: 2.19 units
@@ -601,7 +663,9 @@ class TestTrainMemory:
         # train calls it, with the part graph passed by expression, on a
         # dense 256x192 part (N = 49,152 nodes, hidden 25, dropout 0.2), in
         # units of N x hidden float32. Tracing starts before the part is
-        # built. Measured here: 4.58; 5.43 before the tape dropped each entry
+        # built. Measured here: 3.89 (the bound-setting test for two N x
+        # hidden arrays is the float32 one above); 4.58 when the decoder's
+        # forward and backward held three; 5.43 before the tape dropped each entry
         # once it had run, the ReLU masks went by row blocks and the losses
         # took their gradients in the backward; 6.17 when the caller holds
         # the graph, as every caller did before Python 3.11; 7.13 when the

@@ -27,6 +27,34 @@ def eye(n):
     return sp.identity(n, format="csr")
 
 
+def banded_sparse(rng, n, bandwidth, kind, dtype=np.float64):
+    """An n x n CSR matrix of about eight entries a row, each at most
+    ``bandwidth`` from the diagonal, with the entries (0, bandwidth) and
+    (n - 1, n - 1 - bandwidth) so that its bandwidth is exactly that.
+    ``kind`` is symmetric, asymmetric (every seventh row empty), or unsorted:
+    asymmetric with each row's entries stored in a shuffled order."""
+    rows = np.repeat(np.arange(n), 8)
+    cols = np.clip(rows + rng.integers(-bandwidth, bandwidth + 1, rows.size), 0, n - 1)
+    keep = rows % 7 != 3
+    rows = np.concatenate([rows[keep], [0, n - 1]])
+    cols = np.concatenate([cols[keep], [bandwidth, n - 1 - bandwidth]])
+    a = sp.coo_matrix((rng.normal(size=rows.size), (rows, cols)), shape=(n, n)).tocsr()
+    if kind == "symmetric":
+        a = (a + a.T).tocsr()
+        a.data[:] = rng.normal(size=a.nnz)
+        a = ((a + a.T) * 0.5).tocsr()
+        assert (a != a.T).nnz == 0
+    a.sum_duplicates()
+    if kind == "unsorted":
+        for i in range(n):
+            lo, hi = a.indptr[i], a.indptr[i + 1]
+            order = lo + rng.permutation(hi - lo)
+            a.indices[lo:hi], a.data[lo:hi] = a.indices[order], a.data[order]
+        a.has_sorted_indices = False
+    a.data = a.data.astype(dtype)
+    return a
+
+
 def gcn(tape, a, h, w, b, activate=False):
     """gcn_layer on plain arrays, held as constants."""
     return nc.gcn_layer(tape, a, Var(h), Var(w), Var(b), activate)
@@ -360,6 +388,16 @@ class TestGcnBlock:
         a, _ = self.a_of(rng, kind)
         self.assert_same_bits_as_three_layers(
             a, self.block_arrays(rng, 6, f_in, hidden, f_out), rng.normal(size=(f_out, 1)))
+        # past one row block the block makes its products in bands and
+        # blocks, in place; float64 blocks give other bits than one product
+        # there, so gcn_layer makes its dense products in the same blocks
+        n = 2 * nc.ROW_BLOCK + 517
+        for dtype in (np.float32, np.float64):
+            a = banded_sparse(rng, n, 150, kind, dtype)
+            arrays = {k: v.astype(dtype) for k, v in
+                      self.block_arrays(rng, n, f_in, hidden, f_out).items()}
+            self.assert_same_bits_as_three_layers(
+                a, arrays, rng.normal(size=(f_out, 1)).astype(dtype))
 
     @pytest.mark.parametrize("hidden, hidden2", [(5, 3)], ids=["middle-narrowing"])
     @A_KINDS
@@ -369,6 +407,31 @@ class TestGcnBlock:
         a, _ = self.a_of(rng, kind)
         self.assert_same_bits_as_three_layers(
             a, self.block_arrays(rng, 6, 2, hidden, 3, hidden2), rng.normal(size=(3, 1)))
+
+    @WIDTHS
+    def test_constant_input_gets_no_gradient(self, f_in, hidden, f_out):
+        # the model's features are a constant: the rule returns no gradient
+        # for them, and every other gradient keeps its bits
+        rng = np.random.default_rng(53)
+        a, _ = self.a_of(rng, "asymmetric")
+        arrays = self.block_arrays(rng, 6, f_in, hidden, f_out)
+        project = rng.normal(size=(f_out, 1))
+        runs = []
+        for constant in (False, True):
+            tape = Tape()
+            v = {n: Var(arrays[n]) if constant and n == "h" else tape.param(n, arrays[n])
+                 for n in BLOCK_NAMES}
+            out = self.block(tape, a, v)
+            assert tape.tracks(v["h"]) is not constant
+            _, rule = tape._entries[-1]
+            returned = [var for var, _ in rule(np.ones_like(out.value))]
+            assert (v["h"] in returned) is not constant and len(returned) == 7 - constant
+            tape = Tape()
+            v = {n: Var(arrays[n]) if constant and n == "h" else tape.param(n, arrays[n])
+                 for n in BLOCK_NAMES}
+            grads = nc.backward(tape, self.projected(tape, self.block, a, v, project))
+            runs.append({n: g.tobytes() for n, g in grads.items() if n != "h"})
+        assert runs[0] == runs[1]
 
     @A_KINDS
     def test_widening_middle_layer_raises(self, kind):
@@ -491,18 +554,11 @@ class TestRowBlocks:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_masks_same_bits_as_one_bool_mask(self, n, width, dtype):
         z, d = self.relu_output_and_adjoint(n, width, dtype)
-        blocked, packed = d.copy(), d.copy()
+        blocked = d.copy()
         with np.errstate(invalid="ignore"):  # an infinity masked out gives NaN
             expected = relu_mask_whole(d.copy(), z).tobytes()
             nc._mask_relu(blocked, z)
-            nc._mask_by_bits(packed, nc._relu_mask_bits(z))
         assert blocked.tobytes() == expected
-        assert packed.tobytes() == expected
-
-    def test_packed_mask_is_an_eighth_of_the_bool_mask(self):
-        z, _ = self.relu_output_and_adjoint(BLOCKED_N, 25, np.float32)
-        bits = nc._relu_mask_bits(z)
-        assert len(bits) == 4 and sum(b.nbytes for b in bits) == -(-BLOCKED_N * 25 // 8)
 
     @pytest.mark.parametrize("n", [2 * nc.ROW_BLOCK, BLOCKED_N])
     @pytest.mark.parametrize("widths", [(25, 25), (25, 3), (3, 25), (25, 1), (1, 25)])
@@ -519,6 +575,83 @@ class TestRowBlocks:
         x, d = (rng.normal(size=(n, 25)).astype(np.float32) for _ in range(2))
         all_blocks = n // nc.GRAD_BLOCK_ROWS * 25 * 25 * 4
         assert traced_peak(lambda: nc._weight_grad(x, d)) < all_blocks / 8
+
+
+class TestInPlace:
+    """The banded sparse products that overwrite their input give the bits
+    of the whole product, A @ x and A.T @ x, for any square A."""
+
+    KINDS = pytest.mark.parametrize("kind", ["symmetric", "asymmetric", "unsorted"])
+    DTYPES = pytest.mark.parametrize("dtype", [np.float32, np.float64])
+
+    @staticmethod
+    def assert_same_bits(a, x):
+        bands = nc.band(a)
+        for transpose, whole in ((False, a @ x), (True, a.T @ x)):
+            ours = x.copy()
+            assert nc._in_place(a, ours, bands, transpose) is ours
+            assert ours.dtype == whole.dtype and ours.tobytes() == whole.tobytes()
+
+    @KINDS
+    @DTYPES
+    @pytest.mark.parametrize("n", [3 * nc.ROW_BLOCK - 5, 3 * nc.ROW_BLOCK,
+                                   3 * nc.ROW_BLOCK + 1, 7],
+                             ids=["below-a-multiple", "a-multiple", "one-past", "one-band"])
+    @pytest.mark.parametrize("width", [25, 3, 1])
+    def test_same_bits_as_whole_product(self, kind, dtype, n, width):
+        rng = np.random.default_rng(n + width)
+        a = banded_sparse(rng, n, min(300, n - 1), kind, dtype)
+        assert nc.band(a)[0] == nc.ROW_BLOCK  # row blocks, each reading the next
+        self.assert_same_bits(a, rng.normal(size=(n, width)).astype(dtype))
+
+    @KINDS
+    @DTYPES
+    def test_bandwidth_above_row_block(self, kind, dtype):
+        # bands widen to the bandwidth, so a band still reads only its neighbours
+        n, bandwidth = 3 * nc.ROW_BLOCK + 700, nc.ROW_BLOCK + 300
+        rng = np.random.default_rng(59)
+        a = banded_sparse(rng, n, bandwidth, kind, dtype)
+        rows, reach = nc.band(a)
+        assert bandwidth <= reach < bandwidth + nc.REACH_ROWS and rows == reach
+        assert 2 * rows < n < 3 * rows  # two whole bands and a partial last one
+        self.assert_same_bits(a, rng.normal(size=(n, 25)).astype(dtype))
+
+    def test_wider_product_dtype_makes_a_new_array(self):
+        # a float64 A on float32 x gives float64, which x's buffer would round
+        rng = np.random.default_rng(71)
+        a = banded_sparse(rng, 2 * nc.ROW_BLOCK + 9, 40, "asymmetric")
+        x = rng.normal(size=(a.shape[0], 3)).astype(np.float32)
+        for transpose, whole in ((False, a @ x), (True, a.T @ x)):
+            ours = nc._in_place(a, x, nc.band(a), transpose)
+            assert ours is not x and ours.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_no_entry(self, n):
+        a = sp.csr_matrix((n, n))
+        assert nc.band(a) == (nc.ROW_BLOCK, 0)
+        self.assert_same_bits(a, np.ones((n, 4)))
+
+    def test_reach_bounds_bandwidth(self):
+        rng = np.random.default_rng(61)
+        for bandwidth in (0, 1, 63, 64, 500):
+            a = banded_sparse(rng, 1000, bandwidth, "asymmetric")
+            coo = a.tocoo()
+            assert np.abs(coo.row - coo.col).max() == bandwidth
+            assert bandwidth <= nc.band(a)[1] < bandwidth + nc.REACH_ROWS
+
+    def test_holds_about_one_band_beside_the_array(self):
+        # a product on a 12-band array holds, beside its input, one band's
+        # result and the rows of the band before that it still reads: 0.14
+        # of the input measured here; for A.T, the window the band is cut
+        # from (4096 + 4 x 323 rows) and its shifted indices: 0.17
+        n = 12 * nc.ROW_BLOCK
+        rng = np.random.default_rng(67)
+        a = banded_sparse(rng, n, 260, "asymmetric", np.float32)
+        x = rng.normal(size=(n, 25)).astype(np.float32)
+        bands = nc.band(a)
+        for transpose in (False, True):
+            peak = traced_peak(lambda: nc._in_place(a, x, bands, transpose))
+            assert peak < 0.2 * x.nbytes, peak / x.nbytes
 
 
 class TestCheckFinite:
@@ -707,6 +840,13 @@ class TestTape:
         np.testing.assert_array_equal(grads["w"], np.full(3, 6.0))
         assert alive == [[True, True], [True, False]]
         assert refs[0]() is None and not tape._entries
+
+    def test_tracks_parameters_and_entry_outputs(self):
+        tape = Tape()
+        w = tape.param("w", np.ones(3))
+        scaled, constant = nc.scale(tape, w, 2.0), Var(np.ones(3))
+        assert tape.tracks(w) and tape.tracks(scaled) and not tape.tracks(constant)
+        assert not tape.tracks(Var(w.value))  # the same array, but not the parameter
 
     def test_unused_parameter_gets_zero_gradient(self):
         tape = Tape()
