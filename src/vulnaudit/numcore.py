@@ -15,9 +15,11 @@ Each convolution multiplies by A at the narrower of its two widths, forward
 and backward; the layer and the block share that per-layer product and
 gradient rule. A ``gcn_layer`` entry keeps its output; a ``gcn_block``
 entry keeps A @ H (or the first activation, when the first layer does not
-widen) and the middle activation, and recomputes the first activation in
-its backward; each of its products at a hidden width writes into the
-buffer it reads, the sparse ones a band of rows at a time (``band``). The
+widen), keeps the middle activation only for an input the tape tracks, and
+recomputes in its backward what it did not keep; each of its products at a
+hidden width writes into the buffer it reads, the sparse ones a band of
+rows at a time (``band``). A row softmax reduces its rows by passes over
+their few columns, with numpy's bits (``_row_max``, ``_row_sum``). The
 backward hands every rule an adjoint the rule owns, so a rule may reuse it
 as scratch space; it drops each entry before running the entry's rule, so
 what a rule closed over is freed once the rule has run, and no tape keeps
@@ -318,13 +320,16 @@ def _mask_relu(d: np.ndarray, z: np.ndarray) -> None:
         np.multiply(d[rows], z[rows] > 0.0, out=d[rows])
 
 
-def _finish(op: str, b: np.ndarray, activate: bool) -> Callable[[np.ndarray], None]:
+def _finish(op: str | None, b: np.ndarray,
+            activate: bool) -> Callable[[np.ndarray], None]:
     """The end of a forward layer, in place on rows of its pre-activation:
     add the bias, check finiteness as ``op`` (before the ReLU, which would
-    map a -inf to 0), then the ReLU when ``activate``."""
+    map a -inf to 0), then the ReLU when ``activate``. With no ``op`` there
+    is no check: a recompute makes the products the forward checked."""
     def finish(pre: np.ndarray) -> None:
         pre += b
-        _check_finite(op, pre)
+        if op is not None:
+            _check_finite(op, pre)
         if activate:
             _relu(pre)
     return finish
@@ -337,7 +342,7 @@ def _first_product(a: sp.csr_matrix, h: np.ndarray, w: np.ndarray,
     return _matmul_rows(h, w, out) if _narrows(w) else a @ h
 
 
-def _finish_layer(op: str, a: sp.csr_matrix, first: np.ndarray, w: np.ndarray,
+def _finish_layer(op: str | None, a: sp.csr_matrix, first: np.ndarray, w: np.ndarray,
                   b: np.ndarray, activate: bool,
                   bands: tuple[int, int] | None = None) -> np.ndarray:
     """A forward layer from its first product, finished by ``_finish``.
@@ -480,24 +485,28 @@ def gcn_block(tape: Tape, a: sp.csr_matrix, h: Var,
     (``_matmul_rows``), each under its ReLU mask. Products at the input's
     or the output's width make new arrays.
 
-    The entry keeps two arrays: A @ H when the first layer widens (Z1 when
-    it narrows or keeps the width) and Z2, the second layer's output. When
-    the first layer widens, Z1 @ W2 and then Z2 take Z1's buffer. The
-    backward takes layer 3's gradients from Z2 and writes dZ2 = (S3 @ W3.T)
-    * (Z2 > 0) into Z2's buffer; S = A.T @ dZ2 takes that buffer in turn.
-    It then recomputes Z1 = ReLU((A @ H) @ W1 + b1) from the kept A @ H one
-    block of rows at a time, without a finite check (the same products on
-    the same arrays give the bits the forward checked); each block feeds
-    grad-W2 = Z1.T @ S in ``_weight_grad_of``'s order, and then
+    The entry keeps A @ H when the first layer widens (Z1 when it narrows
+    or keeps the width) and, for an input the tape tracks (``Tape.tracks``),
+    Z2, the second layer's output. When the first layer widens, Z1 @ W2 and
+    then Z2 take Z1's buffer. A block on an untracked input, the model's
+    encoder, drops Z2 once layer 3 has read it, and its backward, which
+    runs last in a step, rebuilds Z2 from what it kept with the forward's
+    calls on the same arrays, without a finite check: the same bits. The
+    backward takes layer 3's gradients from Z2 and writes dZ2 =
+    (S3 @ W3.T) * (Z2 > 0) into Z2's buffer; S = A.T @ dZ2 takes that
+    buffer in turn. It then recomputes Z1 = ReLU((A @ H) @ W1 + b1) from the
+    kept A @ H one block of rows at a time, again unchecked; each block
+    feeds grad-W2 = Z1.T @ S in ``_weight_grad_of``'s order, and then
     dZ1 = (S @ W2.T) * (Z1 > 0) is made in the block's buffer and replaces
-    S's rows. Layer 1's gradients end it; grad-H only for an H the tape
-    tracks (``Tape.tracks``): the model's features are a constant.
+    S's rows. Layer 1's gradients end it; grad-H only for a tracked H: the
+    model's features are a constant.
 
     So the block holds one N x hidden array of its own, forward and
     backward, beside the blocks and bands it works in (for N <= ROW_BLOCK
-    one block is all N rows). With the other block's Z2 (the model's
-    encoder keeps its own through the decoder's forward and backward), a
-    training step peaks at two N x hidden arrays.
+    one block is all N rows), and the encoder holds none between its
+    forward and its backward: a training step peaks at one N x hidden
+    array. The decoder keeps its Z2, which its backward reads at once:
+    rebuilding it there too would save no memory.
     """
     (w1, b1), (w2, b2), (w3, b3) = layers
     hv = h.value
@@ -506,26 +515,35 @@ def gcn_block(tape: Tape, a: sp.csr_matrix, h: Var,
         _check_shapes(f"gcn_block layer {i}", a, shape, w.value, b.value)
         shape = (a.shape[0], w.value.shape[1])
     w1v, w2v, w3v = w1.value, w2.value, w3.value
-    b1v = b1.value
+    b1v, b2v = b1.value, b2.value
     if not _narrows(w2v):
         raise ValueError(f"gcn_block layer 2 widens: W {w2v.shape}")
     bands = band(a)
     widens = not _narrows(w1v)
     tracked = tape.tracks(h)
+
+    def layer_2(z1: np.ndarray, op: str | None) -> np.ndarray:
+        """Z2 from Z1, Z1 @ W2 in Z1's buffer unless the entry keeps Z1."""
+        first = _first_product(a, z1, w2v, z1 if widens else None)
+        return _finish_layer(op, a, first, w2v, b2v, True, bands)
+
     first = _first_product(a, hv, w1v)
     z1 = _finish_layer("gcn_block layer 1", a, first, w1v, b1v, True,
                        None if widens else bands)
     kept = first if widens else z1  # the narrow A @ H, or Z1
-    # Z1 @ W2 takes Z1's buffer unless the entry keeps Z1 (or W2 narrows)
-    first = _first_product(a, z1, w2v, z1 if widens else None)
-    z1 = None
-    z2 = _finish_layer("gcn_block layer 2", a, first, w2v, b2.value, True, bands)
     first = None
+    z2 = layer_2(z1, "gcn_block layer 2")
+    z1 = None
     out = Var(_finish_layer("gcn_block layer 3", a, _first_product(a, z2, w3v), w3v,
                             b3.value, False))
+    if not tracked:  # rebuilt by the backward
+        z2 = None
 
     def bwd(d3):  # the adjoint, owned
         nonlocal z2, kept
+        if z2 is None:
+            z2 = layer_2(_finish_layer(None, a, kept, w1v, b1v, True) if widens else kept,
+                         None)
         n = len(z2)
         # dZ2 takes Z2's buffer, or the widening layer 3's own
         dz2, grad_w3, grad_b3 = _layer_grads(a, d3, z2, w3v, positive=z2,
@@ -567,19 +585,47 @@ def gcn_block(tape: Tape, a: sp.csr_matrix, h: Var,
     return out
 
 
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """x.max(axis=-1, keepdims=True), as a pass over x's columns: the max is
+    exact, and numpy's reduction along a short last axis is slow (49,152 x 3
+    float64, 2-vCPU x86-64 VM: 2.7 ms, where the pass took 0.3 ms)."""
+    m = x[..., :1].copy()
+    for k in range(1, x.shape[-1]):
+        np.maximum(m, x[..., k:k + 1], out=m)
+    return m
+
+
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """x.sum(axis=-1, keepdims=True), the same bits. Below 8 columns numpy
+    (2.4) adds a row's entries one at a time, left to right, from +0.0,
+    and so does this pass over the columns (1.1 ms against 0.3 ms on the
+    same 49,152 x 3); from 8 columns on numpy sums in eight lanes, so wider
+    rows are summed by numpy."""
+    if x.shape[-1] >= 8:
+        return x.sum(axis=-1, keepdims=True)
+    total = x[..., :1] + 0.0  # +0.0 first, as numpy's: a row of -0.0 sums to +0.0
+    for k in range(1, x.shape[-1]):
+        total += x[..., k:k + 1]
+    return total
+
+
 def softmax_values(logits: np.ndarray) -> np.ndarray:
     """Row softmax with max subtraction; works on 1-D or 2-D input, in
-    float32 for float32 logits and float64 for any other."""
+    float32 for float32 logits and float64 for any other. The one N x K
+    array it makes is logits - max: exp and the division by the row sums
+    run in it. The row reductions are column passes (``_row_max``,
+    ``_row_sum``), with the bits of numpy's."""
     z = _as_value(logits)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    z = z - _row_max(z)
+    np.exp(z, out=z)
+    z /= _row_sum(z)
+    return z
 
 
 def _softmax_grad(p: np.ndarray, dout: np.ndarray) -> np.ndarray:
     """The gradient of a row softmax's logits from its output ``p`` and
     adjoint ``dout``."""
-    inner = (dout * p).sum(axis=-1, keepdims=True)
+    inner = _row_sum(dout * p)
     return p * (dout - inner)
 
 

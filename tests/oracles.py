@@ -235,6 +235,19 @@ def all_finite_whole(value) -> bool:
     return bool(np.all(np.isfinite(value)))
 
 
+def softmax_row_reductions(logits):
+    """The row softmax as ``numcore.softmax_values`` made it with numpy's
+    row reductions and three arrays of the logits' size."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def softmax_grad_row_reductions(p, dout):
+    """The softmax's logits gradient with numpy's row sum."""
+    return p * (dout - (dout * p).sum(axis=-1, keepdims=True))
+
+
 def gumbel_softmax_chain(tape, logits, noise, s):
     """The relaxed draw softmax((logits + noise) * s) as three tape
     entries, as the model recorded it before ``numcore.gumbel_softmax``."""

@@ -504,7 +504,8 @@ class TestTrain:
 
 
 class TestTrainMemory:
-    """Each three-layer stack is one tape entry keeping two arrays, and its
+    """Each three-layer stack is one tape entry keeping at most two arrays
+    (the encoder's, on a constant input, keeps one and rebuilds Z2), and its
     backward reuses the adjoints it owns, without changing the floats of
     three layers that make the same products but also keep A @ H, their
     ReLU masks and every activation."""
@@ -600,19 +601,22 @@ class TestTrainMemory:
 
     def test_forward_keeps_about_three_node_arrays(self):
         # Bytes the tape holds after one training forward, in units of
-        # N x hidden float64: 2.93 measured here; 3.74 when the KL and CE
-        # losses held their gradients from the forward and the Gumbel draw
-        # was three entries, 5.52 when each layer was its own entry keeping
-        # its output, 10.2 when each also kept A @ H and a bool ReLU mask.
+        # N x hidden float64: 1.94 measured here, the decoder's Z2 and not
+        # the encoder's, which its backward rebuilds; 2.93 when the encoder
+        # kept its Z2 too; 3.74 when the KL and CE losses held their
+        # gradients from the forward and the Gumbel draw was three entries,
+        # 5.52 when each layer was its own entry keeping its output, 10.2
+        # when each also kept A @ H and a bool ReLU mask.
         _, forward, unit = self.training_forward()
         held, _ = self.traced(forward)
         assert held <= 3.1 * unit, held / unit
 
     def test_step_peak_about_four_and_a_half_node_arrays(self):
         # Peak bytes of one training forward and backward together, in units
-        # of N x hidden float64: 4.37 measured here, where N is below one
-        # row block, so a block's products still hold three N x hidden
-        # arrays, and the N x k ones; 4.35 before layer 3's S3 (N x 1 here)
+        # of N x hidden float64: 3.37 measured here, where N is below one
+        # row block, so a block's products still hold two N x hidden arrays,
+        # and the N x k ones; 4.37 when the encoder's Z2 lived through the
+        # decoder beside them; 4.35 before layer 3's S3 (N x 1 here)
         # was held while dZ2 took Z2's buffer; 5.19 when the decoder's backward masked dZ2
         # with an N x hidden bool beside both blocks' Z2, the losses held
         # their gradients from the forward and the tape kept every entry
@@ -624,13 +628,14 @@ class TestTrainMemory:
         _, peak = self.traced(lambda: nc.backward(tape, forward()))
         assert peak <= 4.55 * unit, peak / unit
 
-    def test_float32_step_peak_about_two_node_arrays_past_one_row_block(self):
+    def test_float32_step_peak_about_one_node_array_past_one_row_block(self):
         # Peak bytes of one float32 training forward and backward on a dense
         # 128x160 graph (N = 20,480, five row blocks; hidden 25, k 3), in
-        # units of N x hidden float32, the N x k arrays included: 3.15
-        # measured here, two N x hidden arrays, a band of the products that
-        # overwrite their input and the N x k ones; 3.81 when the decoder's
-        # forward and backward held three N x hidden arrays.
+        # units of N x hidden float32, the N x k arrays included: 2.15
+        # measured here, one N x hidden array, a band of the products that
+        # overwrite their input and the N x k ones; 3.15 when the encoder
+        # kept its Z2 through the decoder; 3.81 when the decoder's forward
+        # and backward held three N x hidden arrays.
         graph = grid_graph(np.full((128, 160), 2.0))
         n, hidden = graph.n_nodes, 25
         assert n >= 4 * nc.ROW_BLOCK
@@ -649,7 +654,7 @@ class TestTrainMemory:
 
         _, peak = self.traced(step)
         unit = n * hidden * 4
-        assert peak <= 3.35 * unit, peak / unit
+        assert peak <= 2.35 * unit, peak / unit
 
     def test_encode_peak_about_two_node_arrays(self):
         # Peak bytes of encode on a fresh tape, as infer runs it: 2.19 units
@@ -663,10 +668,11 @@ class TestTrainMemory:
         # train calls it, with the part graph passed by expression, on a
         # dense 256x192 part (N = 49,152 nodes, hidden 25, dropout 0.2), in
         # units of N x hidden float32. Tracing starts before the part is
-        # built. Measured here: 3.89 (the bound-setting test for two N x
-        # hidden arrays is the float32 one above); 4.58 when the decoder's
-        # forward and backward held three; 5.43 before the tape dropped each entry
-        # once it had run, the ReLU masks went by row blocks and the losses
+        # built. Measured here: 2.89 (the bound-setting test for one N x
+        # hidden array is the float32 one above); 3.89 when the encoder kept
+        # its Z2 through the decoder; 4.58 when the decoder's forward and
+        # backward held three; 5.43 before the tape dropped each entry once
+        # it had run, the ReLU masks went by row blocks and the losses
         # took their gradients in the backward; 6.17 when the caller holds
         # the graph, as every caller did before Python 3.11; 7.13 when the
         # builder wrote the binary graph, the step normalized it and kept the

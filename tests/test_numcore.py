@@ -14,7 +14,8 @@ from vulnaudit import numcore as nc
 from vulnaudit.numcore import NonFiniteError, Tape, Var
 
 from oracles import (all_finite_whole, central_difference, gumbel_softmax_chain,
-                     max_relative_error, relu_mask_whole, taped_sum, weight_grad_by_blocks,
+                     max_relative_error, relu_mask_whole, softmax_grad_row_reductions,
+                     softmax_row_reductions, taped_sum, weight_grad_by_blocks,
                      weight_grad_one_sum)
 
 
@@ -384,10 +385,14 @@ class TestGcnBlock:
     @WIDTHS
     @A_KINDS
     def test_same_bits_as_three_layers(self, f_in, hidden, f_out, kind):
+        # on a constant input, as the model's encoder runs, the block drops
+        # Z2 after layer 3 and its backward rebuilds it
         rng = np.random.default_rng(41)
         a, _ = self.a_of(rng, kind)
-        self.assert_same_bits_as_three_layers(
-            a, self.block_arrays(rng, 6, f_in, hidden, f_out), rng.normal(size=(f_out, 1)))
+        arrays = self.block_arrays(rng, 6, f_in, hidden, f_out)
+        project = rng.normal(size=(f_out, 1))
+        for constant in (False, True):
+            self.assert_same_bits_as_three_layers(a, arrays, project, constant)
         # past one row block the block makes its products in bands and
         # blocks, in place; float64 blocks give other bits than one product
         # there, so gcn_layer makes its dense products in the same blocks
@@ -396,8 +401,9 @@ class TestGcnBlock:
             a = banded_sparse(rng, n, 150, kind, dtype)
             arrays = {k: v.astype(dtype) for k, v in
                       self.block_arrays(rng, n, f_in, hidden, f_out).items()}
-            self.assert_same_bits_as_three_layers(
-                a, arrays, rng.normal(size=(f_out, 1)).astype(dtype))
+            project = rng.normal(size=(f_out, 1)).astype(dtype)
+            for constant in (False, True):
+                self.assert_same_bits_as_three_layers(a, arrays, project, constant)
 
     @pytest.mark.parametrize("hidden, hidden2", [(5, 3)], ids=["middle-narrowing"])
     @A_KINDS
@@ -442,15 +448,46 @@ class TestGcnBlock:
         with pytest.raises(ValueError, match=r"gcn_block layer 2 widens: W \(3, 5\)"):
             self.block(Tape(), a, v)
 
-    def assert_same_bits_as_three_layers(self, a, arrays, project):
+    def assert_same_bits_as_three_layers(self, a, arrays, project, constant=False):
+        """The value and every parameter gradient, bit for bit; H is a
+        parameter, or a constant when ``constant``."""
         results = []
         for stack in (self.block, self.three_layers):
             tape = Tape()
-            v = {n: tape.param(n, arrays[n]) for n in BLOCK_NAMES}
+            v = {n: Var(arrays[n]) if constant and n == "h" else tape.param(n, arrays[n])
+                 for n in BLOCK_NAMES}
             total = self.projected(tape, stack, a, v, project)
             grads = nc.backward(tape, total)
+            assert set(grads) == set(BLOCK_NAMES) - ({"h"} if constant else set())
             results.append((total.value.tobytes(), {n: g.tobytes() for n, g in grads.items()}))
         assert results[0] == results[1]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_constant_input_entry_keeps_only_the_narrow_product(self, dtype):
+        # the model's encoder: between its forward and its backward the
+        # entry holds A @ H (N x 1) and not Z2 (N x hidden), which a
+        # tracked input's entry keeps
+        rng = np.random.default_rng(59)
+        n, hidden = 2 * nc.ROW_BLOCK + 517, 25
+        a = banded_sparse(rng, n, 150, "symmetric", dtype)
+        arrays = {k: v.astype(dtype) for k, v in self.block_arrays(rng, n, 1, hidden, 3).items()}
+        unit = n * hidden * np.dtype(dtype).itemsize
+        held = {}
+        for constant in (False, True):
+            tape = Tape()
+            v = {k: Var(arrays[k]) if constant and k == "h" else tape.param(k, arrays[k])
+                 for k in BLOCK_NAMES}
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                out = self.block(tape, a, v)
+                held[constant] = (tracemalloc.get_traced_memory()[0] - before) / unit
+            finally:
+                tracemalloc.stop()
+            assert out.value.shape == (n, 3)
+        # measured: 1.16 units tracked (Z2, A @ H and the N x 3 output),
+        # 0.16 constant; 1.16 for both when both kept Z2
+        assert held[True] < 0.2 and held[False] - held[True] > 0.95, held
 
     @pytest.mark.parametrize("a_shape, shapes", [
         ((3, 3), {"h": (3, 2), "w1": (3, 4)}),   # H columns != W1 rows
@@ -752,6 +789,53 @@ class TestSoftmaxRows:
                            Var(np.zeros(2)), False)
         grads = nc.backward(tape, taped_sum(tape, out))
         assert max_relative_error(grads, central_difference(loss, arrays)) < 1e-6
+
+    @staticmethod
+    def logits(rng, shape, dtype):
+        """Normal logits of every scale, ten times over, with NaN, +inf and
+        -inf in some rows, and rows of +0.0 and of -0.0 when there are any."""
+        x = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 7, size=shape)
+        flat = x.reshape(-1)
+        for i, special in enumerate((np.nan, np.inf, -np.inf)):
+            flat[i::37] = special
+        if x.ndim == 2 and len(x) > 8:
+            x[5], x[6], x[7, ::2] = 0.0, -0.0, -0.0
+        return x.astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", range(2, 10))
+    @pytest.mark.parametrize("rows", [None, 0, 500], ids=["1-D", "0-rows", "500-rows"])
+    def test_row_reductions_same_bits_as_numpy(self, dtype, k, rows):
+        # column passes below 8 columns; 8 and 9 take numpy's sum
+        x = self.logits(np.random.default_rng(k), (k,) if rows is None else (rows, k), dtype)
+        with np.errstate(invalid="ignore"):  # inf + -inf
+            for ours, numpy_s in ((nc._row_max(x), x.max(axis=-1, keepdims=True)),
+                                  (nc._row_sum(x), x.sum(axis=-1, keepdims=True))):
+                assert ours.shape == numpy_s.shape and ours.dtype == dtype
+                assert ours.tobytes() == numpy_s.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", range(2, 10))
+    def test_same_bits_as_numpy_row_reductions(self, dtype, k):
+        # finite logits, and a gradient from their softmax
+        rng = np.random.default_rng(k)
+        x = (rng.normal(size=(2000, k)) * 10.0 ** rng.integers(-3, 3, size=(2000, k)))
+        x, dout = x.astype(dtype), rng.normal(size=(2000, k)).astype(dtype)
+        for logits in (x, x[0]):
+            p = nc.softmax_values(logits)
+            assert p.dtype == dtype and p.tobytes() == softmax_row_reductions(logits).tobytes()
+        grad = nc._softmax_grad(p, dout[0])
+        assert grad.tobytes() == softmax_grad_row_reductions(p, dout[0]).tobytes()
+        p = nc.softmax_values(x)
+        assert (nc._softmax_grad(p, dout).tobytes()
+                == softmax_grad_row_reductions(p, dout).tobytes())
+
+    def test_makes_one_array_of_the_logits_size(self):
+        # in units of the logits' size: 1.39 measured here (logits - max,
+        # an N x 1 row sum and numpy's 64 KiB ufunc buffer), 3.39 when exp
+        # and the division made new arrays
+        logits = np.random.default_rng(8).normal(size=(12 * nc.ROW_BLOCK, 3))
+        assert traced_peak(lambda: nc.softmax_values(logits)) < 1.5 * logits.nbytes
 
 
 class TestSparseMatrix:
