@@ -119,8 +119,10 @@ def encode(params: ModelParams, a_hat: sp.csr_matrix, x: np.ndarray,
            tape: Tape | None = None) -> EncoderOutput:
     """ReLU(A(ReLU(A(A X W1 + b1) W2 + b2)) W3 + b3) -> logits; softmax -> probabilities.
 
-    Computes in the dtype of ``x`` and the weights, which the caller makes
-    agree (``_encoder_input``). ``gcn_block`` checks the widths."""
+    Computes in the one dtype of ``a_hat``, ``x`` and the weights, which the
+    caller makes agree (``_encoder_input``); ``gcn_block`` checks it and the
+    widths. ``a_hat`` is symmetric, as ``graph_build`` makes it: the block's
+    backward multiplies by it for its transpose."""
     tape = tape if tape is not None else Tape()
     logits = nc.gcn_block(tape, a_hat, Var(x), _stack_layers(tape, params, "enc"))
     return EncoderOutput(logits, nc.softmax_rows(tape, logits))
@@ -128,7 +130,9 @@ def encode(params: ModelParams, a_hat: sp.csr_matrix, x: np.ndarray,
 
 def decode(params: ModelParams, a_hat: sp.csr_matrix, v: Var,
            tape: Tape) -> Var:
-    """Mirror of the encoder on the latent sample; final layer is linear."""
+    """Mirror of the encoder on the latent sample; final layer is linear.
+    Takes the encoder's ``a_hat``: symmetric, in the dtype of ``v`` and the
+    weights."""
     return nc.gcn_block(tape, a_hat, v, _stack_layers(tape, params, "dec"))
 
 

@@ -18,16 +18,18 @@ entry keeps A @ H (or the first activation, when the first layer does not
 widen), keeps the middle activation only for an input the tape tracks, and
 recomputes in its backward what it did not keep; each of its products at a
 hidden width writes into the buffer it reads, the sparse ones a band of
-rows at a time (``band``). A row softmax reduces its rows by passes over
-their few columns, with numpy's bits (``_row_max``, ``_row_sum``). The
-backward hands every rule an adjoint the rule owns, so a rule may reuse it
-as scratch space; it drops each entry before running the entry's rule, so
-what a rule closed over is freed once the rule has run, and no tape keeps
-a gradient (see ``backward``). Dense products over N rows, and passes that
-would make a temporary of an N-row array's size (the ReLU masks, the
-finite check, a weight gradient's block products), run ROW_BLOCK rows at a
-time. Each weight gradient sums its node rows in fixed blocks
-(``_weight_grad_of``), so its bytes do not depend on the BLAS thread count.
+A's rows at a time (``band``), in the backward too: a block's A is
+symmetric, so A stands for A.T there. A row softmax reduces its rows by
+passes over their few columns, with numpy's bits (``_row_max``,
+``_row_sum``). The backward hands every rule an adjoint the rule owns, so
+a rule may reuse it as scratch space; it drops each entry before running
+the entry's rule, so what a rule closed over is freed once the rule has
+run, and no tape keeps a gradient (see ``backward``). Dense products over
+N rows, and passes that would make a temporary of an N-row array's size
+(the ReLU masks, the finite check, a weight gradient's block products),
+run ROW_BLOCK rows at a time. Each weight gradient sums its node rows in
+fixed blocks (``_weight_grad_of``), so its bytes do not depend on the BLAS
+thread count.
 """
 
 from __future__ import annotations
@@ -220,49 +222,28 @@ def band(a: sp.csr_matrix) -> tuple[int, int]:
 
 
 def _in_place(a: sp.csr_matrix, x: np.ndarray, bands: tuple[int, int],
-              transpose: bool = False,
               finish: Callable[[np.ndarray], None] | None = None) -> np.ndarray:
-    """A @ x, or A.T @ x, for a square A, written into x's buffer one band
-    of rows at a time (``band``); ``finish`` (bias, finite check, ReLU) runs
-    on each band as it is made.
+    """A @ x for a square A, written into x's buffer one band of rows at a
+    time (``band``); ``finish`` (bias, finite check, ReLU) runs on each band
+    as it is made. A's dtype must not be wider than x's, which would round
+    the product into x's buffer; ``gcn_block`` makes sure of that.
 
     An output row reads input rows at most ``reach`` away, so once a band is
     made, no band still to come reads its rows but the last ``reach``: the
     rest replace their input rows at once, and those last rows are held
-    until the next band is made. A band of A @ x is A's CSR rows for it, on
-    A's own arrays. A band of A.T @ x comes from the window of A rows that
-    hold entries in its columns, as a CSC matrix on A's own arrays with its
-    row indices (A's columns) shifted to the window. Either way each output
-    row is the sum scipy makes for it in the whole product (over the CSR's
-    entries, or over A's rows ascending from zero), so the bits are the
-    whole product's, for any A. A product of another dtype than x's (a
-    float64 A on float32 x) is made whole, into a new array."""
+    until the next band is made. A band is A's CSR rows for it, on A's own
+    arrays, so each output row is the sum scipy makes for it in the whole
+    product, for any A."""
     import scipy.sparse as sp
-    if np.result_type(a.dtype, x.dtype) != x.dtype:  # x's buffer would round it
-        result = a.T @ x if transpose else a @ x
-        if finish is not None:
-            finish(result)
-        return result
     rows, reach = bands
     n = len(x)
     indptr, indices, data = a.indptr, a.indices, a.data
-
-    def product(r0: int, r1: int) -> np.ndarray:
-        if not transpose:
-            p0, p1 = indptr[r0], indptr[r1]
-            return sp.csr_matrix((data[p0:p1], indices[p0:p1], _shifted(indptr[r0:r1 + 1], p0)),
-                                 shape=(r1 - r0, n)) @ x
-        i0, i1 = max(r0 - reach, 0), min(r1 + reach, n)  # the A rows read
-        c0, c1 = max(i0 - reach, 0), min(i1 + reach, n)  # their columns
-        p0, p1 = indptr[i0], indptr[i1]
-        window = sp.csc_matrix((data[p0:p1], _shifted(indices[p0:p1], c0),
-                                _shifted(indptr[i0:i1 + 1], p0)), shape=(c1 - c0, i1 - i0))
-        return (window @ x[i0:i1])[r0 - c0:r1 - c0]
-
     held, tail = 0, None  # the last band's rows the next band reads, from row ``held``
     for r0 in range(0, n, rows):
         r1 = min(r0 + rows, n)
-        result = product(r0, r1)
+        p0, p1 = indptr[r0], indptr[r1]
+        result = sp.csr_matrix((data[p0:p1], indices[p0:p1], indptr[r0:r1 + 1] - p0),
+                               shape=(r1 - r0, n)) @ x
         if finish is not None:
             finish(result)
         if tail is not None:
@@ -271,12 +252,6 @@ def _in_place(a: sp.csr_matrix, x: np.ndarray, bands: tuple[int, int],
         x[r0:held] = result[:held - r0]
         tail, result = result[held - r0:].copy(), None
     return x
-
-
-def _shifted(index: np.ndarray, by: int) -> np.ndarray:
-    """index - by, a new array, or ``index`` itself when ``by`` is 0: a
-    first or only band copies none of A's index arrays."""
-    return index - by if by else index
 
 
 def _into(out: np.ndarray | None, shape: tuple[int, ...], dtype) -> np.ndarray:
@@ -407,22 +382,22 @@ def _layer_grads(a: sp.csr_matrix, dpre: np.ndarray, h: np.ndarray, w: np.ndarra
     into it. A widening layer takes grad-W from A @ H: ``ah`` when the
     caller kept it, else recomputed.
 
-    With ``bands`` the A.T product is written into the array it reads
-    (``_in_place``); ``gcn_block`` passes them where that product runs at a
-    hidden width. ``positive`` masks grad-H by a ReLU's output, and takes
-    grad-H into its buffer when it fits: the layer below's output, read no
-    more. grad-H is None when ``with_h`` is False."""
+    With ``bands``, which ``gcn_block`` passes for its symmetric A where
+    the product runs at a hidden width, A.T's product is made by A, in the
+    array it reads (``_in_place``). ``positive`` masks grad-H by a ReLU's
+    output, and takes grad-H into its buffer when it fits: the layer below's
+    output, read no more. grad-H is None when ``with_h`` is False."""
     grad_b = dpre.sum(axis=0)
     if not _narrows(w):
         grad_w = _weight_grad(a @ h if ah is None else ah, dpre)
         if not with_h:
             return None, grad_w, grad_b
         dh = _matmul_rows(dpre, w.T)
-        dh = a.T @ dh if bands is None else _in_place(a, dh, bands, transpose=True)
+        dh = a.T @ dh if bands is None else _in_place(a, dh, bands)
         if positive is not None:
             _mask_relu(dh, positive)
         return dh, grad_w, grad_b
-    s = a.T @ dpre if bands is None else _in_place(a, dpre, bands, transpose=True)
+    s = a.T @ dpre if bands is None else _in_place(a, dpre, bands)
     grad_w = _weight_grad(h, s)
     if not with_h:
         return None, grad_w, grad_b
@@ -452,8 +427,8 @@ def gcn_layer(tape: Tape, a: sp.csr_matrix, h: Var, w: Var, b: Var,
 
     ``A.T`` keeps the rule right for a rectangular or asymmetric A. Its
     sparse products are whole; its dense ones are ``gcn_block``'s, made
-    ROW_BLOCK rows at a time (``_matmul_rows``), so the two give the same
-    bits in either dtype.
+    ROW_BLOCK rows at a time (``_matmul_rows``), so on the block's A the two
+    give the same bits in either dtype.
     """
     hv, wv, bv = h.value, w.value, b.value
     _check_shapes("gcn_layer", a, hv.shape, wv, bv)
@@ -477,7 +452,13 @@ def gcn_block(tape: Tape, a: sp.csr_matrix, h: Var,
     ``gcn_layer`` calls, so the same floats.
 
     The middle layer must not widen: the model's W2 is hidden x hidden
-    (``model.param_shapes``), and a widening W2 is a ValueError. A is square.
+    (``model.param_shapes``), and a widening W2 is a ValueError. A, H and
+    every W and b share one dtype, and another is a ValueError, so no
+    product is wider than the buffer it writes into. A is square and
+    symmetric with sorted rows, as ``graph_build`` makes every A-hat: the
+    backward multiplies by A where a layer multiplies by A.T, and a sorted
+    row of a symmetric A sums its column's terms in A.T's order, so the
+    bits are A.T's.
 
     Every product at a hidden width writes into the buffer it reads: the
     sparse ones band by band (``_in_place``), with the bias, finite check
@@ -493,8 +474,8 @@ def gcn_block(tape: Tape, a: sp.csr_matrix, h: Var,
     runs last in a step, rebuilds Z2 from what it kept with the forward's
     calls on the same arrays, without a finite check: the same bits. The
     backward takes layer 3's gradients from Z2 and writes dZ2 =
-    (S3 @ W3.T) * (Z2 > 0) into Z2's buffer; S = A.T @ dZ2 takes that
-    buffer in turn. It then recomputes Z1 = ReLU((A @ H) @ W1 + b1) from the
+    (S3 @ W3.T) * (Z2 > 0) into Z2's buffer; S = A @ dZ2 takes that buffer
+    in turn. It then recomputes Z1 = ReLU((A @ H) @ W1 + b1) from the
     kept A @ H one block of rows at a time, again unchecked; each block
     feeds grad-W2 = Z1.T @ S in ``_weight_grad_of``'s order, and then
     dZ1 = (S @ W2.T) * (Z1 > 0) is made in the block's buffer and replaces
@@ -518,6 +499,10 @@ def gcn_block(tape: Tape, a: sp.csr_matrix, h: Var,
     b1v, b2v = b1.value, b2.value
     if not _narrows(w2v):
         raise ValueError(f"gcn_block layer 2 widens: W {w2v.shape}")
+    dtypes = [a.dtype, hv.dtype] + [v.value.dtype for pair in layers for v in pair]
+    if len(set(dtypes)) > 1:
+        raise ValueError("gcn_block needs one dtype for A, H, W1, b1, W2, b2, W3, b3, got "
+                         + ", ".join(map(str, dtypes)))
     bands = band(a)
     widens = not _narrows(w1v)
     tracked = tape.tracks(h)
@@ -550,7 +535,7 @@ def gcn_block(tape: Tape, a: sp.csr_matrix, h: Var,
                                              bands=None if _narrows(w3v) else bands)
         z2 = None
         grad_b2 = dz2.sum(axis=0)
-        s, dz2 = _in_place(a, dz2, bands, transpose=True), None
+        s, dz2 = _in_place(a, dz2, bands), None
         if widens:
             dtype = np.result_type(s, w2v)  # dZ1's
             dz1 = _into(s, (n, w2v.shape[0]), dtype)
@@ -624,9 +609,14 @@ def softmax_values(logits: np.ndarray) -> np.ndarray:
 
 def _softmax_grad(p: np.ndarray, dout: np.ndarray) -> np.ndarray:
     """The gradient of a row softmax's logits from its output ``p`` and
-    adjoint ``dout``."""
+    adjoint ``dout``, written into ``dout``, which the rule owns, when it
+    has the gradient's dtype (``_into``): dout * p is the one N x K array
+    it makes."""
     inner = _row_sum(dout * p)
-    return p * (dout - inner)
+    grad = _into(dout, dout.shape, np.result_type(p, dout))
+    np.subtract(dout, inner, out=grad)
+    grad *= p
+    return grad
 
 
 def softmax_rows(tape: Tape, logits: Var) -> Var:

@@ -11,6 +11,7 @@ import scipy.sparse as sp
 
 from vulnaudit import graph_build as gb
 from vulnaudit import numcore as nc
+from vulnaudit.grid_store import RasterGrid
 from vulnaudit.numcore import NonFiniteError, Tape, Var
 
 from oracles import (all_finite_whole, central_difference, gumbel_softmax_chain,
@@ -54,6 +55,16 @@ def banded_sparse(rng, n, bandwidth, kind, dtype=np.float64):
         a.has_sorted_indices = False
     a.data = a.data.astype(dtype)
     return a
+
+
+def mask_graph_a(rng, shape, dtype=np.float64, keep=0.95):
+    """The A-hat of a ``_mask_graph`` part, as training builds it: the
+    8-neighbor graph on a random ``keep`` share of a ``shape`` raster's
+    pixels with 20% of its edges dropped (``DEFAULT_EDGE_DROPOUT``), its
+    values cast to ``dtype`` as the model's input function casts them."""
+    grid = RasterGrid(shape[1], shape[0], np.ones(shape, np.float32))
+    a = gb._mask_graph(grid, rng.random(shape) < keep, gb.DEFAULT_EDGE_DROPOUT, rng).a_hat
+    return sp.csr_matrix((a.data.astype(dtype), a.indices, a.indptr), shape=a.shape)
 
 
 def gcn(tape, a, h, w, b, activate=False):
@@ -313,8 +324,9 @@ BLOCK_NAMES = ("h", "w1", "b1", "w2", "b2", "w3", "b3")
 
 
 class TestGcnBlock:
-    """gcn_block: three layers on one A, ReLU, ReLU, linear, as one entry
-    that keeps A @ H (or Z1) and Z2 and recomputes Z1 in the backward."""
+    """gcn_block: three layers on one symmetric A, ReLU, ReLU, linear, as
+    one entry that keeps A @ H (or Z1) and Z2 and recomputes Z1 in the
+    backward."""
 
     @staticmethod
     def block_arrays(rng, n, f_in, hidden, f_out, hidden2=None):
@@ -338,6 +350,11 @@ class TestGcnBlock:
 
     @staticmethod
     def a_of(rng, kind, n=6):
+        """A symmetric, asymmetric, or a ``_mask_graph`` part's A-hat on a
+        2 x 3 raster, and A as a dense array."""
+        if kind == "mask-graph":
+            a = mask_graph_a(rng, (2, 3), keep=1.0)
+            return a, a.toarray()
         a, dense = random_sparse(rng, n, n, density=0.5)
         if kind == "symmetric":
             dense = dense + dense.T
@@ -349,7 +366,7 @@ class TestGcnBlock:
     WIDTHS = pytest.mark.parametrize("f_in, hidden, f_out", [(2, 4, 3), (3, 3, 2), (5, 3, 4)],
                                      ids=["first-widening", "first-square",
                                           "first-narrowing"])
-    A_KINDS = pytest.mark.parametrize("kind", ["symmetric", "asymmetric"])
+    A_KINDS = pytest.mark.parametrize("kind", ["symmetric", "mask-graph"])
 
     @staticmethod
     def projected(tape, stack, a, v, project):
@@ -395,10 +412,16 @@ class TestGcnBlock:
             self.assert_same_bits_as_three_layers(a, arrays, project, constant)
         # past one row block the block makes its products in bands and
         # blocks, in place; float64 blocks give other bits than one product
-        # there, so gcn_layer makes its dense products in the same blocks
-        n = 2 * nc.ROW_BLOCK + 517
+        # there, so gcn_layer makes its dense products in the same blocks.
+        # A mask-graph part spans three whole bands and ends inside a fourth
         for dtype in (np.float32, np.float64):
-            a = banded_sparse(rng, n, 150, kind, dtype)
+            if kind == "symmetric":
+                a = banded_sparse(rng, 2 * nc.ROW_BLOCK + 517, 150, kind, dtype)
+            else:
+                a = mask_graph_a(rng, (120, 112), dtype)
+                rows = nc.band(a)[0]
+                assert 3 * rows < a.shape[0] < 4 * rows
+            n = a.shape[0]
             arrays = {k: v.astype(dtype) for k, v in
                       self.block_arrays(rng, n, f_in, hidden, f_out).items()}
             project = rng.normal(size=(f_out, 1)).astype(dtype)
@@ -419,7 +442,7 @@ class TestGcnBlock:
         # the model's features are a constant: the rule returns no gradient
         # for them, and every other gradient keeps its bits
         rng = np.random.default_rng(53)
-        a, _ = self.a_of(rng, "asymmetric")
+        a, _ = self.a_of(rng, "mask-graph")
         arrays = self.block_arrays(rng, 6, f_in, hidden, f_out)
         project = rng.normal(size=(f_out, 1))
         runs = []
@@ -439,13 +462,25 @@ class TestGcnBlock:
             runs.append({n: g.tobytes() for n, g in grads.items() if n != "h"})
         assert runs[0] == runs[1]
 
-    @A_KINDS
+    @pytest.mark.parametrize("kind", ["symmetric", "asymmetric"])
     def test_widening_middle_layer_raises(self, kind):
         # the model's W2 is hidden x hidden; the block has no widening-W2 backward
         rng = np.random.default_rng(43)
         a, _ = self.a_of(rng, kind)
         v = {n: Var(x) for n, x in self.block_arrays(rng, 6, 2, 3, 3, 5).items()}
         with pytest.raises(ValueError, match=r"gcn_block layer 2 widens: W \(3, 5\)"):
+            self.block(Tape(), a, v)
+
+    @pytest.mark.parametrize("odd", ["a", "h", "w1", "b2", "w3"])
+    def test_mixed_dtypes_raise(self, odd):
+        # one float32 array among float64 ones: a product wider than the
+        # buffer it writes into would round, so the block takes one dtype
+        rng = np.random.default_rng(47)
+        a = mask_graph_a(rng, (2, 3), np.float32 if odd == "a" else np.float64, keep=1.0)
+        v = {k: Var(x.astype(np.float32) if k == odd else x)
+             for k, x in self.block_arrays(rng, 6, 2, 3, 3).items()}
+        with pytest.raises(ValueError, match="gcn_block needs one dtype for A, H, W1, b1, "
+                                             "W2, b2, W3, b3, got .*float32"):
             self.block(Tape(), a, v)
 
     def assert_same_bits_as_three_layers(self, a, arrays, project, constant=False):
@@ -615,19 +650,21 @@ class TestRowBlocks:
 
 
 class TestInPlace:
-    """The banded sparse products that overwrite their input give the bits
-    of the whole product, A @ x and A.T @ x, for any square A."""
+    """The banded sparse product that overwrites its input gives the bits
+    of the whole product A @ x, for any square A; for a ``_mask_graph``
+    part's A-hat, those of A.T @ x too."""
 
     KINDS = pytest.mark.parametrize("kind", ["symmetric", "asymmetric", "unsorted"])
     DTYPES = pytest.mark.parametrize("dtype", [np.float32, np.float64])
 
     @staticmethod
-    def assert_same_bits(a, x):
-        bands = nc.band(a)
-        for transpose, whole in ((False, a @ x), (True, a.T @ x)):
-            ours = x.copy()
-            assert nc._in_place(a, ours, bands, transpose) is ours
-            assert ours.dtype == whole.dtype and ours.tobytes() == whole.tobytes()
+    def assert_same_bits(a, x, whole=None):
+        """The banded product on a copy of x, against ``whole``, by default
+        scipy's whole A @ x."""
+        whole = a @ x if whole is None else whole
+        ours = x.copy()
+        assert nc._in_place(a, ours, nc.band(a)) is ours
+        assert ours.dtype == whole.dtype and ours.tobytes() == whole.tobytes()
 
     @KINDS
     @DTYPES
@@ -653,14 +690,19 @@ class TestInPlace:
         assert 2 * rows < n < 3 * rows  # two whole bands and a partial last one
         self.assert_same_bits(a, rng.normal(size=(n, 25)).astype(dtype))
 
-    def test_wider_product_dtype_makes_a_new_array(self):
-        # a float64 A on float32 x gives float64, which x's buffer would round
-        rng = np.random.default_rng(71)
-        a = banded_sparse(rng, 2 * nc.ROW_BLOCK + 9, 40, "asymmetric")
-        x = rng.normal(size=(a.shape[0], 3)).astype(np.float32)
-        for transpose, whole in ((False, a @ x), (True, a.T @ x)):
-            ours = nc._in_place(a, x, nc.band(a), transpose)
-            assert ours is not x and ours.tobytes() == whole.tobytes()
+    @DTYPES
+    @pytest.mark.parametrize("width", [25, 3, 1])
+    def test_mask_graph_part_same_bits_as_whole_transposed_product(self, dtype, width):
+        # gcn_block's backward multiplies by A-hat for A-hat.T: a part's
+        # A-hat is symmetric with sorted rows, so each banded row sums its
+        # column's terms in A.T's order. Three whole bands, then a partial one
+        rng = np.random.default_rng(73 + width)
+        a = mask_graph_a(rng, (120, 112), dtype)
+        rows = nc.band(a)[0]
+        assert (a != a.T).nnz == 0 and a.has_sorted_indices
+        assert 3 * rows < a.shape[0] < 4 * rows
+        x = rng.normal(size=(a.shape[0], width)).astype(dtype)
+        self.assert_same_bits(a, x, a.T @ x)
 
     @pytest.mark.parametrize("n", [0, 1, 5])
     def test_no_entry(self, n):
@@ -679,16 +721,14 @@ class TestInPlace:
     def test_holds_about_one_band_beside_the_array(self):
         # a product on a 12-band array holds, beside its input, one band's
         # result and the rows of the band before that it still reads: 0.14
-        # of the input measured here; for A.T, the window the band is cut
-        # from (4096 + 4 x 323 rows) and its shifted indices: 0.17
+        # of the input measured here
         n = 12 * nc.ROW_BLOCK
         rng = np.random.default_rng(67)
         a = banded_sparse(rng, n, 260, "asymmetric", np.float32)
         x = rng.normal(size=(n, 25)).astype(np.float32)
         bands = nc.band(a)
-        for transpose in (False, True):
-            peak = traced_peak(lambda: nc._in_place(a, x, bands, transpose))
-            assert peak < 0.2 * x.nbytes, peak / x.nbytes
+        peak = traced_peak(lambda: nc._in_place(a, x, bands))
+        assert peak < 0.2 * x.nbytes, peak / x.nbytes
 
 
 class TestCheckFinite:
@@ -824,11 +864,35 @@ class TestSoftmaxRows:
         for logits in (x, x[0]):
             p = nc.softmax_values(logits)
             assert p.dtype == dtype and p.tobytes() == softmax_row_reductions(logits).tobytes()
-        grad = nc._softmax_grad(p, dout[0])
-        assert grad.tobytes() == softmax_grad_row_reductions(p, dout[0]).tobytes()
-        p = nc.softmax_values(x)
-        assert (nc._softmax_grad(p, dout).tobytes()
-                == softmax_grad_row_reductions(p, dout).tobytes())
+        # the gradient is made in the adjoint's buffer, which the rule owns
+        for p, dout in ((p, dout[0]), (nc.softmax_values(x), dout)):
+            owned = dout.copy()
+            grad = nc._softmax_grad(p, owned)
+            assert grad is owned
+            assert grad.tobytes() == softmax_grad_row_reductions(p, dout).tobytes()
+
+    @pytest.mark.parametrize("rows", [2048, 12 * nc.ROW_BLOCK])
+    def test_backward_makes_one_array_of_the_logits_size(self, rows):
+        # in units of the logits' size: the backward makes dout * p and an
+        # N x 1 row sum (peak 1.37 measured here at 2048 rows, 1.33 at
+        # 49,152) and returns dout's buffer (0.00 held). When dout - inner
+        # and the product were new arrays: peak 2.36 at 2048 rows, 1.39 at
+        # 49,152, where numpy (2.4) made the product in the temporary
+        # dout - inner, past 256 KiB; 1.00 held at both
+        tape = Tape()
+        logits = np.random.default_rng(9).normal(size=(rows, 3))
+        nc.softmax_rows(tape, tape.param("logits", logits))
+        _, rule = tape._entries[-1]
+        dout = np.ones_like(logits)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            grad = rule(dout)
+            held, peak = (m - before for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * logits.nbytes and held < 0.1 * logits.nbytes, (peak, held)
+        assert grad[0][1] is dout
 
     def test_makes_one_array_of_the_logits_size(self):
         # in units of the logits' size: 1.39 measured here (logits - max,
