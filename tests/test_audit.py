@@ -150,6 +150,11 @@ class TestAdMap:
         with pytest.raises(ValueError):
             au.ad_map(prior, random_posterior(np.random.default_rng(0), 3, 3, 2))
 
+    def test_category_count_mismatch(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="category counts differ"):
+            au.ad_map(random_posterior(rng, 3, 3, 2), random_posterior(rng, 3, 3, 3))
+
 
 def height(vals, nodata=-1.0):
     arr = np.asarray(vals, dtype=np.float32)
@@ -320,6 +325,18 @@ class TestTransitionMatrix:
         with pytest.raises(ValueError, match="'NONE' collides with the no-building state"):
             au.transition_matrices([post, post])
 
+    @pytest.mark.parametrize("other", [
+        lambda rng: random_posterior(rng, 3, 4, 2, timestep="t1"),
+        lambda rng: random_posterior(rng, 4, 3, 3, timestep="t1"),
+        lambda rng: CategoryField(["x", "y", "z"], rng.dirichlet(np.ones(3), (3, 4)),
+                                  np.ones((3, 4), dtype=bool), "t1"),
+    ], ids=["categories", "shape", "labels"])
+    def test_fields_that_disagree_rejected(self, other):
+        rng = np.random.default_rng(2)
+        posts = [random_posterior(rng, 3, 4, 3), other(rng)]
+        with pytest.raises(ValueError, match="disagree on shape or categories"):
+            au.transition_matrices(posts)
+
     def test_too_few_timesteps(self):
         post = posterior_from(np.full((1, 1, 2), 0.5))
         with pytest.raises(ValueError):
@@ -396,6 +413,16 @@ class TestExports:
         np.testing.assert_array_equal(rgb[0, 1], [255, 0, 0])    # max -> red
         np.testing.assert_array_equal(rgb[1, 0], [0, 0, 0])      # nodata -> black
         np.testing.assert_array_equal(rgb[1, 1], [128, 0, 128])  # midpoint
+
+    def test_ppm_heatmap_all_nodata(self, tmp_path):
+        # the AD map of a timestep with no building: every pixel black
+        grid = RasterGrid(3, 2, np.full((2, 3), -1.0, dtype=np.float32))
+        au.write_ppm_heatmap(grid, tmp_path / "m.ppm")
+        assert (tmp_path / "m.ppm").read_bytes() == b"P6\n3 2\n255\n" + bytes(3 * 2 * 3)
+
+    def test_maps_to_stack_needs_a_map(self):
+        with pytest.raises(ValueError, match="no maps to stack"):
+            au.maps_to_stack([], [], StackKind.AD_MAP)
 
     def test_maps_to_stack_kind(self):
         grid = RasterGrid(1, 1, np.array([[0.3]], dtype=np.float32))

@@ -648,10 +648,14 @@ class TestInfer:
          "manifest.json, section 'config': unknown key(s) 'learning_rate'"),
         ("manifest.json", lambda raw: edit_json(raw, notes="run 1"),
          "manifest.json: unknown key(s) 'notes'"),
+        ("manifest.json", lambda raw: edit_json(raw, hidden=0),
+         "manifest.json: bad value: f_dim, k_cats and hidden must be positive integers, "
+         "got [1, 2, 0]"),
     ], ids=["hidden", "nan-blob", "truncated-blob", "missing-norm-key", "nan-norm-mean",
             "infinite-norm-std", "zero-norm-std", "negative-norm-std", "norm-std-true",
             "string-norm-mean", "config-unknown-key", "config-removed-tau",
-            "config-removed-n-subgraphs", "config-removed-learning-rate", "unknown-top-key"])
+            "config-removed-n-subgraphs", "config-removed-learning-rate", "unknown-top-key",
+            "zero-hidden"])
     def test_bad_checkpoint_exits_2_naming_file(self, toy_run, capsys, name, edit, named):
         tmp_path, config = toy_run
         ckpt = tmp_path / "out" / "checkpoint"
@@ -664,6 +668,13 @@ class TestInfer:
         assert cli.main(["infer", "--config", str(config), "--checkpoint", str(ckpt)]) == 2
         err = capsys.readouterr().err
         assert str(ckpt / named) in err, err
+        assert not (tmp_path / "out" / "posteriors").exists()
+
+    def test_missing_checkpoint_exits_2_naming_it(self, toy_run, capsys):
+        tmp_path, config = toy_run
+        missing = tmp_path / "out" / "no-checkpoint"
+        assert cli.main(["infer", "--config", str(config), "--checkpoint", str(missing)]) == 2
+        assert f"checkpoint not found: {missing}" in capsys.readouterr().err
         assert not (tmp_path / "out" / "posteriors").exists()
 
     @pytest.mark.parametrize("f_dim, k_cats", [(2, 2), (1, 3)],

@@ -75,6 +75,17 @@ class TestTileRegion:
         with pytest.raises(ValueError):
             gb.tile_region(0, 10, 450)
 
+    def test_zero_tile_size(self):
+        with pytest.raises(ValueError, match="tile_size must be >= 1"):
+            gb.tile_region(10, 10, 0)
+
+    @pytest.mark.parametrize("tile", [gb.Tile(-1, 0, 2, 2), gb.Tile(0, -1, 2, 2),
+                                      gb.Tile(3, 0, 2, 2), gb.Tile(0, 2, 2, 2)],
+                             ids=["left", "top", "right", "bottom"])
+    def test_tile_outside_extent(self, tile):
+        with pytest.raises(ValueError, match="exceeds raster extent 4x3"):
+            gb.tiles_mask([gb.Tile(0, 0, 4, 3), tile], 4, 3)
+
 
 class TestBuildGraph:
     def test_3x3_full_grid(self):

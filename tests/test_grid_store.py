@@ -68,6 +68,19 @@ class TestRoundTrip:
                 assert a == b
 
 
+class TestStacksEqual:
+    def test_differing_manifests_are_unequal(self):
+        ones = np.ones((2, 2), np.float32)
+        stack = make_stack(StackKind.HEIGHT_SERIES, 2, 2, {"a": ones})
+        assert gs.stacks_equal(stack, make_stack(StackKind.HEIGHT_SERIES, 2, 2, {"a": ones}))
+        # the same layer bytes under another kind, label or nodata
+        for other in (make_stack(StackKind.PRIOR_COUNTS, 2, 2, {"a": ones}),
+                      make_stack(StackKind.HEIGHT_SERIES, 2, 2, {"b": ones}),
+                      make_stack(StackKind.HEIGHT_SERIES, 2, 2, {"a": ones}, nodata=-2.0)):
+            assert not gs.stacks_equal(stack, other)
+            assert not gs.stacks_equal(other, stack)
+
+
 class TestReadErrors:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(GridFormatError, match="missing manifest"):
@@ -160,6 +173,31 @@ class TestWriteErrors:
         grid = RasterGrid(1, 1, np.array([[1.2]], dtype=np.float32))
         with pytest.raises(GridFormatError, match="range violation"):
             GridStack(manifest, [grid])
+
+    @pytest.mark.parametrize("width, height_px, size, named", [
+        (0, 2, 0, "grid dimensions must be positive"),
+        (2, -1, 2, "grid dimensions must be positive"),
+        (2, 2, 3, "values length 3 != 2x2"),
+    ], ids=["zero-width", "negative-height", "size-mismatch"])
+    def test_bad_raster_grid(self, width, height_px, size, named):
+        with pytest.raises(GridFormatError, match=named):
+            RasterGrid(width, height_px, np.ones(size, np.float32))
+
+    @pytest.mark.parametrize("width, height_px", [(0, 1), (1, -1)],
+                             ids=["zero-width", "negative-height"])
+    def test_non_positive_manifest_dimensions(self, width, height_px):
+        with pytest.raises(GridFormatError, match="manifest dimensions must be positive"):
+            StackManifest(StackKind.HEIGHT_SERIES, width, height_px, ["a"])
+
+    @pytest.mark.parametrize("grid, named", [
+        (RasterGrid(2, 1, np.ones(2, np.float32)), "layer dimensions differ from manifest"),
+        (RasterGrid(1, 1, np.ones(1, np.float32), nodata=-2.0),
+         "layer nodata differs from manifest"),
+    ], ids=["dimensions", "nodata"])
+    def test_layer_disagrees_with_manifest(self, grid, named):
+        # GridStack runs validate_stack on construction
+        with pytest.raises(GridFormatError, match=named):
+            GridStack(StackManifest(StackKind.HEIGHT_SERIES, 1, 1, ["a"]), [grid])
 
     def test_layer_count_mismatch(self):
         manifest = StackManifest(StackKind.HEIGHT_SERIES, 1, 1, ["a", "b"])
@@ -377,6 +415,14 @@ class TestCategoryFieldRule:
             CategoryField(["a", "b"], probs, np.ones((1, 2), dtype=bool))
         # the same row at an invalid pixel is not checked
         CategoryField(["a", "b"], probs, np.array([[False, True]]))
+
+    @pytest.mark.parametrize("categories, valid, named", [
+        (["a", "b", "c"], np.ones((1, 2), dtype=bool), "probs last axis != number of categories"),
+        (["a", "b"], np.ones((2, 1), dtype=bool), "valid mask shape mismatch"),
+    ], ids=["k-mismatch", "valid-shape"])
+    def test_shape_mismatch_rejected(self, categories, valid, named):
+        with pytest.raises(ValueError, match=named):
+            CategoryField(categories, np.full((1, 2, 2), 0.5), valid)
 
     def test_zero_mass_prior_pixel_rejected(self):
         stack = make_stack(StackKind.PRIOR_PROPORTIONS, 2, 1,

@@ -248,6 +248,10 @@ class TestLosses:
             b = rng.normal(size=(4, 2))
             assert md.loss_rec(Tape(), Var(a), b).value >= 0.0
 
+    def test_rec_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match=r"reconstruction shape \(2, 1\) != target \(1, 2\)"):
+            md.loss_rec(Tape(), Var(self.as_matrix([1.0], [2.0])), self.as_matrix([1.0, 2.0]))
+
 
 def build_forward(params, a_hat, x, prior_p, mask, gumbel_noise, tau=1.0,
                   weights=(1.0, 1.0, 1.0)):
@@ -370,6 +374,16 @@ class TestTrainStep:
         monkeypatch.setattr(nc, "gcn_block", probed_block)
         md.train_step(params, md.Adam(1e-3), graph, stats, prior, np.random.default_rng(0))
         assert len(refs) == 1 and alive == [False, False]  # the decoder's rule, the encoder's
+
+    def test_empty_graph_rejected(self):
+        params, graph, stats, prior = self.setup_step()
+        before = {k: v.copy() for k, v in params.weights.items()}
+        empty = gb.build_graph(RasterGrid(5, 5, np.zeros((5, 5), np.float32)),
+                               [gb.Tile(0, 0, 5, 5)])
+        with pytest.raises(ValueError, match="empty subgraph"):
+            md.train_step(params, md.Adam(1e-3), empty, stats, prior, np.random.default_rng(0))
+        for name in before:
+            np.testing.assert_array_equal(params.weights[name], before[name])
 
     @pytest.mark.parametrize("has_prior", [True, False], ids=["prior", "no-prior"])
     def test_float32_step_stays_float32(self, monkeypatch, has_prior):

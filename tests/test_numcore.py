@@ -934,8 +934,24 @@ class TestSmallOps:
         grads = nc.backward(tape, build(tape, tape.param("x", arrays["x"])))
         assert max_relative_error(grads, central_difference(loss, arrays)) < 1e-6
 
+    def test_weighted_sum_length_mismatch(self):
+        tape = Tape()
+        term = taped_sum(tape, tape.param("x", np.ones(2)))
+        with pytest.raises(ValueError, match="terms and weights must have equal length"):
+            nc.weighted_sum(tape, [term], [1.0, 2.0])
+
 
 class TestTape:
+    def test_param_reregistered_with_another_array(self):
+        # the same name with the same array, or a view of it, is the one
+        # parameter; another array under that name is an error
+        tape = Tape()
+        value = np.ones((2, 3))
+        w = tape.param("w", value)
+        assert tape.param("w", value) is w and tape.param("w", value[:1]) is w
+        with pytest.raises(ValueError, match="parameter 'w' re-registered with a different array"):
+            tape.param("w", value.copy())
+
     def test_sum_of_parameter_gives_ones(self):
         tape = Tape()
         w = tape.param("w", np.arange(6.0).reshape(2, 3))

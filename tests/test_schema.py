@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from vulnaudit import schema
 
 
@@ -86,3 +88,10 @@ def test_prepare_and_audit_never_load_scipy(tmp_path):
     assert scipy_modules_after(["audit", *config, "--posteriors", "out/posteriors"],
                                tmp_path) == (0, [])
     assert (tmp_path / "out" / "audit" / "index.json").is_file()
+
+
+@pytest.mark.parametrize("value", [[1, 2], "ab", 3, None], ids=["list", "string", "int", "null"])
+def test_dict_field_takes_only_an_object(value):
+    assert schema.convert(dict[str, int], {"a": 1}, "here") == {"a": 1}
+    with pytest.raises(schema.ConfigError, match=r"^here: expected an object, got "):
+        schema.convert(dict[str, int], value, "here")

@@ -156,3 +156,12 @@ def test_wide_spec_dataset_digest(tmp_path):
     written = {f.relative_to(tmp_path).as_posix(): hashlib.sha256(f.read_bytes()).hexdigest()
                for f in tmp_path.rglob("*") if f.is_file()}
     assert written == WIDE_SPEC_SHA256
+
+
+@pytest.mark.parametrize("mean", [float("inf"), float("-inf"), float("nan")],
+                         ids=["inf", "minus-inf", "nan"])
+def test_spec_rejects_non_finite_mean(mean):
+    # a spec file cannot carry one (its reader takes only finite numbers);
+    # a spec built in code can
+    with pytest.raises(ValueError, match="mean_log_heights must be finite"):
+        sy.SyntheticSpec(8, 8, 1, 2, [0.5, mean], [0.3, 0.3], block_size=4, seed=0)
