@@ -61,11 +61,14 @@ def _aitchison_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def aitchison_distance(p, q) -> float:
-    """Aitchison distance between two compositions of K >= 2 parts."""
+    """Aitchison distance between two compositions of K >= 2 finite,
+    non-negative parts."""
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape or p.ndim != 1 or p.size < 2:
         raise ValueError("inputs must be equal-length vectors with K >= 2")
+    if not ((p >= 0) & (p < np.inf) & (q >= 0) & (q < np.inf)).all():  # NaN fails too
+        raise ValueError("parts must be finite and non-negative")
     return float(_aitchison_rows(p, q))
 
 

@@ -250,8 +250,10 @@ def cmd_prepare(cfg: RunConfig) -> int:
 def cmd_train(cfg: RunConfig) -> int:
     heights = gs.read_grid_stack(cfg.heights, gs.StackKind.HEIGHT_SERIES)
     prior, splits = _load_prepared(cfg, heights.manifest)
-    # float32, the dtype the checkpoint stores: it holds the trained weights bit for bit
+    # float32, the dtype the checkpoint stores: it holds the trained weights bit for
+    # bit. The hidden width must exceed k (model.check_dims)
     params = md.ModelParams.initialize(f_dim=gb.NODE_FEATURES, k_cats=prior.k,
+                                       hidden=max(md.DEFAULT_HIDDEN, prior.k + 1),
                                        seed=cfg.train.seed).astype(np.float32)
     # train reads the prior in float32; rebinding frees the float64 field
     prior = md.ModelPrior.of(prior, params.dtype)

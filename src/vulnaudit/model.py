@@ -64,7 +64,9 @@ class ModelParams:
     @classmethod
     def initialize(cls, f_dim: int, k_cats: int, hidden: int = DEFAULT_HIDDEN,
                    seed: int = 0) -> "ModelParams":
-        """Glorot-uniform weights, zero biases, deterministic in the seed."""
+        """Glorot-uniform weights, zero biases, deterministic in the seed;
+        dimensions that break ``check_dims`` are a ValueError."""
+        check_dims(f_dim, k_cats, hidden)
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9107]))
         weights: dict[str, np.ndarray] = {}
         for name, shape in param_shapes(f_dim, k_cats, hidden).items():
@@ -74,6 +76,18 @@ class ModelParams:
             else:
                 weights[name] = np.zeros(shape, dtype=np.float64)
         return cls(f_dim, k_cats, hidden, weights)
+
+
+def check_dims(f_dim: int, k_cats: int, hidden: int) -> None:
+    """The model's shape rule: positive dimensions, and a hidden width above
+    both f_dim and k_cats, so that each stack's first layer widens and its
+    others keep or narrow the width, the one shape ``numcore.gcn_block``
+    takes. Another is a ValueError."""
+    dims = [f_dim, k_cats, hidden]
+    if min(dims) < 1:
+        raise ValueError(f"f_dim, k_cats and hidden must be positive integers, got {dims}")
+    if hidden <= max(f_dim, k_cats):
+        raise ValueError(f"hidden must exceed f_dim and k_cats, got {dims}")
 
 
 def param_shapes(f_dim: int, k_cats: int, hidden: int) -> dict[str, tuple[int, ...]]:
@@ -151,9 +165,10 @@ def gumbel_softmax_var(tape: Tape, logits: Var, tau: float,
                        rng: np.random.Generator) -> Var:
     """Taped relaxed draw, softmax((logits + gumbel noise) * (1 / tau)), as
     one tape entry (``numcore.gumbel_softmax``); the noise is a constant in
-    the logits' dtype, gradients flow through the softmax only."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    the logits' dtype, gradients flow through the softmax only. A tau that
+    is not a finite positive number is a ValueError."""
+    if not 0 < tau < np.inf:  # NaN fails too
+        raise ValueError("tau must be a finite positive number")
     g = sample_gumbel(logits.value.shape, rng).astype(logits.value.dtype, copy=False)
     return nc.gumbel_softmax(tape, logits, g, 1.0 / tau)
 
@@ -488,9 +503,10 @@ def stack_to_posterior(stack: GridStack, timestep: str = "") -> CategoryField:
 
 @dataclass
 class CheckpointManifest:
-    """A checkpoint's ``manifest.json``: the positive dimensions that give
-    each blob's shape (``param_shapes``), the feature normalisation and the
-    train section it was trained with. Blobs are named by PARAM_ORDER."""
+    """A checkpoint's ``manifest.json``: the dimensions that give each
+    blob's shape (``param_shapes``), under ``check_dims``, the feature
+    normalisation and the train section it was trained with. Blobs are
+    named by PARAM_ORDER."""
     f_dim: int
     k_cats: int
     hidden: int
@@ -498,9 +514,7 @@ class CheckpointManifest:
     config: TrainConfig
 
     def __post_init__(self):
-        dims = [self.f_dim, self.k_cats, self.hidden]
-        if min(dims) < 1:
-            raise ValueError(f"f_dim, k_cats and hidden must be positive integers, got {dims}")
+        check_dims(self.f_dim, self.k_cats, self.hidden)
 
 
 def save_checkpoint(path: str | Path, params: ModelParams, norm_stats: NormStats,

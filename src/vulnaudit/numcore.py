@@ -2,9 +2,11 @@
 
 Every kernel carries a hand-derived backward rule. Graph convolutions take
 their normalized adjacency as a scipy CSR matrix: ``gcn_layer`` is one
-convolution, and ``gcn_block`` is the model's three-layer stack (ReLU, ReLU,
-linear) as one entry. ``gumbel_softmax`` is a relaxed categorical draw,
-softmax((logits + noise) * s), as one entry. Values are float32 or float64
+convolution of any widths, and ``gcn_block`` is the model's three-layer
+stack (ReLU, ReLU, linear) as one entry, in the model's shape only: its
+first layer widens and its others keep or narrow the width. The relaxed
+categorical draw softmax((logits + noise) * s) is one ``gumbel_softmax``
+entry. Values are float32 or float64
 ndarrays: ``Var`` keeps a float32 value as float32 and makes anything else
 float64, and no kernel casts its result, so a tape computes in the dtype of
 what it is fed (the model feeds it its weights' dtype). Each kernel checks
@@ -14,13 +16,12 @@ non-finite value.
 Each convolution multiplies by A at the narrower of its two widths, forward
 and backward; the layer and the block share that per-layer product and
 gradient rule. A ``gcn_layer`` entry keeps its output; a ``gcn_block``
-entry keeps A @ H (or the first activation, when the first layer does not
-widen), keeps the middle activation only for an input the tape tracks, and
-recomputes in its backward what it did not keep; each of its products at a
-hidden width writes into the buffer it reads, the sparse ones a band of
-A's rows at a time (``band``), in the backward too: a block's A is
-symmetric, so A stands for A.T there. A row softmax reduces its rows by
-passes over their few columns, with numpy's bits (``_row_max``,
+entry keeps A @ H, keeps the middle activation only for an input the tape
+tracks, and recomputes in its backward what it did not keep; each of its
+products at the hidden width writes into the buffer it reads, the sparse
+ones a band of A's rows at a time (``band``), in the backward too: a
+block's A is symmetric, so A stands for A.T there. A row softmax reduces
+its rows by passes over their few columns, with numpy's bits (``_row_max``,
 ``_row_sum``). The backward hands every rule an adjoint the rule owns, so
 a rule may reuse it as scratch space; it drops each entry before running
 the entry's rule, so what a rule closed over is freed once the rule has
@@ -310,24 +311,13 @@ def _finish(op: str | None, b: np.ndarray,
     return finish
 
 
-def _first_product(a: sp.csr_matrix, h: np.ndarray, w: np.ndarray,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """A layer's first product, at its narrower width: H @ W (into ``out``,
-    which may be H) or A @ H."""
-    return _matmul_rows(h, w, out) if _narrows(w) else a @ h
-
-
 def _finish_layer(op: str | None, a: sp.csr_matrix, first: np.ndarray, w: np.ndarray,
-                  b: np.ndarray, activate: bool,
-                  bands: tuple[int, int] | None = None) -> np.ndarray:
-    """A forward layer from its first product, finished by ``_finish``.
-    With ``bands`` a narrowing layer's A @ first is written into ``first``'s
-    buffer (``_in_place``); else every product makes a new array."""
-    finish = _finish(op, b, activate)
-    if _narrows(w) and bands is not None:
-        return _in_place(a, first, bands, finish=finish)
+                  b: np.ndarray, activate: bool) -> np.ndarray:
+    """A forward layer from its first product, H @ W for a layer that
+    narrows or keeps the width and A @ H for one that widens, finished by
+    ``_finish`` in the new array its second product makes."""
     pre = a @ first if _narrows(w) else _matmul_rows(first, w)
-    finish(pre)
+    _finish(op, b, activate)(pre)
     return pre
 
 
@@ -374,33 +364,26 @@ def _weight_grad_of(chunks: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarr
 
 
 def _layer_grads(a: sp.csr_matrix, dpre: np.ndarray, h: np.ndarray, w: np.ndarray,
-                 ah: np.ndarray | None = None, bands: tuple[int, int] | None = None,
-                 positive: np.ndarray | None = None, with_h: bool = True,
-                 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+                 ah: np.ndarray | None = None, positive: np.ndarray | None = None,
+                 with_h: bool = True) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """(grad-H, grad-W, grad-b) of one layer from its adjoint ``dpre``,
     already masked by the ReLU. The rule owns ``dpre`` and may write grad-H
-    into it. A widening layer takes grad-W from A @ H: ``ah`` when the
-    caller kept it, else recomputed.
+    into it.
 
-    With ``bands``, which ``gcn_block`` passes for its symmetric A where
-    the product runs at a hidden width, A.T's product is made by A, in the
-    array it reads (``_in_place``). ``positive`` masks grad-H by a ReLU's
-    output, and takes grad-H into its buffer when it fits: the layer below's
-    output, read no more. grad-H is None when ``with_h`` is False."""
+    A widening layer takes grad-W from A @ H: ``ah`` when the caller kept
+    it, else recomputed; its grad-H is None when ``with_h`` is False. A
+    narrowing or square layer takes grad-W before grad-H, which it masks by
+    ``positive``, a ReLU's output, and writes into that array's buffer (the
+    layer below's output, read no more) when given, else into dpre's when
+    the shapes agree."""
     grad_b = dpre.sum(axis=0)
     if not _narrows(w):
         grad_w = _weight_grad(a @ h if ah is None else ah, dpre)
         if not with_h:
             return None, grad_w, grad_b
-        dh = _matmul_rows(dpre, w.T)
-        dh = a.T @ dh if bands is None else _in_place(a, dh, bands)
-        if positive is not None:
-            _mask_relu(dh, positive)
-        return dh, grad_w, grad_b
-    s = a.T @ dpre if bands is None else _in_place(a, dpre, bands)
+        return a.T @ _matmul_rows(dpre, w.T), grad_w, grad_b
+    s = a.T @ dpre
     grad_w = _weight_grad(h, s)
-    if not with_h:
-        return None, grad_w, grad_b
     out = positive if positive is not None else dpre
     return _matmul_rows(s, w.T, out, positive), grad_w, grad_b
 
@@ -415,15 +398,11 @@ def gcn_layer(tape: Tape, a: sp.csr_matrix, h: Var, w: Var, b: Var,
     The sparse product runs at the narrower of the layer's two widths: the
     forward is A @ (H @ W) when W narrows or keeps the width and (A @ H) @ W
     when it widens. The tape entry keeps only ``out``. The backward owns its
-    adjoint and multiplies it in place by the ReLU mask, read back as
-    ``out > 0`` (where the pre-activation was positive) a block of rows at a
-    time, to give dpre; then
-
-    - narrowing or square W: one sparse product S = A.T @ dpre gives
-      grad-W = H.T @ S and grad-H = S @ W.T, the latter written into dpre's
-      buffer when the shapes agree;
-    - widening W: grad-W = (A @ H).T @ dpre, recomputed at H's width, and
-      grad-H = A.T @ (dpre @ W.T).
+    adjoint, masks it in place by ``out > 0`` a block of rows at a time to
+    give dpre, and takes the gradients by ``_layer_grads``: one sparse
+    product S = A.T @ dpre for a narrowing or square W, giving grad-W =
+    H.T @ S and grad-H = S @ W.T; for a widening W, grad-W = (A @ H).T @
+    dpre, recomputed at H's width, and grad-H = A.T @ (dpre @ W.T).
 
     ``A.T`` keeps the rule right for a rectangular or asymmetric A. Its
     sparse products are whole; its dense ones are ``gcn_block``'s, made
@@ -432,7 +411,8 @@ def gcn_layer(tape: Tape, a: sp.csr_matrix, h: Var, w: Var, b: Var,
     """
     hv, wv, bv = h.value, w.value, b.value
     _check_shapes("gcn_layer", a, hv.shape, wv, bv)
-    pre = _finish_layer("gcn_layer", a, _first_product(a, hv, wv), wv, bv, activate)
+    first = _matmul_rows(hv, wv) if _narrows(wv) else a @ hv
+    pre = _finish_layer("gcn_layer", a, first, wv, bv, activate)
     out = Var(pre)
 
     def bwd(dpre):  # the adjoint, owned: masked and reused in place
@@ -451,117 +431,101 @@ def gcn_block(tape: Tape, a: sp.csr_matrix, h: Var,
     tape entry: the same products, in the same order, as three
     ``gcn_layer`` calls, so the same floats.
 
-    The middle layer must not widen: the model's W2 is hidden x hidden
-    (``model.param_shapes``), and a widening W2 is a ValueError. A, H and
-    every W and b share one dtype, and another is a ValueError, so no
-    product is wider than the buffer it writes into. A is square and
-    symmetric with sorted rows, as ``graph_build`` makes every A-hat: the
-    backward multiplies by A where a layer multiplies by A.T, and a sorted
-    row of a symmetric A sums its column's terms in A.T's order, so the
-    bits are A.T's.
+    The block takes the model's shape (``model.param_shapes``), a hidden
+    width above the input's and the output's: W1 widens, and W2 and W3 keep
+    or narrow the width. Each layer is checked in turn, and another shape
+    is a ValueError naming the layer and its W. A, H and every W and b
+    share one dtype, and another is a ValueError, so no product is wider
+    than the buffer it writes into. A is square and symmetric with sorted
+    rows, as ``graph_build`` makes every A-hat: the backward multiplies by
+    A where a layer multiplies by A.T, and a sorted row of a symmetric A
+    sums its column's terms in A.T's order, so the bits are A.T's.
 
-    Every product at a hidden width writes into the buffer it reads: the
+    Every product at the hidden width writes into the buffer it reads: the
     sparse ones band by band (``_in_place``), with the bias, finite check
     and ReLU made on each band; the dense ones ROW_BLOCK rows at a time
-    (``_matmul_rows``), each under its ReLU mask. Products at the input's
-    or the output's width make new arrays.
+    (``_matmul_rows``), each under its ReLU mask. A @ H and the output
+    layer's products make new arrays.
 
-    The entry keeps A @ H when the first layer widens (Z1 when it narrows
-    or keeps the width) and, for an input the tape tracks (``Tape.tracks``),
-    Z2, the second layer's output. When the first layer widens, Z1 @ W2 and
-    then Z2 take Z1's buffer. A block on an untracked input, the model's
-    encoder, drops Z2 once layer 3 has read it, and its backward, which
-    runs last in a step, rebuilds Z2 from what it kept with the forward's
-    calls on the same arrays, without a finite check: the same bits. The
-    backward takes layer 3's gradients from Z2 and writes dZ2 =
-    (S3 @ W3.T) * (Z2 > 0) into Z2's buffer; S = A @ dZ2 takes that buffer
-    in turn. It then recomputes Z1 = ReLU((A @ H) @ W1 + b1) from the
-    kept A @ H one block of rows at a time, again unchecked; each block
-    feeds grad-W2 = Z1.T @ S in ``_weight_grad_of``'s order, and then
-    dZ1 = (S @ W2.T) * (Z1 > 0) is made in the block's buffer and replaces
-    S's rows. Layer 1's gradients end it; grad-H only for a tracked H: the
-    model's features are a constant.
+    The entry keeps A @ H and, for an input the tape tracks
+    (``Tape.tracks``), Z2; Z1 @ W2 and then Z2 take Z1's buffer. A block on
+    an untracked input, the model's encoder, drops Z2 once layer 3 has read
+    it, and its backward, which runs last in a step, rebuilds Z2 from A @ H
+    with the forward's calls on the same arrays, without a finite check:
+    the same bits. The backward takes layer 3's gradients from Z2 and
+    writes dZ2 = (S3 @ W3.T) * (Z2 > 0) into Z2's buffer; S = A @ dZ2 takes
+    that buffer in turn. It then recomputes Z1 = ReLU((A @ H) @ W1 + b1)
+    one block of rows at a time, again unchecked; each block feeds grad-W2
+    = Z1.T @ S in ``_weight_grad_of``'s order, and then dZ1 = (S @ W2.T) *
+    (Z1 > 0) is made in the block's buffer and replaces S's rows. Layer 1's
+    gradients end it; grad-H only for a tracked H: the model's features
+    are a constant.
 
     So the block holds one N x hidden array of its own, forward and
     backward, beside the blocks and bands it works in (for N <= ROW_BLOCK
     one block is all N rows), and the encoder holds none between its
     forward and its backward: a training step peaks at one N x hidden
-    array. The decoder keeps its Z2, which its backward reads at once:
-    rebuilding it there too would save no memory.
+    array. The decoder keeps its Z2, which its backward reads at once.
     """
     (w1, b1), (w2, b2), (w3, b3) = layers
     hv = h.value
     shape = hv.shape
     for i, (w, b) in enumerate(layers, 1):
         _check_shapes(f"gcn_block layer {i}", a, shape, w.value, b.value)
+        if _narrows(w.value) == (i == 1):
+            rule = "does not widen" if i == 1 else "widens"
+            raise ValueError(f"gcn_block layer {i} {rule}: W {w.value.shape}")
         shape = (a.shape[0], w.value.shape[1])
     w1v, w2v, w3v = w1.value, w2.value, w3.value
     b1v, b2v = b1.value, b2.value
-    if not _narrows(w2v):
-        raise ValueError(f"gcn_block layer 2 widens: W {w2v.shape}")
     dtypes = [a.dtype, hv.dtype] + [v.value.dtype for pair in layers for v in pair]
     if len(set(dtypes)) > 1:
         raise ValueError("gcn_block needs one dtype for A, H, W1, b1, W2, b2, W3, b3, got "
                          + ", ".join(map(str, dtypes)))
     bands = band(a)
-    widens = not _narrows(w1v)
     tracked = tape.tracks(h)
 
     def layer_2(z1: np.ndarray, op: str | None) -> np.ndarray:
-        """Z2 from Z1, Z1 @ W2 in Z1's buffer unless the entry keeps Z1."""
-        first = _first_product(a, z1, w2v, z1 if widens else None)
-        return _finish_layer(op, a, first, w2v, b2v, True, bands)
+        """Z2 from Z1, Z1 @ W2 and then Z2 in Z1's buffer."""
+        return _in_place(a, _matmul_rows(z1, w2v, z1), bands, _finish(op, b2v, True))
 
-    first = _first_product(a, hv, w1v)
-    z1 = _finish_layer("gcn_block layer 1", a, first, w1v, b1v, True,
-                       None if widens else bands)
-    kept = first if widens else z1  # the narrow A @ H, or Z1
-    first = None
-    z2 = layer_2(z1, "gcn_block layer 2")
-    z1 = None
-    out = Var(_finish_layer("gcn_block layer 3", a, _first_product(a, z2, w3v), w3v,
+    ah = a @ hv
+    z2 = layer_2(_finish_layer("gcn_block layer 1", a, ah, w1v, b1v, True),
+                 "gcn_block layer 2")
+    out = Var(_finish_layer("gcn_block layer 3", a, _matmul_rows(z2, w3v), w3v,
                             b3.value, False))
     if not tracked:  # rebuilt by the backward
         z2 = None
 
     def bwd(d3):  # the adjoint, owned
-        nonlocal z2, kept
+        nonlocal z2
         if z2 is None:
-            z2 = layer_2(_finish_layer(None, a, kept, w1v, b1v, True) if widens else kept,
-                         None)
+            z2 = layer_2(_finish_layer(None, a, ah, w1v, b1v, True), None)
         n = len(z2)
-        # dZ2 takes Z2's buffer, or the widening layer 3's own
-        dz2, grad_w3, grad_b3 = _layer_grads(a, d3, z2, w3v, positive=z2,
-                                             bands=None if _narrows(w3v) else bands)
+        dz2, grad_w3, grad_b3 = _layer_grads(a, d3, z2, w3v, positive=z2)  # in Z2's buffer
         z2 = None
         grad_b2 = dz2.sum(axis=0)
         s, dz2 = _in_place(a, dz2, bands), None
-        if widens:
-            dtype = np.result_type(s, w2v)  # dZ1's
-            dz1 = _into(s, (n, w2v.shape[0]), dtype)
+        dz1 = _into(s, (n, w2v.shape[0]), s.dtype)  # S's dtype: the adjoint's or wider
 
-            def z1_blocks():
-                """Z1 one block at a time; once grad-W2 has read a block
-                (``_weight_grad_of`` reads each before asking for the
-                next), dZ1's rows are made in its buffer."""
-                for rows in _row_blocks(n):
-                    z1 = kept[rows] @ w1v
-                    z1 += b1v
-                    _relu(z1)
-                    yield z1, s[rows]
-                    positive = z1 > 0.0
-                    block = np.matmul(s[rows], w2v.T, out=_into(z1, z1.shape, dtype))
-                    block *= positive
-                    dz1[rows] = block
-                    del z1, block, positive  # before the next block is made
+        def z1_blocks():
+            """Z1 one block at a time; once grad-W2 has read a block
+            (``_weight_grad_of`` reads each before asking for the next),
+            dZ1's rows are made in its buffer."""
+            for rows in _row_blocks(n):
+                z1 = ah[rows] @ w1v
+                z1 += b1v
+                _relu(z1)
+                yield z1, s[rows]
+                positive = z1 > 0.0
+                block = np.matmul(s[rows], w2v.T, out=_into(z1, z1.shape, s.dtype))
+                block *= positive
+                dz1[rows] = block
+                del z1, block, positive  # before the next block is made
 
-            grad_w2 = _weight_grad_of(z1_blocks())
-        else:  # the kept Z1, read no more, takes dZ1
-            grad_w2 = _weight_grad(kept, s)
-            dz1, kept = _matmul_rows(s, w2v.T, kept, positive=kept), None
+        grad_w2 = _weight_grad_of(z1_blocks())
         s = None
-        grad_h, grad_w1, grad_b1 = _layer_grads(a, dz1, hv, w1v, kept,
-                                                None if widens else bands, with_h=tracked)
+        grad_h, grad_w1, grad_b1 = _layer_grads(a, dz1, hv, w1v, ah, with_h=tracked)
         grads = ((w1, grad_w1), (b1, grad_b1), (w2, grad_w2), (b2, grad_b2),
                  (w3, grad_w3), (b3, grad_b3))
         return ((h, grad_h),) + grads if tracked else grads

@@ -77,6 +77,17 @@ class TestAitchisonDistance:
         with pytest.raises(ValueError):
             au.aitchison_distance([1.0], [1.0])
 
+    @pytest.mark.parametrize("p, q", [
+        ([-1.0, 2.0], [0.5, 0.5]),
+        ([np.nan, 1.0], [0.5, 0.5]),
+        ([0.5, 0.5], [np.inf, 1.0]),
+        ([0.5, 0.5], [0.2, -np.inf]),
+    ], ids=["negative", "nan", "inf", "minus-inf"])
+    def test_negative_or_non_finite_part_rejected(self, p, q):
+        # a composition's parts are finite and non-negative; zeros are smoothed
+        with pytest.raises(ValueError, match="parts must be finite and non-negative"):
+            au.aitchison_distance(p, q)
+
 
 class TestAdMap:
     def test_equal_fields_give_zero(self):

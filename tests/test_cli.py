@@ -651,11 +651,14 @@ class TestInfer:
         ("manifest.json", lambda raw: edit_json(raw, hidden=0),
          "manifest.json: bad value: f_dim, k_cats and hidden must be positive integers, "
          "got [1, 2, 0]"),
+        # the model's first layer widens and its last narrows
+        ("manifest.json", lambda raw: edit_json(raw, hidden=2),
+         "manifest.json: bad value: hidden must exceed f_dim and k_cats, got [1, 2, 2]"),
     ], ids=["hidden", "nan-blob", "truncated-blob", "missing-norm-key", "nan-norm-mean",
             "infinite-norm-std", "zero-norm-std", "negative-norm-std", "norm-std-true",
             "string-norm-mean", "config-unknown-key", "config-removed-tau",
             "config-removed-n-subgraphs", "config-removed-learning-rate", "unknown-top-key",
-            "zero-hidden"])
+            "zero-hidden", "hidden-not-above-k-cats"])
     def test_bad_checkpoint_exits_2_naming_file(self, toy_run, capsys, name, edit, named):
         tmp_path, config = toy_run
         ckpt = tmp_path / "out" / "checkpoint"
@@ -669,6 +672,27 @@ class TestInfer:
         err = capsys.readouterr().err
         assert str(ckpt / named) in err, err
         assert not (tmp_path / "out" / "posteriors").exists()
+
+    def test_k_above_default_hidden_trains_a_wider_model(self, tmp_path):
+        # the hidden width must exceed k: with 25 categories train takes
+        # hidden = k + 1 = 26, and infer reads the checkpoint back
+        k = 25
+        spec = write_spec(tmp_path / "spec.json", width=32, height_px=32, k=k,
+                          mean_log_heights=[0.1 * i for i in range(k)],
+                          std_log_heights=[0.05] * k)
+        data, out = tmp_path / "data", tmp_path / "out"
+        config = write_config(tmp_path / "config.json", data, out, train={"epochs": 1})
+        for argv in (["synth", "--spec", str(spec), "--out", str(data)],
+                     ["prepare", "--config", str(config)],
+                     ["train", "--config", str(config)],
+                     ["infer", "--config", str(config),
+                      "--checkpoint", str(out / "checkpoint")]):
+            assert cli.main(argv) == 0, argv
+        manifest = json.loads((out / "checkpoint" / "manifest.json").read_text())
+        assert (manifest["f_dim"], manifest["k_cats"], manifest["hidden"]) == (1, k, k + 1)
+        for label in ("t0", "t1"):
+            post = md.stack_to_posterior(gs.read_grid_stack(out / "posteriors" / label), label)
+            assert post.k == k and post.valid.any()
 
     def test_missing_checkpoint_exits_2_naming_it(self, toy_run, capsys):
         tmp_path, config = toy_run

@@ -51,7 +51,7 @@ class TestEncodeDecode:
     def test_zero_weights_give_uniform(self):
         graph = grid_graph(np.ones((3, 3)))
         a_hat = gb.normalize_adjacency(graph)
-        enc = md.encode(zero_params(k=4), a_hat, graph.features)
+        enc = md.encode(zero_params(k=4, hidden=5), a_hat, graph.features)
         np.testing.assert_allclose(enc.probabilities.value, 0.25, atol=1e-15)
 
     def test_isolated_node_reduces_to_mlp(self):
@@ -134,6 +134,17 @@ class TestGumbelSoftmax:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
             md.gumbel_softmax_sample(np.zeros(3), 0.0, rng)
+
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf, 0.0, -1.0],
+                             ids=["nan", "inf", "minus-inf", "zero", "negative"])
+    def test_tau_not_finite_positive_rejected(self, tau):
+        # the draw scales by 1 / tau, which must be a finite positive number
+        rng = np.random.default_rng(0)
+        logits = np.zeros((1, 2))
+        with pytest.raises(ValueError, match="tau must be a finite positive number"):
+            md.gumbel_softmax_sample(logits, tau, rng)
+        with pytest.raises(ValueError, match="tau must be a finite positive number"):
+            md.gumbel_softmax_var(Tape(), Var(logits), tau, rng)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("tau", [md.GUMBEL_TAU, 0.3])
@@ -982,6 +993,21 @@ class TestInferWindowSize:
 
 
 class TestCheckpoint:
+    @pytest.mark.parametrize("f_dim, k_cats, hidden", [(1, 3, 3), (1, 3, 2), (4, 2, 4),
+                                                       (1, 25, md.DEFAULT_HIDDEN)],
+                             ids=["hidden-is-k", "hidden-below-k", "hidden-is-f-dim",
+                                  "k-25-default-hidden"])
+    def test_hidden_must_exceed_f_dim_and_k_cats(self, f_dim, k_cats, hidden):
+        # gcn_block takes only a first layer that widens and a last one that
+        # does not: the model and its checkpoint manifest keep to that shape
+        message = (r"hidden must exceed f_dim and k_cats, "
+                   rf"got \[{f_dim}, {k_cats}, {hidden}\]")
+        with pytest.raises(ValueError, match=message):
+            md.ModelParams.initialize(f_dim, k_cats, hidden)
+        with pytest.raises(ValueError, match=message):
+            md.CheckpointManifest(f_dim, k_cats, hidden, gb.NormStats(0.0, 1.0),
+                                  md.TrainConfig())
+
     def test_roundtrip_bit_exact_files(self, tmp_path):
         params = random_params(f_dim=1, k=3, hidden=5, seed=12)
         stats = gb.NormStats(0.25, 1.5)

@@ -325,8 +325,8 @@ BLOCK_NAMES = ("h", "w1", "b1", "w2", "b2", "w3", "b3")
 
 class TestGcnBlock:
     """gcn_block: three layers on one symmetric A, ReLU, ReLU, linear, as
-    one entry that keeps A @ H (or Z1) and Z2 and recomputes Z1 in the
-    backward."""
+    one entry that keeps A @ H and Z2 and recomputes Z1 in the backward.
+    Its first layer widens and its others keep or narrow the width."""
 
     @staticmethod
     def block_arrays(rng, n, f_in, hidden, f_out, hidden2=None):
@@ -363,9 +363,9 @@ class TestGcnBlock:
             assert np.abs(dense - dense.T).max() > 0.1
         return a, dense
 
-    WIDTHS = pytest.mark.parametrize("f_in, hidden, f_out", [(2, 4, 3), (3, 3, 2), (5, 3, 4)],
-                                     ids=["first-widening", "first-square",
-                                          "first-narrowing"])
+    # the encoder's shape, and the decoder's one-column output
+    WIDTHS = pytest.mark.parametrize("f_in, hidden, f_out", [(2, 4, 3), (3, 4, 1)],
+                                     ids=["first-widening", "one-column-output"])
     A_KINDS = pytest.mark.parametrize("kind", ["symmetric", "mask-graph"])
 
     @staticmethod
@@ -471,6 +471,19 @@ class TestGcnBlock:
         with pytest.raises(ValueError, match=r"gcn_block layer 2 widens: W \(3, 5\)"):
             self.block(Tape(), a, v)
 
+    @pytest.mark.parametrize("f_in, hidden, f_out, message", [
+        (2, 2, 1, r"gcn_block layer 1 does not widen: W \(2, 2\)"),
+        (3, 2, 1, r"gcn_block layer 1 does not widen: W \(3, 2\)"),
+        (1, 3, 4, r"gcn_block layer 3 widens: W \(3, 4\)"),
+    ], ids=["square-first", "narrowing-first", "widening-last"])
+    def test_other_shape_than_the_models_raises(self, f_in, hidden, f_out, message):
+        # the model's hidden width exceeds its input's and its output's
+        rng = np.random.default_rng(61)
+        a, _ = self.a_of(rng, "symmetric")
+        v = {n: Var(x) for n, x in self.block_arrays(rng, 6, f_in, hidden, f_out).items()}
+        with pytest.raises(ValueError, match=message):
+            self.block(Tape(), a, v)
+
     @pytest.mark.parametrize("odd", ["a", "h", "w1", "b2", "w3"])
     def test_mixed_dtypes_raise(self, odd):
         # one float32 array among float64 ones: a product wider than the
@@ -547,8 +560,11 @@ class TestGcnBlock:
         (3, 1.0, 1e300, 1.0, 1e300),    # +inf
     ], ids=["layer-1", "layer-2", "layer-3"])
     def test_nonfinite_in_each_layer_raises(self, layer, h, w1, w2, w3):
+        # widths 1, 2, 2, 1: the first layer widens, the last narrows
         v = {"h": h, "w1": w1, "b1": 0.0, "w2": w2, "b2": 0.0, "w3": w3, "b3": 0.0}
-        v = {n: Var(np.full((1, 1) if n[0] in "hw" else (1,), x)) for n, x in v.items()}
+        shapes = {"h": (1, 1), "w1": (1, 2), "b1": (2,), "w2": (2, 2), "b2": (2,),
+                  "w3": (2, 1), "b3": (1,)}
+        v = {n: Var(np.full(shapes[n], x)) for n, x in v.items()}
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteError,
                                match=f"^gcn_block layer {layer} produced non-finite values$"):
