@@ -2,8 +2,7 @@
 coarse prior, with spatiotemporal change auditing."""
 
 from .grid_store import (CategoryField, GridStack, RasterGrid, StackKind, StackManifest,
-                         normalize_prior_counts, read_grid_stack, upsample_nearest,
-                         write_grid_stack)
+                         read_grid_stack, stack_to_field, upsample_nearest, write_grid_stack)
 from .graph_build import (GridGraph, SplitAssignment, Tile, build_graph, dominant_categories,
                           epoch_subgraphs, log_normalize, normalize_adjacency, split_tiles,
                           tile_region)

@@ -202,11 +202,7 @@ def _load_splits(path: Path, extent: tuple[int, int] | None = None) -> gb.SplitA
 def cmd_prepare(cfg: RunConfig) -> int:
     heights = gs.read_grid_stack(cfg.heights, gs.StackKind.HEIGHT_SERIES)
     counts_path = Path(cfg.prior_counts)
-    counts = gs.read_grid_stack(counts_path, gs.StackKind.PRIOR_COUNTS)
-    try:
-        coarse = gs.normalize_prior_counts(counts)
-    except ValueError as exc:
-        raise ConfigError(f"{counts_path}: {exc}") from exc
+    coarse = _read_field(counts_path, gs.StackKind.PRIOR_COUNTS)
     # the upsampled prior must cover the heights and overhang them by less
     # than one block: a coarser or finer prior would be misregistered
     hm, f = heights.manifest, cfg.upsample_factor
@@ -250,10 +246,8 @@ def cmd_prepare(cfg: RunConfig) -> int:
 def cmd_train(cfg: RunConfig) -> int:
     heights = gs.read_grid_stack(cfg.heights, gs.StackKind.HEIGHT_SERIES)
     prior, splits = _load_prepared(cfg, heights.manifest)
-    # float32, the dtype the checkpoint stores: it holds the trained weights bit for
-    # bit. The hidden width must exceed k (model.check_dims)
+    # float32, the dtype the checkpoint stores: it holds the trained weights bit for bit
     params = md.ModelParams.initialize(f_dim=gb.NODE_FEATURES, k_cats=prior.k,
-                                       hidden=max(md.DEFAULT_HIDDEN, prior.k + 1),
                                        seed=cfg.train.seed).astype(np.float32)
     # train reads the prior in float32; rebinding frees the float64 field
     prior = md.ModelPrior.of(prior, params.dtype)

@@ -6,9 +6,10 @@ row-major, top row first. Values are kept as float32 in memory so that
 write -> read round-trips are bit-exact.
 
 A prior and a posterior are both a ``CategoryField``: one categorical
-distribution per pixel. ``stack_to_field`` decodes a PRIOR_PROPORTIONS or
-POSTERIOR stack, one category per layer, as ``field_to_stack`` (or infer,
-core by core) encodes it: a pixel is nodata in every layer or in none.
+distribution per pixel. ``stack_to_field`` decodes every category stack
+(PRIOR_COUNTS, PRIOR_PROPORTIONS, POSTERIOR), one category per layer, as
+``field_to_stack`` (or infer, core by core) encodes it: a pixel is nodata in
+every layer or in none.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class StackKind(str, Enum):
     CHANGE_MAP = "CHANGE_MAP"
 
 
-# kinds whose layers hold one CategoryField; their non-nodata values lie in [0, 1]
+# the category kinds whose values are probabilities: their non-nodata values lie in [0, 1]
 _CATEGORY_KINDS = (StackKind.PRIOR_PROPORTIONS, StackKind.POSTERIOR)
 
 
@@ -329,30 +330,6 @@ class CategoryField:
         return self.probs.shape[:2]
 
 
-def normalize_prior_counts(counts: GridStack) -> CategoryField:
-    """Turn per-category count layers into per-pixel proportions.
-
-    Pixels whose counts sum to zero (or are nodata in every layer) carry no
-    prior. A negative count at a non-nodata pixel, or a category labelled
-    NONE_LABEL, is an error.
-    """
-    m = counts.manifest
-    if m.kind is not StackKind.PRIOR_COUNTS:
-        raise ValueError(f"expected PRIOR_COUNTS stack, got {m.kind.value}")
-    if NONE_LABEL in m.layer_labels:
-        raise ValueError(f"category label {NONE_LABEL!r} names the no-building state")
-    layers = np.stack([g.values.astype(np.float64) for g in counts.grids])  # (K, H, W)
-    valid = np.stack([g.valid_mask() for g in counts.grids])
-    if np.any((layers < 0) & valid):
-        raise ValueError("negative count at a non-nodata pixel")
-    layers = np.where(valid, layers, 0.0)
-    totals = layers.sum(axis=0)
-    has_prior = totals > 0
-    props = np.zeros_like(layers)
-    np.divide(layers, totals, out=props, where=has_prior)
-    return CategoryField(list(m.layer_labels), np.moveaxis(props, 0, -1), has_prior)
-
-
 def upsample_nearest(coarse: CategoryField, factor: int) -> CategoryField:
     """Block-replicate each coarse pixel ``factor`` times along both axes."""
     if factor < 1:
@@ -374,37 +351,48 @@ def field_to_stack(field: CategoryField, kind: StackKind) -> GridStack:
 
 
 def stack_to_field(stack: GridStack, kind: StackKind, timestep: str = "") -> CategoryField:
-    """Decode a ``kind`` stack written by ``field_to_stack`` or ``infer_posterior``.
+    """Decode a ``kind`` category stack, one category per layer: the prior
+    counts, or a stack written by ``field_to_stack`` or ``infer_posterior``.
 
     Each pixel must be nodata in every layer (an invalid pixel, whose row
-    holds the nodata value) or in none (a valid pixel, which must have
-    positive mass). Valid rows are renormalised in place, since float32
-    storage drifts their sums by about 1e-7. A stack of another kind, a
-    pixel that is nodata in some layers only, or a valid pixel with zero
-    mass raises GridFormatError.
+    holds the nodata value) or in none. A valid pixel's row is divided by
+    its sum in place: counts become proportions, and probabilities lose the
+    ~1e-7 drift of float32 storage. A pixel of all-zero counts carries no
+    prior. A stack of another kind, a category named NONE_LABEL, a pixel
+    that is nodata in some layers only, a negative count, or a zero-mass
+    pixel of another kind raises GridFormatError.
     """
     m = stack.manifest
     if m.kind is not kind:
         raise GridFormatError(f"expected {kind.value} stack, got {m.kind.value}")
+    if NONE_LABEL in m.layer_labels:
+        raise GridFormatError(f"category label {NONE_LABEL!r} names the no-building state")
+    counts = kind is StackKind.PRIOR_COUNTS
     probs = np.empty((m.height_px, m.width, len(stack.grids)), dtype=np.float64)
     valid = np.empty((m.height_px, m.width), dtype=bool)
     nodata = np.float32(m.nodata)
-    zero_mass = False
-    # decoded, checked and renormalised one row band at a time; a pixel that
-    # is nodata in some layers only is reported before a zero-mass pixel in
-    # any band, as a whole-raster check would
+    error = None  # a negative count or a zero-mass pixel, raised after every band
+    # decoded, checked and divided one row band at a time; a pixel that is
+    # nodata in some layers only is reported before an error of any band,
+    # as a whole-raster check would
     for band in row_bands(m.height_px, m.width):
         rows = probs[band]
         for i, grid in enumerate(stack.grids):
             rows[:, :, i] = grid.values[band]
         has_data = rows != nodata  # float32 -> float64 is exact, so this is the f32 test
-        valid[band] = band_valid = has_data.all(axis=-1)
+        band_valid = has_data.all(axis=-1)
         if np.any(has_data.any(axis=-1) & ~band_valid):
             raise GridFormatError("pixel that is nodata in some layers but not in others")
         sums = rows.sum(axis=-1)
-        zero_mass = zero_mass or bool(np.any(band_valid & (sums <= 0)))
-        if not zero_mass:
+        if counts:
+            if np.any((rows < 0).any(axis=-1) & band_valid):
+                error = "negative count at a non-nodata pixel"
+            band_valid &= sums > 0
+        elif np.any(band_valid & (sums <= 0)):
+            error = "pixel with data but zero probability mass"
+        valid[band] = band_valid
+        if error is None:
             np.divide(rows, sums[:, :, None], out=rows, where=band_valid[:, :, None])
-    if zero_mass:
-        raise GridFormatError("pixel with data but zero probability mass")
+    if error is not None:
+        raise GridFormatError(error)
     return CategoryField(list(m.layer_labels), probs, valid, timestep)

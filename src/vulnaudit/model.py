@@ -62,10 +62,13 @@ class ModelParams:
                            {name: w.astype(dtype) for name, w in self.weights.items()})
 
     @classmethod
-    def initialize(cls, f_dim: int, k_cats: int, hidden: int = DEFAULT_HIDDEN,
+    def initialize(cls, f_dim: int, k_cats: int, hidden: int | None = None,
                    seed: int = 0) -> "ModelParams":
-        """Glorot-uniform weights, zero biases, deterministic in the seed;
-        dimensions that break ``check_dims`` are a ValueError."""
+        """Glorot-uniform weights, zero biases, deterministic in the seed. With
+        no ``hidden``, the width is the narrowest above f_dim and k_cats but at
+        least DEFAULT_HIDDEN; dimensions that break ``check_dims`` are a ValueError."""
+        if hidden is None:
+            hidden = max(DEFAULT_HIDDEN, f_dim + 1, k_cats + 1)
         check_dims(f_dim, k_cats, hidden)
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9107]))
         weights: dict[str, np.ndarray] = {}

@@ -353,9 +353,30 @@ def stack_to_field_whole(stack, kind, timestep=""):
     if np.any((n_valid > 0) & ~valid):
         return "pixel that is nodata in some layers but not in others"
     sums = probs.sum(axis=-1)
-    if np.any(valid & (sums <= 0)):
+    if kind is gs.StackKind.PRIOR_COUNTS:
+        if np.any(probs[valid] < 0):
+            return "negative count at a non-nodata pixel"
+        valid &= sums > 0
+    elif np.any(valid & (sums <= 0)):
         return "pixel with data but zero probability mass"
     np.divide(probs, sums[:, :, None], out=probs, where=valid[:, :, None])
+    return probs, valid
+
+
+def prior_counts_proportions(counts):
+    """Per-pixel proportions of a PRIOR_COUNTS stack with no negative count
+    and no pixel that is nodata in some layers only: a nodata count is 0,
+    each pixel's counts are summed and divided by their sum where it is
+    positive, and only those pixels are valid. (probs, valid) as float64
+    and bool arrays. The sum runs along each pixel's row, as numpy sums the
+    last axis; for 8 or more layers that order is pairwise, so an inexact
+    sum can differ in its last bit from one taken layer by layer."""
+    layers = np.stack([np.where(g.valid_mask(), g.values.astype(np.float64), 0.0)
+                       for g in counts.grids], axis=-1)  # (H, W, K)
+    totals = layers.sum(axis=-1)
+    valid = totals > 0
+    probs = np.zeros_like(layers)
+    np.divide(layers, totals[:, :, None], out=probs, where=valid[:, :, None])
     return probs, valid
 
 

@@ -358,6 +358,11 @@ class TestTransitionMatrix:
         with pytest.raises(ValueError):
             au.transition_matrix([post, post, post], "one_step")
 
+    def test_unknown_mode_rejected_naming_it(self):
+        post = posterior_from(np.full((1, 1, 2), 0.5))
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            au.transition_matrix([post, post], "bogus")
+
 
 class TestTransitionDot:
     def make_tm(self, normalized):

@@ -136,7 +136,7 @@ class TestSynth:
         cli.main(["synth", "--spec", str(spec), "--out", str(tmp_path / "d")])
         counts = gs.read_grid_stack(tmp_path / "d" / "prior_counts")
         truth = gs.read_grid_stack(tmp_path / "d" / "ground_truth")
-        prior = gs.normalize_prior_counts(counts)
+        prior = gs.stack_to_field(counts, gs.StackKind.PRIOR_COUNTS)
         truth_props = np.stack([g.values for g in truth.grids], axis=-1)
         assert prior.valid.all()
         np.testing.assert_array_equal(prior.probs, truth_props)
@@ -404,6 +404,20 @@ class TestPrepare:
         err = capsys.readouterr().err
         assert f"error: {counts}: category label 'NONE'" in err, err
         assert not (tmp_path / "out" / "prepared").exists()
+
+    def test_partial_nodata_counts_exit_2_keeping_prepared(self, toy_run, capsys):
+        # a nodata count beside counts is a missing count, not a zero one
+        tmp_path, config = toy_run
+        assert cli.main(["prepare", "--config", str(config)]) == 0
+        prepared = tmp_path / "out" / "prepared"
+        before = {p: p.read_bytes() for p in prepared.rglob("*") if p.is_file()}
+        counts = tmp_path / "data" / "prior_counts"
+        set_first_data_value(counts / "cat0.f32", gs.DEFAULT_NODATA)
+        capsys.readouterr()
+        assert cli.main(["prepare", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {counts}: pixel that is nodata in some layers" in err, err
+        assert {p: p.read_bytes() for p in prepared.rglob("*") if p.is_file()} == before
 
     def test_undersized_prior_rejected(self, tmp_path, capsys):
         self.write_hand_built(tmp_path, side=6)

@@ -9,7 +9,8 @@ from vulnaudit import grid_store as gs
 from vulnaudit.grid_store import (CategoryField, GridFormatError, GridStack, RasterGrid,
                                   StackKind, StackManifest)
 
-from oracles import category_field_error_whole, stack_to_field_whole
+from oracles import (category_field_error_whole, prior_counts_proportions,
+                     stack_to_field_whole)
 
 
 def make_stack(kind, width, height, layers, nodata=-1.0):
@@ -295,41 +296,51 @@ class TestAtomicWrite:
 
 
 class TestNormalizePriorCounts:
+    """Counts become proportions as ``stack_to_field`` decodes them."""
+
     def make_counts(self, arrays):
         layers = {f"c{i}": np.asarray(a, dtype=np.float32)
                   for i, a in enumerate(arrays)}
         h, w = next(iter(layers.values())).shape
         return make_stack(StackKind.PRIOR_COUNTS, w, h, layers)
 
+    def decode(self, arrays):
+        return gs.stack_to_field(self.make_counts(arrays), StackKind.PRIOR_COUNTS)
+
     def test_kind_is_checked(self):
         stack = make_stack(StackKind.HEIGHT_SERIES, 1, 1,
                            {"a": np.ones((1, 1), np.float32)})
         with pytest.raises(ValueError, match="PRIOR_COUNTS"):
-            gs.normalize_prior_counts(stack)
+            gs.stack_to_field(stack, StackKind.PRIOR_COUNTS)
 
     def test_symmetric_counts(self):
-        prior = gs.normalize_prior_counts(self.make_counts([[[2.0]], [[2.0]]]))
+        prior = self.decode([[[2.0]], [[2.0]]])
         assert prior.valid[0, 0]
         np.testing.assert_allclose(prior.probs[0, 0], [0.5, 0.5])
 
     def test_zero_counts_mean_no_prior(self):
-        prior = gs.normalize_prior_counts(self.make_counts([[[0.0]], [[0.0]]]))
+        prior = self.decode([[[0.0]], [[0.0]]])
         assert not prior.valid[0, 0]
 
     def test_direct_arithmetic(self):
-        prior = gs.normalize_prior_counts(
-            self.make_counts([[[3.0]], [[1.0]], [[0.0]]]))
+        prior = self.decode([[[3.0]], [[1.0]], [[0.0]]])
         np.testing.assert_allclose(prior.probs[0, 0], [0.75, 0.25, 0.0])
 
     def test_negative_count_rejected(self):
         # -1.0 is the nodata sentinel, so use a different negative value
         with pytest.raises(ValueError, match="negative count"):
-            gs.normalize_prior_counts(self.make_counts([[[-2.0]], [[2.0]]]))
+            self.decode([[[-2.0]], [[2.0]]])
 
     def test_all_nodata_pixel_has_no_prior(self):
-        counts = self.make_counts([[[-1.0]], [[-1.0]]])  # nodata sentinel
-        prior = gs.normalize_prior_counts(counts)
+        prior = self.decode([[[-1.0]], [[-1.0]]])  # nodata sentinel
         assert not prior.valid[0, 0]
+
+    @pytest.mark.parametrize("pixel", [[-1.0, -1.0, 1.0], [-1.0, 5.0, 3.0]],
+                             ids=["one-count", "two-counts"])
+    def test_pixel_nodata_in_some_layers_rejected(self, pixel):
+        # not a zero count: the sentinel says the count is missing
+        with pytest.raises(GridFormatError, match="nodata in some layers"):
+            self.decode([[[v, 2.0]] for v in pixel])
 
     def test_simplex_invariant_fuzz(self):
         rng = np.random.default_rng(1)
@@ -337,10 +348,33 @@ class TestNormalizePriorCounts:
             h, w, k = rng.integers(1, 6, size=3) + np.array([0, 0, 1])
             arrays = [rng.integers(0, 5, size=(h, w)).astype(np.float32)
                       for _ in range(k)]
-            prior = gs.normalize_prior_counts(self.make_counts(arrays))
+            prior = self.decode(arrays)
             if prior.valid.any():
                 sums = prior.probs[prior.valid].sum(axis=1)
                 np.testing.assert_allclose(sums, 1.0, atol=1e-6)
+
+    def test_decode_equals_counts_oracle_fuzz(self):
+        # K from 1 to 30, zero-count and all-nodata pixels, and magnitudes
+        # up to 1e30, spread over a row or shared by it
+        rng = np.random.default_rng(43)
+        for i in range(300):
+            k = int(rng.integers(1, 31))
+            h, w = (int(n) for n in rng.integers(1, 9, size=2))
+            scale = 10.0 ** (rng.uniform(-3, 30, size=(k, h, w)) if i % 2
+                             else rng.uniform(-3, 30))
+            arrays = (rng.random((k, h, w)) * scale).astype(np.float32)
+            arrays[:, rng.random((h, w)) < 0.2] = 0.0
+            arrays[:, rng.random((h, w)) < 0.2] = -1.0
+            stack = self.make_counts(arrays)
+            prior = gs.stack_to_field(stack, StackKind.PRIOR_COUNTS)
+            probs, valid = prior_counts_proportions(stack)
+            np.testing.assert_array_equal(prior.valid, valid)
+            assert prior.probs[valid].tobytes() == probs[valid].tobytes()
+            for ours, theirs in zip(
+                    gs.field_to_stack(prior, StackKind.PRIOR_PROPORTIONS).grids,
+                    gs.field_to_stack(CategoryField(prior.categories, probs, valid),
+                                      StackKind.PRIOR_PROPORTIONS).grids):
+                assert ours.values.tobytes() == theirs.values.tobytes()
 
 
 class TestUpsampleNearest:
@@ -444,12 +478,21 @@ class TestCategoryFieldRule:
         with pytest.raises(GridFormatError, match="expected PRIOR_PROPORTIONS"):
             gs.stack_to_field(stack, StackKind.PRIOR_PROPORTIONS)
 
+    @pytest.mark.parametrize("kind", [StackKind.PRIOR_COUNTS, StackKind.PRIOR_PROPORTIONS,
+                                      StackKind.POSTERIOR])
+    def test_none_label_rejected(self, kind):
+        stack = make_stack(kind, 1, 1, {"a": np.array([[0.5]], dtype=np.float32),
+                                        gs.NONE_LABEL: np.array([[0.5]], dtype=np.float32)})
+        with pytest.raises(GridFormatError, match="category label 'NONE' names the no-building"):
+            gs.stack_to_field(stack, kind)
+
 
 # 250 rows of 300 pixels span three row bands of 109, 109 and 32 rows
 BAND_H, BAND_W = 250, 300
 LAST = (BAND_H - 1, BAND_W - 1)  # a pixel of the last band
 PARTIAL_NODATA = "pixel that is nodata in some layers but not in others"
 ZERO_MASS = "pixel with data but zero probability mass"
+NEGATIVE_COUNT = "negative count at a non-nodata pixel"
 
 
 class TestRowBands:
@@ -487,31 +530,45 @@ def set_pixel(layers, yx, values):
 
 
 class TestBandedCategoryField:
-    @pytest.mark.parametrize("kind", [StackKind.PRIOR_PROPORTIONS, StackKind.POSTERIOR])
+    @pytest.mark.parametrize("kind", [StackKind.PRIOR_PROPORTIONS, StackKind.POSTERIOR,
+                                      StackKind.PRIOR_COUNTS])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_decode_equals_whole_raster_oracle(self, kind, seed):
-        stack = make_stack(kind, BAND_W, BAND_H, banded_layers(seed))
+        layers = banded_layers(seed)
+        if kind is StackKind.PRIOR_COUNTS:
+            # a pixel of zero counts carries no prior, in every band
+            for yx in ((0, 0), (BAND_H // 2, 1), LAST):
+                set_pixel(layers, yx, [0.0, 0.0, 0.0])
+        stack = make_stack(kind, BAND_W, BAND_H, layers)
         field = gs.stack_to_field(stack, kind, "t0")
         probs, valid = stack_to_field_whole(stack, kind)
         assert field.probs.tobytes() == probs.tobytes()
         np.testing.assert_array_equal(field.valid, valid)
         assert field.timestep == "t0"
 
-    @pytest.mark.parametrize("defects, message", [
-        ([(LAST, [0.5, -1.0, 0.5])], PARTIAL_NODATA),
-        ([(LAST, [0.0, 0.0, 0.0])], ZERO_MASS),
+    @pytest.mark.parametrize("kind, defects, message", [
+        (StackKind.POSTERIOR, [(LAST, [0.5, -1.0, 0.5])], PARTIAL_NODATA),
+        (StackKind.POSTERIOR, [(LAST, [0.0, 0.0, 0.0])], ZERO_MASS),
         # a partial-nodata pixel in any band is reported before a zero-mass
         # pixel in an earlier one, as a whole-raster check would
-        ([((0, 0), [0.0, 0.0, 0.0]), (LAST, [-1.0, 0.5, 0.5])], PARTIAL_NODATA),
-    ], ids=["partial-nodata-last-band", "zero-mass-last-band", "partial-after-zero-mass"])
-    def test_bad_pixel_raises_the_whole_raster_error(self, defects, message):
+        (StackKind.POSTERIOR, [((0, 0), [0.0, 0.0, 0.0]), (LAST, [-1.0, 0.5, 0.5])],
+         PARTIAL_NODATA),
+        (StackKind.PRIOR_COUNTS, [(LAST, [0.5, -1.0, 0.5])], PARTIAL_NODATA),
+        (StackKind.PRIOR_COUNTS, [(LAST, [2.0, -3.0, 1.0])], NEGATIVE_COUNT),
+        # and before a negative count in an earlier one
+        (StackKind.PRIOR_COUNTS, [((0, 0), [2.0, -3.0, 1.0]), (LAST, [-1.0, 0.5, 0.5])],
+         PARTIAL_NODATA),
+    ], ids=["partial-nodata-last-band", "zero-mass-last-band", "partial-after-zero-mass",
+            "counts-partial-nodata-last-band", "counts-negative-last-band",
+            "counts-partial-after-negative"])
+    def test_bad_pixel_raises_the_whole_raster_error(self, kind, defects, message):
         layers = banded_layers()
         for yx, values in defects:
             set_pixel(layers, yx, values)
-        stack = make_stack(StackKind.POSTERIOR, BAND_W, BAND_H, layers)
-        assert stack_to_field_whole(stack, StackKind.POSTERIOR) == message
+        stack = make_stack(kind, BAND_W, BAND_H, layers)
+        assert stack_to_field_whole(stack, kind) == message
         with pytest.raises(GridFormatError, match=f"^{message}$"):
-            gs.stack_to_field(stack, StackKind.POSTERIOR)
+            gs.stack_to_field(stack, kind)
 
     @pytest.mark.parametrize("defects, named", [
         ([], None),

@@ -1008,6 +1008,17 @@ class TestCheckpoint:
             md.CheckpointManifest(f_dim, k_cats, hidden, gb.NormStats(0.0, 1.0),
                                   md.TrainConfig())
 
+    def test_initialize_works_out_the_width(self):
+        # the narrowest width above f_dim and k_cats, but at least DEFAULT_HIDDEN
+        assert md.ModelParams.initialize(1, 25).hidden == 26
+        assert md.ModelParams.initialize(1, 3).hidden == md.DEFAULT_HIDDEN == 25
+        assert md.ModelParams.initialize(30, 2).hidden == 31
+        # a width that is given is checked as given
+        with pytest.raises(ValueError, match="hidden must exceed f_dim and k_cats"):
+            md.ModelParams.initialize(1, 3, hidden=3)
+        with pytest.raises(ValueError, match="must be positive integers"):
+            md.ModelParams.initialize(1, 3, hidden=0)
+
     def test_roundtrip_bit_exact_files(self, tmp_path):
         params = random_params(f_dim=1, k=3, hidden=5, seed=12)
         stats = gb.NormStats(0.25, 1.5)
