@@ -87,12 +87,11 @@ def ad_map(prior: CategoryField, posterior: CategoryField) -> AitchisonMap:
     return AitchisonMap(RasterGrid(w, h, out, nodata=DEFAULT_NODATA))
 
 
-def change_map(h_t: RasterGrid, h_t1: RasterGrid,
-               threshold_m: float = CHANGE_THRESHOLD_M) -> ChangeMap:
-    """Code +1/-1 where the height delta strictly exceeds +-threshold, else 0.
+def change_map(h_t: RasterGrid, h_t1: RasterGrid, threshold_m: float) -> ChangeMap:
+    """Code +1/-1 where the height delta strictly exceeds +-threshold_m, else 0.
 
     Nodata (absent building) counts as height 0, so demolition registers as a
-    decrease.
+    decrease. ``cli.cmd_audit`` passes CHANGE_THRESHOLD_M.
     """
     if (h_t.width, h_t.height_px) != (h_t1.width, h_t1.height_px):
         raise ValueError("height rasters have different dimensions")
@@ -107,15 +106,6 @@ def change_map(h_t: RasterGrid, h_t1: RasterGrid,
     grid = RasterGrid(h_t.width, h_t.height_px, codes.astype(np.float32),
                       nodata=CHANGE_NODATA)
     return ChangeMap(grid)
-
-
-def check_region(region: tuple[int, int, int, int], width: int, height_px: int) -> None:
-    """Raise ValueError unless the (x, y, width, height) rectangle, whose
-    origin and size the caller has checked (``cli.Region``), ends inside a
-    width x height_px raster."""
-    x, y, w, h = region
-    if x + w > width or y + h > height_px:
-        raise ValueError(f"region {region} out of bounds for {width}x{height_px} raster")
 
 
 def region_mean(post: CategoryField, region: tuple[int, int, int, int]) -> np.ndarray:

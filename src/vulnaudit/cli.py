@@ -30,8 +30,8 @@ from .schema import ConfigError
 class Region:
     """A regional-trend rectangle in pixels, with a non-negative origin and
     a positive size; ``name`` defaults to ``r{x}_{y}`` and names the audit
-    file ``trend_{name}.csv``. Whether it lies inside the heights is
-    checked by audit, which reads them."""
+    file ``trend_{name}.csv``. Whether it ends inside the heights is
+    ``check_extent``'s rule, which audit applies once it has read them."""
     x: int
     y: int
     width: int
@@ -50,6 +50,11 @@ class Region:
     @property
     def rect(self) -> tuple[int, int, int, int]:
         return self.x, self.y, self.width, self.height
+
+    def check_extent(self, heights: gs.StackManifest) -> None:
+        if self.x + self.width > heights.width or self.y + self.height > heights.height_px:
+            raise ConfigError(f"region {self.name!r} {self.rect} out of bounds for the "
+                              f"{heights.width}x{heights.height_px} heights")
 
 
 SPLIT_NAMES = ("train", "test", "validation")
@@ -141,6 +146,13 @@ def _read_field(path: Path, kind: gs.StackKind, timestep: str = "") -> gs.Catego
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def _write_stack(stack: gs.GridStack, path: Path, heights: gs.StackManifest) -> None:
+    """Write ``stack``, derived from the heights of manifest ``heights``,
+    carrying their ``crs_note``: the only georeference the format has."""
+    stack.manifest.crs_note = heights.crs_note
+    gs.write_grid_stack(stack, path)
+
+
 def _prepared_dir(cfg: RunConfig) -> Path:
     prep = cfg.prepared_dir
     if not prep.is_dir():
@@ -229,8 +241,8 @@ def cmd_prepare(cfg: RunConfig) -> int:
     prep = cfg.prepared_dir
     # staged, then swapped in whole: a failed rerun leaves no new splits beside an old report
     with _echoed(cfg.out_dir, "prepare", cfg, prep) as stage:
-        gs.write_grid_stack(gs.field_to_stack(fine, gs.StackKind.PRIOR_PROPORTIONS),
-                            stage / "prior_proportions")
+        _write_stack(gs.field_to_stack(fine, gs.StackKind.PRIOR_PROPORTIONS),
+                     stage / "prior_proportions", hm)
         _save_splits(splits, stage / "splits.json")
         report = PrepReport(node_counts, histogram)
         gs.write_atomic(stage / "prep_report.json", schema.dumps(report))
@@ -296,8 +308,8 @@ def cmd_infer(cfg: RunConfig, checkpoint: str) -> int:
     with _echoed(cfg.out_dir, "infer", cfg, out) as stage:
         for label, grid in zip(heights.manifest.layer_labels, heights.grids):
             try:  # unnamed, the stack is freed before the self-check decode and next inference
-                gs.write_grid_stack(md.infer_posterior(params, grid, stats, categories),
-                                    stage / label)
+                _write_stack(md.infer_posterior(params, grid, stats, categories),
+                             stage / label, heights.manifest)
             except NonFiniteError as exc:
                 raise NonFiniteError(f"timestep {label!r}: {exc}") from exc
             _read_field(stage / label, gs.StackKind.POSTERIOR, label)  # self-check
@@ -310,7 +322,7 @@ def cmd_audit(cfg: RunConfig, posteriors_dir: str) -> int:
     hm = heights.manifest
     regions = cfg.regions or [Region(0, 0, hm.width, hm.height_px, "full")]
     for region in regions:
-        au.check_region(region.rect, hm.width, hm.height_px)
+        region.check_extent(hm)
     # the prior is all audit needs of the prepared dataset
     prior = _read_field(_prepared_dir(cfg) / "prior_proportions",
                         gs.StackKind.PRIOR_PROPORTIONS)
@@ -326,7 +338,7 @@ def cmd_audit(cfg: RunConfig, posteriors_dir: str) -> int:
         _check_extent(path, m, prior.shape)
     # consecutive timesteps name both the change maps and the transitions
     pairs = [f"{a}_to_{b}" for a, b in zip(labels, labels[1:])]
-    change_grids = [au.change_map(a, b).grid
+    change_grids = [au.change_map(a, b, au.CHANGE_THRESHOLD_M).grid
                     for a, b in zip(heights.grids, heights.grids[1:])]
     del heights  # only the change maps read them
     ad_grids, means = [], [[] for _ in regions]  # filled as each posterior is read
@@ -357,7 +369,7 @@ def cmd_audit(cfg: RunConfig, posteriors_dir: str) -> int:
             for name, grid in zip(names, grids):
                 au.write_ppm_heatmap(grid, stage / f"{prefix}_{name}.ppm")
                 artifacts.append(f"{prefix}_{name}.ppm")
-            gs.write_grid_stack(au.maps_to_stack(grids, names, kind), stage / f"{prefix}_maps")
+            _write_stack(au.maps_to_stack(grids, names, kind), stage / f"{prefix}_maps", hm)
             gs.read_grid_stack(stage / f"{prefix}_maps")
             artifacts.append(f"{prefix}_maps")
 

@@ -1,7 +1,7 @@
 """Rasters to graphs: tiling, node filtering, the normalized 8-neighbor
 adjacency, feature normalization, balanced splits, and per-epoch subgraph
-sampling with edge dropout, each subgraph built from the raster when it is
-drawn."""
+sampling with edge dropout. EDGE_DROPOUT, SPLIT_RATIOS, SPLIT_TOLERANCE and
+MAX_SUBGRAPH_NODES are read when used: set on this module, they take effect."""
 
 from __future__ import annotations
 
@@ -18,9 +18,9 @@ if TYPE_CHECKING:  # scipy is imported only where a CSR matrix is built
     import scipy.sparse as sp
 
 DEFAULT_TILE_SIZE = 450
-DEFAULT_EDGE_DROPOUT = 0.20
-DEFAULT_SPLIT_RATIOS = (0.70, 0.15, 0.15)  # train, test, validation
-DEFAULT_SPLIT_TOLERANCE = 0.25
+EDGE_DROPOUT = 0.20  # the share of each training part's edges dropped
+SPLIT_RATIOS = (0.70, 0.15, 0.15)  # train, test, validation
+SPLIT_TOLERANCE = 0.25
 MAX_SUBGRAPH_NODES = 50_000
 NODE_FEATURES = 1  # build_graph gives each node one feature: its height
 
@@ -97,7 +97,7 @@ class SplitAssignment:
     balanced: bool = True  # False when a split's category mix misses the tolerance
 
 
-def tile_region(width: int, height_px: int, tile_size: int = DEFAULT_TILE_SIZE) -> list[Tile]:
+def tile_region(width: int, height_px: int, tile_size: int) -> list[Tile]:
     """Cover the extent with non-overlapping tiles; boundary tiles are clipped."""
     if width <= 0 or height_px <= 0:
         raise ValueError("zero-sized extent")
@@ -267,20 +267,20 @@ def _largest_remainder(n: int, ratios: tuple[float, float, float]) -> list[int]:
 
 
 def split_tiles(tiles: list[Tile], dominants: list[int | None],
-                ratios: tuple[float, float, float] = DEFAULT_SPLIT_RATIOS,
-                seed: int = 0, tolerance: float = DEFAULT_SPLIT_TOLERANCE) -> SplitAssignment:
+                seed: int = 0) -> SplitAssignment:
     """Stratified random train/test/validation assignment by the tiles' ``dominant_categories``.
 
-    Within each stratum the split sizes follow the ratios by largest-remainder
-    apportionment (ties to the earlier of train, test, validation), so the
-    assignment is deterministic given the seed. It is balanced when each
-    non-empty split's share of every stratum is within ``tolerance`` of the
-    stratum's share of all tiles.
+    Within each stratum the split sizes follow SPLIT_RATIOS, which must be
+    positive and sum to 1, by largest-remainder apportionment (ties to the
+    earlier of train, test, validation), so the assignment is deterministic
+    given the seed. It is balanced when each non-empty split's share of every
+    stratum is within SPLIT_TOLERANCE of the stratum's share of all tiles.
     """
+    ratios, tolerance = SPLIT_RATIOS, SPLIT_TOLERANCE
     if not tiles:
         raise ValueError("empty tiling")
     if min(ratios) <= 0 or abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError("ratios must be positive and sum to 1")
+        raise ValueError(f"SPLIT_RATIOS {ratios} must be positive and sum to 1")
     strata: dict[int, list[Tile]] = {}
     for t, dominant in zip(tiles, dominants, strict=True):
         strata.setdefault(-1 if dominant is None else dominant, []).append(t)
@@ -304,22 +304,23 @@ def split_tiles(tiles: list[Tile], dominants: list[int | None],
 
 
 def epoch_subgraphs(heights: RasterGrid, tiles: list[Tile], n_subgraphs: int,
-                    dropout: float, seed: int) -> Iterator[GridGraph]:
+                    seed: int) -> Iterator[GridGraph]:
     """One epoch's training subgraphs: the nodes of ``build_graph(heights,
     tiles)`` split at random into ``n_subgraphs`` near-equal parts, each part's
-    induced subgraph with ``round(dropout * m)`` of its m undirected edges
-    dropped. Deterministic given the seed: one ``permutation(n)`` over the
-    row-major nodes, split by ``np.array_split``, then per part in order
-    ``_mask_graph``'s one dropout ``choice``. The permutation is drawn, and bad
-    arguments raise, at the call; until the last part the iterator keeps only
-    a raster of part ids and the rng. Each part is built when it is drawn, as
-    the 8-neighbor graph on its pixels, with raw heights as features."""
+    induced subgraph with ``round(EDGE_DROPOUT * m)`` of its m undirected
+    edges dropped. Deterministic given the seed: one ``permutation(n)`` over
+    the row-major nodes, split by ``np.array_split``, then per part in order
+    ``_mask_graph``'s one dropout ``choice``. EDGE_DROPOUT is read, the
+    permutation drawn, and bad arguments raise at the call; until the last
+    part the iterator keeps only a raster of part ids and the rng. Each part
+    is built when drawn, as the 8-neighbor graph on its pixels."""
+    dropout = EDGE_DROPOUT
     pixels = np.flatnonzero(node_mask(heights, tiles))  # row-major nodes
     n = len(pixels)
     if n_subgraphs < 1 or n_subgraphs > n:
         raise ValueError(f"n_subgraphs must be in [1, {n}]")
     if not 0.0 <= dropout < 1.0:
-        raise ValueError("dropout must lie in [0, 1)")
+        raise ValueError(f"EDGE_DROPOUT {dropout} must lie in [0, 1)")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     part_ids = np.zeros((heights.height_px, heights.width), np.min_scalar_type(n_subgraphs))
     for i, part in enumerate(np.array_split(rng.permutation(n), n_subgraphs), 1):

@@ -18,10 +18,9 @@ import numpy as np
 
 from . import numcore as nc
 from . import schema
-from .graph_build import (DEFAULT_EDGE_DROPOUT, NODE_FEATURES, GridGraph, NormStats,
-                          SplitAssignment, Tile, auto_n_subgraphs, build_graph,
-                          epoch_subgraphs, fit_norm_stats, log_normalize, node_mask,
-                          tile_region)
+from .graph_build import (NODE_FEATURES, GridGraph, NormStats, SplitAssignment, Tile,
+                          auto_n_subgraphs, build_graph, epoch_subgraphs, fit_norm_stats,
+                          log_normalize, node_mask, tile_region)
 from .grid_store import (DEFAULT_NODATA, CategoryField, GridStack, RasterGrid, StackKind,
                          StackManifest, read_array, stack_to_field, write_arrays)
 from .numcore import NonFiniteError, Tape, Var
@@ -413,7 +412,7 @@ def train(params: ModelParams, height_series: GridStack, prior: CategoryField | 
     optimizer = Adam(LEARNING_RATE)
     history: list[LossBreakdown] = []
     for epoch in range(config.epochs):
-        samplers = [epoch_subgraphs(grid, splits.train, n_sub, DEFAULT_EDGE_DROPOUT,
+        samplers = [epoch_subgraphs(grid, splits.train, n_sub,
                                     derive_seed(config.seed, 1, epoch, ti))
                     for ti, grid in enumerate(train_grids.values())]
         step_losses: list[LossBreakdown] = []

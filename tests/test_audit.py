@@ -175,7 +175,7 @@ def height(vals, nodata=-1.0):
 class TestChangeMap:
     def test_identical_rasters(self):
         h = height(np.full((2, 2), 3.0))
-        out = au.change_map(h, h)
+        out = au.change_map(h, h, 1.5)
         np.testing.assert_array_equal(out.grid.values, np.zeros((2, 2)))
 
     def test_boundary_table(self):
@@ -192,8 +192,8 @@ class TestChangeMap:
         rng = np.random.default_rng(6)
         a = height(rng.uniform(0, 10, size=(4, 4)))
         b = height(rng.uniform(0, 10, size=(4, 4)))
-        ab = au.change_map(a, b).grid.values
-        ba = au.change_map(b, a).grid.values
+        ab = au.change_map(a, b, 1.5).grid.values
+        ba = au.change_map(b, a, 1.5).grid.values
         np.testing.assert_array_equal(ab, -ba)
 
     def test_shift_below_threshold_invariant(self):
@@ -202,16 +202,16 @@ class TestChangeMap:
         b = height(rng.uniform(1, 10, size=(3, 3)))
         shifted_a = height(a.values + 0.7)
         shifted_b = height(b.values + 0.7)
-        np.testing.assert_array_equal(au.change_map(a, b).grid.values,
-                                      au.change_map(shifted_a, shifted_b).grid.values)
+        np.testing.assert_array_equal(au.change_map(a, b, 1.5).grid.values,
+                                      au.change_map(shifted_a, shifted_b, 1.5).grid.values)
 
     def test_nodata_counts_as_zero_height(self):
-        gone = au.change_map(height([[4.0]]), height([[-1.0]]))
+        gone = au.change_map(height([[4.0]]), height([[-1.0]]), 1.5)
         assert gone.grid.values[0, 0] == -1.0  # demolition registers as decrease
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            au.change_map(height([[1.0]]), height([[1.0, 2.0]]))
+            au.change_map(height([[1.0]]), height([[1.0, 2.0]]), 1.5)
 
     @pytest.mark.parametrize("threshold_m", [0.0, -1.5, float("nan")])
     def test_nonpositive_threshold_raises(self, threshold_m):
@@ -243,10 +243,6 @@ class TestRegionalTrend:
         post = posterior_from(np.full((2, 2, 2), 0.5), np.zeros((2, 2), dtype=bool))
         mean = au.region_mean(post, (0, 0, 2, 2))
         assert mean.shape == (2,) and np.isnan(mean).all()
-
-    def test_out_of_bounds(self):
-        with pytest.raises(ValueError):
-            au.check_region((1, 1, 3, 1), 2, 2)
 
 
 class TestTransitionMatrix:

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -937,7 +938,8 @@ class TestAudit:
         ({"name": "..", "x": 0, "y": 0, "width": 4, "height": 4}, ".."),
         ({"name": "a\\b", "x": 0, "y": 0, "width": 4, "height": 4}, "unusable"),
         ({"name": "a,b", "x": 0, "y": 0, "width": 4, "height": 4}, "unusable"),
-        ({"x": 10, "y": 0, "width": 10, "height": 4}, "out of bounds"),
+        ({"x": 10, "y": 0, "width": 10, "height": 4},
+         "region 'r10_0' (10, 0, 10, 4) out of bounds for the 16x16 heights"),
         ({"x": 0, "y": -1, "width": 4, "height": 4}, "out of bounds"),
         ({"x": 0, "y": 0, "width": -5, "height": 4}, "out of bounds"),
         ({"x": 0, "y": 0, "width": 4, "height": 0}, "out of bounds"),
@@ -1599,6 +1601,97 @@ def test_failed_swap_keeps_previous_directory_and_echo(toy_run, monkeypatch, cap
     assert cli.main([command, "--config", str(config), *argv[command]]) == 2
     assert "swap failed" in capsys.readouterr().err
     assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+
+def test_region_extent_rule_names_region_and_heights():
+    heights = gs.StackManifest(gs.StackKind.HEIGHT_SERIES, 2, 2, ["t0"])
+    cli.Region(1, 1, 1, 1, "corner").check_extent(heights)
+    with pytest.raises(schema.ConfigError,
+                       match=r"region 'wide' \(1, 1, 3, 1\) out of bounds for the 2x2 heights"):
+        cli.Region(1, 1, 3, 1, "wide").check_extent(heights)
+
+
+def run_stages(config, out):
+    """Prepare, train, infer and audit on ``config``, whose out_dir is ``out``."""
+    for argv in (["prepare"], ["train"], ["infer", "--checkpoint", str(out / "checkpoint")],
+                 ["audit", "--posteriors", str(out / "posteriors")]):
+        assert cli.main([argv[0], "--config", str(config), *argv[1:]]) == 0, argv
+
+
+def test_output_stacks_carry_the_heights_crs_note(toy_run):
+    tmp_path, config = toy_run
+    note = "EPSG:32628, 10 m pixels"
+    heights = tmp_path / "data" / "heights" / "manifest.json"
+    heights.write_bytes(edit_json(heights.read_bytes(), crs_note=note))
+    out = tmp_path / "out"
+    run_stages(config, out)
+    stacks = [m.parent for part in ("prepared", "posteriors", "audit")
+              for m in sorted((out / part).rglob("manifest.json"))]
+    assert [s.relative_to(out).as_posix() for s in stacks] == [
+        "prepared/prior_proportions", "posteriors/t0", "posteriors/t1",
+        "audit/ad_maps", "audit/change_maps"]
+    for stack in stacks:
+        assert gs.read_manifest(stack).crs_note == note, stack
+
+
+@pytest.fixture(scope="module")
+def audited_run(tmp_path_factory):
+    """A toy dataset (16 x 16, two timesteps) through every stage, trained 2 epochs."""
+    tmp_path = tmp_path_factory.mktemp("audited")
+    spec = write_spec(tmp_path / "spec.json")
+    assert cli.main(["synth", "--spec", str(spec), "--out", str(tmp_path / "data")]) == 0
+    out = tmp_path / "out"
+    run_stages(write_config(tmp_path / "config.json", tmp_path / "data", out,
+                            train={"epochs": 2, "seed": 0}), out)
+    return tmp_path
+
+
+def files_under(path):
+    """The bytes of every file under the directory ``path``, by relative name."""
+    return {p.relative_to(path): p.read_bytes() for p in sorted(path.rglob("*")) if p.is_file()}
+
+
+def override(module, name, value, stage, governed):
+    return pytest.param(module, name, value, stage, governed, id=name)
+
+
+# each tunable constant, a value for it, the one stage that reads it, and
+# the output it governs
+OVERRIDES = [
+    override(gb, "EDGE_DROPOUT", 0.0, "train", lambda out: (out / "losses.csv").read_bytes()),
+    override(gb, "SPLIT_RATIOS", (0.5, 0.25, 0.25), "prepare",
+             lambda out: (out / "prepared" / "splits.json").read_bytes()),
+    override(gb, "SPLIT_TOLERANCE", 0.0, "prepare",
+             lambda out: json.loads((out / "prepared" / "splits.json").read_text())["balanced"]),
+    override(au, "CHANGE_THRESHOLD_M", 100.0, "audit",
+             lambda out: files_under(out / "audit" / "change_maps")),
+    override(md, "LEARNING_RATE", 1e-2, "train", lambda out: files_under(out / "checkpoint")),
+    override(md, "GUMBEL_TAU", 0.5, "train", lambda out: (out / "losses.csv").read_bytes()),
+    override(md, "LOSS_WEIGHTS", (1.0, 0.5, 2.0), "train",
+             lambda out: (out / "losses.csv").read_bytes()),
+    override(md, "DEFAULT_HIDDEN", 7, "train",
+             lambda out: json.loads((out / "checkpoint" / "manifest.json").read_text())["hidden"]),
+    # each timestep's 192 training nodes are cut into 5 parts, not 1
+    override(gb, "MAX_SUBGRAPH_NODES", 40, "train", lambda out: (out / "losses.csv").read_bytes()),
+    override(au, "MIN_EDGE", 0.0, "audit",
+             lambda out: {p.name: p.read_bytes() for p in (out / "audit").glob("*.dot")}),
+    override(au, "EPSILON", 1e-3, "audit", lambda out: files_under(out / "audit" / "ad_maps")),
+]
+
+
+@pytest.mark.parametrize("module, name, value, stage, governed", OVERRIDES)
+def test_override_reaches_the_pipeline(audited_run, tmp_path, monkeypatch, module, name,
+                                       value, stage, governed):
+    # a tunable value is a module constant, read when it is used: set on its
+    # defining module before a stage runs, it changes what that stage writes
+    out, config = tmp_path / "out", tmp_path / "config.json"
+    shutil.copytree(audited_run / "out", out)
+    config.write_bytes(edit_json((audited_run / "config.json").read_bytes(), out_dir=str(out)))
+    before = governed(out)
+    monkeypatch.setattr(module, name, value)
+    extra = ["--posteriors", str(out / "posteriors")] if stage == "audit" else []
+    assert cli.main([stage, "--config", str(config), *extra]) == 0
+    assert governed(out) != before
 
 
 class TestEndToEnd:

@@ -42,6 +42,14 @@ def assert_same_graph_bytes(a, b):
     assert a.n_undirected_edges == b.n_undirected_edges
 
 
+def dropped_epoch(grid, tiles, n_sub, dropout, seed):
+    """``gb.epoch_subgraphs`` at an EDGE_DROPOUT of ``dropout``: the
+    constant is read at the call, so the parts drawn later keep it."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gb, "EDGE_DROPOUT", dropout)
+        return gb.epoch_subgraphs(grid, tiles, n_sub, seed)
+
+
 def one_hot_prior(codes, k):
     codes = np.asarray(codes)
     props = np.eye(k)[codes]
@@ -243,18 +251,19 @@ class TestNormalizeAdjacency:
 
 
 class TestSplitTiles:
-    def test_single_stratum_ratios(self):
+    def test_single_stratum_ratios(self, monkeypatch):
         prior = one_hot_prior(np.zeros((1, 10), dtype=int), 2)
         tiles = gb.tile_region(10, 1, 1)
-        splits = gb.split_tiles(tiles, gb.dominant_categories(tiles, prior), (0.8, 0.1, 0.1),
-                                seed=3)
+        monkeypatch.setattr(gb, "SPLIT_RATIOS", (0.8, 0.1, 0.1))
+        splits = gb.split_tiles(tiles, gb.dominant_categories(tiles, prior), seed=3)
         assert (len(splits.train), len(splits.test), len(splits.validation)) == (8, 1, 1)
 
-    def test_bad_ratios_rejected(self):
+    def test_bad_ratios_rejected(self, monkeypatch):
         tiles = gb.tile_region(10, 1, 1)
         for ratios in ((0.5, 0.2, 0.2), (1.0, 0.0, 0.0)):
-            with pytest.raises(ValueError, match="positive and sum to 1"):
-                gb.split_tiles(tiles, [0] * 10, ratios)
+            monkeypatch.setattr(gb, "SPLIT_RATIOS", ratios)
+            with pytest.raises(ValueError, match="SPLIT_RATIOS .* positive and sum to 1"):
+                gb.split_tiles(tiles, [0] * 10)
 
     def test_deterministic_given_seed(self):
         prior = one_hot_prior(np.zeros((4, 4), dtype=int), 2)
@@ -263,14 +272,15 @@ class TestSplitTiles:
         b = gb.split_tiles(tiles, gb.dominant_categories(tiles, prior), seed=9)
         assert a.train == b.train and a.test == b.test and a.validation == b.validation
 
-    def test_two_strata_counting_oracle(self):
+    def test_two_strata_counting_oracle(self, monkeypatch):
         # 20 single-pixel tiles: left ten dominant cat 0, right ten cat 1
         codes = np.concatenate([np.zeros(10, int), np.ones(10, int)]).reshape(1, 20)
         prior = one_hot_prior(codes, 2)
         tiles = gb.tile_region(20, 1, 1)
         dominants = gb.dominant_categories(tiles, prior)
         assert dominants == [0] * 10 + [1] * 10
-        splits = gb.split_tiles(tiles, dominants, (0.5, 0.25, 0.25), seed=0)
+        monkeypatch.setattr(gb, "SPLIT_RATIOS", (0.5, 0.25, 0.25))
+        splits = gb.split_tiles(tiles, dominants, seed=0)
         for cat in (0, 1):
             per_split = [gb.dominant_categories(part, prior).count(cat)
                          for part in (splits.train, splits.test, splits.validation)]
@@ -278,16 +288,17 @@ class TestSplitTiles:
             assert per_split[0] == 5
             assert sorted(per_split[1:]) == [2, 3]
 
-    def test_balanced_flag_follows_the_tolerance(self):
+    def test_balanced_flag_follows_the_tolerance(self, monkeypatch):
         # ten tiles of category 0 split 5/3/2 and two of category 1 split
         # 1/1/0: category 0's share is 5/6, 3/4 and 1 in the splits against
         # 10/12 overall, so validation misses it by 1/6
         codes = np.concatenate([np.zeros(10, int), np.ones(2, int)]).reshape(1, 12)
         prior = one_hot_prior(codes, 2)
         tiles = gb.tile_region(12, 1, 1)
+        monkeypatch.setattr(gb, "SPLIT_RATIOS", (0.5, 0.25, 0.25))
         for tolerance, balanced in ((0.25, True), (0.17, True), (0.16, False), (0.0, False)):
-            splits = gb.split_tiles(tiles, gb.dominant_categories(tiles, prior),
-                                    (0.5, 0.25, 0.25), seed=0, tolerance=tolerance)
+            monkeypatch.setattr(gb, "SPLIT_TOLERANCE", tolerance)
+            splits = gb.split_tiles(tiles, gb.dominant_categories(tiles, prior), seed=0)
             assert splits.balanced is balanced, tolerance
 
     def test_disjoint_and_exhaustive(self):
@@ -326,12 +337,12 @@ class TestSampleEpoch:
     @staticmethod
     def sample(vals, n_sub, dropout, seed):
         grid = heights_grid(vals)
-        return list(gb.epoch_subgraphs(grid, full_tile(grid), n_sub, dropout, seed))
+        return list(dropped_epoch(grid, full_tile(grid), n_sub, dropout, seed))
 
     def test_identity_when_no_dropout_single_part(self):
         grid = heights_grid(np.ones((4, 4)))
         graph = gb.build_graph(grid, full_tile(grid))
-        (sub,) = gb.epoch_subgraphs(grid, full_tile(grid), 1, dropout=0.0, seed=5)
+        (sub,) = dropped_epoch(grid, full_tile(grid), 1, dropout=0.0, seed=5)
         np.testing.assert_array_equal(sub.node_pixels, graph.node_pixels)
         np.testing.assert_array_equal(sub.adjacency.toarray(),
                                       graph.adjacency.toarray())
@@ -370,9 +381,9 @@ class TestSampleEpoch:
         # bad arguments raise at the call, before any part is drawn
         grid = heights_grid(np.ones((2, 2)))
         with pytest.raises(ValueError, match="n_subgraphs"):
-            gb.epoch_subgraphs(grid, full_tile(grid), 5, dropout=0.0, seed=0)
-        with pytest.raises(ValueError, match="dropout"):
-            gb.epoch_subgraphs(grid, full_tile(grid), 1, dropout=1.0, seed=0)
+            dropped_epoch(grid, full_tile(grid), 5, dropout=0.0, seed=0)
+        with pytest.raises(ValueError, match="EDGE_DROPOUT 1.0 must lie in"):
+            dropped_epoch(grid, full_tile(grid), 1, dropout=1.0, seed=0)
 
     # sha256 over every subgraph's node pixels, adjacency and Â (indptr,
     # indices, data) of one fixed sample: pins which nodes each part gets and
@@ -409,7 +420,7 @@ class TestSampleEpoch:
             tiles = [t for t in tiles if rng.random() < 0.7] or tiles[:1]
             if gb.node_mask(grid, tiles).sum() < n_sub:
                 continue
-            ours = list(gb.epoch_subgraphs(grid, tiles, n_sub, dropout, trial))
+            ours = list(dropped_epoch(grid, tiles, n_sub, dropout, trial))
             ref = sample_epoch_from_whole_graph(grid, tiles, n_sub, dropout, trial)
             assert len(ours) == len(ref) == n_sub
             for a, b in zip(ours, ref):
@@ -438,7 +449,7 @@ class TestSampleEpoch:
             for n_sub in (1, 3):
                 if mask.sum() < n_sub:
                     continue
-                ours = list(gb.epoch_subgraphs(grid, full_tile(grid), n_sub, dropout, trial))
+                ours = list(dropped_epoch(grid, full_tile(grid), n_sub, dropout, trial))
                 ref = sample_epoch_from_whole_graph(grid, full_tile(grid), n_sub,
                                                     dropout, trial)
                 for a, b in zip(ours, ref, strict=True):

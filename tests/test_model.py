@@ -312,8 +312,9 @@ def toy_dataset(seed=0, side=8, tile=4, timesteps=2):
                                     [f"t{i}" for i in range(timesteps)]), grids)
     prior = CategoryField(["a", "b"], np.eye(2)[codes], np.ones((side, side), dtype=bool))
     tiles = gb.tile_region(side, side, tile)
-    splits = gb.split_tiles(tiles, gb.dominant_categories(tiles, prior), (0.5, 0.25, 0.25),
-                            seed=seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gb, "SPLIT_RATIOS", (0.5, 0.25, 0.25))
+        splits = gb.split_tiles(tiles, gb.dominant_categories(tiles, prior), seed=seed)
     return stack, prior, splits, codes
 
 
@@ -461,9 +462,10 @@ class TestTrain:
         ours = run()
         calls = []
 
-        def oracle(*args):
-            calls.append(args[2])
-            return iter(sample_epoch_from_whole_graph(*args))
+        def oracle(grid, tiles, n_sub, seed):
+            calls.append(n_sub)
+            return iter(sample_epoch_from_whole_graph(grid, tiles, n_sub,
+                                                      gb.EDGE_DROPOUT, seed))
 
         with monkeypatch.context() as patch:
             patch.setattr(md, "epoch_subgraphs", oracle)
@@ -713,7 +715,7 @@ class TestTrainMemory:
         stats = gb.fit_norm_stats([grid], tiles)
 
         def step(seed):
-            parts = gb.epoch_subgraphs(grid, tiles, 1, 0.2, seed)
+            parts = gb.epoch_subgraphs(grid, tiles, 1, seed)
             md.train_step(params, optimizer, next(parts), stats, prior,
                           np.random.default_rng(seed))
 

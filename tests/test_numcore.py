@@ -60,10 +60,10 @@ def banded_sparse(rng, n, bandwidth, kind, dtype=np.float64):
 def mask_graph_a(rng, shape, dtype=np.float64, keep=0.95):
     """The A-hat of a ``_mask_graph`` part, as training builds it: the
     8-neighbor graph on a random ``keep`` share of a ``shape`` raster's
-    pixels with 20% of its edges dropped (``DEFAULT_EDGE_DROPOUT``), its
+    pixels with 20% of its edges dropped (``EDGE_DROPOUT``), its
     values cast to ``dtype`` as the model's input function casts them."""
     grid = RasterGrid(shape[1], shape[0], np.ones(shape, np.float32))
-    a = gb._mask_graph(grid, rng.random(shape) < keep, gb.DEFAULT_EDGE_DROPOUT, rng).a_hat
+    a = gb._mask_graph(grid, rng.random(shape) < keep, gb.EDGE_DROPOUT, rng).a_hat
     return sp.csr_matrix((a.data.astype(dtype), a.indices, a.indptr), shape=a.shape)
 
 
