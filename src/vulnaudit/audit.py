@@ -1,9 +1,10 @@
 """Post-training analytics over posterior fields.
 
-Covers compositional distance maps between prior and posterior, thresholded
-building-height change maps, regional mean-posterior trends, and soft
-first-order transition matrices augmented with a NONE (no building) category,
-plus their CSV/DOT/heatmap export formats.
+Covers compositional distance maps between prior and posterior (each a plain
+``RasterGrid``), thresholded building-height change maps, regional
+mean-posterior trends, and soft first-order transition matrices augmented with
+a NONE (no building) category, plus their CSV/DOT/heatmap export formats.
+``cli.cmd_audit`` stacks the maps of all timesteps itself.
 """
 
 from __future__ import annotations
@@ -14,19 +15,14 @@ from typing import Iterable
 
 import numpy as np
 
-from .grid_store import (DEFAULT_NODATA, NONE_LABEL, CategoryField, GridStack,
-                         RasterGrid, StackKind, StackManifest, row_bands, write_atomic)
+from .grid_store import (DEFAULT_NODATA, NONE_LABEL, CategoryField, RasterGrid,
+                         row_bands, write_atomic)
 
 EPSILON = 1e-6  # the value that replaces a zero part before the log-ratios
 CHANGE_THRESHOLD_M = 1.5
 MIN_EDGE = 0.05  # the smallest transition probability drawn as a DOT edge
 # codes are -1/0/+1, so the change-map sentinel must live outside that set
 CHANGE_NODATA = -9999.0
-
-
-@dataclass
-class AitchisonMap:
-    grid: RasterGrid
 
 
 @dataclass
@@ -72,9 +68,10 @@ def aitchison_distance(p, q) -> float:
     return float(_aitchison_rows(p, q))
 
 
-def ad_map(prior: CategoryField, posterior: CategoryField) -> AitchisonMap:
-    """Pixel-wise distance where both a prior and a posterior exist, taken
-    one row band at a time (see ``grid_store.row_bands``)."""
+def ad_map(prior: CategoryField, posterior: CategoryField) -> RasterGrid:
+    """The grid of pixel-wise distances where both a prior and a posterior
+    exist, DEFAULT_NODATA elsewhere, taken one row band at a time (see
+    ``grid_store.row_bands``)."""
     if prior.shape != posterior.shape:
         raise ValueError("prior/posterior dimensions differ")
     if prior.k != posterior.k:
@@ -84,7 +81,7 @@ def ad_map(prior: CategoryField, posterior: CategoryField) -> AitchisonMap:
     for band in row_bands(h, w):  # float64 -> float32 assignment rounds as astype does
         mask = prior.valid[band] & posterior.valid[band]
         out[band][mask] = _aitchison_rows(prior.probs[band][mask], posterior.probs[band][mask])
-    return AitchisonMap(RasterGrid(w, h, out, nodata=DEFAULT_NODATA))
+    return RasterGrid(w, h, out, nodata=DEFAULT_NODATA)
 
 
 def change_map(h_t: RasterGrid, h_t1: RasterGrid, threshold_m: float) -> ChangeMap:
@@ -224,15 +221,6 @@ def _write_rows(path: str | Path, header: list[str], labels: list[str], rows) ->
     lines = [",".join(header)] + [label + "," + ",".join(f"{v:.9g}" for v in row)
                                   for label, row in zip(labels, rows)]
     write_atomic(path, "\n".join(lines) + "\n")
-
-
-def maps_to_stack(grids: list[RasterGrid], labels: list[str],
-                  kind: StackKind) -> GridStack:
-    if not grids:
-        raise ValueError("no maps to stack")
-    manifest = StackManifest(kind, grids[0].width, grids[0].height_px,
-                             labels, nodata=grids[0].nodata)
-    return GridStack(manifest, grids)
 
 
 def write_ppm_heatmap(grid: RasterGrid, path: str | Path) -> None:

@@ -320,6 +320,14 @@ def cmd_infer(cfg: RunConfig, checkpoint: str) -> int:
 def cmd_audit(cfg: RunConfig, posteriors_dir: str) -> int:
     heights = gs.read_grid_stack(cfg.heights, gs.StackKind.HEIGHT_SERIES)
     hm = heights.manifest
+    labels = list(hm.layer_labels)
+    # consecutive timesteps name both the change maps and the transitions
+    pairs = [f"{a}_to_{b}" for a, b in zip(labels, labels[1:])]
+    for i, name in enumerate(pairs):
+        if (j := pairs.index(name)) < i:
+            raise ConfigError(f"{cfg.heights}: timesteps ({labels[j]!r}, {labels[j + 1]!r}) "
+                              f"and ({labels[i]!r}, {labels[i + 1]!r}) both give the "
+                              f"pair name {name!r}")
     regions = cfg.regions or [Region(0, 0, hm.width, hm.height_px, "full")]
     for region in regions:
         region.check_extent(hm)
@@ -327,7 +335,7 @@ def cmd_audit(cfg: RunConfig, posteriors_dir: str) -> int:
     prior = _read_field(_prepared_dir(cfg) / "prior_proportions",
                         gs.StackKind.PRIOR_PROPORTIONS)
     _check_extent(cfg.heights, hm, prior.shape)
-    labels, categories = list(hm.layer_labels), prior.categories
+    categories = prior.categories
     posteriors = Path(posteriors_dir)
     for label in labels:  # every manifest is checked before anything is written
         path = posteriors / label
@@ -336,8 +344,6 @@ def cmd_audit(cfg: RunConfig, posteriors_dir: str) -> int:
             raise ConfigError(f"{path}: categories {m.layer_labels} are not the "
                               f"prepared prior's {categories}")
         _check_extent(path, m, prior.shape)
-    # consecutive timesteps name both the change maps and the transitions
-    pairs = [f"{a}_to_{b}" for a, b in zip(labels, labels[1:])]
     change_grids = [au.change_map(a, b, au.CHANGE_THRESHOLD_M).grid
                     for a, b in zip(heights.grids, heights.grids[1:])]
     del heights  # only the change maps read them
@@ -347,7 +353,7 @@ def cmd_audit(cfg: RunConfig, posteriors_dir: str) -> int:
         """Timestep ``label``'s posterior; its AD map and region means are
         taken as it is read."""
         post = _read_field(posteriors / label, gs.StackKind.POSTERIOR, label)
-        ad_grids.append(au.ad_map(prior, post).grid)
+        ad_grids.append(au.ad_map(prior, post))
         for rows, region in zip(means, regions):
             rows.append(au.region_mean(post, region.rect))
         return post
@@ -369,7 +375,8 @@ def cmd_audit(cfg: RunConfig, posteriors_dir: str) -> int:
             for name, grid in zip(names, grids):
                 au.write_ppm_heatmap(grid, stage / f"{prefix}_{name}.ppm")
                 artifacts.append(f"{prefix}_{name}.ppm")
-            _write_stack(au.maps_to_stack(grids, names, kind), stage / f"{prefix}_maps", hm)
+            m = gs.StackManifest(kind, hm.width, hm.height_px, names, nodata=grids[0].nodata)
+            _write_stack(gs.GridStack(m, grids), stage / f"{prefix}_maps", hm)
             gs.read_grid_stack(stage / f"{prefix}_maps")
             artifacts.append(f"{prefix}_maps")
 

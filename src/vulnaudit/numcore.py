@@ -96,9 +96,6 @@ class Var:
     def __init__(self, value):
         self.value = _as_value(value)
 
-    def __repr__(self):
-        return f"Var(shape={self.value.shape})"
-
 
 # backward_fn(dout) -> iterable of (input Var, gradient contribution); the
 # rule owns ``dout`` and may overwrite it (see ``backward``)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vulnaudit import audit as au
-from vulnaudit.grid_store import CategoryField, RasterGrid, StackKind
+from vulnaudit.grid_store import CategoryField, RasterGrid
 
 from oracles import ad_map_whole, aitchison_double_loop
 
@@ -96,17 +96,17 @@ class TestAdMap:
         prior = CategoryField(["c0", "c1", "c2"], probs, np.ones((4, 5), dtype=bool))
         post = posterior_from(probs)
         out = au.ad_map(prior, post)
-        valid = out.grid.valid_mask()
+        valid = out.valid_mask()
         assert valid.all()
-        np.testing.assert_allclose(out.grid.values, 0.0, atol=1e-6)
+        np.testing.assert_allclose(out.values, 0.0, atol=1e-6)
 
     def test_missing_prior_gives_nodata(self):
         probs = np.full((1, 2, 2), 0.5)
         mask = np.array([[True, False]])
         prior = CategoryField(["a", "b"], np.where(mask[:, :, None], probs, 0.0), mask)
         out = au.ad_map(prior, posterior_from(probs))
-        assert out.grid.valid_mask()[0, 0]
-        assert not out.grid.valid_mask()[0, 1]
+        assert out.valid_mask()[0, 0]
+        assert not out.valid_mask()[0, 1]
 
     def test_scalar_loop_oracle(self):
         rng = np.random.default_rng(5)
@@ -122,9 +122,9 @@ class TestAdMap:
                 if prior.valid[y, x] and post.valid[y, x]:
                     expected = aitchison_double_loop(prior_probs[y, x],
                                                      post.probs[y, x], 1e-6)
-                    assert out.grid.values[y, x] == pytest.approx(expected, abs=1e-5)
+                    assert out.values[y, x] == pytest.approx(expected, abs=1e-5)
                 else:
-                    assert out.grid.values[y, x] == np.float32(-1.0)
+                    assert out.values[y, x] == np.float32(-1.0)
 
     def test_single_pixel_equals_aitchison_distance(self):
         # ad_map and aitchison_distance share one kernel: a 1 x 1 map holds
@@ -138,7 +138,7 @@ class TestAdMap:
                 prior = CategoryField([f"c{i}" for i in range(k)], p[None, None, :],
                                       np.ones((1, 1), dtype=bool))
                 out = au.ad_map(prior, posterior_from(q[None, None, :]))
-                assert out.grid.values[0, 0] == np.float32(au.aitchison_distance(p, q))
+                assert out.values[0, 0] == np.float32(au.aitchison_distance(p, q))
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_banded_map_equals_whole_raster_oracle(self, k):
@@ -151,7 +151,7 @@ class TestAdMap:
         prior = CategoryField([f"c{i}" for i in range(k)], prior_probs,
                               rng.random((h, w)) < 0.8)
         post = random_posterior(rng, h, w, k, p_valid=0.7)
-        out = au.ad_map(prior, post).grid.values
+        out = au.ad_map(prior, post).values
         assert out.dtype == np.float32
         assert out.tobytes() == ad_map_whole(prior, post, au._aitchison_rows).tobytes()
 
@@ -432,11 +432,3 @@ class TestExports:
         au.write_ppm_heatmap(grid, tmp_path / "m.ppm")
         assert (tmp_path / "m.ppm").read_bytes() == b"P6\n3 2\n255\n" + bytes(3 * 2 * 3)
 
-    def test_maps_to_stack_needs_a_map(self):
-        with pytest.raises(ValueError, match="no maps to stack"):
-            au.maps_to_stack([], [], StackKind.AD_MAP)
-
-    def test_maps_to_stack_kind(self):
-        grid = RasterGrid(1, 1, np.array([[0.3]], dtype=np.float32))
-        stack = au.maps_to_stack([grid], ["t0"], StackKind.AD_MAP)
-        assert stack.manifest.kind is StackKind.AD_MAP

@@ -903,10 +903,40 @@ class TestAudit:
         assert one_step == averaged  # T=2: the average covers exactly one pair
         index = json.loads((out / "index.json").read_text())
         assert "t0_to_t1" in index["transitions"]
-        assert (out / "ad_maps" / "manifest.json").is_file()
-        assert (out / "change_maps" / "manifest.json").is_file()
+        ad = gs.read_manifest(out / "ad_maps")
+        assert (ad.kind, ad.layer_labels, ad.nodata) == \
+            (gs.StackKind.AD_MAP, ["t0", "t1"], gs.DEFAULT_NODATA)
+        change = gs.read_manifest(out / "change_maps")
+        assert (change.kind, change.layer_labels, change.nodata) == \
+            (gs.StackKind.CHANGE_MAP, ["t0_to_t1"], au.CHANGE_NODATA)
         assert (out / "trend_full.csv").is_file()
         assert (out / "transition_t0_to_t1.dot").is_file()
+
+    def test_colliding_pair_names_exit_2_before_any_posterior(self, tmp_path, capsys):
+        # timesteps a, b_to_c, a_to_b, c name the pair a_to_b_to_c twice, so
+        # two change maps and two transitions would share files; audit exits 2
+        # naming the heights before it opens a posterior, here a missing one
+        spec = write_spec(tmp_path / "spec.json", timesteps=4)
+        assert cli.main(["synth", "--spec", str(spec), "--out", str(tmp_path / "data")]) == 0
+        config = write_config(tmp_path / "config.json", tmp_path / "data", tmp_path / "out")
+        self.run_pipeline((tmp_path, config))
+        assert cli.main(["audit", "--config", str(config),
+                         "--posteriors", str(tmp_path / "out" / "posteriors")]) == 0
+        out = tmp_path / "out"
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        heights = tmp_path / "data" / "heights"
+        manifest = heights / "manifest.json"
+        labels = ["a", "b_to_c", "a_to_b", "c"]
+        for old, new in zip(json.loads(manifest.read_text())["layers"], labels):
+            (heights / f"{old}.f32").rename(heights / f"{new}.f32")
+        manifest.write_bytes(edit_json(manifest.read_bytes(), layers=labels))
+        capsys.readouterr()
+        assert cli.main(["audit", "--config", str(config),
+                         "--posteriors", str(tmp_path / "missing")]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {heights}: timesteps ('a', 'b_to_c') and ('a_to_b', 'c') "
+                       "both give the pair name 'a_to_b_to_c'\n"), err
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
     def test_transition_rows_stochastic(self, toy_run):
         tmp_path, config = self.run_pipeline(toy_run)
